@@ -62,6 +62,7 @@ from .operad import (
     relabel,
     substitute,
 )
+from .quotient import clear_memos
 from .ram import (
     RAM_SIGNATURE,
     ResourceBoundError,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
-from typing import Any, Callable
+import tempfile
+from contextlib import suppress
 
 SCHEMA_VERSION = 1
 
@@ -30,17 +30,6 @@ def resolve_cache_dir(flag_value: str | None, use_default: bool = False) -> str 
     if use_default:
         return _DEFAULT_DIRNAME
     return None
-
-
-def encode_rows(rows: list[dict[int, Fraction]]) -> list[list[list[Any]]]:
-    return [
-        [[col, str(val)] for col, val in sorted(row.items())]
-        for row in rows
-    ]
-
-
-def decode_rows(data: list[list[list[Any]]]) -> list[dict[int, Fraction]]:
-    return [{int(col): Fraction(val) for col, val in row} for row in data]
 
 
 class ComponentStore:
@@ -76,17 +65,18 @@ class ComponentStore:
         self._memory[key] = payload
         if self.directory:
             os.makedirs(self.directory, exist_ok=True)
-            tmp = self._path(key) + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-
-    def get_or_build(self, key: str, build: Callable[[], dict]) -> dict:
-        payload = self.get(key)
-        if payload is None:
-            payload = build()
-            self.put(key, payload)
-        return payload
+            # one temporary file per writer, so that concurrent writers of a
+            # key never replace or truncate each other's half-written file
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+                os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
+                os.replace(tmp, self._path(key))
+            except BaseException:
+                with suppress(OSError):
+                    os.remove(tmp)
+                raise
 
     def info(self) -> dict:
         entries = sorted(self._memory)

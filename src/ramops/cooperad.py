@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from . import quotient
 from .cache import ComponentStore, default_store
 from .graphalg import (
     AlgebraElement,
@@ -28,6 +29,8 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
+from .linalg import bump
+from .reports import verdict
 
 
 class TensorAlgebraElement:
@@ -44,12 +47,7 @@ class TensorAlgebraElement:
         )
 
     def add_term(self, ml: MonomialKey, mr: MonomialKey, coeff: Fraction) -> None:
-        key = (ml, mr)
-        s = self.terms.get(key, Fraction(0)) + coeff
-        if s:
-            self.terms[key] = s
-        elif key in self.terms:
-            del self.terms[key]
+        bump(self.terms, (ml, mr), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,35 +176,9 @@ def theta(
 def tensor_normal_form(
     t: TensorAlgebraElement, comp_left: GraphComponent, comp_right: GraphComponent
 ) -> TensorAlgebraElement:
-    out = TensorAlgebraElement(t.labels_left, t.labels_right, t.pres)
-    memo_l: dict[MonomialKey, list] = {}
-    memo_r: dict[MonomialKey, list] = {}
-
-    def nf(m, comp, memo):
-        if m not in memo:
-            memo[m] = list(comp.normal_form(comp.monomial_element(m)).terms.items())
-        return memo[m]
-
-    for (ml, mr), c in t.terms.items():
-        for bl, cl in nf(ml, comp_left, memo_l):
-            for br, cr in nf(mr, comp_right, memo_r):
-                out.add_term(bl, br, c * cl * cr)
-    return out
-
-
-def _bump(acc: dict, key, val: Fraction) -> None:
-    s = acc.get(key, Fraction(0)) + val
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
-
-
-def _verdict(check: str, ok: bool, witness=None, **params) -> dict:
-    v = {"check": check, "pass": bool(ok), "params": params}
-    if witness is not None and not ok:
-        v["witness"] = witness
-    return v
+    """Reduce each tensor factor to the basis of its component."""
+    terms = quotient.tensor_normal_form(t.terms, (comp_left, comp_right))
+    return TensorAlgebraElement(t.labels_left, t.labels_right, t.pres, terms)
 
 
 def theta_relation_kill(
@@ -225,7 +197,7 @@ def theta_relation_kill(
         image = theta(pres, I, J, rel, STAR, store)
         ok = image.is_zero()
         verdicts.append(
-            _verdict(
+            verdict(
                 "theta_kills_relation",
                 ok,
                 witness=None if ok else {"family": family, "relation": repr(rel)},
@@ -268,12 +240,12 @@ def cooperad_axiom_check(
         for (ml, mk), c in theta(pres, ij, K, el, HASH, store).terms.items():
             el_l = AlgebraElement(sort_atoms(ij + (HASH,)), pres, {ml: Fraction(1)})
             for (m1, m2), c2 in theta(pres, I, j_hash, el_l, STAR, store).terms.items():
-                _bump(lhs, (m1, m2, mk), c * c2)
+                bump(lhs, (m1, m2, mk), c * c2)
         rhs: dict = {}
         for (m1, mjk), c in theta(pres, I, jk, el, STAR, store).terms.items():
             el_r = AlgebraElement(jk, pres, {mjk: Fraction(1)})
             for (m2, m3), c2 in theta(pres, J, K, el_r, HASH, store).terms.items():
-                _bump(rhs, (m1, m2, m3), c * c2)
+                bump(rhs, (m1, m2, m3), c * c2)
         if lhs != rhs and bad_nested is None:
             bad_nested = {"basis_monomial": monomial_str(b, pres)}
 
@@ -281,7 +253,7 @@ def cooperad_axiom_check(
         for (ml, mk), c in theta(pres, ij, K, el, HASH, store).terms.items():
             el_l = AlgebraElement(sort_atoms(ij + (HASH,)), pres, {ml: Fraction(1)})
             for (m1, mj), c2 in theta(pres, i_hash, J, el_l, STAR, store).terms.items():
-                _bump(lhs2, (m1, mj, mk), c * c2)
+                bump(lhs2, (m1, mj, mk), c * c2)
         rhs2: dict = {}
         for (ml, mj), c in theta(pres, ik, J, el, STAR, store).terms.items():
             el_l = AlgebraElement(sort_atoms(ik + (STAR,)), pres, {ml: Fraction(1)})
@@ -289,14 +261,14 @@ def cooperad_axiom_check(
             for (m1, mk), c2 in theta(pres, i_star, K, el_l, HASH, store).terms.items():
                 hk = monomial_bidegree(mk, pres)[0]
                 sign = -1 if (hj & 1) and (hk & 1) else 1
-                _bump(rhs2, (m1, mj, mk), c * c2 * sign)
+                bump(rhs2, (m1, mj, mk), c * c2 * sign)
         if lhs2 != rhs2 and bad_swapped is None:
             bad_swapped = {"basis_monomial": monomial_str(b, pres)}
 
     split = {"I": list(I), "J": list(J), "K": list(K)}
     verdicts = [
-        _verdict("cooperad_nested_coassociativity", bad_nested is None, bad_nested, **split),
-        _verdict("cooperad_swapped_coassociativity", bad_swapped is None, bad_swapped, **split),
+        verdict("cooperad_nested_coassociativity", bad_nested is None, bad_nested, **split),
+        verdict("cooperad_swapped_coassociativity", bad_swapped is None, bad_swapped, **split),
     ]
     return verdicts
 
@@ -340,7 +312,7 @@ def theta_intertwines_differentials(
                 bad = {"basis_monomial": monomial_str(b, pres), "differential": which}
                 break
         verdicts.append(
-            _verdict(
+            verdict(
                 f"theta_intertwines_{which}",
                 bad is None,
                 bad,

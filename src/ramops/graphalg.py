@@ -28,9 +28,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cache import ComponentStore, decode_rows, default_store, encode_rows
+from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
-from .linalg import Echelon, SparseMatrix, quotient_basis
+from .linalg import SparseMatrix
+from .quotient import QuotientComponent, load_component
 
 Edge = tuple[Atom, Atom]
 MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order
@@ -314,15 +315,20 @@ def relabel_element(x: AlgebraElement, phi: Mapping[Atom, Atom]) -> AlgebraEleme
     image = [phi[a] for a in x.labels]
     out = AlgebraElement(image, x.pres)
     for key, coeff in x.terms.items():
-        word = []
-        for ci, edges in enumerate(key):
-            cname = x.pres.colors[ci].name
-            for u, v in edges:
-                word.append((cname, phi[u], phi[v]))
-        res = monomial_from_word(x.pres, word, "full")
-        sign, new_key = res  # relabeling cannot create repeats or cycles
+        sign, new_key = _relabel_monomial(x.pres, key, phi)
         out._add_term(new_key, coeff * sign)
     return out
+
+
+def _relabel_monomial(
+    pres: GraphPresentation, m: MonomialKey, phi: Mapping[Atom, Atom]
+) -> tuple[int, MonomialKey]:
+    word = []
+    for ci, edges in enumerate(m):
+        cname = pres.colors[ci].name
+        word.extend((cname, phi[u], phi[v]) for u, v in edges)
+    # relabeling cannot create repeats or cycles, so the result is never None
+    return monomial_from_word(pres, word, "full")
 
 
 def enumerate_graph_monomials(
@@ -482,90 +488,42 @@ def relation_instances(
 # --- quotient components ------------------------------------------------------
 
 
-class GraphComponent:
+class GraphComponent(QuotientComponent):
     """Quotient of the monomial span by all relation instances, on one vertex set."""
 
-    def __init__(
-        self,
-        pres: GraphPresentation,
-        labels: tuple[Atom, ...],
-        mode: str,
-        monomials_std: list[MonomialKey],
-        echelon: Echelon,
-        basis_positions: list[int],
-        dims: dict[BiDegree, int],
-    ):
-        self.pres = pres
-        self.labels = labels
+    family = "graph"
+    # its own attribute, so that per-side instrumentation can wrap it
+    coords = QuotientComponent.coords
+
+    def __init__(self, pres: GraphPresentation, labels: tuple[Atom, ...], std, mode: str):
         self.mode = mode
-        self.monomials_std = monomials_std
-        self.echelon = echelon
-        self.basis_positions = basis_positions
-        self.dims = dims
-        std = standard_labels(len(labels))
-        if labels == std:
-            self.monomials = list(monomials_std)
-            self.transport_signs = [1] * len(monomials_std)
-        else:
-            phi = dict(zip(std, labels))
-            self.monomials = []
-            self.transport_signs = []
-            for m in monomials_std:
-                word = []
-                for ci, edges in enumerate(m):
-                    cname = pres.colors[ci].name
-                    word.extend((cname, phi[u], phi[v]) for u, v in edges)
-                sign, key = monomial_from_word(pres, word, "full")
-                self.monomials.append(key)
-                self.transport_signs.append(sign)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        self.basis = [self.monomials[i] for i in basis_positions]
+        super().__init__(pres, labels, std)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis_positions)
+    def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> tuple[int, MonomialKey]:
+        return _relabel_monomial(self.pres, m, phi)
 
-    def index_of(self, m: MonomialKey) -> int:
-        return self._index[m]
+    def element(self, terms: dict) -> AlgebraElement:
+        return AlgebraElement(self.labels, self.pres, terms)
 
-    def coords(self, x: AlgebraElement) -> dict[int, Fraction]:
-        if x.labels != self.labels:
-            raise ValueError("vertex set mismatch")
-        vec: dict[int, Fraction] = {}
-        for m, c in x.terms.items():
-            i = self._index[m]
-            val = vec.get(i, Fraction(0)) + c * self.transport_signs[i]
-            if val:
-                vec[i] = val
-            elif i in vec:
-                del vec[i]
-        reduced = self.echelon.reduce(vec)
-        out: dict[int, Fraction] = {}
-        for slot, i in enumerate(self.basis_positions):
-            if i in reduced:
-                out[slot] = reduced[i] * self.transport_signs[i]
-        return out
+    @staticmethod
+    def monomial_to_json(m: MonomialKey):
+        return [[[u, v] for u, v in edges] for edges in m]
 
-    def normal_form(self, x: AlgebraElement) -> AlgebraElement:
-        coords = self.coords(x)
-        return AlgebraElement(
-            self.labels, self.pres, {self.basis[slot]: c for slot, c in coords.items()}
-        )
+    @staticmethod
+    def monomial_from_json(data) -> MonomialKey:
+        return tuple(tuple((u, v) for u, v in edges) for edges in data)
 
-    def monomial_element(self, m: MonomialKey) -> AlgebraElement:
-        return AlgebraElement(self.labels, self.pres, {m: Fraction(1)})
+    @staticmethod
+    def bidegree(pres: GraphPresentation, m: MonomialKey) -> BiDegree:
+        return monomial_bidegree(m, pres)
 
-
-def _monomial_to_json(m: MonomialKey):
-    return [[[u, v] for u, v in edges] for edges in m]
-
-
-def _monomial_from_json(data) -> MonomialKey:
-    return tuple(tuple((u, v) for u, v in edges) for edges in data)
-
-
-_GRAPH_MEMO: dict[tuple[str, int, str], tuple] = {}
-_GRAPH_INSTANCE_MEMO: dict[tuple, GraphComponent] = {}
+    @classmethod
+    def ambient_and_span(
+        cls, pres: GraphPresentation, n: int, mode: str
+    ) -> tuple[list[MonomialKey], SparseMatrix]:
+        labels = standard_labels(n)
+        monomials = enumerate_graph_monomials(pres, labels, mode)
+        return monomials, _span_matrix(pres, labels, mode, monomials)
 
 
 def algebra_basis(
@@ -577,45 +535,7 @@ def algebra_basis(
     """Basis, reducer and bigraded dims of the quotient algebra (cached)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    labels = check_label_set(labels)
-    instance_key = (pres.hash, labels, mode)
-    if instance_key in _GRAPH_INSTANCE_MEMO:
-        return _GRAPH_INSTANCE_MEMO[instance_key]
-    n = len(labels)
-    store = store or default_store()
-    memo_key = (pres.hash, n, mode)
-    if memo_key not in _GRAPH_MEMO:
-        cache_key = f"graph-{pres.hash}-{mode}-n{n}"
-        payload = store.get(cache_key)
-        if payload is not None and payload.get("presentation") == pres.hash:
-            monomials = [_monomial_from_json(m) for m in payload["monomials"]]
-            ech = Echelon(len(monomials))
-            ech.pivots = list(payload["pivots"])
-            ech.rows = decode_rows(payload["rows"])
-            ech._pivot_pos = {p: i for i, p in enumerate(ech.pivots)}
-            basis_positions = list(payload["basis"])
-            dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
-        else:
-            monomials, ech, basis_positions, dims = _build_graph_standard(pres, n, mode)
-            store.put(
-                cache_key,
-                {
-                    "kind": "graph-component",
-                    "presentation": pres.hash,
-                    "n": n,
-                    "mode": mode,
-                    "monomials": [_monomial_to_json(m) for m in monomials],
-                    "pivots": list(ech.pivots),
-                    "rows": encode_rows(ech.rows),
-                    "basis": basis_positions,
-                    "dims": sorted([h, w, d] for (h, w), d in dims.items()),
-                },
-            )
-        _GRAPH_MEMO[memo_key] = (monomials, ech, basis_positions, dims)
-    monomials, ech, basis_positions, dims = _GRAPH_MEMO[memo_key]
-    comp = GraphComponent(pres, labels, mode, monomials, ech, basis_positions, dims)
-    _GRAPH_INSTANCE_MEMO[instance_key] = comp
-    return comp
+    return load_component(GraphComponent, pres, labels, store, mode=mode)
 
 
 def _span_matrix(
@@ -647,18 +567,6 @@ def _span_matrix(
             seen_rows.add(fingerprint)
             span.add_row({index[k]: c for k, c in prod.terms.items()})
     return span
-
-
-def _build_graph_standard(pres: GraphPresentation, n: int, mode: str):
-    labels = standard_labels(n)
-    monomials = enumerate_graph_monomials(pres, labels, mode)
-    span = _span_matrix(pres, labels, mode, monomials)
-    basis_positions, ech = quotient_basis(span, len(monomials))
-    dims: dict[BiDegree, int] = {}
-    for i in basis_positions:
-        d = monomial_bidegree(monomials[i], pres)
-        dims[d] = dims.get(d, 0) + 1
-    return monomials, ech, basis_positions, dims
 
 
 def ideal_rank_breakdown(

@@ -45,10 +45,6 @@ def check_label_set(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return ordered
 
 
-def add_bidegree(d1: BiDegree, d2: BiDegree) -> BiDegree:
-    return (d1[0] + d2[0], d1[1] + d2[1])
-
-
 def standard_labels(n: int) -> tuple[Atom, ...]:
     """The reference label set {1, ..., n} used for cached components."""
     if n < 1:

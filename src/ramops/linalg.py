@@ -16,25 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SparseVec = dict[int, Fraction]
-
-
-def vec_from_items(items: Iterable[tuple[int, Fraction | int]]) -> SparseVec:
-    """Accumulate (column, value) pairs into a sparse vector, dropping zeros."""
-    v: SparseVec = {}
-    for col, val in items:
-        s = v.get(col, ZERO) + val
-        if s:
-            v[col] = s
-        elif col in v:
-            del v[col]
-    return v
 
 
 def vec_add_scaled(target: SparseVec, source: Mapping[int, Fraction], scale: Fraction) -> None:
@@ -49,10 +36,13 @@ def vec_add_scaled(target: SparseVec, source: Mapping[int, Fraction], scale: Fra
             del target[col]
 
 
-def vec_scale(v: Mapping[int, Fraction], scale: Fraction) -> SparseVec:
-    if not scale:
-        return {}
-    return {col: scale * val for col, val in v.items()}
+def bump(acc: dict, key, val) -> None:
+    """In-place acc[key] += val, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + val
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
 
 
 @dataclass

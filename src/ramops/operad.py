@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .cache import ComponentStore, decode_rows, default_store, encode_rows
+from .cache import ComponentStore
 from .labels import (
     Atom,
     BiDegree,
@@ -32,7 +32,8 @@ from .labels import (
     check_label_set,
     standard_labels,
 )
-from .linalg import Echelon, SparseMatrix, quotient_basis
+from .linalg import SparseMatrix
+from .quotient import QuotientComponent, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
 
@@ -284,15 +285,9 @@ def relabel(x: OperadElement, phi: Mapping[Atom, Atom]) -> OperadElement:
     image = [phi[a] for a in x.labels]
     if len(set(image)) != len(image):
         raise ValueError("relabeling map is not injective on the labels")
-
-    def walk(t: Tree) -> Tree:
-        if is_leaf(t):
-            return phi[t]
-        return (t[0], walk(t[1]), walk(t[2]))
-
     out = OperadElement(image, x.gens)
     for t, c in x.terms.items():
-        sign, canon = canonicalize(walk(t), x.gens)
+        sign, canon = canonicalize(_map_tree(t, phi), x.gens)
         out._add_term(canon, c * sign)
     return out
 
@@ -459,75 +454,39 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
     return [seen[k] for k in sorted(seen)]
 
 
-class Component:
-    """Quotient component on a label set: monomials, reducer, bigraded dims.
+class Component(QuotientComponent):
+    """Quotient component of an operad presentation on a label set.
 
     Built once on the reference labels {1..n} and transported to any other
     label set along the order-preserving bijection (transport signs come
     from recanonicalizing relabeled monomials).
     """
 
-    def __init__(
-        self,
-        pres: Presentation,
-        labels: tuple[Atom, ...],
-        monomials_std: list[Tree],
-        echelon: Echelon,
-        basis_positions: list[int],
-        dims: dict[BiDegree, int],
-    ):
-        self.pres = pres
-        self.labels = labels
-        self.monomials_std = monomials_std
-        self.echelon = echelon
-        self.basis_positions = basis_positions
-        self.dims = dims
-        std = standard_labels(len(labels))
-        if labels == std:
-            self.monomials = list(monomials_std)
-            self.transport_signs = [1] * len(monomials_std)
-        else:
-            phi = dict(zip(std, labels))
-            self.monomials = []
-            self.transport_signs = []
-            for m in monomials_std:
-                sign, canon = canonicalize(_map_tree(m, phi), pres.gens)
-                self.monomials.append(canon)
-                self.transport_signs.append(sign)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        self.basis = [self.monomials[i] for i in basis_positions]
+    family = "operad"
+    # its own attribute, so that per-side instrumentation can wrap it
+    coords = QuotientComponent.coords
+    monomial_to_json = staticmethod(tree_to_json)
+    monomial_from_json = staticmethod(tree_from_json)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis_positions)
+    def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> tuple[int, Tree]:
+        return canonicalize(_map_tree(m, phi), self.pres.gens)
 
-    def coords(self, x: OperadElement) -> dict[int, Fraction]:
-        """Coordinates of x on the component basis (kills exactly the ideal)."""
-        if x.labels != self.labels:
-            raise ValueError("label set mismatch")
-        vec: dict[int, Fraction] = {}
-        for t, c in x.terms.items():
-            i = self._index[t]
-            val = vec.get(i, Fraction(0)) + c * self.transport_signs[i]
-            if val:
-                vec[i] = val
-            elif i in vec:
-                del vec[i]
-        reduced = self.echelon.reduce(vec)
-        out: dict[int, Fraction] = {}
-        for slot, i in enumerate(self.basis_positions):
-            if i in reduced:
-                out[slot] = reduced[i] * self.transport_signs[i]
-        return out
+    def element(self, terms: dict) -> OperadElement:
+        return OperadElement(self.labels, self.pres.gens, terms)
 
-    def normal_form(self, x: OperadElement) -> OperadElement:
-        coords = self.coords(x)
-        return OperadElement(
-            self.labels, self.pres.gens, {self.basis[slot]: c for slot, c in coords.items()}
-        )
+    @staticmethod
+    def bidegree(pres: Presentation, m: Tree) -> BiDegree:
+        return tree_bidegree(m, pres.gens)
 
-    def monomial_element(self, tree: Tree) -> OperadElement:
-        return OperadElement.from_terms(self.labels, self.pres.gens, [(tree, 1)])
+    @classmethod
+    def ambient_and_span(cls, pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
+        labels = standard_labels(n)
+        monomials = enumerate_tree_monomials(pres.gens, labels)
+        index = {m: i for i, m in enumerate(monomials)}
+        span = SparseMatrix(len(monomials))
+        for e in ideal_span(pres, labels):
+            span.add_row({index[t]: c for t, c in e.terms.items()})
+        return monomials, span
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:
@@ -536,75 +495,13 @@ def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:
     return (t[0], _map_tree(t[1], phi), _map_tree(t[2], phi))
 
 
-_COMPONENT_MEMO: dict[tuple[str, int], tuple] = {}
-_COMPONENT_INSTANCE_MEMO: dict[tuple, Component] = {}
-
-
 def component_basis(
     pres: Presentation, labels: Iterable[Atom], store: ComponentStore | None = None
 ) -> Component:
     """Quotient component of the presentation on the label set (cached)."""
-    labels = check_label_set(labels)
-    instance_key = (pres.hash, labels)
-    if instance_key in _COMPONENT_INSTANCE_MEMO:
-        return _COMPONENT_INSTANCE_MEMO[instance_key]
-    n = len(labels)
-    store = store or default_store()
-    memo_key = (pres.hash, n)
-    if memo_key not in _COMPONENT_MEMO:
-        cache_key = f"operad-{pres.hash}-n{n}"
-        payload = store.get(cache_key)
-        if payload is not None and payload.get("presentation") == pres.hash:
-            monomials = [tree_from_json(m) for m in payload["monomials"]]
-            ech = Echelon(len(monomials))
-            ech.pivots = list(payload["pivots"])
-            ech.rows = decode_rows(payload["rows"])
-            ech._pivot_pos = {p: i for i, p in enumerate(ech.pivots)}
-            basis_positions = list(payload["basis"])
-            dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
-        else:
-            monomials, ech, basis_positions, dims = _build_component_standard(pres, n)
-            store.put(
-                cache_key,
-                {
-                    "kind": "operad-component",
-                    "presentation": pres.hash,
-                    "n": n,
-                    "monomials": [tree_to_json(m) for m in monomials],
-                    "pivots": list(ech.pivots),
-                    "rows": encode_rows(ech.rows),
-                    "basis": basis_positions,
-                    "dims": sorted([h, w, d] for (h, w), d in dims.items()),
-                },
-            )
-        _COMPONENT_MEMO[memo_key] = (monomials, ech, basis_positions, dims)
-    monomials, ech, basis_positions, dims = _COMPONENT_MEMO[memo_key]
-    comp = Component(pres, labels, monomials, ech, basis_positions, dims)
-    _COMPONENT_INSTANCE_MEMO[instance_key] = comp
-    return comp
-
-
-def _build_component_standard(pres: Presentation, n: int):
-    labels = standard_labels(n)
-    monomials = enumerate_tree_monomials(pres.gens, labels)
-    index = {m: i for i, m in enumerate(monomials)}
-    span = SparseMatrix(len(monomials))
-    for e in ideal_span(pres, labels):
-        span.add_row({index[t]: c for t, c in e.terms.items()})
-    basis_positions, ech = quotient_basis(span, len(monomials))
-    dims: dict[BiDegree, int] = {}
-    for i in basis_positions:
-        d = tree_bidegree(monomials[i], pres.gens)
-        dims[d] = dims.get(d, 0) + 1
-    return monomials, ech, basis_positions, dims
+    return load_component(Component, pres, labels, store)
 
 
 def normal_form(x: OperadElement, component: Component) -> dict[int, Fraction]:
     """Coordinate vector of x on the component basis."""
     return component.coords(x)
-
-
-def clear_memos() -> None:
-    _SPAN_MEMO.clear()
-    _COMPONENT_MEMO.clear()
-    _COMPONENT_INSTANCE_MEMO.clear()

@@ -1,0 +1,256 @@
+"""Quotient components, shared by the operad side and the algebra side.
+
+Both sides present a component the same way: the span of the ambient
+monomials on a label set modulo the span of the relation instances.  That
+span is brought to reduced row-echelon form once, on the standard labels
+{1..n}; the non-pivot monomials are the basis, and ``Echelon.reduce``
+rewrites any vector onto them.  The component on any other label set of the
+same size is transported along the order-preserving bijection: each
+relabeled monomial is recanonicalized and the sign picked up on the way is
+kept, so coordinates are taken on the standard side, where the reducer lives.
+
+A subclass supplies only what differs between the sides: the relabel-and-
+recanonicalize transport, the element constructor, the JSON codec of a
+monomial, the bidegree of a monomial and the builder of the ambient monomials
+and the relation span.  This module owns the rest: transport, coordinates and
+normal forms, the payload codec, the load-or-build path with its memos, and
+the normal form of tensors of components.
+
+Components are memoized per store, so that a second store in the same
+process still reads and writes its own directory; entries go away with the
+store that asked for them, and ``default_store()`` lives for the process.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping, Sequence
+from weakref import WeakKeyDictionary
+
+from .cache import ComponentStore, default_store
+from .labels import Atom, BiDegree, check_label_set, standard_labels
+from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis
+
+
+@dataclass
+class Standard:
+    """A component on the standard labels {1..n}: what a payload holds."""
+
+    monomials: list
+    echelon: Echelon
+    basis_positions: list[int]
+    dims: dict[BiDegree, int]
+    # basis slot of each non-pivot position; the same for every label set
+    slot_of: dict[int, int] = field(init=False)
+
+    def __post_init__(self):
+        self.slot_of = {i: slot for slot, i in enumerate(self.basis_positions)}
+
+
+class QuotientComponent:
+    """Quotient component on one label set: monomials, reducer, bigraded dims.
+
+    ``monomials[i]`` is the transport of ``monomials_std[i]`` and
+    ``transport_signs[i]`` the sign it picked up; ``basis`` lists the basis
+    monomials in slot order.
+    """
+
+    family = ""  # first word of the cache key and of the payload kind
+
+    def __init__(self, pres, labels: tuple[Atom, ...], std: Standard):
+        self.pres = pres
+        self.labels = labels
+        self.monomials_std = std.monomials
+        self.echelon = std.echelon
+        self.basis_positions = std.basis_positions
+        self.dims = std.dims
+        self._slot_of = std.slot_of
+        ref = standard_labels(len(labels))
+        if labels == ref:
+            self.monomials = list(std.monomials)
+            self.transport_signs = [1] * len(std.monomials)
+        else:
+            phi = dict(zip(ref, labels))
+            moved = [self.transport(m, phi) for m in std.monomials]
+            self.transport_signs = [sign for sign, _ in moved]
+            self.monomials = [m for _, m in moved]
+        self._index = {m: i for i, m in enumerate(self.monomials)}
+        self.basis = [self.monomials[i] for i in std.basis_positions]
+
+    # --- the codec of a side -------------------------------------------------
+
+    def transport(self, m, phi: Mapping[Atom, Atom]) -> tuple[int, object]:
+        """(sign, canonical monomial) of the standard monomial m relabeled by phi."""
+        raise NotImplementedError
+
+    def element(self, terms: dict):
+        """Element on this label set with the given canonical terms."""
+        raise NotImplementedError
+
+    @staticmethod
+    def monomial_to_json(m):
+        raise NotImplementedError
+
+    @staticmethod
+    def monomial_from_json(data):
+        raise NotImplementedError
+
+    @staticmethod
+    def bidegree(pres, m) -> BiDegree:
+        raise NotImplementedError
+
+    @classmethod
+    def ambient_and_span(cls, pres, n: int, **fields) -> tuple[list, SparseMatrix]:
+        """Ambient monomials on {1..n}, in column order, and the relation span."""
+        raise NotImplementedError
+
+    # --- shared ----------------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_positions)
+
+    def _reduce(self, vec: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
+        """(slot, coefficient) of a standard-side vector, in slot order."""
+        reduced = self.echelon.reduce(vec)
+        signs, slot_of = self.transport_signs, self._slot_of
+        return [(slot_of[i], reduced[i] * signs[i]) for i in sorted(reduced)]
+
+    def coords(self, x) -> dict[int, Fraction]:
+        """Coordinates of x on the component basis (kills exactly the ideal)."""
+        if x.labels != self.labels:
+            raise ValueError("label set mismatch")
+        index, signs = self._index, self.transport_signs
+        vec: dict[int, Fraction] = {}
+        for m, c in x.terms.items():
+            i = index[m]
+            vec[i] = c * signs[i]
+        return dict(self._reduce(vec))
+
+    def normal_form(self, x):
+        basis = self.basis
+        return self.element({basis[slot]: c for slot, c in self.coords(x).items()})
+
+    def monomial_element(self, m):
+        """The ambient monomial m as an element."""
+        return self.element({m: ONE})
+
+    def monomial_normal_form(self, m) -> dict:
+        """Basis expansion {basis monomial: coefficient} of the ambient monomial m."""
+        i = self._index[m]
+        expansion = self._reduce({i: Fraction(self.transport_signs[i])})
+        return {self.basis[slot]: c for slot, c in expansion}
+
+
+# --- payloads and memos ------------------------------------------------------------
+
+_DECODED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], Standard]] = WeakKeyDictionary()
+_INSTANCES: WeakKeyDictionary[ComponentStore, dict[tuple, QuotientComponent]] = WeakKeyDictionary()
+
+
+def clear_memos() -> None:
+    """Forget every decoded and transported component of every store."""
+    _DECODED.clear()
+    _INSTANCES.clear()
+
+
+def _prefix(cls, pres, fields: dict) -> str:
+    return "-".join((cls.family, pres.hash, *fields.values()))
+
+
+def load_component(cls, pres, labels, store: ComponentStore | None = None, **fields):
+    """The ``cls`` component of the presentation on the label set.
+
+    Taken from the store's memo, else decoded from its payload, else built
+    and written to it.  ``fields`` name the variant (the ambient mode of an
+    algebra); they enter the cache key, the payload, the build and the
+    constructor.
+    """
+    labels = check_label_set(labels)
+    store = store or default_store()
+    prefix = _prefix(cls, pres, fields)
+    instances = _INSTANCES.get(store)
+    if instances is None:
+        instances = _INSTANCES[store] = {}
+    comp = instances.get((prefix, labels))
+    if comp is None:
+        std = _standard(cls, pres, len(labels), store, prefix, fields)
+        comp = instances[prefix, labels] = cls(pres, labels, std, **fields)
+    return comp
+
+
+def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dict) -> Standard:
+    decoded = _DECODED.setdefault(store, {})
+    if (prefix, n) in decoded:
+        return decoded[prefix, n]
+    cache_key = f"{prefix}-n{n}"
+    payload = store.get(cache_key)
+    if payload is not None and payload.get("presentation") == pres.hash:
+        std = _decode(cls, payload)
+    else:
+        monomials, span = cls.ambient_and_span(pres, n, **fields)
+        basis_positions, ech = quotient_basis(span, len(monomials))
+        dims: dict[BiDegree, int] = {}
+        for i in basis_positions:
+            bump(dims, cls.bidegree(pres, monomials[i]), 1)
+        std = Standard(monomials, ech, basis_positions, dims)
+        store.put(cache_key, _encode(cls, pres, n, fields, std))
+    decoded[prefix, n] = std
+    return std
+
+
+def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
+    return {
+        "kind": f"{cls.family}-component",
+        "presentation": pres.hash,
+        "n": n,
+        **fields,
+        "monomials": [cls.monomial_to_json(m) for m in std.monomials],
+        "pivots": list(std.echelon.pivots),
+        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in std.echelon.rows],
+        "basis": std.basis_positions,
+        "dims": sorted([h, w, d] for (h, w), d in std.dims.items()),
+    }
+
+
+def _decode(cls, payload: dict) -> Standard:
+    monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
+    pivots = list(payload["pivots"])
+    rows = [{int(col): Fraction(val) for col, val in row} for row in payload["rows"]]
+    ech = Echelon(len(monomials), pivots, rows, {p: k for k, p in enumerate(pivots)})
+    dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
+    return Standard(monomials, ech, list(payload["basis"]), dims)
+
+
+def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:
+    """Dims of the components the store's memo already holds, by arity."""
+    decoded = _DECODED.get(store or default_store(), {})
+    prefix = _prefix(cls, pres, {})
+    return {n: decoded[p, n].dims for p, n in sorted(decoded) if p == prefix}
+
+
+# --- tensors of components -----------------------------------------------------------
+
+
+def tensor_normal_form(
+    terms: Mapping[tuple, Fraction], comps: Sequence[QuotientComponent]
+) -> dict[tuple, Fraction]:
+    """Reduce factor k of every pure tensor to the basis of ``comps[k]``.
+
+    ``terms`` maps tuples of ambient monomials to coefficients.  The map is
+    multilinear, so no signs arise.
+    """
+    by_comp: dict[int, dict] = {}
+    memos = [by_comp.setdefault(id(comp), {}) for comp in comps]
+    out: dict[tuple, Fraction] = {}
+    for key, c in terms.items():
+        partial: list[tuple[tuple, Fraction]] = [((), c)]
+        for m, comp, memo in zip(key, comps, memos):
+            expansion = memo.get(m)
+            if expansion is None:
+                expansion = memo[m] = list(comp.monomial_normal_form(m).items())
+            partial = [(k + (b,), v * cb) for k, v in partial for b, cb in expansion]
+        for k, v in partial:
+            bump(out, k, v)
+    return out

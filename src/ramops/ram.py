@@ -18,8 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
+from . import quotient
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, STAR, check_label_set, standard_labels
+from .linalg import bump
 from .operad import (
     Component,
     GeneratorSpec,
@@ -35,6 +37,7 @@ from .operad import (
     tree_h,
     tree_sort_key,
 )
+from .reports import dims_to_table, verdict
 
 E_SPEC = GeneratorSpec("E", (0, 0), 1)
 L_SPEC = GeneratorSpec("L", (0, 1), -1)
@@ -134,17 +137,13 @@ def operad_dims(
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_arity:
-        from .operad import _COMPONENT_MEMO
-
-        pres = presentation(which)
-        done = {
-            k: sorted([h, w, d] for (h, w), d in memo[3].items())
-            for (key, k), memo in sorted(_COMPONENT_MEMO.items())
-            if key == pres.hash
-        }
+        done = quotient.memo_dims(Component, presentation(which), store)
         raise ResourceBoundError(
             f"arity {n} exceeds the configured bound {max_arity}",
-            partial={"max_arity": max_arity, "computed_arities": done},
+            partial={
+                "max_arity": max_arity,
+                "computed_arities": {k: dims_to_table(d) for k, d in done.items()},
+            },
         )
     comp = component_basis(presentation(which), standard_labels(n), store)
     return dict(comp.dims)
@@ -175,12 +174,7 @@ class OperadTensor:
         self.terms: dict[tuple[Tree, Tree], Fraction] = terms if terms is not None else {}
 
     def add_term(self, t1: Tree, t2: Tree, coeff: Fraction) -> None:
-        key = (t1, t2)
-        s = self.terms.get(key, Fraction(0)) + coeff
-        if s:
-            self.terms[key] = s
-        elif key in self.terms:
-            del self.terms[key]
+        bump(self.terms, (t1, t2), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -243,20 +237,8 @@ def coproduct(x: OperadElement, component: Component | None = None) -> OperadTen
 
 def tensor_normal_form(tens: OperadTensor, comp: Component) -> OperadTensor:
     """Reduce both tensor factors to the component basis (bilinear, no signs)."""
-    out = OperadTensor(tens.labels, tens.gens)
-    nf_memo: dict[Tree, list[tuple[Tree, Fraction]]] = {}
-
-    def nf(t: Tree) -> list[tuple[Tree, Fraction]]:
-        if t not in nf_memo:
-            el = comp.normal_form(comp.monomial_element(t))
-            nf_memo[t] = list(el.terms.items())
-        return nf_memo[t]
-
-    for (t1, t2), c in tens.terms.items():
-        for b1, c1 in nf(t1):
-            for b2, c2 in nf(t2):
-                out.add_term(b1, b2, c * c1 * c2)
-    return out
+    terms = quotient.tensor_normal_form(tens.terms, (comp, comp))
+    return OperadTensor(tens.labels, tens.gens, terms)
 
 
 # --- differentials -----------------------------------------------------------
@@ -301,13 +283,6 @@ def differential(x: OperadElement, which: str) -> OperadElement:
 # --- verification reports ----------------------------------------------------
 
 
-def _verdict(check: str, ok: bool, witness=None, **params) -> dict:
-    v = {"check": check, "pass": bool(ok), "params": params}
-    if witness is not None and not ok:
-        v["witness"] = witness
-    return v
-
-
 def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations."""
     store = store or default_store()
@@ -322,7 +297,7 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
         if not reduced.is_zero():
             bad = {"relation_index": idx, "element": repr(rel)}
             break
-    verdicts.append(_verdict("coproduct_kills_ideal", bad is None, bad, n=n))
+    verdicts.append(verdict("coproduct_kills_ideal", bad is None, bad, n=n))
 
     bad = None
     for b in comp.basis:
@@ -332,13 +307,14 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
         right: dict[tuple, Fraction] = {}
         for (t1, t2), c in delta.terms.items():
             for u1, u2, s in _expand_factor(t1, pres.gens):
-                _bump(left, (u1, u2, t2), c * s)
+                bump(left, (u1, u2, t2), c * s)
             for v1, v2, s in _expand_factor(t2, pres.gens):
-                _bump(right, (t1, v1, v2), c * s)
-        if _triple_normal_form(left, comp) != _triple_normal_form(right, comp):
+                bump(right, (t1, v1, v2), c * s)
+        comps = (comp, comp, comp)
+        if quotient.tensor_normal_form(left, comps) != quotient.tensor_normal_form(right, comps):
             bad = {"basis_tree": repr(b)}
             break
-    verdicts.append(_verdict("coproduct_coassociative", bad is None, bad, n=n))
+    verdicts.append(verdict("coproduct_coassociative", bad is None, bad, n=n))
 
     for which in ("down", "up"):
         bad = None
@@ -357,7 +333,7 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
             if tensor_normal_form(rhs, comp).terms != lhs.terms:
                 bad = {"basis_tree": repr(b), "differential": which}
                 break
-        verdicts.append(_verdict(f"coderivation_{which}", bad is None, bad, n=n))
+        verdicts.append(verdict(f"coderivation_{which}", bad is None, bad, n=n))
     return verdicts
 
 
@@ -365,31 +341,6 @@ def _expand_factor(t: Tree, gens: Signature):
     if is_leaf(t):
         return [(t, t, 1)]
     return _coproduct_tree(t, gens)
-
-
-def _bump(acc: dict, key, val) -> None:
-    s = acc.get(key, Fraction(0)) + val
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
-
-
-def _triple_normal_form(triples: dict, comp: Component) -> dict:
-    out: dict = {}
-    memo: dict[Tree, list[tuple[Tree, Fraction]]] = {}
-
-    def nf(t: Tree):
-        if t not in memo:
-            memo[t] = list(comp.normal_form(comp.monomial_element(t)).terms.items())
-        return memo[t]
-
-    for (t1, t2, t3), c in triples.items():
-        for b1, c1 in nf(t1):
-            for b2, c2 in nf(t2):
-                for b3, c3 in nf(t3):
-                    _bump(out, (b1, b2, b3), c * c1 * c2 * c3)
-    return out
 
 
 # --- distributive-law dimension check ---------------------------------------

@@ -37,6 +37,14 @@ def make_report(
     }
 
 
+def verdict(check: str, ok: bool, witness=None, **params) -> dict:
+    """One check's record; the witness is kept only when the check failed."""
+    v = {"check": check, "pass": bool(ok), "params": params}
+    if witness is not None and not ok:
+        v["witness"] = witness
+    return v
+
+
 def all_pass(report: dict) -> bool:
     return all(v.get("pass", False) for v in report["verdicts"])
 

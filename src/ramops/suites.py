@@ -26,15 +26,9 @@ from .labels import standard_labels
 from .operad import component_basis, enumerate_tree_monomials, ideal_span, tree_bidegree
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import relation_survey
+from .reports import verdict
 
 SUITES = ("hopf", "differentials", "cooperad", "lemmas", "forms", "all")
-
-
-def _verdict(check: str, ok: bool, witness=None, **params) -> dict:
-    v = {"check": check, "pass": bool(ok), "params": params}
-    if witness is not None and not ok:
-        v["witness"] = witness
-    return v
 
 
 def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
@@ -61,7 +55,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
                 if not differential(differential(el, which), which).is_zero():
                     bad = {"monomial": repr(el)}
                     break
-            verdicts.append(_verdict(f"operad_{which}_squares_to_zero", bad is None, bad, n=k))
+            verdicts.append(verdict(f"operad_{which}_squares_to_zero", bad is None, bad, n=k))
 
         bad = None
         for m in monomials:
@@ -73,7 +67,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
             if anticomm != el.scaled(w):
                 bad = {"monomial": repr(el), "weight": w}
                 break
-        verdicts.append(_verdict("operad_laplacian_is_weight", bad is None, bad, n=k))
+        verdicts.append(verdict("operad_laplacian_is_weight", bad is None, bad, n=k))
 
         if k >= 3:
             for which in ("down", "up"):
@@ -83,7 +77,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
                         bad = {"relation_index": idx}
                         break
                 verdicts.append(
-                    _verdict(f"operad_{which}_preserves_ideal", bad is None, bad, n=k)
+                    verdict(f"operad_{which}_preserves_ideal", bad is None, bad, n=k)
                 )
 
         gpres = R_PRESENTATION
@@ -96,7 +90,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
                 if not differential_algebra(differential_algebra(el, which), which).is_zero():
                     bad = {"monomial": repr(el)}
                     break
-            verdicts.append(_verdict(f"algebra_{which}_squares_to_zero", bad is None, bad, n=k))
+            verdicts.append(verdict(f"algebra_{which}_squares_to_zero", bad is None, bad, n=k))
 
         bad = None
         for m in gmonos:
@@ -108,7 +102,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
             if anticomm != el.scaled(w):
                 bad = {"monomial": repr(el), "weight": w}
                 break
-        verdicts.append(_verdict("algebra_laplacian_is_weight", bad is None, bad, n=k))
+        verdicts.append(verdict("algebra_laplacian_is_weight", bad is None, bad, n=k))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)
@@ -120,7 +114,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
                         bad = {"family": family, "relation": repr(rel)}
                         break
                 verdicts.append(
-                    _verdict(
+                    verdict(
                         f"algebra_{which}_preserves_ideal",
                         bad is None,
                         bad,
@@ -181,7 +175,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
             total = path_permutation_sum(gpres, labels4, colors, "forest")
             ok = comp4.normal_form(total).is_zero()
             verdicts.append(
-                _verdict(f"permutation_sum_{name}_vanishes", ok, None if ok else {"sum": repr(total)})
+                verdict(f"permutation_sum_{name}_vanishes", ok, None if ok else {"sum": repr(total)})
             )
 
     for k in range(2, min(n, 4) + 1):
@@ -190,7 +184,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
         full = algebra_basis(gpres, labels, "full", store)
         ok = forest.dims == full.dims
         verdicts.append(
-            _verdict(
+            verdict(
                 "forest_dims_match_full_dims",
                 ok,
                 None if ok else {"forest": sorted(forest.dims.items()), "full": sorted(full.dims.items())},
@@ -202,7 +196,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
         comp = algebra_basis(gpres, standard_labels(k), "forest", store)
         max_w = max((w for (_, w) in comp.dims), default=0)
         ok = max_w <= k - 1
-        verdicts.append(_verdict("second_degree_bounded", ok, None if ok else {"max_w": max_w}, n=k))
+        verdicts.append(verdict("second_degree_bounded", ok, None if ok else {"max_w": max_w}, n=k))
 
     for k in range(2, n + 1):
         comp = algebra_basis(ARNOLD_PRESENTATION, standard_labels(k), "forest", store)
@@ -210,7 +204,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
         got = {w: d for (h, w), d in sorted(comp.dims.items())}
         ok = got == {e: c for e, c in expected.items() if c}
         verdicts.append(
-            _verdict(
+            verdict(
                 "arnold_hilbert_series",
                 ok,
                 None if ok else {"expected": sorted(expected.items()), "got": sorted(got.items())},
@@ -221,7 +215,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
             full = algebra_basis(ARNOLD_PRESENTATION, standard_labels(k), "full", store)
             ok = full.dims == comp.dims
             verdicts.append(
-                _verdict(
+                verdict(
                     "arnold_forest_matches_full",
                     ok,
                     None if ok else {"forest": sorted(comp.dims.items()), "full": sorted(full.dims.items())},
@@ -237,7 +231,7 @@ def suite_forms(n: int, trials: int = 20, seed: int = 0) -> tuple[list[dict], di
     for fam in survey["families"]:
         if fam["listed_for_forms"]:
             verdicts.append(
-                _verdict(
+                verdict(
                     f"forms_relation_{fam['family']}",
                     fam["holds"],
                     fam["witness"],
@@ -264,7 +258,7 @@ def suite_distributive(n: int, store: ComponentStore | None = None) -> list[dict
     for k in range(1, n + 1):
         rep = distributive_check(k, store)
         verdicts.append(
-            _verdict(
+            verdict(
                 "distributive_factorization",
                 rep["pass"],
                 None

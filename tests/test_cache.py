@@ -1,0 +1,39 @@
+import json
+import os
+
+import pytest
+
+from ramops.cache import ComponentStore
+
+
+def test_interleaved_writers_of_one_key_both_succeed(tmp_path, monkeypatch):
+    directory = str(tmp_path)
+    first, second = ComponentStore(directory), ComponentStore(directory)
+    real_dump = json.dump
+    interleaved = []
+
+    def dump_with_second_writer(obj, fh, **kwargs):
+        # the second writer starts and finishes while the first is writing
+        if not interleaved:
+            interleaved.append(True)
+            second.put("k", {"writer": 2})
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_with_second_writer)
+    first.put("k", {"writer": 1})
+    monkeypatch.undo()
+
+    assert interleaved
+    assert os.listdir(directory) == ["k.json"]
+    assert ComponentStore(directory).get("k")["writer"] == 1
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    def failing_dump(obj, fh, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        ComponentStore(str(tmp_path)).put("k", {"x": 1})
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == []
