@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .cooperad import theta
@@ -181,7 +182,8 @@ def dual_compose(
     return out
 
 
-_RHO_MEMO: dict = {}
+# forms of trees, per store: a form points at components of its store
+_RHO_MEMO: WeakKeyDictionary[ComponentStore, dict] = WeakKeyDictionary()
 
 
 def rho(x: OperadElement, store: ComponentStore | None = None) -> LinearForm:
@@ -202,8 +204,9 @@ _GENERATOR_DUALS = {"E": "one", "L": "astar", "G": "bstar"}
 
 
 def _rho_tree(t, store: ComponentStore) -> LinearForm:
-    if t in _RHO_MEMO:
-        return _RHO_MEMO[t]
+    memo = _RHO_MEMO.setdefault(store, {})
+    if t in memo:
+        return memo[t]
     if is_leaf(t):
         form = dual_basis_element((t,), "one", store=store)
     else:
@@ -217,7 +220,7 @@ def _rho_tree(t, store: ComponentStore) -> LinearForm:
         right_form = _rho_tree(r, store)
         form = dual_compose(top, left_form, STAR, store)
         form = dual_compose(form, right_form, HASH, store)
-    _RHO_MEMO[t] = form
+    memo[t] = form
     return form
 
 

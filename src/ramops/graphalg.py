@@ -545,14 +545,28 @@ def _span_matrix(
     monomials: list[MonomialKey],
     families: Iterable[str] | None = None,
 ) -> SparseMatrix:
-    """Relation instances times all complementary monomials, as sparse rows."""
+    """Relation instances times all complementary monomials, as sparse rows.
+
+    Only products that can survive are formed: a term and a multiplier that
+    share an edge multiply to zero, and in forest mode so do a term and a
+    multiplier with more than n - 1 edges between them, since a forest on n
+    vertices has at most n - 1 edges.
+    """
     index = {m: i for i, m in enumerate(monomials)}
+    edge_sets = [frozenset(e for es in m for e in es) for m in monomials]
+    forest_edges = len(labels) - 1
     span = SparseMatrix(len(monomials))
     seen_rows: set = set()
     for _, rel in relation_instances(pres, labels, mode, families):
-        for mult in monomials:
+        terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in rel.terms.items()]
+        spare = forest_edges - min(len(edges) for _, _, edges in terms)
+        for mult, mult_edges in zip(monomials, edge_sets):
+            if mode == "forest" and len(mult_edges) > spare:
+                continue
             prod = AlgebraElement(rel.labels, pres)
-            for k, c in rel.terms.items():
+            for k, c, edges in terms:
+                if not edges.isdisjoint(mult_edges):
+                    continue
                 res = multiply(k, mult, pres, mode)
                 if res is not None:
                     sign, key = res

@@ -10,13 +10,28 @@ A :class:`SparseMatrix` is a list of such rows plus a column count.  Column
 order is supplied by the caller (it is the caller's monomial order); the
 reduced row-echelon form of a row space is unique, so results are
 deterministic and suitable for golden files.
+
+:func:`rref` eliminates fraction-free, over the integers.  Each input row is
+scaled to an integer vector (a nonzero multiple, so the same row space) and
+reduced against the stored rows in increasing pivot order by
+``row := (l/g) row - (w/g) pivot_row``, where ``l`` is the pivot row's
+leading entry, ``w`` the row's entry in that column and ``g = gcd(l, w)``:
+an integer combination with a nonzero factor on ``row``, so the row space is
+kept and every division is exact.  What is left is stored as a primitive
+vector (gcd 1, leading entry positive) under its leading column; stored rows
+are never touched on insert.  One back-substitution, in decreasing pivot
+order, then clears the pivot columns, and only the final division of each
+row by its leading entry makes ``Fraction``s.  The result is the unique RREF
+of the row space, the same one that elimination over ``Fraction`` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Container, Mapping
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,55 +100,98 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, row: Mapping[int, Fraction]) -> bool:
-        """Reduce ``row`` against the echelon and absorb the remainder.
-
-        Returns True when the row enlarged the row space.
-        """
-        work = dict(row)
-        for piv, pos in self._pivot_pos.items():
-            coef = work.get(piv)
-            if coef:
-                vec_add_scaled(work, self.rows[pos], -coef)
-        if not work:
-            return False
-        lead = min(work)
-        inv = ONE / work[lead]
-        new_row = {c: v * inv for c, v in work.items()}
-        # keep existing rows fully reduced (entries above the new pivot vanish)
-        for pos, existing in enumerate(self.rows):
-            coef = existing.get(lead)
-            if coef:
-                vec_add_scaled(existing, new_row, -coef)
-        self.rows.append(new_row)
-        self.pivots.append(lead)
-        self._pivot_pos[lead] = len(self.rows) - 1
-        if len(self.pivots) >= 2 and self.pivots[-2] > lead:
-            order = sorted(range(len(self.pivots)), key=lambda k: self.pivots[k])
-            self.pivots = [self.pivots[k] for k in order]
-            self.rows = [self.rows[k] for k in order]
-            self._pivot_pos = {p: k for k, p in enumerate(self.pivots)}
-        return True
-
     def reduce(self, v: Mapping[int, Fraction]) -> SparseVec:
-        """Normal form of ``v`` modulo the row space: no support on pivots."""
+        """Normal form of ``v`` modulo the row space: no support on pivots.
+
+        Requires the echelon to be reduced, as :func:`rref` output and the
+        payloads written from it are: a pivot column is zero in every row
+        but its own, so subtracting a row puts nothing back on a pivot
+        column, and one pass over the pivots in ``v``'s support is enough.
+        """
         work = dict(v)
-        for piv in self.pivots:
-            coef = work.get(piv)
-            if coef:
-                vec_add_scaled(work, self.rows[self._pivot_pos[piv]], -coef)
+        pos = self._pivot_pos
+        for piv in [c for c in work if c in pos]:
+            vec_add_scaled(work, self.rows[pos[piv]], -work[piv])
         return work
 
     def contains(self, v: Mapping[int, Fraction]) -> bool:
         return not self.reduce(v)
 
 
+IntVec = dict[int, int]
+
+
+def _primitive(row: IntVec) -> IntVec:
+    """The row divided by the gcd of its entries, leading entry positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(
+    row: IntVec, p: int, pivot_row: IntVec, heap: list[int], pivots: Container[int] = ()
+) -> IntVec:
+    """``(l/g) row - (w/g) pivot_row``, clearing column p (l, w: their entries there).
+
+    Columns in ``pivots`` that the pivot row brings into the support are
+    pushed on ``heap``.
+    """
+    l, w = pivot_row[p], row[p]
+    g = gcd(l, w)
+    a, b = l // g, w // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        s = row.get(c)
+        if s is None:
+            row[c] = -b * v
+            if c in pivots:
+                heappush(heap, c)
+        else:
+            s -= b * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+    return row
+
+
 def rref(m: SparseMatrix) -> Echelon:
-    """Reduced row-echelon form; row space preserved, output canonical."""
-    ech = Echelon(m.ncols)
+    """Reduced row-echelon form; row space preserved, output canonical.
+
+    Integer elimination with one back-substitution, as the module docstring
+    describes.
+    """
+    stored: dict[int, IntVec] = {}  # leading column -> primitive integer row
     for row in m.rows:
-        ech.insert(row)
-    return ech
+        den = lcm(*(v.denominator for v in row.values()))
+        work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        heap = [c for c in work if c in stored]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in work:
+                work = _eliminate(work, p, stored[p], heap, stored)
+        if work:
+            work = _primitive(work)
+            stored[min(work)] = work
+
+    pivots = sorted(stored)
+    for p in reversed(pivots):
+        row = stored[p]
+        # the rows of later pivots are reduced already, so clearing one
+        # pivot column never refills another
+        for q in [c for c in row if c != p and c in stored]:
+            row = _eliminate(row, q, stored[q], [])
+        stored[p] = _primitive(row)
+
+    rows = []
+    for p in pivots:
+        row = stored[p]
+        lead = row[p]
+        rows.append({c: Fraction(v, lead) for c, v in row.items()})
+    return Echelon(m.ncols, pivots, rows, {p: k for k, p in enumerate(pivots)})
 
 
 def rank(m: SparseMatrix) -> int:

@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+
+from ramops.cache import ComponentStore
 
 from ramops.dual import (
     clear_rho_memo,
@@ -223,3 +226,12 @@ def test_rho_rank_is_relabeling_independent():
 
     assert block_ranks((1, 2, 3)) == block_ranks((4, 7, 9))
     clear_rho_memo()
+
+
+def test_rho_memo_is_kept_per_store(tmp_path):
+    clear_rho_memo()
+    first, second = tmp_path / "first", tmp_path / "second"
+    verdicts = [conjecture_verdict(3, ComponentStore(str(d))) for d in (first, second)]
+    assert verdicts[0] == verdicts[1]
+    assert len(os.listdir(first)) == 4
+    assert sorted(os.listdir(second)) == sorted(os.listdir(first))

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+from echelon_oracle import oracle_reduce, oracle_rref
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ramops.linalg import (
     Echelon,
     SparseMatrix,
@@ -117,7 +121,57 @@ def test_row_space_preserved_by_rref():
         for row in m.rows:
             assert e.reduce(row) == {}
         # every echelon row lies in the span of the original rows
-        e2 = rref(m)
+        oracle = oracle_rref(m)
         for row in e.rows:
-            assert e2.reduce(row) == {}
+            assert oracle.reduce(row) == {}
         assert rank(m) == e.rank
+
+
+def assert_canonical(e: Echelon) -> None:
+    assert all(a < b for a, b in zip(e.pivots, e.pivots[1:]))
+    assert len(e.rows) == len(e.pivots)
+    for p, row in zip(e.pivots, e.rows):
+        assert min(row) == p and row[p] == 1
+        assert all(type(v) is Fraction and v for v in row.values())
+        assert max(row) < e.ncols
+    for p in e.pivots:
+        assert [row for row in e.rows if p in row] == [e.rows[e._pivot_pos[p]]]
+
+
+_small = st.integers(-6, 6)
+_large = st.integers(-(10**40), 10**40)
+_entry = st.builds(
+    Fraction,
+    st.one_of(_small, _large).filter(bool),
+    st.one_of(st.integers(1, 4), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(0, 9))
+    cols = st.integers(0, ncols - 1) if ncols else st.nothing()
+    row = st.dictionaries(cols, _entry, max_size=min(ncols, 4))
+    rows = draw(st.lists(row, max_size=10))
+    # duplicates and multiples of earlier rows
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        src = draw(st.sampled_from(rows))
+        scale = draw(_entry)
+        rows.append({c: v * scale for c, v in src.items()})
+    return SparseMatrix(ncols, draw(st.permutations(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.dictionaries(st.integers(0, 8), _entry, max_size=5))
+@example(SparseMatrix(0), {})
+@example(SparseMatrix(3, [{}, {}]), {1: Fraction(2)})
+def test_rref_matches_insert_oracle(m, vec):
+    e = rref(m)
+    oracle = oracle_rref(m)
+    assert e.pivots == oracle.pivots
+    assert e.rows == oracle.rows
+    assert_canonical(e)
+    for row in m.rows:
+        assert e.reduce(row) == {}
+    v = {c: x for c, x in vec.items() if c < m.ncols}
+    assert e.reduce(v) == oracle_reduce(oracle, v)
