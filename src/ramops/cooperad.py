@@ -6,6 +6,23 @@ straddling edge to the left factor rerouted into the place-holder leaf.
 Extended multiplicatively with Koszul interleaving signs and reduced to the
 quotient on each side, this is a morphism of bidifferential algebras; the
 checks below exercise that claim plus both coassociativity equations.
+
+Normalised cocomposition is read from a table of rows, one table per store
+and per (presentation, pattern).  The pattern of a split I | J with
+place-holder p is the word over I, J, P read along sort_atoms(I + J + (p,)).
+Row i holds the normalised image of the ambient monomial at position i of
+the union component as (left slot, right slot, coefficient) triples.  One
+row serves every label set with the same pattern, exactly: the split, the
+canonical form of a word and both quotient reducers compare atoms only
+through ``atom_key``, so an order-preserving relabeling commutes with each
+of them, and a component transports with no sign, position i and basis
+slot s naming the same monomial on every label set of a size (see
+``quotient``).  A row is computed on first use, on whichever label set asks,
+from the raw split of its ambient monomial.  ``theta`` never reduces its
+input first, so that ``theta_relation_kill`` sees the relation itself; a
+monomial outside the forest ambient (a full-mode cycle) is split and
+normalised without being stored.  ``dual_compose`` in ``dual`` contracts
+forms against the same rows.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
-from .linalg import bump
+from .linalg import ONE, bump
 from .reports import verdict
 
 
@@ -103,6 +120,135 @@ def tensor_multiply(
     return out
 
 
+def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
+    """(sign, left monomial, right monomial) of the raw cocomposition of m,
+    or None when a side vanishes."""
+    sign = 1
+    left_word: list = []
+    right_word: list = []
+    seen_right_odd = 0
+    for ci, edges in enumerate(m):
+        cname = pres.colors[ci].name
+        odd = pres.is_odd(ci)
+        orientation = pres.colors[ci].orientation
+        for u, v in edges:
+            if u in iset and v in iset:
+                side, letter, extra = 0, (cname, u, v), 1
+            elif u in jset and v in jset:
+                side, letter, extra = 1, (cname, u, v), 1
+            elif u in iset:
+                side, letter, extra = 0, (cname, u, place), 1
+            elif v in iset:
+                side, letter, extra = 0, (cname, v, place), orientation
+            else:
+                raise ValueError(f"edge endpoint outside I + J in {m}")
+            sign *= extra
+            if side == 0:
+                if odd and (seen_right_odd & 1):
+                    sign = -sign
+                left_word.append(letter)
+            else:
+                if odd:
+                    seen_right_odd += 1
+                right_word.append(letter)
+    lres = monomial_from_word(pres, left_word, "forest")
+    if lres is None:
+        return None
+    rres = monomial_from_word(pres, right_word, "forest")
+    if rres is None:
+        return None
+    return sign * lres[0] * rres[0], lres[1], rres[1]
+
+
+class SlotTable:
+    """Normalised cocomposition rows of one (presentation, pattern).
+
+    ``rows[i]`` is None until the ambient monomial at position i of the union
+    component is first asked for.  ``left_odd[s]`` is the parity of h on
+    left basis slot s; ``slots_by_degree`` lists the union basis slots of
+    each bidegree.  All three are the same on every label set of the pattern.
+    """
+
+    __slots__ = ("rows", "left_odd", "slots_by_degree")
+
+    def __init__(self, pres: GraphPresentation, union: GraphComponent, left: GraphComponent):
+        self.rows: list[tuple | None] = [None] * len(union.monomials)
+        self.left_odd = [monomial_bidegree(m, pres)[0] & 1 for m in left.basis]
+        self.slots_by_degree: dict = {}
+        for slot, m in enumerate(union.basis):
+            self.slots_by_degree.setdefault(monomial_bidegree(m, pres), []).append(slot)
+
+
+# per store: {(presentation hash, pattern): SlotTable} and
+# {(presentation hash, I, J, place): Cocomposition}
+_TABLES = quotient.per_store_memo()
+_SPLITS = quotient.per_store_memo()
+
+
+def _checked_split(I, J, place: Atom) -> tuple[tuple, tuple]:
+    I = check_label_set(I)
+    J = check_label_set(J)
+    if set(I) & set(J):
+        raise ValueError("I and J must be disjoint")
+    if place in I or place in J:
+        raise ValueError("the place-holder must be fresh")
+    return I, J
+
+
+class Cocomposition:
+    """The split I | J, place-holder on the I side, on concrete labels: its
+    three forest components and the table its pattern shares."""
+
+    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "table")
+
+    def __init__(
+        self, pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
+    ):
+        self.pres = pres
+        self.iset, self.jset, self.place = frozenset(I), frozenset(J), place
+        self.union = algebra_basis(pres, I + J, "forest", store)
+        self.left = algebra_basis(pres, I + (place,), "forest", store)
+        self.right = algebra_basis(pres, J, "forest", store)
+        pattern = "".join(
+            "I" if a in self.iset else "J" if a in self.jset else "P"
+            for a in sort_atoms(I + J + (place,))
+        )
+        tables = _TABLES.setdefault(store, {})
+        key = (pres.hash, pattern)
+        self.table = tables.get(key)
+        if self.table is None:
+            self.table = tables[key] = SlotTable(pres, self.union, self.left)
+
+    def row_at(self, i: int) -> tuple:
+        """Row of the ambient monomial at position i, computed on first use."""
+        row = self.table.rows[i]
+        if row is None:
+            row = self.table.rows[i] = self.normalised(self.union.monomials[i])
+        return row
+
+    def normalised(self, m: MonomialKey) -> tuple:
+        """(left slot, right slot, coefficient) triples of theta(m), reduced."""
+        split = _split(self.pres, self.iset, self.jset, self.place, m)
+        if split is None:
+            return ()
+        sign, ml, mr = split
+        left, right = self.left, self.right
+        terms = quotient.tensor_normal_form({(ml, mr): Fraction(sign)}, (left, right))
+        return tuple((left.slot(bl), right.slot(br), c) for (bl, br), c in terms.items())
+
+
+def cocomposition(
+    pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
+) -> Cocomposition:
+    """The checked split I | J with its components and table, kept per store."""
+    splits = _SPLITS.setdefault(store, {})
+    key = (pres.hash, I, J, place)
+    cocomp = splits.get(key)
+    if cocomp is None:
+        cocomp = splits[key] = Cocomposition(pres, *_checked_split(I, J, place), place, store)
+    return cocomp
+
+
 def theta(
     pres: GraphPresentation,
     I: Iterable[Atom],
@@ -115,62 +261,34 @@ def theta(
     """Cocomposition of x along the split I | J, place-holder on the I side.
 
     Each side is reduced to its quotient normal form when ``normalize`` is
-    set, so the terms of the result pair basis monomials.
+    set, so the terms of the result pair basis monomials; those are read
+    from the rows of the split's ``SlotTable``.
     """
-    I = check_label_set(I)
-    J = check_label_set(J)
-    iset, jset = set(I), set(J)
-    if iset & jset:
-        raise ValueError("I and J must be disjoint")
-    if place in iset or place in jset:
-        raise ValueError("the place-holder must be fresh")
-    if x.labels != sort_atoms(I + J):
+    I, J = tuple(I), tuple(J)
+    if not normalize:
+        I, J = _checked_split(I, J, place)
+        if x.labels != sort_atoms(I + J):
+            raise ValueError("element labels must be exactly I + J")
+        iset, jset = set(I), set(J)
+        out = TensorAlgebraElement(sort_atoms(I + (place,)), J, pres)
+        for m, coeff in x.terms.items():
+            split = _split(pres, iset, jset, place, m)
+            if split is not None:
+                out.add_term(split[1], split[2], coeff * split[0])
+        return out
+    cocomp = cocomposition(pres, I, J, place, store or default_store())
+    union, left, right = cocomp.union, cocomp.left, cocomp.right
+    if x.labels != union.labels:
         raise ValueError("element labels must be exactly I + J")
-    store = store or default_store()
-    left_labels = sort_atoms(I + (place,))
-    out = TensorAlgebraElement(left_labels, J, pres)
+    by_slot: dict = {}
     for m, coeff in x.terms.items():
-        sign = 1
-        left_word: list = []
-        right_word: list = []
-        seen_right_odd = 0
-        alive = True
-        for ci, edges in enumerate(m):
-            cname = pres.colors[ci].name
-            odd = pres.is_odd(ci)
-            orientation = pres.colors[ci].orientation
-            for u, v in edges:
-                if u in iset and v in iset:
-                    side, letter, extra = 0, (cname, u, v), 1
-                elif u in jset and v in jset:
-                    side, letter, extra = 1, (cname, u, v), 1
-                elif u in iset:
-                    side, letter, extra = 0, (cname, u, place), 1
-                elif v in iset:
-                    side, letter, extra = 0, (cname, v, place), orientation
-                else:
-                    raise ValueError(f"edge endpoint outside I + J in {m}")
-                sign *= extra
-                if side == 0:
-                    if odd and (seen_right_odd & 1):
-                        sign = -sign
-                    left_word.append(letter)
-                else:
-                    if odd:
-                        seen_right_odd += 1
-                    right_word.append(letter)
-        lres = monomial_from_word(pres, left_word, "forest")
-        if lres is None:
-            continue
-        rres = monomial_from_word(pres, right_word, "forest")
-        if rres is None:
-            continue
-        out.add_term(lres[1], rres[1], coeff * sign * lres[0] * rres[0])
-    if normalize:
-        comp_left = algebra_basis(pres, left_labels, "forest", store)
-        comp_right = algebra_basis(pres, J, "forest", store)
-        out = tensor_normal_form(out, comp_left, comp_right)
-    return out
+        i = union.position(m)
+        row = cocomp.normalised(m) if i is None else cocomp.row_at(i)
+        for ls, rs, c in row:
+            bump(by_slot, (ls, rs), c if coeff == 1 else coeff * c)
+    basis_left, basis_right = left.basis, right.basis
+    terms = {(basis_left[ls], basis_right[rs]): c for (ls, rs), c in by_slot.items()}
+    return TensorAlgebraElement(left.labels, right.labels, pres, terms)
 
 
 def tensor_normal_form(
@@ -231,32 +349,36 @@ def cooperad_axiom_check(
     i_hash = sort_atoms(I + (HASH,))
     i_star = sort_atoms(I + (STAR,))
 
+    ij_hash = sort_atoms(ij + (HASH,))
+    ik_star = sort_atoms(ik + (STAR,))
+
     bad_nested = None
     bad_swapped = None
     for b in comp.basis:
         el = comp.monomial_element(b)
+        # theta(ij, K) starts both the nested and the swapped left-hand side
+        first = theta(pres, ij, K, el, HASH, store).terms
 
         lhs: dict = {}
-        for (ml, mk), c in theta(pres, ij, K, el, HASH, store).terms.items():
-            el_l = AlgebraElement(sort_atoms(ij + (HASH,)), pres, {ml: Fraction(1)})
+        lhs2: dict = {}
+        for (ml, mk), c in first.items():
+            el_l = AlgebraElement(ij_hash, pres, {ml: ONE})
             for (m1, m2), c2 in theta(pres, I, j_hash, el_l, STAR, store).terms.items():
                 bump(lhs, (m1, m2, mk), c * c2)
+            for (m1, mj), c2 in theta(pres, i_hash, J, el_l, STAR, store).terms.items():
+                bump(lhs2, (m1, mj, mk), c * c2)
+
         rhs: dict = {}
         for (m1, mjk), c in theta(pres, I, jk, el, STAR, store).terms.items():
-            el_r = AlgebraElement(jk, pres, {mjk: Fraction(1)})
+            el_r = AlgebraElement(jk, pres, {mjk: ONE})
             for (m2, m3), c2 in theta(pres, J, K, el_r, HASH, store).terms.items():
                 bump(rhs, (m1, m2, m3), c * c2)
         if lhs != rhs and bad_nested is None:
             bad_nested = {"basis_monomial": monomial_str(b, pres)}
 
-        lhs2: dict = {}
-        for (ml, mk), c in theta(pres, ij, K, el, HASH, store).terms.items():
-            el_l = AlgebraElement(sort_atoms(ij + (HASH,)), pres, {ml: Fraction(1)})
-            for (m1, mj), c2 in theta(pres, i_hash, J, el_l, STAR, store).terms.items():
-                bump(lhs2, (m1, mj, mk), c * c2)
         rhs2: dict = {}
         for (ml, mj), c in theta(pres, ik, J, el, STAR, store).terms.items():
-            el_l = AlgebraElement(sort_atoms(ik + (STAR,)), pres, {ml: Fraction(1)})
+            el_l = AlgebraElement(ik_star, pres, {ml: ONE})
             hj = monomial_bidegree(mj, pres)[0]
             for (m1, mk), c2 in theta(pres, i_star, K, el_l, HASH, store).terms.items():
                 hk = monomial_bidegree(mk, pres)[0]

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
-from weakref import WeakKeyDictionary
 
+from . import quotient
 from .cache import ComponentStore, default_store
-from .cooperad import theta
+# theta stays bound here: perfbench's self-tests check that the tracer
+# patches every module's binding of it, this one included
+from .cooperad import cocomposition, theta  # noqa: F401
 from .graphalg import (
     AlgebraElement,
     GraphComponent,
@@ -30,7 +32,7 @@ from .graphalg import (
     monomial_bidegree,
     monomial_from_word,
 )
-from .labels import Atom, BiDegree, HASH, STAR, check_label_set, sort_atoms
+from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, rank
 from .operad import OperadElement, component_basis, ideal_span, is_leaf, tree_bidegree
 from .ram import ResourceBoundError, coproduct, differential, presentation
@@ -99,13 +101,6 @@ class LinearForm:
         ).replace("+ -", "- ")
 
 
-def _basis_slot(component: GraphComponent, m) -> int:
-    for slot, b in enumerate(component.basis):
-        if b == m:
-            return slot
-    raise KeyError("monomial is not a basis element")
-
-
 def dual_basis_element(
     labels: Iterable[Atom],
     which: str,
@@ -120,16 +115,15 @@ def dual_basis_element(
     comp = algebra_basis(pres, labels, "forest", store)
     if which == "one":
         unit = tuple(() for _ in pres.colors)
-        return LinearForm(comp, {_basis_slot(comp, unit): Fraction(1)}, (0, 0))
+        return LinearForm(comp, {comp.slot(unit): Fraction(1)}, (0, 0))
     if which not in ("astar", "bstar"):
         raise ValueError("which must be one | astar | bstar")
     if i == j or i not in labels or j not in labels:
         raise ValueError("need two distinct vertices from the label set")
     color = "a" if which == "astar" else "b"
     sign, key = monomial_from_word(pres, [(color, i, j)], "forest")
-    slot = _basis_slot(comp, key)
     ci = pres.color_index[color]
-    return LinearForm(comp, {slot: Fraction(sign)}, pres.colors[ci].bidegree)
+    return LinearForm(comp, {comp.slot(key): Fraction(sign)}, pres.colors[ci].bidegree)
 
 
 def dual_compose(
@@ -141,7 +135,8 @@ def dual_compose(
     """Composition in the dual operad: the transpose of cocomposition.
 
     <f o g, x> = sum over theta(x) = sum u(x)v of
-    (-1)**(h(g) h(u)) <f,u> <g,v>.
+    (-1)**(h(g) h(u)) <f,u> <g,v>, read off the cocomposition row of each
+    basis monomial x of the output bidegree.
     """
     store = store or default_store()
     pres = f.component.pres
@@ -151,39 +146,40 @@ def dual_compose(
     J = g.labels
     if set(I) & set(J):
         raise ValueError("label sets must be disjoint")
-    target = sort_atoms(I + J)
-    comp = algebra_basis(pres, target, "forest", store)
+    cocomp = cocomposition(pres, I, J, place, store)
+    comp = cocomp.union
     out_deg = None
     if f.bidegree is not None and g.bidegree is not None:
         out_deg = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
     out = LinearForm(comp, None, out_deg)
     if f.is_zero() or g.is_zero():
         return out
-    hg = g.bidegree[0] if g.bidegree is not None else 0
-    slot_left = {m: s for s, m in enumerate(f.component.basis)}
-    slot_right = {m: s for s, m in enumerate(g.component.basis)}
-    for slot_x, m in enumerate(comp.basis):
-        if out_deg is not None and monomial_bidegree(m, pres) != out_deg:
-            continue
-        el = comp.monomial_element(m)
+    odd_g = g.bidegree is not None and g.bidegree[0] & 1
+    left_odd = cocomp.table.left_odd
+    fc, gc = f.coords, g.coords
+    if out_deg is None:
+        slots = range(comp.dim)
+    else:
+        slots = cocomp.table.slots_by_degree.get(out_deg, ())
+    positions = comp.basis_positions
+    for slot_x in slots:
         total = Fraction(0)
-        for (u, v), c in theta(pres, I, J, el, place, store).terms.items():
-            fu = f.coords.get(slot_left.get(u, -1))
+        for ls, rs, c in cocomp.row_at(positions[slot_x]):
+            fu = fc.get(ls)
             if not fu:
                 continue
-            gv = g.coords.get(slot_right.get(v, -1))
+            gv = gc.get(rs)
             if not gv:
                 continue
-            hu = monomial_bidegree(u, pres)[0]
-            sign = -1 if (hg & 1) and (hu & 1) else 1
-            total += c * sign * fu * gv
+            term = c * fu * gv
+            total += -term if odd_g and left_odd[ls] else term
         if total:
             out.coords[slot_x] = total
     return out
 
 
 # forms of trees, per store: a form points at components of its store
-_RHO_MEMO: WeakKeyDictionary[ComponentStore, dict] = WeakKeyDictionary()
+_RHO_MEMO = quotient.per_store_memo()
 
 
 def rho(x: OperadElement, store: ComponentStore | None = None) -> LinearForm:
@@ -222,10 +218,6 @@ def _rho_tree(t, store: ComponentStore) -> LinearForm:
         form = dual_compose(form, right_form, HASH, store)
     memo[t] = form
     return form
-
-
-def clear_rho_memo() -> None:
-    _RHO_MEMO.clear()
 
 
 def conjecture_verdict(

@@ -499,8 +499,8 @@ class GraphComponent(QuotientComponent):
         self.mode = mode
         super().__init__(pres, labels, std)
 
-    def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> tuple[int, MonomialKey]:
-        return _relabel_monomial(self.pres, m, phi)
+    def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
+        return _relabel_monomial(self.pres, m, phi)[1]
 
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.labels, self.pres, terms)

@@ -458,8 +458,7 @@ class Component(QuotientComponent):
     """Quotient component of an operad presentation on a label set.
 
     Built once on the reference labels {1..n} and transported to any other
-    label set along the order-preserving bijection (transport signs come
-    from recanonicalizing relabeled monomials).
+    label set along the order-preserving bijection.
     """
 
     family = "operad"
@@ -468,8 +467,8 @@ class Component(QuotientComponent):
     monomial_to_json = staticmethod(tree_to_json)
     monomial_from_json = staticmethod(tree_from_json)
 
-    def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> tuple[int, Tree]:
-        return canonicalize(_map_tree(m, phi), self.pres.gens)
+    def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
+        return canonicalize(_map_tree(m, phi), self.pres.gens)[1]
 
     def element(self, terms: dict) -> OperadElement:
         return OperadElement(self.labels, self.pres.gens, terms)

@@ -5,9 +5,13 @@ monomials on a label set modulo the span of the relation instances.  That
 span is brought to reduced row-echelon form once, on the standard labels
 {1..n}; the non-pivot monomials are the basis, and ``Echelon.reduce``
 rewrites any vector onto them.  The component on any other label set of the
-same size is transported along the order-preserving bijection: each
-relabeled monomial is recanonicalized and the sign picked up on the way is
-kept, so coordinates are taken on the standard side, where the reducer lives.
+same size is transported along the order-preserving bijection, and
+coordinates are taken on the standard side, where the reducer lives.  Both
+canonical forms (trees and graph monomials) compare atoms only through
+``atom_key``, which an order-preserving bijection respects, so a transported
+monomial comes out canonical as it is and picks up no sign: position ``i``
+means the same monomial, and basis slot ``s`` the same basis monomial, on
+every label set of a given size.
 
 A subclass supplies only what differs between the sides: the relabel-and-
 recanonicalize transport, the element constructor, the JSON codec of a
@@ -19,6 +23,10 @@ the normal form of tensors of components.
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
 store that asked for them, and ``default_store()`` lives for the process.
+Other modules keep their per-store memos through ``per_store_memo`` so that
+``clear_memos`` empties all of them.  Cache keys carry ``ENGINE_FORMAT``: a
+change to canonical forms, monomial order or payload layout bumps it, and
+payloads written under another format are then rebuilt, never read.
 """
 
 from __future__ import annotations
@@ -51,9 +59,8 @@ class Standard:
 class QuotientComponent:
     """Quotient component on one label set: monomials, reducer, bigraded dims.
 
-    ``monomials[i]`` is the transport of ``monomials_std[i]`` and
-    ``transport_signs[i]`` the sign it picked up; ``basis`` lists the basis
-    monomials in slot order.
+    ``monomials[i]`` is the transport of ``monomials_std[i]``; ``basis``
+    lists the basis monomials in slot order.
     """
 
     family = ""  # first word of the cache key and of the payload kind
@@ -69,19 +76,17 @@ class QuotientComponent:
         ref = standard_labels(len(labels))
         if labels == ref:
             self.monomials = list(std.monomials)
-            self.transport_signs = [1] * len(std.monomials)
         else:
             phi = dict(zip(ref, labels))
-            moved = [self.transport(m, phi) for m in std.monomials]
-            self.transport_signs = [sign for sign, _ in moved]
-            self.monomials = [m for _, m in moved]
+            self.monomials = [self.transport(m, phi) for m in std.monomials]
         self._index = {m: i for i, m in enumerate(self.monomials)}
         self.basis = [self.monomials[i] for i in std.basis_positions]
 
     # --- the codec of a side -------------------------------------------------
 
-    def transport(self, m, phi: Mapping[Atom, Atom]) -> tuple[int, object]:
-        """(sign, canonical monomial) of the standard monomial m relabeled by phi."""
+    def transport(self, m, phi: Mapping[Atom, Atom]):
+        """Canonical monomial of the standard monomial m relabeled by the
+        order-preserving phi (the sign is always +1, see the module doc)."""
         raise NotImplementedError
 
     def element(self, terms: dict):
@@ -111,22 +116,26 @@ class QuotientComponent:
     def dim(self) -> int:
         return len(self.basis_positions)
 
+    def position(self, m) -> int | None:
+        """Position of m among the ambient monomials, None outside the ambient."""
+        return self._index.get(m)
+
+    def slot(self, m) -> int:
+        """Basis slot of the basis monomial m."""
+        return self._slot_of[self._index[m]]
+
     def _reduce(self, vec: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
-        """(slot, coefficient) of a standard-side vector, in slot order."""
+        """(slot, coefficient) of a vector over positions, in slot order."""
         reduced = self.echelon.reduce(vec)
-        signs, slot_of = self.transport_signs, self._slot_of
-        return [(slot_of[i], reduced[i] * signs[i]) for i in sorted(reduced)]
+        slot_of = self._slot_of
+        return [(slot_of[i], reduced[i]) for i in sorted(reduced)]
 
     def coords(self, x) -> dict[int, Fraction]:
         """Coordinates of x on the component basis (kills exactly the ideal)."""
         if x.labels != self.labels:
             raise ValueError("label set mismatch")
-        index, signs = self._index, self.transport_signs
-        vec: dict[int, Fraction] = {}
-        for m, c in x.terms.items():
-            i = index[m]
-            vec[i] = c * signs[i]
-        return dict(self._reduce(vec))
+        index = self._index
+        return dict(self._reduce({index[m]: c for m, c in x.terms.items()}))
 
     def normal_form(self, x):
         basis = self.basis
@@ -138,25 +147,37 @@ class QuotientComponent:
 
     def monomial_normal_form(self, m) -> dict:
         """Basis expansion {basis monomial: coefficient} of the ambient monomial m."""
-        i = self._index[m]
-        expansion = self._reduce({i: Fraction(self.transport_signs[i])})
+        expansion = self._reduce({self._index[m]: ONE})
         return {self.basis[slot]: c for slot, c in expansion}
 
 
 # --- payloads and memos ------------------------------------------------------------
 
-_DECODED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], Standard]] = WeakKeyDictionary()
-_INSTANCES: WeakKeyDictionary[ComponentStore, dict[tuple, QuotientComponent]] = WeakKeyDictionary()
+# version of everything a payload's meaning depends on; part of every cache key
+ENGINE_FORMAT = 1
+
+_MEMOS: list[WeakKeyDictionary] = []
+
+
+def per_store_memo() -> WeakKeyDictionary:
+    """A memo keyed by store that ``clear_memos`` empties."""
+    memo: WeakKeyDictionary = WeakKeyDictionary()
+    _MEMOS.append(memo)
+    return memo
+
+
+_DECODED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], Standard]] = per_store_memo()
+_INSTANCES: WeakKeyDictionary[ComponentStore, dict[tuple, QuotientComponent]] = per_store_memo()
 
 
 def clear_memos() -> None:
-    """Forget every decoded and transported component of every store."""
-    _DECODED.clear()
-    _INSTANCES.clear()
+    """Forget every per-store memo: components, cocomposition tables, forms."""
+    for memo in _MEMOS:
+        memo.clear()
 
 
 def _prefix(cls, pres, fields: dict) -> str:
-    return "-".join((cls.family, pres.hash, *fields.values()))
+    return "-".join((cls.family, f"v{ENGINE_FORMAT}", pres.hash, *fields.values()))
 
 
 def load_component(cls, pres, labels, store: ComponentStore | None = None, **fields):

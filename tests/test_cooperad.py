@@ -1,8 +1,13 @@
+import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import cooperad_oracle as oracle
+from ramops import cooperad
+from ramops.cache import ComponentStore, default_store
 from ramops.cooperad import (
     cooperad_axiom_check,
     tensor_multiply,
@@ -13,12 +18,15 @@ from ramops.cooperad import (
 )
 from ramops.graphalg import (
     AlgebraElement,
+    ColorSpec,
+    GraphPresentation,
     R_PRESENTATION,
     algebra_basis,
     enumerate_graph_monomials,
     monomial_bidegree,
+    relation_instances,
 )
-from ramops.labels import STAR, standard_labels
+from ramops.labels import HASH, STAR, standard_labels
 
 P = R_PRESENTATION
 
@@ -163,3 +171,65 @@ def test_theta_intertwines_both_differentials():
     ):
         for v in theta_intertwines_differentials(P, I, J):
             assert v["pass"], v
+
+
+def _label_variants(n):
+    """(labels, place) pairs: order-preserving images of {1..n}, some holding
+    * or #, each with a fresh place-holder."""
+    ints = standard_labels(n)
+    yield ints, STAR
+    yield (2, 5, 9, 11)[:n], HASH
+    yield ints[:-1] + (HASH,), STAR  # the place-holder is not last on the left when # is in I
+    yield ints[:-1] + (STAR,), HASH
+    if n >= 2:
+        yield ints[:-2] + (STAR, HASH), "p"
+
+
+def _ordered_splits(labels):
+    for k in range(1, len(labels)):
+        for I in combinations(labels, k):
+            yield I, tuple(a for a in labels if a not in I)
+
+
+def _check_against_oracle(pres, labels, place, elements):
+    store = default_store()
+    for I, J in _ordered_splits(labels):
+        for x in elements:
+            expected = oracle.theta(pres, I, J, x, place, store)
+            assert theta(pres, I, J, x, place, store) == expected, (labels, I, J, place, x)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_theta_matches_oracle_on_every_split(n):
+    # rows computed on one label set are read on the others of the same pattern
+    for labels, place in _label_variants(n):
+        union = algebra_basis(P, labels, "forest")
+        elements = [union.monomial_element(m) for m in union.monomials]
+        elements += [rel for _, rel in relation_instances(P, labels, "full")]
+        _check_against_oracle(P, labels, place, elements)
+
+
+# an even, symmetric colour under the three-term relation: theta does not
+# kill this ideal, so a theta that reduced its input first would differ
+EVEN_ARNOLD = GraphPresentation("even-arnold", (ColorSpec("w", (0, 1), 1),), ("arnold_sum",))
+
+
+def test_theta_splits_its_input_unreduced():
+    assert not all(v["pass"] for v in theta_relation_kill(EVEN_ARNOLD, (1,), (2, 3)))
+    for labels, place in _label_variants(3):
+        union = algebra_basis(EVEN_ARNOLD, labels, "forest")
+        elements = [union.monomial_element(m) for m in union.monomials]
+        _check_against_oracle(EVEN_ARNOLD, labels, place, elements)
+
+
+def test_cocomposition_tables_are_kept_per_store(tmp_path):
+    stores = [ComponentStore(str(tmp_path / name)) for name in ("first", "second")]
+    x = el((1, 2, 3), [(1, (("a", 1, 2), ("b", 2, 3)))])
+    images = [theta(P, (1,), (2, 3), x, STAR, store) for store in stores]
+    assert images[0] == images[1] == oracle.theta(P, (1,), (2, 3), x)
+    key = (P.hash, "IJJP")
+    tables = [cooperad._TABLES[store][key] for store in stores]
+    assert tables[0] is not tables[1]
+    assert tables[0].rows == tables[1].rows and any(tables[0].rows)
+    first, second = (os.listdir(store.directory) for store in stores)
+    assert first and sorted(second) == sorted(first)

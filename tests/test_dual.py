@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import cooperad_oracle as oracle
+from ramops import clear_memos, cooperad, dual
 from ramops.cache import ComponentStore
 
 from ramops.dual import (
-    clear_rho_memo,
     compat_checks,
     conjecture_verdict,
     dual_basis_element,
@@ -225,13 +226,57 @@ def test_rho_rank_is_relabeling_independent():
         return out
 
     assert block_ranks((1, 2, 3)) == block_ranks((4, 7, 9))
-    clear_rho_memo()
+    clear_memos()
 
 
 def test_rho_memo_is_kept_per_store(tmp_path):
-    clear_rho_memo()
+    clear_memos()
     first, second = tmp_path / "first", tmp_path / "second"
     verdicts = [conjecture_verdict(3, ComponentStore(str(d))) for d in (first, second)]
     assert verdicts[0] == verdicts[1]
     assert len(os.listdir(first)) == 4
     assert sorted(os.listdir(second)) == sorted(os.listdir(first))
+
+
+def test_dual_compose_matches_oracle_on_every_rho_composition(monkeypatch):
+    from ramops.operad import enumerate_tree_monomials
+
+    checked = []
+    table_driven = dual.dual_compose
+
+    def compare(f, g, place=STAR, store=None):
+        out = table_driven(f, g, place, store)
+        expected = oracle.dual_compose(f, g, place, store)
+        assert out == expected and out.bidegree == expected.bidegree, (f, g, place)
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(dual, "dual_compose", compare)
+    clear_memos()
+    store = ComponentStore()
+    for n in (1, 2, 3, 4):
+        for t in enumerate_tree_monomials(RAM_SIGNATURE, tuple(range(1, n + 1))):
+            dual._rho_tree(t, store)
+    assert len(checked) > 1000
+    clear_memos()
+
+
+def test_results_after_clear_memos_equal_results_before():
+    store = ComponentStore()
+    x = alg_el((1, 2, 3), [(1, (("a", 1, 2), ("b", 2, 3))), (2, (("b", 1, 3),))])
+
+    def results():
+        return (
+            cooperad.theta(P, (1,), (2, 3), x, STAR, store),
+            cooperad.theta(
+                P, (1, HASH), (2,), alg_el((1, 2, HASH), [(1, (("a", 1, 2),))]), STAR, store
+            ),
+            rho(compose(gen_el("G", 1, STAR), gen_el("L", 2, 3)), store),
+            conjecture_verdict(3, store),
+        )
+
+    before = results()
+    clear_memos()
+    for memo in (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO):
+        assert len(memo) == 0
+    assert results() == before

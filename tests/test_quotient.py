@@ -2,9 +2,17 @@ import os
 
 import pytest
 
+from ramops import quotient
 from ramops.cache import ComponentStore
-from ramops.graphalg import GraphComponent, R_PRESENTATION, algebra_basis
-from ramops.operad import Component, component_basis
+from ramops.graphalg import (
+    ARNOLD_PRESENTATION,
+    GraphComponent,
+    R_PRESENTATION,
+    _relabel_monomial,
+    algebra_basis,
+)
+from ramops.labels import HASH, STAR, standard_labels
+from ramops.operad import Component, _map_tree, canonicalize, component_basis
 from ramops.quotient import clear_memos
 from ramops.ram import ResourceBoundError, operad_dims, presentation
 from ramops.reports import dims_to_table
@@ -76,3 +84,59 @@ def test_resource_bound_reports_arities_built_in_the_store():
     partial = info.value.partial
     assert partial["max_arity"] == 3
     assert partial["computed_arities"] == {k: dims_to_table(d) for k, d in built.items()}
+
+
+def _place_holder_label_sets(n):
+    ints = standard_labels(n)
+    if n == 1:
+        return ((STAR,), (HASH,))
+    return (ints[:-1] + (STAR,), ints[:-1] + (HASH,), ints[:-2] + (STAR, HASH))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_transport_is_sign_free(n):
+    # rows of the cocomposition table are transported on this invariant
+    operad_side = [
+        component_basis(presentation(name), standard_labels(n))
+        for name in ("poisson", "bessel", "liegriess", "ram")
+    ]
+    graph_side = [
+        algebra_basis(pres, standard_labels(n), mode)
+        for pres in (R_PRESENTATION, ARNOLD_PRESENTATION)
+        for mode in ("forest", "full")
+    ]
+    for labels in _place_holder_label_sets(n):
+        phi = dict(zip(standard_labels(n), labels))
+        for comp in operad_side:
+            moved = component_basis(comp.pres, labels)
+            for m, t in zip(comp.monomials, moved.monomials):
+                assert canonicalize(_map_tree(m, phi), comp.pres.gens) == (1, t)
+                assert canonicalize(t, comp.pres.gens) == (1, t)
+        for comp in graph_side:
+            moved = algebra_basis(comp.pres, labels, comp.mode)
+            for m, key in zip(comp.monomials, moved.monomials):
+                assert _relabel_monomial(comp.pres, m, phi) == (1, key)
+                assert _relabel_monomial(comp.pres, key, {a: a for a in labels}) == (1, key)
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch):
+    cls, get = SIDES[side]
+    clear_memos()
+    with monkeypatch.context() as mp:
+        mp.setattr(quotient, "ENGINE_FORMAT", quotient.ENGINE_FORMAT + 1)
+        other = get((1, 2, 3), ComponentStore(str(tmp_path)))
+    assert len(os.listdir(tmp_path)) == 1
+
+    clear_memos()
+    builds = []
+    build = cls.ambient_and_span
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "ambient_and_span", counted)
+    current = get((1, 2, 3), ComponentStore(str(tmp_path)))
+    assert len(builds) == 1 and len(os.listdir(tmp_path)) == 2
+    assert current.monomials == other.monomials and current.echelon.rows == other.echelon.rows
