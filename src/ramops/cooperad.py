@@ -23,6 +23,18 @@ input first, so that ``theta_relation_kill`` sees the relation itself; a
 monomial outside the forest ambient (a full-mode cycle) is split and
 normalised without being stored.  ``dual_compose`` in ``dual`` contracts
 forms against the same rows.
+
+The basis-by-basis checks read the rows too, with no tensor elements.  A
+basis slot s of one split's factor component names the same monomial as
+position ``basis_positions[s]`` of the union of the next split, so a
+composite of two cocompositions on a basis element is the contraction of its
+row with the rows of its slots: ``cooperad_axiom_check`` keeps both sides of
+each coassociativity equation as {(slot, slot, slot): coefficient} over the
+same three components and reads h-parities from their bases.
+``theta_intertwines_differentials`` compares theta of d(b) with the row of b
+contracted against the basis coordinates of d on each factor; the normal
+form of a tensor is multilinear, so this is the normal form of the raw
+right-hand side.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
-from .linalg import ONE, bump
+from .linalg import bump
 from .reports import verdict
 
 
@@ -160,6 +172,11 @@ def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
     return sign * lres[0] * rres[0], lres[1], rres[1]
 
 
+def _odd(pres: GraphPresentation, basis: list) -> list[int]:
+    """Parity of h on each basis slot."""
+    return [monomial_bidegree(m, pres)[0] & 1 for m in basis]
+
+
 class SlotTable:
     """Normalised cocomposition rows of one (presentation, pattern).
 
@@ -173,7 +190,7 @@ class SlotTable:
 
     def __init__(self, pres: GraphPresentation, union: GraphComponent, left: GraphComponent):
         self.rows: list[tuple | None] = [None] * len(union.monomials)
-        self.left_odd = [monomial_bidegree(m, pres)[0] & 1 for m in left.basis]
+        self.left_odd = _odd(pres, left.basis)
         self.slots_by_degree: dict = {}
         for slot, m in enumerate(union.basis):
             self.slots_by_degree.setdefault(monomial_bidegree(m, pres), []).append(slot)
@@ -232,9 +249,11 @@ class Cocomposition:
         if split is None:
             return ()
         sign, ml, mr = split
-        left, right = self.left, self.right
-        terms = quotient.tensor_normal_form({(ml, mr): Fraction(sign)}, (left, right))
-        return tuple((left.slot(bl), right.slot(br), c) for (bl, br), c in terms.items())
+        right = self.right.slot_expansion(mr)
+        # distinct slot pairs, nonzero products: no sums to collect
+        return tuple(
+            (ls, rs, sign * cl * cr) for ls, cl in self.left.slot_expansion(ml) for rs, cr in right
+        )
 
 
 def cocomposition(
@@ -335,55 +354,51 @@ def cooperad_axiom_check(
     store: ComponentStore | None = None,
 ) -> list[dict]:
     """Both coassociativity equations on every basis element of the union
-    component, plus the intertwining of both differentials with theta."""
+    component, contracted slot by slot through the rows of seven splits."""
     I = check_label_set(I)
     J = check_label_set(J)
     K = check_label_set(K)
     store = store or default_store()
-    labels = sort_atoms(I + J + K)
-    comp = algebra_basis(pres, labels, "forest", store)
     ij = sort_atoms(I + J)
-    jk = sort_atoms(J + K)
-    ik = sort_atoms(I + K)
-    j_hash = sort_atoms(J + (HASH,))
-    i_hash = sort_atoms(I + (HASH,))
-    i_star = sort_atoms(I + (STAR,))
-
-    ij_hash = sort_atoms(ij + (HASH,))
-    ik_star = sort_atoms(ik + (STAR,))
+    # nested: (I | J#) o (IJ | K) = (J | K) o (I | JK); swapped: (I# | J) o
+    # (IJ | K) = (I* | K) o (IK | J) with the Koszul sign of the J and K factors
+    first = cocomposition(pres, ij, K, HASH, store)
+    nested_left = cocomposition(pres, I, sort_atoms(J + (HASH,)), STAR, store)
+    swapped_left = cocomposition(pres, sort_atoms(I + (HASH,)), J, STAR, store)
+    outer = cocomposition(pres, I, sort_atoms(J + K), STAR, store)
+    inner = cocomposition(pres, J, K, HASH, store)
+    swapped = cocomposition(pres, sort_atoms(I + K), J, STAR, store)
+    swapped_inner = cocomposition(pres, sort_atoms(I + (STAR,)), K, HASH, store)
+    odd_j = _odd(pres, swapped.right.basis)
+    odd_k = _odd(pres, swapped_inner.right.basis)
+    # a basis slot of one split's factor is a position of the next split's union
+    at_ij = first.left.basis_positions
+    at_jk = outer.right.basis_positions
+    at_ik = swapped.left.basis_positions
 
     bad_nested = None
     bad_swapped = None
-    for b in comp.basis:
-        el = comp.monomial_element(b)
-        # theta(ij, K) starts both the nested and the swapped left-hand side
-        first = theta(pres, ij, K, el, HASH, store).terms
-
+    comp = first.union
+    for b, pos in zip(comp.basis, comp.basis_positions):
         lhs: dict = {}
         lhs2: dict = {}
-        for (ml, mk), c in first.items():
-            el_l = AlgebraElement(ij_hash, pres, {ml: ONE})
-            for (m1, m2), c2 in theta(pres, I, j_hash, el_l, STAR, store).terms.items():
-                bump(lhs, (m1, m2, mk), c * c2)
-            for (m1, mj), c2 in theta(pres, i_hash, J, el_l, STAR, store).terms.items():
-                bump(lhs2, (m1, mj, mk), c * c2)
+        for s, k, c in first.row_at(pos):
+            for a, j, c2 in nested_left.row_at(at_ij[s]):
+                bump(lhs, (a, j, k), c * c2)
+            for a, j, c2 in swapped_left.row_at(at_ij[s]):
+                bump(lhs2, (a, j, k), c * c2)
 
         rhs: dict = {}
-        for (m1, mjk), c in theta(pres, I, jk, el, STAR, store).terms.items():
-            el_r = AlgebraElement(jk, pres, {mjk: ONE})
-            for (m2, m3), c2 in theta(pres, J, K, el_r, HASH, store).terms.items():
-                bump(rhs, (m1, m2, m3), c * c2)
+        for a, s, c in outer.row_at(pos):
+            for j, k, c2 in inner.row_at(at_jk[s]):
+                bump(rhs, (a, j, k), c * c2)
         if lhs != rhs and bad_nested is None:
             bad_nested = {"basis_monomial": monomial_str(b, pres)}
 
         rhs2: dict = {}
-        for (ml, mj), c in theta(pres, ik, J, el, STAR, store).terms.items():
-            el_l = AlgebraElement(ik_star, pres, {ml: ONE})
-            hj = monomial_bidegree(mj, pres)[0]
-            for (m1, mk), c2 in theta(pres, i_star, K, el_l, HASH, store).terms.items():
-                hk = monomial_bidegree(mk, pres)[0]
-                sign = -1 if (hj & 1) and (hk & 1) else 1
-                bump(rhs2, (m1, mj, mk), c * c2 * sign)
+        for s, j, c in swapped.row_at(pos):
+            for a, k, c2 in swapped_inner.row_at(at_ik[s]):
+                bump(rhs2, (a, j, k), -c * c2 if odd_j[j] and odd_k[k] else c * c2)
         if lhs2 != rhs2 and bad_swapped is None:
             bad_swapped = {"basis_monomial": monomial_str(b, pres)}
 
@@ -395,43 +410,70 @@ def cooperad_axiom_check(
     return verdicts
 
 
+# per store: {(presentation hash, size, differential): [(d(b) by position, d(b) by slot)]}
+_DIFFERENTIALS = quotient.per_store_memo()
+
+
+def _differentials(comp: GraphComponent, which: str, store: ComponentStore) -> list[tuple]:
+    """For each basis slot of the forest component, d of its basis monomial as
+    (position, coefficient) pairs and as basis (slot, coefficient) pairs.
+
+    Both are the same on every label set of the size: d compares atoms only
+    through ``atom_key``, as the canonical forms do, so it commutes with an
+    order-preserving relabeling.  d keeps the edge set of a forest, so every
+    term stays in the ambient.
+    """
+    memo = _DIFFERENTIALS.setdefault(store, {})
+    key = (comp.pres.hash, len(comp.labels), which)
+    rows = memo.get(key)
+    if rows is None:
+        rows = memo[key] = []
+        for b in comp.basis:
+            image = differential_algebra(comp.monomial_element(b), which)
+            positions = tuple((comp.position(m), c) for m, c in image.terms.items())
+            rows.append((positions, tuple(comp.coords(image).items())))
+    return rows
+
+
 def theta_intertwines_differentials(
     pres: GraphPresentation,
     I: Iterable[Atom],
     J: Iterable[Atom],
     store: ComponentStore | None = None,
 ) -> list[dict]:
-    """theta o d = (d (x) id + (-1)**h id (x) d) o theta for both differentials."""
+    """theta o d = (d (x) id + (-1)**h id (x) d) o theta for both differentials.
+
+    Both sides are taken in slots: the left side is theta of the terms of
+    d(b), the right side applies the basis coordinates of d on each factor
+    of theta(b), which is the normal form of the raw right side because the
+    normal form of a tensor is multilinear.
+    """
     I = check_label_set(I)
     J = check_label_set(J)
-    labels = sort_atoms(I + J)
     store = store or default_store()
-    comp = algebra_basis(pres, labels, "forest", store)
-    left_labels = sort_atoms(I + (STAR,))
-    comp_left = algebra_basis(pres, left_labels, "forest", store)
-    comp_right = algebra_basis(pres, J, "forest", store)
+    cocomp = cocomposition(pres, I, J, STAR, store)
+    union = cocomp.union
+    left_odd = cocomp.table.left_odd
     verdicts = []
     for which in ("up", "down"):
+        d_union = _differentials(union, which, store)
+        d_left = _differentials(cocomp.left, which, store)
+        d_right = _differentials(cocomp.right, which, store)
         bad = None
-        for b in comp.basis:
-            el = comp.monomial_element(b)
-            lhs = theta(pres, I, J, differential_algebra(el, which), STAR, store)
-            rhs = TensorAlgebraElement(left_labels, J, pres)
-            for (ml, mr), c in theta(pres, I, J, el, STAR, store).terms.items():
-                d_left = differential_algebra(
-                    AlgebraElement(left_labels, pres, {ml: Fraction(1)}), which
-                )
-                for mld, cl in d_left.terms.items():
-                    rhs.add_term(mld, mr, c * cl)
-                hl = monomial_bidegree(ml, pres)[0]
-                sgn = -1 if hl & 1 else 1
-                d_right = differential_algebra(
-                    AlgebraElement(J, pres, {mr: Fraction(1)}), which
-                )
-                for mrd, cr in d_right.terms.items():
-                    rhs.add_term(ml, mrd, c * cr * sgn)
-            if tensor_normal_form(rhs, comp_left, comp_right).terms != lhs.terms:
-                bad = {"basis_monomial": monomial_str(b, pres), "differential": which}
+        for slot, pos in enumerate(union.basis_positions):
+            lhs: dict = {}
+            for i, coeff in d_union[slot][0]:
+                for ls, rs, c in cocomp.row_at(i):
+                    bump(lhs, (ls, rs), coeff * c)
+            rhs: dict = {}
+            for ls, rs, c in cocomp.row_at(pos):
+                for ld, cl in d_left[ls][1]:
+                    bump(rhs, (ld, rs), c * cl)
+                c_signed = -c if left_odd[ls] else c
+                for rd, cr in d_right[rs][1]:
+                    bump(rhs, (ls, rd), c_signed * cr)
+            if lhs != rhs:
+                bad = {"basis_monomial": monomial_str(union.basis[slot], pres), "differential": which}
                 break
         verdicts.append(
             verdict(

@@ -463,9 +463,25 @@ def relation_instances(
     mode: str = "forest",
     families: Iterable[str] | None = None,
 ) -> list[tuple[str, AlgebraElement]]:
-    """Relation instances as algebra elements (zero instances dropped, deduped)."""
+    """Relation instances as algebra elements (zero instances dropped, deduped).
+
+    Built once per (presentation, labels, mode, families); each call returns
+    a fresh list of the shared elements.
+    """
     labels = check_label_set(labels)
     chosen = tuple(families) if families is not None else pres.families
+    key = (pres.hash, labels, mode, chosen)
+    if key not in _INSTANCE_MEMO:
+        _INSTANCE_MEMO[key] = _relation_instances(pres, labels, mode, chosen)
+    return list(_INSTANCE_MEMO[key])
+
+
+_INSTANCE_MEMO: dict[tuple, list[tuple[str, AlgebraElement]]] = {}
+
+
+def _relation_instances(
+    pres: GraphPresentation, labels: tuple[Atom, ...], mode: str, chosen: tuple[str, ...]
+) -> list[tuple[str, AlgebraElement]]:
     seen: set = set()
     out: list[tuple[str, AlgebraElement]] = []
     for family in chosen:

@@ -26,7 +26,9 @@ store that asked for them, and ``default_store()`` lives for the process.
 Other modules keep their per-store memos through ``per_store_memo`` so that
 ``clear_memos`` empties all of them.  Cache keys carry ``ENGINE_FORMAT``: a
 change to canonical forms, monomial order or payload layout bumps it, and
-payloads written under another format are then rebuilt, never read.
+payloads written under another format are then rebuilt, never read.  A
+payload that does not decode, or whose echelon, basis or dims break an
+invariant of a reduced echelon form, is rebuilt as well.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ class Standard:
     dims: dict[BiDegree, int]
     # basis slot of each non-pivot position; the same for every label set
     slot_of: dict[int, int] = field(init=False)
+    # basis expansion, as (slot, coefficient) pairs, of each position asked
+    # for so far; also the same for every label set
+    expansions: dict[int, tuple] = field(init=False)
 
     def __post_init__(self):
         self.slot_of = {i: slot for slot, i in enumerate(self.basis_positions)}
+        self.expansions = {}
 
 
 class QuotientComponent:
@@ -73,6 +79,7 @@ class QuotientComponent:
         self.basis_positions = std.basis_positions
         self.dims = std.dims
         self._slot_of = std.slot_of
+        self._expansions = std.expansions
         ref = standard_labels(len(labels))
         if labels == ref:
             self.monomials = list(std.monomials)
@@ -147,8 +154,20 @@ class QuotientComponent:
 
     def monomial_normal_form(self, m) -> dict:
         """Basis expansion {basis monomial: coefficient} of the ambient monomial m."""
-        expansion = self._reduce({self._index[m]: ONE})
-        return {self.basis[slot]: c for slot, c in expansion}
+        basis = self.basis
+        return {basis[slot]: c for slot, c in self.slot_expansion(m)}
+
+    def slot_expansion(self, m) -> tuple:
+        """(slot, coefficient) pairs of the ambient monomial m, in slot order.
+
+        Kept per position on the standard component, so that one expansion
+        serves every label set of the size.
+        """
+        i = self._index[m]
+        pairs = self._expansions.get(i)
+        if pairs is None:
+            pairs = self._expansions[i] = tuple(self._reduce({i: ONE}))
+        return pairs
 
 
 # --- payloads and memos ------------------------------------------------------------
@@ -207,18 +226,53 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
         return decoded[prefix, n]
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
+    std = None
     if payload is not None and payload.get("presentation") == pres.hash:
-        std = _decode(cls, payload)
-    else:
+        try:
+            std = _decode(cls, payload)
+            if not _consistent(cls, pres, std):
+                std = None
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            std = None  # a damaged payload is a cache miss
+    if std is None:
         monomials, span = cls.ambient_and_span(pres, n, **fields)
         basis_positions, ech = quotient_basis(span, len(monomials))
-        dims: dict[BiDegree, int] = {}
-        for i in basis_positions:
-            bump(dims, cls.bidegree(pres, monomials[i]), 1)
-        std = Standard(monomials, ech, basis_positions, dims)
+        std = Standard(monomials, ech, basis_positions, _dims(cls, pres, monomials, basis_positions))
         store.put(cache_key, _encode(cls, pres, n, fields, std))
     decoded[prefix, n] = std
     return std
+
+
+def _dims(cls, pres, monomials: list, basis_positions: list[int]) -> dict[BiDegree, int]:
+    dims: dict[BiDegree, int] = {}
+    for i in basis_positions:
+        bump(dims, cls.bidegree(pres, monomials[i]), 1)
+    return dims
+
+
+def _consistent(cls, pres, std: Standard) -> bool:
+    """Whether a decoded payload is a reduced echelon with its basis and dims.
+
+    Pivots strictly increase, each row has a leading 1 at its pivot and no
+    entry in another pivot column, the basis is the set of non-pivots and the
+    dims count the basis by bidegree.  A payload failing any of these is
+    rebuilt rather than trusted.
+    """
+    ech, ncols = std.echelon, len(std.monomials)
+    pivots = ech.pivots
+    if len(ech.rows) != len(pivots) or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return False
+    if pivots and pivots[0] < 0:
+        return False
+    pivot_set = ech._pivot_pos.keys()
+    for p, row in zip(pivots, ech.rows):
+        if row.get(p) != 1 or min(row) != p or max(row) >= ncols:
+            return False
+        if len(pivot_set & row.keys()) != 1:  # p is the row's only pivot column
+            return False
+    if std.basis_positions != [i for i in range(ncols) if i not in pivot_set]:
+        return False
+    return std.dims == _dims(cls, pres, std.monomials, std.basis_positions)
 
 
 def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
@@ -238,7 +292,16 @@ def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
 def _decode(cls, payload: dict) -> Standard:
     monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
     pivots = list(payload["pivots"])
-    rows = [{int(col): Fraction(val) for col, val in row} for row in payload["rows"]]
+    # a payload holds few distinct entries: parse each once and share it
+    parsed: dict[str, Fraction] = {}
+
+    def entry(text: str) -> Fraction:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = Fraction(text)
+        return value
+
+    rows = [{int(col): entry(val) for col, val in row} for row in payload["rows"]]
     ech = Echelon(len(monomials), pivots, rows, {p: k for k, p in enumerate(pivots)})
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
     return Standard(monomials, ech, list(payload["basis"]), dims)
@@ -260,17 +323,14 @@ def tensor_normal_form(
     """Reduce factor k of every pure tensor to the basis of ``comps[k]``.
 
     ``terms`` maps tuples of ambient monomials to coefficients.  The map is
-    multilinear, so no signs arise.
+    multilinear, so no signs arise.  Each factor's expansion is read from the
+    memo of its component, shared by every call.
     """
-    by_comp: dict[int, dict] = {}
-    memos = [by_comp.setdefault(id(comp), {}) for comp in comps]
     out: dict[tuple, Fraction] = {}
     for key, c in terms.items():
         partial: list[tuple[tuple, Fraction]] = [((), c)]
-        for m, comp, memo in zip(key, comps, memos):
-            expansion = memo.get(m)
-            if expansion is None:
-                expansion = memo[m] = list(comp.monomial_normal_form(m).items())
+        for m, comp in zip(key, comps):
+            expansion = comp.monomial_normal_form(m).items()
             partial = [(k + (b,), v * cb) for k, v in partial for b, cb in expansion]
         for k, v in partial:
             bump(out, k, v)

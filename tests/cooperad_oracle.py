@@ -1,19 +1,33 @@
-"""Reference cocomposition and dual composition, one monomial at a time.
+"""Reference cocomposition, dual composition and cooperad checks, one
+monomial at a time.
 
 ``theta`` splits every monomial of its input and reduces both tensor
 factors of the sum; ``dual_compose`` runs it on every basis monomial of the
-output bidegree and pairs the image with the two forms.  Slow, but simple
-enough to trust; the tests compare the table-driven ``cooperad.theta`` and
-``dual.dual_compose`` against them.
+output bidegree and pairs the image with the two forms.
+``cooperad_axiom_check`` and ``theta_intertwines_differentials`` build both
+sides of each identity as tensor elements, basis element by basis element,
+through ``cooperad.theta``.  Slow, but simple enough to trust; the tests
+compare the table-driven ``cooperad`` and ``dual`` functions against them.
 """
 
 from fractions import Fraction
 
 from ramops import quotient
-from ramops.cooperad import TensorAlgebraElement
+from ramops.cache import default_store
+from ramops.cooperad import TensorAlgebraElement, tensor_normal_form
+from ramops.cooperad import theta as table_theta
 from ramops.dual import LinearForm
-from ramops.graphalg import algebra_basis, monomial_bidegree, monomial_from_word
-from ramops.labels import STAR, check_label_set, sort_atoms
+from ramops.graphalg import (
+    AlgebraElement,
+    algebra_basis,
+    differential_algebra,
+    monomial_bidegree,
+    monomial_from_word,
+    monomial_str,
+)
+from ramops.labels import HASH, STAR, check_label_set, sort_atoms
+from ramops.linalg import ONE, bump
+from ramops.reports import verdict
 
 
 def theta(pres, I, J, x, place=STAR, store=None):
@@ -99,3 +113,110 @@ def dual_compose(f, g, place=STAR, store=None):
         if total:
             out.coords[slot_x] = total
     return out
+
+
+def cooperad_axiom_check(pres, I, J, K, store=None):
+    """Both coassociativity equations on every basis element of the union
+    component."""
+    I = check_label_set(I)
+    J = check_label_set(J)
+    K = check_label_set(K)
+    store = store or default_store()
+    labels = sort_atoms(I + J + K)
+    comp = algebra_basis(pres, labels, "forest", store)
+    ij = sort_atoms(I + J)
+    jk = sort_atoms(J + K)
+    ik = sort_atoms(I + K)
+    j_hash = sort_atoms(J + (HASH,))
+    i_hash = sort_atoms(I + (HASH,))
+    i_star = sort_atoms(I + (STAR,))
+
+    ij_hash = sort_atoms(ij + (HASH,))
+    ik_star = sort_atoms(ik + (STAR,))
+
+    bad_nested = None
+    bad_swapped = None
+    for b in comp.basis:
+        el = comp.monomial_element(b)
+        # theta(ij, K) starts both the nested and the swapped left-hand side
+        first = table_theta(pres, ij, K, el, HASH, store).terms
+
+        lhs: dict = {}
+        lhs2: dict = {}
+        for (ml, mk), c in first.items():
+            el_l = AlgebraElement(ij_hash, pres, {ml: ONE})
+            for (m1, m2), c2 in table_theta(pres, I, j_hash, el_l, STAR, store).terms.items():
+                bump(lhs, (m1, m2, mk), c * c2)
+            for (m1, mj), c2 in table_theta(pres, i_hash, J, el_l, STAR, store).terms.items():
+                bump(lhs2, (m1, mj, mk), c * c2)
+
+        rhs: dict = {}
+        for (m1, mjk), c in table_theta(pres, I, jk, el, STAR, store).terms.items():
+            el_r = AlgebraElement(jk, pres, {mjk: ONE})
+            for (m2, m3), c2 in table_theta(pres, J, K, el_r, HASH, store).terms.items():
+                bump(rhs, (m1, m2, m3), c * c2)
+        if lhs != rhs and bad_nested is None:
+            bad_nested = {"basis_monomial": monomial_str(b, pres)}
+
+        rhs2: dict = {}
+        for (ml, mj), c in table_theta(pres, ik, J, el, STAR, store).terms.items():
+            el_l = AlgebraElement(ik_star, pres, {ml: ONE})
+            hj = monomial_bidegree(mj, pres)[0]
+            for (m1, mk), c2 in table_theta(pres, i_star, K, el_l, HASH, store).terms.items():
+                hk = monomial_bidegree(mk, pres)[0]
+                sign = -1 if (hj & 1) and (hk & 1) else 1
+                bump(rhs2, (m1, mj, mk), c * c2 * sign)
+        if lhs2 != rhs2 and bad_swapped is None:
+            bad_swapped = {"basis_monomial": monomial_str(b, pres)}
+
+    split = {"I": list(I), "J": list(J), "K": list(K)}
+    verdicts = [
+        verdict("cooperad_nested_coassociativity", bad_nested is None, bad_nested, **split),
+        verdict("cooperad_swapped_coassociativity", bad_swapped is None, bad_swapped, **split),
+    ]
+    return verdicts
+
+
+def theta_intertwines_differentials(pres, I, J, store=None):
+    """theta o d = (d (x) id + (-1)**h id (x) d) o theta for both differentials."""
+    I = check_label_set(I)
+    J = check_label_set(J)
+    labels = sort_atoms(I + J)
+    store = store or default_store()
+    comp = algebra_basis(pres, labels, "forest", store)
+    left_labels = sort_atoms(I + (STAR,))
+    comp_left = algebra_basis(pres, left_labels, "forest", store)
+    comp_right = algebra_basis(pres, J, "forest", store)
+    verdicts = []
+    for which in ("up", "down"):
+        bad = None
+        for b in comp.basis:
+            el = comp.monomial_element(b)
+            lhs = table_theta(pres, I, J, differential_algebra(el, which), STAR, store)
+            rhs = TensorAlgebraElement(left_labels, J, pres)
+            for (ml, mr), c in table_theta(pres, I, J, el, STAR, store).terms.items():
+                d_left = differential_algebra(
+                    AlgebraElement(left_labels, pres, {ml: Fraction(1)}), which
+                )
+                for mld, cl in d_left.terms.items():
+                    rhs.add_term(mld, mr, c * cl)
+                hl = monomial_bidegree(ml, pres)[0]
+                sgn = -1 if hl & 1 else 1
+                d_right = differential_algebra(
+                    AlgebraElement(J, pres, {mr: Fraction(1)}), which
+                )
+                for mrd, cr in d_right.terms.items():
+                    rhs.add_term(ml, mrd, c * cr * sgn)
+            if tensor_normal_form(rhs, comp_left, comp_right).terms != lhs.terms:
+                bad = {"basis_monomial": monomial_str(b, pres), "differential": which}
+                break
+        verdicts.append(
+            verdict(
+                f"theta_intertwines_{which}",
+                bad is None,
+                bad,
+                I=list(I),
+                J=list(J),
+            )
+        )
+    return verdicts

@@ -1,0 +1,76 @@
+"""Reference Hopf checks of the Ramanujan operad, normalising every tensor.
+
+``hopf_check`` builds both sides of coassociativity and of the coderivation
+identities as free-operad tensors and always compares their normal forms,
+basis tree by basis tree.  The tests compare ``ram.hopf_check``, which
+normalises only when the free tensors differ, against it.
+"""
+
+from ramops import quotient
+from ramops.cache import default_store
+from ramops.labels import standard_labels
+from ramops.linalg import bump
+from ramops.operad import component_basis, ideal_span, tree_h
+from ramops.ram import (
+    OperadTensor,
+    _expand_factor,
+    coproduct,
+    differential,
+    presentation,
+    tensor_normal_form,
+)
+from ramops.reports import verdict
+
+
+def hopf_check(n, store=None):
+    """Coproduct facts at arity n: kills the ideal, coassociative, coderivations."""
+    store = store or default_store()
+    pres = presentation("ram")
+    labels = standard_labels(n)
+    comp = component_basis(pres, labels, store)
+    verdicts = []
+
+    bad = None
+    for idx, rel in enumerate(ideal_span(pres, labels)):
+        reduced = tensor_normal_form(coproduct(rel), comp)
+        if not reduced.is_zero():
+            bad = {"relation_index": idx, "element": repr(rel)}
+            break
+    verdicts.append(verdict("coproduct_kills_ideal", bad is None, bad, n=n))
+
+    bad = None
+    for b in comp.basis:
+        el = comp.monomial_element(b)
+        delta = coproduct(el)
+        left = {}
+        right = {}
+        for (t1, t2), c in delta.terms.items():
+            for u1, u2, s in _expand_factor(t1, pres.gens):
+                bump(left, (u1, u2, t2), c * s)
+            for v1, v2, s in _expand_factor(t2, pres.gens):
+                bump(right, (t1, v1, v2), c * s)
+        comps = (comp, comp, comp)
+        if quotient.tensor_normal_form(left, comps) != quotient.tensor_normal_form(right, comps):
+            bad = {"basis_tree": repr(b)}
+            break
+    verdicts.append(verdict("coproduct_coassociative", bad is None, bad, n=n))
+
+    for which in ("down", "up"):
+        bad = None
+        for b in comp.basis:
+            el = comp.monomial_element(b)
+            lhs = tensor_normal_form(coproduct(differential(el, which)), comp)
+            rhs = OperadTensor(el.labels, el.gens)
+            for (t1, t2), c in coproduct(el).terms.items():
+                d1 = differential(comp.monomial_element(t1), which)
+                for t1d, c1 in d1.terms.items():
+                    rhs.add_term(t1d, t2, c * c1)
+                d2 = differential(comp.monomial_element(t2), which)
+                sgn = -1 if tree_h(t1, pres.gens) & 1 else 1
+                for t2d, c2 in d2.terms.items():
+                    rhs.add_term(t1, t2d, c * c2 * sgn)
+            if tensor_normal_form(rhs, comp).terms != lhs.terms:
+                bad = {"basis_tree": repr(b), "differential": which}
+                break
+        verdicts.append(verdict(f"coderivation_{which}", bad is None, bad, n=n))
+    return verdicts

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 from ramops.cli import main
+from ramops.reports import canonical_json, make_report
+from ramops.suites import run_suite
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -113,6 +115,17 @@ def test_golden_report_bytes():
     result = run_subprocess("ramanujan", "--n", "3", "--json")
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+def test_verify_all_n4_report_matches_golden_bytes():
+    # the canonical report of run_suite("all", 4, seed=0), 809 verdicts
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_verify_all_n4.json")
+    with open(golden, "r", encoding="utf-8") as fh:
+        expected = fh.read()
+    verdicts, tables = run_suite("all", 4, seed=0)
+    report = make_report("verify", {"suite": "all", "n": 4}, verdicts, tables, seed=0)
+    assert len(verdicts) == 809
+    assert canonical_json(report) == expected
 
 
 def test_verify_reports_are_byte_identical_across_processes():

@@ -27,6 +27,7 @@ from ramops.graphalg import (
     relation_instances,
 )
 from ramops.labels import HASH, STAR, standard_labels
+from ramops.suites import _ordered_splits as ordered_splits
 
 P = R_PRESENTATION
 
@@ -233,3 +234,61 @@ def test_cocomposition_tables_are_kept_per_store(tmp_path):
     assert tables[0].rows == tables[1].rows and any(tables[0].rows)
     first, second = (os.listdir(store.directory) for store in stores)
     assert first and sorted(second) == sorted(first)
+
+
+def _verdict_pairs(store):
+    """(slot-row verdicts, oracle verdicts) of every 2- and 3-split at n <= 4."""
+    for n in (2, 3, 4):
+        labels = standard_labels(n)
+        for I, J in ordered_splits(labels, 2):
+            yield (
+                theta_intertwines_differentials(P, I, J, store),
+                oracle.theta_intertwines_differentials(P, I, J, store),
+            )
+        for I, J, K in ordered_splits(labels, 3):
+            yield (
+                cooperad_axiom_check(P, I, J, K, store),
+                oracle.cooperad_axiom_check(P, I, J, K, store),
+            )
+
+
+def test_checks_match_oracle_on_every_split():
+    pairs = list(_verdict_pairs(default_store()))
+    assert len(pairs) == (2 + 6 + 14) + (6 + 36)
+    for fast, slow in pairs:
+        assert fast == slow
+        assert all(v["pass"] for v in fast), fast
+
+
+def test_axiom_check_matches_oracle_where_the_koszul_sign_matters():
+    # the swapped equation's sign needs odd h on both the J and the K factor,
+    # so |J|, |K| >= 2: arity 5
+    for I, J, K in (((1,), (2, 3), (4, 5)), ((3,), (1, 4), (2, 5))):
+        verdicts = cooperad_axiom_check(P, I, J, K)
+        assert verdicts == oracle.cooperad_axiom_check(P, I, J, K)
+        assert all(v["pass"] for v in verdicts), verdicts
+
+
+def test_flipped_orientation_fails_alike_on_both_paths(monkeypatch):
+    split = cooperad._split
+
+    def flipped(pres, iset, jset, place, m):
+        # the sign of every straddling edge entering I from J flipped
+        out = split(pres, iset, jset, place, m)
+        if out is None:
+            return None
+        entering = sum(1 for edges in m for u, v in edges if u in jset and v in iset)
+        return (-out[0] if entering & 1 else out[0],) + out[1:]
+
+    monkeypatch.setattr(cooperad, "_split", flipped)
+    # a store of its own, so that no row computed under the fault outlives the test
+    failed = []
+    for fast, slow in _verdict_pairs(ComponentStore()):
+        assert fast == slow
+        failed += [v for v in fast if not v["pass"]]
+    assert failed and all("witness" in v for v in failed)
+    assert {v["check"] for v in failed} == {
+        "cooperad_nested_coassociativity",
+        "cooperad_swapped_coassociativity",
+    }
+

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramops import graphalg
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
     AlgebraElement,
@@ -176,6 +177,20 @@ def test_differentials_preserve_ideal_both_modes():
                 for which in ("up", "down"):
                     img = differential_algebra(rel, which)
                     assert comp.normal_form(img).is_zero(), (family, which, mode)
+
+
+@pytest.mark.parametrize("families", (None, ["bab_sum", "ab_sum"]))
+@pytest.mark.parametrize("mode", ("forest", "full"))
+def test_relation_instances_memo(mode, families):
+    labels = (1, 2, "*", "#")
+    chosen = tuple(families) if families else P.families
+    cold = graphalg._relation_instances(P, labels, mode, chosen)
+    assert cold
+    first = relation_instances(P, labels, mode, families)
+    assert first == cold
+    first.clear()
+    again = relation_instances(P, labels, mode, families)
+    assert again == cold and again is not first
 
 
 def test_forest_dims_equal_full_dims():

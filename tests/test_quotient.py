@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -140,3 +141,59 @@ def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch
     current = get((1, 2, 3), ComponentStore(str(tmp_path)))
     assert len(builds) == 1 and len(os.listdir(tmp_path)) == 2
     assert current.monomials == other.monomials and current.echelon.rows == other.echelon.rows
+
+
+def _drop_rows(payload):
+    del payload["rows"]
+
+
+def _scale_a_pivot_entry(payload):
+    row = next(r for r in payload["rows"] if len(r) > 1)
+    row[0][1] = "2"  # the leading 1 of the row
+
+
+def _fill_a_pivot_column(payload):
+    # an entry of the first row in the second pivot's column
+    payload["rows"][0].append([payload["pivots"][1], "1/3"])
+
+
+def _shift_the_basis(payload):
+    payload["basis"] = payload["basis"][1:] + payload["pivots"][:1]
+
+
+def _bump_a_dim(payload):
+    payload["dims"][0][2] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt", (_drop_rows, _scale_a_pivot_entry, _fill_a_pivot_column, _shift_the_basis, _bump_a_dim)
+)
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
+    cls, get = SIDES[side]
+    clear_memos()
+    built = get((1, 2, 3), ComponentStore(str(tmp_path)))
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    original = path.read_bytes()
+    payload = json.loads(original)
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+
+    clear_memos()
+    builds = []
+    build = cls.ambient_and_span
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "ambient_and_span", counted)
+    rebuilt = get((1, 2, 3), ComponentStore(str(tmp_path)))
+    assert len(builds) == 1
+    assert path.read_bytes() == original
+    assert rebuilt.monomials == built.monomials and rebuilt.basis == built.basis
+    assert rebuilt.echelon.rows == built.echelon.rows and rebuilt.dims == built.dims
+    for m in built.monomials:
+        assert rebuilt.monomial_normal_form(m) == built.monomial_normal_form(m)
+

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import hopf_oracle as oracle
+from ramops import ram
 from ramops.labels import STAR, standard_labels
 from ramops.operad import (
     OperadElement,
@@ -10,8 +12,10 @@ from ramops.operad import (
     compose,
     enumerate_tree_monomials,
     ideal_span,
+    is_leaf,
     relabel,
     tree_bidegree,
+    tree_h,
 )
 from ramops.ram import (
     RAM_SIGNATURE,
@@ -198,6 +202,44 @@ def test_hopf_check_small():
     for n in (2, 3):
         for verdict in hopf_check(n):
             assert verdict["pass"], verdict
+
+
+def test_hopf_check_matches_oracle():
+    for n in (1, 2, 3, 4):
+        verdicts = hopf_check(n)
+        assert verdicts == oracle.hopf_check(n)
+        assert all(v["pass"] for v in verdicts), verdicts
+
+
+def _coproduct_tree_wrong_exponent(t, gens):
+    """ram._coproduct_tree with the hg2 * hv1 term of the Koszul exponent dropped."""
+    if is_leaf(t):
+        return [(t, t, 1)]
+    g, l, r = t
+    left_parts = _coproduct_tree_wrong_exponent(l, gens)
+    right_parts = _coproduct_tree_wrong_exponent(r, gens)
+    out = []
+    for g1, g2 in ram.COPRODUCT_TABLE[g]:
+        hg2 = gens[g2].bidegree[0]
+        for u1, u2, s1 in left_parts:
+            for v1, v2, s2 in right_parts:
+                exponent = hg2 * tree_h(u1, gens) + tree_h(u2, gens) * tree_h(v1, gens)
+                out.append(((g1, u1, v1), (g2, u2, v2), s1 * s2 * (-1 if exponent & 1 else 1)))
+    return out
+
+
+def test_wrong_coproduct_sign_fails_alike_on_both_paths(monkeypatch):
+    monkeypatch.setattr(ram, "_coproduct_tree", _coproduct_tree_wrong_exponent)
+    failed = {}
+    for n in (2, 3, 4):
+        verdicts = hopf_check(n)
+        assert verdicts == oracle.hopf_check(n)
+        failed[n] = [v["check"] for v in verdicts if not v["pass"]]
+    assert failed == {
+        2: [],
+        3: ["coderivation_down", "coderivation_up"],
+        4: ["coproduct_kills_ideal", "coderivation_down", "coderivation_up"],
+    }
 
 
 def test_coproduct_kills_mixed_relation_instance():
