@@ -6,7 +6,6 @@ from .cache import ComponentStore, default_store, resolve_cache_dir
 from .cooperad import (
     TensorAlgebraElement,
     cooperad_axiom_check,
-    tensor_multiply,
     theta,
     theta_intertwines_differentials,
     theta_relation_kill,
@@ -41,7 +40,6 @@ from .graphalg import (
     monomial_from_word,
     multiply,
     path_permutation_sum,
-    reduce_algebra,
     relabel_element,
     relation_instances,
     relation_words,
@@ -58,7 +56,6 @@ from .operad import (
     compose,
     enumerate_tree_monomials,
     ideal_span,
-    normal_form,
     relabel,
     substitute,
 )

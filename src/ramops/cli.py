@@ -22,7 +22,7 @@ from .ram import (
     presentation,
 )
 from .ramanujan import poly_str, predicted_dims, psi
-from .reports import all_pass, canonical_json, dims_to_table, make_report, render_pretty
+from .reports import all_pass, canonical_json, dims_to_table, make_report, render_pretty, verdict
 from .suites import SUITES, run_suite
 
 DIMS_OPERADS = ("ram", "poisson", "bessel", "liegriess", "com")
@@ -67,18 +67,8 @@ def cmd_dims(args) -> int:
     if predicted is not None:
         tables[f"{args.operad}_predicted_n{args.n}"] = dims_to_table(predicted)
         ok = dims == predicted
-        verdicts.append(
-            {
-                "check": "dims_match_prediction",
-                "pass": ok,
-                "params": {"operad": args.operad, "n": args.n},
-                **(
-                    {}
-                    if ok
-                    else {"witness": {"computed": dims_to_table(dims), "predicted": dims_to_table(predicted)}}
-                ),
-            }
-        )
+        witness = {"computed": dims_to_table(dims), "predicted": dims_to_table(predicted)}
+        verdicts.append(verdict("dims_match_prediction", ok, witness, operad=args.operad, n=args.n))
     report = make_report(
         "dims",
         {"operad": args.operad, "n": args.n},
@@ -158,21 +148,13 @@ def cmd_conjecture(args) -> int:
     started = time.perf_counter()
     result = conjecture_verdict(args.n, store, max_n=args.max_arity)
     verdicts = [
-        {
-            "check": "comparison_map_kills_relations",
-            "pass": result["relation_kill"],
-            "params": {"n": args.n},
-            **(
-                {}
-                if result["relation_kill"]
-                else {"witness": result["relation_kill_witness"]}
-            ),
-        },
-        {
-            "check": "bigraded_dims_match",
-            "pass": result["dims_equal"],
-            "params": {"n": args.n},
-        },
+        verdict(
+            "comparison_map_kills_relations",
+            result["relation_kill"],
+            result["relation_kill_witness"],
+            n=args.n,
+        ),
+        verdict("bigraded_dims_match", result["dims_equal"], n=args.n),
         {
             "check": "isomorphism_verdict",
             "pass": True,

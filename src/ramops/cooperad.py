@@ -58,78 +58,34 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
-from .linalg import bump
+from .linalg import Combination, bump
 from .reports import verdict
 
 
-class TensorAlgebraElement:
-    """Sparse combination of monomial pairs from two algebra components."""
+class TensorAlgebraElement(Combination):
+    """Sparse combination of monomial pairs from two algebra components;
+    ``labels`` is the pair (left labels, right labels)."""
 
-    __slots__ = ("labels_left", "labels_right", "pres", "terms")
+    __slots__ = ("pres",)
 
     def __init__(self, labels_left, labels_right, pres: GraphPresentation, terms=None):
-        self.labels_left = check_label_set(labels_left)
-        self.labels_right = check_label_set(labels_right)
+        self.labels = (check_label_set(labels_left), check_label_set(labels_right))
         self.pres = pres
         self.terms: dict[tuple[MonomialKey, MonomialKey], Fraction] = (
             terms if terms is not None else {}
         )
 
+    def _like(self, terms: dict) -> "TensorAlgebraElement":
+        return TensorAlgebraElement(*self.labels, self.pres, terms)
+
+    def sort_key(self, key: tuple[MonomialKey, MonomialKey]):
+        return monomial_sort_key(key[0], self.pres), monomial_sort_key(key[1], self.pres)
+
+    def key_str(self, key: tuple[MonomialKey, MonomialKey]) -> str:
+        return f"{monomial_str(key[0], self.pres)}(x){monomial_str(key[1], self.pres)}"
+
     def add_term(self, ml: MonomialKey, mr: MonomialKey, coeff: Fraction) -> None:
-        bump(self.terms, (ml, mr), coeff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorAlgebraElement)
-            and self.labels_left == other.labels_left
-            and self.labels_right == other.labels_right
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.labels_left, self.labels_right, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (
-                monomial_sort_key(kv[0][0], self.pres),
-                monomial_sort_key(kv[0][1], self.pres),
-            ),
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{c}*{monomial_str(l, self.pres)}(x){monomial_str(r, self.pres)}"
-            for (l, r), c in self.sorted_terms()
-        ).replace("+ -", "- ")
-
-
-def tensor_multiply(
-    x: TensorAlgebraElement, y: TensorAlgebraElement, mode: str = "forest"
-) -> TensorAlgebraElement:
-    """(u(x)v)(u'(x)v') = (-1)**(h(v)h(u')) uu' (x) vv'."""
-    from .graphalg import multiply
-
-    out = TensorAlgebraElement(x.labels_left, x.labels_right, x.pres)
-    for (u, v), c1 in x.terms.items():
-        hv = monomial_bidegree(v, x.pres)[0]
-        for (u2, v2), c2 in y.terms.items():
-            hu2 = monomial_bidegree(u2, x.pres)[0]
-            left = multiply(u, u2, x.pres, mode)
-            if left is None:
-                continue
-            right = multiply(v, v2, x.pres, mode)
-            if right is None:
-                continue
-            sign = -1 if (hv & 1) and (hu2 & 1) else 1
-            out.add_term(left[1], right[1], c1 * c2 * sign * left[0] * right[0])
-    return out
+        self._add_term((ml, mr), coeff)
 
 
 def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
@@ -275,27 +231,14 @@ def theta(
     x: AlgebraElement,
     place: Atom = STAR,
     store: ComponentStore | None = None,
-    normalize: bool = True,
 ) -> TensorAlgebraElement:
     """Cocomposition of x along the split I | J, place-holder on the I side.
 
-    Each side is reduced to its quotient normal form when ``normalize`` is
-    set, so the terms of the result pair basis monomials; those are read
-    from the rows of the split's ``SlotTable``.
+    Each side is reduced to its quotient normal form, so the terms of the
+    result pair basis monomials; those are read from the rows of the
+    split's ``SlotTable``.
     """
-    I, J = tuple(I), tuple(J)
-    if not normalize:
-        I, J = _checked_split(I, J, place)
-        if x.labels != sort_atoms(I + J):
-            raise ValueError("element labels must be exactly I + J")
-        iset, jset = set(I), set(J)
-        out = TensorAlgebraElement(sort_atoms(I + (place,)), J, pres)
-        for m, coeff in x.terms.items():
-            split = _split(pres, iset, jset, place, m)
-            if split is not None:
-                out.add_term(split[1], split[2], coeff * split[0])
-        return out
-    cocomp = cocomposition(pres, I, J, place, store or default_store())
+    cocomp = cocomposition(pres, tuple(I), tuple(J), place, store or default_store())
     union, left, right = cocomp.union, cocomp.left, cocomp.right
     if x.labels != union.labels:
         raise ValueError("element labels must be exactly I + J")
@@ -315,7 +258,7 @@ def tensor_normal_form(
 ) -> TensorAlgebraElement:
     """Reduce each tensor factor to the basis of its component."""
     terms = quotient.tensor_normal_form(t.terms, (comp_left, comp_right))
-    return TensorAlgebraElement(t.labels_left, t.labels_right, t.pres, terms)
+    return TensorAlgebraElement(*t.labels, t.pres, terms)
 
 
 def theta_relation_kill(

@@ -33,7 +33,7 @@ from .graphalg import (
     monomial_from_word,
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, rank, vec_add_scaled
 from .operad import OperadElement, component_basis, ideal_span, is_leaf, tree_bidegree
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
@@ -61,12 +61,7 @@ class LinearForm:
         return not self.coords
 
     def add_scaled(self, other: "LinearForm", c: Fraction) -> None:
-        for slot, val in other.coords.items():
-            s = self.coords.get(slot, Fraction(0)) + c * val
-            if s:
-                self.coords[slot] = s
-            elif slot in self.coords:
-                del self.coords[slot]
+        vec_add_scaled(self.coords, other.coords, c)
 
     def value_on_slot(self, slot: int) -> Fraction:
         return self.coords.get(slot, Fraction(0))

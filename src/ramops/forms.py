@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .graphalg import GraphPresentation, Letter, R_PRESENTATION, relation_words
 from .labels import Atom, atom_key, check_label_set
+from .linalg import bump, vec_add_scaled
 
 SamplePoint = dict[Atom, Fraction]
 
@@ -55,22 +56,8 @@ def form_wedge(f: EvaluatedForm, g: EvaluatedForm) -> EvaluatedForm:
                 continue
             merged = tuple(sorted(s1 + s2, key=atom_key))
             inv = sum(1 for x in s1 for y in s2 if atom_key(y) < atom_key(x))
-            coeff = c1 * c2 * (-1 if inv % 2 else 1)
-            s = out.get(merged, Fraction(0)) + coeff
-            if s:
-                out[merged] = s
-            elif merged in out:
-                del out[merged]
+            bump(out, merged, c1 * c2 * (-1 if inv % 2 else 1))
     return out
-
-
-def form_add_scaled(target: EvaluatedForm, source: EvaluatedForm, scale: Fraction) -> None:
-    for key, val in source.items():
-        s = target.get(key, Fraction(0)) + scale * val
-        if s:
-            target[key] = s
-        elif key in target:
-            del target[key]
 
 
 def eval_generator(which: str, i: Atom, j: Atom, point: SamplePoint) -> EvaluatedForm:
@@ -107,7 +94,7 @@ def eval_element(
     """Evaluate a rational combination of literal words."""
     out: EvaluatedForm = {}
     for coeff, word in terms:
-        form_add_scaled(out, eval_word(word, point), Fraction(coeff))
+        vec_add_scaled(out, eval_word(word, point), Fraction(coeff))
     return out
 
 

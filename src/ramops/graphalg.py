@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
-from .linalg import SparseMatrix
+from .linalg import Combination, SparseMatrix
 from .quotient import QuotientComponent, load_component
 
 Edge = tuple[Atom, Atom]
@@ -202,15 +202,27 @@ def unit_monomial(pres: GraphPresentation) -> MonomialKey:
     return tuple(() for _ in pres.colors)
 
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """Sparse rational combination of canonical graph monomials on one vertex set."""
 
-    __slots__ = ("labels", "pres", "terms")
+    __slots__ = ("pres",)
 
     def __init__(self, labels: Iterable[Atom], pres: GraphPresentation, terms: dict | None = None):
         self.labels = check_label_set(labels)
         self.pres = pres
         self.terms: dict[MonomialKey, Fraction] = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.labels, self.pres, terms)
+
+    def sort_key(self, m: MonomialKey):
+        return monomial_sort_key(m, self.pres)
+
+    def key_str(self, m: MonomialKey) -> str:
+        return monomial_str(m, self.pres)
+
+    def key_bidegree(self, m: MonomialKey) -> BiDegree:
+        return monomial_bidegree(m, self.pres)
 
     @classmethod
     def zero(cls, labels, pres) -> "AlgebraElement":
@@ -240,62 +252,6 @@ class AlgebraElement:
                 sign, key = res
                 el._add_term(key, Fraction(coeff) * sign)
         return el
-
-    def _add_term(self, key: MonomialKey, coeff: Fraction) -> None:
-        s = self.terms.get(key, Fraction(0)) + coeff
-        if s:
-            self.terms[key] = s
-        elif key in self.terms:
-            del self.terms[key]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scaled(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        if not c:
-            return AlgebraElement(self.labels, self.pres)
-        return AlgebraElement(self.labels, self.pres, {k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.labels != other.labels:
-            raise ValueError("vertex sets differ")
-        out = AlgebraElement(self.labels, self.pres, dict(self.terms))
-        for k, v in other.terms.items():
-            out._add_term(k, v)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.labels == other.labels
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.labels, frozenset(self.terms.items())))
-
-    def bidegree(self) -> BiDegree | None:
-        degs = {monomial_bidegree(k, self.pres) for k in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0], self.pres))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{c}*{monomial_str(k, self.pres)}" for k, c in self.sorted_terms()
-        ).replace("+ -", "- ")
 
 
 def element_multiply(x: AlgebraElement, y: AlgebraElement, mode: str = "forest") -> AlgebraElement:
@@ -622,11 +578,6 @@ def ideal_rank_breakdown(
         "rank_without_12term": without,
         "twelve_term_raise_rank": full > without,
     }
-
-
-def reduce_algebra(x: AlgebraElement, component: GraphComponent) -> dict[int, Fraction]:
-    """Coordinates of x on the component basis (kills exactly the ideal)."""
-    return component.coords(x)
 
 
 # --- differentials ------------------------------------------------------------

@@ -13,7 +13,7 @@ composition and multiplication.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Atom = int | str
 
@@ -50,3 +50,17 @@ def standard_labels(n: int) -> tuple[Atom, ...]:
     if n < 1:
         raise ValueError("need at least one label")
     return tuple(range(1, n + 1))
+
+
+def ordered_splits(labels: tuple[Atom, ...], parts: int) -> Iterator[tuple[tuple, ...]]:
+    """Every ordered split of the labels into ``parts`` nonempty blocks, each
+    block in label order, in a fixed order (base-``parts`` assignment counting)."""
+    n = len(labels)
+    for assignment in range(parts**n):
+        blocks: list[list] = [[] for _ in range(parts)]
+        a = assignment
+        for item in labels:
+            blocks[a % parts].append(item)
+            a //= parts
+        if all(blocks):
+            yield tuple(tuple(b) for b in blocks)

@@ -60,6 +60,84 @@ def bump(acc: dict, key, val) -> None:
         del acc[key]
 
 
+class Combination:
+    """Sparse rational combination of canonical keys on one label set.
+
+    The operad and algebra elements and their tensors all store
+    ``{key: Fraction}`` with no zero entries.  A subclass supplies ``_like``
+    (an element of its own kind on the same labels) and, for one key, its
+    ``sort_key`` and its string ``key_str``; ``key_bidegree`` only where
+    ``bidegree`` is asked for (not on the tensors).
+    """
+
+    __slots__ = ("labels", "terms")
+
+    def _like(self, terms: dict) -> "Combination":
+        raise NotImplementedError
+
+    def sort_key(self, key):
+        raise NotImplementedError
+
+    def key_str(self, key) -> str:
+        raise NotImplementedError
+
+    def key_bidegree(self, key) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def _add_term(self, key, coeff: Fraction) -> None:
+        # bump inlined: this runs once per term in compose and canonicalize
+        s = self.terms.get(key, ZERO) + coeff
+        if s:
+            self.terms[key] = s
+        elif key in self.terms:
+            del self.terms[key]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def bidegree(self) -> tuple[int, int] | None:
+        """Common bidegree of all terms, or None for 0 / inhomogeneous."""
+        degs = {self.key_bidegree(k) for k in self.terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def scaled(self, c) -> "Combination":
+        c = Fraction(c)
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __add__(self, other: "Combination") -> "Combination":
+        if self.labels != other.labels:
+            raise ValueError("label sets differ")
+        out = self._like(dict(self.terms))
+        for k, v in other.terms.items():
+            out._add_term(k, v)
+        return out
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + other.scaled(-1)
+
+    def __neg__(self) -> "Combination":
+        return self.scaled(-1)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self) and self.labels == other.labels and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.labels, frozenset(self.terms.items())))
+
+    def sorted_terms(self) -> list[tuple]:
+        return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = (f"{c}*{self.key_str(k)}" for k, c in self.sorted_terms())
+        return " + ".join(bits).replace("+ -", "- ")
+
+
 @dataclass
 class SparseMatrix:
     """Rows of sparse vectors over Fraction; ncols bounds the column indices."""

@@ -30,9 +30,10 @@ from .labels import (
     STAR,
     atom_key,
     check_label_set,
+    ordered_splits,
     standard_labels,
 )
-from .linalg import SparseMatrix
+from .linalg import Combination, SparseMatrix
 from .quotient import QuotientComponent, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
@@ -135,15 +136,29 @@ def _canon(t: Tree, gens: Signature) -> tuple[int, Tree, int]:
     return sign, (g, cl, cr), spec.bidegree[0] + hl + hr
 
 
-class OperadElement:
+def tree_str(t: Tree) -> str:
+    if is_leaf(t):
+        return str(t)
+    return f"{t[0]}({tree_str(t[1])},{tree_str(t[2])})"
+
+
+class OperadElement(Combination):
     """Sparse rational combination of canonical tree monomials on one label set."""
 
-    __slots__ = ("labels", "gens", "terms")
+    __slots__ = ("gens",)
+    sort_key = staticmethod(tree_sort_key)
+    key_str = staticmethod(tree_str)
 
     def __init__(self, labels: Iterable[Atom], gens: Signature, terms: dict | None = None):
         self.labels = check_label_set(labels)
         self.gens = gens
         self.terms: dict[Tree, Fraction] = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "OperadElement":
+        return OperadElement(self.labels, self.gens, terms)
+
+    def key_bidegree(self, t: Tree) -> BiDegree:
+        return tree_bidegree(t, self.gens)
 
     @classmethod
     def zero(cls, labels: Iterable[Atom], gens: Signature) -> "OperadElement":
@@ -164,70 +179,6 @@ class OperadElement:
         if name not in gens:
             raise KeyError(f"unknown generator {name!r}")
         return cls.from_terms((a, b), gens, [((name, a, b), 1)])
-
-    def _add_term(self, canon: Tree, coeff: Fraction) -> None:
-        s = self.terms.get(canon, Fraction(0)) + coeff
-        if s:
-            self.terms[canon] = s
-        elif canon in self.terms:
-            del self.terms[canon]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def bidegree(self) -> BiDegree | None:
-        """Common bidegree of all terms, or None for 0 / inhomogeneous."""
-        degs = {tree_bidegree(t, self.gens) for t in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def scaled(self, c: Fraction | int) -> "OperadElement":
-        c = Fraction(c)
-        if not c:
-            return OperadElement(self.labels, self.gens)
-        return OperadElement(self.labels, self.gens, {t: v * c for t, v in self.terms.items()})
-
-    def __add__(self, other: "OperadElement") -> "OperadElement":
-        if self.labels != other.labels:
-            raise ValueError("label sets differ")
-        out = OperadElement(self.labels, self.gens, dict(self.terms))
-        for t, v in other.terms.items():
-            out._add_term(t, v)
-        return out
-
-    def __sub__(self, other: "OperadElement") -> "OperadElement":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "OperadElement":
-        return self.scaled(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OperadElement)
-            and self.labels == other.labels
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.labels, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[Tree, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: tree_sort_key(kv[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for t, c in self.sorted_terms():
-            bits.append(f"{c}*{_tree_str(t)}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-
-def _tree_str(t: Tree) -> str:
-    if is_leaf(t):
-        return str(t)
-    return f"{t[0]}({_tree_str(t[1])},{_tree_str(t[2])})"
 
 
 def _h_after_place(t: Tree, place: Atom, gens: Signature) -> tuple[bool, int, int]:
@@ -404,18 +355,6 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
     return [relabel(e, phi) for e in base]
 
 
-def _ordered_tripartitions(labels: tuple[Atom, ...]) -> Iterator[tuple[tuple, tuple, tuple]]:
-    n = len(labels)
-    for assignment in range(3**n):
-        parts: tuple[list, list, list] = ([], [], [])
-        a = assignment
-        for item in labels:
-            parts[a % 3].append(item)
-            a //= 3
-        if parts[0] and parts[1] and parts[2]:
-            yield tuple(parts[0]), tuple(parts[1]), tuple(parts[2])
-
-
 def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
     labels = standard_labels(n)
     seen: dict[str, OperadElement] = {}
@@ -430,7 +369,7 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
     places = ("s1", "s2", "s3")
     for r in pres.relations:
         r_p = relabel(r, dict(zip((1, 2, 3), places)))
-        for blocks in _ordered_tripartitions(labels):
+        for blocks in ordered_splits(labels, 3):
             for m1 in enumerate_tree_monomials(pres.gens, blocks[0]):
                 e1 = OperadElement.from_terms(blocks[0], pres.gens, [(m1, 1)])
                 for m2 in enumerate_tree_monomials(pres.gens, blocks[1]):
@@ -499,8 +438,3 @@ def component_basis(
 ) -> Component:
     """Quotient component of the presentation on the label set (cached)."""
     return load_component(Component, pres, labels, store)
-
-
-def normal_form(x: OperadElement, component: Component) -> dict[int, Fraction]:
-    """Coordinate vector of x on the component basis."""
-    return component.coords(x)

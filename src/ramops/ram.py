@@ -28,7 +28,7 @@ from typing import Iterator
 from . import quotient
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, STAR, check_label_set, standard_labels
-from .linalg import bump
+from .linalg import Combination, bump
 from .operad import (
     Component,
     GeneratorSpec,
@@ -43,6 +43,7 @@ from .operad import (
     is_leaf,
     tree_h,
     tree_sort_key,
+    tree_str,
 )
 from .reports import dims_to_table, verdict
 
@@ -170,37 +171,29 @@ COPRODUCT_TABLE: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
-class OperadTensor:
+class OperadTensor(Combination):
     """Sparse combination of pairs of tree monomials on one label set."""
 
-    __slots__ = ("labels", "gens", "terms")
+    __slots__ = ("gens",)
 
     def __init__(self, labels, gens: Signature, terms: dict | None = None):
         self.labels = check_label_set(labels)
         self.gens = gens
         self.terms: dict[tuple[Tree, Tree], Fraction] = terms if terms is not None else {}
 
+    def _like(self, terms: dict) -> "OperadTensor":
+        return OperadTensor(self.labels, self.gens, terms)
+
+    @staticmethod
+    def sort_key(key: tuple[Tree, Tree]):
+        return tree_sort_key(key[0]), tree_sort_key(key[1])
+
+    @staticmethod
+    def key_str(key: tuple[Tree, Tree]) -> str:
+        return f"{tree_str(key[0])}(x){tree_str(key[1])}"
+
     def add_term(self, t1: Tree, t2: Tree, coeff: Fraction) -> None:
-        bump(self.terms, (t1, t2), coeff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OperadTensor)
-            and self.labels == other.labels
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.labels, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (tree_sort_key(kv[0][0]), tree_sort_key(kv[0][1])),
-        )
+        self._add_term((t1, t2), coeff)
 
 
 def _coproduct_tree(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int]]:
@@ -209,14 +202,14 @@ def _coproduct_tree(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int]]:
     g, l, r = t
     left_parts = _coproduct_tree(l, gens)
     right_parts = _coproduct_tree(r, gens)
+    # h of each part, once: the (g1, g2) and pair loops below reuse them
+    left_h = [(tree_h(u1, gens), tree_h(u2, gens)) for u1, u2, _ in left_parts]
+    right_h = [tree_h(v1, gens) for v1, _, _ in right_parts]
     out = []
     for g1, g2 in COPRODUCT_TABLE[g]:
         hg2 = gens[g2].bidegree[0]
-        for u1, u2, s1 in left_parts:
-            hu1 = tree_h(u1, gens)
-            hu2 = tree_h(u2, gens)
-            for v1, v2, s2 in right_parts:
-                hv1 = tree_h(v1, gens)
+        for (u1, u2, s1), (hu1, hu2) in zip(left_parts, left_h):
+            for (v1, v2, s2), hv1 in zip(right_parts, right_h):
                 exponent = hg2 * hu1 + (hg2 + hu2) * hv1
                 sign = s1 * s2 * (-1 if exponent & 1 else 1)
                 # the root split keeps min-leaf order, so both factors stay canonical
@@ -224,12 +217,9 @@ def _coproduct_tree(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int]]:
     return out
 
 
-def coproduct(x: OperadElement, component: Component | None = None) -> OperadTensor:
-    """Hopf coproduct of an element, term by term through its trees.
-
-    Pass the matching quotient component to reduce both tensor factors to
-    its basis; without it the result lives in the free operad.
-    """
+def coproduct(x: OperadElement) -> OperadTensor:
+    """Hopf coproduct of an element in the free operad, term by term through
+    its trees; ``tensor_normal_form`` reduces it to a component's basis."""
     out = OperadTensor(x.labels, x.gens)
     for t, c in x.terms.items():
         if is_leaf(t):
@@ -237,8 +227,6 @@ def coproduct(x: OperadElement, component: Component | None = None) -> OperadTen
             continue
         for t1, t2, sign in _coproduct_tree(t, x.gens):
             out.add_term(t1, t2, c * sign)
-    if component is not None:
-        out = tensor_normal_form(out, component)
     return out
 
 

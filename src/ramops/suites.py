@@ -22,7 +22,7 @@ from .graphalg import (
     path_permutation_sum,
     relation_instances,
 )
-from .labels import standard_labels
+from .labels import ordered_splits, standard_labels
 from .operad import component_basis, enumerate_tree_monomials, ideal_span, tree_bidegree
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import relation_survey
@@ -125,28 +125,16 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
     return verdicts
 
 
-def _ordered_splits(labels: tuple, parts: int):
-    n = len(labels)
-    for assignment in range(parts**n):
-        blocks: list[list] = [[] for _ in range(parts)]
-        a = assignment
-        for item in labels:
-            blocks[a % parts].append(item)
-            a //= parts
-        if all(blocks):
-            yield tuple(tuple(b) for b in blocks)
-
-
 def suite_cooperad(n: int, store: ComponentStore | None = None) -> list[dict]:
     store = store or default_store()
     verdicts = []
     for k in range(2, n + 1):
         labels = standard_labels(k)
-        for I, J in _ordered_splits(labels, 2):
+        for I, J in ordered_splits(labels, 2):
             verdicts.extend(theta_relation_kill(R_PRESENTATION, I, J, store))
             verdicts.extend(theta_intertwines_differentials(R_PRESENTATION, I, J, store))
         if k >= 3:
-            for I, J, K in _ordered_splits(labels, 3):
+            for I, J, K in ordered_splits(labels, 3):
                 verdicts.extend(cooperad_axiom_check(R_PRESENTATION, I, J, K, store))
     return verdicts
 

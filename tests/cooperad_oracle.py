@@ -1,8 +1,9 @@
 """Reference cocomposition, dual composition and cooperad checks, one
 monomial at a time.
 
-``theta`` splits every monomial of its input and reduces both tensor
-factors of the sum; ``dual_compose`` runs it on every basis monomial of the
+``raw_theta`` splits every monomial of its input and ``theta`` reduces
+both tensor factors of the sum; ``tensor_multiply`` is the product of two
+unreduced tensors, for the algebra-morphism test; ``dual_compose`` runs it on every basis monomial of the
 output bidegree and pairs the image with the two forms.
 ``cooperad_axiom_check`` and ``theta_intertwines_differentials`` build both
 sides of each identity as tensor elements, basis element by basis element,
@@ -24,14 +25,16 @@ from ramops.graphalg import (
     monomial_bidegree,
     monomial_from_word,
     monomial_str,
+    multiply,
 )
 from ramops.labels import HASH, STAR, check_label_set, sort_atoms
 from ramops.linalg import ONE, bump
 from ramops.reports import verdict
 
 
-def theta(pres, I, J, x, place=STAR, store=None):
-    """Normalised cocomposition of x along I | J, place-holder on the I side."""
+def raw_theta(pres, I, J, x, place=STAR):
+    """Cocomposition of x along I | J, place-holder on the I side, with
+    neither tensor factor reduced."""
     I = check_label_set(I)
     J = check_label_set(J)
     iset, jset = set(I), set(J)
@@ -75,12 +78,36 @@ def theta(pres, I, J, x, place=STAR, store=None):
         if rres is None:
             continue
         out.add_term(lres[1], rres[1], coeff * sign * lres[0] * rres[0])
+    return out
+
+
+def theta(pres, I, J, x, place=STAR, store=None):
+    """Normalised cocomposition of x along I | J, place-holder on the I side."""
+    out = raw_theta(pres, I, J, x, place)
+    left_labels, right_labels = out.labels
     comps = (
         algebra_basis(pres, left_labels, "forest", store),
-        algebra_basis(pres, J, "forest", store),
+        algebra_basis(pres, right_labels, "forest", store),
     )
-    terms = quotient.tensor_normal_form(out.terms, comps)
-    return TensorAlgebraElement(left_labels, J, pres, terms)
+    return TensorAlgebraElement(*out.labels, pres, quotient.tensor_normal_form(out.terms, comps))
+
+
+def tensor_multiply(x, y, mode="forest"):
+    """(u(x)v)(u'(x)v') = (-1)**(h(v)h(u')) uu' (x) vv'."""
+    out = TensorAlgebraElement(*x.labels, x.pres)
+    for (u, v), c1 in x.terms.items():
+        hv = monomial_bidegree(v, x.pres)[0]
+        for (u2, v2), c2 in y.terms.items():
+            hu2 = monomial_bidegree(u2, x.pres)[0]
+            left = multiply(u, u2, x.pres, mode)
+            if left is None:
+                continue
+            right = multiply(v, v2, x.pres, mode)
+            if right is None:
+                continue
+            sign = -1 if (hv & 1) and (hu2 & 1) else 1
+            out.add_term(left[1], right[1], c1 * c2 * sign * left[0] * right[0])
+    return out
 
 
 def dual_compose(f, g, place=STAR, store=None):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from ramops.cli import main
 from ramops.reports import canonical_json, make_report
 from ramops.suites import run_suite
@@ -115,6 +117,20 @@ def test_golden_report_bytes():
     result = run_subprocess("ramanujan", "--n", "3", "--json")
     assert result.returncode == 0
     assert result.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("dims", "--operad", "ram", "--n", "3"), "golden_dims_ram_n3.json"),
+        (("conjecture", "--n", "3"), "golden_conjecture_n3.json"),
+    ],
+)
+def test_json_report_matches_golden_bytes(capsys, argv, golden):
+    with open(os.path.join(PKG_ROOT, "tests", "data", golden), "r", encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run_cli(*argv, "--json") == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_all_n4_report_matches_golden_bytes():

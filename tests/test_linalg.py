@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramops.cooperad import TensorAlgebraElement
+from ramops.graphalg import R_PRESENTATION, AlgebraElement
+from ramops.labels import STAR
 from ramops.linalg import (
+    ONE,
     Echelon,
     SparseMatrix,
     quotient_basis,
@@ -14,6 +19,8 @@ from ramops.linalg import (
     transpose,
     vec_add_scaled,
 )
+from ramops.operad import OperadElement
+from ramops.ram import RAM_SIGNATURE, coproduct
 
 
 def dense(m, ncols):
@@ -175,3 +182,63 @@ def test_rref_matches_insert_oracle(m, vec):
         assert e.reduce(row) == {}
     v = {c: x for c, x in vec.items() if c < m.ncols}
     assert e.reduce(v) == oracle_reduce(oracle, v)
+
+
+# one element of each Combination kind, another of the same kind on other
+# labels, and its repr as the kind printed it before sharing the base class
+# (None: the kind had no repr of its own)
+COMBINATIONS = {
+    "operad": lambda: (
+        OperadElement.from_terms(
+            (1, 2, 3),
+            RAM_SIGNATURE,
+            [(("L", ("G", 1, 2), 3), Fraction(1, 2)), (("E", 3, ("L", 1, 2)), -3)],
+        ),
+        OperadElement.generator(RAM_SIGNATURE, "L", 1, 2),
+        "-3*E(L(1,2),3) + 1/2*L(G(1,2),3)",
+    ),
+    "algebra": lambda: (
+        AlgebraElement.from_words(
+            (1, 2, 3),
+            R_PRESENTATION,
+            [(Fraction(2, 3), (("a", 1, 2), ("b", 2, 3))), (-1, (("b", 1, 3),)), (5, ())],
+        ),
+        AlgebraElement.unit((1, 2), R_PRESENTATION),
+        "5*1 - 1*b[1,3] + 2/3*a[1,2]b[2,3]",
+    ),
+    "algebra_tensor": lambda: (
+        TensorAlgebraElement(
+            (1, STAR),
+            (2, 3),
+            R_PRESENTATION,
+            {
+                (((), ((1, STAR),)), (((2, 3),), ())): Fraction(-1, 2),
+                ((((1, STAR),), ()), ((), ())): Fraction(4),
+            },
+        ),
+        TensorAlgebraElement((1, STAR), (2,), R_PRESENTATION, {(((), ()), ((), ())): ONE}),
+        "4*a[1,*](x)1 - 1/2*b[1,*](x)a[2,3]",
+    ),
+    "operad_tensor": lambda: (
+        coproduct(OperadElement.generator(RAM_SIGNATURE, "L", 1, 2)),
+        coproduct(OperadElement.generator(RAM_SIGNATURE, "G", 1, 3)),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMBINATIONS))
+def test_combination_kinds_share_the_base_behaviour(kind):
+    x, other, expected_repr = COMBINATIONS[kind]()
+    if expected_repr is not None:
+        assert repr(x) == expected_repr
+    zero = x.scaled(0)
+    assert type(zero) is type(x) and zero.labels == x.labels and zero.is_zero()
+    assert repr(zero) == "0" and x - x == zero and x + -x == zero
+    assert x.scaled(2) == x + x and hash(x.scaled(2)) == hash(x + x)
+    with pytest.raises(ValueError):
+        x + other
+    # another kind holding the same labels and terms is a different element
+    twin = next(COMBINATIONS[k] for k in sorted(COMBINATIONS) if k != kind)()[0]
+    twin.labels, twin.terms = x.labels, dict(x.terms)
+    assert twin != x and x != twin
