@@ -7,7 +7,7 @@ Extended multiplicatively with Koszul interleaving signs and reduced to the
 quotient on each side, this is a morphism of bidifferential algebras; the
 checks below exercise that claim plus both coassociativity equations.
 
-Normalised cocomposition is read from a table of rows, one table per store
+Normalised cocomposition is read from a list of rows, one list per store
 and per (presentation, pattern).  The pattern of a split I | J with
 place-holder p is the word over I, J, P read along sort_atoms(I + J + (p,)).
 Row i holds the normalised image of the ambient monomial at position i of
@@ -30,7 +30,7 @@ position ``basis_positions[s]`` of the union of the next split, so a
 composite of two cocompositions on a basis element is the contraction of its
 row with the rows of its slots: ``cooperad_axiom_check`` keeps both sides of
 each coassociativity equation as {(slot, slot, slot): coefficient} over the
-same three components and reads h-parities from their bases.
+same three components and reads h-parities from the components.
 ``theta_intertwines_differentials`` compares theta of d(b) with the row of b
 contracted against the basis coordinates of d on each factor; the normal
 form of a tensor is multilinear, so this is the normal form of the raw
@@ -51,7 +51,6 @@ from .graphalg import (
     MonomialKey,
     algebra_basis,
     differential_algebra,
-    monomial_bidegree,
     monomial_from_word,
     monomial_sort_key,
     monomial_str,
@@ -128,32 +127,9 @@ def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
     return sign * lres[0] * rres[0], lres[1], rres[1]
 
 
-def _odd(pres: GraphPresentation, basis: list) -> list[int]:
-    """Parity of h on each basis slot."""
-    return [monomial_bidegree(m, pres)[0] & 1 for m in basis]
-
-
-class SlotTable:
-    """Normalised cocomposition rows of one (presentation, pattern).
-
-    ``rows[i]`` is None until the ambient monomial at position i of the union
-    component is first asked for.  ``left_odd[s]`` is the parity of h on
-    left basis slot s; ``slots_by_degree`` lists the union basis slots of
-    each bidegree.  All three are the same on every label set of the pattern.
-    """
-
-    __slots__ = ("rows", "left_odd", "slots_by_degree")
-
-    def __init__(self, pres: GraphPresentation, union: GraphComponent, left: GraphComponent):
-        self.rows: list[tuple | None] = [None] * len(union.monomials)
-        self.left_odd = _odd(pres, left.basis)
-        self.slots_by_degree: dict = {}
-        for slot, m in enumerate(union.basis):
-            self.slots_by_degree.setdefault(monomial_bidegree(m, pres), []).append(slot)
-
-
-# per store: {(presentation hash, pattern): SlotTable} and
-# {(presentation hash, I, J, place): Cocomposition}
+# per store: {(presentation hash, pattern): rows} and
+# {(presentation hash, I, J, place): Cocomposition}; rows[i] is None until the
+# ambient monomial at position i of the union component is first asked for
 _TABLES = quotient.per_store_memo()
 _SPLITS = quotient.per_store_memo()
 
@@ -170,9 +146,9 @@ def _checked_split(I, J, place: Atom) -> tuple[tuple, tuple]:
 
 class Cocomposition:
     """The split I | J, place-holder on the I side, on concrete labels: its
-    three forest components and the table its pattern shares."""
+    three forest components and the rows its pattern shares."""
 
-    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "table")
+    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "rows")
 
     def __init__(
         self, pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
@@ -188,15 +164,15 @@ class Cocomposition:
         )
         tables = _TABLES.setdefault(store, {})
         key = (pres.hash, pattern)
-        self.table = tables.get(key)
-        if self.table is None:
-            self.table = tables[key] = SlotTable(pres, self.union, self.left)
+        self.rows = tables.get(key)
+        if self.rows is None:
+            self.rows = tables[key] = [None] * len(self.union.monomials)
 
     def row_at(self, i: int) -> tuple:
         """Row of the ambient monomial at position i, computed on first use."""
-        row = self.table.rows[i]
+        row = self.rows[i]
         if row is None:
-            row = self.table.rows[i] = self.normalised(self.union.monomials[i])
+            row = self.rows[i] = self.normalised(self.union.monomials[i])
         return row
 
     def normalised(self, m: MonomialKey) -> tuple:
@@ -215,7 +191,7 @@ class Cocomposition:
 def cocomposition(
     pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
 ) -> Cocomposition:
-    """The checked split I | J with its components and table, kept per store."""
+    """The checked split I | J with its components and rows, kept per store."""
     splits = _SPLITS.setdefault(store, {})
     key = (pres.hash, I, J, place)
     cocomp = splits.get(key)
@@ -235,8 +211,8 @@ def theta(
     """Cocomposition of x along the split I | J, place-holder on the I side.
 
     Each side is reduced to its quotient normal form, so the terms of the
-    result pair basis monomials; those are read from the rows of the
-    split's ``SlotTable``.
+    result pair basis monomials; those are read from the normalised rows
+    the split's pattern shares.
     """
     cocomp = cocomposition(pres, tuple(I), tuple(J), place, store or default_store())
     union, left, right = cocomp.union, cocomp.left, cocomp.right
@@ -312,8 +288,8 @@ def cooperad_axiom_check(
     inner = cocomposition(pres, J, K, HASH, store)
     swapped = cocomposition(pres, sort_atoms(I + K), J, STAR, store)
     swapped_inner = cocomposition(pres, sort_atoms(I + (STAR,)), K, HASH, store)
-    odd_j = _odd(pres, swapped.right.basis)
-    odd_k = _odd(pres, swapped_inner.right.basis)
+    odd_j = swapped.right.odd
+    odd_k = swapped_inner.right.odd
     # a basis slot of one split's factor is a position of the next split's union
     at_ij = first.left.basis_positions
     at_jk = outer.right.basis_positions
@@ -396,7 +372,7 @@ def theta_intertwines_differentials(
     store = store or default_store()
     cocomp = cocomposition(pres, I, J, STAR, store)
     union = cocomp.union
-    left_odd = cocomp.table.left_odd
+    left_odd = cocomp.left.odd
     verdicts = []
     for which in ("up", "down"):
         d_union = _differentials(union, which, store)

@@ -225,10 +225,6 @@ class AlgebraElement(Combination):
         return monomial_bidegree(m, self.pres)
 
     @classmethod
-    def zero(cls, labels, pres) -> "AlgebraElement":
-        return cls(labels, pres)
-
-    @classmethod
     def unit(cls, labels, pres) -> "AlgebraElement":
         return cls(labels, pres, {unit_monomial(pres): Fraction(1)})
 
@@ -288,10 +284,7 @@ def _relabel_monomial(
 
 
 def enumerate_graph_monomials(
-    pres: GraphPresentation,
-    labels: Iterable[Atom],
-    mode: str = "forest",
-    bidegree: BiDegree | None = None,
+    pres: GraphPresentation, labels: Iterable[Atom], mode: str = "forest"
 ) -> list[MonomialKey]:
     """All canonical monomials on the vertex set, deterministic order."""
     if mode not in MODES:
@@ -308,9 +301,7 @@ def enumerate_graph_monomials(
                 per_color: list[list[Edge]] = [[] for _ in range(ncolors)]
                 for e, ci in zip(subset, assignment):
                     per_color[ci].append(e)
-                key = tuple(tuple(sorted(es, key=_edge_key)) for es in per_color)
-                if bidegree is None or monomial_bidegree(key, pres) == bidegree:
-                    out.append(key)
+                out.append(tuple(tuple(sorted(es, key=_edge_key)) for es in per_color))
     out.sort(key=lambda m: monomial_sort_key(m, pres))
     return out
 

@@ -152,14 +152,6 @@ class SparseMatrix:
                 raise ValueError("column index out of range")
             self.rows.append(clean)
 
-    @classmethod
-    def from_dense(cls, dense: list[list[int | Fraction]]) -> "SparseMatrix":
-        ncols = max((len(r) for r in dense), default=0)
-        m = cls(ncols)
-        for r in dense:
-            m.add_row({i: Fraction(x) for i, x in enumerate(r) if x})
-        return m
-
 
 @dataclass
 class Echelon:
@@ -191,9 +183,6 @@ class Echelon:
         for piv in [c for c in work if c in pos]:
             vec_add_scaled(work, self.rows[pos[piv]], -work[piv])
         return work
-
-    def contains(self, v: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(v)
 
 
 IntVec = dict[int, int]
@@ -274,18 +263,6 @@ def rref(m: SparseMatrix) -> Echelon:
 
 def rank(m: SparseMatrix) -> int:
     return rref(m).rank
-
-
-def transpose(m: SparseMatrix) -> SparseMatrix:
-    t = SparseMatrix(len(m.rows))
-    cols: dict[int, SparseVec] = {}
-    for i, row in enumerate(m.rows):
-        for c, v in row.items():
-            cols.setdefault(c, {})[i] = v
-    for c in range(m.ncols):
-        if c in cols:
-            t.rows.append(cols[c])
-    return t
 
 
 def quotient_basis(span: SparseMatrix, ambient_size: int) -> tuple[list[int], Echelon]:

@@ -161,10 +161,6 @@ class OperadElement(Combination):
         return tree_bidegree(t, self.gens)
 
     @classmethod
-    def zero(cls, labels: Iterable[Atom], gens: Signature) -> "OperadElement":
-        return cls(labels, gens)
-
-    @classmethod
     def from_terms(
         cls, labels: Iterable[Atom], gens: Signature, items: Iterable[tuple[Tree, Fraction | int]]
     ) -> "OperadElement":
@@ -251,9 +247,7 @@ def substitute(x: OperadElement, grafts: Mapping[Atom, OperadElement]) -> Operad
     return out
 
 
-def enumerate_tree_monomials(
-    gens: Signature, labels: Iterable[Atom], bidegree: BiDegree | None = None
-) -> list[Tree]:
+def enumerate_tree_monomials(gens: Signature, labels: Iterable[Atom]) -> list[Tree]:
     """All canonical tree monomials on the label set, in serialization order."""
     labels = check_label_set(labels)
     names = sorted(gens)
@@ -274,8 +268,6 @@ def enumerate_tree_monomials(
         return out
 
     trees = rec(labels)
-    if bidegree is not None:
-        trees = [t for t in trees if tree_bidegree(t, gens) == bidegree]
     trees.sort(key=tree_sort_key)
     return trees
 

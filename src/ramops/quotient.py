@@ -18,7 +18,11 @@ recanonicalize transport, the element constructor, the JSON codec of a
 monomial, the bidegree of a monomial and the builder of the ambient monomials
 and the relation span.  This module owns the rest: transport, coordinates and
 normal forms, the payload codec, the load-or-build path with its memos, and
-the normal form of tensors of components.
+the normal form of tensors of components.  It also owns every
+label-independent fact about a basis slot: its bidegree, the parity of its
+h, the slots of each bidegree and the basis expansion of each ambient
+position; ``coords``, ``normal_form`` and ``tensor_normal_form`` are folds
+over those expansions.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -33,7 +37,6 @@ invariant of a reduced echelon form, is rebuilt as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -43,30 +46,38 @@ from .labels import Atom, BiDegree, check_label_set, standard_labels
 from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis
 
 
-@dataclass
 class Standard:
-    """A component on the standard labels {1..n}: what a payload holds."""
+    """A component on the standard labels {1..n}: what a payload holds, and
+    what follows from it on every label set of the size.
 
-    monomials: list
-    echelon: Echelon
-    basis_positions: list[int]
-    dims: dict[BiDegree, int]
-    # basis slot of each non-pivot position; the same for every label set
-    slot_of: dict[int, int] = field(init=False)
-    # basis expansion, as (slot, coefficient) pairs, of each position asked
-    # for so far; also the same for every label set
-    expansions: dict[int, tuple] = field(init=False)
+    ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
+    its h; ``slots_by_degree`` lists the slots of each bidegree in slot
+    order and ``dims`` counts them.  ``slot_of`` maps a non-pivot position
+    to its slot, and ``expansions`` keeps the basis expansion, as (slot,
+    coefficient) pairs, of each position asked for so far.
+    """
 
-    def __post_init__(self):
-        self.slot_of = {i: slot for slot, i in enumerate(self.basis_positions)}
-        self.expansions = {}
+    def __init__(self, cls, pres, monomials: list, echelon: Echelon, basis_positions: list[int]):
+        self.monomials = monomials
+        self.echelon = echelon
+        self.basis_positions = basis_positions
+        self.degrees = [cls.bidegree(pres, monomials[i]) for i in basis_positions]
+        self.odd = [h & 1 for h, _ in self.degrees]
+        self.slots_by_degree: dict[BiDegree, list[int]] = {}
+        for slot, deg in enumerate(self.degrees):
+            self.slots_by_degree.setdefault(deg, []).append(slot)
+        self.dims = {deg: len(slots) for deg, slots in self.slots_by_degree.items()}
+        self.slot_of = {i: slot for slot, i in enumerate(basis_positions)}
+        self.expansions: dict[int, tuple] = {}
 
 
 class QuotientComponent:
     """Quotient component on one label set: monomials, reducer, bigraded dims.
 
     ``monomials[i]`` is the transport of ``monomials_std[i]``; ``basis``
-    lists the basis monomials in slot order.
+    lists the basis monomials in slot order.  ``degrees``, ``odd``,
+    ``slots_by_degree`` and ``dims`` are the standard component's (see
+    ``Standard``).
     """
 
     family = ""  # first word of the cache key and of the payload kind
@@ -77,6 +88,9 @@ class QuotientComponent:
         self.monomials_std = std.monomials
         self.echelon = std.echelon
         self.basis_positions = std.basis_positions
+        self.degrees = std.degrees
+        self.odd = std.odd
+        self.slots_by_degree = std.slots_by_degree
         self.dims = std.dims
         self._slot_of = std.slot_of
         self._expansions = std.expansions
@@ -131,18 +145,16 @@ class QuotientComponent:
         """Basis slot of the basis monomial m."""
         return self._slot_of[self._index[m]]
 
-    def _reduce(self, vec: dict[int, Fraction]) -> list[tuple[int, Fraction]]:
-        """(slot, coefficient) of a vector over positions, in slot order."""
-        reduced = self.echelon.reduce(vec)
-        slot_of = self._slot_of
-        return [(slot_of[i], reduced[i]) for i in sorted(reduced)]
-
     def coords(self, x) -> dict[int, Fraction]:
-        """Coordinates of x on the component basis (kills exactly the ideal)."""
+        """Coordinates of x on the component basis (kills exactly the ideal),
+        in slot order: the sum of its monomials' expansions."""
         if x.labels != self.labels:
             raise ValueError("label set mismatch")
-        index = self._index
-        return dict(self._reduce({index[m]: c for m, c in x.terms.items()}))
+        out: dict[int, Fraction] = {}
+        for m, c in x.terms.items():
+            for slot, v in self.slot_expansion(m):
+                bump(out, slot, c * v)
+        return dict(sorted(out.items()))
 
     def normal_form(self, x):
         basis = self.basis
@@ -151,11 +163,6 @@ class QuotientComponent:
     def monomial_element(self, m):
         """The ambient monomial m as an element."""
         return self.element({m: ONE})
-
-    def monomial_normal_form(self, m) -> dict:
-        """Basis expansion {basis monomial: coefficient} of the ambient monomial m."""
-        basis = self.basis
-        return {basis[slot]: c for slot, c in self.slot_expansion(m)}
 
     def slot_expansion(self, m) -> tuple:
         """(slot, coefficient) pairs of the ambient monomial m, in slot order.
@@ -166,7 +173,9 @@ class QuotientComponent:
         i = self._index[m]
         pairs = self._expansions.get(i)
         if pairs is None:
-            pairs = self._expansions[i] = tuple(self._reduce({i: ONE}))
+            reduced = self.echelon.reduce({i: ONE})
+            slot_of = self._slot_of
+            pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
         return pairs
 
 
@@ -229,36 +238,24 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
     std = None
     if payload is not None and payload.get("presentation") == pres.hash:
         try:
-            std = _decode(cls, payload)
-            if not _consistent(cls, pres, std):
-                std = None
+            std = _decode(cls, pres, payload)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             std = None  # a damaged payload is a cache miss
     if std is None:
         monomials, span = cls.ambient_and_span(pres, n, **fields)
         basis_positions, ech = quotient_basis(span, len(monomials))
-        std = Standard(monomials, ech, basis_positions, _dims(cls, pres, monomials, basis_positions))
+        std = Standard(cls, pres, monomials, ech, basis_positions)
         store.put(cache_key, _encode(cls, pres, n, fields, std))
     decoded[prefix, n] = std
     return std
 
 
-def _dims(cls, pres, monomials: list, basis_positions: list[int]) -> dict[BiDegree, int]:
-    dims: dict[BiDegree, int] = {}
-    for i in basis_positions:
-        bump(dims, cls.bidegree(pres, monomials[i]), 1)
-    return dims
-
-
-def _consistent(cls, pres, std: Standard) -> bool:
-    """Whether a decoded payload is a reduced echelon with its basis and dims.
+def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
+    """Whether a decoded echelon is reduced and the basis is its non-pivots.
 
     Pivots strictly increase, each row has a leading 1 at its pivot and no
-    entry in another pivot column, the basis is the set of non-pivots and the
-    dims count the basis by bidegree.  A payload failing any of these is
-    rebuilt rather than trusted.
+    entry in another pivot column, and the basis is the set of non-pivots.
     """
-    ech, ncols = std.echelon, len(std.monomials)
     pivots = ech.pivots
     if len(ech.rows) != len(pivots) or any(a >= b for a, b in zip(pivots, pivots[1:])):
         return False
@@ -270,9 +267,7 @@ def _consistent(cls, pres, std: Standard) -> bool:
             return False
         if len(pivot_set & row.keys()) != 1:  # p is the row's only pivot column
             return False
-    if std.basis_positions != [i for i in range(ncols) if i not in pivot_set]:
-        return False
-    return std.dims == _dims(cls, pres, std.monomials, std.basis_positions)
+    return basis_positions == [i for i in range(ncols) if i not in pivot_set]
 
 
 def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
@@ -289,7 +284,10 @@ def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
     }
 
 
-def _decode(cls, payload: dict) -> Standard:
+def _decode(cls, pres, payload: dict) -> Standard | None:
+    """The payload's component, or None when its echelon, basis or dims break
+    an invariant of a reduced echelon form: such a payload is rebuilt rather
+    than trusted."""
     monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
     pivots = list(payload["pivots"])
     # a payload holds few distinct entries: parse each once and share it
@@ -303,8 +301,13 @@ def _decode(cls, payload: dict) -> Standard:
 
     rows = [{int(col): entry(val) for col, val in row} for row in payload["rows"]]
     ech = Echelon(len(monomials), pivots, rows, {p: k for k, p in enumerate(pivots)})
+    basis = list(payload["basis"])
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
-    return Standard(monomials, ech, list(payload["basis"]), dims)
+    if not _consistent(ech, len(monomials), basis):
+        return None
+    # slot degrees are read only now, with every basis position in range
+    std = Standard(cls, pres, monomials, ech, basis)
+    return std if std.dims == dims else None
 
 
 def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:
@@ -330,8 +333,9 @@ def tensor_normal_form(
     for key, c in terms.items():
         partial: list[tuple[tuple, Fraction]] = [((), c)]
         for m, comp in zip(key, comps):
-            expansion = comp.monomial_normal_form(m).items()
-            partial = [(k + (b,), v * cb) for k, v in partial for b, cb in expansion]
+            basis = comp.basis
+            expansion = comp.slot_expansion(m)
+            partial = [(k + (basis[s],), v * cb) for k, v in partial for s, cb in expansion]
         for k, v in partial:
             bump(out, k, v)
     return out

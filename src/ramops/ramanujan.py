@@ -61,7 +61,3 @@ def poly_str(p: Poly2) -> str:
         else:
             bits.append(f"{c}{var}")
     return " + ".join(bits).replace("+ -", "- ")
-
-
-def evaluate(p: Poly2, x: int, y: int) -> int:
-    return sum(c * x**i * y**k for (i, k), c in p.items())

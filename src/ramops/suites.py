@@ -17,13 +17,11 @@ from .graphalg import (
     R_PRESENTATION,
     algebra_basis,
     differential_algebra,
-    enumerate_graph_monomials,
-    monomial_bidegree,
     path_permutation_sum,
     relation_instances,
 )
 from .labels import ordered_splits, standard_labels
-from .operad import component_basis, enumerate_tree_monomials, ideal_span, tree_bidegree
+from .operad import component_basis, ideal_span
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import relation_survey
 from .reports import verdict
@@ -39,6 +37,32 @@ def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
     return verdicts
 
 
+def _derivation_checks(side: str, comp, derivation, order: tuple[str, str]) -> list[dict]:
+    """D^2 = 0 for each derivation in ``order``, then [up, down] = weight, on
+    every ambient monomial of the component."""
+    k = len(comp.labels)
+    verdicts = []
+    for which in order:
+        bad = None
+        for m in comp.monomials:
+            el = comp.monomial_element(m)
+            if not derivation(derivation(el, which), which).is_zero():
+                bad = {"monomial": repr(el)}
+                break
+        verdicts.append(verdict(f"{side}_{which}_squares_to_zero", bad is None, bad, n=k))
+
+    bad = None
+    for m in comp.monomials:
+        el = comp.monomial_element(m)
+        w = el.bidegree()[1]
+        anticomm = derivation(derivation(el, "up"), "down") + derivation(derivation(el, "down"), "up")
+        if anticomm != el.scaled(w):
+            bad = {"monomial": repr(el), "weight": w}
+            break
+    verdicts.append(verdict(f"{side}_laplacian_is_weight", bad is None, bad, n=k))
+    return verdicts
+
+
 def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dict]:
     store = store or default_store()
     pres = presentation("ram")
@@ -46,28 +70,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
     for k in range(2, n + 1):
         labels = standard_labels(k)
         comp = component_basis(pres, labels, store)
-        monomials = enumerate_tree_monomials(pres.gens, labels)
-
-        for which in ("down", "up"):
-            bad = None
-            for m in monomials:
-                el = comp.monomial_element(m)
-                if not differential(differential(el, which), which).is_zero():
-                    bad = {"monomial": repr(el)}
-                    break
-            verdicts.append(verdict(f"operad_{which}_squares_to_zero", bad is None, bad, n=k))
-
-        bad = None
-        for m in monomials:
-            el = comp.monomial_element(m)
-            w = tree_bidegree(m, pres.gens)[1]
-            anticomm = differential(differential(el, "up"), "down") + differential(
-                differential(el, "down"), "up"
-            )
-            if anticomm != el.scaled(w):
-                bad = {"monomial": repr(el), "weight": w}
-                break
-        verdicts.append(verdict("operad_laplacian_is_weight", bad is None, bad, n=k))
+        verdicts.extend(_derivation_checks("operad", comp, differential, ("down", "up")))
 
         if k >= 3:
             for which in ("down", "up"):
@@ -82,27 +85,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)
-        gmonos = enumerate_graph_monomials(gpres, labels, "forest")
-        for which in ("up", "down"):
-            bad = None
-            for m in gmonos:
-                el = gcomp.monomial_element(m)
-                if not differential_algebra(differential_algebra(el, which), which).is_zero():
-                    bad = {"monomial": repr(el)}
-                    break
-            verdicts.append(verdict(f"algebra_{which}_squares_to_zero", bad is None, bad, n=k))
-
-        bad = None
-        for m in gmonos:
-            el = gcomp.monomial_element(m)
-            w = monomial_bidegree(m, gpres)[1]
-            anticomm = differential_algebra(
-                differential_algebra(el, "up"), "down"
-            ) + differential_algebra(differential_algebra(el, "down"), "up")
-            if anticomm != el.scaled(w):
-                bad = {"monomial": repr(el), "weight": w}
-                break
-        verdicts.append(verdict("algebra_laplacian_is_weight", bad is None, bad, n=k))
+        verdicts.extend(_derivation_checks("algebra", gcomp, differential_algebra, ("up", "down")))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)

@@ -229,7 +229,7 @@ def test_cocomposition_tables_are_kept_per_store(tmp_path):
     key = (P.hash, "IJJP")
     tables = [cooperad._TABLES[store][key] for store in stores]
     assert tables[0] is not tables[1]
-    assert tables[0].rows == tables[1].rows and any(tables[0].rows)
+    assert tables[0] == tables[1] and any(tables[0])
     first, second = (os.listdir(store.directory) for store in stores)
     assert first and sorted(second) == sorted(first)
 

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+import compat_oracle
 import cooperad_oracle as oracle
-from ramops import clear_memos, cooperad, dual
+from test_ram import _coproduct_tree_wrong_exponent
+
+from ramops import clear_memos, cooperad, dual, ram
 from ramops.cache import ComponentStore
 
 from ramops.dual import (
@@ -22,7 +25,7 @@ from ramops.graphalg import (
     relabel_element,
 )
 from ramops.labels import HASH, STAR
-from ramops.operad import OperadElement, compose, relabel
+from ramops.operad import OperadElement, compose, is_leaf, relabel
 from ramops.ram import RAM_SIGNATURE, ResourceBoundError, presentation
 
 P = R_PRESENTATION
@@ -177,6 +180,40 @@ def test_compat_checks():
     rep = compat_checks(3)
     assert rep["down_intertwining"]["global_sign"] == -1
     assert rep["up_intertwining"]["global_sign"] == 1
+
+
+def _diff_tree_wrong_sign(t, mapping, gens):
+    """ram._diff_tree with h of the generator left out of the sign of the
+    terms from the right subtree."""
+    if is_leaf(t):
+        return [], 0
+    g, l, r = t
+    hg = gens[g].bidegree[0]
+    terms = [((mapping[g], l, r), 1)] if g in mapping else []
+    sub_l, hl = _diff_tree_wrong_sign(l, mapping, gens)
+    terms += [((g, nt, r), -s if hg & 1 else s) for nt, s in sub_l]
+    sub_r, hr = _diff_tree_wrong_sign(r, mapping, gens)
+    terms += [((g, l, nt), -s if hl & 1 else s) for nt, s in sub_r]
+    return terms, hg + hl + hr
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    (
+        (None, set()),
+        (("_coproduct_tree", _coproduct_tree_wrong_exponent), {"coalgebra_morphism"}),
+        (("_diff_tree", _diff_tree_wrong_sign), {"down_intertwining"}),
+    ),
+    ids=("no-fault", "coproduct-exponent", "derivation-sign"),
+)
+def test_compat_checks_match_oracle(fault, failing, monkeypatch):
+    if fault:
+        monkeypatch.setattr(ram, *fault)
+    store = ComponentStore()
+    for n in (1, 2, 3):
+        rep = compat_checks(n, store)
+        assert rep == compat_oracle.compat_checks(n, store)
+    assert {k for k, v in rep.items() if k != "n" and not v["pass"]} == failing
 
 
 def test_generator_level_intertwining_identity():

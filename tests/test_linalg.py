@@ -16,11 +16,27 @@ from ramops.linalg import (
     quotient_basis,
     rank,
     rref,
-    transpose,
     vec_add_scaled,
 )
 from ramops.operad import OperadElement
 from ramops.ram import RAM_SIGNATURE, coproduct
+
+
+def from_dense(rows):
+    m = SparseMatrix(max((len(r) for r in rows), default=0))
+    for r in rows:
+        m.add_row({i: Fraction(x) for i, x in enumerate(r) if x})
+    return m
+
+
+def transpose(m):
+    t = SparseMatrix(len(m.rows))
+    cols = {}
+    for i, row in enumerate(m.rows):
+        for c, v in row.items():
+            cols.setdefault(c, {})[i] = v
+    t.rows.extend(cols[c] for c in range(m.ncols) if c in cols)
+    return t
 
 
 def dense(m, ncols):
@@ -35,14 +51,14 @@ def ech_dense(e: Echelon):
 
 
 def test_rref_rank_one():
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]])
+    m = from_dense([[1, 2], [2, 4]])
     e = rref(m)
     assert e.pivots == [0]
     assert ech_dense(e) == [[1, 2]]
 
 
 def test_rref_identity_fixed():
-    m = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     e = rref(m)
     assert e.pivots == [0, 1, 2]
     assert ech_dense(e) == dense(m, 3)
@@ -50,7 +66,7 @@ def test_rref_identity_fixed():
 
 def test_rref_swap_case():
     # hand elimination: [[0,1],[1,0]] reduces to the identity
-    m = SparseMatrix.from_dense([[0, 1], [1, 0]])
+    m = from_dense([[0, 1], [1, 0]])
     e = rref(m)
     assert e.pivots == [0, 1]
     assert ech_dense(e) == [[1, 0], [0, 1]]
@@ -58,7 +74,7 @@ def test_rref_swap_case():
 
 def test_rank_trivial_cases():
     assert rank(SparseMatrix(4)) == 0
-    m = SparseMatrix.from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    m = from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     assert rank(m) == 5
 
 
@@ -66,13 +82,13 @@ def test_quotient_basis_trivial():
     basis, e = quotient_basis(SparseMatrix(3), 3)
     assert basis == [0, 1, 2]
     assert e.rank == 0
-    ident = SparseMatrix.from_dense([[1, 0], [0, 1]])
+    ident = from_dense([[1, 0], [0, 1]])
     basis, e = quotient_basis(ident, 2)
     assert basis == []
 
 
 def test_reduce_membership_and_idempotence():
-    m = SparseMatrix.from_dense([[1, 2, 0], [0, 1, 1]])
+    m = from_dense([[1, 2, 0], [0, 1, 1]])
     e = rref(m)
     v = {0: Fraction(1), 1: Fraction(2)}  # in the row space
     assert e.reduce(v) == {}
@@ -83,7 +99,7 @@ def test_reduce_membership_and_idempotence():
 
 
 def test_reduce_no_pivot_support_unchanged():
-    m = SparseMatrix.from_dense([[1, 0, 0]])
+    m = from_dense([[1, 0, 0]])
     e = rref(m)
     v = {1: Fraction(3), 2: Fraction(-2)}
     assert e.reduce(v) == v
@@ -116,7 +132,7 @@ def test_difference_lies_in_row_space():
         v = {c: Fraction(rng.randint(-5, 5)) for c in range(6) if rng.random() < 0.7}
         diff = dict(v)
         vec_add_scaled(diff, e.reduce(v), Fraction(-1))
-        assert e.contains(diff)
+        assert not e.reduce(diff)
 
 
 def test_row_space_preserved_by_rref():

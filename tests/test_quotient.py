@@ -1,7 +1,10 @@
 import json
 import os
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from echelon_oracle import oracle_reduce
 
 from ramops import quotient
 from ramops.cache import ComponentStore
@@ -11,9 +14,10 @@ from ramops.graphalg import (
     R_PRESENTATION,
     _relabel_monomial,
     algebra_basis,
+    relation_instances,
 )
 from ramops.labels import HASH, STAR, standard_labels
-from ramops.operad import Component, _map_tree, canonicalize, component_basis
+from ramops.operad import Component, _map_tree, canonicalize, component_basis, ideal_span
 from ramops.quotient import clear_memos
 from ramops.ram import ResourceBoundError, operad_dims, presentation
 from ramops.reports import dims_to_table
@@ -30,6 +34,17 @@ def _forest(labels, store):
 
 
 SIDES = {"operad": (Component, _ram), "forest": (GraphComponent, _forest)}
+
+
+def _check_slot_facts(comp):
+    # bidegree and h-parity of each basis slot, the slots of each bidegree
+    degrees = [comp.monomial_element(b).bidegree() for b in comp.basis]
+    assert comp.degrees == degrees
+    assert comp.odd == [h % 2 for h, _ in degrees]
+    assert comp.dims == Counter(degrees)
+    assert sorted(s for slots in comp.slots_by_degree.values() for s in slots) == list(range(comp.dim))
+    for deg, slots in comp.slots_by_degree.items():
+        assert slots == sorted(slots) and all(degrees[s] == deg for s in slots)
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))
@@ -55,6 +70,10 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
         assert loaded.echelon.pivots == built.echelon.pivots
         assert loaded.echelon.rows == built.echelon.rows
         assert loaded.dims == built.dims
+        _check_slot_facts(built)
+        _check_slot_facts(loaded)
+        assert loaded.degrees == built.degrees and loaded.odd == built.odd
+        assert loaded.slots_by_degree == built.slots_by_degree
         for m in built.monomials:
             coords = built.coords(built.monomial_element(m))
             assert loaded.coords(loaded.monomial_element(m)) == coords
@@ -63,9 +82,41 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
 @pytest.mark.parametrize("labels", LABEL_SETS)
 @pytest.mark.parametrize("side", sorted(SIDES))
 def test_monomial_normal_form_matches_normal_form(side, labels):
+    # the memoised expansion of each ambient monomial and the normal form of
+    # its element, both against the oracle's reduction of the monomial
     comp = SIDES[side][1](labels, None)
+    slot_of = {i: s for s, i in enumerate(comp.basis_positions)}
     for m in comp.monomials:
-        assert comp.monomial_normal_form(m) == comp.normal_form(comp.monomial_element(m)).terms
+        reduced = oracle_reduce(comp.echelon, {comp.position(m): Fraction(1)})
+        expected = {comp.basis[slot_of[i]]: c for i, c in reduced.items()}
+        assert {comp.basis[s]: c for s, c in comp.slot_expansion(m)} == expected
+        assert comp.normal_form(comp.monomial_element(m)).terms == expected
+
+
+def _relation_elements(side, comp):
+    if side == "operad":
+        return ideal_span(comp.pres, comp.labels)
+    return [rel for _, rel in relation_instances(comp.pres, comp.labels, "forest")]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_coords_match_oracle_reduce(side, n):
+    # coords folds memoised monomial expansions; the oracle reduces the
+    # whole vector against every pivot in increasing order
+    shifted = tuple(range(4, 4 + n))
+    for labels in (standard_labels(n), shifted) + _place_holder_label_sets(n):
+        comp = SIDES[side][1](labels, None)
+        slot_of = {i: s for s, i in enumerate(comp.basis_positions)}
+        elements = [comp.monomial_element(m) for m in comp.monomials]
+        relations = _relation_elements(side, comp)
+        assert relations or n < 3
+        for x in elements + relations:
+            vec = {comp.position(m): c for m, c in x.terms.items()}
+            expected = {slot_of[i]: c for i, c in oracle_reduce(comp.echelon, vec).items()}
+            assert comp.coords(x) == expected
+            assert list(comp.coords(x)) == sorted(expected)
+        assert not any(comp.coords(x) for x in relations)
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))
@@ -195,5 +246,5 @@ def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
     assert rebuilt.monomials == built.monomials and rebuilt.basis == built.basis
     assert rebuilt.echelon.rows == built.echelon.rows and rebuilt.dims == built.dims
     for m in built.monomials:
-        assert rebuilt.monomial_normal_form(m) == built.monomial_normal_form(m)
+        assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
