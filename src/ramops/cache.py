@@ -5,16 +5,37 @@ expensive at arity 4+ and are reused heavily, so they are cached under a
 key that includes the presentation hash: editing a presentation invalidates
 its entries automatically.  On-disk payloads are versioned JSON; a payload
 with the wrong schema version or hash is ignored rather than trusted.
+
+A payload file is one JSON object whose first member is the SHA-256 of the
+rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
+written.  ``get`` hashes those bytes as read, before decoding them, and
+treats a mismatch as a miss: an edit that leaves the payload well-formed,
+such as a changed coefficient, is rebuilt rather than trusted.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import tempfile
 from contextlib import suppress
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+_HEAD = b'{"sha256":"'
+_DIGEST_END = len(_HEAD) + 64  # hex digits
+
+
+def _checked_body(data: bytes) -> bytes | None:
+    """The payload bytes of a stored file, None unless its checksum holds."""
+    if not data.startswith(_HEAD) or data[_DIGEST_END : _DIGEST_END + 2] != b'",':
+        return None
+    body = b"{" + data[_DIGEST_END + 2 :]
+    if hashlib.sha256(body).hexdigest().encode() != data[len(_HEAD) : _DIGEST_END]:
+        return None
+    return body
 
 _ENV_VAR = "RAMOPS_CACHE_DIR"
 _DEFAULT_DIRNAME = ".ramops-cache"
@@ -49,9 +70,12 @@ class ComponentStore:
             path = self._path(key)
             if os.path.exists(path):
                 try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        payload = json.load(fh)
-                except (OSError, json.JSONDecodeError):
+                    with open(path, "rb") as fh:
+                        body = _checked_body(fh.read())
+                    if body is None:
+                        return None
+                    payload = json.loads(body)
+                except (OSError, ValueError):
                     return None
                 if payload.get("schema_version") != SCHEMA_VERSION:
                     return None
@@ -64,13 +88,17 @@ class ComponentStore:
         payload["schema_version"] = SCHEMA_VERSION
         self._memory[key] = payload
         if self.directory:
+            text = io.StringIO()
+            json.dump(payload, text, sort_keys=True, separators=(",", ":"))
+            body = text.getvalue().encode("utf-8")
+            digest = hashlib.sha256(body).hexdigest().encode()
             os.makedirs(self.directory, exist_ok=True)
             # one temporary file per writer, so that concurrent writers of a
             # key never replace or truncate each other's half-written file
             fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(_HEAD + digest + b'",' + body[1:])
                 os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
                 os.replace(tmp, self._path(key))
             except BaseException:

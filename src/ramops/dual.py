@@ -330,8 +330,12 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
         report[key] = {"pass": ok, "global_sign": sign}
 
     products: list[list] = [[] for _ in range(r_comp.dim)]  # slot -> (u slot, v slot, c)
+    # a forest on n vertices has at most n - 1 edges (w counts edges), so
+    # only v of weight at most n - 1 - w(u) can give a nonzero u.v
+    weights = [w for _, w in r_comp.degrees]
+    partners = [[(sv, v) for sv, v in enumerate(r_comp.basis) if weights[sv] <= k] for k in range(n)]
     for su, u in enumerate(r_comp.basis):
-        for sv, v in enumerate(r_comp.basis):
+        for sv, v in partners[n - 1 - weights[su]]:
             prod = multiply(u, v, R_PRESENTATION, "forest")
             if prod is not None:
                 for slot, c in r_comp.slot_expansion(prod[1]):

@@ -482,7 +482,7 @@ class GraphComponent(QuotientComponent):
 
     @classmethod
     def ambient_and_span(
-        cls, pres: GraphPresentation, n: int, mode: str
+        cls, pres: GraphPresentation, n: int, mode: str, store: ComponentStore | None = None
     ) -> tuple[list[MonomialKey], SparseMatrix]:
         labels = standard_labels(n)
         monomials = enumerate_graph_monomials(pres, labels, mode)

@@ -127,8 +127,11 @@ class QuotientComponent:
         raise NotImplementedError
 
     @classmethod
-    def ambient_and_span(cls, pres, n: int, **fields) -> tuple[list, SparseMatrix]:
-        """Ambient monomials on {1..n}, in column order, and the relation span."""
+    def ambient_and_span(
+        cls, pres, n: int, store: ComponentStore | None = None, **fields
+    ) -> tuple[list, SparseMatrix]:
+        """Ambient monomials on {1..n}, in column order, and rows spanning the
+        relations; the store serves the components a build reads."""
         raise NotImplementedError
 
     # --- shared ----------------------------------------------------------------
@@ -242,7 +245,7 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             std = None  # a damaged payload is a cache miss
     if std is None:
-        monomials, span = cls.ambient_and_span(pres, n, **fields)
+        monomials, span = cls.ambient_and_span(pres, n, store=store, **fields)
         basis_positions, ech = quotient_basis(span, len(monomials))
         std = Standard(cls, pres, monomials, ech, basis_positions)
         store.put(cache_key, _encode(cls, pres, n, fields, std))

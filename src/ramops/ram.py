@@ -7,6 +7,15 @@ cyclic sum tying L and G, and the two rewriting relations that move E past
 L and past G (the distributive laws that split the operad into a
 commutative layer over a LieGriess layer).
 
+Each presentation with E declares its E-free factor F, so that it is
+Com o F: ``com`` = Com o I, ``poisson`` = Com o Lie, ``bessel`` =
+Com o SGriess and ``ram`` = Com o LieGriess.  Their components are built by
+rewriting every tree to E-products of F-basis trees, with Koszul signs on
+preorder words (see ``operad``); the rows span the same ideal as the grafted
+relations, so the payloads are the same.  ``distributive_check`` keeps the
+law itself under test: it compares the grafted span's dims with the
+partition convolution of LieGriess dims.
+
 The coproduct is E -> E(x)E, L -> E(x)L + L(x)E, G -> E(x)G + G(x)E,
 extended through trees with the Koszul interleaving sign.  The differential
 ``down`` sends G to L (bidegree (-1,0)); ``up`` sends L to G ((+1,0)); both
@@ -22,13 +31,14 @@ read each tree's basis expansion from the component's shared memo.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
 from . import quotient
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, STAR, check_label_set, standard_labels
-from .linalg import Combination, bump
+from .linalg import Combination, bump, quotient_basis
 from .operad import (
     Component,
     GeneratorSpec,
@@ -39,8 +49,10 @@ from .operad import (
     canonicalize,
     component_basis,
     compose,
+    grafted_span,
     ideal_span,
     is_leaf,
+    tree_bidegree,
     tree_h,
     tree_sort_key,
     tree_str,
@@ -109,16 +121,18 @@ def presentation(which: str) -> Presentation:
         raise ValueError(f"unknown presentation {which!r}; choose from {PRESENTATION_NAMES}")
     if which in _PRESENTATION_MEMO:
         return _PRESENTATION_MEMO[which]
+    # the last column names the E-free factor F of Com o F ("unit": no
+    # generators, so that Com = Com o I)
     by_name = {
-        "com": ((E_SPEC,), ("assoc",)),
-        "lie": ((L_SPEC,), ("jacobi",)),
-        "sgriess": ((G_SPEC,), ()),
-        "liegriess": ((L_SPEC, G_SPEC), ("jacobi", "mixed")),
-        "poisson": ((E_SPEC, L_SPEC), ("assoc", "jacobi", "rewrite_L")),
-        "bessel": ((E_SPEC, G_SPEC), ("assoc", "rewrite_G")),
-        "ram": (RAM_GENERATORS, ("assoc", "jacobi", "mixed", "rewrite_L", "rewrite_G")),
+        "com": ((E_SPEC,), ("assoc",), "unit"),
+        "lie": ((L_SPEC,), ("jacobi",), None),
+        "sgriess": ((G_SPEC,), (), None),
+        "liegriess": ((L_SPEC, G_SPEC), ("jacobi", "mixed"), None),
+        "poisson": ((E_SPEC, L_SPEC), ("assoc", "jacobi", "rewrite_L"), "lie"),
+        "bessel": ((E_SPEC, G_SPEC), ("assoc", "rewrite_G"), "sgriess"),
+        "ram": (RAM_GENERATORS, ("assoc", "jacobi", "mixed", "rewrite_L", "rewrite_G"), "liegriess"),
     }
-    generators, families = by_name[which]
+    generators, families, factor = by_name[which]
     gens = {g.name: g for g in generators}
     builders = {
         "assoc": lambda: _associativity(gens),
@@ -128,7 +142,11 @@ def presentation(which: str) -> Presentation:
         "rewrite_G": lambda: _rewrite(gens, "G"),
     }
     relations = tuple(builders[f]() for f in families)
-    pres = Presentation(which, generators, relations)
+    if factor == "unit":
+        factor = Presentation("unit", (), ())
+    elif factor is not None:
+        factor = presentation(factor)
+    pres = Presentation(which, generators, relations, factor)
     _PRESENTATION_MEMO[which] = pres
     return pres
 
@@ -197,23 +215,25 @@ class OperadTensor(Combination):
 
 
 def _coproduct_tree(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int]]:
+    return [(t1, t2, sign) for t1, t2, sign, _, _ in _coproduct_parts(t, gens)]
+
+
+def _coproduct_parts(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int, int, int]]:
+    """The terms (t1, t2, sign) of the tree's coproduct, each with h(t1), h(t2)."""
     if is_leaf(t):
-        return [(t, t, 1)]
+        return [(t, t, 1, 0, 0)]
     g, l, r = t
-    left_parts = _coproduct_tree(l, gens)
-    right_parts = _coproduct_tree(r, gens)
-    # h of each part, once: the (g1, g2) and pair loops below reuse them
-    left_h = [(tree_h(u1, gens), tree_h(u2, gens)) for u1, u2, _ in left_parts]
-    right_h = [tree_h(v1, gens) for v1, _, _ in right_parts]
+    left_parts = _coproduct_parts(l, gens)
+    right_parts = _coproduct_parts(r, gens)
     out = []
     for g1, g2 in COPRODUCT_TABLE[g]:
-        hg2 = gens[g2].bidegree[0]
-        for (u1, u2, s1), (hu1, hu2) in zip(left_parts, left_h):
-            for (v1, v2, s2), hv1 in zip(right_parts, right_h):
+        hg1, hg2 = gens[g1].bidegree[0], gens[g2].bidegree[0]
+        for u1, u2, s1, hu1, hu2 in left_parts:
+            for v1, v2, s2, hv1, hv2 in right_parts:
                 exponent = hg2 * hu1 + (hg2 + hu2) * hv1
                 sign = s1 * s2 * (-1 if exponent & 1 else 1)
                 # the root split keeps min-leaf order, so both factors stay canonical
-                out.append(((g1, u1, v1), (g2, u2, v2), sign))
+                out.append(((g1, u1, v1), (g2, u2, v2), sign, hg1 + hu1 + hv1, hg2 + hu2 + hv2))
     return out
 
 
@@ -376,9 +396,20 @@ def _convolve(d1: dict[BiDegree, int], d2: dict[BiDegree, int]) -> dict[BiDegree
 
 
 def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
-    """Compare Ram(n) dims with the partition convolution of LieGriess dims."""
+    """Compare Ram(n) dims with the partition convolution of LieGriess dims.
+
+    The ``ram`` component is built through LieGriess by this very law, so its
+    dims would match by construction.  ``direct`` is therefore taken from the
+    grafted relations: in each bidegree, the ambient trees less the rank of
+    ``ideal_span`` (``grafted_span``).  A pass at n = 4 (weight 3) certifies
+    the distributive law at every arity (Loday-Vallette, Algebraic Operads,
+    Thm 8.6.5).
+    """
     store = store or default_store()
-    direct = ram_dims(n, store)
+    pres = presentation("ram")
+    monomials, span = grafted_span(pres, n)
+    basis, _ = quotient_basis(span, len(monomials))
+    direct = dict(Counter(tree_bidegree(monomials[i], pres.gens) for i in basis))
     lg = {
         k: dict(component_basis(presentation("liegriess"), standard_labels(k), store).dims)
         for k in range(1, n + 1)

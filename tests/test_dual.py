@@ -271,7 +271,8 @@ def test_rho_memo_is_kept_per_store(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     verdicts = [conjecture_verdict(3, ComponentStore(str(d))) for d in (first, second)]
     assert verdicts[0] == verdicts[1]
-    assert len(os.listdir(first)) == 4
+    # ram n = 3, the liegriess n = 2, 3 factors its build reads, forest n = 1..3
+    assert len(os.listdir(first)) == 6
     assert sorted(os.listdir(second)) == sorted(os.listdir(first))
 
 

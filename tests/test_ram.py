@@ -8,9 +8,11 @@ from ramops import ram
 from ramops.labels import STAR, standard_labels
 from ramops.operad import (
     OperadElement,
+    Presentation,
     component_basis,
     compose,
     enumerate_tree_monomials,
+    grafted_span,
     ideal_span,
     is_leaf,
     relabel,
@@ -258,6 +260,18 @@ def test_distributive_check_examples():
     r3 = distributive_check(3)
     assert r3["pass"] and sum(r3["direct"].values()) == 17
     assert r3["liegriess_dims"][3] == 10
+
+
+def test_distributive_check_fails_without_the_mixed_relation(monkeypatch):
+    # the ram component is built by the distributive law; the check must
+    # still see a span that misses a relation family
+    ram_pres = presentation("ram")
+    relations = ram_pres.relations[:2] + ram_pres.relations[3:]  # all but the mixed sum
+    no_mixed = Presentation("ram-no-mixed", ram_pres.generators, relations)
+    monkeypatch.setattr(ram, "grafted_span", lambda pres, n: grafted_span(no_mixed, n))
+    rep = distributive_check(4)
+    assert not rep["pass"]
+    assert sum(rep["direct"].values()) > sum(rep["composite"].values())
 
 
 def test_poisson_dims_match_prediction():
