@@ -1,10 +1,14 @@
-"""Component cache: in-memory always, optionally persisted to a directory.
+"""Component cache: payload files in a directory, nothing kept in memory.
 
 Quotient components (monomial list + reducer rows + dimension table) are
 expensive at arity 4+ and are reused heavily, so they are cached under a
 key that includes the presentation hash: editing a presentation invalidates
-its entries automatically.  On-disk payloads are versioned JSON; a payload
-with the wrong schema version or hash is ignored rather than trusted.
+its entries automatically.  Payloads are versioned JSON files; a payload
+with the wrong schema version or hash is ignored rather than trusted.  The
+store holds no payload itself: ``get`` reads and checks the file on every
+call, and the decoded component is memoized by ``quotient``.  A store
+without a directory keeps nothing, so its components are rebuilt once the
+memos are cleared.
 
 A payload file is one JSON object whose first member is the SHA-256 of the
 rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
@@ -41,87 +45,68 @@ _ENV_VAR = "RAMOPS_CACHE_DIR"
 _DEFAULT_DIRNAME = ".ramops-cache"
 
 
-def resolve_cache_dir(flag_value: str | None, use_default: bool = False) -> str | None:
-    """Cache directory from flag, else environment, else optional local default."""
-    if flag_value:
-        return flag_value
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        return env
-    if use_default:
-        return _DEFAULT_DIRNAME
-    return None
+def resolve_cache_dir(flag_value: str | None) -> str:
+    """Cache directory from flag, else environment, else ``./.ramops-cache``."""
+    return flag_value or os.environ.get(_ENV_VAR) or _DEFAULT_DIRNAME
 
 
 class ComponentStore:
-    """Maps cache keys to component payloads (plain JSON-able dicts)."""
+    """Maps cache keys to component payloads (plain JSON-able dicts) stored
+    as checked files; without a directory, ``put`` drops the payload."""
 
     def __init__(self, directory: str | None = None):
         self.directory = directory
-        self._memory: dict[str, dict] = {}
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")  # type: ignore[arg-type]
 
     def get(self, key: str) -> dict | None:
-        if key in self._memory:
-            return self._memory[key]
-        if self.directory:
-            path = self._path(key)
-            if os.path.exists(path):
-                try:
-                    with open(path, "rb") as fh:
-                        body = _checked_body(fh.read())
-                    if body is None:
-                        return None
-                    payload = json.loads(body)
-                except (OSError, ValueError):
-                    return None
-                if payload.get("schema_version") != SCHEMA_VERSION:
-                    return None
-                self._memory[key] = payload
-                return payload
-        return None
+        if not self.directory:
+            return None
+        try:
+            with open(self._path(key), "rb") as fh:
+                body = _checked_body(fh.read())
+            if body is None:
+                return None
+            payload = json.loads(body)
+        except (OSError, ValueError):
+            return None
+        if payload.get("schema_version") != SCHEMA_VERSION:
+            return None
+        return payload
 
     def put(self, key: str, payload: dict) -> None:
-        payload = dict(payload)
-        payload["schema_version"] = SCHEMA_VERSION
-        self._memory[key] = payload
-        if self.directory:
-            text = io.StringIO()
-            json.dump(payload, text, sort_keys=True, separators=(",", ":"))
-            body = text.getvalue().encode("utf-8")
-            digest = hashlib.sha256(body).hexdigest().encode()
-            os.makedirs(self.directory, exist_ok=True)
-            # one temporary file per writer, so that concurrent writers of a
-            # key never replace or truncate each other's half-written file
-            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(_HEAD + digest + b'",' + body[1:])
-                os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                with suppress(OSError):
-                    os.remove(tmp)
-                raise
+        if not self.directory:
+            return
+        payload = {**payload, "schema_version": SCHEMA_VERSION}
+        text = io.StringIO()
+        json.dump(payload, text, sort_keys=True, separators=(",", ":"))
+        body = text.getvalue().encode("utf-8")
+        digest = hashlib.sha256(body).hexdigest().encode()
+        os.makedirs(self.directory, exist_ok=True)
+        # one temporary file per writer, so that concurrent writers of a
+        # key never replace or truncate each other's half-written file
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_HEAD + digest + b'",' + body[1:])
+            os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
 
     def info(self) -> dict:
-        entries = sorted(self._memory)
         on_disk: list[str] = []
         if self.directory and os.path.isdir(self.directory):
             on_disk = sorted(
                 name[:-5] for name in os.listdir(self.directory) if name.endswith(".json")
             )
-        return {
-            "directory": self.directory,
-            "memory_entries": entries,
-            "disk_entries": on_disk,
-        }
+        return {"directory": self.directory, "disk_entries": on_disk}
 
     def clear(self) -> int:
-        """Drop memory entries and delete on-disk payloads; returns files removed."""
-        self._memory.clear()
+        """Delete the payload files; returns how many were removed."""
         removed = 0
         if self.directory and os.path.isdir(self.directory):
             for name in sorted(os.listdir(self.directory)):

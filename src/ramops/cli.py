@@ -29,8 +29,14 @@ DIMS_OPERADS = ("ram", "poisson", "bessel", "liegriess", "com")
 
 
 def _store_from_args(args) -> ComponentStore:
-    directory = resolve_cache_dir(getattr(args, "cache_dir", None), use_default=True)
-    return ComponentStore(directory)
+    return ComponentStore(resolve_cache_dir(args.cache_dir))
+
+
+def _check_arity(args) -> None:
+    if args.n > args.max_arity:
+        raise ResourceBoundError(
+            f"arity {args.n} exceeds the configured bound {args.max_arity}"
+        )
 
 
 def _emit(report: dict, args) -> None:
@@ -82,6 +88,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_ralg_dims(args) -> int:
+    _check_arity(args)
     store = _store_from_args(args)
     started = time.perf_counter()
     pres = ARNOLD_PRESENTATION if args.fixture == "arnold" else R_PRESENTATION
@@ -119,12 +126,9 @@ def cmd_ramanujan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_arity(args)
     store = _store_from_args(args)
     started = time.perf_counter()
-    if args.n > args.max_arity:
-        raise ResourceBoundError(
-            f"arity {args.n} exceeds the configured bound {args.max_arity}"
-        )
     verdicts, tables = run_suite(args.suite, args.n, store, trials=args.trials, seed=args.seed)
     report = make_report(
         "verify",
@@ -185,7 +189,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    directory = resolve_cache_dir(args.dir, use_default=True)
+    directory = resolve_cache_dir(args.dir)
     store = ComponentStore(directory)
     if args.action == "info":
         info = store.info()
@@ -207,10 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cache-dir", default=None, help="component cache directory")
+    def output(p):
         p.add_argument("--out", default=None, help="write the canonical report to this file")
         p.add_argument("--json", action="store_true", help="print the canonical report to stdout")
+
+    def common(p):
+        p.add_argument("--cache-dir", default=None, help="component cache directory")
+        output(p)
         p.add_argument(
             "--timings", action="store_true", help="include wall-clock timings in the report"
         )
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ramanujan", help="print a Ramanujan polynomial and its table")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_ramanujan)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -260,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect or clear the component cache")
     p.add_argument("action", choices=("info", "clear"))
     p.add_argument("--dir", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
+    output(p)
     p.set_defaults(func=cmd_cache)
 
     return parser

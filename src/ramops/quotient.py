@@ -27,6 +27,8 @@ over those expansions.
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
 store that asked for them, and ``default_store()`` lives for the process.
+The decoded ``Standard`` in this memo is the only in-memory copy of a
+component: a store keeps payload files, not payloads.
 Other modules keep their per-store memos through ``per_store_memo`` so that
 ``clear_memos`` empties all of them.  Cache keys carry ``ENGINE_FORMAT``: a
 change to canonical forms, monomial order or payload layout bumps it, and
@@ -74,10 +76,10 @@ class Standard:
 class QuotientComponent:
     """Quotient component on one label set: monomials, reducer, bigraded dims.
 
-    ``monomials[i]`` is the transport of ``monomials_std[i]``; ``basis``
-    lists the basis monomials in slot order.  ``degrees``, ``odd``,
-    ``slots_by_degree`` and ``dims`` are the standard component's (see
-    ``Standard``).
+    ``monomials[i]`` is the transport of monomial i of the standard
+    component; ``basis`` lists the basis monomials in slot order.
+    ``degrees``, ``odd``, ``slots_by_degree`` and ``dims`` are the standard
+    component's (see ``Standard``).
     """
 
     family = ""  # first word of the cache key and of the payload kind
@@ -85,7 +87,6 @@ class QuotientComponent:
     def __init__(self, pres, labels: tuple[Atom, ...], std: Standard):
         self.pres = pres
         self.labels = labels
-        self.monomials_std = std.monomials
         self.echelon = std.echelon
         self.basis_positions = std.basis_positions
         self.degrees = std.degrees

@@ -37,3 +37,27 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
         ComponentStore(str(tmp_path)).put("k", {"x": 1})
     monkeypatch.undo()
     assert os.listdir(tmp_path) == []
+
+
+def test_store_without_directory_keeps_nothing():
+    store = ComponentStore()
+    store.put("k", {"x": 1})
+    assert store.get("k") is None
+    assert vars(store) == {"directory": None}
+
+
+def test_directory_store_reads_its_file_on_every_get(tmp_path):
+    store = ComponentStore(str(tmp_path))
+    store.put("k", {"x": 1})
+    assert store.get("k")["x"] == 1
+    path = tmp_path / "k.json"
+    path.write_bytes(path.read_bytes().replace(b'"x":1', b'"x":2'))
+    assert store.get("k") is None
+
+
+def test_store_holds_only_its_directory(tmp_path):
+    directory = str(tmp_path)
+    store = ComponentStore(directory)
+    store.put("k", {"x": 1})
+    assert store.info() == {"directory": directory, "disk_entries": ["k"]}
+    assert vars(store) == {"directory": directory}

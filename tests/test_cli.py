@@ -52,10 +52,19 @@ def test_ralg_dims_full_bound(capsys):
     assert run_cli("ralg-dims", "--n", "5", "--ambient", "full") == 2
 
 
+def test_ralg_dims_honours_max_arity(capsys):
+    assert run_cli("ralg-dims", "--n", "4", "--max-arity", "3") == 2
+
+
 def test_ramanujan_command(capsys):
     assert run_cli("ramanujan", "--n", "2") == 0
     out = capsys.readouterr().out
     assert '"1 + x + y"' in out
+
+
+def test_ramanujan_takes_no_engine_options(capsys):
+    for option in (["--cache-dir", "x"], ["--max-arity", "3"], ["--timings"]):
+        assert run_cli("ramanujan", "--n", "2", *option) == 2
 
 
 def test_verify_exit_codes_and_content(capsys):
