@@ -10,6 +10,14 @@ elements 1*, a*, b*; trees are evaluated by replacing internal compositions
 with dual composition.  The verdict machinery checks that the map kills the
 operad ideal, assembles its matrix per bidegree against the dual basis, and
 reports per-bidegree and overall isomorphism verdicts for a given arity.
+
+The ideal is checked on the rows e_m - nf(m) that the build of the ``ram``
+component reads (``operad.rewriting_rows``), one per ambient tree m, each
+paired with the forms of its trees.  By the distributive law Ram = Com o
+LieGriess these rows span exactly the ideal that the grafted relations of
+``operad.ideal_span`` span, so the map kills one set if and only if it
+kills the other; the rows are cheaper, and nothing else in a verdict needs
+the grafted span.
 """
 
 from __future__ import annotations
@@ -32,7 +40,14 @@ from .graphalg import (
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
-from .operad import OperadElement, component_basis, ideal_span, is_leaf, tree_h
+from .operad import (
+    OperadElement,
+    component_basis,
+    is_leaf,
+    rewriting_rows,
+    tree_h,
+    tree_str,
+)
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
 
@@ -215,9 +230,15 @@ def conjecture_verdict(
 ) -> dict:
     """Per-bidegree comparison of the operad component with the dual component.
 
-    Reports (a) whether the map kills every relation instance, (b) matrix
-    rank per bidegree block against the dual basis, (c) dimension equality
-    and the overall isomorphism verdict for this arity.
+    Reports (a) whether the map kills the operad ideal, (b) matrix rank per
+    bidegree block against the dual basis, (c) dimension equality and the
+    overall isomorphism verdict for this arity.
+
+    (a) reads the rows e_m - nf(m) of the ``ram`` build, and sums c rho(t)
+    over the trees t of each row.  The rows span the ideal exactly (see the
+    module docstring), so every row goes to zero if and only if the ideal
+    does.  A failure names the ambient tree m of the first row found not
+    to vanish.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -229,13 +250,16 @@ def conjecture_verdict(
     ram_comp = component_basis(pres, labels, store)
     r_comp = algebra_basis(R_PRESENTATION, labels, "forest", store)
 
-    kill_ok = True
     kill_witness = None
-    for idx, rel in enumerate(ideal_span(pres, labels)):
-        if not rho(rel, store).is_zero():
-            kill_ok = False
-            kill_witness = {"relation_index": idx, "element": repr(rel)}
+    monomials, rows = rewriting_rows(pres, n, store)
+    for i, row in rows:
+        image: dict = {}
+        for col, c in row.items():
+            vec_add_scaled(image, _rho_tree(monomials[col], store).coords, c)
+        if image:
+            kill_witness = {"tree": tree_str(monomials[i])}
             break
+    kill_ok = kill_witness is None
 
     blocks = []
     all_iso = kill_ok

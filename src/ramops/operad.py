@@ -371,9 +371,11 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
 
     Recursively: relation instances with monomials grafted into their three
     inputs, plus every generator put on top of a lower-arity spanning
-    element and a monomial.  Empty below arity 3.  The ideal checks and
-    ``ram.distributive_check`` read it, and the components of presentations
-    without a factor are built from it.
+    element and a monomial.  Empty below arity 3.  ``ram.distributive_check``
+    and the ideal checks of ``ram.hopf_check`` and
+    ``suites.suite_differentials`` read it (in ``verify --suite all`` the
+    distributive check has built it by then), and the components of
+    presentations without a factor are built from it.
     """
     labels = check_label_set(labels)
     n = len(labels)
@@ -471,15 +473,31 @@ class Component(QuotientComponent):
         grafted relations of ``ideal_span``."""
         if pres.factor is None:
             return grafted_span(pres, n)
-        monomials = enumerate_tree_monomials(pres.gens, standard_labels(n))
-        index = {m: i for i, m in enumerate(monomials)}
+        monomials, rows = rewriting_rows(pres, n, store)
         span = SparseMatrix(len(monomials))
-        rewriting = _Rewriting(pres, store or default_store())
-        # last tree first: the RREF is the same in any row order, and on
-        # these rows rref takes about half the time this way round
-        for i in reversed(range(len(monomials))):
-            span.add_row(rewriting.relation_row(i, monomials[i], index))
+        for _, row in rows:
+            span.add_row(row)
         return monomials, span
+
+
+def rewriting_rows(
+    pres: Presentation, n: int, store: ComponentStore | None = None
+) -> tuple[list[Tree], Iterator[tuple[int, dict]]]:
+    """The ambient trees on {1..n} of a presentation with a factor, and the
+    row e_m - nf(m) of the tree m at each position i, lazily, as (i, row).
+
+    A tree that is its own normal form has an empty row.  The rows come
+    last tree first: the RREF is the same in any row order, and on these
+    rows rref takes about half the time this way round.
+    """
+    monomials = enumerate_tree_monomials(pres.gens, standard_labels(n))
+    index = {m: i for i, m in enumerate(monomials)}
+    rewriting = _Rewriting(pres, store or default_store())
+    rows = (
+        (i, rewriting.relation_row(i, monomials[i], index))
+        for i in reversed(range(len(monomials)))
+    )
+    return monomials, rows
 
 
 class _Rewriting:

@@ -119,6 +119,17 @@ def test_cache_roundtrip_preserves_results(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_package_runs_as_a_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "ramops", "ramanujan", "--n", "2"],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
+
+
 def test_golden_report_bytes():
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_ramanujan_n3.json")
     with open(golden, "r", encoding="utf-8") as fh:
@@ -133,6 +144,7 @@ def test_golden_report_bytes():
     [
         (("dims", "--operad", "ram", "--n", "3"), "golden_dims_ram_n3.json"),
         (("conjecture", "--n", "3"), "golden_conjecture_n3.json"),
+        (("conjecture", "--n", "4"), "golden_conjecture_n4.json"),
     ],
 )
 def test_json_report_matches_golden_bytes(capsys, argv, golden):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import compat_oracle
+import conjecture_oracle
 import cooperad_oracle as oracle
 from test_ram import _coproduct_tree_wrong_exponent
 
@@ -25,7 +26,14 @@ from ramops.graphalg import (
     relabel_element,
 )
 from ramops.labels import HASH, STAR
-from ramops.operad import OperadElement, compose, is_leaf, relabel
+from ramops.operad import (
+    OperadElement,
+    compose,
+    enumerate_tree_monomials,
+    is_leaf,
+    relabel,
+    tree_str,
+)
 from ramops.ram import RAM_SIGNATURE, ResourceBoundError, presentation
 
 P = R_PRESENTATION
@@ -108,8 +116,6 @@ def test_rho_kills_jacobi_and_rewrites():
 def test_rho_is_relabeling_equivariant():
     rng = random.Random(61)
     labels = (1, 2, 3)
-    from ramops.operad import enumerate_tree_monomials
-
     monos = enumerate_tree_monomials(RAM_SIGNATURE, labels)
     comp = algebra_basis(P, labels, "forest")
     for _ in range(10):
@@ -163,6 +169,45 @@ def test_conjecture_verdict_small():
         (0, 1, 1),
         (1, 1, 1),
     ]
+
+
+def _swap_odd_generator_duals(monkeypatch):
+    monkeypatch.setitem(dual._GENERATOR_DUALS, "L", "bstar")
+    monkeypatch.setitem(dual._GENERATOR_DUALS, "G", "astar")
+
+
+def _flip_last_coordinate_at_hash(monkeypatch):
+    table_driven = dual.dual_compose
+
+    def flipped(f, g, place=STAR, store=None):
+        out = table_driven(f, g, place, store)
+        if place == HASH and out.coords:
+            last = max(out.coords)
+            out.coords[last] = -out.coords[last]
+        return out
+
+    monkeypatch.setattr(dual, "dual_compose", flipped)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    (None, _swap_odd_generator_duals, _flip_last_coordinate_at_hash),
+    ids=("no-fault", "swapped-generator-duals", "sign-flip-at-hash"),
+)
+def test_relation_kill_matches_span_oracle(fault, monkeypatch):
+    # a fresh store: an empty rho memo, so the fault reaches every form
+    store = ComponentStore()
+    if fault:
+        fault(monkeypatch)
+    for n in (1, 2, 3, 4) if fault is None else (3, 4):
+        rep = conjecture_verdict(n, store)
+        kills, _ = conjecture_oracle.relation_kill(n, store)
+        assert rep["relation_kill"] is kills is (fault is None), n
+        if fault:
+            trees = enumerate_tree_monomials(RAM_SIGNATURE, tuple(range(1, n + 1)))
+            assert rep["relation_kill_witness"]["tree"] in {tree_str(t) for t in trees}
+        else:
+            assert rep["relation_kill_witness"] is None
 
 
 def test_conjecture_verdict_bound():
@@ -277,8 +322,6 @@ def test_rho_memo_is_kept_per_store(tmp_path):
 
 
 def test_dual_compose_matches_oracle_on_every_rho_composition(monkeypatch):
-    from ramops.operad import enumerate_tree_monomials
-
     checked = []
     table_driven = dual.dual_compose
 
