@@ -106,11 +106,12 @@ class ComponentStore:
         return {"directory": self.directory, "disk_entries": on_disk}
 
     def clear(self) -> int:
-        """Delete the payload files; returns how many were removed."""
+        """Delete the payload files, and the temporary files of writers that
+        died before renaming theirs; returns how many were removed."""
         removed = 0
         if self.directory and os.path.isdir(self.directory):
             for name in sorted(os.listdir(self.directory)):
-                if name.endswith(".json"):
+                if name.endswith((".json", ".tmp")):
                     os.remove(os.path.join(self.directory, name))
                     removed += 1
         return removed

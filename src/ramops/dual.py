@@ -11,13 +11,13 @@ with dual composition.  The verdict machinery checks that the map kills the
 operad ideal, assembles its matrix per bidegree against the dual basis, and
 reports per-bidegree and overall isomorphism verdicts for a given arity.
 
-The ideal is checked on the rows e_m - nf(m) that the build of the ``ram``
-component reads (``operad.rewriting_rows``), one per ambient tree m, each
-paired with the forms of its trees.  By the distributive law Ram = Com o
-LieGriess these rows span exactly the ideal that the grafted relations of
-``operad.ideal_span`` span, so the map kills one set if and only if it
-kills the other; the rows are cheaper, and nothing else in a verdict needs
-the grafted span.
+The ideal is checked on the rows e_m - nf(m), one per ambient tree m of
+the ``ram`` component, where nf(m) is the expansion of m on the component
+basis (``slot_expansion``): the map kills the ideal if and only if it
+agrees on m and on nf(m) for every m.  Modulo the ideal every tree equals
+its normal form, so the rows lie in the ideal, and they span it because
+the basis is independent in the quotient; nothing in a verdict needs the
+grafted span of ``operad.ideal_span``.
 """
 
 from __future__ import annotations
@@ -40,14 +40,7 @@ from .graphalg import (
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
-from .operad import (
-    OperadElement,
-    component_basis,
-    is_leaf,
-    rewriting_rows,
-    tree_h,
-    tree_str,
-)
+from .operad import OperadElement, component_basis, is_leaf, tree_h, tree_str
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
 
@@ -234,11 +227,11 @@ def conjecture_verdict(
     bidegree block against the dual basis, (c) dimension equality and the
     overall isomorphism verdict for this arity.
 
-    (a) reads the rows e_m - nf(m) of the ``ram`` build, and sums c rho(t)
-    over the trees t of each row.  The rows span the ideal exactly (see the
-    module docstring), so every row goes to zero if and only if the ideal
-    does.  A failure names the ambient tree m of the first row found not
-    to vanish.
+    (a) compares rho(m) with the sum of c rho(b) over the basis expansion
+    c b of each ambient tree m.  The rows e_m - nf(m) span the ideal exactly
+    (see the module docstring), so every row goes to zero if and only if
+    the ideal does.  A failure names the first tree m whose row does not
+    vanish.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,13 +244,12 @@ def conjecture_verdict(
     r_comp = algebra_basis(R_PRESENTATION, labels, "forest", store)
 
     kill_witness = None
-    monomials, rows = rewriting_rows(pres, n, store)
-    for i, row in rows:
-        image: dict = {}
-        for col, c in row.items():
-            vec_add_scaled(image, _rho_tree(monomials[col], store).coords, c)
+    for m in ram_comp.monomials:
+        image = dict(_rho_tree(m, store).coords)
+        for slot, c in ram_comp.slot_expansion(m):
+            vec_add_scaled(image, _rho_tree(ram_comp.basis[slot], store).coords, -c)
         if image:
-            kill_witness = {"tree": tree_str(monomials[i])}
+            kill_witness = {"tree": tree_str(m)}
             break
     kill_ok = kill_witness is None
 

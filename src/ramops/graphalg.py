@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
 from .linalg import Combination, SparseMatrix
-from .quotient import QuotientComponent, load_component
+from .quotient import QuotientComponent, clearable, load_component
 
 Edge = tuple[Atom, Atom]
 MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order
@@ -423,7 +423,7 @@ def relation_instances(
     return list(_INSTANCE_MEMO[key])
 
 
-_INSTANCE_MEMO: dict[tuple, list[tuple[str, AlgebraElement]]] = {}
+_INSTANCE_MEMO: dict[tuple, list[tuple[str, AlgebraElement]]] = clearable({})
 
 
 def _relation_instances(
@@ -482,7 +482,7 @@ class GraphComponent(QuotientComponent):
 
     @classmethod
     def ambient_and_span(
-        cls, pres: GraphPresentation, n: int, mode: str, store: ComponentStore | None = None
+        cls, pres: GraphPresentation, n: int, mode: str
     ) -> tuple[list[MonomialKey], SparseMatrix]:
         labels = standard_labels(n)
         monomials = enumerate_graph_monomials(pres, labels, mode)

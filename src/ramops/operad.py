@@ -13,30 +13,27 @@ left before right).  Grafting an element into a place-holder leaf therefore
 picks up ``(-1)**(h(graft) * h(generators after the leaf))``, and the same
 word order fixes the derivation and coproduct signs used downstream.
 
-A quotient component is the ambient trees modulo rows that span the ideal,
-brought to reduced row-echelon form (``quotient``).  For a presentation
-without a factor the rows are ``ideal_span``: every relation grafted into
-every monomial.  A presentation that declares a factorisation Com o F (see
-``Presentation``) takes the rows e_m - s(nf(m)), one per ambient tree m:
+A quotient component is the ambient trees modulo the ideal.  Without a
+factor, the ideal is spanned by ``ideal_span`` (every relation grafted into
+every monomial) and eliminated (``quotient``).  A presentation that declares
+a factorisation Com o F (see ``Presentation``) is the composite itself
+(``Component.composite``), with nothing eliminated or stored:
 
-* nf(m) rewrites m by the Leibniz rules g(a, E(b, c)) = E(g(a, b), c) +
-  E(b, g(a, c)) until E sits above every generator of F, reduces each
-  E-free factor in F's own component (loaded from the same store and
-  transported to the factor's block of labels) and orders the factors by
-  smallest leaf;
-* s maps a product of factors to the left E-comb E(..E(f1, f2).., fk);
+* its basis is the left E-combs E(..E(f1, f2).., fk), one per set partition
+  of the labels (blocks by smallest leaf) and choice of a basis tree fi of
+  F's component on each block;
+* nf(m) rewrites a tree m by the Leibniz rules g(a, E(b, c)) = E(g(a, b), c)
+  + E(b, g(a, c)) until E sits above every generator of F, reduces each
+  E-free factor in F's component and orders the factors by smallest leaf;
 * every step is a relation instance read as a word identity, so its sign is
   the Koszul sign of the permutation it makes of the factors' words, the
   rule ``compose`` follows (E has h = 0 and adds no sign).
 
-Each row lies in the ideal, and modulo the rows every tree is a combination
-of the products of F-basis trees over the set partitions of the labels.  By
-the distributive law (Markl 1996; Loday-Vallette, Algebraic Operads, 8.6),
-which ``ram.distributive_check`` tests on the grafted span, those products
-are independent modulo the ideal, so the rows span exactly the ideal.  Its
-reduced row-echelon form is unique: payloads are byte-identical to those of
-the grafted span, at a fraction of the cost: nothing is grafted, and the
-rows are independent, one per tree that is not itself such a comb.
+So m - nf(m) lies in the ideal, and modulo the ideal every tree is a
+combination of combs.  By the distributive law (Markl 1996; Loday-Vallette,
+Algebraic Operads, 8.6), which ``ram.distributive_check`` tests on the
+grafted span, the combs are independent modulo the ideal: a basis, on which
+nf is the normal form.
 """
 
 from __future__ import annotations
@@ -45,10 +42,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
-from .cache import ComponentStore, default_store
+from .cache import ComponentStore
 from .labels import (
     Atom,
     BiDegree,
@@ -59,7 +56,7 @@ from .labels import (
     standard_labels,
 )
 from .linalg import Combination, SparseMatrix, bump
-from .quotient import QuotientComponent, load_component
+from .quotient import QuotientComponent, Standard, clearable, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
 
@@ -304,9 +301,8 @@ class Presentation:
     generator outside F is a commutative product E of bidegree (0, 0), the
     relations are E's associativity, F's relations and the Leibniz rules
     that move E past each generator of F, and these form a distributive law.
-    Its components are then built by rewriting (see the module docstring).
-    The factor does not enter the hash: it changes how a component is
-    built, not what it is.
+    Its components are then composites, never stored (see the module
+    docstring), and the factor does not enter the hash.
     """
 
     def __init__(
@@ -363,7 +359,7 @@ def element_key(e: OperadElement) -> str:
     return json.dumps([[str(c), tree_to_json(t)] for t, c in e.sorted_terms()])
 
 
-_SPAN_MEMO: dict[tuple[str, int], list[OperadElement]] = {}
+_SPAN_MEMO: dict[tuple[str, int], list[OperadElement]] = clearable({})
 
 
 def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement]:
@@ -465,54 +461,50 @@ class Component(QuotientComponent):
         return tree_bidegree(m, pres.gens)
 
     @classmethod
-    def ambient_and_span(
-        cls, pres: Presentation, n: int, store: ComponentStore | None = None
-    ) -> tuple[list[Tree], SparseMatrix]:
-        """The ambient trees and rows spanning the ideal: m - nf(m) for each
-        ambient tree m when the presentation declares a factor, else the
-        grafted relations of ``ideal_span``."""
+    def ambient_and_span(cls, pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
+        """The ambient trees and the grafted relations of ``ideal_span``."""
+        return grafted_span(pres, n)
+
+    @classmethod
+    def composite(cls, pres: Presentation, n: int, store: ComponentStore) -> Standard | None:
+        """Com o F on {1..n} if the presentation declares a factor F, else
+        None: the E-combs of F-basis trees and the rewriting onto them."""
         if pres.factor is None:
-            return grafted_span(pres, n)
-        monomials, rows = rewriting_rows(pres, n, store)
-        span = SparseMatrix(len(monomials))
-        for _, row in rows:
-            span.add_row(row)
-        return monomials, span
+            return None
+        labels = standard_labels(n)
+        monomials = enumerate_tree_monomials(pres.gens, labels)
+        rewriting = _Rewriting(pres, labels, monomials, store)
+        return Standard(cls, pres, monomials, rewriting, rewriting.basis_positions)
 
 
-def rewriting_rows(
-    pres: Presentation, n: int, store: ComponentStore | None = None
-) -> tuple[list[Tree], Iterator[tuple[int, dict]]]:
-    """The ambient trees on {1..n} of a presentation with a factor, and the
-    row e_m - nf(m) of the tree m at each position i, lazily, as (i, row).
-
-    A tree that is its own normal form has an empty row.  The rows come
-    last tree first: the RREF is the same in any row order, and on these
-    rows rref takes about half the time this way round.
-    """
-    monomials = enumerate_tree_monomials(pres.gens, standard_labels(n))
-    index = {m: i for i, m in enumerate(monomials)}
-    rewriting = _Rewriting(pres, store or default_store())
-    rows = (
-        (i, rewriting.relation_row(i, monomials[i], index))
-        for i in reversed(range(len(monomials)))
-    )
-    return monomials, rows
+def set_partitions(items: tuple) -> Iterator[list[tuple]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        yield [(first,)] + sub
+        for i in range(len(sub)):
+            yield sub[:i] + [(first,) + sub[i]] + sub[i + 1 :]
 
 
 class _Rewriting:
-    """Normal forms nf(t) in Com o F of trees on labels 1..n (see the module
-    docstring).
+    """Normal forms nf(t) in Com o F of the ambient trees on labels 1..n (see
+    the module docstring), and the positions of the E-combs they reduce to.
 
     A factor is a leaf or a basis tree of F on its block, interned as an id
     with its tree, smallest leaf, h-parity and block.  A term is a tuple of
     factor ids in smallest-leaf order; it stands for the left E-comb of its
     factors, whose preorder word, E having h = 0, is theirs in that order.
+    F's components on all blocks are loaded up front: no store is kept.
     """
 
-    def __init__(self, pres: Presentation, store: ComponentStore):
+    def __init__(
+        self, pres: Presentation, labels: tuple[Atom, ...], monomials: list[Tree], store: ComponentStore
+    ):
         self.pres = pres
-        self.store = store
+        self.monomials = monomials
+        self.index = {m: i for i, m in enumerate(monomials)}
         self.trees: list[Tree] = []
         self.mins: list[int] = []
         self.odd: list[int] = []
@@ -521,6 +513,27 @@ class _Rewriting:
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
         self._forms: dict[Tree, dict[tuple[int, ...], Fraction | int]] = {}
         self._columns: dict[tuple[int, ...], int] = {}
+        # F = I (Com) has no trees on two or more labels
+        self.factors = {
+            block: component_basis(pres.factor, block, store)
+            for k in range(2, len(labels) + 1) if pres.factor.gens
+            for block in combinations(labels, k)
+        }
+        # one comb per set partition, blocks by smallest leaf, and choice of
+        # an F-basis tree per block
+        self.basis_positions = sorted(
+            self._column(key)
+            for partition in set_partitions(labels)
+            for key in product(*(self._basis_ids(block) for block in sorted(partition)))
+        )
+
+    def _basis_ids(self, block: tuple[Atom, ...]) -> list[int]:
+        if len(block) == 1:
+            return [self._factor(block[0], block, 0)]
+        comp = self.factors.get(block)
+        if comp is None:
+            return []
+        return [self._factor(t, block, h) for t, (h, _) in zip(comp.basis, comp.degrees)]
 
     def _factor(self, tree: Tree, block: tuple[Atom, ...], h: int) -> int:
         fid = self._ids.get(tree)
@@ -553,13 +566,12 @@ class _Rewriting:
             else:  # swapped children: g's symmetry and the Koszul sign of p, q
                 tree = (g, self.trees[q], self.trees[p])
                 sign = self.pres.gens[g].symmetry * self.koszul((p, q))
-            block = check_label_set(self.blocks[p] + self.blocks[q])
-            comp = component_basis(self.pres.factor, block, self.store)
+            comp = self.factors[check_label_set(self.blocks[p] + self.blocks[q])]
             # integral coefficients as ints, so that most of the arithmetic
             # of the normal forms stays off Fraction
             out = self._brackets[key] = [
                 (
-                    self._factor(comp.basis[slot], block, comp.degrees[slot][0]),
+                    self._factor(comp.basis[slot], comp.labels, comp.degrees[slot][0]),
                     sign * (c.numerator if c.denominator == 1 else c),
                 )
                 for slot, c in comp.slot_expansion(tree)
@@ -599,18 +611,24 @@ class _Rewriting:
         self._forms[t] = out
         return out
 
-    def relation_row(self, i: int, m: Tree, index: Mapping[Tree, int]) -> dict:
-        """The row e_m - nf(m), on the ambient positions."""
-        row = {i: 1}
-        for key, c in self.normal_form(m).items():
-            col = self._columns.get(key)
-            if col is None:
-                comb = self.trees[key[0]]
-                for f in key[1:]:
-                    comb = (self.pres.product, comb, self.trees[f])
-                col = self._columns[key] = index[comb]
-            bump(row, col, -c)
-        return row
+    def reduce(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Normal form of a vector on the ambient positions, on the basis
+        positions (``Echelon.reduce``'s contract): nf of each tree."""
+        out: dict[int, Fraction] = {}
+        for i, c in v.items():
+            for key, e in self.normal_form(self.monomials[i]).items():
+                bump(out, self._column(key), c * e)
+        return out
+
+    def _column(self, key: tuple[int, ...]) -> int:
+        """The ambient position of the E-comb of a term."""
+        col = self._columns.get(key)
+        if col is None:
+            comb = self.trees[key[0]]
+            for f in key[1:]:
+                comb = (self.pres.product, comb, self.trees[f])
+            col = self._columns[key] = self.index[comb]
+        return col
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:

@@ -4,32 +4,34 @@ Both sides present a component the same way: the span of the ambient
 monomials on a label set modulo the span of the relation instances.  That
 span is brought to reduced row-echelon form once, on the standard labels
 {1..n}; the non-pivot monomials are the basis, and ``Echelon.reduce``
-rewrites any vector onto them.  The component on any other label set of the
-same size is transported along the order-preserving bijection, and
-coordinates are taken on the standard side, where the reducer lives.  Both
-canonical forms (trees and graph monomials) compare atoms only through
-``atom_key``, which an order-preserving bijection respects, so a transported
-monomial comes out canonical as it is and picks up no sign: position ``i``
-means the same monomial, and basis slot ``s`` the same basis monomial, on
-every label set of a given size.
+rewrites any vector onto them.  A composite (``QuotientComponent.composite``:
+Com o F on the operad side) brings its own basis and reducer instead, and
+has no payload.  The component on any other label set of the same size is
+transported along the order-preserving bijection, and coordinates are
+taken on the standard side, where the reducer lives.  Both canonical forms
+(trees and graph monomials) compare atoms only through ``atom_key``, which
+an order-preserving bijection respects, so a transported monomial comes out
+canonical as it is and picks up no sign: position ``i`` means the same
+monomial, and basis slot ``s`` the same basis monomial, on every label set
+of a given size.
 
 A subclass supplies only what differs between the sides: the relabel-and-
 recanonicalize transport, the element constructor, the JSON codec of a
-monomial, the bidegree of a monomial and the builder of the ambient monomials
-and the relation span.  This module owns the rest: transport, coordinates and
-normal forms, the payload codec, the load-or-build path with its memos, and
-the normal form of tensors of components.  It also owns every
-label-independent fact about a basis slot: its bidegree, the parity of its
-h, the slots of each bidegree and the basis expansion of each ambient
-position; ``coords``, ``normal_form`` and ``tensor_normal_form`` are folds
-over those expansions.
+monomial, the bidegree of a monomial, the builder of the ambient monomials
+and the relation span, and optionally a composite.  This module owns the
+rest: transport, coordinates and normal forms, the payload codec, the
+load-or-build path with its memos, and the normal form of tensors of
+components.  It also owns every label-independent fact about a basis slot:
+its bidegree, the parity of its h, the slots of each bidegree and the basis
+expansion of each ambient position; ``coords``, ``normal_form`` and
+``tensor_normal_form`` are folds over those expansions.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
 store that asked for them, and ``default_store()`` lives for the process.
 The decoded ``Standard`` in this memo is the only in-memory copy of a
-component: a store keeps payload files, not payloads.
-Other modules keep their per-store memos through ``per_store_memo`` so that
+component: a store keeps payload files, not payloads.  Other modules
+register their memos (``per_store_memo``, ``clearable``) so that
 ``clear_memos`` empties all of them.  Cache keys carry ``ENGINE_FORMAT``: a
 change to canonical forms, monomial order or payload layout bumps it, and
 payloads written under another format are then rebuilt, never read.  A
@@ -49,19 +51,22 @@ from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis
 
 
 class Standard:
-    """A component on the standard labels {1..n}: what a payload holds, and
-    what follows from it on every label set of the size.
+    """A component on the standard labels {1..n}, and what follows from it
+    on every label set of the size.
 
+    ``reducer.reduce`` takes a vector on the ambient positions to its normal
+    form on the basis positions: the ``Echelon`` of a stored payload, or the
+    rewriting of a composite (``QuotientComponent.composite``).
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
-    order and ``dims`` counts them.  ``slot_of`` maps a non-pivot position
-    to its slot, and ``expansions`` keeps the basis expansion, as (slot,
+    order and ``dims`` counts them.  ``slot_of`` maps a basis position to
+    its slot, and ``expansions`` keeps the basis expansion, as (slot,
     coefficient) pairs, of each position asked for so far.
     """
 
-    def __init__(self, cls, pres, monomials: list, echelon: Echelon, basis_positions: list[int]):
+    def __init__(self, cls, pres, monomials: list, reducer, basis_positions: list[int]):
         self.monomials = monomials
-        self.echelon = echelon
+        self.reducer = reducer
         self.basis_positions = basis_positions
         self.degrees = [cls.bidegree(pres, monomials[i]) for i in basis_positions]
         self.odd = [h & 1 for h, _ in self.degrees]
@@ -87,7 +92,7 @@ class QuotientComponent:
     def __init__(self, pres, labels: tuple[Atom, ...], std: Standard):
         self.pres = pres
         self.labels = labels
-        self.echelon = std.echelon
+        self.reducer = std.reducer
         self.basis_positions = std.basis_positions
         self.degrees = std.degrees
         self.odd = std.odd
@@ -128,12 +133,16 @@ class QuotientComponent:
         raise NotImplementedError
 
     @classmethod
-    def ambient_and_span(
-        cls, pres, n: int, store: ComponentStore | None = None, **fields
-    ) -> tuple[list, SparseMatrix]:
+    def ambient_and_span(cls, pres, n: int, **fields) -> tuple[list, SparseMatrix]:
         """Ambient monomials on {1..n}, in column order, and rows spanning the
-        relations; the store serves the components a build reads."""
+        relations."""
         raise NotImplementedError
+
+    @classmethod
+    def composite(cls, pres, n: int, store: ComponentStore) -> Standard | None:
+        """The component on {1..n}, if its basis and reducer are known
+        without elimination or payload, else None."""
+        return None
 
     # --- shared ----------------------------------------------------------------
 
@@ -177,7 +186,7 @@ class QuotientComponent:
         i = self._index[m]
         pairs = self._expansions.get(i)
         if pairs is None:
-            reduced = self.echelon.reduce({i: ONE})
+            reduced = self.reducer.reduce({i: ONE})
             slot_of = self._slot_of
             pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
         return pairs
@@ -188,14 +197,18 @@ class QuotientComponent:
 # version of everything a payload's meaning depends on; part of every cache key
 ENGINE_FORMAT = 1
 
-_MEMOS: list[WeakKeyDictionary] = []
+_MEMOS: list = []
+
+
+def clearable(memo):
+    """Register a memo (any object with ``clear``) for ``clear_memos``."""
+    _MEMOS.append(memo)
+    return memo
 
 
 def per_store_memo() -> WeakKeyDictionary:
     """A memo keyed by store that ``clear_memos`` empties."""
-    memo: WeakKeyDictionary = WeakKeyDictionary()
-    _MEMOS.append(memo)
-    return memo
+    return clearable(WeakKeyDictionary())
 
 
 _DECODED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], Standard]] = per_store_memo()
@@ -203,7 +216,8 @@ _INSTANCES: WeakKeyDictionary[ComponentStore, dict[tuple, QuotientComponent]] = 
 
 
 def clear_memos() -> None:
-    """Forget every per-store memo: components, cocomposition tables, forms."""
+    """Forget every registered memo: components, cocomposition tables,
+    forms, relation spans and instances."""
     for memo in _MEMOS:
         memo.clear()
 
@@ -215,8 +229,8 @@ def _prefix(cls, pres, fields: dict) -> str:
 def load_component(cls, pres, labels, store: ComponentStore | None = None, **fields):
     """The ``cls`` component of the presentation on the label set.
 
-    Taken from the store's memo, else decoded from its payload, else built
-    and written to it.  ``fields`` name the variant (the ambient mode of an
+    Taken from the store's memo, else the composite, else decoded from the
+    store's payload, else built and written to it.  ``fields`` name the variant (the ambient mode of an
     algebra); they enter the cache key, the payload, the build and the
     constructor.
     """
@@ -237,16 +251,16 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
     decoded = _DECODED.setdefault(store, {})
     if (prefix, n) in decoded:
         return decoded[prefix, n]
+    std = cls.composite(pres, n, store)
     cache_key = f"{prefix}-n{n}"
-    payload = store.get(cache_key)
-    std = None
+    payload = store.get(cache_key) if std is None else None
     if payload is not None and payload.get("presentation") == pres.hash:
         try:
             std = _decode(cls, pres, payload)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             std = None  # a damaged payload is a cache miss
     if std is None:
-        monomials, span = cls.ambient_and_span(pres, n, store=store, **fields)
+        monomials, span = cls.ambient_and_span(pres, n, **fields)
         basis_positions, ech = quotient_basis(span, len(monomials))
         std = Standard(cls, pres, monomials, ech, basis_positions)
         store.put(cache_key, _encode(cls, pres, n, fields, std))
@@ -281,8 +295,8 @@ def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
         "n": n,
         **fields,
         "monomials": [cls.monomial_to_json(m) for m in std.monomials],
-        "pivots": list(std.echelon.pivots),
-        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in std.echelon.rows],
+        "pivots": list(std.reducer.pivots),
+        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in std.reducer.rows],
         "basis": std.basis_positions,
         "dims": sorted([h, w, d] for (h, w), d in std.dims.items()),
     }

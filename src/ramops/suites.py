@@ -248,10 +248,12 @@ def run_suite(
     trials: int = 20,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Returns (verdicts, extra_tables)."""
+    """Returns (verdicts, extra_tables); every suite starts at arity 2."""
     store = store or default_store()
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     verdicts: list[dict] = []
     tables: dict = {}
     if name in ("hopf", "all"):

@@ -1,24 +1,19 @@
-"""The grafted-span route to an operad component, the oracle of the rewriting
-route.
+"""The grafted-span route to an operad component, the oracle of the
+composite components.
 
 Before presentations declared a factor, every operad component was built
 from ``grafted_span``: each relation grafted into every monomial, and every
-generator put on top of a lower-arity span element.  Those rows span the
-same ideal as the rows m - nf(m) of the rewriting route, and a reduced
-row-echelon form is unique, so the two routes must give equal payloads.
+generator put on top of a lower-arity span element, brought to reduced
+row-echelon form.  The composite Com o F must be a change of basis of that
+quotient: same dims per bidegree, every ambient tree congruent to its
+expansion on the combs, and the combs independent.
 """
 
-from ramops import quotient
-from ramops.linalg import quotient_basis
-from ramops.operad import Component, grafted_span
+from ramops.linalg import Echelon, rref
+from ramops.operad import grafted_span
 
 
-def payload(pres, n: int, monomials, span) -> dict:
-    """The payload ``quotient`` writes for a component built from these rows."""
-    basis, ech = quotient_basis(span, len(monomials))
-    std = quotient.Standard(Component, pres, monomials, ech, basis)
-    return quotient._encode(Component, pres, n, {}, std)
-
-
-def span_payload(pres, n: int) -> dict:
-    return payload(pres, n, *grafted_span(pres, n))
+def span_echelon(pres, n: int) -> tuple[list, Echelon]:
+    """The ambient trees on {1..n} and the RREF of the grafted span."""
+    monomials, span = grafted_span(pres, n)
+    return monomials, rref(span)

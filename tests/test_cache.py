@@ -61,3 +61,13 @@ def test_store_holds_only_its_directory(tmp_path):
     store.put("k", {"x": 1})
     assert store.info() == {"directory": directory, "disk_entries": ["k"]}
     assert vars(store) == {"directory": directory}
+
+
+def test_clear_removes_temporary_files_of_killed_writers(tmp_path):
+    store = ComponentStore(str(tmp_path))
+    store.put("k", {"x": 1})
+    # what a writer killed between mkstemp and os.replace leaves behind
+    (tmp_path / "k.q3x9_a1z.tmp").write_bytes(b'{"sha256":"')
+    (tmp_path / "notes.txt").write_text("not the store's")
+    assert store.clear() == 2
+    assert os.listdir(tmp_path) == ["notes.txt"]

@@ -98,9 +98,19 @@ def test_bad_parameters_are_usage_errors():
     assert run_cli("verify", "--suite", "hopf", "--n", "9") == 2
 
 
+@pytest.mark.parametrize(
+    "suite,n", [("hopf", "0"), ("cooperad", "-5"), ("differentials", "1"), ("lemmas", "0")]
+)
+def test_verify_below_arity_2_is_a_usage_error(suite, n, capsys):
+    # no suite has a check below arity 2: an empty pass would be vacuous
+    assert run_cli("verify", "--suite", suite, "--n", n) == 2
+    assert "n must be >= 2" in capsys.readouterr().err
+
+
 def test_cache_info_and_clear(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    assert run_cli("dims", "--operad", "com", "--n", "2", "--cache-dir", cache_dir) == 0
+    # a stored component: com, a composite, writes no payload
+    assert run_cli("dims", "--operad", "liegriess", "--n", "2", "--cache-dir", cache_dir) == 0
     files = os.listdir(cache_dir)
     assert files and all(f.endswith(".json") for f in files)
     capsys.readouterr()

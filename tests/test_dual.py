@@ -8,7 +8,7 @@ import conjecture_oracle
 import cooperad_oracle as oracle
 from test_ram import _coproduct_tree_wrong_exponent
 
-from ramops import clear_memos, cooperad, dual, ram
+from ramops import clear_memos, cooperad, dual, graphalg, operad, ram
 from ramops.cache import ComponentStore
 
 from ramops.dual import (
@@ -24,12 +24,14 @@ from ramops.graphalg import (
     algebra_basis,
     monomial_bidegree,
     relabel_element,
+    relation_instances,
 )
 from ramops.labels import HASH, STAR
 from ramops.operad import (
     OperadElement,
     compose,
     enumerate_tree_monomials,
+    ideal_span,
     is_leaf,
     relabel,
     tree_str,
@@ -316,8 +318,9 @@ def test_rho_memo_is_kept_per_store(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     verdicts = [conjecture_verdict(3, ComponentStore(str(d))) for d in (first, second)]
     assert verdicts[0] == verdicts[1]
-    # ram n = 3, the liegriess n = 2, 3 factors its build reads, forest n = 1..3
-    assert len(os.listdir(first)) == 6
+    # the liegriess n = 2, 3 factors of ram n = 3 (a composite, not stored)
+    # and forest n = 1..3
+    assert len(os.listdir(first)) == 5
     assert sorted(os.listdir(second)) == sorted(os.listdir(first))
 
 
@@ -354,10 +357,13 @@ def test_results_after_clear_memos_equal_results_before():
             ),
             rho(compose(gen_el("G", 1, STAR), gen_el("L", 2, 3)), store),
             conjecture_verdict(3, store),
+            ideal_span(presentation("ram"), (1, 2, 3)),
+            relation_instances(P, (1, 2, 3), "forest"),
         )
 
     before = results()
     clear_memos()
-    for memo in (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO):
+    memos = (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO, operad._SPAN_MEMO, graphalg._INSTANCE_MEMO)
+    for memo in memos:
         assert len(memo) == 0
     assert results() == before

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from echelon_oracle import oracle_reduce
 
-from ramops import quotient
+from ramops import linalg, quotient
 from ramops.cache import ComponentStore
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
@@ -25,23 +25,16 @@ from ramops.reports import dims_to_table
 LABEL_SETS = ((1, 2, 3), (4, 5, 6), (1, "*", "#"))
 
 
-def _ram(labels, store):
-    return component_basis(presentation("ram"), labels, store)
+def _liegriess(labels, store):
+    return component_basis(presentation("liegriess"), labels, store)
 
 
 def _forest(labels, store):
     return algebra_basis(R_PRESENTATION, labels, "forest", store)
 
 
-SIDES = {"operad": (Component, _ram), "forest": (GraphComponent, _forest)}
-PRESENTATIONS = {"operad": presentation("ram"), "forest": R_PRESENTATION}
-
-
-def _own(side, names):
-    """The payload files, or the builds, of the side's own presentation: a
-    cold ram build also builds and writes the liegriess factors it reads."""
-    pres = PRESENTATIONS[side]
-    return [x for x in names if (pres.hash in x if isinstance(x, str) else x[0] is pres)]
+# the operad side's stored payloads: a composite such as ram has none
+SIDES = {"operad": (Component, _liegriess), "forest": (GraphComponent, _forest)}
 
 
 def _check_slot_facts(comp):
@@ -61,7 +54,7 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
     clear_memos()
     cold_store = ComponentStore(str(tmp_path))
     cold = {labels: get(labels, cold_store) for labels in LABEL_SETS}
-    assert len(_own(side, os.listdir(tmp_path))) == 1
+    assert len(os.listdir(tmp_path)) == 1
 
     clear_memos()
 
@@ -75,8 +68,8 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
         assert loaded is not built
         assert loaded.monomials == built.monomials
         assert loaded.basis == built.basis
-        assert loaded.echelon.pivots == built.echelon.pivots
-        assert loaded.echelon.rows == built.echelon.rows
+        assert loaded.reducer.pivots == built.reducer.pivots
+        assert loaded.reducer.rows == built.reducer.rows
         assert loaded.dims == built.dims
         _check_slot_facts(built)
         _check_slot_facts(loaded)
@@ -95,7 +88,7 @@ def test_monomial_normal_form_matches_normal_form(side, labels):
     comp = SIDES[side][1](labels, None)
     slot_of = {i: s for s, i in enumerate(comp.basis_positions)}
     for m in comp.monomials:
-        reduced = oracle_reduce(comp.echelon, {comp.position(m): Fraction(1)})
+        reduced = oracle_reduce(comp.reducer, {comp.position(m): Fraction(1)})
         expected = {comp.basis[slot_of[i]]: c for i, c in reduced.items()}
         assert {comp.basis[s]: c for s, c in comp.slot_expansion(m)} == expected
         assert comp.normal_form(comp.monomial_element(m)).terms == expected
@@ -121,7 +114,7 @@ def test_coords_match_oracle_reduce(side, n):
         assert relations or n < 3
         for x in elements + relations:
             vec = {comp.position(m): c for m, c in x.terms.items()}
-            expected = {slot_of[i]: c for i, c in oracle_reduce(comp.echelon, vec).items()}
+            expected = {slot_of[i]: c for i, c in oracle_reduce(comp.reducer, vec).items()}
             assert comp.coords(x) == expected
             assert list(comp.coords(x)) == sorted(expected)
         assert not any(comp.coords(x) for x in relations)
@@ -134,6 +127,35 @@ def test_each_store_gets_its_own_payload(side, tmp_path):
     get((1, 2, 3), ComponentStore(str(first)))
     get((1, 2, 3), ComponentStore(str(second)))
     assert os.listdir(first) and sorted(os.listdir(second)) == sorted(os.listdir(first))
+
+
+def test_a_composite_reads_and_writes_no_payload(tmp_path, monkeypatch):
+    ram, liegriess = presentation("ram"), presentation("liegriess")
+    clear_memos()
+    built = component_basis(ram, (1, 2, 3), ComponentStore(str(tmp_path)))
+    names = sorted(os.listdir(tmp_path))
+    # the liegriess factors on blocks of two and three labels
+    assert len(names) == 2 and all(liegriess.hash in name for name in names)
+
+    clear_memos()
+    keys = []
+    get = ComponentStore.get
+
+    def counted_get(self, key):
+        keys.append(key)
+        return get(self, key)
+
+    def no_rref(span):
+        raise AssertionError("a composite must not be eliminated")
+
+    monkeypatch.setattr(ComponentStore, "get", counted_get)
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    rebuilt = component_basis(ram, (1, 2, 3), ComponentStore(str(tmp_path)))
+    assert keys and not any(ram.hash in key for key in keys)
+    assert sorted(os.listdir(tmp_path)) == names
+    assert rebuilt is not built and rebuilt.basis == built.basis and rebuilt.dims == built.dims
+    for m in built.monomials:
+        assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
 
 def test_resource_bound_reports_arities_built_in_the_store():
@@ -186,7 +208,7 @@ def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch
     with monkeypatch.context() as mp:
         mp.setattr(quotient, "ENGINE_FORMAT", quotient.ENGINE_FORMAT + 1)
         other = get((1, 2, 3), ComponentStore(str(tmp_path)))
-    assert len(_own(side, os.listdir(tmp_path))) == 1
+    assert len(os.listdir(tmp_path)) == 1
 
     clear_memos()
     builds = []
@@ -198,8 +220,8 @@ def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch
 
     monkeypatch.setattr(cls, "ambient_and_span", counted)
     current = get((1, 2, 3), ComponentStore(str(tmp_path)))
-    assert len(_own(side, builds)) == 1 and len(_own(side, os.listdir(tmp_path))) == 2
-    assert current.monomials == other.monomials and current.echelon.rows == other.echelon.rows
+    assert len(builds) == 1 and len(os.listdir(tmp_path)) == 2
+    assert current.monomials == other.monomials and current.reducer.rows == other.reducer.rows
 
 
 def _drop_rows(payload):
@@ -232,7 +254,7 @@ def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
     cls, get = SIDES[side]
     clear_memos()
     built = get((1, 2, 3), ComponentStore(str(tmp_path)))
-    (name,) = _own(side, os.listdir(tmp_path))
+    (name,) = os.listdir(tmp_path)
     path = tmp_path / name
     original = path.read_bytes()
     payload = json.loads(original)
@@ -252,7 +274,7 @@ def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
     assert len(builds) == 1
     assert path.read_bytes() == original
     assert rebuilt.monomials == built.monomials and rebuilt.basis == built.basis
-    assert rebuilt.echelon.rows == built.echelon.rows and rebuilt.dims == built.dims
+    assert rebuilt.reducer.rows == built.reducer.rows and rebuilt.dims == built.dims
     for m in built.monomials:
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
@@ -263,7 +285,7 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     # ``_decode``; the payload checksum is what turns it into a rebuild
     clear_memos()
     built = _forest((1, 2, 3), ComponentStore(str(tmp_path)))
-    (name,) = _own("forest", os.listdir(tmp_path))
+    (name,) = os.listdir(tmp_path)
     path = tmp_path / name
     original = path.read_bytes()
     payload = json.loads(original)
