@@ -2,7 +2,8 @@
 verdict, the Ramanujan polynomials, and cache management.
 
 Exit codes: 0 when every check passes, 1 when a check fails (the report
-carries a witness), 2 on usage errors or exceeded resource bounds.
+carries a witness), 2 on usage errors, exceeded resource bounds or a cache
+directory or output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return 2
 
 

@@ -8,16 +8,9 @@ cocomposition, with the pairing convention
 The comparison map sends the operad generators E, L, G to the dual basis
 elements 1*, a*, b*; trees are evaluated by replacing internal compositions
 with dual composition.  The verdict machinery checks that the map kills the
-operad ideal, assembles its matrix per bidegree against the dual basis, and
-reports per-bidegree and overall isomorphism verdicts for a given arity.
-
-The ideal is checked on the rows e_m - nf(m), one per ambient tree m of
-the ``ram`` component, where nf(m) is the expansion of m on the component
-basis (``slot_expansion``): the map kills the ideal if and only if it
-agrees on m and on nf(m) for every m.  Modulo the ideal every tree equals
-its normal form, so the rows lie in the ideal, and they span it because
-the basis is independent in the quotient; nothing in a verdict needs the
-grafted span of ``operad.ideal_span``.
+operad ideal (on its rewriting rows, ``QuotientComponent.ideal_witness``),
+assembles its matrix per bidegree against the dual basis, and reports
+per-bidegree and overall isomorphism verdicts for a given arity.
 """
 
 from __future__ import annotations
@@ -228,10 +221,8 @@ def conjecture_verdict(
     overall isomorphism verdict for this arity.
 
     (a) compares rho(m) with the sum of c rho(b) over the basis expansion
-    c b of each ambient tree m.  The rows e_m - nf(m) span the ideal exactly
-    (see the module docstring), so every row goes to zero if and only if
-    the ideal does.  A failure names the first tree m whose row does not
-    vanish.
+    c b of each ambient tree m (``QuotientComponent.ideal_witness``); a
+    failure names the first tree m whose row does not vanish.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,15 +234,9 @@ def conjecture_verdict(
     ram_comp = component_basis(pres, labels, store)
     r_comp = algebra_basis(R_PRESENTATION, labels, "forest", store)
 
-    kill_witness = None
-    for m in ram_comp.monomials:
-        image = dict(_rho_tree(m, store).coords)
-        for slot, c in ram_comp.slot_expansion(m):
-            vec_add_scaled(image, _rho_tree(ram_comp.basis[slot], store).coords, -c)
-        if image:
-            kill_witness = {"tree": tree_str(m)}
-            break
-    kill_ok = kill_witness is None
+    bad = ram_comp.ideal_witness(lambda t: _rho_tree(t, store).coords)
+    kill_ok = bad is None
+    kill_witness = None if kill_ok else {"tree": tree_str(bad)}
 
     blocks = []
     all_iso = kill_ok

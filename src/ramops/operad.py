@@ -367,11 +367,10 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
 
     Recursively: relation instances with monomials grafted into their three
     inputs, plus every generator put on top of a lower-arity spanning
-    element and a monomial.  Empty below arity 3.  ``ram.distributive_check``
-    and the ideal checks of ``ram.hopf_check`` and
-    ``suites.suite_differentials`` read it (in ``verify --suite all`` the
-    distributive check has built it by then), and the components of
-    presentations without a factor are built from it.
+    element and a monomial.  Empty below arity 3.  Only ``grafted_span``
+    reads it: the builds of presentations without a factor (``lie``,
+    ``sgriess``, ``liegriess``) and ``ram.distributive_check``.  The ideal verdicts read
+    the rewriting rows instead (``QuotientComponent.ideal_witness``).
     """
     labels = check_label_set(labels)
     n = len(labels)

@@ -24,7 +24,8 @@ load-or-build path with its memos, and the normal form of tensors of
 components.  It also owns every label-independent fact about a basis slot:
 its bidegree, the parity of its h, the slots of each bidegree and the basis
 expansion of each ambient position; ``coords``, ``normal_form`` and
-``tensor_normal_form`` are folds over those expansions.
+``tensor_normal_form`` are folds over those expansions, and
+``ideal_witness`` decides whether a linear map kills the ideal from them.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -47,7 +48,7 @@ from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, check_label_set, standard_labels
-from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis
+from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis, vec_add_scaled
 
 
 class Standard:
@@ -191,6 +192,28 @@ class QuotientComponent:
             pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
         return pairs
 
+    def ideal_witness(self, image):
+        """The first ambient monomial m whose row e_m - nf(m) the linear map
+        ``image`` does not kill, or None when the map kills the ideal.
+
+        ``image(m)`` is the map on a monomial, as a dict of coefficients.
+        Modulo the ideal each monomial equals its normal form, so the rows
+        lie in the ideal, and they span it because the basis is independent
+        in the quotient.  On the operad side the basis and nf come from the
+        distributive law (``operad``), which ``ram.distributive_check`` tests
+        against the grafted span.  Basis monomials are checked too: a row is
+        zero only if the expansion is the monomial itself.
+        """
+        basis_images = [image(b) for b in self.basis]
+        for i, m in enumerate(self.monomials):
+            slot = self._slot_of.get(i)
+            row = dict(image(m) if slot is None else basis_images[slot])
+            for s, c in self.slot_expansion(m):
+                vec_add_scaled(row, basis_images[s], -c)
+            if row:
+                return m
+        return None
+
 
 # --- payloads and memos ------------------------------------------------------------
 
@@ -257,7 +280,7 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
     if payload is not None and payload.get("presentation") == pres.hash:
         try:
             std = _decode(cls, pres, payload)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError):
             std = None  # a damaged payload is a cache miss
     if std is None:
         monomials, span = cls.ambient_and_span(pres, n, **fields)

@@ -21,7 +21,7 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import ordered_splits, standard_labels
-from .operad import component_basis, ideal_span
+from .operad import component_basis, tree_str
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import relation_survey
 from .reports import verdict
@@ -74,14 +74,11 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
 
         if k >= 3:
             for which in ("down", "up"):
-                bad = None
-                for idx, rel in enumerate(ideal_span(pres, labels)):
-                    if not comp.normal_form(differential(rel, which)).is_zero():
-                        bad = {"relation_index": idx}
-                        break
-                verdicts.append(
-                    verdict(f"operad_{which}_preserves_ideal", bad is None, bad, n=k)
+                bad = comp.ideal_witness(
+                    lambda t: comp.coords(differential(comp.monomial_element(t), which))
                 )
+                witness = None if bad is None else {"tree": tree_str(bad)}
+                verdicts.append(verdict(f"operad_{which}_preserves_ideal", bad is None, witness, n=k))
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)

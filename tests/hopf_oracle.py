@@ -1,19 +1,23 @@
-"""Reference Hopf checks of the Ramanujan operad, normalising every tensor.
+"""Reference Hopf and differential checks of the Ramanujan operad.
 
 ``hopf_check`` builds both sides of coassociativity and of the coderivation
 identities as free-operad tensors and always compares their normal forms,
 basis tree by basis tree.  The tests compare ``ram.hopf_check``, which
 normalises only when the free tensors differ, against it.
+
+The ideal checks here loop over the grafted span of ``operad.ideal_span``;
+the engine's verdicts read the rewriting rows e_m - nf(m) instead
+(``QuotientComponent.ideal_witness``), so the two routes must agree on pass
+or fail, while their witnesses differ in shape.
 """
 
-from ramops import quotient
+from ramops import quotient, ram
 from ramops.cache import default_store
 from ramops.labels import standard_labels
 from ramops.linalg import bump
 from ramops.operad import component_basis, ideal_span, tree_h
 from ramops.ram import (
     OperadTensor,
-    _expand_factor,
     coproduct,
     differential,
     presentation,
@@ -45,9 +49,9 @@ def hopf_check(n, store=None):
         left = {}
         right = {}
         for (t1, t2), c in delta.terms.items():
-            for u1, u2, s in _expand_factor(t1, pres.gens):
+            for u1, u2, s in ram._coproduct_tree(t1, pres.gens):
                 bump(left, (u1, u2, t2), c * s)
-            for v1, v2, s in _expand_factor(t2, pres.gens):
+            for v1, v2, s in ram._coproduct_tree(t2, pres.gens):
                 bump(right, (t1, v1, v2), c * s)
         comps = (comp, comp, comp)
         if quotient.tensor_normal_form(left, comps) != quotient.tensor_normal_form(right, comps):
@@ -73,4 +77,20 @@ def hopf_check(n, store=None):
                 bad = {"basis_tree": repr(b), "differential": which}
                 break
         verdicts.append(verdict(f"coderivation_{which}", bad is None, bad, n=n))
+    return verdicts
+
+
+def differentials_preserve_ideal(n, store=None):
+    """operad_{down,up}_preserves_ideal at arity n, on the grafted span."""
+    pres = presentation("ram")
+    labels = standard_labels(n)
+    comp = component_basis(pres, labels, store or default_store())
+    verdicts = []
+    for which in ("down", "up"):
+        bad = None
+        for idx, rel in enumerate(ideal_span(pres, labels)):
+            if not comp.normal_form(differential(rel, which)).is_zero():
+                bad = {"relation_index": idx}
+                break
+        verdicts.append(verdict(f"operad_{which}_preserves_ideal", bad is None, bad, n=n))
     return verdicts

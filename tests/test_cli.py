@@ -121,6 +121,18 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert os.listdir(cache_dir) == []
 
 
+@pytest.mark.parametrize("below", ("", "sub"))
+def test_unusable_cache_dir_exits_2(below, tmp_path, capsys):
+    # exit code 1 means a failed check: a cache path under or at a regular
+    # file is reported on one line, with no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(blocker / below) if below else str(blocker)
+    assert run_cli("dims", "--operad", "liegriess", "--n", "3", "--cache-dir", cache_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+
+
 def test_cache_roundtrip_preserves_results(tmp_path):
     cache_dir = str(tmp_path / "cache")
     first = run_subprocess("dims", "--operad", "ram", "--n", "3", "--cache-dir", cache_dir, "--json")

@@ -246,11 +246,41 @@ def _bump_a_dim(payload):
     payload["dims"][0][2] += 1
 
 
-@pytest.mark.parametrize(
-    "corrupt", (_drop_rows, _scale_a_pivot_entry, _fill_a_pivot_column, _shift_the_basis, _bump_a_dim)
+def _truncate_a_monomial(payload):
+    # the first innermost list of a monomial loses its last entry: a tree
+    # ["L", 1, ["L", 2]] on the operad side, an edge [1] on the graph side
+    node = next(m for m in payload["monomials"] if any(isinstance(x, list) and x for x in m))
+    while (child := next((x for x in node if isinstance(x, list) and x), None)) is not None:
+        node = child
+    node.pop()
+
+
+CORRUPTIONS = (
+    _drop_rows,
+    _scale_a_pivot_entry,
+    _fill_a_pivot_column,
+    _shift_the_basis,
+    _bump_a_dim,
+    _truncate_a_monomial,
 )
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 @pytest.mark.parametrize("side", sorted(SIDES))
 def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
+    # written as is, the corrupted payload fails its checksum
+    _check_corrupted_payload_is_rebuilt(side, corrupt, False, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_rehashed_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
+    # written through ``put``, its checksum holds and only ``_decode`` can
+    # reject it
+    _check_corrupted_payload_is_rebuilt(side, corrupt, True, tmp_path, monkeypatch)
+
+
+def _check_corrupted_payload_is_rebuilt(side, corrupt, rehash, tmp_path, monkeypatch):
     cls, get = SIDES[side]
     clear_memos()
     built = get((1, 2, 3), ComponentStore(str(tmp_path)))
@@ -259,7 +289,11 @@ def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
     original = path.read_bytes()
     payload = json.loads(original)
     corrupt(payload)
-    path.write_text(json.dumps(payload))
+    if rehash:
+        del payload["sha256"]
+        ComponentStore(str(tmp_path)).put(name[: -len(".json")], payload)
+    else:
+        path.write_text(json.dumps(payload))
 
     clear_memos()
     builds = []
@@ -277,7 +311,6 @@ def test_corrupted_payload_is_rebuilt(side, corrupt, tmp_path, monkeypatch):
     assert rebuilt.reducer.rows == built.reducer.rows and rebuilt.dims == built.dims
     for m in built.monomials:
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
-
 
 
 def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
@@ -317,3 +350,16 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     for m in built.monomials:
         expected = built.normal_form(built.monomial_element(m))
         assert rebuilt.normal_form(rebuilt.monomial_element(m)) == expected
+
+
+@pytest.mark.parametrize("name", ("liegriess", "ram"))
+def test_ideal_witness_checks_basis_monomials(name, monkeypatch):
+    # the normal form kills the ideal; once a basis tree's expansion is
+    # scaled by 2, its own row is the only one that survives, so a witness
+    # search that skipped basis monomials would find nothing
+    comp = component_basis(presentation(name), (1, 2, 3, 4), ComponentStore())
+    nf = {m: dict(comp.slot_expansion(m)) for m in comp.monomials}
+    assert comp.ideal_witness(nf.__getitem__) is None
+    b = comp.basis[len(comp.basis) // 2]
+    monkeypatch.setitem(comp._expansions, comp.position(b), ((comp.slot(b), Fraction(2)),))
+    assert comp.ideal_witness(nf.__getitem__) == b

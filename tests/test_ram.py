@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import hopf_oracle as oracle
-from ramops import ram
+from ramops import operad, ram
+from ramops.cache import ComponentStore
 from ramops.labels import STAR, standard_labels
 from ramops.operad import (
     OperadElement,
@@ -18,6 +19,7 @@ from ramops.operad import (
     relabel,
     tree_bidegree,
     tree_h,
+    tree_str,
 )
 from ramops.ram import (
     RAM_SIGNATURE,
@@ -32,6 +34,7 @@ from ramops.ram import (
     tensor_normal_form,
 )
 from ramops.ramanujan import predicted_dims, psi
+from ramops.suites import run_suite, suite_differentials
 
 GENS = RAM_SIGNATURE
 
@@ -206,10 +209,25 @@ def test_hopf_check_small():
             assert verdict["pass"], verdict
 
 
+def _assert_matches_oracle(verdicts, expected, n, kill_checks):
+    """Whole verdicts for every check but the ideal checks ``kill_checks``,
+    which read the rewriting rows: there the oracle's grafted span and the
+    rows must agree on pass or fail, and a failure names an ambient tree."""
+    assert [v["check"] for v in verdicts] == [v["check"] for v in expected]
+    ambient = {tree_str(t) for t in component_basis(presentation("ram"), standard_labels(n)).monomials}
+    for got, want in zip(verdicts, expected):
+        if got["check"] not in kill_checks:
+            assert got == want
+            continue
+        assert got["pass"] == want["pass"] and got["params"] == want["params"], (got, want)
+        if not got["pass"]:
+            assert got["witness"].keys() == {"tree"} and got["witness"]["tree"] in ambient
+
+
 def test_hopf_check_matches_oracle():
     for n in (1, 2, 3, 4):
         verdicts = hopf_check(n)
-        assert verdicts == oracle.hopf_check(n)
+        _assert_matches_oracle(verdicts, oracle.hopf_check(n), n, ("coproduct_kills_ideal",))
         assert all(v["pass"] for v in verdicts), verdicts
 
 
@@ -235,13 +253,61 @@ def test_wrong_coproduct_sign_fails_alike_on_both_paths(monkeypatch):
     failed = {}
     for n in (2, 3, 4):
         verdicts = hopf_check(n)
-        assert verdicts == oracle.hopf_check(n)
+        _assert_matches_oracle(verdicts, oracle.hopf_check(n), n, ("coproduct_kills_ideal",))
         failed[n] = [v["check"] for v in verdicts if not v["pass"]]
     assert failed == {
         2: [],
         3: ["coderivation_down", "coderivation_up"],
         4: ["coproduct_kills_ideal", "coderivation_down", "coderivation_up"],
     }
+
+
+def _diff_tree_unsigned_right(t, mapping, gens):
+    """ram._diff_tree with the prefix sign of the right-subtree term dropped."""
+    if is_leaf(t):
+        return [], 0
+    g, l, r = t
+    hg = gens[g].bidegree[0]
+    terms = [((mapping[g], l, r), 1)] if g in mapping else []
+    sub_l, hl = _diff_tree_unsigned_right(l, mapping, gens)
+    terms += [((g, nt, r), -s if hg & 1 else s) for nt, s in sub_l]
+    sub_r, hr = _diff_tree_unsigned_right(r, mapping, gens)
+    terms += [((g, l, nt), s) for nt, s in sub_r]
+    return terms, hg + hl + hr
+
+
+OPERAD_IDEAL_CHECKS = ("operad_down_preserves_ideal", "operad_up_preserves_ideal")
+
+
+@pytest.mark.parametrize("fault", (None, _diff_tree_unsigned_right))
+def test_preserves_ideal_matches_span_oracle(fault, monkeypatch):
+    if fault is not None:
+        monkeypatch.setattr(ram, "_diff_tree", fault)
+    suite = [v for v in suite_differentials(4) if v["check"] in OPERAD_IDEAL_CHECKS]
+    failed = {}
+    for n in (3, 4):
+        verdicts = [v for v in suite if v["params"] == {"n": n}]
+        _assert_matches_oracle(verdicts, oracle.differentials_preserve_ideal(n), n, OPERAD_IDEAL_CHECKS)
+        failed[n] = [v["check"] for v in verdicts if not v["pass"]]
+    if fault is None:
+        assert failed == {3: [], 4: []}
+    else:
+        assert failed == {3: ["operad_up_preserves_ideal"], 4: list(OPERAD_IDEAL_CHECKS)}
+
+
+def test_ideal_verdicts_read_no_grafted_span(tmp_path, monkeypatch):
+    store = ComponentStore(str(tmp_path))
+    for k in (2, 3, 4):  # the stored liegriess factors are built from their spans
+        component_basis(presentation("ram"), standard_labels(k), store)
+
+    def no_span(pres, n):
+        raise AssertionError(f"grafted span at arity {n}")
+
+    monkeypatch.setattr(operad, "_SPAN_MEMO", {})
+    monkeypatch.setattr(operad, "_span_standard", no_span)
+    for name in ("hopf", "differentials"):
+        verdicts, _ = run_suite(name, 4, store)
+        assert verdicts and all(v["pass"] for v in verdicts), name
 
 
 def test_coproduct_kills_mixed_relation_instance():
