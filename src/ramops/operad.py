@@ -13,11 +13,33 @@ left before right).  Grafting an element into a place-holder leaf therefore
 picks up ``(-1)**(h(graft) * h(generators after the leaf))``, and the same
 word order fixes the derivation and coproduct signs used downstream.
 
-A quotient component is the ambient trees modulo the ideal.  Without a
-factor, the ideal is spanned by ``ideal_span`` (every relation grafted into
-every monomial) and eliminated (``quotient``).  A presentation that declares
-a factorisation Com o F (see ``Presentation``) is the composite itself
-(``Component.composite``), with nothing eliminated or stored:
+A quotient component is the ambient trees modulo the ideal, and every one is
+a rewriting (``Component.composite``): nothing is eliminated or stored.
+
+A presentation without a factor (``lie``, ``sgriess``, ``liegriess``) is
+rewritten by its relations as a quadratic Groebner basis (Dotsenko-Khoroshkin,
+Duke Math. J. 153, 2010; Hoffbeck, Manuscripta Math. 131, 2010):
+
+* canonical trees are the shuffle trees; the path-lexicographic order
+  compares the words of generators on the root-to-leaf paths, leaf by leaf,
+  longer words first, then lexicographically with generators ranked by
+  bidegree (G > L);
+* each relation's leading term must be a left comb g(g'(1, 2), 3); a tree is
+  normal when no vertex g has a left child g'(x, y) with min(y) below the
+  smallest leaf of g's right child, for a leading g(g'(1, 2), 3);
+* the normal trees are the basis, and nf rewrites a leading divisor
+  g(g'(x, y), z) by its relation solved for the leading term.  x, y and z
+  keep their smallest-leaf order in every term, so each substituted tree is
+  canonical, and its sign is the ``compose`` sign of grafting x, y, z into
+  the leaves 1, 2, 3, read from a table per term.
+
+That the leading terms form a Groebner basis is checked, not assumed: at
+arity 4 the normal trees number the grafted span's quotient dims in every
+bidegree (the diamond lemma for quadratic relations), and up to arity 5
+every tree minus its nf lies in that span (``tests/test_spans.py``).
+
+A presentation that declares a factorisation Com o F (see ``Presentation``)
+is the composite of Com with F's components:
 
 * its basis is the left E-combs E(..E(f1, f2).., fk), one per set partition
   of the labels (blocks by smallest leaf) and choice of a basis tree fi of
@@ -34,6 +56,10 @@ combination of combs.  By the distributive law (Markl 1996; Loday-Vallette,
 Algebraic Operads, 8.6), which ``ram.distributive_check`` tests on the
 grafted span, the combs are independent modulo the ideal: a basis, on which
 nf is the normal form.
+
+``ideal_span`` and ``grafted_span`` graft every relation into every tree.
+No component reads them: they serve ``ram.distributive_check`` and the test
+oracles.
 """
 
 from __future__ import annotations
@@ -43,6 +69,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .cache import ComponentStore
@@ -122,12 +149,6 @@ def tree_to_json(t: Tree):
     if is_leaf(t):
         return t
     return [t[0], tree_to_json(t[1]), tree_to_json(t[2])]
-
-
-def tree_from_json(data) -> Tree:
-    if isinstance(data, list):
-        return (data[0], tree_from_json(data[1]), tree_from_json(data[2]))
-    return data
 
 
 def canonicalize(t: Tree, gens: Signature) -> tuple[int, Tree]:
@@ -271,27 +292,50 @@ def substitute(x: OperadElement, grafts: Mapping[Atom, OperadElement]) -> Operad
 
 def enumerate_tree_monomials(gens: Signature, labels: Iterable[Atom]) -> list[Tree]:
     """All canonical tree monomials on the label set, in serialization order."""
-    labels = check_label_set(labels)
-    names = sorted(gens)
+    return [t for _, t, _ in _sorted_trees(gens, check_label_set(labels), frozenset())]
 
-    def rec(lbls: tuple[Atom, ...]) -> list[Tree]:
+
+def _first_leaf(t: Tree) -> Atom:
+    while not is_leaf(t):
+        t = t[1]
+    return t
+
+
+def _sorted_trees(
+    gens: Signature, labels: tuple[Atom, ...], leading: frozenset[tuple[str, str]]
+) -> list[tuple[tuple, Tree, bool]]:
+    """(``tree_sort_key``, tree, normal) for every canonical tree on the
+    sorted labels, in serialization order.  Each key is built from its
+    children's keys.  A tree is normal when no vertex g has a left child
+    g'(x, y) with (g, g') in ``leading`` and min(y) below min of g's right
+    child: no divisor g(g'(1, 2), 3) of the module docstring."""
+    names = sorted(gens)
+    memo: dict[tuple[Atom, ...], list] = {}
+
+    def rec(lbls: tuple[Atom, ...]) -> list[tuple[tuple, Tree, bool]]:
+        out = memo.get(lbls)
+        if out is not None:
+            return out
         if len(lbls) == 1:
-            return [lbls[0]]
-        first, rest = lbls[0], lbls[1:]
-        out = []
-        for k in range(len(rest)):
-            for extra in combinations(rest, k):
-                right = tuple(a for a in rest if a not in extra)
-                left = (first,) + extra
-                for tl in rec(left):
-                    for tr in rec(right):
+            out = [((0, atom_key(lbls[0])), lbls[0], True)]
+        else:
+            first, rest = lbls[0], lbls[1:]
+            out = []
+            for k in range(len(rest)):
+                for extra in combinations(rest, k):
+                    right = tuple(a for a in rest if a not in extra)
+                    rights = rec(right)
+                    right_min = atom_key(right[0])
+                    for kl, tl, nl in rec((first,) + extra):
+                        ahead = not is_leaf(tl) and atom_key(_first_leaf(tl[2])) < right_min
                         for g in names:
-                            out.append((g, tl, tr))
+                            normal = nl and not (ahead and (g, tl[0]) in leading)
+                            for kr, tr, nr in rights:
+                                out.append(((1, g, kl, kr), (g, tl, tr), normal and nr))
+        memo[lbls] = out
         return out
 
-    trees = rec(labels)
-    trees.sort(key=tree_sort_key)
-    return trees
+    return sorted(rec(labels), key=itemgetter(0))
 
 
 class Presentation:
@@ -301,8 +345,10 @@ class Presentation:
     generator outside F is a commutative product E of bidegree (0, 0), the
     relations are E's associativity, F's relations and the Leibniz rules
     that move E past each generator of F, and these form a distributive law.
-    Its components are then composites, never stored (see the module
-    docstring), and the factor does not enter the hash.
+    Its components are then composites (see the module docstring), and the
+    factor does not enter the hash.  Without a factor, the relations are
+    read as a quadratic Groebner basis, which the tests certify for ``lie``,
+    ``sgriess`` and ``liegriess`` only.
     """
 
     def __init__(
@@ -367,10 +413,10 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
 
     Recursively: relation instances with monomials grafted into their three
     inputs, plus every generator put on top of a lower-arity spanning
-    element and a monomial.  Empty below arity 3.  Only ``grafted_span``
-    reads it: the builds of presentations without a factor (``lie``,
-    ``sgriess``, ``liegriess``) and ``ram.distributive_check``.  The ideal verdicts read
-    the rewriting rows instead (``QuotientComponent.ideal_witness``).
+    element and a monomial.  Empty below arity 3.  No component reads it:
+    only ``grafted_span`` (for ``ram.distributive_check``) and the test
+    oracles do.  The ideal verdicts read the rewriting rows instead
+    (``QuotientComponent.ideal_witness``).
     """
     labels = check_label_set(labels)
     n = len(labels)
@@ -388,7 +434,8 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
 
 
 def grafted_span(pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
-    """The ambient trees on {1..n} and the rows of ``ideal_span`` on them."""
+    """The ambient trees on {1..n} and the rows of ``ideal_span`` on them:
+    the reference quotient of ``ram.distributive_check`` and the tests."""
     labels = standard_labels(n)
     monomials = enumerate_tree_monomials(pres.gens, labels)
     index = {m: i for i, m in enumerate(monomials)}
@@ -439,15 +486,14 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
 class Component(QuotientComponent):
     """Quotient component of an operad presentation on a label set.
 
-    Built once on the reference labels {1..n} and transported to any other
-    label set along the order-preserving bijection.
+    Built once on the reference labels {1..n}, by a rewriting and with no
+    payload (see the module docstring), and transported to any other label
+    set along the order-preserving bijection.
     """
 
     family = "operad"
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
-    monomial_to_json = staticmethod(tree_to_json)
-    monomial_from_json = staticmethod(tree_from_json)
 
     def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
         return canonicalize(_map_tree(m, phi), self.pres.gens)[1]
@@ -460,20 +506,161 @@ class Component(QuotientComponent):
         return tree_bidegree(m, pres.gens)
 
     @classmethod
-    def ambient_and_span(cls, pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
-        """The ambient trees and the grafted relations of ``ideal_span``."""
-        return grafted_span(pres, n)
-
-    @classmethod
-    def composite(cls, pres: Presentation, n: int, store: ComponentStore) -> Standard | None:
-        """Com o F on {1..n} if the presentation declares a factor F, else
-        None: the E-combs of F-basis trees and the rewriting onto them."""
-        if pres.factor is None:
-            return None
+    def composite(cls, pres: Presentation, n: int, store: ComponentStore) -> Standard:
+        """The component on {1..n}: the normal trees and the Groebner
+        rewriting onto them, or, if the presentation declares a factor F,
+        the E-combs of F-basis trees and the rewriting onto them."""
         labels = standard_labels(n)
-        monomials = enumerate_tree_monomials(pres.gens, labels)
-        rewriting = _Rewriting(pres, labels, monomials, store)
-        return Standard(cls, pres, monomials, rewriting, rewriting.basis_positions)
+        if pres.factor is None:
+            rewriting = _Groebner(pres, labels)
+        else:
+            monomials = enumerate_tree_monomials(pres.gens, labels)
+            rewriting = _Rewriting(pres, labels, monomials, store)
+        return Standard(cls, pres, rewriting.monomials, rewriting, rewriting.basis_positions)
+
+
+def _path_lex_key(t: Tree, rank: Mapping[str, int]) -> tuple:
+    """Per leaf in label order, the length and the generator ranks of its
+    root-to-leaf word: the larger key is the larger tree in path-lex order."""
+    words: dict[Atom, tuple[int, ...]] = {}
+
+    def walk(t: Tree, word: tuple[int, ...]) -> None:
+        if is_leaf(t):
+            words[t] = word
+        else:
+            word += (rank[t[0]],)
+            walk(t[1], word)
+            walk(t[2], word)
+
+    walk(t, ())
+    return tuple((len(words[a]), words[a]) for a in sorted(words, key=atom_key))
+
+
+def _preorder(t: Tree, gens: Signature) -> list[tuple[Atom | None, int]]:
+    """The preorder word of t: (None, h) per generator, (atom, 0) per leaf."""
+    if is_leaf(t):
+        return [(t, 0)]
+    return [(None, gens[t[0]].bidegree[0])] + _preorder(t[1], gens) + _preorder(t[2], gens)
+
+
+def _graft_signs(t: Tree, gens: Signature) -> tuple[int, ...]:
+    """The sign ``substitute`` gives the relation term t when x, y, z are
+    grafted into its leaves 1, 2, 3, by the h-parities of x, y, z (index
+    4 px + 2 py + pz): each graft counts h of t's generators after its leaf
+    and of the earlier grafts into leaves after it."""
+    word = _preorder(t, gens)
+    leaves = [a for a, _ in word if a is not None]
+    after = {
+        a: sum(h for b, h in word[p + 1 :] if b is None) for p, (a, _) in enumerate(word) if a is not None
+    }
+    signs = []
+    for parities in product((0, 1), repeat=3):
+        par = dict(zip((1, 2, 3), parities))
+        e = sum(par[a] * after[a] for a in leaves)
+        e += sum(par[a] * par[b] for i, a in enumerate(leaves) for b in leaves[i + 1 :] if a > b)
+        signs.append(-1 if e & 1 else 1)
+    return tuple(signs)
+
+
+def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree, tuple]]]:
+    """Each relation solved for its path-lex leading term g(g'(1, 2), 3),
+    generators ranked by bidegree, then name: under (g, g'), the other terms,
+    each with its coefficient in nf of g(g'(x, y), z) by the h-parities of
+    x, y, z (the index of ``_graft_signs``)."""
+    rank = {g: i for i, g in enumerate(sorted(pres.gens, key=lambda g: (pres.gens[g].bidegree, g)))}
+    rules: dict[tuple[str, str], list[tuple[Tree, tuple]]] = {}
+    for r in pres.relations:
+        lead = max(r.terms, key=lambda t: _path_lex_key(t, rank))
+        g, inner, _ = lead
+        if r.labels != (1, 2, 3) or is_leaf(inner) or inner[1:] != (1, 2) or (g, inner[0]) in rules:
+            raise ValueError(f"{pres.name}: no distinct leading term g(g'(1, 2), 3) in {r}")
+        lead_signs, c0 = _graft_signs(lead, pres.gens), r.terms[lead]
+        rules[g, inner[0]] = [
+            (t, tuple(_integral(-c * s * s0 / c0) for s, s0 in zip(_graft_signs(t, pres.gens), lead_signs)))
+            for t, c in r.sorted_terms()
+            if t != lead
+        ]
+    return rules
+
+
+def _integral(c: Fraction) -> Fraction | int:
+    # integral coefficients as ints, so that most of the arithmetic of the
+    # normal forms stays off Fraction
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Groebner:
+    """Normal forms nf(t) of the trees on labels 1..n by the relations as a
+    quadratic Groebner basis (see the module docstring), and the positions of
+    the normal trees, which are the basis.
+
+    nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
+    triple (g, a, b): only the root can be a leading divisor there.
+    """
+
+    def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
+        self.gens = pres.gens
+        self.rules = _rewrite_rules(pres)
+        trees = _sorted_trees(pres.gens, labels, frozenset(self.rules))
+        self.monomials = [t for _, t, _ in trees]
+        self.basis_positions = [i for i, (_, _, normal) in enumerate(trees) if normal]
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
+        self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
+
+    def normal_form(self, t: Tree) -> dict[Tree, Fraction | int]:
+        out = self._forms.get(t)
+        if out is None:
+            if is_leaf(t):
+                out = {t: 1}
+            else:
+                out = self._product(t[0], self.normal_form(t[1]), self.normal_form(t[2]))
+            self._forms[t] = out
+        return out
+
+    def _product(self, g: str, left: dict, right: dict) -> dict[Tree, Fraction | int]:
+        """nf of g(a, b) summed over the normal trees a of left, b of right."""
+        out: dict[Tree, Fraction | int] = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                for m, c in self._root(g, a, b).items():
+                    bump(out, m, ca * cb * c)
+        return out
+
+    def _root(self, g: str, a: Tree, b: Tree) -> dict[Tree, Fraction | int]:
+        t = (g, a, b)
+        out = self._roots.get(t)
+        if out is None:
+            rule = None if is_leaf(a) else self.rules.get((g, a[0]))
+            if rule is None or atom_key(_first_leaf(a[2])) > atom_key(_first_leaf(b)):
+                out = {t: 1}
+            else:
+                # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
+                x, y, z = a[1], a[2], b
+                gens = self.gens
+                at = 4 * (tree_h(x, gens) & 1) + 2 * (tree_h(y, gens) & 1) + (tree_h(z, gens) & 1)
+                subs = {1: x, 2: y, 3: z}
+                out = {}
+                for term, coeffs in rule:
+                    for m, c in self._graft(term, subs).items():
+                        bump(out, m, coeffs[at] * c)
+            self._roots[t] = out
+        return out
+
+    def _graft(self, t: Tree, subs: Mapping[Atom, Tree]) -> dict[Tree, Fraction | int]:
+        """nf of the relation term t with the normal trees subs in its leaves."""
+        if is_leaf(t):
+            return {subs[t]: 1}
+        return self._product(t[0], self._graft(t[1], subs), self._graft(t[2], subs))
+
+    def reduce(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Normal form of a vector on the ambient positions, on the basis
+        positions (``Echelon.reduce``'s contract): nf of each tree."""
+        out: dict[int, Fraction] = {}
+        for i, c in v.items():
+            for m, e in self.normal_form(self.monomials[i]).items():
+                bump(out, self.index[m], c * e)
+        return out
 
 
 def set_partitions(items: tuple) -> Iterator[list[tuple]]:
@@ -566,13 +753,8 @@ class _Rewriting:
                 tree = (g, self.trees[q], self.trees[p])
                 sign = self.pres.gens[g].symmetry * self.koszul((p, q))
             comp = self.factors[check_label_set(self.blocks[p] + self.blocks[q])]
-            # integral coefficients as ints, so that most of the arithmetic
-            # of the normal forms stays off Fraction
             out = self._brackets[key] = [
-                (
-                    self._factor(comp.basis[slot], comp.labels, comp.degrees[slot][0]),
-                    sign * (c.numerator if c.denominator == 1 else c),
-                )
+                (self._factor(comp.basis[slot], comp.labels, comp.degrees[slot][0]), sign * _integral(c))
                 for slot, c in comp.slot_expansion(tree)
             ]
         return out

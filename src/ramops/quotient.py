@@ -1,12 +1,13 @@
 """Quotient components, shared by the operad side and the algebra side.
 
 Both sides present a component the same way: the span of the ambient
-monomials on a label set modulo the span of the relation instances.  That
-span is brought to reduced row-echelon form once, on the standard labels
-{1..n}; the non-pivot monomials are the basis, and ``Echelon.reduce``
-rewrites any vector onto them.  A composite (``QuotientComponent.composite``:
-Com o F on the operad side) brings its own basis and reducer instead, and
-has no payload.  The component on any other label set of the same size is
+monomials on a label set modulo the span of the relation instances.  On the
+algebra side that span is brought to reduced row-echelon form once, on the
+standard labels {1..n}, and stored; the non-pivot monomials are the basis,
+and ``Echelon.reduce`` rewrites any vector onto them.  The operad side
+(``QuotientComponent.composite``: a Groebner rewriting, or Com o F) brings
+its own basis and reducer instead, and has no payload.  The component on
+any other label set of the same size is
 transported along the order-preserving bijection, and coordinates are
 taken on the standard side, where the reducer lives.  Both canonical forms
 (trees and graph monomials) compare atoms only through ``atom_key``, which
@@ -56,8 +57,8 @@ class Standard:
     on every label set of the size.
 
     ``reducer.reduce`` takes a vector on the ambient positions to its normal
-    form on the basis positions: the ``Echelon`` of a stored payload, or the
-    rewriting of a composite (``QuotientComponent.composite``).
+    form on the basis positions: the ``Echelon`` of a stored payload, or a
+    rewriting (``QuotientComponent.composite``).
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
     order and ``dims`` counts them.  ``slot_of`` maps a basis position to
@@ -141,8 +142,8 @@ class QuotientComponent:
 
     @classmethod
     def composite(cls, pres, n: int, store: ComponentStore) -> Standard | None:
-        """The component on {1..n}, if its basis and reducer are known
-        without elimination or payload, else None."""
+        """The component on {1..n}, if a rewriting gives its basis and
+        reducer without elimination or payload, else None."""
         return None
 
     # --- shared ----------------------------------------------------------------
@@ -199,10 +200,11 @@ class QuotientComponent:
         ``image(m)`` is the map on a monomial, as a dict of coefficients.
         Modulo the ideal each monomial equals its normal form, so the rows
         lie in the ideal, and they span it because the basis is independent
-        in the quotient.  On the operad side the basis and nf come from the
-        distributive law (``operad``), which ``ram.distributive_check`` tests
-        against the grafted span.  Basis monomials are checked too: a row is
-        zero only if the expansion is the monomial itself.
+        in the quotient.  On the operad side the basis and nf come from a
+        rewriting (``operad``), which the tests check against the grafted
+        span, as ``ram.distributive_check`` does for the distributive law.
+        Basis monomials are checked too: a row is zero only if the
+        expansion is the monomial itself.
         """
         basis_images = [image(b) for b in self.basis]
         for i, m in enumerate(self.monomials):
@@ -252,7 +254,7 @@ def _prefix(cls, pres, fields: dict) -> str:
 def load_component(cls, pres, labels, store: ComponentStore | None = None, **fields):
     """The ``cls`` component of the presentation on the label set.
 
-    Taken from the store's memo, else the composite, else decoded from the
+    Taken from the store's memo, else the rewriting, else decoded from the
     store's payload, else built and written to it.  ``fields`` name the variant (the ambient mode of an
     algebra); they enter the cache key, the payload, the build and the
     constructor.

@@ -109,8 +109,8 @@ def test_verify_below_arity_2_is_a_usage_error(suite, n, capsys):
 
 def test_cache_info_and_clear(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    # a stored component: com, a composite, writes no payload
-    assert run_cli("dims", "--operad", "liegriess", "--n", "2", "--cache-dir", cache_dir) == 0
+    # a stored component: operad components are rewritings and write no payload
+    assert run_cli("ralg-dims", "--n", "2", "--cache-dir", cache_dir) == 0
     files = os.listdir(cache_dir)
     assert files and all(f.endswith(".json") for f in files)
     capsys.readouterr()
@@ -128,7 +128,7 @@ def test_unusable_cache_dir_exits_2(below, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     cache_dir = str(blocker / below) if below else str(blocker)
-    assert run_cli("dims", "--operad", "liegriess", "--n", "3", "--cache-dir", cache_dir) == 2
+    assert run_cli("ralg-dims", "--n", "3", "--cache-dir", cache_dir) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from ramops.operad import (
     ideal_span,
     is_leaf,
     relabel,
+    set_partitions,
     tree_bidegree,
     tree_h,
     tree_str,
@@ -297,8 +299,6 @@ def test_preserves_ideal_matches_span_oracle(fault, monkeypatch):
 
 def test_ideal_verdicts_read_no_grafted_span(tmp_path, monkeypatch):
     store = ComponentStore(str(tmp_path))
-    for k in (2, 3, 4):  # the stored liegriess factors are built from their spans
-        component_basis(presentation("ram"), standard_labels(k), store)
 
     def no_span(pres, n):
         raise AssertionError(f"grafted span at arity {n}")
@@ -357,3 +357,21 @@ def test_bessel_dims_match_prediction():
 def test_ram_dims_match_prediction_through_4():
     for n in range(1, 5):
         assert ram_dims(n) == predicted_dims(n)
+
+
+def test_liegriess_dims_convolve_to_the_prediction_at_arity_6():
+    # Com o LieGriess: the liegriess dims for n <= 6, convolved over the set
+    # partitions of {1..6}
+    block_dims = {k: operad_dims("liegriess", k) for k in range(1, 7)}
+    total: Counter = Counter()
+    for partition in set_partitions(standard_labels(6)):
+        term = {(0, 0): 1}
+        for block in partition:
+            product: Counter = Counter()
+            for (h1, w1), c1 in term.items():
+                for (h2, w2), c2 in block_dims[len(block)].items():
+                    product[h1 + h2, w1 + w2] += c1 * c2
+            term = product
+        total.update(term)
+    assert sum(block_dims[6].values()) == 13778
+    assert dict(total) == predicted_dims(6)

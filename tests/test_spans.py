@@ -2,9 +2,10 @@
 
 ``rref`` must give the echelon of the insert-based oracle, and the pruned
 relation products of ``graphalg._span_matrix`` the rows of the plain product
-of every relation instance with every ambient monomial.  The composite
-component of each presentation with a factor must be a change of basis of
-the quotient by the grafted relation span, at n <= 5 (``ram`` at n <= 4).
+of every relation instance with every ambient monomial.  Every operad
+component is a rewriting, and must be a change of basis of the quotient by
+the grafted relation span, at n <= 5 (``ram`` at n <= 4): the Groebner
+rewriting of ``lie``, ``sgriess`` and ``liegriess`` and the composites.
 """
 
 from collections import Counter
@@ -29,7 +30,8 @@ from ramops.graphalg import (
 from ramops.cache import ComponentStore
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, bump, rank, rref
-from ramops.operad import Component, _Rewriting, component_basis
+from ramops import operad
+from ramops.operad import Component, _Rewriting, _rewrite_rules, _sorted_trees, component_basis, grafted_span
 from ramops.ram import presentation
 
 ARITIES = (1, 2, 3, 4)
@@ -70,7 +72,7 @@ def assert_same_echelon(span: SparseMatrix) -> None:
 @pytest.mark.parametrize("n", ARITIES)
 @pytest.mark.parametrize("name", ["poisson", "bessel", "liegriess", "ram"])
 def test_operad_span_echelon_matches_oracle(name, n):
-    _, span = Component.ambient_and_span(presentation(name), n)
+    _, span = grafted_span(presentation(name), n)
     assert_same_echelon(span)
 
 
@@ -130,8 +132,9 @@ def certificate(name, n):
     }
 
 
-# ram at n = 5 takes about 22 s, too long for this suite
-CERTIFICATE_CASES = [(name, n) for name in ("com", "poisson", "bessel") for n in (1, 2, 3, 4, 5)]
+# ram at n = 5 takes about 14 s, too long for this suite
+UP_TO_FIVE = ("com", "poisson", "bessel", "lie", "sgriess", "liegriess")
+CERTIFICATE_CASES = [(name, n) for name in UP_TO_FIVE for n in (1, 2, 3, 4, 5)]
 CERTIFICATE_CASES += [("ram", n) for n in (1, 2, 3, 4)]
 
 
@@ -150,3 +153,44 @@ def test_rewriting_without_koszul_signs_differs_from_oracle(name, monkeypatch):
     # G is odd: dropping the Koszul sign of reordering odd factors must show
     monkeypatch.setattr(_Rewriting, "koszul", lambda self, word: 1)
     assert not all(certificate(name, 4).values())
+
+
+@pytest.mark.parametrize("name,leading", [("lie", {("L", "L")}), ("liegriess", {("L", "L"), ("G", "L")})])
+def test_normal_trees_certify_a_quadratic_groebner_basis(name, leading):
+    """The path-lexicographic order compares the words of generators on the
+    root-to-leaf paths, leaf by leaf, longer words first, then
+    lexicographically with generators ranked by bidegree, G > L.  Its leading
+    terms are L(L(1,2),3) for Jacobi and G(L(1,2),3) for the mixed relation,
+    and they form a quadratic Groebner basis exactly when the normal trees
+    at arity 4 number the quotient by the grafted span in every bidegree
+    (Dotsenko-Khoroshkin, Duke Math. J. 153, 2010; Hoffbeck, Manuscripta
+    Math. 131, 2010)."""
+    pres = presentation(name)
+    rules = _rewrite_rules(pres)
+    assert set(rules) == leading
+    monomials, ech = span_echelon(pres, 4)
+    pivots = set(ech.pivots)
+    quotient_dims = Counter(Component.bidegree(pres, m) for i, m in enumerate(monomials) if i not in pivots)
+    trees = _sorted_trees(pres.gens, standard_labels(4), frozenset(rules))
+    assert Counter(Component.bidegree(pres, t) for _, t, normal in trees if normal) == quotient_dims
+
+
+def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
+    # one term of the Jacobi rewrite with the wrong sign: the counts still
+    # match, the expansions must not
+    rules = _rewrite_rules
+
+    def flipped(pres):
+        out = rules(pres)
+        (term, coeffs), *rest = out["L", "L"]
+        out["L", "L"] = [(term, tuple(-c for c in coeffs))] + rest
+        return out
+
+    monkeypatch.setattr(operad, "_rewrite_rules", flipped)
+    assert certificate("lie", 3) == {"dims": True, "expansions": False, "rank": True}
+
+
+def test_rewriting_without_graft_signs_differs_from_oracle(monkeypatch):
+    # G is odd: grafting odd trees into a rewritten relation must be signed
+    monkeypatch.setattr(operad, "_graft_signs", lambda term, gens: (1,) * 8)
+    assert certificate("liegriess", 4) == {"dims": True, "expansions": False, "rank": True}
