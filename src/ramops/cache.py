@@ -20,7 +20,6 @@ such as a changed coefficient, is rebuilt rather than trusted.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -79,9 +78,7 @@ class ComponentStore:
         if not self.directory:
             return
         payload = {**payload, "schema_version": SCHEMA_VERSION}
-        text = io.StringIO()
-        json.dump(payload, text, sort_keys=True, separators=(",", ":"))
-        body = text.getvalue().encode("utf-8")
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
         digest = hashlib.sha256(body).hexdigest().encode()
         os.makedirs(self.directory, exist_ok=True)
         # one temporary file per writer, so that concurrent writers of a

@@ -501,6 +501,21 @@ def algebra_basis(
     return load_component(GraphComponent, pres, labels, store, mode=mode)
 
 
+def _koszul_mask(odd_bits: int) -> int:
+    """XOR of the masks (1 << x) - 1 over the bits x of ``odd_bits``.
+
+    For odd letters y, the parity of ``popcount(y & mask)`` is the parity of
+    the pairs (x, y) with y < x: the Koszul sign of moving the letters y
+    past the letters x.
+    """
+    mask = 0
+    while odd_bits:
+        low = odd_bits & -odd_bits
+        mask ^= low - 1
+        odd_bits ^= low
+    return mask
+
+
 def _span_matrix(
     pres: GraphPresentation,
     labels: tuple[Atom, ...],
@@ -510,39 +525,79 @@ def _span_matrix(
 ) -> SparseMatrix:
     """Relation instances times all complementary monomials, as sparse rows.
 
-    Only products that can survive are formed: a term and a multiplier that
-    share an edge multiply to zero, and in forest mode so do a term and a
-    multiplier with more than n - 1 edges between them, since a forest on n
-    vertices has at most n - 1 edges.
+    Monomials are bitmasks.  The vertex pairs are numbered p in the order of
+    ``combinations(labels, 2)``, and the letter of color ci on pair p is bit
+    ci * P + p (P pairs), so bit order is the letter order (color, edge)
+    of the Koszul signs.  A monomial is its colored mask and its
+    color-blind edge mask.  A term and a multiplier that share an edge
+    multiply to zero; otherwise their product is the monomial of the union
+    of their colored masks.  Its sign is -1 to the number of pairs of odd
+    letters, x of the term and y of the multiplier, with y < x: the parity
+    of the sum over x of ``popcount(odd2 & ((1 << x) - 1))``, read as one
+    ``popcount`` of ``odd2`` against ``_koszul_mask`` of the term.
+
+    In forest mode the ambient holds every colored forest, so a union
+    missing from it is exactly one with a cycle, and that product vanishes;
+    in full mode a missing union raises.  A term and a multiplier with more
+    than n - 1 edges between them are not formed in forest mode, since a
+    forest on n vertices has at most n - 1 edges.  Each row is scaled to
+    leading coefficient 1 at its lowest position (positions follow
+    ``monomial_sort_key``), and repeated rows are dropped.
     """
-    index = {m: i for i, m in enumerate(monomials)}
-    edge_sets = [frozenset(e for es in m for e in es) for m in monomials]
+    pair_index = {e: p for p, e in enumerate(combinations(labels, 2))}
+    npairs = len(pair_index)
+    odd = 0
+    for ci in range(len(pres.colors)):
+        if pres.is_odd(ci):
+            odd |= ((1 << npairs) - 1) << (ci * npairs)
+
+    def masks(m: MonomialKey) -> tuple[int, int]:
+        colored = edges = 0
+        for ci, es in enumerate(m):
+            for e in es:
+                p = pair_index[e]
+                colored |= 1 << (ci * npairs + p)
+                edges |= 1 << p
+        return colored, edges
+
+    encoded = [masks(m) for m in monomials]
+    by_mask = {colored: i for i, (colored, _) in enumerate(encoded)}
+    forest = mode == "forest"
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(monomials))
     seen_rows: set = set()
     for _, rel in relation_instances(pres, labels, mode, families):
-        terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in rel.terms.items()]
-        spare = forest_edges - min(len(edges) for _, _, edges in terms)
-        for mult, mult_edges in zip(monomials, edge_sets):
-            if mode == "forest" and len(mult_edges) > spare:
+        terms = []
+        for k, c in rel.terms.items():
+            colored, edges = masks(k)
+            terms.append((colored, edges, _koszul_mask(colored & odd), c, -c))
+        spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
+        for mult, mult_edges in encoded:
+            if forest and mult_edges.bit_count() > spare:
                 continue
-            prod = AlgebraElement(rel.labels, pres)
-            for k, c, edges in terms:
-                if not edges.isdisjoint(mult_edges):
+            mult_odd = mult & odd
+            row = {}
+            # distinct terms have distinct unions with one multiplier, so
+            # no two products land on one position
+            for colored, edges, koszul, c, neg in terms:
+                if edges & mult_edges:
                     continue
-                res = multiply(k, mult, pres, mode)
-                if res is not None:
-                    sign, key = res
-                    prod._add_term(key, c * sign)
-            if prod.is_zero():
+                pos = by_mask.get(colored | mult)
+                if pos is None:
+                    if forest:
+                        continue
+                    raise ValueError("a product of the span is missing from the full ambient")
+                row[pos] = neg if (koszul & mult_odd).bit_count() & 1 else c
+            if not row:
                 continue
-            lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
-            prod = prod.scaled(1 / prod.terms[lead])
-            fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
+            lead = row[min(row)]
+            if lead != 1:
+                row = {pos: v / lead for pos, v in row.items()}
+            fingerprint = tuple(sorted(row.items()))
             if fingerprint in seen_rows:
                 continue
             seen_rows.add(fingerprint)
-            span.add_row({index[k]: c for k, c in prod.terms.items()})
+            span.add_row(row)
     return span
 
 

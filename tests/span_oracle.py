@@ -1,4 +1,11 @@
-"""The grafted-span route to an operad component, the oracle of the
+"""The product routes to the quotient spans, the oracles of the components.
+
+``product_span_matrix`` is the relation span of a graph algebra as
+``graphalg._span_matrix`` built it before monomials were bitmasks: every
+product formed by ``multiply`` on monomial keys, normalised through
+``AlgebraElement``.  The bitmask route must give its rows exactly.
+
+The grafted-span route to an operad component is the oracle of the
 composite components.
 
 Before presentations declared a factor, every operad component was built
@@ -9,8 +16,44 @@ quotient: same dims per bidegree, every ambient tree congruent to its
 expansion on the combs, and the combs independent.
 """
 
-from ramops.linalg import Echelon, rref
+from ramops.graphalg import AlgebraElement, monomial_sort_key, multiply, relation_instances
+from ramops.linalg import Echelon, SparseMatrix, rref
 from ramops.operad import grafted_span
+
+
+def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
+    """Relation instances times all complementary monomials, one ``multiply``
+    per product; in forest mode a term and a multiplier with more than
+    n - 1 edges between them are skipped."""
+    index = {m: i for i, m in enumerate(monomials)}
+    edge_sets = [frozenset(e for es in m for e in es) for m in monomials]
+    forest_edges = len(labels) - 1
+    span = SparseMatrix(len(monomials))
+    seen_rows: set = set()
+    for _, rel in relation_instances(pres, labels, mode, families):
+        terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in rel.terms.items()]
+        spare = forest_edges - min(len(edges) for _, _, edges in terms)
+        for mult, mult_edges in zip(monomials, edge_sets):
+            if mode == "forest" and len(mult_edges) > spare:
+                continue
+            prod = AlgebraElement(rel.labels, pres)
+            for k, c, edges in terms:
+                if not edges.isdisjoint(mult_edges):
+                    continue
+                res = multiply(k, mult, pres, mode)
+                if res is not None:
+                    sign, key = res
+                    prod._add_term(key, c * sign)
+            if prod.is_zero():
+                continue
+            lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
+            prod = prod.scaled(1 / prod.terms[lead])
+            fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
+            if fingerprint in seen_rows:
+                continue
+            seen_rows.add(fingerprint)
+            span.add_row({index[k]: c for k, c in prod.terms.items()})
+    return span
 
 
 def span_echelon(pres, n: int) -> tuple[list, Echelon]:

@@ -1,25 +1,30 @@
+import hashlib
+import io
 import json
 import os
 
 import pytest
 
-from ramops.cache import ComponentStore
+from ramops.cache import SCHEMA_VERSION, ComponentStore
+from ramops.graphalg import R_PRESENTATION, algebra_basis
+from ramops.labels import standard_labels
 
 
 def test_interleaved_writers_of_one_key_both_succeed(tmp_path, monkeypatch):
     directory = str(tmp_path)
     first, second = ComponentStore(directory), ComponentStore(directory)
-    real_dump = json.dump
+    real_chmod = os.chmod
     interleaved = []
 
-    def dump_with_second_writer(obj, fh, **kwargs):
-        # the second writer starts and finishes while the first is writing
+    def chmod_with_second_writer(path, mode):
+        # the first writer has written its temporary file but not renamed
+        # it: the second writer starts and finishes now
         if not interleaved:
             interleaved.append(True)
             second.put("k", {"writer": 2})
-        real_dump(obj, fh, **kwargs)
+        real_chmod(path, mode)
 
-    monkeypatch.setattr(json, "dump", dump_with_second_writer)
+    monkeypatch.setattr(os, "chmod", chmod_with_second_writer)
     first.put("k", {"writer": 1})
     monkeypatch.undo()
 
@@ -29,14 +34,37 @@ def test_interleaved_writers_of_one_key_both_succeed(tmp_path, monkeypatch):
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
-    def failing_dump(obj, fh, **kwargs):
+    def failing_chmod(path, mode):
+        # the temporary file is written and not yet renamed
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    monkeypatch.setattr(os, "chmod", failing_chmod)
     with pytest.raises(OSError):
         ComponentStore(str(tmp_path)).put("k", {"x": 1})
     monkeypatch.undo()
     assert os.listdir(tmp_path) == []
+
+
+def test_payload_file_bytes_match_the_streamed_encoding(tmp_path, monkeypatch):
+    # the file body must be what json.dump into a stream wrote before put
+    # encoded with json.dumps: a real payload, R forest at n = 4
+    payloads = {}
+    real_put = ComponentStore.put
+
+    def recording_put(self, key, payload):
+        payloads[key] = payload
+        real_put(self, key, payload)
+
+    monkeypatch.setattr(ComponentStore, "put", recording_put)
+    algebra_basis(R_PRESENTATION, standard_labels(4), "forest", ComponentStore(str(tmp_path)))
+    monkeypatch.undo()
+    key = next(k for k, p in payloads.items() if len(p["monomials"]) > 100)
+    text = io.StringIO()
+    json.dump({**payloads[key], "schema_version": SCHEMA_VERSION}, text, sort_keys=True, separators=(",", ":"))
+    body = text.getvalue().encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest().encode()
+    assert (tmp_path / f"{key}.json").read_bytes() == b'{"sha256":"' + digest + b'",' + body[1:]
 
 
 def test_store_without_directory_keeps_nothing():

@@ -2,10 +2,12 @@
 
 ``rref`` must give the echelon of the insert-based oracle, and the pruned
 relation products of ``graphalg._span_matrix`` the rows of the plain product
-of every relation instance with every ambient monomial.  Every operad
-component is a rewriting, and must be a change of basis of the quotient by
-the grafted relation span, at n <= 5 (``ram`` at n <= 4): the Groebner
-rewriting of ``lie``, ``sgriess`` and ``liegriess`` and the composites.
+of every relation instance with every ambient monomial; at n = 5 its
+bitmask products must give the rows of the ``multiply`` route exactly.
+Every operad component is a rewriting, and must be a change of basis of the
+quotient by the grafted relation span, at n <= 5 (``ram`` at n <= 4): the
+Groebner rewriting of ``lie``, ``sgriess`` and ``liegriess`` and the
+composites.
 """
 
 from collections import Counter
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
-from span_oracle import span_echelon
+from span_oracle import product_span_matrix, span_echelon
 
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
@@ -30,7 +32,7 @@ from ramops.graphalg import (
 from ramops.cache import ComponentStore
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, bump, rank, rref
-from ramops import operad
+from ramops import graphalg, operad
 from ramops.operad import Component, _Rewriting, _rewrite_rules, _sorted_trees, component_basis, grafted_span
 from ramops.ram import presentation
 
@@ -103,6 +105,62 @@ def test_pruned_span_matches_unpruned_for_chosen_families(mode):
     pruned = _span_matrix(R_PRESENTATION, labels, mode, monomials, families)
     reference = unpruned_span_matrix(R_PRESENTATION, labels, mode, monomials, families)
     assert pruned.rows and pruned.rows == reference.rows
+
+
+TWELVE_TERM_FREE = tuple(f for f in R_PRESENTATION.families if f not in ("bab_sum", "bbb_sum"))
+
+
+@pytest.mark.parametrize(
+    "name,mode,families",
+    [("R", "forest", None), ("R", "forest", TWELVE_TERM_FREE), ("arnold", "forest", None), ("arnold", "full", None)],
+)
+def test_bitmask_span_matches_product_oracle_at_five(name, mode, families):
+    pres = GRAPH_PRESENTATIONS[name]
+    labels = standard_labels(5)
+    monomials = enumerate_graph_monomials(pres, labels, mode)
+    rows = _span_matrix(pres, labels, mode, monomials, families).rows
+    reference = product_span_matrix(pres, labels, mode, monomials, families).rows
+    assert rows and rows == reference
+    # the same entries in the same order, not only equal dicts
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in reference]
+
+
+# Reversing the order that the sign counts, or complementing the mask,
+# flips every term of a product together (relations are homogeneous), and
+# the normalised row does not change; a fault must flip terms apart.
+KOSZUL_MASK = graphalg._koszul_mask
+KOSZUL_FAULTS = {
+    "dropped": lambda odd_bits: 0,
+    "first_letter_uncounted": lambda odd_bits: KOSZUL_MASK(odd_bits & (odd_bits - 1)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KOSZUL_FAULTS))
+@pytest.mark.parametrize("name,mode", [("R", "forest"), ("arnold", "forest"), ("arnold", "full")])
+def test_bitmask_span_with_a_wrong_koszul_parity_differs_from_oracle(name, mode, fault, monkeypatch):
+    pres = GRAPH_PRESENTATIONS[name]
+    labels = standard_labels(4)
+    monomials = enumerate_graph_monomials(pres, labels, mode)
+    reference = product_span_matrix(pres, labels, mode, monomials).rows
+    monkeypatch.setattr(graphalg, "_koszul_mask", KOSZUL_FAULTS[fault])
+    assert _span_matrix(pres, labels, mode, monomials).rows != reference
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_PRESENTATIONS))
+@pytest.mark.parametrize("missing", ["relation_term", "top"])
+def test_full_span_raises_on_a_product_missing_from_the_ambient(name, missing):
+    # a term of a relation is its product with the unit; the complete
+    # graph is a product of a relation with the edges it lacks
+    pres = GRAPH_PRESENTATIONS[name]
+    labels = standard_labels(3)
+    monomials = enumerate_graph_monomials(pres, labels, "full")
+    if missing == "top":
+        monomials.pop()
+    else:
+        _, rel = relation_instances(pres, labels, "full")[0]
+        monomials.remove(next(iter(rel.terms)))
+    with pytest.raises(ValueError, match="missing from the full ambient"):
+        _span_matrix(pres, labels, "full", monomials)
 
 
 def certificate(name, n):
