@@ -14,7 +14,8 @@ picks up ``(-1)**(h(graft) * h(generators after the leaf))``, and the same
 word order fixes the derivation and coproduct signs used downstream.
 
 A quotient component is the ambient trees modulo the ideal, and every one is
-a rewriting (``Component.composite``): nothing is eliminated or stored.
+a rewriting on {1..n} (``Component.composite``): nothing is eliminated,
+stored or transported to build it, and it loads no other component.
 
 A presentation without a factor (``lie``, ``sgriess``, ``liegriess``) is
 rewritten by its relations as a quadratic Groebner basis (Dotsenko-Khoroshkin,
@@ -39,14 +40,16 @@ bidegree (the diamond lemma for quadratic relations), and up to arity 5
 every tree minus its nf lies in that span (``tests/test_spans.py``).
 
 A presentation that declares a factorisation Com o F (see ``Presentation``)
-is the composite of Com with F's components:
+is the composite of Com with F, read through F's Groebner rewriting on the
+same labels:
 
 * its basis is the left E-combs E(..E(f1, f2).., fk), one per set partition
-  of the labels (blocks by smallest leaf) and choice of a basis tree fi of
-  F's component on each block;
+  of the labels (blocks by smallest leaf) and choice of a normal tree fi of
+  F on each block;
 * nf(m) rewrites a tree m by the Leibniz rules g(a, E(b, c)) = E(g(a, b), c)
   + E(b, g(a, c)) until E sits above every generator of F, reduces each
-  E-free factor in F's component and orders the factors by smallest leaf;
+  E-free factor by F's Groebner rewriting and orders the factors by
+  smallest leaf;
 * every step is a relation instance read as a word identity, so its sign is
   the Koszul sign of the permutation it makes of the factors' words, the
   rule ``compose`` follows (E has h = 0 and adds no sign).
@@ -302,15 +305,17 @@ def _first_leaf(t: Tree) -> Atom:
 
 
 def _sorted_trees(
-    gens: Signature, labels: tuple[Atom, ...], leading: frozenset[tuple[str, str]]
+    gens: Signature, labels: tuple[Atom, ...], leading: frozenset[tuple[str, str]], memo: dict | None = None
 ) -> list[tuple[tuple, Tree, bool]]:
     """(``tree_sort_key``, tree, normal) for every canonical tree on the
     sorted labels, in serialization order.  Each key is built from its
     children's keys.  A tree is normal when no vertex g has a left child
     g'(x, y) with (g, g') in ``leading`` and min(y) below min of g's right
-    child: no divisor g(g'(1, 2), 3) of the module docstring."""
+    child: no divisor g(g'(1, 2), 3) of the module docstring.  ``memo``
+    receives the same triples, unsorted, for every nonempty block of the
+    labels."""
     names = sorted(gens)
-    memo: dict[tuple[Atom, ...], list] = {}
+    memo = {} if memo is None else memo
 
     def rec(lbls: tuple[Atom, ...]) -> list[tuple[tuple, Tree, bool]]:
         out = memo.get(lbls)
@@ -345,9 +350,11 @@ class Presentation:
     generator outside F is a commutative product E of bidegree (0, 0), the
     relations are E's associativity, F's relations and the Leibniz rules
     that move E past each generator of F, and these form a distributive law.
-    Its components are then composites (see the module docstring), and the
-    factor does not enter the hash.  Without a factor, the relations are
-    read as a quadratic Groebner basis, which the tests certify for ``lie``,
+    Each generator of F must be the presentation's generator of its name.
+    Its components are then composites that reduce the E-free factors by
+    F's Groebner rewriting (see the module docstring), and the factor does
+    not enter the hash.  Without a factor, the relations are read as a
+    quadratic Groebner basis, which the tests certify for ``lie``,
     ``sgriess`` and ``liegriess`` only.
     """
 
@@ -364,6 +371,8 @@ class Presentation:
         self.gens: dict[str, GeneratorSpec] = {g.name: g for g in self.generators}
         self.factor = factor
         if factor is not None:
+            if any(self.gens.get(g.name) != g for g in factor.generators):
+                raise ValueError("each generator of a factor must equal the presentation's of its name")
             outside = [g for g in self.generators if g.name not in factor.gens]
             if len(outside) != 1 or outside[0].symmetry != 1 or outside[0].bidegree != (0, 0):
                 raise ValueError("a factor must leave out one generator, symmetric of bidegree (0, 0)")
@@ -506,16 +515,11 @@ class Component(QuotientComponent):
         return tree_bidegree(m, pres.gens)
 
     @classmethod
-    def composite(cls, pres: Presentation, n: int, store: ComponentStore) -> Standard:
+    def composite(cls, pres: Presentation, n: int) -> Standard:
         """The component on {1..n}: the normal trees and the Groebner
         rewriting onto them, or, if the presentation declares a factor F,
-        the E-combs of F-basis trees and the rewriting onto them."""
-        labels = standard_labels(n)
-        if pres.factor is None:
-            rewriting = _Groebner(pres, labels)
-        else:
-            monomials = enumerate_tree_monomials(pres.gens, labels)
-            rewriting = _Rewriting(pres, labels, monomials, store)
+        the E-combs of F's normal trees and the rewriting onto them."""
+        rewriting = (_Groebner if pres.factor is None else _Rewriting)(pres, standard_labels(n))
         return Standard(cls, pres, rewriting.monomials, rewriting, rewriting.basis_positions)
 
 
@@ -592,7 +596,8 @@ def _integral(c: Fraction) -> Fraction | int:
 class _Groebner:
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
     quadratic Groebner basis (see the module docstring), and the positions of
-    the normal trees, which are the basis.
+    the normal trees, which are the basis.  ``normal_trees[block]`` lists
+    the normal trees on each nonempty block of the labels, unsorted.
 
     nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
     triple (g, a, b): only the root can be a leading divisor there.
@@ -601,10 +606,12 @@ class _Groebner:
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.gens = pres.gens
         self.rules = _rewrite_rules(pres)
-        trees = _sorted_trees(pres.gens, labels, frozenset(self.rules))
+        blocks: dict[tuple[Atom, ...], list] = {}
+        trees = _sorted_trees(pres.gens, labels, frozenset(self.rules), blocks)
         self.monomials = [t for _, t, _ in trees]
         self.basis_positions = [i for i, (_, _, normal) in enumerate(trees) if normal]
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.normal_trees = {block: [t for _, t, normal in ts if normal] for block, ts in blocks.items()}
         self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
         self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
 
@@ -658,9 +665,13 @@ class _Groebner:
         positions (``Echelon.reduce``'s contract): nf of each tree."""
         out: dict[int, Fraction] = {}
         for i, c in v.items():
-            for m, e in self.normal_form(self.monomials[i]).items():
-                bump(out, self.index[m], c * e)
+            for key, e in self.normal_form(self.monomials[i]).items():
+                bump(out, self.column(key), c * e)
         return out
+
+    def column(self, t: Tree) -> int:
+        """The ambient position of a term of nf: here a normal tree."""
+        return self.index[t]
 
 
 def set_partitions(items: tuple) -> Iterator[list[tuple]]:
@@ -678,57 +689,43 @@ class _Rewriting:
     """Normal forms nf(t) in Com o F of the ambient trees on labels 1..n (see
     the module docstring), and the positions of the E-combs they reduce to.
 
-    A factor is a leaf or a basis tree of F on its block, interned as an id
-    with its tree, smallest leaf, h-parity and block.  A term is a tuple of
-    factor ids in smallest-leaf order; it stands for the left E-comb of its
-    factors, whose preorder word, E having h = 0, is theirs in that order.
-    F's components on all blocks are loaded up front: no store is kept.
+    ``factor`` is F's Groebner rewriting on the same labels: its normal trees
+    on each block are the factors of the basis, and it reduces each bracket
+    of two factors.  A factor is a normal tree of F (a leaf included),
+    interned as an id with its tree, smallest leaf and h-parity.  A term is
+    a tuple of factor ids in smallest-leaf order; it stands for the left
+    E-comb of its factors, whose preorder word, E having h = 0, is theirs in
+    that order.
     """
 
-    def __init__(
-        self, pres: Presentation, labels: tuple[Atom, ...], monomials: list[Tree], store: ComponentStore
-    ):
+    def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.pres = pres
-        self.monomials = monomials
-        self.index = {m: i for i, m in enumerate(monomials)}
+        self.monomials = enumerate_tree_monomials(pres.gens, labels)
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.factor = _Groebner(pres.factor, labels)
         self.trees: list[Tree] = []
-        self.mins: list[int] = []
+        self.mins: list[Atom] = []
         self.odd: list[int] = []
-        self.blocks: list[tuple[Atom, ...]] = []
         self._ids: dict[Tree, int] = {}
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
         self._forms: dict[Tree, dict[tuple[int, ...], Fraction | int]] = {}
         self._columns: dict[tuple[int, ...], int] = {}
-        # F = I (Com) has no trees on two or more labels
-        self.factors = {
-            block: component_basis(pres.factor, block, store)
-            for k in range(2, len(labels) + 1) if pres.factor.gens
-            for block in combinations(labels, k)
-        }
+        ids = {block: [self._factor(t) for t in trees] for block, trees in self.factor.normal_trees.items()}
         # one comb per set partition, blocks by smallest leaf, and choice of
-        # an F-basis tree per block
+        # a normal tree of F per block
         self.basis_positions = sorted(
-            self._column(key)
+            self.column(key)
             for partition in set_partitions(labels)
-            for key in product(*(self._basis_ids(block) for block in sorted(partition)))
+            for key in product(*(ids[block] for block in sorted(partition)))
         )
 
-    def _basis_ids(self, block: tuple[Atom, ...]) -> list[int]:
-        if len(block) == 1:
-            return [self._factor(block[0], block, 0)]
-        comp = self.factors.get(block)
-        if comp is None:
-            return []
-        return [self._factor(t, block, h) for t, (h, _) in zip(comp.basis, comp.degrees)]
-
-    def _factor(self, tree: Tree, block: tuple[Atom, ...], h: int) -> int:
+    def _factor(self, tree: Tree) -> int:
         fid = self._ids.get(tree)
         if fid is None:
             fid = self._ids[tree] = len(self.trees)
             self.trees.append(tree)
-            self.mins.append(block[0])
-            self.odd.append(h & 1)
-            self.blocks.append(block)
+            self.mins.append(_first_leaf(tree))
+            self.odd.append(tree_h(tree, self.pres.gens) & 1)
         return fid
 
     def koszul(self, word: tuple[int, ...]) -> int:
@@ -743,20 +740,17 @@ class _Rewriting:
         return tuple(sorted(word, key=self.mins.__getitem__)), self.koszul(word)
 
     def bracket(self, g: str, p: int, q: int) -> list[tuple[int, Fraction | int]]:
-        """g(p, q) reduced in F on the union of the two blocks, as factors."""
+        """g(p, q) reduced by F's rewriting, as factors."""
         key = (g, p, q)
         out = self._brackets.get(key)
         if out is None:
             if self.mins[p] < self.mins[q]:
-                tree, sign = (g, self.trees[p], self.trees[q]), 1
+                a, b, sign = self.trees[p], self.trees[q], 1
             else:  # swapped children: g's symmetry and the Koszul sign of p, q
-                tree = (g, self.trees[q], self.trees[p])
+                a, b = self.trees[q], self.trees[p]
                 sign = self.pres.gens[g].symmetry * self.koszul((p, q))
-            comp = self.factors[check_label_set(self.blocks[p] + self.blocks[q])]
-            out = self._brackets[key] = [
-                (self._factor(comp.basis[slot], comp.labels, comp.degrees[slot][0]), sign * _integral(c))
-                for slot, c in comp.slot_expansion(tree)
-            ]
+            root = self.factor._root(g, a, b)
+            out = self._brackets[key] = [(self._factor(t), sign * c) for t, c in root.items()]
         return out
 
     def normal_form(self, t: Tree) -> dict[tuple[int, ...], Fraction | int]:
@@ -765,7 +759,7 @@ class _Rewriting:
             return out
         out = {}
         if is_leaf(t):
-            out[(self._factor(t, (t,), 0),)] = 1
+            out[(self._factor(t),)] = 1
         else:
             g, l, r = t
             left, right = self.normal_form(l), self.normal_form(r)
@@ -792,16 +786,9 @@ class _Rewriting:
         self._forms[t] = out
         return out
 
-    def reduce(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Normal form of a vector on the ambient positions, on the basis
-        positions (``Echelon.reduce``'s contract): nf of each tree."""
-        out: dict[int, Fraction] = {}
-        for i, c in v.items():
-            for key, e in self.normal_form(self.monomials[i]).items():
-                bump(out, self._column(key), c * e)
-        return out
+    reduce = _Groebner.reduce
 
-    def _column(self, key: tuple[int, ...]) -> int:
+    def column(self, key: tuple[int, ...]) -> int:
         """The ambient position of the E-comb of a term."""
         col = self._columns.get(key)
         if col is None:

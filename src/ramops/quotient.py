@@ -6,27 +6,27 @@ algebra side that span is brought to reduced row-echelon form once, on the
 standard labels {1..n}, and stored; the non-pivot monomials are the basis,
 and ``Echelon.reduce`` rewrites any vector onto them.  The operad side
 (``QuotientComponent.composite``: a Groebner rewriting, or Com o F) brings
-its own basis and reducer instead, and has no payload.  The component on
-any other label set of the same size is
-transported along the order-preserving bijection, and coordinates are
-taken on the standard side, where the reducer lives.  Both canonical forms
-(trees and graph monomials) compare atoms only through ``atom_key``, which
-an order-preserving bijection respects, so a transported monomial comes out
-canonical as it is and picks up no sign: position ``i`` means the same
-monomial, and basis slot ``s`` the same basis monomial, on every label set
-of a given size.
+its own basis and reducer instead, and uses no payload or store.  The
+component on any other label set of the same size is transported along the
+order-preserving bijection, and coordinates are taken on the standard side,
+where the reducer lives.  Both canonical forms (trees and graph monomials)
+compare atoms only through ``atom_key``, which an order-preserving
+bijection respects, so a transported monomial comes out canonical as it is
+and picks up no sign: position ``i`` means the same monomial, and basis
+slot ``s`` the same basis monomial, on every label set of a given size.
 
 A subclass supplies only what differs between the sides: the relabel-and-
-recanonicalize transport, the element constructor, the JSON codec of a
-monomial, the bidegree of a monomial, the builder of the ambient monomials
-and the relation span, and optionally a composite.  This module owns the
-rest: transport, coordinates and normal forms, the payload codec, the
-load-or-build path with its memos, and the normal form of tensors of
-components.  It also owns every label-independent fact about a basis slot:
-its bidegree, the parity of its h, the slots of each bidegree and the basis
-expansion of each ambient position; ``coords``, ``normal_form`` and
-``tensor_normal_form`` are folds over those expansions, and
-``ideal_witness`` decides whether a linear map kills the ideal from them.
+recanonicalize transport, the element constructor and the bidegree of a
+monomial; the algebra side adds the JSON codec of a monomial and the
+builder of the ambient monomials and the relation span, the operad side a
+composite.  This module owns the rest: transport, coordinates and normal
+forms, the payload codec, the load-or-build path with its memos, and the
+normal form of tensors of components.  It also owns every label-independent
+fact about a basis slot: its bidegree, the parity of its h, the slots of
+each bidegree and the basis expansion of each ambient position; ``coords``,
+``normal_form`` and ``tensor_normal_form`` are folds over those expansions,
+and ``ideal_witness`` decides whether a linear map kills the ideal from
+them.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -141,9 +141,9 @@ class QuotientComponent:
         raise NotImplementedError
 
     @classmethod
-    def composite(cls, pres, n: int, store: ComponentStore) -> Standard | None:
+    def composite(cls, pres, n: int) -> Standard | None:
         """The component on {1..n}, if a rewriting gives its basis and
-        reducer without elimination or payload, else None."""
+        reducer without elimination, payload or store, else None."""
         return None
 
     # --- shared ----------------------------------------------------------------
@@ -276,7 +276,7 @@ def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dic
     decoded = _DECODED.setdefault(store, {})
     if (prefix, n) in decoded:
         return decoded[prefix, n]
-    std = cls.composite(pres, n, store)
+    std = cls.composite(pres, n)
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key) if std is None else None
     if payload is not None and payload.get("presentation") == pres.hash:

@@ -10,7 +10,7 @@ commutative layer over a LieGriess layer).
 Each presentation with E declares its E-free factor F, so that it is
 Com o F: ``com`` = Com o I, ``poisson`` = Com o Lie, ``bessel`` =
 Com o SGriess and ``ram`` = Com o LieGriess.  Their components are the
-E-combs of F-basis trees, and every tree is rewritten onto them with Koszul
+E-combs of F's normal trees, and every tree is rewritten onto them with Koszul
 signs on preorder words; the factors are rewritten by their relations as a
 quadratic Groebner basis (see ``operad``).  Nothing is eliminated or stored
 for any of them.  ``distributive_check`` keeps the law itself under test:

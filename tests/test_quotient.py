@@ -2,6 +2,7 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from echelon_oracle import oracle_reduce
@@ -18,7 +19,16 @@ from ramops.graphalg import (
     relation_instances,
 )
 from ramops.labels import HASH, STAR, standard_labels
-from ramops.operad import Component, _map_tree, canonicalize, component_basis, ideal_span, tree_to_json
+from ramops.operad import (
+    Component,
+    _Groebner,
+    _map_tree,
+    canonicalize,
+    component_basis,
+    ideal_span,
+    tree_sort_key,
+    tree_to_json,
+)
 from ramops.quotient import clear_memos
 from ramops.ram import PRESENTATION_NAMES, ResourceBoundError, operad_dims, presentation
 from ramops.reports import dims_to_table
@@ -157,7 +167,7 @@ def test_a_composite_reads_and_writes_no_payload(tmp_path, monkeypatch):
     ram = presentation("ram")
     clear_memos()
     built = component_basis(ram, (1, 2, 3), ComponentStore(str(tmp_path)))
-    # nor do its liegriess factors, which are rewritings too
+    # it reads liegriess through liegriess's own rewriting, not its components
     assert os.listdir(tmp_path) == []
 
     clear_memos()
@@ -182,11 +192,13 @@ def test_a_composite_reads_and_writes_no_payload(tmp_path, monkeypatch):
 
 def test_every_operad_component_builds_without_elimination_or_store(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an operad component must not be eliminated, read or written")
+        raise AssertionError("an operad component must not be eliminated, read, written or transported")
 
     monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(ComponentStore, "get", refuse)
     monkeypatch.setattr(ComponentStore, "put", refuse)
+    # a composite reads its factor on every block from one rewriting on {1..n}
+    monkeypatch.setattr(Component, "transport", refuse)
     clear_memos()
     store = ComponentStore()
     for name in PRESENTATION_NAMES:
@@ -195,6 +207,20 @@ def test_every_operad_component_builds_without_elimination_or_store(monkeypatch)
             for m in comp.monomials:
                 comp.slot_expansion(m)  # the normal form of every tree
             assert [comp.slot_expansion(b) for b in comp.basis] == [((s, 1),) for s in range(comp.dim)]
+
+
+@pytest.mark.parametrize("name", ["lie", "sgriess", "liegriess"])
+def test_factor_normal_trees_on_every_block_match_the_transported_components(name):
+    # the composite takes its factors from the rewriting on {1..n}; the
+    # components of F on each block, transported from {1..|B|}, are the oracle
+    pres = presentation(name)
+    labels = standard_labels(5)
+    normal_trees = _Groebner(pres, labels).normal_trees
+    blocks = [block for k in range(1, 6) for block in combinations(labels, k)]
+    assert len(blocks) == 31 and sorted(normal_trees) == sorted(blocks)
+    store = ComponentStore()
+    for block in blocks:
+        assert sorted(normal_trees[block], key=tree_sort_key) == component_basis(pres, block, store).basis
 
 
 def test_resource_bound_reports_arities_built_in_the_store():

@@ -9,6 +9,7 @@ from ramops import operad, ram
 from ramops.cache import ComponentStore
 from ramops.labels import STAR, standard_labels
 from ramops.operad import (
+    GeneratorSpec,
     OperadElement,
     Presentation,
     component_basis,
@@ -24,6 +25,7 @@ from ramops.operad import (
     tree_str,
 )
 from ramops.ram import (
+    E_SPEC,
     RAM_SIGNATURE,
     ResourceBoundError,
     coproduct,
@@ -338,6 +340,20 @@ def test_distributive_check_fails_without_the_mixed_relation(monkeypatch):
     rep = distributive_check(4)
     assert not rep["pass"]
     assert sum(rep["direct"].values()) > sum(rep["composite"].values())
+
+
+def test_a_factor_must_share_its_generators():
+    # an odd L of bidegree (1, 1) declared over lie would be reduced by
+    # lie's sign rules inside a presentation with other ones
+    gens = {g.name: g for g in (E_SPEC, GeneratorSpec("L", (1, 1), -1))}
+    relations = (ram._associativity(gens), ram._jacobi(gens), ram._rewrite(gens, "L"))
+    with pytest.raises(ValueError, match="generator of a factor"):
+        Presentation("odd-poisson", gens.values(), relations, presentation("lie"))
+    with pytest.raises(ValueError, match="generator of a factor"):
+        Presentation("no-L", (E_SPEC,), relations[:1], presentation("lie"))
+    poisson = presentation("poisson")
+    again = Presentation("poisson", poisson.generators, poisson.relations, presentation("lie"))
+    assert again.hash == poisson.hash
 
 
 def test_poisson_dims_match_prediction():
