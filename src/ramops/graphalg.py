@@ -458,9 +458,11 @@ class GraphComponent(QuotientComponent):
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
 
-    def __init__(self, pres: GraphPresentation, labels: tuple[Atom, ...], std, mode: str):
+    def __init__(
+        self, pres: GraphPresentation, labels: tuple[Atom, ...], monomials, reducer, basis_positions, mode: str
+    ):
         self.mode = mode
-        super().__init__(pres, labels, std)
+        super().__init__(pres, labels, monomials, reducer, basis_positions)
 
     def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
         return _relabel_monomial(self.pres, m, phi)[1]

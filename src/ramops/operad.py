@@ -72,7 +72,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .cache import ComponentStore
@@ -86,7 +85,7 @@ from .labels import (
     standard_labels,
 )
 from .linalg import Combination, SparseMatrix, bump
-from .quotient import QuotientComponent, Standard, clearable, load_component
+from .quotient import QuotientComponent, clearable, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
 
@@ -294,8 +293,8 @@ def substitute(x: OperadElement, grafts: Mapping[Atom, OperadElement]) -> Operad
 
 
 def enumerate_tree_monomials(gens: Signature, labels: Iterable[Atom]) -> list[Tree]:
-    """All canonical tree monomials on the label set, in serialization order."""
-    return [t for _, t, _ in _sorted_trees(gens, check_label_set(labels), frozenset())]
+    """All canonical tree monomials on the label set, in enumeration order."""
+    return [t for t, _ in _trees(gens, check_label_set(labels), frozenset())]
 
 
 def _first_leaf(t: Tree) -> Atom:
@@ -304,25 +303,27 @@ def _first_leaf(t: Tree) -> Atom:
     return t
 
 
-def _sorted_trees(
+def _trees(
     gens: Signature, labels: tuple[Atom, ...], leading: frozenset[tuple[str, str]], memo: dict | None = None
-) -> list[tuple[tuple, Tree, bool]]:
-    """(``tree_sort_key``, tree, normal) for every canonical tree on the
-    sorted labels, in serialization order.  Each key is built from its
-    children's keys.  A tree is normal when no vertex g has a left child
-    g'(x, y) with (g, g') in ``leading`` and min(y) below min of g's right
-    child: no divisor g(g'(1, 2), 3) of the module docstring.  ``memo``
-    receives the same triples, unsorted, for every nonempty block of the
-    labels."""
+) -> list[tuple[Tree, bool]]:
+    """(tree, normal) for every canonical tree on the sorted labels, in
+    enumeration order.  The recursion sees labels only through their
+    positions in label order, so on any label set it gives the
+    order-preserving relabeling of the trees on {1..n}, position by position
+    (``QuotientComponent.relabeled``).  A tree is normal when no vertex g
+    has a left child g'(x, y) with (g, g') in ``leading`` and min(y) below
+    min of g's right child: no divisor g(g'(1, 2), 3) of the module
+    docstring.  ``memo`` receives the same pairs for every nonempty block of
+    the labels."""
     names = sorted(gens)
     memo = {} if memo is None else memo
 
-    def rec(lbls: tuple[Atom, ...]) -> list[tuple[tuple, Tree, bool]]:
+    def rec(lbls: tuple[Atom, ...]) -> list[tuple[Tree, bool]]:
         out = memo.get(lbls)
         if out is not None:
             return out
         if len(lbls) == 1:
-            out = [((0, atom_key(lbls[0])), lbls[0], True)]
+            out = [(lbls[0], True)]
         else:
             first, rest = lbls[0], lbls[1:]
             out = []
@@ -331,16 +332,16 @@ def _sorted_trees(
                     right = tuple(a for a in rest if a not in extra)
                     rights = rec(right)
                     right_min = atom_key(right[0])
-                    for kl, tl, nl in rec((first,) + extra):
+                    for tl, nl in rec((first,) + extra):
                         ahead = not is_leaf(tl) and atom_key(_first_leaf(tl[2])) < right_min
                         for g in names:
                             normal = nl and not (ahead and (g, tl[0]) in leading)
-                            for kr, tr, nr in rights:
-                                out.append(((1, g, kl, kr), (g, tl, tr), normal and nr))
+                            for tr, nr in rights:
+                                out.append(((g, tl, tr), normal and nr))
         memo[lbls] = out
         return out
 
-    return sorted(rec(labels), key=itemgetter(0))
+    return rec(labels)
 
 
 class Presentation:
@@ -496,7 +497,7 @@ class Component(QuotientComponent):
     """Quotient component of an operad presentation on a label set.
 
     Built once on the reference labels {1..n}, by a rewriting and with no
-    payload (see the module docstring), and transported to any other label
+    payload (see the module docstring), and relabeled to any other label
     set along the order-preserving bijection.
     """
 
@@ -515,12 +516,14 @@ class Component(QuotientComponent):
         return tree_bidegree(m, pres.gens)
 
     @classmethod
-    def composite(cls, pres: Presentation, n: int) -> Standard:
+    def composite(cls, pres: Presentation, n: int) -> "Component":
         """The component on {1..n}: the normal trees and the Groebner
         rewriting onto them, or, if the presentation declares a factor F,
-        the E-combs of F's normal trees and the rewriting onto them."""
-        rewriting = (_Groebner if pres.factor is None else _Rewriting)(pres, standard_labels(n))
-        return Standard(cls, pres, rewriting.monomials, rewriting, rewriting.basis_positions)
+        the E-combs of F's normal trees and the rewriting onto them, whose
+        monomial list and index it keeps."""
+        labels = standard_labels(n)
+        rw = (_Groebner if pres.factor is None else _Rewriting)(pres, labels)
+        return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index)
 
 
 def _path_lex_key(t: Tree, rank: Mapping[str, int]) -> tuple:
@@ -597,7 +600,7 @@ class _Groebner:
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
     quadratic Groebner basis (see the module docstring), and the positions of
     the normal trees, which are the basis.  ``normal_trees[block]`` lists
-    the normal trees on each nonempty block of the labels, unsorted.
+    the normal trees on each nonempty block of the labels.
 
     nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
     triple (g, a, b): only the root can be a leading divisor there.
@@ -607,11 +610,11 @@ class _Groebner:
         self.gens = pres.gens
         self.rules = _rewrite_rules(pres)
         blocks: dict[tuple[Atom, ...], list] = {}
-        trees = _sorted_trees(pres.gens, labels, frozenset(self.rules), blocks)
-        self.monomials = [t for _, t, _ in trees]
-        self.basis_positions = [i for i, (_, _, normal) in enumerate(trees) if normal]
+        trees = _trees(pres.gens, labels, frozenset(self.rules), blocks)
+        self.monomials = [t for t, _ in trees]
+        self.basis_positions = [i for i, (_, normal) in enumerate(trees) if normal]
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.normal_trees = {block: [t for _, t, normal in ts if normal] for block, ts in blocks.items()}
+        self.normal_trees = {block: [t for t, normal in ts if normal] for block, ts in blocks.items()}
         self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
         self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
 

@@ -7,20 +7,21 @@ standard labels {1..n}, and stored; the non-pivot monomials are the basis,
 and ``Echelon.reduce`` rewrites any vector onto them.  The operad side
 (``QuotientComponent.composite``: a Groebner rewriting, or Com o F) brings
 its own basis and reducer instead, and uses no payload or store.  The
-component on any other label set of the same size is transported along the
-order-preserving bijection, and coordinates are taken on the standard side,
-where the reducer lives.  Both canonical forms (trees and graph monomials)
-compare atoms only through ``atom_key``, which an order-preserving
-bijection respects, so a transported monomial comes out canonical as it is
-and picks up no sign: position ``i`` means the same monomial, and basis
-slot ``s`` the same basis monomial, on every label set of a given size.
+component on any other label set of the same size is the standard one
+relabeled along the order-preserving bijection (``relabeled``), and
+coordinates are taken on the standard side, where the reducer lives.  Both
+canonical forms (trees and graph monomials) compare atoms only through
+``atom_key``, which an order-preserving bijection respects, so a transported
+monomial comes out canonical as it is and picks up no sign: position ``i``
+means the same monomial, and basis slot ``s`` the same basis monomial, on
+every label set of a given size.
 
 A subclass supplies only what differs between the sides: the relabel-and-
 recanonicalize transport, the element constructor and the bidegree of a
 monomial; the algebra side adds the JSON codec of a monomial and the
 builder of the ambient monomials and the relation span, the operad side a
-composite.  This module owns the rest: transport, coordinates and normal
-forms, the payload codec, the load-or-build path with its memos, and the
+composite.  This module owns the rest: relabeling, coordinates and normal
+forms, the payload codec, the load-or-build path with its memo, and the
 normal form of tensors of components.  It also owns every label-independent
 fact about a basis slot: its bidegree, the parity of its h, the slots of
 each bidegree and the basis expansion of each ambient position; ``coords``,
@@ -31,18 +32,19 @@ them.
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
 store that asked for them, and ``default_store()`` lives for the process.
-The decoded ``Standard`` in this memo is the only in-memory copy of a
-component: a store keeps payload files, not payloads.  Other modules
-register their memos (``per_store_memo``, ``clearable``) so that
-``clear_memos`` empties all of them.  Cache keys carry ``ENGINE_FORMAT``: a
-change to canonical forms, monomial order or payload layout bumps it, and
-payloads written under another format are then rebuilt, never read.  A
-payload that does not decode, or whose echelon, basis or dims break an
-invariant of a reduced echelon form, is rebuilt as well.
+The components in this memo are the only in-memory copy of a component: a
+store keeps payload files, not payloads.  Other modules register their
+memos (``per_store_memo``, ``clearable``) so that ``clear_memos`` empties
+all of them.  Cache keys carry ``ENGINE_FORMAT``: a change to canonical
+forms, monomial order or payload layout bumps it, and payloads written
+under another format are then rebuilt, never read.  A payload that does
+not decode, or whose echelon, basis or dims break an invariant of a reduced
+echelon form, is rebuilt as well.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -52,69 +54,56 @@ from .labels import Atom, BiDegree, check_label_set, standard_labels
 from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis, vec_add_scaled
 
 
-class Standard:
-    """A component on the standard labels {1..n}, and what follows from it
-    on every label set of the size.
+class QuotientComponent:
+    """Quotient component on one label set: monomials, reducer, bigraded dims.
 
+    Built on the standard labels {1..n} from the caller's monomial list (and
+    index, if it has one); the component on another label set of the size
+    is that one ``relabeled``.  ``monomials[i]`` is ambient monomial i, and
+    ``basis`` lists the basis monomials in slot order.
     ``reducer.reduce`` takes a vector on the ambient positions to its normal
     form on the basis positions: the ``Echelon`` of a stored payload, or a
-    rewriting (``QuotientComponent.composite``).
-    ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
-    its h; ``slots_by_degree`` lists the slots of each bidegree in slot
-    order and ``dims`` counts them.  ``slot_of`` maps a basis position to
-    its slot, and ``expansions`` keeps the basis expansion, as (slot,
-    coefficient) pairs, of each position asked for so far.
+    rewriting (``composite``).  ``degrees[s]`` is the bidegree of basis
+    slot s, ``odd[s]`` the parity of its h; ``slots_by_degree`` lists the
+    slots of each bidegree in slot order and ``dims`` counts them.
     """
 
-    def __init__(self, cls, pres, monomials: list, reducer, basis_positions: list[int]):
+    family = ""  # first word of the cache key and of the payload kind
+
+    def __init__(
+        self, pres, labels: tuple[Atom, ...], monomials: list, reducer, basis_positions: list[int], index=None
+    ):
+        self.pres = pres
+        self.labels = labels
         self.monomials = monomials
         self.reducer = reducer
         self.basis_positions = basis_positions
-        self.degrees = [cls.bidegree(pres, monomials[i]) for i in basis_positions]
+        self._index = {m: i for i, m in enumerate(monomials)} if index is None else index
+        self.basis = [monomials[i] for i in basis_positions]
+        self.degrees = [self.bidegree(pres, m) for m in self.basis]
         self.odd = [h & 1 for h, _ in self.degrees]
         self.slots_by_degree: dict[BiDegree, list[int]] = {}
         for slot, deg in enumerate(self.degrees):
             self.slots_by_degree.setdefault(deg, []).append(slot)
         self.dims = {deg: len(slots) for deg, slots in self.slots_by_degree.items()}
-        self.slot_of = {i: slot for slot, i in enumerate(basis_positions)}
-        self.expansions: dict[int, tuple] = {}
+        self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
+        self._expansions: dict[int, tuple] = {}
 
-
-class QuotientComponent:
-    """Quotient component on one label set: monomials, reducer, bigraded dims.
-
-    ``monomials[i]`` is the transport of monomial i of the standard
-    component; ``basis`` lists the basis monomials in slot order.
-    ``degrees``, ``odd``, ``slots_by_degree`` and ``dims`` are the standard
-    component's (see ``Standard``).
-    """
-
-    family = ""  # first word of the cache key and of the payload kind
-
-    def __init__(self, pres, labels: tuple[Atom, ...], std: Standard):
-        self.pres = pres
-        self.labels = labels
-        self.reducer = std.reducer
-        self.basis_positions = std.basis_positions
-        self.degrees = std.degrees
-        self.odd = std.odd
-        self.slots_by_degree = std.slots_by_degree
-        self.dims = std.dims
-        self._slot_of = std.slot_of
-        self._expansions = std.expansions
-        ref = standard_labels(len(labels))
-        if labels == ref:
-            self.monomials = list(std.monomials)
-        else:
-            phi = dict(zip(ref, labels))
-            self.monomials = [self.transport(m, phi) for m in std.monomials]
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        self.basis = [self.monomials[i] for i in std.basis_positions]
+    def relabeled(self, labels: tuple[Atom, ...]) -> "QuotientComponent":
+        """This component on another label set of the size: its own
+        monomials, index and basis, and every label-independent fact shared."""
+        comp = copy.copy(self)
+        comp.labels = labels
+        phi = dict(zip(self.labels, labels))
+        comp.monomials = [self.transport(m, phi) for m in self.monomials]
+        comp._index = {m: i for i, m in enumerate(comp.monomials)}
+        comp.basis = [comp.monomials[i] for i in self.basis_positions]
+        return comp
 
     # --- the codec of a side -------------------------------------------------
 
     def transport(self, m, phi: Mapping[Atom, Atom]):
-        """Canonical monomial of the standard monomial m relabeled by the
+        """Canonical monomial of the monomial m relabeled by the
         order-preserving phi (the sign is always +1, see the module doc)."""
         raise NotImplementedError
 
@@ -141,7 +130,7 @@ class QuotientComponent:
         raise NotImplementedError
 
     @classmethod
-    def composite(cls, pres, n: int) -> Standard | None:
+    def composite(cls, pres, n: int) -> "QuotientComponent | None":
         """The component on {1..n}, if a rewriting gives its basis and
         reducer without elimination, payload or store, else None."""
         return None
@@ -182,8 +171,8 @@ class QuotientComponent:
     def slot_expansion(self, m) -> tuple:
         """(slot, coefficient) pairs of the ambient monomial m, in slot order.
 
-        Kept per position on the standard component, so that one expansion
-        serves every label set of the size.
+        Kept per position and shared by the relabeled components, so that
+        one expansion serves every label set of the size.
         """
         i = self._index[m]
         pairs = self._expansions.get(i)
@@ -236,8 +225,8 @@ def per_store_memo() -> WeakKeyDictionary:
     return clearable(WeakKeyDictionary())
 
 
-_DECODED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], Standard]] = per_store_memo()
-_INSTANCES: WeakKeyDictionary[ComponentStore, dict[tuple, QuotientComponent]] = per_store_memo()
+# per store, the components by (cache-key prefix, label set)
+_COMPONENTS: WeakKeyDictionary[ComponentStore, dict[tuple[str, tuple], QuotientComponent]] = per_store_memo()
 
 
 def clear_memos() -> None:
@@ -254,43 +243,49 @@ def _prefix(cls, pres, fields: dict) -> str:
 def load_component(cls, pres, labels, store: ComponentStore | None = None, **fields):
     """The ``cls`` component of the presentation on the label set.
 
-    Taken from the store's memo, else the rewriting, else decoded from the
-    store's payload, else built and written to it.  ``fields`` name the variant (the ambient mode of an
-    algebra); they enter the cache key, the payload, the build and the
-    constructor.
+    Taken from the store's memo, else relabeled from the component on
+    {1..n}, which is taken from the memo, else the rewriting, else decoded
+    from the store's payload, else built and written to it.  ``fields`` name
+    the variant (the ambient mode of an algebra); they enter the cache key,
+    the payload, the build and the constructor.
     """
     labels = check_label_set(labels)
     store = store or default_store()
     prefix = _prefix(cls, pres, fields)
-    instances = _INSTANCES.get(store)
-    if instances is None:
-        instances = _INSTANCES[store] = {}
-    comp = instances.get((prefix, labels))
+    memo = _COMPONENTS.setdefault(store, {})
+    comp = memo.get((prefix, labels))
     if comp is None:
-        std = _standard(cls, pres, len(labels), store, prefix, fields)
-        comp = instances[prefix, labels] = cls(pres, labels, std, **fields)
+        ref = standard_labels(len(labels))
+        std = memo.get((prefix, ref))
+        if std is None:
+            std = memo[prefix, ref] = _standard(cls, pres, ref, store, prefix, fields)
+        comp = memo[prefix, labels] = std if labels == ref else std.relabeled(labels)
     return comp
 
 
-def _standard(cls, pres, n: int, store: ComponentStore, prefix: str, fields: dict) -> Standard:
-    decoded = _DECODED.setdefault(store, {})
-    if (prefix, n) in decoded:
-        return decoded[prefix, n]
-    std = cls.composite(pres, n)
+def _standard(cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
+    n = len(labels)
+    comp = cls.composite(pres, n)
+    if comp is not None:
+        return comp
     cache_key = f"{prefix}-n{n}"
-    payload = store.get(cache_key) if std is None else None
+    payload = store.get(cache_key)
     if payload is not None and payload.get("presentation") == pres.hash:
         try:
-            std = _decode(cls, pres, payload)
+            parts = _decode(cls, pres, payload)
+            if parts is not None:
+                monomials, ech, basis_positions, dims = parts
+                # slot degrees are read only now, with every basis position in range
+                comp = cls(pres, labels, monomials, ech, basis_positions, **fields)
+                if comp.dims == dims:
+                    return comp
         except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError):
-            std = None  # a damaged payload is a cache miss
-    if std is None:
-        monomials, span = cls.ambient_and_span(pres, n, **fields)
-        basis_positions, ech = quotient_basis(span, len(monomials))
-        std = Standard(cls, pres, monomials, ech, basis_positions)
-        store.put(cache_key, _encode(cls, pres, n, fields, std))
-    decoded[prefix, n] = std
-    return std
+            pass  # a damaged payload is a cache miss
+    monomials, span = cls.ambient_and_span(pres, n, **fields)
+    basis_positions, ech = quotient_basis(span, len(monomials))
+    comp = cls(pres, labels, monomials, ech, basis_positions, **fields)
+    store.put(cache_key, _encode(comp, fields))
+    return comp
 
 
 def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
@@ -313,24 +308,24 @@ def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
     return basis_positions == [i for i in range(ncols) if i not in pivot_set]
 
 
-def _encode(cls, pres, n: int, fields: dict, std: Standard) -> dict:
+def _encode(comp: QuotientComponent, fields: dict) -> dict:
     return {
-        "kind": f"{cls.family}-component",
-        "presentation": pres.hash,
-        "n": n,
+        "kind": f"{comp.family}-component",
+        "presentation": comp.pres.hash,
+        "n": len(comp.labels),
         **fields,
-        "monomials": [cls.monomial_to_json(m) for m in std.monomials],
-        "pivots": list(std.reducer.pivots),
-        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in std.reducer.rows],
-        "basis": std.basis_positions,
-        "dims": sorted([h, w, d] for (h, w), d in std.dims.items()),
+        "monomials": [comp.monomial_to_json(m) for m in comp.monomials],
+        "pivots": list(comp.reducer.pivots),
+        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in comp.reducer.rows],
+        "basis": comp.basis_positions,
+        "dims": sorted([h, w, d] for (h, w), d in comp.dims.items()),
     }
 
 
-def _decode(cls, pres, payload: dict) -> Standard | None:
-    """The payload's component, or None when its echelon, basis or dims break
-    an invariant of a reduced echelon form: such a payload is rebuilt rather
-    than trusted."""
+def _decode(cls, pres, payload: dict) -> tuple | None:
+    """The payload's monomials, echelon, basis positions and dims, or None
+    when its echelon and basis break an invariant of a reduced echelon form:
+    such a payload is rebuilt rather than trusted."""
     monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
     pivots = list(payload["pivots"])
     # a payload holds few distinct entries: parse each once and share it
@@ -348,16 +343,15 @@ def _decode(cls, pres, payload: dict) -> Standard | None:
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
     if not _consistent(ech, len(monomials), basis):
         return None
-    # slot degrees are read only now, with every basis position in range
-    std = Standard(cls, pres, monomials, ech, basis)
-    return std if std.dims == dims else None
+    return monomials, ech, basis, dims
 
 
 def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:
     """Dims of the components the store's memo already holds, by arity."""
-    decoded = _DECODED.get(store or default_store(), {})
+    memo = _COMPONENTS.get(store or default_store(), {})
     prefix = _prefix(cls, pres, {})
-    return {n: decoded[p, n].dims for p, n in sorted(decoded) if p == prefix}
+    done = {len(labels): comp.dims for (p, labels), comp in memo.items() if p == prefix}
+    return dict(sorted(done.items()))
 
 
 # --- tensors of components -----------------------------------------------------------

@@ -19,7 +19,6 @@ from ramops.operad import (
     tree_bidegree,
     tree_h,
     tree_min_key,
-    tree_sort_key,
 )
 from ramops.ram import RAM_SIGNATURE, presentation
 
@@ -152,12 +151,20 @@ def test_enumerate_counts():
     assert enumerate_tree_monomials(GENS, (7,)) == [7]
 
 
-def test_enumerate_trees_are_canonical_and_sorted():
+def test_enumerate_trees_are_canonical_and_distinct():
     trees = enumerate_tree_monomials(GENS, (1, 2, 3, 4))
     assert len(trees) == 405  # 15 leaf shapes x 27 labelings
-    assert trees == sorted(trees, key=tree_sort_key)
+    assert len(set(trees)) == len(trees)
     for t in trees:
         assert canonicalize(t, GENS) == (1, t)
+
+
+def test_enumeration_on_a_block_is_the_relabeled_component_order():
+    # a component on another label set is the one on {1..n} relabeled
+    # position by position, so enumerating on the block must agree with it
+    pres = presentation("ram")
+    block = (2, 5, STAR, HASH)
+    assert enumerate_tree_monomials(GENS, block) == component_basis(pres, block).monomials
 
 
 def jacobi_sum(i, j, k):

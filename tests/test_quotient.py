@@ -26,7 +26,6 @@ from ramops.operad import (
     canonicalize,
     component_basis,
     ideal_span,
-    tree_sort_key,
     tree_to_json,
 )
 from ramops.quotient import clear_memos
@@ -220,7 +219,7 @@ def test_factor_normal_trees_on_every_block_match_the_transported_components(nam
     assert len(blocks) == 31 and sorted(normal_trees) == sorted(blocks)
     store = ComponentStore()
     for block in blocks:
-        assert sorted(normal_trees[block], key=tree_sort_key) == component_basis(pres, block, store).basis
+        assert normal_trees[block] == component_basis(pres, block, store).basis
 
 
 def test_resource_bound_reports_arities_built_in_the_store():
@@ -231,6 +230,31 @@ def test_resource_bound_reports_arities_built_in_the_store():
     partial = info.value.partial
     assert partial["max_arity"] == 3
     assert partial["computed_arities"] == {k: dims_to_table(d) for k, d in built.items()}
+    # a component on another label set is relabeled from the one on {1..4},
+    # which the memo then holds too: arity 4 is listed once, with its dims
+    component_basis(presentation("ram"), (2, 5, 7, 9), store)
+    with pytest.raises(ResourceBoundError) as info:
+        operad_dims("ram", 5, store, max_arity=3)
+    computed = info.value.partial["computed_arities"]
+    assert list(computed) == [1, 2, 3, 4]
+    assert computed[4] == dims_to_table(operad_dims("ram", 4, ComponentStore()))
+
+
+def test_a_component_keeps_one_list_and_one_index():
+    # the standard operad component holds its rewriting's monomial list and
+    # index; a relabeled one has its own, and shares every slot fact
+    store = ComponentStore()
+    ram = presentation("ram")
+    std = component_basis(ram, standard_labels(4), store)
+    assert std.monomials is std.reducer.monomials and std._index is std.reducer.index
+    other = component_basis(ram, (2, 5, STAR, HASH), store)
+    assert other.labels == (2, 5, STAR, HASH) and other.monomials != std.monomials
+    for attr in ("_expansions", "degrees", "slots_by_degree", "_slot_of", "reducer"):
+        assert getattr(other, attr) is getattr(std, attr)
+    assert component_basis(ram, (5, HASH, 2, STAR), store) is other
+    forest = _forest((1, 2, 3), store)
+    assert _forest((1, 2, 3), store) is forest
+    assert _forest((4, 5, 6), store) is _forest((6, 5, 4), store)
 
 
 def _place_holder_label_sets(n):
