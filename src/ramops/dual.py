@@ -64,7 +64,7 @@ class LinearForm:
 
     def value_on(self, x: AlgebraElement) -> Fraction:
         """Pair the form with an algebra element (reduced first)."""
-        total = Fraction(0)
+        total = 0
         for slot, c in self.component.coords(x).items():
             f = self.coords.get(slot)
             if f:
@@ -106,7 +106,7 @@ def dual_basis_element(
     comp = algebra_basis(pres, labels, "forest", store)
     if which == "one":
         unit = tuple(() for _ in pres.colors)
-        return LinearForm(comp, {comp.slot(unit): Fraction(1)}, (0, 0))
+        return LinearForm(comp, {comp.slot(unit): 1}, (0, 0))
     if which not in ("astar", "bstar"):
         raise ValueError("which must be one | astar | bstar")
     if i == j or i not in labels or j not in labels:
@@ -114,7 +114,7 @@ def dual_basis_element(
     color = "a" if which == "astar" else "b"
     sign, key = monomial_from_word(pres, [(color, i, j)], "forest")
     ci = pres.color_index[color]
-    return LinearForm(comp, {comp.slot(key): Fraction(sign)}, pres.colors[ci].bidegree)
+    return LinearForm(comp, {comp.slot(key): sign}, pres.colors[ci].bidegree)
 
 
 def dual_compose(
@@ -154,7 +154,7 @@ def dual_compose(
         slots = comp.slots_by_degree.get(out_deg, ())
     positions = comp.basis_positions
     for slot_x in slots:
-        total = Fraction(0)
+        total = 0
         for ls, rs, c in cocomp.row_at(positions[slot_x]):
             fu = fc.get(ls)
             if not fu:
@@ -169,7 +169,8 @@ def dual_compose(
     return out
 
 
-# forms of trees, per store: a form points at components of its store
+# forms of trees, and under (g,) of each generator g on {*, #}, per store: a
+# form points at components of its store
 _RHO_MEMO = quotient.per_store_memo()
 
 
@@ -198,11 +199,14 @@ def _rho_tree(t, store: ComponentStore) -> LinearForm:
         form = dual_basis_element((t,), "one", store=store)
     else:
         g, l, r = t
-        kind = _GENERATOR_DUALS[g]
-        if kind == "one":
-            top = dual_basis_element((STAR, HASH), "one", store=store)
-        else:
-            top = dual_basis_element((STAR, HASH), kind, STAR, HASH, store=store)
+        top = memo.get((g,))
+        if top is None:
+            kind = _GENERATOR_DUALS[g]
+            if kind == "one":
+                top = dual_basis_element((STAR, HASH), "one", store=store)
+            else:
+                top = dual_basis_element((STAR, HASH), kind, STAR, HASH, store=store)
+            memo[(g,)] = top
         left_form = _rho_tree(l, store)
         right_form = _rho_tree(r, store)
         form = dual_compose(top, left_form, STAR, store)
@@ -319,7 +323,7 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
             if rhs == 0 or lhs == 0:
                 ok = False
                 break
-            s = lhs / rhs
+            s = Fraction(lhs) / rhs
             if s not in (1, -1):
                 ok = False
                 break

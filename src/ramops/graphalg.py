@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
-from .linalg import Combination, SparseMatrix
+from .linalg import Combination, SparseMatrix, exact
 from .quotient import QuotientComponent, clearable, load_component
 
 Edge = tuple[Atom, Atom]
@@ -226,7 +226,7 @@ class AlgebraElement(Combination):
 
     @classmethod
     def unit(cls, labels, pres) -> "AlgebraElement":
-        return cls(labels, pres, {unit_monomial(pres): Fraction(1)})
+        return cls(labels, pres, {unit_monomial(pres): 1})
 
     @classmethod
     def from_words(
@@ -246,7 +246,7 @@ class AlgebraElement(Combination):
             res = monomial_from_word(pres, word, mode)
             if res is not None:
                 sign, key = res
-                el._add_term(key, Fraction(coeff) * sign)
+                el._add_term(key, exact(coeff) * sign)
         return el
 
 
@@ -439,7 +439,7 @@ def _relation_instances(
             if el.is_zero():
                 continue
             lead = min(el.terms, key=lambda m: monomial_sort_key(m, pres))
-            el = el.scaled(1 / el.terms[lead])
+            el = el.scaled(Fraction(1) / el.terms[lead])
             fixed = tuple((k, c) for k, c in el.sorted_terms())
             if fixed in seen:
                 continue
@@ -594,7 +594,7 @@ def _span_matrix(
                 continue
             lead = row[min(row)]
             if lead != 1:
-                row = {pos: v / lead for pos, v in row.items()}
+                row = {pos: exact(Fraction(v) / lead) for pos, v in row.items()}
             fingerprint = tuple(sorted(row.items()))
             if fingerprint in seen_rows:
                 continue

@@ -1,11 +1,15 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (operad quotients, algebra quotients, rank verdicts)
-reduces to row elimination of sparse matrices with ``fractions.Fraction``
-entries.  No floating point appears anywhere: a single wrong sign would
-invalidate a verification, so all arithmetic is exact.
+reduces to row elimination of sparse matrices with rational entries.  No
+floating point appears anywhere: a single wrong sign would invalidate a
+verification, so all arithmetic is exact.  A rational is an ``int`` when it
+is integral and a ``fractions.Fraction`` otherwise (``exact``); the two mix
+exactly, and ``str`` of an integral ``Fraction`` is that of the ``int``, so
+the choice never shows in a result.  Every coefficient the engine has met is
+integral, and ``int`` arithmetic is several times faster.
 
-A sparse vector is a dict ``{column_index: Fraction}`` with no stored zeros.
+A sparse vector is a dict ``{column_index: rational}`` with no stored zeros.
 A :class:`SparseMatrix` is a list of such rows plus a column count.  Column
 order is supplied by the caller (it is the caller's monomial order); the
 reduced row-echelon form of a row space is unique, so results are
@@ -21,7 +25,8 @@ kept and every division is exact.  What is left is stored as a primitive
 vector (gcd 1, leading entry positive) under its leading column; stored rows
 are never touched on insert.  One back-substitution, in decreasing pivot
 order, then clears the pivot columns, and only the final division of each
-row by its leading entry makes ``Fraction``s.  The result is the unique RREF
+row by its leading entry can make ``Fraction``s: one for each entry its
+leading entry does not divide.  The result is the unique RREF
 of the row space, the same one that elimination over ``Fraction`` gives.
 """
 
@@ -33,10 +38,21 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Container, Mapping
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, Fraction | int]
+
+
+def exact(c) -> Fraction | int:
+    """The rational c as an ``int`` when it is integral, else a ``Fraction``;
+    never a ``float`` (which is refused)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def vec_add_scaled(target: SparseVec, source: Mapping[int, Fraction], scale: Fraction) -> None:
@@ -64,7 +80,7 @@ class Combination:
     """Sparse rational combination of canonical keys on one label set.
 
     The operad and algebra elements and their tensors all store
-    ``{key: Fraction}`` with no zero entries.  A subclass supplies ``_like``
+    ``{key: rational}`` with no zero entries.  A subclass supplies ``_like``
     (an element of its own kind on the same labels) and, for one key, its
     ``sort_key`` and its string ``key_str``; ``key_bidegree`` only where
     ``bidegree`` is asked for (not on the tensors).
@@ -101,7 +117,7 @@ class Combination:
         return degs.pop() if len(degs) == 1 else None
 
     def scaled(self, c) -> "Combination":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return self._like({})
         return self._like({k: v * c for k, v in self.terms.items()})
@@ -140,7 +156,7 @@ class Combination:
 
 @dataclass
 class SparseMatrix:
-    """Rows of sparse vectors over Fraction; ncols bounds the column indices."""
+    """Rows of sparse rational vectors; ncols bounds the column indices."""
 
     ncols: int
     rows: list[SparseVec] = field(default_factory=list)
@@ -257,7 +273,7 @@ def rref(m: SparseMatrix) -> Echelon:
     for p in pivots:
         row = stored[p]
         lead = row[p]
-        rows.append({c: Fraction(v, lead) for c, v in row.items()})
+        rows.append({c: v // lead if v % lead == 0 else Fraction(v, lead) for c, v in row.items()})
     return Echelon(m.ncols, pivots, rows, {p: k for k, p in enumerate(pivots)})
 
 

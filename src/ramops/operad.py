@@ -84,7 +84,7 @@ from .labels import (
     ordered_splits,
     standard_labels,
 )
-from .linalg import Combination, SparseMatrix, bump
+from .linalg import Combination, SparseMatrix, bump, exact
 from .quotient import QuotientComponent, clearable, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
@@ -212,7 +212,7 @@ class OperadElement(Combination):
         el = cls(labels, gens)
         for raw, coeff in items:
             sign, canon = canonicalize(raw, gens)
-            el._add_term(canon, Fraction(coeff) * sign)
+            el._add_term(canon, exact(coeff) * sign)
         return el
 
     @classmethod
@@ -314,7 +314,7 @@ def _trees(
     has a left child g'(x, y) with (g, g') in ``leading`` and min(y) below
     min of g's right child: no divisor g(g'(1, 2), 3) of the module
     docstring.  ``memo`` receives the same pairs for every nonempty block of
-    the labels."""
+    the labels, each block after its sub-blocks."""
     names = sorted(gens)
     memo = {} if memo is None else memo
 
@@ -463,7 +463,7 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
         if e.is_zero():
             return
         lead_tree = min(e.terms, key=tree_sort_key)
-        e = e.scaled(1 / e.terms[lead_tree])
+        e = e.scaled(Fraction(1) / e.terms[lead_tree])
         seen.setdefault(element_key(e), e)
 
     places = ("s1", "s2", "s3")
@@ -523,7 +523,7 @@ class Component(QuotientComponent):
         monomial list and index it keeps."""
         labels = standard_labels(n)
         rw = (_Groebner if pres.factor is None else _Rewriting)(pres, labels)
-        return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index)
+        return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index, rw.degrees)
 
 
 def _path_lex_key(t: Tree, rank: Mapping[str, int]) -> tuple:
@@ -583,24 +583,19 @@ def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree,
             raise ValueError(f"{pres.name}: no distinct leading term g(g'(1, 2), 3) in {r}")
         lead_signs, c0 = _graft_signs(lead, pres.gens), r.terms[lead]
         rules[g, inner[0]] = [
-            (t, tuple(_integral(-c * s * s0 / c0) for s, s0 in zip(_graft_signs(t, pres.gens), lead_signs)))
+            (t, tuple(exact(Fraction(-c * s * s0) / c0) for s, s0 in zip(_graft_signs(t, pres.gens), lead_signs)))
             for t, c in r.sorted_terms()
             if t != lead
         ]
     return rules
 
 
-def _integral(c: Fraction) -> Fraction | int:
-    # integral coefficients as ints, so that most of the arithmetic of the
-    # normal forms stays off Fraction
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Groebner:
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
     quadratic Groebner basis (see the module docstring), and the positions of
     the normal trees, which are the basis.  ``normal_trees[block]`` lists
-    the normal trees on each nonempty block of the labels.
+    the normal trees on each nonempty block of the labels, and ``bidegrees``
+    holds the bidegree of each of them.
 
     nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
     triple (g, a, b): only the root can be a leading divisor there.
@@ -615,6 +610,18 @@ class _Groebner:
         self.basis_positions = [i for i, (_, normal) in enumerate(trees) if normal]
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.normal_trees = {block: [t for t, normal in ts if normal] for block, ts in blocks.items()}
+        # the bidegree of each normal tree from its children's: a normal
+        # tree's children are normal, on blocks enumerated before its own
+        self.bidegrees: dict[Tree, BiDegree] = {}
+        for trees_on_block in self.normal_trees.values():
+            for t in trees_on_block:
+                if is_leaf(t):
+                    self.bidegrees[t] = (0, 0)
+                else:
+                    g, l, r = t
+                    (hg, wg), (hl, wl), (hr, wr) = self.gens[g].bidegree, self.bidegrees[l], self.bidegrees[r]
+                    self.bidegrees[t] = (hg + hl + hr, wg + wl + wr)
+        self.degrees = [self.bidegrees[self.monomials[i]] for i in self.basis_positions]
         self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
         self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
 
@@ -647,8 +654,8 @@ class _Groebner:
             else:
                 # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
                 x, y, z = a[1], a[2], b
-                gens = self.gens
-                at = 4 * (tree_h(x, gens) & 1) + 2 * (tree_h(y, gens) & 1) + (tree_h(z, gens) & 1)
+                deg = self.bidegrees
+                at = 4 * (deg[x][0] & 1) + 2 * (deg[y][0] & 1) + (deg[z][0] & 1)
                 subs = {1: x, 2: y, 3: z}
                 out = {}
                 for term, coeffs in rule:
@@ -695,10 +702,11 @@ class _Rewriting:
     ``factor`` is F's Groebner rewriting on the same labels: its normal trees
     on each block are the factors of the basis, and it reduces each bracket
     of two factors.  A factor is a normal tree of F (a leaf included),
-    interned as an id with its tree, smallest leaf and h-parity.  A term is
-    a tuple of factor ids in smallest-leaf order; it stands for the left
-    E-comb of its factors, whose preorder word, E having h = 0, is theirs in
-    that order.
+    interned as an id with its tree, smallest leaf, bidegree and h-parity.
+    A term is a tuple of factor ids in smallest-leaf order; it stands for the
+    left E-comb of its factors, whose preorder word, E having h = 0, is
+    theirs in that order, and whose bidegree, E having (0, 0), is the sum of
+    theirs.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
@@ -708,6 +716,7 @@ class _Rewriting:
         self.factor = _Groebner(pres.factor, labels)
         self.trees: list[Tree] = []
         self.mins: list[Atom] = []
+        self.bidegrees: list[BiDegree] = []
         self.odd: list[int] = []
         self._ids: dict[Tree, int] = {}
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
@@ -716,11 +725,13 @@ class _Rewriting:
         ids = {block: [self._factor(t) for t in trees] for block, trees in self.factor.normal_trees.items()}
         # one comb per set partition, blocks by smallest leaf, and choice of
         # a normal tree of F per block
-        self.basis_positions = sorted(
-            self.column(key)
-            for partition in set_partitions(labels)
-            for key in product(*(ids[block] for block in sorted(partition)))
-        )
+        combs: dict[int, BiDegree] = {}
+        for partition in set_partitions(labels):
+            for key in product(*(ids[block] for block in sorted(partition))):
+                degs = [self.bidegrees[f] for f in key]
+                combs[self.column(key)] = (sum(h for h, _ in degs), sum(w for _, w in degs))
+        self.basis_positions = sorted(combs)
+        self.degrees = [combs[i] for i in self.basis_positions]
 
     def _factor(self, tree: Tree) -> int:
         fid = self._ids.get(tree)
@@ -728,7 +739,9 @@ class _Rewriting:
             fid = self._ids[tree] = len(self.trees)
             self.trees.append(tree)
             self.mins.append(_first_leaf(tree))
-            self.odd.append(tree_h(tree, self.pres.gens) & 1)
+            deg = self.factor.bidegrees[tree]
+            self.bidegrees.append(deg)
+            self.odd.append(deg[0] & 1)
         return fid
 
     def koszul(self, word: tuple[int, ...]) -> int:

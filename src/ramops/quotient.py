@@ -51,16 +51,17 @@ from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, check_label_set, standard_labels
-from .linalg import ONE, Echelon, SparseMatrix, bump, quotient_basis, vec_add_scaled
+from .linalg import ONE, Echelon, SparseMatrix, bump, exact, quotient_basis, vec_add_scaled
 
 
 class QuotientComponent:
     """Quotient component on one label set: monomials, reducer, bigraded dims.
 
     Built on the standard labels {1..n} from the caller's monomial list (and
-    index, if it has one); the component on another label set of the size
-    is that one ``relabeled``.  ``monomials[i]`` is ambient monomial i, and
-    ``basis`` lists the basis monomials in slot order.
+    index and basis bidegrees, if it has them); the component on another
+    label set of the size is that one ``relabeled``.  ``monomials[i]`` is
+    ambient monomial i, and ``basis`` lists the basis monomials in slot
+    order.
     ``reducer.reduce`` takes a vector on the ambient positions to its normal
     form on the basis positions: the ``Echelon`` of a stored payload, or a
     rewriting (``composite``).  ``degrees[s]`` is the bidegree of basis
@@ -71,7 +72,14 @@ class QuotientComponent:
     family = ""  # first word of the cache key and of the payload kind
 
     def __init__(
-        self, pres, labels: tuple[Atom, ...], monomials: list, reducer, basis_positions: list[int], index=None
+        self,
+        pres,
+        labels: tuple[Atom, ...],
+        monomials: list,
+        reducer,
+        basis_positions: list[int],
+        index=None,
+        degrees=None,
     ):
         self.pres = pres
         self.labels = labels
@@ -80,7 +88,7 @@ class QuotientComponent:
         self.basis_positions = basis_positions
         self._index = {m: i for i, m in enumerate(monomials)} if index is None else index
         self.basis = [monomials[i] for i in basis_positions]
-        self.degrees = [self.bidegree(pres, m) for m in self.basis]
+        self.degrees = [self.bidegree(pres, m) for m in self.basis] if degrees is None else degrees
         self.odd = [h & 1 for h, _ in self.degrees]
         self.slots_by_degree: dict[BiDegree, list[int]] = {}
         for slot, deg in enumerate(self.degrees):
@@ -328,13 +336,14 @@ def _decode(cls, pres, payload: dict) -> tuple | None:
     such a payload is rebuilt rather than trusted."""
     monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
     pivots = list(payload["pivots"])
-    # a payload holds few distinct entries: parse each once and share it
-    parsed: dict[str, Fraction] = {}
+    # a payload holds few distinct entries: parse each once and share it,
+    # an integral one as an int
+    parsed: dict[str, Fraction | int] = {}
 
-    def entry(text: str) -> Fraction:
+    def entry(text: str) -> Fraction | int:
         value = parsed.get(text)
         if value is None:
-            value = parsed[text] = Fraction(text)
+            value = parsed[text] = exact(text)
         return value
 
     rows = [{int(col): entry(val) for col, val in row} for row in payload["rows"]]

@@ -57,7 +57,7 @@ def compat_checks(n, store=None):
             if rhs == 0 or lhs == 0:
                 ok = False
                 break
-            s = lhs / rhs
+            s = Fraction(lhs) / rhs
             if s not in (1, -1):
                 ok = False
                 break

@@ -5,8 +5,9 @@ leading 1, is back-substituted into every existing row at once.  Slow, but
 simple enough to trust; the tests compare ``linalg.rref`` against it.
 """
 
+from fractions import Fraction
 
-from ramops.linalg import ONE, Echelon, SparseMatrix, vec_add_scaled
+from ramops.linalg import Echelon, SparseMatrix, vec_add_scaled
 
 
 def insert(ech: Echelon, row) -> bool:
@@ -22,7 +23,7 @@ def insert(ech: Echelon, row) -> bool:
     if not work:
         return False
     lead = min(work)
-    inv = ONE / work[lead]
+    inv = Fraction(1) / work[lead]
     new_row = {c: v * inv for c, v in work.items()}
     # keep existing rows fully reduced (entries above the new pivot vanish)
     for existing in ech.rows:

@@ -16,6 +16,8 @@ quotient: same dims per bidegree, every ambient tree congruent to its
 expansion on the combs, and the combs independent.
 """
 
+from fractions import Fraction
+
 from ramops.graphalg import AlgebraElement, monomial_sort_key, multiply, relation_instances
 from ramops.linalg import Echelon, SparseMatrix, rref
 from ramops.operad import grafted_span
@@ -47,7 +49,7 @@ def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseM
             if prod.is_zero():
                 continue
             lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
-            prod = prod.scaled(1 / prod.terms[lead])
+            prod = prod.scaled(Fraction(1) / prod.terms[lead])
             fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
             if fingerprint in seen_rows:
                 continue

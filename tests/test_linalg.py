@@ -155,7 +155,8 @@ def assert_canonical(e: Echelon) -> None:
     assert len(e.rows) == len(e.pivots)
     for p, row in zip(e.pivots, e.rows):
         assert min(row) == p and row[p] == 1
-        assert all(type(v) is Fraction and v for v in row.values())
+        # an int when integral, otherwise a Fraction, and never zero
+        assert all(v and type(v) is (Fraction if v.denominator > 1 else int) for v in row.values())
         assert max(row) < e.ncols
     for p in e.pivots:
         assert [row for row in e.rows if p in row] == [e.rows[e._pivot_pos[p]]]
@@ -163,10 +164,14 @@ def assert_canonical(e: Echelon) -> None:
 
 _small = st.integers(-6, 6)
 _large = st.integers(-(10**40), 10**40)
-_entry = st.builds(
-    Fraction,
+# plain ints as well as Fractions, so that matrices are int, Fraction or mixed
+_entry = st.one_of(
     st.one_of(_small, _large).filter(bool),
-    st.one_of(st.integers(1, 4), st.integers(1, 10**30)),
+    st.builds(
+        Fraction,
+        st.one_of(_small, _large).filter(bool),
+        st.one_of(st.integers(1, 4), st.integers(1, 10**30)),
+    ),
 )
 
 

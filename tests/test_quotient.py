@@ -480,7 +480,10 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     edited = original[:at] + new + original[at + len(old) :]
     path.write_bytes(edited)
     edited_payload = json.loads(edited)
-    assert quotient._decode(GraphComponent, R_PRESENTATION, edited_payload) is not None
+    decoded = quotient._decode(GraphComponent, R_PRESENTATION, edited_payload)
+    assert decoded is not None
+    # the edited entry decodes as a Fraction, every other one as an int
+    assert [v for r in decoded[1].rows for v in r.values() if type(v) is not int] == [Fraction(7, 5)]
 
     clear_memos()
     builds = []

@@ -56,7 +56,7 @@ def unpruned_span_matrix(pres, labels, mode, monomials, families=None) -> Sparse
             if prod.is_zero():
                 continue
             lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
-            prod = prod.scaled(1 / prod.terms[lead])
+            prod = prod.scaled(Fraction(1) / prod.terms[lead])
             fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
             if fingerprint in seen_rows:
                 continue
