@@ -23,7 +23,7 @@ from .ram import (
     presentation,
 )
 from .ramanujan import poly_str, predicted_dims, psi
-from .reports import all_pass, canonical_json, dims_to_table, make_report, render_pretty, verdict
+from .reports import all_pass, canonical_json, dims_to_table, informational, make_report, render_pretty, verdict
 from .suites import SUITES, run_suite
 
 DIMS_OPERADS = ("ram", "poisson", "bessel", "liegriess", "com")
@@ -160,12 +160,7 @@ def cmd_conjecture(args) -> int:
             n=args.n,
         ),
         verdict("bigraded_dims_match", result["dims_equal"], n=args.n),
-        {
-            "check": "isomorphism_verdict",
-            "pass": True,
-            "params": {"n": args.n, "isomorphism": result["isomorphism"]},
-            "informational": True,
-        },
+        informational("isomorphism_verdict", n=args.n, isomorphism=result["isomorphism"]),
     ]
     tables = {
         f"conjecture_blocks_n{args.n}": [

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphalg import GraphPresentation, Letter, R_PRESENTATION, relation_words
+from .graphalg import Letter, R_PRESENTATION, relation_words
 from .labels import Atom, atom_key, check_label_set
 from .linalg import bump, vec_add_scaled
 
@@ -102,14 +102,9 @@ def eval_element(
 FAMILIES_LISTED_FOR_FORMS = ("aa_sum", "ab_sum", "b_cycle")
 
 
-def relation_survey(
-    n: int,
-    trials: int = 20,
-    seed: int = 0,
-    pres: GraphPresentation = R_PRESENTATION,
-    families: Sequence[str] | None = None,
-) -> dict:
-    """Evaluate every relation instance of each family at random exact points.
+def relation_survey(n: int, trials: int = 20, seed: int = 0) -> dict:
+    """Evaluate every relation instance of each family of R at random exact
+    points.
 
     Reports holds-always or fails-with-witness per family.  The witness pins
     the instance and the sample point, so a failure is reproducible.
@@ -120,10 +115,9 @@ def relation_survey(
         raise ValueError("trials must be >= 1")
     labels = tuple(range(1, n + 1))
     rng = random.Random(seed)
-    chosen = tuple(families) if families is not None else pres.families
     results = []
-    for family in chosen:
-        instances = relation_words(pres, family, labels)
+    for family in R_PRESENTATION.families:
+        instances = relation_words(R_PRESENTATION, family, labels)
         witness = None
         for trial in range(trials):
             point = random_sample_point(labels, rng)

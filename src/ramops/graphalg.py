@@ -371,13 +371,14 @@ def relation_words(
                     out.append([(1, tuple(word))])
     elif family in ("bab_sum", "bbb_sum"):
         mid = "a" if family == "bab_sum" else "b"
+        # the sum runs over every path ordering of the four points, so one
+        # instance per 4-subset
         for sub in combinations(labels, 4):
-            for assign in permutations(range(4)):
-                terms = []
-                for order in _PATH_ORDERINGS:
-                    p, q, r, s = (sub[assign[t]] for t in order)
-                    terms.append((1, (("b", p, q), (mid, q, r), ("b", r, s))))
-                out.append(terms)
+            terms = []
+            for order in _PATH_ORDERINGS:
+                p, q, r, s = (sub[t] for t in order)
+                terms.append((1, (("b", p, q), (mid, q, r), ("b", r, s))))
+            out.append(terms)
     elif family == "arnold_sum":
         for sub in combinations(labels, 3):
             i, j, k = sub
@@ -465,7 +466,7 @@ class GraphComponent(QuotientComponent):
         super().__init__(pres, labels, monomials, reducer, basis_positions)
 
     def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
-        return _relabel_monomial(self.pres, m, phi)[1]
+        return tuple(tuple((phi[u], phi[v]) for u, v in es) for es in m)
 
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.labels, self.pres, terms)

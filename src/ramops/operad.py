@@ -10,8 +10,18 @@ carries signs.
 
 Composite expressions are read as tensor words in preorder (vertex before
 left before right).  Grafting an element into a place-holder leaf therefore
-picks up ``(-1)**(h(graft) * h(generators after the leaf))``, and the same
-word order fixes the derivation and coproduct signs used downstream.
+picks up ``(-1)**(h(graft) * h(generators after the leaf))``: h(graft) times
+h of the right child of each vertex on the path whose leaf lies in its left
+child.  The same word order fixes the derivation and coproduct signs used
+downstream.
+
+Only ``OperadElement.from_terms`` and ``relabel`` (an arbitrary map of
+labels), where trees enter from outside the engine, canonicalize.  A tree
+built from canonical parts is canonical by construction: ``compose``
+reorders children only on the path to the place leaf, the only vertices
+whose smallest leaf can change; an order-preserving relabeling
+(``Component.transport``) and replacing a generator (``ram.differential``)
+reorder nothing.
 
 A quotient component is the ambient trees modulo the ideal, and every one is
 a rewriting on {1..n} (``Component.composite``): nothing is eliminated,
@@ -97,11 +107,8 @@ class GeneratorSpec:
     name: str
     bidegree: BiDegree
     symmetry: int
-    arity: int = 2
 
     def __post_init__(self):
-        if self.arity != 2:
-            raise ValueError("only binary generators are supported")
         if self.symmetry not in (1, -1):
             raise ValueError("symmetry must be +1 or -1")
 
@@ -222,33 +229,11 @@ class OperadElement(Combination):
         return cls.from_terms((a, b), gens, [((name, a, b), 1)])
 
 
-def _h_after_place(t: Tree, place: Atom, gens: Signature) -> tuple[bool, int, int]:
-    """(found, h of generators after the place leaf in preorder, h of t)."""
-    if is_leaf(t):
-        return (t == place, 0, 0)
-    g, l, r = t
-    fl, al, hl = _h_after_place(l, place, gens)
-    fr, ar, hr = _h_after_place(r, place, gens)
-    hg = gens[g].bidegree[0]
-    total = hg + hl + hr
-    if fl:
-        return True, al + hr, total
-    if fr:
-        return True, ar, total
-    return False, 0, total
-
-
-def _replace_leaf(t: Tree, place: Atom, sub: Tree) -> Tree:
-    if is_leaf(t):
-        return sub if t == place else t
-    g, l, r = t
-    return (g, _replace_leaf(l, place, sub), _replace_leaf(r, place, sub))
-
-
 def compose(x: OperadElement, y: OperadElement, place: Atom = STAR) -> OperadElement:
     """Graft y into the ``place`` leaf of x; bidegrees add.
 
-    The word-order convention makes the graft pick up
+    The terms of x and y are canonical, as every element's are.  The
+    word-order convention makes the graft pick up
     ``(-1)**(h(y_term) * h(generators after the place leaf))`` per term.
     """
     if place not in x.labels:
@@ -259,17 +244,41 @@ def compose(x: OperadElement, y: OperadElement, place: Atom = STAR) -> OperadEle
         raise ValueError(f"label collision {sorted(overlap, key=atom_key)}")
     out = OperadElement(remaining + y.labels, x.gens)
     for ty, cy in y.terms.items():
-        hy = tree_h(ty, x.gens)
+        hy = tree_h(ty, x.gens) & 1
         for tx, cx in x.terms.items():
-            found, h_after, _ = _h_after_place(tx, place, x.gens)
-            if not found:
+            grafted = _graft(tx, place, ty, hy, x.gens)
+            if grafted is None:
                 raise ValueError(f"place {place!r} missing from a term")
-            coeff = cx * cy
-            if (hy & 1) and (h_after & 1):
-                coeff = -coeff
-            sign, canon = canonicalize(_replace_leaf(tx, place, ty), x.gens)
-            out._add_term(canon, coeff * sign)
+            sign, tree = grafted
+            out._add_term(tree, cx * cy * sign)
     return out
+
+
+def _graft(t: Tree, place: Atom, sub: Tree, h_sub: int, gens: Signature) -> tuple[int, Tree] | None:
+    """The sign and the canonical tree of the canonical sub, of h parity
+    h_sub, grafted into the ``place`` leaf of the canonical t; None when t
+    has no such leaf.  Only the vertices on the path to the leaf change:
+    there the graft sign is taken, and children swapped as ``canonicalize``
+    does (see the module docstring)."""
+    if is_leaf(t):
+        return (1, sub) if t == place else None
+    g, l, r = t
+    grafted = _graft(l, place, sub, h_sub, gens)
+    if grafted is not None:
+        sign, l = grafted
+        if h_sub and tree_h(r, gens) & 1:
+            sign = -sign
+    else:
+        grafted = _graft(r, place, sub, h_sub, gens)
+        if grafted is None:
+            return None
+        sign, r = grafted
+    if atom_key(_first_leaf(l)) > atom_key(_first_leaf(r)):
+        sign *= gens[g].symmetry
+        if tree_h(l, gens) & tree_h(r, gens) & 1:
+            sign = -sign
+        l, r = r, l
+    return sign, (g, l, r)
 
 
 def relabel(x: OperadElement, phi: Mapping[Atom, Atom]) -> OperadElement:
@@ -411,10 +420,6 @@ def _node_count(t: Tree) -> int:
     return 1 + _node_count(t[1]) + _node_count(t[2])
 
 
-def element_key(e: OperadElement) -> str:
-    return json.dumps([[str(c), tree_to_json(t)] for t, c in e.sorted_terms()])
-
-
 _SPAN_MEMO: dict[tuple[str, int], list[OperadElement]] = clearable({})
 
 
@@ -439,8 +444,8 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
     base = _SPAN_MEMO[key]
     if labels == std:
         return list(base)
-    phi = dict(zip(std, labels))
-    return [relabel(e, phi) for e in base]
+    phi = dict(zip(std, labels))  # order-preserving: the trees stay canonical
+    return [OperadElement(labels, pres.gens, {_map_tree(t, phi): c for t, c in e.terms.items()}) for e in base]
 
 
 def grafted_span(pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
@@ -457,25 +462,25 @@ def grafted_span(pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
 
 def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
     labels = standard_labels(n)
-    seen: dict[str, OperadElement] = {}
+    seen: dict[frozenset, OperadElement] = {}
 
     def emit(e: OperadElement) -> None:
         if e.is_zero():
             return
         lead_tree = min(e.terms, key=tree_sort_key)
         e = e.scaled(Fraction(1) / e.terms[lead_tree])
-        seen.setdefault(element_key(e), e)
+        seen.setdefault(frozenset(e.terms.items()), e)
 
     places = ("s1", "s2", "s3")
     for r in pres.relations:
         r_p = relabel(r, dict(zip((1, 2, 3), places)))
         for blocks in ordered_splits(labels, 3):
             for m1 in enumerate_tree_monomials(pres.gens, blocks[0]):
-                e1 = OperadElement.from_terms(blocks[0], pres.gens, [(m1, 1)])
+                e1 = OperadElement(blocks[0], pres.gens, {m1: 1})
                 for m2 in enumerate_tree_monomials(pres.gens, blocks[1]):
-                    e2 = OperadElement.from_terms(blocks[1], pres.gens, [(m2, 1)])
+                    e2 = OperadElement(blocks[1], pres.gens, {m2: 1})
                     for m3 in enumerate_tree_monomials(pres.gens, blocks[2]):
-                        e3 = OperadElement.from_terms(blocks[2], pres.gens, [(m3, 1)])
+                        e3 = OperadElement(blocks[2], pres.gens, {m3: 1})
                         emit(substitute(r_p, {"s1": e1, "s2": e2, "s3": e3}))
 
     for size_a in range(3, n):
@@ -487,10 +492,10 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
                 top = OperadElement.generator(pres.gens, g, "s1", "s2")
                 for r_a in span_a:
                     for m in monos_rest:
-                        em = OperadElement.from_terms(rest, pres.gens, [(m, 1)])
+                        em = OperadElement(rest, pres.gens, {m: 1})
                         emit(substitute(top, {"s1": r_a, "s2": em}))
 
-    return [seen[k] for k in sorted(seen)]
+    return list(seen.values())
 
 
 class Component(QuotientComponent):
@@ -506,7 +511,7 @@ class Component(QuotientComponent):
     coords = QuotientComponent.coords
 
     def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
-        return canonicalize(_map_tree(m, phi), self.pres.gens)[1]
+        return _map_tree(m, phi)
 
     def element(self, terms: dict) -> OperadElement:
         return OperadElement(self.labels, self.pres.gens, terms)

@@ -12,15 +12,15 @@ relabeled along the order-preserving bijection (``relabeled``), and
 coordinates are taken on the standard side, where the reducer lives.  Both
 canonical forms (trees and graph monomials) compare atoms only through
 ``atom_key``, which an order-preserving bijection respects, so a transported
-monomial comes out canonical as it is and picks up no sign: position ``i``
-means the same monomial, and basis slot ``s`` the same basis monomial, on
-every label set of a given size.
+monomial comes out canonical as it is and picks up no sign: transport is
+the plain map of the labels, and position ``i`` means the same monomial, and
+basis slot ``s`` the same basis monomial, on every label set of a given
+size.
 
-A subclass supplies only what differs between the sides: the relabel-and-
-recanonicalize transport, the element constructor and the bidegree of a
-monomial; the algebra side adds the JSON codec of a monomial and the
-builder of the ambient monomials and the relation span, the operad side a
-composite.  This module owns the rest: relabeling, coordinates and normal
+A subclass supplies only what differs between the sides: the transport,
+the element constructor and the bidegree of a monomial; the algebra side
+adds the JSON codec of a monomial and the builder of the ambient monomials
+and the relation span, the operad side a composite.  This module owns the rest: relabeling, coordinates and normal
 forms, the payload codec, the load-or-build path with its memo, and the
 normal form of tensors of components.  It also owns every label-independent
 fact about a basis slot: its bidegree, the parity of its h, the slots of
@@ -102,6 +102,7 @@ class QuotientComponent:
         monomials, index and basis, and every label-independent fact shared."""
         comp = copy.copy(self)
         comp.labels = labels
+        # both label tuples are sorted, so phi preserves the atom order
         phi = dict(zip(self.labels, labels))
         comp.monomials = [self.transport(m, phi) for m in self.monomials]
         comp._index = {m: i for i, m in enumerate(comp.monomials)}
@@ -111,8 +112,9 @@ class QuotientComponent:
     # --- the codec of a side -------------------------------------------------
 
     def transport(self, m, phi: Mapping[Atom, Atom]):
-        """Canonical monomial of the monomial m relabeled by the
-        order-preserving phi (the sign is always +1, see the module doc)."""
+        """The canonical monomial m with its labels mapped by the
+        order-preserving phi: canonical as it is, with sign +1 (see the
+        module doc)."""
         raise NotImplementedError
 
     def element(self, terms: dict):

@@ -46,7 +46,6 @@ from .operad import (
     Presentation,
     Signature,
     Tree,
-    canonicalize,
     component_basis,
     compose,
     grafted_span,
@@ -279,15 +278,15 @@ def _diff_tree(t: Tree, mapping: dict[str, str], gens: Signature) -> tuple[list,
 
 
 def differential(x: OperadElement, which: str) -> OperadElement:
-    """Apply the derivation ``down`` (G->L) or ``up`` (L->G)."""
+    """Apply the derivation ``down`` (G->L) or ``up`` (L->G); replacing a
+    generator keeps every child order, so each tree is canonical as made."""
     mapping = DIFFERENTIAL_MAPS[which]
     out = OperadElement(x.labels, x.gens)
     for t, c in x.terms.items():
         if is_leaf(t):
             continue
-        for raw, s in _diff_tree(t, mapping, x.gens)[0]:
-            sign, canon = canonicalize(raw, x.gens)
-            out._add_term(canon, c * s * sign)
+        for tree, s in _diff_tree(t, mapping, x.gens)[0]:
+            out._add_term(tree, c * s)
     return out
 
 

@@ -45,6 +45,11 @@ def verdict(check: str, ok: bool, witness=None, **params) -> dict:
     return v
 
 
+def informational(check: str, **params) -> dict:
+    """A finding's record: reported in the params, it always passes."""
+    return {"check": check, "pass": True, "params": params, "informational": True}
+
+
 def all_pass(report: dict) -> bool:
     return all(v.get("pass", False) for v in report["verdicts"])
 

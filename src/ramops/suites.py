@@ -24,7 +24,7 @@ from .labels import ordered_splits, standard_labels
 from .operad import component_basis, tree_str
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import relation_survey
-from .reports import verdict
+from .reports import informational, verdict
 
 SUITES = ("hopf", "differentials", "cooperad", "lemmas", "forms", "all")
 
@@ -208,15 +208,8 @@ def suite_forms(n: int, trials: int = 20, seed: int = 0) -> tuple[list[dict], di
                 )
             )
         else:
-            verdicts.append(
-                {
-                    "check": f"forms_probe_{fam['family']}",
-                    "pass": True,
-                    "params": {"n": n, "trials": trials, "holds_in_model": fam["holds"]},
-                    "informational": True,
-                    "witness": fam["witness"],
-                }
-            )
+            probe = informational(f"forms_probe_{fam['family']}", n=n, trials=trials, holds_in_model=fam["holds"])
+            verdicts.append({**probe, "witness": fam["witness"]})
     return verdicts, survey
 
 

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from ramops import graphalg
+from ramops.forms import eval_element, random_sample_point
 from ramops.graphalg import (
+    MODES,
     ARNOLD_PRESENTATION,
     AlgebraElement,
     R_PRESENTATION,
@@ -20,6 +23,7 @@ from ramops.graphalg import (
     relabel_element,
     relation_instances,
     relation_words,
+    _PATH_ORDERINGS,
 )
 from ramops.labels import standard_labels
 from ramops.ram import ram_dims
@@ -295,3 +299,25 @@ def test_ideal_rank_breakdown_reports():
     assert rep["ambient"] == 201
     assert rep["rank_all_families"] == 201 - 147
     assert rep["rank_without_12term"] <= rep["rank_all_families"]
+
+
+@pytest.mark.parametrize("family", ("bab_sum", "bbb_sum"))
+def test_twelve_term_sum_is_one_instance_per_four_points(family):
+    # the sum runs over every path ordering of the four points, so each
+    # order of them gives the same element, and the same form
+    labels = standard_labels(5)
+    mid = "a" if family == "bab_sum" else "b"
+    instances = relation_words(P, family, labels)
+    assert len(instances) == 5
+    point = random_sample_point(labels, random.Random(7))
+    for inst, sub in zip(instances, combinations(labels, 4)):
+        value = eval_element(inst, point)
+        elements = {mode: AlgebraElement.from_words(labels, P, inst, mode) for mode in MODES}
+        for order in permutations(sub):
+            words = [
+                (1, (("b", order[p], order[q]), (mid, order[q], order[r]), ("b", order[r], order[s])))
+                for p, q, r, s in _PATH_ORDERINGS
+            ]
+            assert eval_element(words, point) == value
+            for mode in MODES:
+                assert AlgebraElement.from_words(labels, P, words, mode) == elements[mode]

@@ -1,9 +1,13 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
+from compose_oracle import oracle_compose
 
+import ramops
 from ramops.labels import HASH, STAR, standard_labels
 from ramops.linalg import SparseMatrix, rank
 from ramops.operad import (
@@ -121,6 +125,75 @@ def test_compose_errors():
         compose(gen_el("E", 1, 2), gen_el("E", 3, 4))  # no place-holder
     with pytest.raises(ValueError):
         compose(gen_el("E", 1, STAR), gen_el("E", 1, 2))  # label collision
+
+
+# x's labels, with its place leaves; y's leaves fall below, between and
+# above x's, and y may hold the other place-holder
+COMPOSE_X_LABELS = ((1, 3, STAR), (2, STAR, HASH), (1, 2, 3, HASH), (4, STAR))
+COMPOSE_Y_LABELS = ((2,), (0, 5), (2, 4), (0, 2, HASH), (0, 4, 6), (2, 5, 6))
+
+
+def test_compose_matches_the_three_walk_oracle_on_every_tree_pair():
+    pairs = 0
+    for xl in COMPOSE_X_LABELS:
+        for place in (STAR, HASH):
+            if place not in xl:
+                continue
+            rest = set(xl) - {place}
+            for yl in COMPOSE_Y_LABELS:
+                if rest & set(yl):
+                    continue
+                for tx in enumerate_tree_monomials(GENS, xl):
+                    x = OperadElement(xl, GENS, {tx: 1})
+                    for ty in enumerate_tree_monomials(GENS, yl):
+                        y = OperadElement(yl, GENS, {ty: 1})
+                        assert compose(x, y, place) == oracle_compose(x, y, place), (tx, ty, place)
+                        pairs += 1
+    assert pairs == 16320
+
+
+def _callers(name: str) -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call of ``name`` in
+    the package's source."""
+    found = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    found.add((module, function))
+            visit(child, module, function)
+
+    for path in sorted(Path(ramops.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, callers",
+    [
+        # trees are canonicalized where they enter: from outside, or by an
+        # arbitrary map of labels; every other tree is canonical by
+        # construction (the operad module docstring)
+        ("canonicalize", {("operad", "from_terms"), ("operad", "relabel")}),
+        # graph monomials are made canonical from generator words only
+        (
+            "monomial_from_word",
+            {
+                ("graphalg", "from_words"),
+                ("graphalg", "_relabel_monomial"),
+                ("cooperad", "_split"),
+                ("dual", "dual_basis_element"),
+            },
+        ),
+    ],
+)
+def test_canonical_forms_are_decided_only_at_the_boundary(name, callers):
+    assert _callers(name) == callers
 
 
 def test_relabel_examples():

@@ -290,6 +290,30 @@ def test_transport_is_sign_free(n):
                 assert _relabel_monomial(comp.pres, key, {a: a for a in labels}) == (1, key)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_transport_is_the_plain_map_of_labels(n):
+    # on label sets with gaps and place-holders too, an order-preserving
+    # relabeling of a canonical monomial is canonical with sign +1, so a
+    # relabeled component only maps the labels of its monomials
+    gapped = (3, 5, STAR, HASH)
+    for labels in (gapped[:n], gapped[-n:]):
+        phi = dict(zip(standard_labels(n), labels))
+        for name in PRESENTATION_NAMES:
+            comp = component_basis(presentation(name), standard_labels(n))
+            moved = component_basis(comp.pres, labels)
+            assert len(moved.monomials) == len(comp.monomials)
+            for m, t in zip(comp.monomials, moved.monomials):
+                assert t == _map_tree(m, phi)
+                assert canonicalize(t, comp.pres.gens) == (1, t)
+        for pres in (R_PRESENTATION, ARNOLD_PRESENTATION):
+            for mode in ("forest", "full"):
+                comp = algebra_basis(pres, standard_labels(n), mode)
+                moved = algebra_basis(pres, labels, mode)
+                assert len(moved.monomials) == len(comp.monomials)
+                for m, key in zip(comp.monomials, moved.monomials):
+                    assert _relabel_monomial(pres, m, phi) == (1, key)
+
+
 @pytest.mark.parametrize("side", STORED_SIDES)
 def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch):
     cls, get = SIDES[side]

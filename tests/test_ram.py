@@ -7,11 +7,12 @@ import pytest
 import hopf_oracle as oracle
 from ramops import operad, ram
 from ramops.cache import ComponentStore
-from ramops.labels import STAR, standard_labels
+from ramops.labels import HASH, STAR, standard_labels
 from ramops.operad import (
     GeneratorSpec,
     OperadElement,
     Presentation,
+    canonicalize,
     component_basis,
     compose,
     enumerate_tree_monomials,
@@ -183,6 +184,18 @@ def test_differentials_square_to_zero_up_to_arity_4():
             el = OperadElement.from_terms(standard_labels(n), GENS, [(m, 1)])
             assert differential(differential(el, "down"), "down").is_zero()
             assert differential(differential(el, "up"), "up").is_zero()
+
+
+def test_differential_trees_are_canonical_as_made():
+    # differential canonicalizes nothing: replacing one generator keeps the
+    # child order of every vertex
+    for n in (1, 2, 3, 4):
+        for labels in (standard_labels(n), (2, 5, STAR, HASH)[-n:]):
+            for m in enumerate_tree_monomials(GENS, labels):
+                el = OperadElement(labels, GENS, {m: 1})
+                for which in ("down", "up"):
+                    for t in differential(el, which).terms:
+                        assert canonicalize(t, GENS) == (1, t), (m, which)
 
 
 def test_laplacian_acts_by_weight():
