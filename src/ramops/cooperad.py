@@ -21,8 +21,10 @@ slot s naming the same monomial on every label set of a size (see
 from the raw split of its ambient monomial.  ``theta`` never reduces its
 input first, so that ``theta_relation_kill`` sees the relation itself; a
 monomial outside the forest ambient (a full-mode cycle) is split and
-normalised without being stored.  ``dual_compose`` in ``dual`` contracts
-forms against the same rows.
+normalised without being stored.  ``dual_compose`` in ``dual`` reads the
+transpose of the basis rows (``Cocomposition.transposed``: per left slot and
+right slot, the union slots and coefficients), built once per pattern and
+kept beside the rows, so that it sums over the supports of two forms.
 
 The basis-by-basis checks read the rows too, with no tensor elements.  A
 basis slot s of one split's factor component names the same monomial as
@@ -127,9 +129,11 @@ def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
     return sign * lres[0] * rres[0], lres[1], rres[1]
 
 
-# per store: {(presentation hash, pattern): rows} and
+# per store: {(presentation hash, pattern): rows}, beside it under
+# (presentation hash, pattern, "by_left") the rows' transpose, and
 # {(presentation hash, I, J, place): Cocomposition}; rows[i] is None until the
-# ambient monomial at position i of the union component is first asked for
+# ambient monomial at position i of the union component is first asked for,
+# and the transpose is empty until dual composition first asks for it
 _TABLES = quotient.per_store_memo()
 _SPLITS = quotient.per_store_memo()
 
@@ -148,7 +152,7 @@ class Cocomposition:
     """The split I | J, place-holder on the I side, on concrete labels: its
     three forest components and the rows its pattern shares."""
 
-    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "rows")
+    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "rows", "by_left")
 
     def __init__(
         self, pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
@@ -167,6 +171,7 @@ class Cocomposition:
         self.rows = tables.get(key)
         if self.rows is None:
             self.rows = tables[key] = [None] * len(self.union.monomials)
+        self.by_left = tables.setdefault(key + ("by_left",), [])
 
     def row_at(self, i: int) -> tuple:
         """Row of the ambient monomial at position i, computed on first use."""
@@ -174,6 +179,18 @@ class Cocomposition:
         if row is None:
             row = self.rows[i] = self.normalised(self.union.monomials[i])
         return row
+
+    def transposed(self) -> list[dict[int, list]]:
+        """The rows of the union's basis monomials, transposed: per left
+        slot, {right slot: [(union slot, coefficient)]}.  Built on first
+        use, from every basis row, and shared by the pattern."""
+        by_left = self.by_left
+        if not by_left:  # a left component holds at least the unit
+            by_left.extend({} for _ in range(self.left.dim))
+            for x, pos in enumerate(self.union.basis_positions):
+                for ls, rs, c in self.row_at(pos):
+                    by_left[ls].setdefault(rs, []).append((x, c))
+        return by_left
 
     def normalised(self, m: MonomialKey) -> tuple:
         """(left slot, right slot, coefficient) triples of theta(m), reduced."""

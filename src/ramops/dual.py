@@ -1,9 +1,12 @@
 """The linear dual of the forest-algebra cooperad and the comparison map.
 
 A linear form on a quotient component is stored by its coordinates against
-the chosen monomial basis.  Composition of forms is the transpose of
-cocomposition, with the pairing convention
-``<f (x) g, u (x) v> = (-1)**(h(g) h(u)) f(u) g(v)``.
+the chosen monomial basis, and nothing else: its bidegree, where it has one,
+is read from the bidegrees of its slots.  Composition of forms is the
+transpose of cocomposition, with the pairing convention
+``<f (x) g, u (x) v> = (-1)**(h(g) h(u)) f(u) g(v)``; g(v) vanishes unless
+h(v) = h(g), so the sign is read from the slots u and v, and composition
+sums over the supports of the two forms, of any degree or of mixed degree.
 
 The comparison map sends the operad generators E, L, G to the dual basis
 elements 1*, a*, b*; trees are evaluated by replacing internal compositions
@@ -33,28 +36,29 @@ from .graphalg import (
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
-from .operad import OperadElement, component_basis, is_leaf, tree_h, tree_str
+from .operad import OperadElement, component_basis, is_leaf, tree_str
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
 
 class LinearForm:
     """Element of the dual of one quotient component, in dual-basis coordinates."""
 
-    __slots__ = ("component", "coords", "bidegree")
+    __slots__ = ("component", "coords")
 
-    def __init__(
-        self,
-        component: GraphComponent,
-        coords: Mapping[int, Fraction] | None = None,
-        bidegree: BiDegree | None = None,
-    ):
+    def __init__(self, component: GraphComponent, coords: Mapping[int, Fraction] | None = None):
         self.component = component
         self.coords: dict[int, Fraction] = dict(coords) if coords else {}
-        self.bidegree = bidegree
 
     @property
     def labels(self):
         return self.component.labels
+
+    @property
+    def bidegree(self) -> BiDegree | None:
+        """The bidegree of every slot of the form; None when it is zero or
+        mixed."""
+        degrees = {self.component.degrees[slot] for slot in self.coords}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -106,15 +110,14 @@ def dual_basis_element(
     comp = algebra_basis(pres, labels, "forest", store)
     if which == "one":
         unit = tuple(() for _ in pres.colors)
-        return LinearForm(comp, {comp.slot(unit): 1}, (0, 0))
+        return LinearForm(comp, {comp.slot(unit): 1})
     if which not in ("astar", "bstar"):
         raise ValueError("which must be one | astar | bstar")
     if i == j or i not in labels or j not in labels:
         raise ValueError("need two distinct vertices from the label set")
     color = "a" if which == "astar" else "b"
     sign, key = monomial_from_word(pres, [(color, i, j)], "forest")
-    ci = pres.color_index[color]
-    return LinearForm(comp, {comp.slot(key): sign}, pres.colors[ci].bidegree)
+    return LinearForm(comp, {comp.slot(key): sign})
 
 
 def dual_compose(
@@ -126,8 +129,9 @@ def dual_compose(
     """Composition in the dual operad: the transpose of cocomposition.
 
     <f o g, x> = sum over theta(x) = sum u(x)v of
-    (-1)**(h(g) h(u)) <f,u> <g,v>, read off the cocomposition row of each
-    basis monomial x of the output bidegree.
+    (-1)**(h(u) h(v)) <f,u> <g,v>, summed over the supports of f and g
+    through the split's transposed rows (``Cocomposition.transposed``);
+    h(v) = h(g) wherever <g,v> is nonzero (see the module doc).
     """
     store = store or default_store()
     pres = f.component.pres
@@ -138,35 +142,18 @@ def dual_compose(
     if set(I) & set(J):
         raise ValueError("label sets must be disjoint")
     cocomp = cocomposition(pres, I, J, place, store)
-    comp = cocomp.union
-    out_deg = None
-    if f.bidegree is not None and g.bidegree is not None:
-        out_deg = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    out = LinearForm(comp, None, out_deg)
-    if f.is_zero() or g.is_zero():
-        return out
-    odd_g = g.bidegree is not None and g.bidegree[0] & 1
-    left_odd = cocomp.left.odd
-    fc, gc = f.coords, g.coords
-    if out_deg is None:
-        slots = range(comp.dim)
-    else:
-        slots = comp.slots_by_degree.get(out_deg, ())
-    positions = comp.basis_positions
-    for slot_x in slots:
-        total = 0
-        for ls, rs, c in cocomp.row_at(positions[slot_x]):
-            fu = fc.get(ls)
-            if not fu:
-                continue
-            gv = gc.get(rs)
-            if not gv:
-                continue
-            term = c * fu * gv
-            total += -term if odd_g and left_odd[ls] else term
-        if total:
-            out.coords[slot_x] = total
-    return out
+    by_left = cocomp.transposed()
+    left_odd, right_odd = cocomp.left.odd, cocomp.right.odd
+    out: dict = {}
+    for ls, fu in f.coords.items():
+        row, odd = by_left[ls], left_odd[ls]
+        for rs, gv in g.coords.items():
+            terms = row.get(rs)
+            if terms:
+                fg = -fu * gv if odd and right_odd[rs] else fu * gv
+                for slot_x, c in terms:
+                    bump(out, slot_x, fg * c)
+    return LinearForm(cocomp.union, out)
 
 
 # forms of trees, and under (g,) of each generator g on {*, #}, per store: a
@@ -182,7 +169,7 @@ def rho(x: OperadElement, store: ComponentStore | None = None) -> LinearForm:
     """
     store = store or default_store()
     comp = algebra_basis(R_PRESENTATION, x.labels, "forest", store)
-    out = LinearForm(comp, None, x.bidegree())
+    out = LinearForm(comp)
     for t, c in x.terms.items():
         out.add_scaled(_rho_tree(t, store), c)
     return out
@@ -353,13 +340,13 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
             for su, sv, c in products[slot]:
                 bump(rhs, (su, sv), f * c)
         lhs: dict = {}
+        # <rho(t1) (x) rho(t2), u (x) v> = (-1)**(h(u) h(v)) <rho(t1), u> <rho(t2), v>
         for (t1, t2), c in coproduct(ram_comp.monomial_element(t)).terms.items():
-            odd2 = tree_h(t2, pres.gens) & 1
             f2 = _rho_tree(t2, store).coords
             for su, val1 in _rho_tree(t1, store).coords.items():
-                c1 = -c * val1 if odd2 and odd_u[su] else c * val1
+                c1, odd1 = c * val1, odd_u[su]
                 for sv, val2 in f2.items():
-                    bump(lhs, (su, sv), c1 * val2)
+                    bump(lhs, (su, sv), -c1 * val2 if odd1 and odd_u[sv] else c1 * val2)
         if lhs != rhs:
             su, sv = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
             bad = {

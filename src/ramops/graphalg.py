@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
 from .linalg import Combination, SparseMatrix, exact
-from .quotient import QuotientComponent, clearable, load_component
+from .quotient import QuotientComponent, clearable, load_component, payload_component
 
 Edge = tuple[Atom, Atom]
 MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order
@@ -463,7 +463,9 @@ class GraphComponent(QuotientComponent):
         self, pres: GraphPresentation, labels: tuple[Atom, ...], monomials, reducer, basis_positions, mode: str
     ):
         self.mode = mode
-        super().__init__(pres, labels, monomials, reducer, basis_positions)
+        index = {m: i for i, m in enumerate(monomials)}
+        degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
+        super().__init__(pres, labels, monomials, reducer, basis_positions, index, degrees)
 
     def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
         return tuple(tuple((phi[u], phi[v]) for u, v in es) for es in m)
@@ -479,9 +481,9 @@ class GraphComponent(QuotientComponent):
     def monomial_from_json(data) -> MonomialKey:
         return tuple(tuple((u, v) for u, v in edges) for edges in data)
 
-    @staticmethod
-    def bidegree(pres: GraphPresentation, m: MonomialKey) -> BiDegree:
-        return monomial_bidegree(m, pres)
+    # the component on {1..n}: decoded from the store's payload, else
+    # eliminated from the relation span and written to the store
+    build = classmethod(payload_component)
 
     @classmethod
     def ambient_and_span(

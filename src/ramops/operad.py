@@ -24,7 +24,7 @@ whose smallest leaf can change; an order-preserving relabeling
 reorder nothing.
 
 A quotient component is the ambient trees modulo the ideal, and every one is
-a rewriting on {1..n} (``Component.composite``): nothing is eliminated,
+a rewriting on {1..n} (``Component.build``): nothing is eliminated,
 stored or transported to build it, and it loads no other component.
 
 A presentation without a factor (``lie``, ``sgriess``, ``liegriess``) is
@@ -217,7 +217,10 @@ class OperadElement(Combination):
         cls, labels: Iterable[Atom], gens: Signature, items: Iterable[tuple[Tree, Fraction | int]]
     ) -> "OperadElement":
         el = cls(labels, gens)
+        label_set = set(el.labels)
         for raw, coeff in items:
+            if set(tree_leaves(raw)) != label_set:
+                raise ValueError(f"the leaves of {raw!r} are not the label set {el.labels}")
             sign, canon = canonicalize(raw, gens)
             el._add_term(canon, exact(coeff) * sign)
         return el
@@ -516,17 +519,14 @@ class Component(QuotientComponent):
     def element(self, terms: dict) -> OperadElement:
         return OperadElement(self.labels, self.pres.gens, terms)
 
-    @staticmethod
-    def bidegree(pres: Presentation, m: Tree) -> BiDegree:
-        return tree_bidegree(m, pres.gens)
-
     @classmethod
-    def composite(cls, pres: Presentation, n: int) -> "Component":
-        """The component on {1..n}: the normal trees and the Groebner
-        rewriting onto them, or, if the presentation declares a factor F,
-        the E-combs of F's normal trees and the rewriting onto them, whose
-        monomial list and index it keeps."""
-        labels = standard_labels(n)
+    def build(
+        cls, pres: Presentation, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict
+    ) -> "Component":
+        """The component on {1..n}, with no payload or store: the normal
+        trees and the Groebner rewriting onto them, or, if the presentation
+        declares a factor F, the E-combs of F's normal trees and the
+        rewriting onto them, whose monomial list and index it keeps."""
         rw = (_Groebner if pres.factor is None else _Rewriting)(pres, labels)
         return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index, rw.degrees)
 

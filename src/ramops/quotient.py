@@ -3,10 +3,10 @@
 Both sides present a component the same way: the span of the ambient
 monomials on a label set modulo the span of the relation instances.  On the
 algebra side that span is brought to reduced row-echelon form once, on the
-standard labels {1..n}, and stored; the non-pivot monomials are the basis,
-and ``Echelon.reduce`` rewrites any vector onto them.  The operad side
-(``QuotientComponent.composite``: a Groebner rewriting, or Com o F) brings
-its own basis and reducer instead, and uses no payload or store.  The
+standard labels {1..n}, and stored (``payload_component``); the non-pivot
+monomials are the basis, and ``Echelon.reduce`` rewrites any vector onto
+them.  The operad side (a Groebner rewriting, or Com o F) brings its own
+basis and reducer instead, and uses no payload or store.  The
 component on any other label set of the same size is the standard one
 relabeled along the order-preserving bijection (``relabeled``), and
 coordinates are taken on the standard side, where the reducer lives.  Both
@@ -18,10 +18,12 @@ basis slot ``s`` the same basis monomial, on every label set of a given
 size.
 
 A subclass supplies only what differs between the sides: the transport,
-the element constructor and the bidegree of a monomial; the algebra side
-adds the JSON codec of a monomial and the builder of the ambient monomials
-and the relation span, the operad side a composite.  This module owns the rest: relabeling, coordinates and normal
-forms, the payload codec, the load-or-build path with its memo, and the
+the element constructor and ``build``, which makes the component on {1..n}
+with its monomial index and basis bidegrees.  The algebra side's ``build``
+is ``payload_component``, which reads its JSON codec of a monomial and its
+builder of the ambient monomials and the relation span; the operad side's
+is its rewriting.  This module owns the rest: relabeling, coordinates and
+normal forms, the payload codec, the load path with its memo, and the
 normal form of tensors of components.  It also owns every label-independent
 fact about a basis slot: its bidegree, the parity of its h, the slots of
 each bidegree and the basis expansion of each ambient position; ``coords``,
@@ -51,22 +53,22 @@ from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, check_label_set, standard_labels
-from .linalg import ONE, Echelon, SparseMatrix, bump, exact, quotient_basis, vec_add_scaled
+from .linalg import ONE, Echelon, bump, exact, quotient_basis, vec_add_scaled
 
 
 class QuotientComponent:
     """Quotient component on one label set: monomials, reducer, bigraded dims.
 
-    Built on the standard labels {1..n} from the caller's monomial list (and
-    index and basis bidegrees, if it has them); the component on another
-    label set of the size is that one ``relabeled``.  ``monomials[i]`` is
-    ambient monomial i, and ``basis`` lists the basis monomials in slot
-    order.
+    Built on the standard labels {1..n} by the side's ``build``, from its
+    monomial list, their index and the bidegrees of the basis monomials; the
+    component on another label set of the size is that one ``relabeled``.
+    ``monomials[i]`` is ambient monomial i, and ``basis`` lists the basis
+    monomials in slot order.
     ``reducer.reduce`` takes a vector on the ambient positions to its normal
     form on the basis positions: the ``Echelon`` of a stored payload, or a
-    rewriting (``composite``).  ``degrees[s]`` is the bidegree of basis
-    slot s, ``odd[s]`` the parity of its h; ``slots_by_degree`` lists the
-    slots of each bidegree in slot order and ``dims`` counts them.
+    rewriting.  ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]``
+    the parity of its h; ``slots_by_degree`` lists the slots of each
+    bidegree in slot order and ``dims`` counts them.
     """
 
     family = ""  # first word of the cache key and of the payload kind
@@ -78,17 +80,17 @@ class QuotientComponent:
         monomials: list,
         reducer,
         basis_positions: list[int],
-        index=None,
-        degrees=None,
+        index: dict,
+        degrees: list[BiDegree],
     ):
         self.pres = pres
         self.labels = labels
         self.monomials = monomials
         self.reducer = reducer
         self.basis_positions = basis_positions
-        self._index = {m: i for i, m in enumerate(monomials)} if index is None else index
+        self._index = index
         self.basis = [monomials[i] for i in basis_positions]
-        self.degrees = [self.bidegree(pres, m) for m in self.basis] if degrees is None else degrees
+        self.degrees = degrees
         self.odd = [h & 1 for h, _ in self.degrees]
         self.slots_by_degree: dict[BiDegree, list[int]] = {}
         for slot, deg in enumerate(self.degrees):
@@ -121,29 +123,13 @@ class QuotientComponent:
         """Element on this label set with the given canonical terms."""
         raise NotImplementedError
 
-    @staticmethod
-    def monomial_to_json(m):
-        raise NotImplementedError
-
-    @staticmethod
-    def monomial_from_json(data):
-        raise NotImplementedError
-
-    @staticmethod
-    def bidegree(pres, m) -> BiDegree:
-        raise NotImplementedError
-
     @classmethod
-    def ambient_and_span(cls, pres, n: int, **fields) -> tuple[list, SparseMatrix]:
-        """Ambient monomials on {1..n}, in column order, and rows spanning the
-        relations."""
+    def build(
+        cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict
+    ) -> "QuotientComponent":
+        """The component on the standard labels {1..n}; ``prefix`` is its
+        cache-key prefix and ``fields`` name the variant."""
         raise NotImplementedError
-
-    @classmethod
-    def composite(cls, pres, n: int) -> "QuotientComponent | None":
-        """The component on {1..n}, if a rewriting gives its basis and
-        reducer without elimination, payload or store, else None."""
-        return None
 
     # --- shared ----------------------------------------------------------------
 
@@ -254,10 +240,9 @@ def load_component(cls, pres, labels, store: ComponentStore | None = None, **fie
     """The ``cls`` component of the presentation on the label set.
 
     Taken from the store's memo, else relabeled from the component on
-    {1..n}, which is taken from the memo, else the rewriting, else decoded
-    from the store's payload, else built and written to it.  ``fields`` name
-    the variant (the ambient mode of an algebra); they enter the cache key,
-    the payload, the build and the constructor.
+    {1..n}, which is taken from the memo, else from the side's ``build``.
+    ``fields`` name the variant (the ambient mode of an algebra); they enter
+    the cache key, the payload, the build and the constructor.
     """
     labels = check_label_set(labels)
     store = store or default_store()
@@ -268,16 +253,17 @@ def load_component(cls, pres, labels, store: ComponentStore | None = None, **fie
         ref = standard_labels(len(labels))
         std = memo.get((prefix, ref))
         if std is None:
-            std = memo[prefix, ref] = _standard(cls, pres, ref, store, prefix, fields)
+            std = memo[prefix, ref] = cls.build(pres, ref, store, prefix, fields)
         comp = memo[prefix, labels] = std if labels == ref else std.relabeled(labels)
     return comp
 
 
-def _standard(cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
+def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
+    """The component on {1..n} decoded from the store's payload, else
+    eliminated from ``cls.ambient_and_span`` and written to the store: the
+    ``build`` of a side whose monomials have a JSON codec
+    (``cls.monomial_to_json``, ``cls.monomial_from_json``)."""
     n = len(labels)
-    comp = cls.composite(pres, n)
-    if comp is not None:
-        return comp
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
     if payload is not None and payload.get("presentation") == pres.hash:

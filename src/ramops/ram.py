@@ -162,13 +162,15 @@ def operad_dims(
         raise ValueError("n must be >= 1")
     if n > max_arity:
         done = quotient.memo_dims(Component, presentation(which), store)
-        raise ResourceBoundError(
-            f"arity {n} exceeds the configured bound {max_arity}",
-            partial={
+        # the bound is checked before anything is built: partial progress is
+        # what the store's memo holds already, if anything
+        partial = None
+        if done:
+            partial = {
                 "max_arity": max_arity,
                 "computed_arities": {k: dims_to_table(d) for k, d in done.items()},
-            },
-        )
+            }
+        raise ResourceBoundError(f"arity {n} exceeds the configured bound {max_arity}", partial)
     comp = component_basis(presentation(which), standard_labels(n), store)
     return dict(comp.dims)
 

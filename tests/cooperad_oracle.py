@@ -3,8 +3,9 @@ monomial at a time.
 
 ``raw_theta`` splits every monomial of its input and ``theta`` reduces
 both tensor factors of the sum; ``tensor_multiply`` is the product of two
-unreduced tensors, for the algebra-morphism test; ``dual_compose`` runs it on every basis monomial of the
-output bidegree and pairs the image with the two forms.
+unreduced tensors, for the algebra-morphism test; ``dual_compose`` runs
+``theta`` on every basis monomial of the union and pairs the image with the
+two forms, each term signed by the h-parities of its two factors.
 ``cooperad_axiom_check`` and ``theta_intertwines_differentials`` build both
 sides of each identity as tensor elements, basis element by basis element,
 through ``cooperad.theta``.  Slow, but simple enough to trust; the tests
@@ -111,23 +112,17 @@ def tensor_multiply(x, y, mode="forest"):
 
 
 def dual_compose(f, g, place=STAR, store=None):
-    """<f o g, x> = sum over theta(x) = sum u(x)v of (-1)**(h(g) h(u)) <f,u> <g,v>."""
+    """<f o g, x> = sum over theta(x) = sum u(x)v of (-1)**(h(v) h(u)) <f,u> <g,v>,
+    on every basis monomial x of the union: h(v) is h(g) wherever <g,v> is
+    nonzero, and g may be of mixed degree."""
     pres = f.component.pres
     I = tuple(a for a in f.labels if a != place)
     J = g.labels
     comp = algebra_basis(pres, sort_atoms(I + J), "forest", store)
-    out_deg = None
-    if f.bidegree is not None and g.bidegree is not None:
-        out_deg = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    out = LinearForm(comp, None, out_deg)
-    if f.is_zero() or g.is_zero():
-        return out
-    hg = g.bidegree[0] if g.bidegree is not None else 0
+    out = LinearForm(comp)
     slot_left = {m: s for s, m in enumerate(f.component.basis)}
     slot_right = {m: s for s, m in enumerate(g.component.basis)}
     for slot_x, m in enumerate(comp.basis):
-        if out_deg is not None and monomial_bidegree(m, pres) != out_deg:
-            continue
         total = Fraction(0)
         for (u, v), c in theta(pres, I, J, comp.monomial_element(m), place, store).terms.items():
             fu = f.coords.get(slot_left.get(u, -1))
@@ -135,7 +130,8 @@ def dual_compose(f, g, place=STAR, store=None):
             if not fu or not gv:
                 continue
             hu = monomial_bidegree(u, pres)[0]
-            sign = -1 if (hg & 1) and (hu & 1) else 1
+            hv = monomial_bidegree(v, pres)[0]
+            sign = -1 if (hv & 1) and (hu & 1) else 1
             total += c * sign * fu * gv
         if total:
             out.coords[slot_x] = total

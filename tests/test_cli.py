@@ -87,6 +87,15 @@ def test_conjecture_resource_bound():
     assert run_cli("conjecture", "--n", "9") == 2
 
 
+def test_resource_bound_before_any_build_reports_no_partial_progress(capsys, tmp_path):
+    # the bound is checked before anything is built, so a fresh process has
+    # no arity to report
+    assert run_cli("dims", "--operad", "ram", "--n", "7", "--cache-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "arity 7 exceeds the configured bound 6" in err
+    assert "partial progress" not in err
+
+
 def test_unknown_flag_is_usage_error():
     assert run_cli("dims", "--operad", "unknown-operad", "--n", "2") == 2
     assert run_cli("nonsense") == 2

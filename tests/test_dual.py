@@ -12,6 +12,7 @@ from ramops import clear_memos, cooperad, dual, graphalg, operad, ram
 from ramops.cache import ComponentStore
 
 from ramops.dual import (
+    LinearForm,
     compat_checks,
     conjecture_verdict,
     dual_basis_element,
@@ -81,6 +82,57 @@ def test_dual_compose_worked_values():
     one_r = dual_basis_element((2,), "one")
     composed = dual_compose(one_l, one_r, STAR)
     assert composed.value_on(AlgebraElement.unit((1, 2), P)) == 1
+
+
+def _sum(*forms):
+    total = LinearForm(forms[0].component)
+    for form in forms:
+        total.add_scaled(form, 1)
+    return total
+
+
+def test_dual_compose_is_linear_in_forms_of_mixed_degree():
+    # a* has h = 0 and b* has h = 1: their sum has no degree, and each term
+    # of a composite takes its sign from its own slots
+    f = dual_basis_element((STAR, HASH), "bstar", STAR, HASH)
+    a = dual_basis_element((1, 2), "astar", 1, 2)
+    b = dual_basis_element((1, 2), "bstar", 1, 2)
+    g = _sum(a, b)
+    assert g.bidegree is None and a.bidegree == (0, 1) and b.bidegree == (1, 1)
+    composite = dual_compose(f, g)
+    assert composite == _sum(dual_compose(f, a), dual_compose(f, b))
+    assert composite == oracle.dual_compose(f, g) and composite.bidegree is None
+    assert sorted(composite.coords.values()) == [1, 1, 1]
+
+    one = dual_basis_element((STAR, HASH), "one")
+    mixed = _sum(one, f)
+    assert dual_compose(mixed, g) == _sum(*(dual_compose(x, y) for x in (one, f) for y in (a, b)))
+
+
+def test_dual_compose_reads_no_degree_off_a_form():
+    # the same coordinates give the same composite, however the form was made
+    f = dual_basis_element((STAR, HASH), "bstar", STAR, HASH)
+    g = dual_basis_element((1, 2), "bstar", 1, 2)
+    bare_f, bare_g = (LinearForm(x.component, x.coords) for x in (f, g))
+    assert bare_g.bidegree == g.bidegree == (1, 1)
+    assert dual_compose(bare_f, bare_g) == dual_compose(f, g) == oracle.dual_compose(f, g)
+    assert dual_compose(f, g).bidegree == (2, 2)
+    zero = LinearForm(f.component)
+    assert zero.bidegree is None and dual_compose(zero, g).is_zero()
+
+
+def test_dual_compose_matches_oracle_on_random_mixed_forms():
+    rng = random.Random(19)
+    store = ComponentStore()
+    for left, right, place in (((1, STAR), (2, 3), STAR), ((1, 2, HASH), (3, 4), HASH), ((STAR, 3), (1, 2), STAR)):
+        forms = []
+        for labels in (left, right):
+            comp = algebra_basis(P, labels, "forest", store)
+            coords = {s: rng.choice((-2, -1, 1, 3)) for s in range(comp.dim) if rng.random() < 0.6}
+            forms.append(LinearForm(comp, coords))
+        f, g = forms
+        out = dual_compose(f, g, place, store)
+        assert out == oracle.dual_compose(f, g, place, store) and not out.is_zero()
 
 
 def test_rho_on_generators():

@@ -105,6 +105,15 @@ def test_canonicalize_duplicate_leaf_rejected():
         canonicalize(("L", 1, 1), GENS)
 
 
+def test_from_terms_rejects_leaves_other_than_the_label_set():
+    # a leaf outside the labels, and a label missing from the leaves
+    with pytest.raises(ValueError, match="not the label set"):
+        OperadElement.from_terms((1, 2), GENS, [(("L", 1, 3), 1)])
+    with pytest.raises(ValueError, match="not the label set"):
+        OperadElement.from_terms((1, 2, 3), GENS, [(("L", 1, 3), 1)])
+    assert mono((1, 3), ("L", 3, 1)).terms == {("L", 1, 3): -1}
+
+
 def test_sign_oracle_agrees_up_to_arity_4():
     names = sorted(GENS)
     for n in (2, 3, 4):

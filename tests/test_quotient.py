@@ -26,6 +26,7 @@ from ramops.operad import (
     canonicalize,
     component_basis,
     ideal_span,
+    tree_bidegree,
     tree_to_json,
 )
 from ramops.quotient import clear_memos
@@ -436,7 +437,7 @@ def _parent_payload(pres, n):
     monomials, ech = span_echelon(pres, n)
     pivots = set(ech.pivots)
     basis = [i for i in range(len(monomials)) if i not in pivots]
-    dims = Counter(Component.bidegree(pres, monomials[i]) for i in basis)
+    dims = Counter(tree_bidegree(monomials[i], pres.gens) for i in basis)
     return {
         "kind": "operad-component",
         "presentation": pres.hash,

@@ -33,7 +33,7 @@ from ramops.cache import ComponentStore
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, bump, rank, rref
 from ramops import graphalg, operad
-from ramops.operad import Component, _Rewriting, _rewrite_rules, _trees, component_basis, grafted_span
+from ramops.operad import _Rewriting, _rewrite_rules, _trees, component_basis, grafted_span, tree_bidegree
 from ramops.ram import presentation
 
 ARITIES = (1, 2, 3, 4)
@@ -171,7 +171,7 @@ def certificate(name, n):
     comp = component_basis(pres, standard_labels(n), ComponentStore())
     assert comp.monomials == monomials
     pivots = set(ech.pivots)
-    oracle_dims = Counter(comp.bidegree(pres, m) for i, m in enumerate(monomials) if i not in pivots)
+    oracle_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
     expansions_hold = True
     for i, m in enumerate(monomials):
         row = {i: Fraction(1)}
@@ -228,9 +228,9 @@ def test_normal_trees_certify_a_quadratic_groebner_basis(name, leading):
     assert set(rules) == leading
     monomials, ech = span_echelon(pres, 4)
     pivots = set(ech.pivots)
-    quotient_dims = Counter(Component.bidegree(pres, m) for i, m in enumerate(monomials) if i not in pivots)
+    quotient_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
     trees = _trees(pres.gens, standard_labels(4), frozenset(rules))
-    assert Counter(Component.bidegree(pres, t) for t, normal in trees if normal) == quotient_dims
+    assert Counter(tree_bidegree(t, pres.gens) for t, normal in trees if normal) == quotient_dims
 
 
 def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
