@@ -15,6 +15,10 @@ rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
 written.  ``get`` hashes those bytes as read, before decoding them, and
 treats a mismatch as a miss: an edit that leaves the payload well-formed,
 such as a changed coefficient, is rebuilt rather than trusted.
+
+``info`` and ``clear`` act on the store's own files only: payload files
+that start with the checksum head, and the temporaries of writers,
+``<key>.<random>.tmp``.  Other files in the directory are left alone.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from contextlib import suppress
 
@@ -39,6 +44,18 @@ def _checked_body(data: bytes) -> bytes | None:
     if hashlib.sha256(body).hexdigest().encode() != data[len(_HEAD) : _DIGEST_END]:
         return None
     return body
+
+
+def _has_head(path: str) -> bool:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(len(_HEAD)) == _HEAD
+    except OSError:
+        return False
+
+
+# the names ``put`` gives its temporaries: mkstemp's eight random characters
+_TEMPORARY = re.compile(r".+\.[a-z0-9_]{8}\.tmp")
 
 _ENV_VAR = "RAMOPS_CACHE_DIR"
 _DEFAULT_DIRNAME = ".ramops-cache"
@@ -94,24 +111,31 @@ class ComponentStore:
                 os.remove(tmp)
             raise
 
-    def info(self) -> dict:
-        on_disk: list[str] = []
+    def _files(self) -> tuple[list[str], list[str]]:
+        """The names of the store's payload files, ``<key>.json`` starting
+        with the checksum head, and of its writers' temporaries,
+        ``<key>.<random>.tmp``: no other file in the directory is the store's."""
+        payloads: list[str] = []
+        temporaries: list[str] = []
         if self.directory and os.path.isdir(self.directory):
-            on_disk = sorted(
-                name[:-5] for name in os.listdir(self.directory) if name.endswith(".json")
-            )
-        return {"directory": self.directory, "disk_entries": on_disk}
+            for name in sorted(os.listdir(self.directory)):
+                if name.endswith(".json") and _has_head(os.path.join(self.directory, name)):
+                    payloads.append(name)
+                elif _TEMPORARY.fullmatch(name):
+                    temporaries.append(name)
+        return payloads, temporaries
+
+    def info(self) -> dict:
+        payloads, _ = self._files()
+        return {"directory": self.directory, "disk_entries": [name[:-5] for name in payloads]}
 
     def clear(self) -> int:
         """Delete the payload files, and the temporary files of writers that
         died before renaming theirs; returns how many were removed."""
-        removed = 0
-        if self.directory and os.path.isdir(self.directory):
-            for name in sorted(os.listdir(self.directory)):
-                if name.endswith((".json", ".tmp")):
-                    os.remove(os.path.join(self.directory, name))
-                    removed += 1
-        return removed
+        payloads, temporaries = self._files()
+        for name in payloads + temporaries:
+            os.remove(os.path.join(self.directory, name))  # type: ignore[arg-type]
+        return len(payloads) + len(temporaries)
 
 
 _default_store = ComponentStore()

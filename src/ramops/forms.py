@@ -102,6 +102,14 @@ def eval_element(
 FAMILIES_LISTED_FOR_FORMS = ("aa_sum", "ab_sum", "b_cycle")
 
 
+def check_survey_args(n: int, trials: int) -> None:
+    """Raise ``ValueError`` unless ``relation_survey`` takes n and trials."""
+    if not 2 <= n <= 6:
+        raise ValueError("the survey is bounded to 2 <= n <= 6")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def relation_survey(n: int, trials: int = 20, seed: int = 0) -> dict:
     """Evaluate every relation instance of each family of R at random exact
     points.
@@ -109,10 +117,7 @@ def relation_survey(n: int, trials: int = 20, seed: int = 0) -> dict:
     Reports holds-always or fails-with-witness per family.  The witness pins
     the instance and the sample point, so a failure is reproducible.
     """
-    if not 2 <= n <= 6:
-        raise ValueError("the survey is bounded to 2 <= n <= 6")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_survey_args(n, trials)
     labels = tuple(range(1, n + 1))
     rng = random.Random(seed)
     results = []

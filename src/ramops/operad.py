@@ -27,7 +27,7 @@ A quotient component is the ambient trees modulo the ideal, and every one is
 a rewriting on {1..n} (``Component.build``): nothing is eliminated,
 stored or transported to build it, and it loads no other component.
 
-A presentation without a factor (``lie``, ``sgriess``, ``liegriess``) is
+A presentation that is not Com o F (``lie``, ``sgriess``, ``liegriess``) is
 rewritten by its relations as a quadratic Groebner basis (Dotsenko-Khoroshkin,
 Duke Math. J. 153, 2010; Hoffbeck, Manuscripta Math. 131, 2010):
 
@@ -44,14 +44,18 @@ Duke Math. J. 153, 2010; Hoffbeck, Manuscripta Math. 131, 2010):
   canonical, and its sign is the ``compose`` sign of grafting x, y, z into
   the leaves 1, 2, 3, read from a table per term.
 
-That the leading terms form a Groebner basis is checked, not assumed: at
-arity 4 the normal trees number the grafted span's quotient dims in every
-bidegree (the diamond lemma for quadratic relations), and up to arity 5
-every tree minus its nf lies in that span (``tests/test_spans.py``).
+That the leading terms form a Groebner basis is checked when the
+presentation is made, not assumed (``_certify``): on {1..4}, nf kills every
+relabelling of every relation, and each overlap of two leading terms has
+one normal form, so by the diamond lemma the normal trees are a basis at
+every arity.  The tests hold the check to the grafted span: it accepts
+exactly the presentations whose normal trees number the span's quotient
+dims at arities 3 and 4, and up to arity 5 every tree minus its nf lies in
+that span (``tests/test_spans.py``).
 
-A presentation that declares a factorisation Com o F (see ``Presentation``)
-is the composite of Com with F, read through F's Groebner rewriting on the
-same labels:
+A presentation recognised as Com o F (see ``Presentation``) is the
+composite of Com with F, read through F's Groebner rewriting on the same
+labels:
 
 * its basis is the left E-combs E(..E(f1, f2).., fk), one per set partition
   of the labels (blocks by smallest leaf) and choice of a normal tree fi of
@@ -81,7 +85,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping
 
 from .cache import ComponentStore
@@ -359,37 +363,23 @@ def _trees(
 class Presentation:
     """Binary generators plus quadratic relations on the abstract atoms 1,2,3.
 
-    ``factor`` declares a factorisation Com o F: the presentation's one
-    generator outside F is a commutative product E of bidegree (0, 0), the
-    relations are E's associativity, F's relations and the Leibniz rules
-    that move E past each generator of F, and these form a distributive law.
-    Each generator of F must be the presentation's generator of its name.
-    Its components are then composites that reduce the E-free factors by
-    F's Groebner rewriting (see the module docstring), and the factor does
-    not enter the hash.  Without a factor, the relations are read as a
-    quadratic Groebner basis, which the tests certify for ``lie``,
-    ``sgriess`` and ``liegriess`` only.
+    It is Com o F when a generator E is symmetric of bidegree (0, 0) and the
+    relations that use E are, up to nonzero scalars, E's ``associativity``
+    and a ``leibniz`` rule for each other generator.  Then ``product`` is E
+    and ``factor`` is F: the other generators with the relations that use
+    only them (``restricted``, named ``<name>/E``), whose Groebner rewriting
+    reduces the E-free factors of the composite (see the module docstring).
+    Otherwise both are None, and the relations are read as a quadratic
+    Groebner basis, which ``_certify`` checks here, raising ``ValueError``;
+    a factor, being a presentation, is checked too.  The name enters
+    neither the hash nor the checks.
     """
 
-    def __init__(
-        self,
-        name: str,
-        generators: Iterable[GeneratorSpec],
-        relations: Iterable[OperadElement],
-        factor: "Presentation | None" = None,
-    ):
+    def __init__(self, name: str, generators: Iterable[GeneratorSpec], relations: Iterable[OperadElement]):
         self.name = name
         self.generators = tuple(generators)
         self.relations = tuple(relations)
         self.gens: dict[str, GeneratorSpec] = {g.name: g for g in self.generators}
-        self.factor = factor
-        if factor is not None:
-            if any(self.gens.get(g.name) != g for g in factor.generators):
-                raise ValueError("each generator of a factor must equal the presentation's of its name")
-            outside = [g for g in self.generators if g.name not in factor.gens]
-            if len(outside) != 1 or outside[0].symmetry != 1 or outside[0].bidegree != (0, 0):
-                raise ValueError("a factor must leave out one generator, symmetric of bidegree (0, 0)")
-            self.product = outside[0].name
         for r in self.relations:
             if r.bidegree() is None:
                 raise ValueError("relations must be bihomogeneous")
@@ -397,24 +387,48 @@ class Presentation:
                 if _node_count(t) != 2 or len(r.labels) != 3:
                     raise ValueError("relations must be quadratic (two-level trees)")
         self.hash = self._hash()
+        self.product, self.factor = self._composite()
+        if self.factor is None and self.relations:
+            _certify(self)
+
+    def _composite(self) -> tuple[str | None, "Presentation | None"]:
+        """The product E and the factor F when this is Com o F, else Nones."""
+        for e in (g.name for g in self.generators if g.symmetry == 1 and g.bidegree == (0, 0)):
+            others = [x for x in self.gens if x != e]
+            laws = [associativity(self.gens, e)] + [leibniz(self.gens, e, x) for x in others]
+            using = [r for r in self.relations if e in _uses(r)]
+            if len(using) == len(laws) and all(any(_proportional(r, law) for r in using) for law in laws):
+                return e, self.restricted(f"{self.name}/{e}", others)
+        return None, None
+
+    def restricted(self, name: str, keep: Iterable[str]) -> "Presentation":
+        """The generators named in ``keep``, in this order, with the
+        relations that use only them."""
+        keep = set(keep)
+        gens = {g.name: g for g in self.generators if g.name in keep}
+        relations = [OperadElement(r.labels, gens, dict(r.terms)) for r in self.relations if _uses(r) <= keep]
+        return Presentation(name, gens.values(), relations)
 
     def _hash(self) -> str:
-        payload = {
-            "generators": sorted(
-                [g.name, g.bidegree[0], g.bidegree[1], g.symmetry] for g in self.generators
-            ),
-            "relations": sorted(
-                json.dumps(
-                    [[str(c), tree_to_json(t)] for t, c in r.sorted_terms()], sort_keys=True
-                )
-                for r in self.relations
-            ),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+        gens = sorted([g.name, *g.bidegree, g.symmetry] for g in self.generators)
+        terms = ([[str(c), tree_to_json(t)] for t, c in r.sorted_terms()] for r in self.relations)
+        rels = sorted(json.dumps(ts, sort_keys=True) for ts in terms)
+        blob = json.dumps({"generators": gens, "relations": rels}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def __repr__(self) -> str:
         return f"Presentation({self.name!r}, {len(self.generators)} gens, {len(self.relations)} rels)"
+
+
+def _uses(r: OperadElement) -> set[str]:
+    """The generators of the quadratic relation r, on both levels."""
+    return {v[0] for t in r.terms for v in (t, t[1], t[2]) if not is_leaf(v)}
+
+
+def _proportional(r: OperadElement, law: OperadElement) -> bool:
+    """Whether r is a nonzero multiple of ``law``."""
+    t = next(iter(law.terms))
+    return r.terms.keys() == law.terms.keys() and r == law.scaled(Fraction(r.terms[t]) / law.terms[t])
 
 
 def _node_count(t: Tree) -> int:
@@ -525,8 +539,8 @@ class Component(QuotientComponent):
     ) -> "Component":
         """The component on {1..n}, with no payload or store: the normal
         trees and the Groebner rewriting onto them, or, if the presentation
-        declares a factor F, the E-combs of F's normal trees and the
-        rewriting onto them, whose monomial list and index it keeps."""
+        is Com o F, the E-combs of F's normal trees and the rewriting onto
+        them, whose monomial list and index it keeps."""
         rw = (_Groebner if pres.factor is None else _Rewriting)(pres, labels)
         return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index, rw.degrees)
 
@@ -689,6 +703,38 @@ class _Groebner:
         return self.index[t]
 
 
+_CERTIFIED: set[str] = clearable(set())
+
+
+def _certify(pres: Presentation) -> None:
+    """Raise ``ValueError`` unless the relations, each solved for its
+    leading term, are a quadratic Groebner basis.  By the diamond lemma
+    (Dotsenko-Khoroshkin 2010) two facts of the rewriting on {1..4} decide
+    it: nf kills every relabelling of every relation by S3, so the rules
+    span the ideal at arity 3; and each overlap g(g'(g''(1, 2), 3), 4) of
+    two leading terms has one normal form, whether the inner divisor or the
+    outer one is rewritten first.  Remembered by presentation hash."""
+    if pres.hash in _CERTIFIED:
+        return
+    rw = _Groebner(pres, standard_labels(4))
+    for r in pres.relations:
+        for image in permutations((1, 2, 3)):
+            moved = relabel(r, dict(zip((1, 2, 3), image)))
+            nf: dict[Tree, Fraction | int] = {}
+            for t, c in moved.terms.items():
+                for m, e in rw.normal_form(t).items():
+                    bump(nf, m, c * e)
+            if nf:
+                raise ValueError(f"{pres.name}: the rewriting rules do not reduce the relation {moved} to 0")
+    for (g, g1), (g2, g3) in product(rw.rules, repeat=2):
+        if g1 == g2:
+            inner = (g1, (g3, 1, 2), 3)
+            # normal_form rewrites the inner divisor first, _root the outer one
+            if rw.normal_form((g, inner, 4)) != rw._root(g, inner, 4):
+                raise ValueError(f"{pres.name}: the overlap {tree_str((g, inner, 4))} has two normal forms")
+    _CERTIFIED.add(pres.hash)
+
+
 def set_partitions(items: tuple) -> Iterator[list[tuple]]:
     if not items:
         yield []
@@ -698,6 +744,23 @@ def set_partitions(items: tuple) -> Iterator[list[tuple]]:
         yield [(first,)] + sub
         for i in range(len(sub)):
             yield sub[:i] + [(first,) + sub[i]] + sub[i + 1 :]
+
+
+def associativity(gens: Signature, e: str) -> OperadElement:
+    """The associativity of the product e: e(1, e(2, 3)) - e(2, e(3, 1))."""
+    gen = OperadElement.generator
+    lhs = compose(gen(gens, e, 1, STAR), gen(gens, e, 2, 3))
+    return lhs - compose(gen(gens, e, 2, STAR), gen(gens, e, 3, 1))
+
+
+def leibniz(gens: Signature, e: str, x: str) -> OperadElement:
+    """The Leibniz rule that moves the product e past x:
+    x(1, e(2, 3)) - e(2, x(1, 3)) - e(3, x(1, 2))."""
+    gen = OperadElement.generator
+    lhs = compose(gen(gens, x, 1, STAR), gen(gens, e, 2, 3))
+    r1 = compose(gen(gens, e, 2, STAR), gen(gens, x, 1, 3))
+    r2 = compose(gen(gens, e, 3, STAR), gen(gens, x, 1, 2))
+    return lhs - r1 - r2
 
 
 class _Rewriting:

@@ -227,7 +227,7 @@ _COMPONENTS: WeakKeyDictionary[ComponentStore, dict[tuple[str, tuple], QuotientC
 
 def clear_memos() -> None:
     """Forget every registered memo: components, cocomposition tables,
-    forms, relation spans and instances."""
+    forms, relation spans and instances, certified presentations."""
     for memo in _MEMOS:
         memo.clear()
 
@@ -259,14 +259,17 @@ def load_component(cls, pres, labels, store: ComponentStore | None = None, **fie
 
 
 def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
-    """The component on {1..n} decoded from the store's payload, else
-    eliminated from ``cls.ambient_and_span`` and written to the store: the
+    """The component on {1..n} decoded from the store's payload, when it
+    names this side, presentation, arity and variant, else eliminated from
+    ``cls.ambient_and_span`` and written to the store: the
     ``build`` of a side whose monomials have a JSON codec
     (``cls.monomial_to_json``, ``cls.monomial_from_json``)."""
     n = len(labels)
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
-    if payload is not None and payload.get("presentation") == pres.hash:
+    # a payload copied or renamed to another key names what it holds
+    header = _header(cls, pres, n, fields)
+    if payload is not None and all(payload.get(k) == v for k, v in header.items()):
         try:
             parts = _decode(cls, pres, payload)
             if parts is not None:
@@ -280,7 +283,7 @@ def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore,
     monomials, span = cls.ambient_and_span(pres, n, **fields)
     basis_positions, ech = quotient_basis(span, len(monomials))
     comp = cls(pres, labels, monomials, ech, basis_positions, **fields)
-    store.put(cache_key, _encode(comp, fields))
+    store.put(cache_key, {**header, **_encode(comp)})
     return comp
 
 
@@ -304,12 +307,13 @@ def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
     return basis_positions == [i for i in range(ncols) if i not in pivot_set]
 
 
-def _encode(comp: QuotientComponent, fields: dict) -> dict:
+def _header(cls, pres, n: int, fields: dict) -> dict:
+    """What a payload holds: its side, presentation, arity and variant."""
+    return {"kind": f"{cls.family}-component", "presentation": pres.hash, "n": n, **fields}
+
+
+def _encode(comp: QuotientComponent) -> dict:
     return {
-        "kind": f"{comp.family}-component",
-        "presentation": comp.pres.hash,
-        "n": len(comp.labels),
-        **fields,
         "monomials": [comp.monomial_to_json(m) for m in comp.monomials],
         "pivots": list(comp.reducer.pivots),
         "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in comp.reducer.rows],

@@ -1,20 +1,21 @@
 """The Ramanujan operad and its relatives: presentations, coproduct, differentials.
 
 Three binary generators: E symmetric of bidegree (0,0), L antisymmetric of
-(0,1), and the suspended-Griess generator G antisymmetric of (1,1).  The
-relation families are associativity for E, the Jacobi sum for L, the mixed
-cyclic sum tying L and G, and the two rewriting relations that move E past
-L and past G (the distributive laws that split the operad into a
-commutative layer over a LieGriess layer).
+(0,1), and the suspended-Griess generator G antisymmetric of (1,1).  Ram's
+relations are associativity for E, the Jacobi sum for L, the mixed cyclic
+sum tying L and G, and the two Leibniz rules that move E past L and past G
+(the distributive laws that split the operad into a commutative layer over
+a LieGriess layer).  Every other named presentation is Ram restricted to
+some of its generators.
 
-Each presentation with E declares its E-free factor F, so that it is
-Com o F: ``com`` = Com o I, ``poisson`` = Com o Lie, ``bessel`` =
-Com o SGriess and ``ram`` = Com o LieGriess.  Their components are the
-E-combs of F's normal trees, and every tree is rewritten onto them with Koszul
-signs on preorder words; the factors are rewritten by their relations as a
-quadratic Groebner basis (see ``operad``).  Nothing is eliminated or stored
-for any of them.  ``distributive_check`` keeps the law itself under test:
-it compares the grafted span's dims with the composite's, which are the
+``Presentation`` recognises each one with E as Com o F: ``com`` = Com o I,
+``poisson`` = Com o Lie, ``bessel`` = Com o SGriess and ``ram`` =
+Com o LieGriess.  Their components are the E-combs of F's normal trees,
+and every tree is rewritten onto them with Koszul signs on preorder words;
+the factors are rewritten by their relations as a certified quadratic
+Groebner basis (see ``operad``).  Nothing is eliminated or stored for any
+of them.  ``distributive_check`` keeps the law itself under test: it
+compares the grafted span's dims with the composite's, which are the
 partition convolution of LieGriess dims.
 
 The coproduct is E -> E(x)E, L -> E(x)L + L(x)E, G -> E(x)G + G(x)E,
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from . import quotient
 from .cache import ComponentStore, default_store
-from .labels import Atom, BiDegree, STAR, check_label_set, standard_labels
+from .labels import BiDegree, STAR, check_label_set, standard_labels
 from .linalg import Combination, bump, quotient_basis
 from .operad import (
     Component,
@@ -46,10 +47,12 @@ from .operad import (
     Presentation,
     Signature,
     Tree,
+    associativity,
     component_basis,
     compose,
     grafted_span,
     is_leaf,
+    leibniz,
     tree_bidegree,
     tree_h,
     tree_sort_key,
@@ -64,7 +67,9 @@ G_SPEC = GeneratorSpec("G", (1, 1), -1)
 RAM_GENERATORS = (E_SPEC, L_SPEC, G_SPEC)
 RAM_SIGNATURE: Signature = {g.name: g for g in RAM_GENERATORS}
 
-PRESENTATION_NAMES = ("com", "lie", "sgriess", "liegriess", "poisson", "bessel", "ram")
+# the generators of each named presentation, one letter each
+_GENERATORS = dict(com="E", lie="L", sgriess="G", liegriess="LG", poisson="EL", bessel="EG", ram="ELG")
+PRESENTATION_NAMES = tuple(_GENERATORS)
 
 
 class ResourceBoundError(RuntimeError):
@@ -75,8 +80,7 @@ class ResourceBoundError(RuntimeError):
         self.partial = partial or {}
 
 
-def _gen(gens: Signature, name: str, a: Atom, b: Atom) -> OperadElement:
-    return OperadElement.generator(gens, name, a, b)
+_gen = OperadElement.generator
 
 
 def _jacobi(gens: Signature) -> OperadElement:
@@ -96,56 +100,23 @@ def _mixed(gens: Signature) -> OperadElement:
     return acc
 
 
-def _associativity(gens: Signature) -> OperadElement:
-    lhs = compose(_gen(gens, "E", 1, STAR), _gen(gens, "E", 2, 3))
-    rhs = compose(_gen(gens, "E", 2, STAR), _gen(gens, "E", 3, 1))
-    return lhs - rhs
-
-
-def _rewrite(gens: Signature, odd: str) -> OperadElement:
-    """x_{1,*}oE_{2,3} - E_{2,*}o x_{1,3} - E_{3,*}o x_{1,2} for x in {L, G}."""
-    lhs = compose(_gen(gens, odd, 1, STAR), _gen(gens, "E", 2, 3))
-    r1 = compose(_gen(gens, "E", 2, STAR), _gen(gens, odd, 1, 3))
-    r2 = compose(_gen(gens, "E", 3, STAR), _gen(gens, odd, 1, 2))
-    return lhs - r1 - r2
-
-
 _PRESENTATION_MEMO: dict[str, Presentation] = {}
 
 
 def presentation(which: str) -> Presentation:
-    """One of com | lie | sgriess | liegriess | poisson | bessel | ram."""
+    """One of com | lie | sgriess | liegriess | poisson | bessel | ram: Ram
+    restricted to the generators of the name."""
     if which not in PRESENTATION_NAMES:
         raise ValueError(f"unknown presentation {which!r}; choose from {PRESENTATION_NAMES}")
-    if which in _PRESENTATION_MEMO:
-        return _PRESENTATION_MEMO[which]
-    # the last column names the E-free factor F of Com o F ("unit": no
-    # generators, so that Com = Com o I)
-    by_name = {
-        "com": ((E_SPEC,), ("assoc",), "unit"),
-        "lie": ((L_SPEC,), ("jacobi",), None),
-        "sgriess": ((G_SPEC,), (), None),
-        "liegriess": ((L_SPEC, G_SPEC), ("jacobi", "mixed"), None),
-        "poisson": ((E_SPEC, L_SPEC), ("assoc", "jacobi", "rewrite_L"), "lie"),
-        "bessel": ((E_SPEC, G_SPEC), ("assoc", "rewrite_G"), "sgriess"),
-        "ram": (RAM_GENERATORS, ("assoc", "jacobi", "mixed", "rewrite_L", "rewrite_G"), "liegriess"),
-    }
-    generators, families, factor = by_name[which]
-    gens = {g.name: g for g in generators}
-    builders = {
-        "assoc": lambda: _associativity(gens),
-        "jacobi": lambda: _jacobi(gens),
-        "mixed": lambda: _mixed(gens),
-        "rewrite_L": lambda: _rewrite(gens, "L"),
-        "rewrite_G": lambda: _rewrite(gens, "G"),
-    }
-    relations = tuple(builders[f]() for f in families)
-    if factor == "unit":
-        factor = Presentation("unit", (), ())
-    elif factor is not None:
-        factor = presentation(factor)
-    pres = Presentation(which, generators, relations, factor)
-    _PRESENTATION_MEMO[which] = pres
+    pres = _PRESENTATION_MEMO.get(which)
+    if pres is None:
+        if which == "ram":
+            g = RAM_SIGNATURE
+            laws = (associativity(g, "E"), _jacobi(g), _mixed(g), leibniz(g, "E", "L"), leibniz(g, "E", "G"))
+            pres = Presentation("ram", RAM_GENERATORS, laws)
+        else:
+            pres = presentation("ram").restricted(which, _GENERATORS[which])
+        _PRESENTATION_MEMO[which] = pres
     return pres
 
 

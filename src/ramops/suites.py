@@ -23,7 +23,7 @@ from .graphalg import (
 from .labels import ordered_splits, standard_labels
 from .operad import component_basis, tree_str
 from .ram import differential, distributive_check, hopf_check, presentation
-from .forms import relation_survey
+from .forms import check_survey_args, relation_survey
 from .reports import informational, verdict
 
 SUITES = ("hopf", "differentials", "cooperad", "lemmas", "forms", "all")
@@ -238,12 +238,15 @@ def run_suite(
     trials: int = 20,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Returns (verdicts, extra_tables); every suite starts at arity 2."""
+    """Returns (verdicts, extra_tables); every suite starts at arity 2.
+    Every argument is checked before the first suite runs."""
     store = store or default_store()
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if name in ("forms", "all"):
+        check_survey_args(n, trials)
     verdicts: list[dict] = []
     tables: dict = {}
     if name in ("hopf", "all"):

@@ -8,7 +8,7 @@ product formed by ``multiply`` on monomial keys, normalised through
 The grafted-span route to an operad component is the oracle of the
 composite components.
 
-Before presentations declared a factor, every operad component was built
+Before operad components were rewritings, every one of them was built
 from ``grafted_span``: each relation grafted into every monomial, and every
 generator put on top of a lower-arity span element, brought to reduced
 row-echelon form.  The composite Com o F must be a change of basis of that

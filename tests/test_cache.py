@@ -99,3 +99,17 @@ def test_clear_removes_temporary_files_of_killed_writers(tmp_path):
     (tmp_path / "notes.txt").write_text("not the store's")
     assert store.clear() == 2
     assert os.listdir(tmp_path) == ["notes.txt"]
+
+
+def test_foreign_files_survive_clear_and_stay_out_of_info(tmp_path):
+    store = ComponentStore(str(tmp_path))
+    store.put("k", {"x": 1})
+    (tmp_path / "k.q3x9_a1z.tmp").write_bytes(b"")
+    # files of others: JSON without the checksum head, temporaries not
+    # named by put, a note
+    (tmp_path / "package.json").write_text('{"name": "not the store\'s"}')
+    (tmp_path / "notes.tmp").write_text("not the store's")
+    (tmp_path / "notes.txt").write_text("not the store's")
+    assert store.info()["disk_entries"] == ["k"]
+    assert store.clear() == 2
+    assert sorted(os.listdir(tmp_path)) == ["notes.tmp", "notes.txt", "package.json"]

@@ -10,8 +10,10 @@ others run non-integral coefficients through the same code.
 import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
+import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
 
 from ramops import cooperad, dual, quotient
@@ -19,7 +21,7 @@ from ramops.cache import ComponentStore
 from ramops.dual import conjecture_verdict
 from ramops.graphalg import ARNOLD_PRESENTATION, AlgebraElement, GraphComponent, R_PRESENTATION, algebra_basis
 from ramops.linalg import SparseMatrix, exact, rref
-from ramops.operad import OperadElement, Presentation, _rewrite_rules, component_basis
+from ramops.operad import OperadElement, Presentation, _Groebner, _rewrite_rules, component_basis
 from ramops.ram import RAM_SIGNATURE, presentation
 from ramops.reports import canonical_json, make_report
 from ramops.suites import run_suite
@@ -162,9 +164,13 @@ def test_non_integral_relation_coefficients_give_fraction_rules():
     assert lead in jacobi.terms
     skewed = OperadElement(jacobi.labels, jacobi.gens, dict(jacobi.terms))
     skewed.terms[lead] *= 2
-    skewed = Presentation("lie_skewed", lie.generators, [skewed])
-    coeffs = [c for terms in _rewrite_rules(skewed).values() for _, signs in terms for c in signs]
+    # its rules are no Groebner basis, so the presentation is refused; the
+    # rewriting still runs on the raw relation
+    with pytest.raises(ValueError, match="lie_skewed"):
+        Presentation("lie_skewed", lie.generators, [skewed])
+    raw = SimpleNamespace(name="lie_skewed", gens=lie.gens, relations=(skewed,))
+    coeffs = [c for terms in _rewrite_rules(raw).values() for _, signs in terms for c in signs]
     assert coeffs and all(type(c) is Fraction and c.denominator == 2 for c in coeffs)
-    comp = component_basis(skewed, (1, 2, 3, 4), ComponentStore())
-    counts = _numbers([comp.slot_expansion(m) for m in comp.monomials])
+    rw = _Groebner(raw, (1, 2, 3, 4))
+    counts = _numbers([rw.reduce({i: 1}) for i in range(len(rw.monomials))])
     assert counts["float"] == 0 and counts["fraction"] > 0, counts

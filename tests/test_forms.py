@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramops import suites
 from ramops.forms import (
     eval_element,
     eval_generator,
@@ -143,3 +144,18 @@ def test_survey_input_guards():
         relation_survey(1)
     with pytest.raises(ValueError):
         relation_survey(3, trials=0)
+
+
+@pytest.mark.parametrize(
+    "name,n,trials,message",
+    [("all", 5, 0, "trials must be >= 1"), ("all", 7, 20, "bounded"), ("forms", 7, 20, "bounded")],
+)
+def test_run_suite_checks_its_arguments_before_any_suite(name, n, trials, message, monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for attr in dir(suites):
+        if attr.startswith("suite_"):
+            monkeypatch.setattr(suites, attr, ran)
+    with pytest.raises(ValueError, match=message):
+        suites.run_suite(name, n, trials=trials)

@@ -430,6 +430,37 @@ def _check_corrupted_payload_is_rebuilt(side, corrupt, rehash, tmp_path, monkeyp
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
 
+@pytest.mark.parametrize("source,target", [("forest-n3", "forest-n4"), ("full-n3", "forest-n3")])
+def test_payload_under_another_key_is_rebuilt(source, target, tmp_path, monkeypatch):
+    # a payload copied to another key decodes and passes every check of its
+    # own: the arity-3 table would be read as arity 4, and a full-mode
+    # payload has the forest dims; each must be rebuilt from its header
+    mode, n = target.split("-n")
+    labels = standard_labels(int(n))
+    cold = algebra_basis(R_PRESENTATION, labels, mode, ComponentStore())
+    clear_memos()
+    store = ComponentStore(str(tmp_path))
+    algebra_basis(R_PRESENTATION, standard_labels(3), source.split("-")[0], store)
+    (name,) = os.listdir(tmp_path)
+    assert name.endswith(f"-{source}.json")
+    copy = tmp_path / name.replace(source, target)
+    copy.write_bytes((tmp_path / name).read_bytes())
+
+    clear_memos()
+    builds = []
+    build = GraphComponent.ambient_and_span
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(GraphComponent, "ambient_and_span", counted)
+    rebuilt = algebra_basis(R_PRESENTATION, labels, mode, ComponentStore(str(tmp_path)))
+    assert len(builds) == 1
+    assert rebuilt.monomials == cold.monomials and rebuilt.basis == cold.basis and rebuilt.dims == cold.dims
+    assert json.loads(copy.read_bytes())["n"] == int(n)
+
+
 def _parent_payload(pres, n):
     """The payload that engines eliminating the grafted span wrote for an
     operad component, under the key and ``ENGINE_FORMAT`` of today's engine;

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from ramops.operad import (
     GeneratorSpec,
     OperadElement,
     Presentation,
+    associativity,
     canonicalize,
     component_basis,
     compose,
@@ -19,6 +21,7 @@ from ramops.operad import (
     grafted_span,
     ideal_span,
     is_leaf,
+    leibniz,
     relabel,
     set_partitions,
     tree_bidegree,
@@ -38,6 +41,7 @@ from ramops.ram import (
     ram_dims,
     tensor_normal_form,
 )
+from ramops.cli import main as cli_main
 from ramops.ramanujan import predicted_dims, psi
 from ramops.suites import run_suite, suite_differentials
 
@@ -355,18 +359,71 @@ def test_distributive_check_fails_without_the_mixed_relation(monkeypatch):
     assert sum(rep["direct"].values()) > sum(rep["composite"].values())
 
 
-def test_a_factor_must_share_its_generators():
-    # an odd L of bidegree (1, 1) declared over lie would be reduced by
-    # lie's sign rules inside a presentation with other ones
-    gens = {g.name: g for g in (E_SPEC, GeneratorSpec("L", (1, 1), -1))}
-    relations = (ram._associativity(gens), ram._jacobi(gens), ram._rewrite(gens, "L"))
-    with pytest.raises(ValueError, match="generator of a factor"):
-        Presentation("odd-poisson", gens.values(), relations, presentation("lie"))
-    with pytest.raises(ValueError, match="generator of a factor"):
-        Presentation("no-L", (E_SPEC,), relations[:1], presentation("lie"))
+PRESENTATION_HASHES = {
+    "com": "e4fa4063fff8a726",
+    "lie": "1bbdd9061f7c3f12",
+    "sgriess": "e5739ff23627c5e1",
+    "liegriess": "cc6d4effc24b2ec5",
+    "poisson": "383191a9b51abe58",
+    "bessel": "afb7c5e666c22745",
+    "ram": "26dacbea2467ad57",
+}
+# the factor F of each Com o F; com = Com o I, whose factor has no generator
+FACTOR_HASHES = {
+    "com": "0dfa69d608dbae39",
+    "poisson": PRESENTATION_HASHES["lie"],
+    "bessel": PRESENTATION_HASHES["sgriess"],
+    "ram": PRESENTATION_HASHES["liegriess"],
+}
+
+
+def test_presentation_hashes_are_pinned(tmp_path):
+    assert {name: presentation(name).hash for name in PRESENTATION_HASHES} == PRESENTATION_HASHES
+    for name in ("ram", "poisson", "bessel", "com", "liegriess"):
+        out = tmp_path / f"{name}.json"
+        assert cli_main(["dims", "--operad", name, "--n", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["presentation_hashes"] == {name: PRESENTATION_HASHES[name]}
+
+
+def test_a_factor_is_recognised_from_the_relations():
+    for name in PRESENTATION_HASHES:
+        pres = presentation(name)
+        if name in FACTOR_HASHES:
+            assert pres.product == "E" and pres.factor.hash == FACTOR_HASHES[name]
+            assert pres.factor.generators == tuple(g for g in pres.generators if g.name != "E")
+        else:
+            assert pres.product is None and pres.factor is None
+    # up to nonzero scalars
+    ram_pres = presentation("ram")
+    scaled = Presentation("ram-scaled", ram_pres.generators, [r.scaled(-2) for r in ram_pres.relations])
+    assert scaled.product == "E" and scaled.factor is not None
+    assert scaled.factor.generators == ram_pres.factor.generators
+    assert [r.scaled(Fraction(-1, 2)) for r in scaled.factor.relations] == list(ram_pres.factor.relations)
+    # a rebuilt presentation keeps its hash
     poisson = presentation("poisson")
-    again = Presentation("poisson", poisson.generators, poisson.relations, presentation("lie"))
-    assert again.hash == poisson.hash
+    again = Presentation("poisson", poisson.generators, poisson.relations)
+    assert again.hash == poisson.hash and again.factor.hash == poisson.factor.hash
+
+
+def _odd_l_poisson():
+    gens = {g.name: g for g in (E_SPEC, GeneratorSpec("L", (1, 1), -1))}
+    return gens.values(), (associativity(gens, "E"), ram._jacobi(gens), leibniz(gens, "E", "L"))
+
+
+def test_presentations_that_are_no_composite_and_no_groebner_basis_raise():
+    # associativity alone: E has no Leibniz rule past L, so this is no
+    # Com o Lie, and associativity has no leading term g(g'(1, 2), 3)
+    gens = {g.name: g for g in (E_SPEC, GENS["L"])}
+    with pytest.raises(ValueError):
+        Presentation("assoc-only", gens.values(), [associativity(gens, "E")])
+    # the Jacobi sum of an odd L is no Groebner basis: its factor is refused
+    with pytest.raises(ValueError, match="odd-poisson/E"):
+        Presentation("odd-poisson", *_odd_l_poisson())
+    # one more relation that uses E: no longer Com o LieGriess
+    ram_pres = presentation("ram")
+    extra = OperadElement.from_terms((1, 2, 3), ram_pres.gens, [(("E", 1, ("L", 2, 3)), 1)])
+    with pytest.raises(ValueError, match="no distinct leading term"):
+        Presentation("ram-plus", ram_pres.generators, ram_pres.relations + (extra,))
 
 
 def test_poisson_dims_match_prediction():

@@ -32,9 +32,19 @@ from ramops.graphalg import (
 from ramops.cache import ComponentStore
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, bump, rank, rref
-from ramops import graphalg, operad
-from ramops.operad import _Rewriting, _rewrite_rules, _trees, component_basis, grafted_span, tree_bidegree
-from ramops.ram import presentation
+from ramops import graphalg, operad, ram
+from ramops.operad import (
+    GeneratorSpec,
+    OperadElement,
+    Presentation,
+    _Rewriting,
+    _rewrite_rules,
+    _trees,
+    component_basis,
+    grafted_span,
+    tree_bidegree,
+)
+from ramops.ram import PRESENTATION_NAMES, presentation
 
 ARITIES = (1, 2, 3, 4)
 GRAPH_PRESENTATIONS = {"R": R_PRESENTATION, "arnold": ARNOLD_PRESENTATION}
@@ -244,6 +254,7 @@ def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
         out["L", "L"] = [(term, tuple(-c for c in coeffs))] + rest
         return out
 
+    presentation("lie")  # built, and its rules certified, before the fault
     monkeypatch.setattr(operad, "_rewrite_rules", flipped)
     assert certificate("lie", 3) == {"dims": True, "expansions": False, "rank": True}
 
@@ -252,3 +263,56 @@ def test_rewriting_without_graft_signs_differs_from_oracle(monkeypatch):
     # G is odd: grafting odd trees into a rewritten relation must be signed
     monkeypatch.setattr(operad, "_graft_signs", lambda term, gens: (1,) * 8)
     assert certificate("liegriess", 4) == {"dims": True, "expansions": False, "rank": True}
+
+
+def _counterexamples() -> dict:
+    """Four presentations whose rules are no Groebner basis, as (generators,
+    relations): each silently gave wrong dims before presentations were
+    certified."""
+    lie, lg = presentation("lie"), presentation("liegriess")
+    (jacobi,) = lie.relations
+    skewed = OperadElement(jacobi.labels, jacobi.gens, dict(jacobi.terms))
+    skewed.terms["L", ("L", 1, 2), 3] *= 2
+    odd = {"L": GeneratorSpec("L", (1, 1), -1)}
+    lone = OperadElement.from_terms((1, 2, 3), lie.gens, [(("L", ("L", 1, 2), 3), 1)])
+    jacobi_lg, mixed = lg.relations
+    halved = {t: Fraction(c, 2) if t[0] == "L" else c for t, c in mixed.terms.items()}
+    return {
+        "lie_skewed": (lie.generators, [skewed]),
+        "odd_jacobi": (tuple(odd.values()), [ram._jacobi(odd)]),
+        "lone": (lie.generators, [lone]),
+        "liegriess_halved": (lg.generators, [jacobi_lg, OperadElement(mixed.labels, mixed.gens, halved)]),
+    }
+
+
+def test_certificate_accepts_exactly_what_the_grafted_span_confirms(monkeypatch):
+    """A presentation is accepted exactly when its basis counts (the normal
+    trees, or a composite's combs) equal the dims of the quotient by the
+    grafted span at n = 3 and 4."""
+    cases = {name: (presentation(name).generators, presentation(name).relations) for name in PRESENTATION_NAMES}
+    cases.update(_counterexamples())
+    accepted = {}
+    for name, (gens, relations) in cases.items():
+        try:
+            Presentation(name, gens, relations)
+            accepted[name] = True
+        except ValueError:
+            accepted[name] = False
+    assert accepted == {name: name in PRESENTATION_NAMES for name in cases}
+    monkeypatch.setattr(operad, "_certify", lambda pres: None)
+    agrees = {}
+    for name, (gens, relations) in cases.items():
+        pres = Presentation(name, gens, relations)
+        counts = []
+        for n in (3, 4):
+            monomials, ech = span_echelon(pres, n)
+            pivots = set(ech.pivots)
+            quotient_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
+            if pres.factor is None:
+                trees = _trees(pres.gens, standard_labels(n), frozenset(_rewrite_rules(pres)))
+                basis_dims = Counter(tree_bidegree(t, pres.gens) for t, normal in trees if normal)
+            else:
+                basis_dims = Counter(component_basis(pres, standard_labels(n), ComponentStore()).dims)
+            counts.append(basis_dims == quotient_dims)
+        agrees[name] = all(counts)
+    assert agrees == accepted
