@@ -44,14 +44,17 @@ Duke Math. J. 153, 2010; Hoffbeck, Manuscripta Math. 131, 2010):
   canonical, and its sign is the ``compose`` sign of grafting x, y, z into
   the leaves 1, 2, 3, read from a table per term.
 
-That the leading terms form a Groebner basis is checked when the
-presentation is made, not assumed (``_certify``): on {1..4}, nf kills every
-relabelling of every relation, and each overlap of two leading terms has
-one normal form, so by the diamond lemma the normal trees are a basis at
-every arity.  The tests hold the check to the grafted span: it accepts
-exactly the presentations whose normal trees number the span's quotient
-dims at arities 3 and 4, and up to arity 5 every tree minus its nf lies in
-that span (``tests/test_spans.py``).
+The order is admissible (Dotsenko-Khoroshkin): grafting b into the leaf i
+of trees a < a', or a < a' into a leaf of b, keeps the order.  Words
+compare longer first, then lexicographically, so u < v gives pur < pvr; a
+graft keeps each part's leaf order and puts b's leaves after a's leaves
+below i.  So two grafts first differ at the image of the first leaf j where
+a and a' do, with words w_j(a), w_j(a') (j != i), w_i(a)u, w_i(a')u
+(j = i), or pw_j(a), pw_j(a') (grafted into b's leaf of word p).  Equal
+words, as for g(g'(1, 3), g'(2, 4)) and g(g'(1, 4), g'(2, 3)), need arity
+4, and breaking such ties by the leaf permutation moves no leading term.
+So each rewriting step lowers the tree, nf terminates, and the normal
+trees are the shuffle trees that no leading term divides.
 
 A presentation recognised as Com o F (see ``Presentation``) is the
 composite of Com with F, read through F's Groebner rewriting on the same
@@ -68,15 +71,22 @@ labels:
   the Koszul sign of the permutation it makes of the factors' words, the
   rule ``compose`` follows (E has h = 0 and adds no sign).
 
-So m - nf(m) lies in the ideal, and modulo the ideal every tree is a
-combination of combs.  By the distributive law (Markl 1996; Loday-Vallette,
-Algebraic Operads, 8.6), which ``ram.distributive_check`` tests on the
-grafted span, the combs are independent modulo the ideal: a basis, on which
-nf is the normal form.
+Either basis is checked, not assumed, by one question: does nf kill every
+instance of ``grafted_relations``?  In both rewritings nf(g(a, b)) is a
+bilinear function of nf(a) and nf(b), so nf kills the ideal at arity n iff
+it kills every root instance r(b1, b2, b3) with basis trees bi at every
+arity 3..n (one on a subset is the order-preserving transport of one on
+{1..k}).  Each rewriting step is a relation instance, so e_m - nf(m) lies
+in the ideal, and nf kills it iff the basis is independent modulo it.
+Weight 3 (arity 4) decides both at every arity: it holds every overlap of
+two leading terms (the diamond lemma), and it decides a distributive law
+(Markl 1996; Loday-Vallette, Algebraic Operads, Thm 8.6.5).  ``_certify``
+asks it of the relations, ``ram.distributive_check`` of Ram; the tests
+hold both to the grafted span.
 
-``ideal_span`` and ``grafted_span`` graft every relation into every tree.
-No component reads them: they serve ``ram.distributive_check`` and the test
-oracles.
+``ideal_span`` grafts every relation into every tree and puts every
+generator above a lower span element.  No verdict reads it: the test
+oracles build the grafted span from it, and the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -86,7 +96,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cache import ComponentStore
 from .labels import (
@@ -96,9 +106,10 @@ from .labels import (
     atom_key,
     check_label_set,
     ordered_splits,
+    sort_atoms,
     standard_labels,
 )
-from .linalg import Combination, SparseMatrix, bump, exact
+from .linalg import Combination, bump, exact
 from .quotient import QuotientComponent, clearable, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
@@ -139,7 +150,7 @@ def tree_min_key(t: Tree):
 
 
 def tree_bidegree(t: Tree, gens: Signature) -> BiDegree:
-    if is_leaf(t):
+    if not isinstance(t, tuple):
         return (0, 0)
     g, l, r = t
     hl, wl = tree_bidegree(l, gens)
@@ -177,7 +188,7 @@ def canonicalize(t: Tree, gens: Signature) -> tuple[int, Tree]:
 
 
 def _canon(t: Tree, gens: Signature) -> tuple[int, Tree, int]:
-    if is_leaf(t):
+    if not isinstance(t, tuple):
         return 1, t, 0
     g, l, r = t
     sl, cl, hl = _canon(l, gens)
@@ -267,7 +278,7 @@ def _graft(t: Tree, place: Atom, sub: Tree, h_sub: int, gens: Signature) -> tupl
     has no such leaf.  Only the vertices on the path to the leaf change:
     there the graft sign is taken, and children swapped as ``canonicalize``
     does (see the module docstring)."""
-    if is_leaf(t):
+    if not isinstance(t, tuple):
         return (1, sub) if t == place else None
     g, l, r = t
     grafted = _graft(l, place, sub, h_sub, gens)
@@ -314,7 +325,7 @@ def enumerate_tree_monomials(gens: Signature, labels: Iterable[Atom]) -> list[Tr
 
 
 def _first_leaf(t: Tree) -> Atom:
-    while not is_leaf(t):
+    while isinstance(t, tuple):
         t = t[1]
     return t
 
@@ -445,10 +456,8 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
 
     Recursively: relation instances with monomials grafted into their three
     inputs, plus every generator put on top of a lower-arity spanning
-    element and a monomial.  Empty below arity 3.  No component reads it:
-    only ``grafted_span`` (for ``ram.distributive_check``) and the test
-    oracles do.  The ideal verdicts read the rewriting rows instead
-    (``QuotientComponent.ideal_witness``).
+    element and a monomial.  Empty below arity 3.  Only the test oracles
+    read it (see the module docstring).
     """
     labels = check_label_set(labels)
     n = len(labels)
@@ -465,16 +474,33 @@ def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement
     return [OperadElement(labels, pres.gens, {_map_tree(t, phi): c for t, c in e.terms.items()}) for e in base]
 
 
-def grafted_span(pres: Presentation, n: int) -> tuple[list[Tree], SparseMatrix]:
-    """The ambient trees on {1..n} and the rows of ``ideal_span`` on them:
-    the reference quotient of ``ram.distributive_check`` and the tests."""
-    labels = standard_labels(n)
-    monomials = enumerate_tree_monomials(pres.gens, labels)
-    index = {m: i for i, m in enumerate(monomials)}
-    span = SparseMatrix(len(monomials))
-    for e in ideal_span(pres, labels):
-        span.add_row({index[t]: c for t, c in e.terms.items()})
-    return monomials, span
+def grafted_relations(
+    pres: Presentation, labels: tuple[Atom, ...], trees_on: Callable[[tuple[Atom, ...]], Iterable[Tree]]
+) -> Iterator[OperadElement]:
+    """Each relation r with trees b1, b2, b3 of ``trees_on`` on the blocks
+    of an ordered split of the labels grafted into its inputs 1, 2, 3:
+    r(b1, b2, b3), over relations, then splits, then trees.  Every
+    relabelling of r is such a split."""
+
+    def graft(x: OperadElement, block: tuple[Atom, ...], m: Tree) -> OperadElement:
+        return x if is_leaf(m) else compose(x, OperadElement(block, pres.gens, {m: 1}), block[0])
+
+    for r in pres.relations:
+        # r relabelled by each order of its inputs, then moved in order onto
+        # the blocks' smallest leaves, where a leaf is itself
+        moved = {p: relabel(r, dict(zip((1, 2, 3), p))) for p in permutations((1, 2, 3))}
+        for blocks in ordered_splits(labels, 3):
+            mins = sort_atoms(b[0] for b in blocks)
+            phi = dict(zip((1, 2, 3), mins))
+            image = moved[tuple(mins.index(b[0]) + 1 for b in blocks)]
+            x0 = OperadElement(mins, pres.gens, {_map_tree(t, phi): c for t, c in image.terms.items()})
+            (b1, t1), (b2, t2), (b3, t3) = ((b, list(trees_on(b))) for b in blocks)
+            for m1 in t1:
+                x1 = graft(x0, b1, m1)
+                for m2 in t2:
+                    x2 = graft(x1, b2, m2)
+                    for m3 in t3:
+                        yield graft(x2, b3, m3)
 
 
 def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
@@ -488,17 +514,8 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
         e = e.scaled(Fraction(1) / e.terms[lead_tree])
         seen.setdefault(frozenset(e.terms.items()), e)
 
-    places = ("s1", "s2", "s3")
-    for r in pres.relations:
-        r_p = relabel(r, dict(zip((1, 2, 3), places)))
-        for blocks in ordered_splits(labels, 3):
-            for m1 in enumerate_tree_monomials(pres.gens, blocks[0]):
-                e1 = OperadElement(blocks[0], pres.gens, {m1: 1})
-                for m2 in enumerate_tree_monomials(pres.gens, blocks[1]):
-                    e2 = OperadElement(blocks[1], pres.gens, {m2: 1})
-                    for m3 in enumerate_tree_monomials(pres.gens, blocks[2]):
-                        e3 = OperadElement(blocks[2], pres.gens, {m3: 1})
-                        emit(substitute(r_p, {"s1": e1, "s2": e2, "s3": e3}))
+    for e in grafted_relations(pres, labels, lambda block: enumerate_tree_monomials(pres.gens, block)):
+        emit(e)
 
     for size_a in range(3, n):
         for sub_a in combinations(labels, size_a):
@@ -707,31 +724,22 @@ _CERTIFIED: set[str] = clearable(set())
 
 
 def _certify(pres: Presentation) -> None:
-    """Raise ``ValueError`` unless the relations, each solved for its
-    leading term, are a quadratic Groebner basis.  By the diamond lemma
-    (Dotsenko-Khoroshkin 2010) two facts of the rewriting on {1..4} decide
-    it: nf kills every relabelling of every relation by S3, so the rules
-    span the ideal at arity 3; and each overlap g(g'(g''(1, 2), 3), 4) of
-    two leading terms has one normal form, whether the inner divisor or the
-    outer one is rewritten first.  Remembered by presentation hash."""
+    """Raise ``ValueError``, naming the first relation instance nf does not
+    reduce to 0, unless the relations, each solved for its leading term, are
+    a quadratic Groebner basis: nf must kill every instance of
+    ``grafted_relations`` with normal trees at arities 3 and 4 (see the
+    module docstring).  Remembered by presentation hash."""
     if pres.hash in _CERTIFIED:
         return
     rw = _Groebner(pres, standard_labels(4))
-    for r in pres.relations:
-        for image in permutations((1, 2, 3)):
-            moved = relabel(r, dict(zip((1, 2, 3), image)))
+    for n in (3, 4):
+        for x in grafted_relations(pres, standard_labels(n), rw.normal_trees.__getitem__):
             nf: dict[Tree, Fraction | int] = {}
-            for t, c in moved.terms.items():
+            for t, c in x.terms.items():
                 for m, e in rw.normal_form(t).items():
                     bump(nf, m, c * e)
             if nf:
-                raise ValueError(f"{pres.name}: the rewriting rules do not reduce the relation {moved} to 0")
-    for (g, g1), (g2, g3) in product(rw.rules, repeat=2):
-        if g1 == g2:
-            inner = (g1, (g3, 1, 2), 3)
-            # normal_form rewrites the inner divisor first, _root the outer one
-            if rw.normal_form((g, inner, 4)) != rw._root(g, inner, 4):
-                raise ValueError(f"{pres.name}: the overlap {tree_str((g, inner, 4))} has two normal forms")
+                raise ValueError(f"{pres.name}: the rewriting does not reduce the relation instance {x} to 0")
     _CERTIFIED.add(pres.hash)
 
 
@@ -884,7 +892,7 @@ class _Rewriting:
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:
-    if is_leaf(t):
+    if not isinstance(t, tuple):
         return phi[t]
     return (t[0], _map_tree(t[1], phi), _map_tree(t[2], phi))
 

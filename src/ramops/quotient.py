@@ -187,8 +187,7 @@ class QuotientComponent:
         lie in the ideal, and they span it because the basis is independent
         in the quotient.  On the operad side the basis and nf come from a
         rewriting (``operad``), which the tests check against the grafted
-        span, as ``ram.distributive_check`` does for the distributive law.
-        Basis monomials are checked too: a row is zero only if the
+        span.  Basis monomials are checked too: a row is zero only if the
         expansion is the monomial itself.
         """
         basis_images = [image(b) for b in self.basis]

@@ -14,9 +14,8 @@ Com o LieGriess.  Their components are the E-combs of F's normal trees,
 and every tree is rewritten onto them with Koszul signs on preorder words;
 the factors are rewritten by their relations as a certified quadratic
 Groebner basis (see ``operad``).  Nothing is eliminated or stored for any
-of them.  ``distributive_check`` keeps the law itself under test: it
-compares the grafted span's dims with the composite's, which are the
-partition convolution of LieGriess dims.
+of them.  ``distributive_check`` keeps the law itself under test: nf must
+kill every relation grafted with basis trees.
 
 The coproduct is E -> E(x)E, L -> E(x)L + L(x)E, G -> E(x)G + G(x)E,
 extended through trees with the Koszul interleaving sign.  The differential
@@ -33,13 +32,12 @@ read each tree's basis expansion from the component's shared memo.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from . import quotient
 from .cache import ComponentStore, default_store
 from .labels import BiDegree, STAR, check_label_set, standard_labels
-from .linalg import Combination, bump, quotient_basis
+from .linalg import Combination, bump
 from .operad import (
     Component,
     GeneratorSpec,
@@ -50,10 +48,9 @@ from .operad import (
     associativity,
     component_basis,
     compose,
-    grafted_span,
+    grafted_relations,
     is_leaf,
     leibniz,
-    tree_bidegree,
     tree_h,
     tree_sort_key,
     tree_str,
@@ -339,33 +336,34 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     return verdicts
 
 
-# --- distributive-law dimension check ---------------------------------------
+# --- distributive-law check -------------------------------------------------
 
 
 def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
-    """Compare Ram(n) dims with the partition convolution of LieGriess dims.
+    """Whether Ram(n) is Com o LieGriess, with the composite's dims.
 
-    ``composite`` is the dims of the ``ram`` component: Com o LieGriess, one
-    E-comb per set partition of the labels and choice of a LieGriess basis
-    tree per block, which is that convolution; the LieGriess basis trees
-    are the normal trees of its Groebner rewriting, so no span enters this
-    side.  ``direct`` is taken from the grafted relations: in each bidegree,
-    the ambient trees less the rank of ``ideal_span`` (``grafted_span``),
-    the one production use of the grafted span.  A pass at n = 4 (weight 3)
-    certifies the distributive law at every arity (Loday-Vallette, Algebraic
-    Operads, Thm 8.6.5).
+    ``composite`` is the dims of the ``ram`` component: one E-comb per set
+    partition of the labels and choice of a LieGriess basis tree per block,
+    the partition convolution of ``liegriess_dims``.  The combs are a basis
+    exactly when nf kills every instance of ``operad.grafted_relations`` on
+    {1..k}, 3 <= k <= n, with basis trees in its inputs (see ``operad``):
+    ``witness`` is the first instance with nonzero coordinates, else None.
+    A pass at n = 4 (weight 3) certifies the distributive law at every
+    arity (Loday-Vallette, Algebraic Operads, Thm 8.6.5).
     """
     store = store or default_store()
     pres = presentation("ram")
-    monomials, span = grafted_span(pres, n)
-    basis, _ = quotient_basis(span, len(monomials))
-    direct = dict(Counter(tree_bidegree(monomials[i], pres.gens) for i in basis))
-    composite = dict(component_basis(pres, standard_labels(n), store).dims)
+
+    def trees_on(block: tuple) -> list[Tree]:
+        return component_basis(pres, block, store).basis
+
+    comps = (component_basis(pres, standard_labels(k), store) for k in range(3, n + 1))
+    bad = next((x for c in comps for x in grafted_relations(pres, c.labels, trees_on) if c.coords(x)), None)
     lg = presentation("liegriess")
     return {
         "n": n,
-        "direct": direct,
-        "composite": composite,
+        "composite": dict(component_basis(pres, standard_labels(n), store).dims),
         "liegriess_dims": {k: component_basis(lg, standard_labels(k), store).dim for k in range(1, n + 1)},
-        "pass": direct == composite,
+        "witness": None if bad is None else repr(bad),
+        "pass": bad is None,
     }

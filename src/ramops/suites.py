@@ -218,16 +218,8 @@ def suite_distributive(n: int, store: ComponentStore | None = None) -> list[dict
     verdicts = []
     for k in range(1, n + 1):
         rep = distributive_check(k, store)
-        verdicts.append(
-            verdict(
-                "distributive_factorization",
-                rep["pass"],
-                None
-                if rep["pass"]
-                else {"direct": sorted(rep["direct"].items()), "composite": sorted(rep["composite"].items())},
-                n=k,
-            )
-        )
+        witness = None if rep["pass"] else {"relation": rep["witness"]}
+        verdicts.append(verdict("distributive_factorization", rep["pass"], witness, n=k))
     return verdicts
 
 
@@ -238,8 +230,9 @@ def run_suite(
     trials: int = 20,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Returns (verdicts, extra_tables); every suite starts at arity 2.
-    Every argument is checked before the first suite runs."""
+    """Returns (verdicts, extra_tables) for the arities up to n >= 2, from
+    arity 2 (``distributive`` from 1, ``forms`` at n alone).  Every argument
+    is checked before the first suite runs."""
     store = store or default_store()
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")

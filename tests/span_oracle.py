@@ -6,7 +6,8 @@ product formed by ``multiply`` on monomial keys, normalised through
 ``AlgebraElement``.  The bitmask route must give its rows exactly.
 
 The grafted-span route to an operad component is the oracle of the
-composite components.
+composite components and of the relation-instance checks
+(``operad._certify``, ``ram.distributive_check``).
 
 Before operad components were rewritings, every one of them was built
 from ``grafted_span``: each relation grafted into every monomial, and every
@@ -16,11 +17,13 @@ quotient: same dims per bidegree, every ambient tree congruent to its
 expansion on the combs, and the combs independent.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from ramops.graphalg import AlgebraElement, monomial_sort_key, multiply, relation_instances
-from ramops.linalg import Echelon, SparseMatrix, rref
-from ramops.operad import grafted_span
+from ramops.labels import standard_labels
+from ramops.linalg import Echelon, SparseMatrix, quotient_basis, rref
+from ramops.operad import enumerate_tree_monomials, ideal_span, tree_bidegree
 
 
 def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
@@ -62,3 +65,21 @@ def span_echelon(pres, n: int) -> tuple[list, Echelon]:
     """The ambient trees on {1..n} and the RREF of the grafted span."""
     monomials, span = grafted_span(pres, n)
     return monomials, rref(span)
+
+
+def grafted_span(pres, n: int) -> tuple[list, SparseMatrix]:
+    """The ambient trees on {1..n} and the rows of ``ideal_span`` on them."""
+    labels = standard_labels(n)
+    monomials = enumerate_tree_monomials(pres.gens, labels)
+    index = {m: i for i, m in enumerate(monomials)}
+    span = SparseMatrix(len(monomials))
+    for e in ideal_span(pres, labels):
+        span.add_row({index[t]: c for t, c in e.terms.items()})
+    return monomials, span
+
+
+def grafted_dims(pres, n: int) -> dict:
+    """The dims per bidegree of the quotient by the grafted span on {1..n}."""
+    monomials, span = grafted_span(pres, n)
+    basis, _ = quotient_basis(span, len(monomials))
+    return dict(Counter(tree_bidegree(monomials[i], pres.gens) for i in basis))

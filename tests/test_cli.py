@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from ramops.cli import main
+from ramops.graphalg import R_PRESENTATION
+from ramops.ram import operad_dims, presentation
+from ramops.ramanujan import predicted_dims
 from ramops.reports import canonical_json, make_report
 from ramops.suites import run_suite
 
@@ -183,6 +186,19 @@ def test_json_report_matches_golden_bytes(capsys, argv, golden):
         expected = fh.read()
     assert run_cli(*argv, "--json") == 0
     assert capsys.readouterr().out == expected
+
+
+def test_conjecture_at_arity_six_is_recorded():
+    # `ramops conjecture --n 6 --max-arity 6 --json`, about 100 s and 1.3 GB
+    # cold: read back against the prediction and the operad side's dims
+    with open(os.path.join(PKG_ROOT, "tests", "data", "golden_conjecture_n6.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["presentation_hashes"] == {"ram": presentation("ram").hash, R_PRESENTATION.name: R_PRESENTATION.hash}
+    assert all(v["pass"] for v in report["verdicts"]) and report["tables"]["isomorphism_n6"] is True
+    blocks = report["tables"]["conjecture_blocks_n6"]
+    assert {(h, w): dual for h, w, _, dual, _, _ in blocks} == predicted_dims(6)
+    assert {(h, w): dim for h, w, dim, _, _, _ in blocks} == operad_dims("ram", 6)
+    assert all(rank == dim == dual and iso == 1 for _, _, dim, dual, rank, iso in blocks)
 
 
 def test_verify_all_n4_report_matches_golden_bytes():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hopf_oracle as oracle
+from span_oracle import grafted_dims
 from ramops import operad, ram
 from ramops.cache import ComponentStore
 from ramops.labels import HASH, STAR, standard_labels
@@ -13,12 +14,12 @@ from ramops.operad import (
     GeneratorSpec,
     OperadElement,
     Presentation,
+    _Rewriting,
     associativity,
     canonicalize,
     component_basis,
     compose,
     enumerate_tree_monomials,
-    grafted_span,
     ideal_span,
     is_leaf,
     leibniz,
@@ -42,6 +43,7 @@ from ramops.ram import (
     tensor_normal_form,
 )
 from ramops.cli import main as cli_main
+from ramops.dual import conjecture_verdict
 from ramops.ramanujan import predicted_dims, psi
 from ramops.suites import run_suite, suite_differentials
 
@@ -324,9 +326,9 @@ def test_ideal_verdicts_read_no_grafted_span(tmp_path, monkeypatch):
 
     monkeypatch.setattr(operad, "_SPAN_MEMO", {})
     monkeypatch.setattr(operad, "_span_standard", no_span)
-    for name in ("hopf", "differentials"):
-        verdicts, _ = run_suite(name, 4, store)
-        assert verdicts and all(v["pass"] for v in verdicts), name
+    verdicts, _ = run_suite("all", 4, store)
+    assert len(verdicts) == 809 and all(v["pass"] for v in verdicts)
+    assert conjecture_verdict(4, store)["isomorphism"]
 
 
 def test_coproduct_kills_mixed_relation_instance():
@@ -339,24 +341,53 @@ def test_coproduct_kills_mixed_relation_instance():
 
 def test_distributive_check_examples():
     r1 = distributive_check(1)
-    assert r1["pass"] and sum(r1["direct"].values()) == 1
+    assert r1["pass"] and sum(r1["composite"].values()) == 1
     r2 = distributive_check(2)
-    assert r2["pass"] and sum(r2["direct"].values()) == 3
+    assert r2["pass"] and sum(r2["composite"].values()) == 3
     r3 = distributive_check(3)
-    assert r3["pass"] and sum(r3["direct"].values()) == 17
-    assert r3["liegriess_dims"][3] == 10
+    assert r3["pass"] and sum(r3["composite"].values()) == 17
+    assert r3["liegriess_dims"][3] == 10 and r3["witness"] is None
+
+
+def _jacobi_alone(monkeypatch):
+    """Give ram the factor LieGriess without its mixed relation."""
+    ram_pres = presentation("ram")
+    lg = ram_pres.factor
+    monkeypatch.setattr(ram_pres, "factor", Presentation("lg-jacobi", lg.generators, lg.relations[:1]))
+    return lg.relations[1]
+
+
+def test_distributive_check_agrees_with_the_grafted_span(monkeypatch):
+    # the grafted span's quotient dims against the composite's, at k <= 5
+    ram_pres = presentation("ram")
+    oracle_dims = {k: grafted_dims(ram_pres, k) for k in range(1, 6)}
+    for fault in (None, _jacobi_alone):
+        with monkeypatch.context() as m:
+            if fault is not None:
+                fault(m)
+            store = ComponentStore()
+            for k in range(1, 6):
+                rep = distributive_check(k, store)
+                assert rep["pass"] == (rep["composite"] == oracle_dims[k]) == (fault is None or k < 3), (fault, k)
 
 
 def test_distributive_check_fails_without_the_mixed_relation(monkeypatch):
-    # the ram component is built by the distributive law; the check must
-    # still see a span that misses a relation family
-    ram_pres = presentation("ram")
-    relations = ram_pres.relations[:2] + ram_pres.relations[3:]  # all but the mixed sum
-    no_mixed = Presentation("ram-no-mixed", ram_pres.generators, relations)
-    monkeypatch.setattr(ram, "grafted_span", lambda pres, n: grafted_span(no_mixed, n))
-    rep = distributive_check(4)
+    # the composite's factor misses the mixed relation: the check names it
+    mixed = _jacobi_alone(monkeypatch)
+    rep = distributive_check(3, ComponentStore())
     assert not rep["pass"]
-    assert sum(rep["direct"].values()) > sum(rep["composite"].values())
+    assert rep["witness"] in (repr(mixed), repr(-mixed))
+    assert sum(rep["composite"].values()) == 18 != sum(grafted_dims(presentation("ram"), 3).values()) == 17
+
+
+def test_distributive_check_fails_without_koszul_signs(monkeypatch):
+    # an odd factor pair first appears at arity 4, and the dims do not see it
+    monkeypatch.setattr(_Rewriting, "koszul", lambda self, word: 1)
+    store = ComponentStore()
+    assert distributive_check(3, store)["pass"]
+    rep = distributive_check(4, store)
+    assert not rep["pass"] and rep["witness"] is not None
+    assert rep["composite"] == grafted_dims(presentation("ram"), 4)
 
 
 PRESENTATION_HASHES = {

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
-from span_oracle import product_span_matrix, span_echelon
+from span_oracle import grafted_span, product_span_matrix, span_echelon
 
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
@@ -41,7 +41,6 @@ from ramops.operad import (
     _rewrite_rules,
     _trees,
     component_basis,
-    grafted_span,
     tree_bidegree,
 )
 from ramops.ram import PRESENTATION_NAMES, presentation
@@ -261,8 +260,18 @@ def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
 
 def test_rewriting_without_graft_signs_differs_from_oracle(monkeypatch):
     # G is odd: grafting odd trees into a rewritten relation must be signed
+    presentation("liegriess")  # built, and its rules certified, before the fault
     monkeypatch.setattr(operad, "_graft_signs", lambda term, gens: (1,) * 8)
     assert certificate("liegriess", 4) == {"dims": True, "expansions": False, "rank": True}
+
+
+def test_certificate_rejects_unsigned_grafts(monkeypatch):
+    # the arity-4 instances graft G(1, 2), of odd h, into both relations
+    lg = presentation("liegriess")
+    monkeypatch.setattr(operad, "_CERTIFIED", set())
+    monkeypatch.setattr(operad, "_graft_signs", lambda term, gens: (1,) * 8)
+    with pytest.raises(ValueError, match="relation instance"):
+        Presentation("liegriess", lg.generators, lg.relations)
 
 
 def _counterexamples() -> dict:
