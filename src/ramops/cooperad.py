@@ -11,20 +11,42 @@ Normalised cocomposition is read from a list of rows, one list per store
 and per (presentation, pattern).  The pattern of a split I | J with
 place-holder p is the word over I, J, P read along sort_atoms(I + J + (p,)).
 Row i holds the normalised image of the ambient monomial at position i of
-the union component as (left slot, right slot, coefficient) triples.  One
-row serves every label set with the same pattern, exactly: the split, the
-canonical form of a word and both quotient reducers compare atoms only
-through ``atom_key``, so an order-preserving relabeling commutes with each
-of them, and a component transports with no sign, position i and basis
-slot s naming the same monomial on every label set of a size (see
-``quotient``).  A row is computed on first use, on whichever label set asks,
-from the raw split of its ambient monomial.  ``theta`` never reduces its
-input first, so that ``theta_relation_kill`` sees the relation itself; a
-monomial outside the forest ambient (a full-mode cycle) is split and
-normalised without being stored.  ``dual_compose`` in ``dual`` reads the
-transpose of the basis rows (``Cocomposition.transposed``: per left slot and
-right slot, the union slots and coefficients), built once per pattern and
-kept beside the rows, so that it sums over the supports of two forms.
+the union component as (left slot, right slot, coefficient) triples.
+
+A row is computed from bits alone.  A monomial is its colored mask
+(``graphalg.mask_encoder``: bit ci * P + p is the letter of color ci on
+vertex pair p), so its bit order is the letter order of the Koszul signs.
+The split table of a pattern, built once from the pattern string, has one
+entry per letter bit of the union: side, target bit, target pair bit, sign
+factor and parity.  An edge inside I keeps its pair on the left, an edge
+inside J goes to the right renumbered by position, and a straddling edge
+goes to the left as (I end, place-holder).  Its factor is the color's
+orientation when the J end comes first, times the orientation again when
+the I end sorts after the place-holder.  The row's sign is the product of
+the factors of its letters times two parities: the pairs of an odd right
+letter before an odd left letter, and the inversions among the target bits
+of the odd left letters, counted by ``popcount``.  Right letters keep their
+order, since J is renumbered in order.  The row is zero when two left
+letters share a pair (a double edge), or when the left or the right mask is
+missing from its forest ambient (a cycle).  Otherwise the masks name an
+ambient position on each side, through one mask-to-position dict per store
+and per (presentation, size), built on the first cocomposition, and the
+row is the product of the two positions' slot expansions.  The word-by-word
+split that this reads in bits is kept as the test oracle
+(``tests/cooperad_oracle.raw_theta``).
+
+One row serves every label set with the same pattern, exactly: the table
+depends on the pattern alone, and a component transports with no sign,
+position i, basis slot s and their masks naming the same monomial on every
+label set of a size (see ``quotient``).  A row is computed on first use, on
+whichever label set asks.  ``theta`` never reduces its input first, so that
+``theta_relation_kill`` sees the relation itself; a monomial outside the
+forest ambient (a full-mode cycle) is encoded on the union's labels and
+split through the same table, without being stored.  ``dual_compose`` in
+``dual`` reads the transpose of the basis rows
+(``Cocomposition.transposed``: per left slot and right slot, the union
+slots and coefficients), built once per pattern and kept beside the rows,
+so that it sums over the supports of two forms.
 
 The basis-by-basis checks read the rows too, with no tensor elements.  A
 basis slot s of one split's factor component names the same monomial as
@@ -42,6 +64,7 @@ right-hand side.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from . import quotient
@@ -53,7 +76,7 @@ from .graphalg import (
     MonomialKey,
     algebra_basis,
     differential_algebra,
-    monomial_from_word,
+    mask_encoder,
     monomial_sort_key,
     monomial_str,
     relation_instances,
@@ -89,53 +112,60 @@ class TensorAlgebraElement(Combination):
         self._add_term((ml, mr), coeff)
 
 
-def _split(pres: GraphPresentation, iset, jset, place: Atom, m: MonomialKey):
-    """(sign, left monomial, right monomial) of the raw cocomposition of m,
-    or None when a side vanishes."""
-    sign = 1
-    left_word: list = []
-    right_word: list = []
-    seen_right_odd = 0
-    for ci, edges in enumerate(m):
-        cname = pres.colors[ci].name
-        odd = pres.is_odd(ci)
-        orientation = pres.colors[ci].orientation
-        for u, v in edges:
-            if u in iset and v in iset:
-                side, letter, extra = 0, (cname, u, v), 1
-            elif u in jset and v in jset:
-                side, letter, extra = 1, (cname, u, v), 1
-            elif u in iset:
-                side, letter, extra = 0, (cname, u, place), 1
-            elif v in iset:
-                side, letter, extra = 0, (cname, v, place), orientation
-            else:
-                raise ValueError(f"edge endpoint outside I + J in {m}")
-            sign *= extra
-            if side == 0:
-                if odd and (seen_right_odd & 1):
-                    sign = -sign
-                left_word.append(letter)
-            else:
-                if odd:
-                    seen_right_odd += 1
-                right_word.append(letter)
-    lres = monomial_from_word(pres, left_word, "forest")
-    if lres is None:
-        return None
-    rres = monomial_from_word(pres, right_word, "forest")
-    if rres is None:
-        return None
-    return sign * lres[0] * rres[0], lres[1], rres[1]
-
-
 # per store: {(presentation hash, pattern): rows}, beside it under
+# (presentation hash, pattern, "bits") the split table and under
 # (presentation hash, pattern, "by_left") the rows' transpose, and
 # {(presentation hash, I, J, place): Cocomposition}; rows[i] is None until the
 # ambient monomial at position i of the union component is first asked for,
 # and the transpose is empty until dual composition first asks for it
 _TABLES = quotient.per_store_memo()
 _SPLITS = quotient.per_store_memo()
+# per store: {(presentation hash, size): (colored mask by position, position
+# by colored mask)} of the forest ambient, built on the first cocomposition
+_MASKS = quotient.per_store_memo()
+
+
+def _split_table(pres: GraphPresentation, pattern: str) -> list[tuple]:
+    """Per letter bit of the union: (side, target bit, target pair bit, flip,
+    odd), from the pattern alone, whose positions stand for the labels (see
+    the module doc).  Side 1 is the right; ``flip`` is 1 where the letter's
+    sign factor is -1.  A right letter's pair bit is 0: J is renumbered in
+    order, so no two right letters share a pair.
+    """
+    left = [k for k, c in enumerate(pattern) if c != "J"]
+    right = [k for k, c in enumerate(pattern) if c == "J"]
+    place = pattern.index("P")
+    left_pair = {e: q for q, e in enumerate(combinations(left, 2))}
+    right_pair = {e: q for q, e in enumerate(combinations(right, 2))}
+    union_pairs = list(combinations([k for k, c in enumerate(pattern) if c != "P"], 2))
+    table = []
+    for ci, color in enumerate(pres.colors):
+        odd, reverses = pres.is_odd(ci), color.orientation < 0
+        for u, v in union_pairs:
+            if pattern[u] == pattern[v] == "J":
+                table.append((1, 1 << (ci * len(right_pair) + right_pair[u, v]), 0, 0, odd))
+                continue
+            flip = 0
+            if pattern[u] != pattern[v]:
+                end = v if pattern[v] == "I" else u
+                flip = reverses and (end == v) ^ (end > place)
+                u, v = sorted((end, place))
+            q = left_pair[u, v]
+            table.append((0, 1 << (ci * len(left_pair) + q), 1 << q, int(flip), odd))
+    return table
+
+
+def _masks(comp: GraphComponent, store: ComponentStore) -> tuple[list[int], dict[int, int]]:
+    """The colored masks of the forest component's ambient monomials, by
+    position and inverted; the same on every label set of the size."""
+    memo = _MASKS.setdefault(store, {})
+    key = (comp.pres.hash, len(comp.labels))
+    masks = memo.get(key)
+    if masks is None:
+        encode = mask_encoder(comp.labels)
+        by_position = [encode(m)[0] for m in comp.monomials]
+        masks = memo[key] = (by_position, {c: i for i, c in enumerate(by_position)})
+    return masks
 
 
 def _checked_split(I, J, place: Atom) -> tuple[tuple, tuple]:
@@ -152,32 +182,39 @@ class Cocomposition:
     """The split I | J, place-holder on the I side, on concrete labels: its
     three forest components and the rows its pattern shares."""
 
-    __slots__ = ("pres", "iset", "jset", "place", "union", "left", "right", "rows", "by_left")
+    __slots__ = (
+        "union", "left", "right", "rows", "by_left",
+        "bits", "encode", "union_masks", "left_positions", "right_positions",
+    )
 
     def __init__(
         self, pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
     ):
-        self.pres = pres
-        self.iset, self.jset, self.place = frozenset(I), frozenset(J), place
         self.union = algebra_basis(pres, I + J, "forest", store)
         self.left = algebra_basis(pres, I + (place,), "forest", store)
         self.right = algebra_basis(pres, J, "forest", store)
+        iset, jset = frozenset(I), frozenset(J)
         pattern = "".join(
-            "I" if a in self.iset else "J" if a in self.jset else "P"
-            for a in sort_atoms(I + J + (place,))
+            "I" if a in iset else "J" if a in jset else "P" for a in sort_atoms(I + J + (place,))
         )
         tables = _TABLES.setdefault(store, {})
         key = (pres.hash, pattern)
         self.rows = tables.get(key)
         if self.rows is None:
             self.rows = tables[key] = [None] * len(self.union.monomials)
+            tables[key + ("bits",)] = _split_table(pres, pattern)
+        self.bits = tables[key + ("bits",)]
         self.by_left = tables.setdefault(key + ("by_left",), [])
+        self.encode = mask_encoder(self.union.labels)
+        self.union_masks = _masks(self.union, store)[0]
+        self.left_positions = _masks(self.left, store)[1]
+        self.right_positions = _masks(self.right, store)[1]
 
     def row_at(self, i: int) -> tuple:
         """Row of the ambient monomial at position i, computed on first use."""
         row = self.rows[i]
         if row is None:
-            row = self.rows[i] = self.normalised(self.union.monomials[i])
+            row = self.rows[i] = self._row(self.union_masks[i])
         return row
 
     def transposed(self) -> list[dict[int, list]]:
@@ -194,14 +231,41 @@ class Cocomposition:
 
     def normalised(self, m: MonomialKey) -> tuple:
         """(left slot, right slot, coefficient) triples of theta(m), reduced."""
-        split = _split(self.pres, self.iset, self.jset, self.place, m)
-        if split is None:
-            return ()
-        sign, ml, mr = split
-        right = self.right.slot_expansion(mr)
+        return self._row(self.encode(m)[0])
+
+    def _row(self, mask: int) -> tuple:
+        """The normalised row of the union monomial with the colored mask,
+        read letter by letter from the split table (see the module doc)."""
+        bits = self.bits
+        left = right = pairs = odd_left = odd_right = neg = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            side, bit, pair, flip, odd = bits[low.bit_length() - 1]
+            neg ^= flip
+            if side:
+                right |= bit
+                if odd:
+                    odd_right ^= 1
+            else:
+                if pairs & pair:
+                    return ()  # a double edge
+                pairs |= pair
+                left |= bit
+                if odd:
+                    # past the odd right letters so far, and the odd left
+                    # letters so far with a greater target bit
+                    neg ^= odd_right ^ ((odd_left & -bit).bit_count() & 1)
+                    odd_left |= bit
+        lpos = self.left_positions.get(left)
+        rpos = self.right_positions.get(right)
+        if lpos is None or rpos is None:
+            return ()  # a cycle
+        right_pairs = self.right.expansion_at(rpos)
+        sign = -1 if neg else 1
         # distinct slot pairs, nonzero products: no sums to collect
         return tuple(
-            (ls, rs, sign * cl * cr) for ls, cl in self.left.slot_expansion(ml) for rs, cr in right
+            (ls, rs, sign * cl * cr) for ls, cl in self.left.expansion_at(lpos) for rs, cr in right_pairs
         )
 
 

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
@@ -521,6 +521,29 @@ def _koszul_mask(odd_bits: int) -> int:
     return mask
 
 
+def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], tuple[int, int]]:
+    """The bit encoding of monomials on the label set, as a function of a
+    canonical monomial to its colored mask and its color-blind edge mask.
+
+    The vertex pairs are numbered p in the order of ``combinations(labels,
+    2)``, and the letter of color ci on pair p is bit ci * P + p (P pairs),
+    so bit order is the letter order (color, edge) of the Koszul signs.
+    """
+    pair_index = {e: p for p, e in enumerate(combinations(labels, 2))}
+    npairs = len(pair_index)
+
+    def masks(m: MonomialKey) -> tuple[int, int]:
+        colored = edges = 0
+        for ci, es in enumerate(m):
+            for e in es:
+                p = pair_index[e]
+                colored |= 1 << (ci * npairs + p)
+                edges |= 1 << p
+        return colored, edges
+
+    return masks
+
+
 def _span_matrix(
     pres: GraphPresentation,
     labels: tuple[Atom, ...],
@@ -530,13 +553,11 @@ def _span_matrix(
 ) -> SparseMatrix:
     """Relation instances times all complementary monomials, as sparse rows.
 
-    Monomials are bitmasks.  The vertex pairs are numbered p in the order of
-    ``combinations(labels, 2)``, and the letter of color ci on pair p is bit
-    ci * P + p (P pairs), so bit order is the letter order (color, edge)
-    of the Koszul signs.  A monomial is its colored mask and its
-    color-blind edge mask.  A term and a multiplier that share an edge
-    multiply to zero; otherwise their product is the monomial of the union
-    of their colored masks.  Its sign is -1 to the number of pairs of odd
+    Monomials are bitmasks (``mask_encoder``): a colored mask, bit
+    ci * P + p for the letter of color ci on vertex pair p, and a color-blind
+    edge mask.  A term and a multiplier that share an edge multiply to zero;
+    otherwise their product is the monomial of the union of their colored
+    masks.  Its sign is -1 to the number of pairs of odd
     letters, x of the term and y of the multiplier, with y < x: the parity
     of the sum over x of ``popcount(odd2 & ((1 << x) - 1))``, read as one
     ``popcount`` of ``odd2`` against ``_koszul_mask`` of the term.
@@ -549,22 +570,12 @@ def _span_matrix(
     leading coefficient 1 at its lowest position (positions follow
     ``monomial_sort_key``), and repeated rows are dropped.
     """
-    pair_index = {e: p for p, e in enumerate(combinations(labels, 2))}
-    npairs = len(pair_index)
+    npairs = len(labels) * (len(labels) - 1) // 2
     odd = 0
     for ci in range(len(pres.colors)):
         if pres.is_odd(ci):
             odd |= ((1 << npairs) - 1) << (ci * npairs)
-
-    def masks(m: MonomialKey) -> tuple[int, int]:
-        colored = edges = 0
-        for ci, es in enumerate(m):
-            for e in es:
-                p = pair_index[e]
-                colored |= 1 << (ci * npairs + p)
-                edges |= 1 << p
-        return colored, edges
-
+    masks = mask_encoder(labels)
     encoded = [masks(m) for m in monomials]
     by_mask = {colored: i for i, (colored, _) in enumerate(encoded)}
     forest = mode == "forest"

@@ -170,7 +170,10 @@ class QuotientComponent:
         Kept per position and shared by the relabeled components, so that
         one expansion serves every label set of the size.
         """
-        i = self._index[m]
+        return self.expansion_at(self._index[m])
+
+    def expansion_at(self, i: int) -> tuple:
+        """``slot_expansion`` of the ambient monomial at position i."""
         pairs = self._expansions.get(i)
         if pairs is None:
             reduced = self.reducer.reduce({i: ONE})

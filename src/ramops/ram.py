@@ -339,6 +339,10 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
 # --- distributive-law check -------------------------------------------------
 
 
+# per store: {arity k: the first instance on {1..k} that nf does not kill, or None}
+_DISTRIBUTIVE = quotient.per_store_memo()
+
+
 def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
     """Whether Ram(n) is Com o LieGriess, with the composite's dims.
 
@@ -348,6 +352,7 @@ def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
     exactly when nf kills every instance of ``operad.grafted_relations`` on
     {1..k}, 3 <= k <= n, with basis trees in its inputs (see ``operad``):
     ``witness`` is the first instance with nonzero coordinates, else None.
+    Each arity is checked once per store, up to the first that fails.
     A pass at n = 4 (weight 3) certifies the distributive law at every
     arity (Loday-Vallette, Algebraic Operads, Thm 8.6.5).
     """
@@ -357,8 +362,15 @@ def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
     def trees_on(block: tuple) -> list[Tree]:
         return component_basis(pres, block, store).basis
 
-    comps = (component_basis(pres, standard_labels(k), store) for k in range(3, n + 1))
-    bad = next((x for c in comps for x in grafted_relations(pres, c.labels, trees_on) if c.coords(x)), None)
+    memo = _DISTRIBUTIVE.setdefault(store, {})
+    bad = None
+    for k in range(3, n + 1):
+        if k not in memo:
+            c = component_basis(pres, standard_labels(k), store)
+            memo[k] = next((x for x in grafted_relations(pres, c.labels, trees_on) if c.coords(x)), None)
+        bad = memo[k]
+        if bad is not None:
+            break
     lg = presentation("liegriess")
     return {
         "n": n,

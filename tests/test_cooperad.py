@@ -16,6 +16,7 @@ from ramops.cooperad import (
     theta_relation_kill,
 )
 from ramops.graphalg import (
+    ARNOLD_PRESENTATION,
     AlgebraElement,
     ColorSpec,
     GraphPresentation,
@@ -221,6 +222,51 @@ def test_theta_splits_its_input_unreduced():
         _check_against_oracle(EVEN_ARNOLD, labels, place, elements)
 
 
+def _check_rows(pres, labels, place, full=False):
+    """Every row of every ordered 2-split equals the raw split's, expanded
+    on both factors, entry for entry: on the forest ambient, or on the full
+    monomials outside it."""
+    store = default_store()
+    monomials = algebra_basis(pres, labels, "forest", store).monomials
+    if full:
+        forests = set(monomials)
+        monomials = [m for m in enumerate_graph_monomials(pres, labels, "full") if m not in forests]
+    x = AlgebraElement(labels, pres)
+    for I, J in _ordered_splits(labels):
+        cocomp = cooperad.cocomposition(pres, I, J, place, store)
+        left, right = cocomp.left, cocomp.right
+        for m in monomials:
+            x.terms = {m: 1}
+            raw = oracle.raw_theta(pres, I, J, x, place).terms.items()
+            expected = tuple(
+                (ls, rs, c * cl * cr)
+                for (ml, mr), c in raw
+                for ls, cl in left.slot_expansion(ml)
+                for rs, cr in right.slot_expansion(mr)
+            )
+            assert cocomp.normalised(m) == expected, (I, J, place, m)
+
+
+@pytest.mark.parametrize("pres", (P, ARNOLD_PRESENTATION), ids=("R", "arnold"))
+def test_split_table_rows_equal_the_raw_split(pres):
+    for n in (2, 3, 4, 5):
+        _check_rows(pres, standard_labels(n), STAR)
+    for n in (2, 3, 4):
+        _check_rows(pres, standard_labels(n), STAR, full=True)
+        # 0 sorts before every label: the I end of a straddling edge then
+        # sorts after the place-holder, and its sign flips once more
+        _check_rows(pres, standard_labels(n), 0)
+
+
+def test_split_table_rows_equal_the_raw_split_on_every_pattern():
+    # * inside I, # as the place-holder: the patterns of cooperad_axiom_check
+    for n in (2, 3, 4):
+        for labels, place in _label_variants(n):
+            _check_rows(P, labels, place)
+            _check_rows(EVEN_ARNOLD, labels, place)
+            _check_rows(EVEN_ARNOLD, labels, place, full=True)
+
+
 def test_cocomposition_tables_are_kept_per_store(tmp_path):
     stores = [ComponentStore(str(tmp_path / name)) for name in ("first", "second")]
     x = el((1, 2, 3), [(1, (("a", 1, 2), ("b", 2, 3)))])
@@ -268,17 +314,18 @@ def test_axiom_check_matches_oracle_where_the_koszul_sign_matters():
 
 
 def test_flipped_orientation_fails_alike_on_both_paths(monkeypatch):
-    split = cooperad._split
+    split_table = cooperad._split_table
 
-    def flipped(pres, iset, jset, place, m):
-        # the sign of every straddling edge entering I from J flipped
-        out = split(pres, iset, jset, place, m)
-        if out is None:
-            return None
-        entering = sum(1 for edges in m for u, v in edges if u in jset and v in iset)
-        return (-out[0] if entering & 1 else out[0],) + out[1:]
+    def flipped(pres, pattern):
+        # the sign of every straddling letter entering I from J flipped
+        union = [k for k, c in enumerate(pattern) if c != "P"]
+        entering = [
+            pattern[u] == "J" and pattern[v] == "I" for _ in pres.colors for u, v in combinations(union, 2)
+        ]
+        table = split_table(pres, pattern)
+        return [entry[:3] + (entry[3] ^ e,) + entry[4:] for entry, e in zip(table, entering)]
 
-    monkeypatch.setattr(cooperad, "_split", flipped)
+    monkeypatch.setattr(cooperad, "_split_table", flipped)
     # a store of its own, so that no row computed under the fault outlives the test
     failed = []
     for fast, slow in _verdict_pairs(ComponentStore()):

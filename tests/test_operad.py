@@ -195,7 +195,6 @@ def _callers(name: str) -> set[tuple[str, str | None]]:
             {
                 ("graphalg", "from_words"),
                 ("graphalg", "_relabel_monomial"),
-                ("cooperad", "_split"),
                 ("dual", "dual_basis_element"),
             },
         ),

@@ -390,6 +390,27 @@ def test_distributive_check_fails_without_koszul_signs(monkeypatch):
     assert rep["composite"] == grafted_dims(presentation("ram"), 4)
 
 
+
+def test_suite_distributive_checks_each_arity_once(monkeypatch):
+    # suite_distributive(n) asks distributive_check(k) for every k <= n
+    from ramops.suites import suite_distributive
+
+    grafted = ram.grafted_relations
+    passes = Counter()
+
+    def counted(pres, labels, trees_on):
+        passes[len(labels)] += 1
+        return grafted(pres, labels, trees_on)
+
+    monkeypatch.setattr(ram, "grafted_relations", counted)
+    store = ComponentStore()
+    verdicts = suite_distributive(5, store)
+    assert [v["params"]["n"] for v in verdicts] == [1, 2, 3, 4, 5] and all(v["pass"] for v in verdicts)
+    assert passes == {3: 1, 4: 1, 5: 1}
+    # a check on its own still decides every arity 3..n, from the memo
+    assert distributive_check(5, store)["pass"] and passes == {3: 1, 4: 1, 5: 1}
+    assert distributive_check(4, ComponentStore())["pass"] and passes == {3: 2, 4: 2, 5: 1}
+
 PRESENTATION_HASHES = {
     "com": "e4fa4063fff8a726",
     "lie": "1bbdd9061f7c3f12",
