@@ -11,9 +11,9 @@ sums over the supports of the two forms, of any degree or of mixed degree.
 The comparison map sends the operad generators E, L, G to the dual basis
 elements 1*, a*, b*; trees are evaluated by replacing internal compositions
 with dual composition.  The verdict machinery checks that the map kills the
-operad ideal (on its rewriting rows, ``QuotientComponent.ideal_witness``),
-assembles its matrix per bidegree against the dual basis, and reports
-per-bidegree and overall isomorphism verdicts for a given arity.
+operad ideal (on its one-step rows, ``operad.one_step_witness``), assembles
+its matrix per bidegree against the dual basis, and reports per-bidegree
+and overall isomorphism verdicts for a given arity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .graphalg import (
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
-from .operad import OperadElement, component_basis, is_leaf, tree_str
+from .operad import OperadElement, component_basis, is_leaf, one_step_witness, tree_str
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
 
@@ -178,10 +178,13 @@ def rho(x: OperadElement, store: ComponentStore | None = None) -> LinearForm:
 _GENERATOR_DUALS = {"E": "one", "L": "astar", "G": "bstar"}
 
 
-def _rho_tree(t, store: ComponentStore) -> LinearForm:
+def _rho_tree(t, store: ComponentStore, keep: bool = True) -> LinearForm:
+    """The form of the tree t, from the kept forms of its children; t's own
+    form is kept too unless ``keep`` is false."""
     memo = _RHO_MEMO.setdefault(store, {})
-    if t in memo:
-        return memo[t]
+    form = memo.get(t)
+    if form is not None:
+        return form
     if is_leaf(t):
         form = dual_basis_element((t,), "one", store=store)
     else:
@@ -198,7 +201,8 @@ def _rho_tree(t, store: ComponentStore) -> LinearForm:
         right_form = _rho_tree(r, store)
         form = dual_compose(top, left_form, STAR, store)
         form = dual_compose(form, right_form, HASH, store)
-    memo[t] = form
+    if keep:
+        memo[t] = form
     return form
 
 
@@ -211,9 +215,11 @@ def conjecture_verdict(
     bidegree block against the dual basis, (c) dimension equality and the
     overall isomorphism verdict for this arity.
 
-    (a) compares rho(m) with the sum of c rho(b) over the basis expansion
-    c b of each ambient tree m (``QuotientComponent.ideal_witness``); a
-    failure names the first tree m whose row does not vanish.
+    (a) compares rho(t) with the sum of c rho(b) over the basis expansion
+    c b of each one-step tree t at arity n, then n - 1 down to 3
+    (``operad.one_step_witness``): the map kills the ideal at every arity up
+    to n; a failure names the first tree t whose row does not vanish.  Only
+    the forms of basis trees are kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -225,33 +231,30 @@ def conjecture_verdict(
     ram_comp = component_basis(pres, labels, store)
     r_comp = algebra_basis(R_PRESENTATION, labels, "forest", store)
 
-    bad = ram_comp.ideal_witness(lambda t: _rho_tree(t, store).coords)
+    forms = [_rho_tree(b, store) for b in ram_comp.basis]
+    bad = one_step_witness(pres, n, lambda t, c: _rho_tree(t, store, keep=False).coords, store)
     kill_ok = bad is None
     kill_witness = None if kill_ok else {"tree": tree_str(bad)}
 
     blocks = []
     all_iso = kill_ok
     for deg in sorted(ram_comp.slots_by_degree.keys() | r_comp.slots_by_degree.keys()):
-        trees = [ram_comp.basis[s] for s in ram_comp.slots_by_degree.get(deg, ())]
+        tree_slots = ram_comp.slots_by_degree.get(deg, ())
         slots = r_comp.slots_by_degree.get(deg, [])
         col_of = {s: c for c, s in enumerate(slots)}
         mat = SparseMatrix(len(slots))
-        for t in trees:
-            form = _rho_tree(t, store)
-            row = {}
-            for s, val in form.coords.items():
-                if s in col_of:
-                    row[col_of[s]] = val
+        for t in tree_slots:
+            row = {col_of[s]: val for s, val in forms[t].coords.items() if s in col_of}
             if row:
                 mat.add_row(row)
         rk = rank(mat)
-        iso = len(trees) == len(slots) == rk
+        iso = len(tree_slots) == len(slots) == rk
         all_iso = all_iso and iso
         blocks.append(
             {
                 "h": deg[0],
                 "w": deg[1],
-                "dim_operad": len(trees),
+                "dim_operad": len(tree_slots),
                 "dim_dual": len(slots),
                 "rank": rk,
                 "isomorphism": iso,

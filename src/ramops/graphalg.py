@@ -21,6 +21,7 @@ the brute-force cross-check of the forest optimization.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
-from .linalg import Combination, SparseMatrix, exact
+from .linalg import ONE, Combination, SparseMatrix, exact
 from .quotient import QuotientComponent, clearable, load_component, payload_component
 
 Edge = tuple[Atom, Atom]
@@ -453,7 +454,10 @@ def _relation_instances(
 
 
 class GraphComponent(QuotientComponent):
-    """Quotient of the monomial span by all relation instances, on one vertex set."""
+    """Quotient of the monomial span by all relation instances, on one vertex
+    set: ``monomials[i]`` is ambient monomial i, ``basis_positions`` lists
+    the basis positions in slot order, and ``reducer``, the ``Echelon`` of
+    the payload, reduces a vector on the positions onto them."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
@@ -463,9 +467,46 @@ class GraphComponent(QuotientComponent):
         self, pres: GraphPresentation, labels: tuple[Atom, ...], monomials, reducer, basis_positions, mode: str
     ):
         self.mode = mode
-        index = {m: i for i, m in enumerate(monomials)}
+        self.monomials = monomials
+        self.reducer = reducer
+        self.basis_positions = basis_positions
+        self._index = {m: i for i, m in enumerate(monomials)}
+        self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
+        self._expansions: dict[int, tuple] = {}
         degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
-        super().__init__(pres, labels, monomials, reducer, basis_positions, index, degrees)
+        super().__init__(pres, labels, [monomials[i] for i in basis_positions], degrees)
+
+    def relabeled(self, labels: tuple[Atom, ...]) -> "GraphComponent":
+        """This component on another label set of the size: its own
+        monomials, index and basis, sharing the rest."""
+        comp = copy.copy(self)
+        comp.labels = labels
+        # both label tuples are sorted, so phi preserves the atom order
+        phi = dict(zip(self.labels, labels))
+        comp.monomials = [self.transport(m, phi) for m in self.monomials]
+        comp._index = {m: i for i, m in enumerate(comp.monomials)}
+        comp.basis = [comp.monomials[i] for i in self.basis_positions]
+        return comp
+
+    def position(self, m: MonomialKey) -> int | None:
+        """Position of m among the ambient monomials, None outside the ambient."""
+        return self._index.get(m)
+
+    def slot(self, m: MonomialKey) -> int:
+        return self._slot_of[self._index[m]]
+
+    def slot_expansion(self, m: MonomialKey) -> tuple:
+        return self.expansion_at(self._index[m])
+
+    def expansion_at(self, i: int) -> tuple:
+        """``slot_expansion`` of the ambient monomial at position i, kept
+        per position and shared by the relabeled components."""
+        pairs = self._expansions.get(i)
+        if pairs is None:
+            reduced = self.reducer.reduce({i: ONE})
+            slot_of = self._slot_of
+            pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
+        return pairs
 
     def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
         return tuple(tuple((phi[u], phi[v]) for u, v in es) for es in m)

@@ -23,9 +23,13 @@ whose smallest leaf can change; an order-preserving relabeling
 (``Component.transport``) and replacing a generator (``ram.differential``)
 reorder nothing.
 
-A quotient component is the ambient trees modulo the ideal, and every one is
-a rewriting on {1..n} (``Component.build``): nothing is eliminated,
-stored or transported to build it, and it loads no other component.
+A quotient component is its basis, the normal trees, and the rewriting nf
+onto them, on {1..n} (``Component.build``); nothing is eliminated, stored
+or transported to build it.  Both rewritings below make normality local: a
+tree is normal when its children are and its root passes a rule, so
+``_trees`` forms the normal trees on each block from those on smaller
+blocks, and no build enumerates the ambient trees.  Slots follow the
+enumeration order restricted to normal trees; nf names its terms by slot.
 
 A presentation that is not Com o F (``lie``, ``sgriess``, ``liegriess``) is
 rewritten by its relations as a quadratic Groebner basis (Dotsenko-Khoroshkin,
@@ -35,9 +39,9 @@ Duke Math. J. 153, 2010; Hoffbeck, Manuscripta Math. 131, 2010):
   compares the words of generators on the root-to-leaf paths, leaf by leaf,
   longer words first, then lexicographically with generators ranked by
   bidegree (G > L);
-* each relation's leading term must be a left comb g(g'(1, 2), 3); a tree is
-  normal when no vertex g has a left child g'(x, y) with min(y) below the
-  smallest leaf of g's right child, for a leading g(g'(1, 2), 3);
+* each relation's leading term must be a left comb g(g'(1, 2), 3); the rule
+  at a root g(a, b) is that it is no leading divisor: a is no tree
+  g'(x, y) with min(y) below min(b), for a leading g(g'(1, 2), 3);
 * the normal trees are the basis, and nf rewrites a leading divisor
   g(g'(x, y), z) by its relation solved for the leading term.  x, y and z
   keep their smallest-leaf order in every term, so each substituted tree is
@@ -62,7 +66,9 @@ labels:
 
 * its basis is the left E-combs E(..E(f1, f2).., fk), one per set partition
   of the labels (blocks by smallest leaf) and choice of a normal tree fi of
-  F on each block;
+  F on each block; the rule at a root E(a, b) is that b is E-free with min(b)
+  above the smallest leaf of a's last factor, and at a root g(a, b) with g
+  in F that a and b are E-free and g(a, b) is no leading divisor of F;
 * nf(m) rewrites a tree m by the Leibniz rules g(a, E(b, c)) = E(g(a, b), c)
   + E(b, g(a, c)) until E sits above every generator of F, reduces each
   E-free factor by F's Groebner rewriting and orders the factors by
@@ -84,6 +90,24 @@ two leading terms (the diamond lemma), and it decides a distributive law
 asks it of the relations, ``ram.distributive_check`` of Ram; the tests
 hold both to the grafted span.
 
+The ideal verdicts read one-step rows e_t - nf(t) (``one_step_witness``):
+t = g(b1, b2) with basis trees b1, b2 on complementary blocks, b1's holding
+the smallest label, the candidates ``_trees`` forms at a root (every basis
+tree of arity >= 2 is one).  This is exact for the coproduct, both
+differentials and the comparison map rho:
+
+* nf(g(x, y)) depends only on nf(x) and nf(y), so the row of a tree
+  t = g(x, y) is g(x - nf(x), y) + g(nf(x), y - nf(y)), compositions with
+  lower-arity elements of I, plus one-step rows of g(nf(x), nf(y)); the
+  rows of all trees span I(n), so the one-step rows span it modulo such
+  compositions;
+* each map kills such a composition once it kills I(k), k < n: the
+  coproduct and rho by their recursive definitions, linear in the images
+  of the children, the differentials as derivations.
+
+So a verdict at n reads the one-step rows at n, then n - 1 down to 3, and
+means that the map kills I(k) for every 3 <= k <= n.
+
 ``ideal_span`` grafts every relation into every tree and puts every
 generator above a lower span element.  No verdict reads it: the test
 oracles build the grafted span from it, and the benchmark's tracer wraps it.
@@ -91,6 +115,7 @@ oracles build the grafted span from it, and the benchmark's tracer wraps it.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -109,7 +134,7 @@ from .labels import (
     sort_atoms,
     standard_labels,
 )
-from .linalg import Combination, bump, exact
+from .linalg import Combination, bump, exact, vec_add_scaled
 from .quotient import QuotientComponent, clearable, load_component
 
 Tree = object  # Atom | tuple[str, Tree, Tree]
@@ -320,8 +345,9 @@ def substitute(x: OperadElement, grafts: Mapping[Atom, OperadElement]) -> Operad
 
 
 def enumerate_tree_monomials(gens: Signature, labels: Iterable[Atom]) -> list[Tree]:
-    """All canonical tree monomials on the label set, in enumeration order."""
-    return [t for t, _ in _trees(gens, check_label_set(labels), frozenset())]
+    """All canonical tree monomials on the label set, in enumeration order:
+    the ambient trees, which no component build enumerates."""
+    return _trees(gens, check_label_set(labels), lambda g, l, r: True)
 
 
 def _first_leaf(t: Tree) -> Atom:
@@ -330,42 +356,43 @@ def _first_leaf(t: Tree) -> Atom:
     return t
 
 
-def _trees(
-    gens: Signature, labels: tuple[Atom, ...], leading: frozenset[tuple[str, str]], memo: dict | None = None
-) -> list[tuple[Tree, bool]]:
-    """(tree, normal) for every canonical tree on the sorted labels, in
-    enumeration order.  The recursion sees labels only through their
-    positions in label order, so on any label set it gives the
-    order-preserving relabeling of the trees on {1..n}, position by position
-    (``QuotientComponent.relabeled``).  A tree is normal when no vertex g
-    has a left child g'(x, y) with (g, g') in ``leading`` and min(y) below
-    min of g's right child: no divisor g(g'(1, 2), 3) of the module
-    docstring.  ``memo`` receives the same pairs for every nonempty block of
-    the labels, each block after its sub-blocks."""
+def _candidates(
+    gens: Signature, labels: tuple[Atom, ...], trees_on: Callable[[tuple[Atom, ...]], list[Tree]]
+) -> Iterator[tuple[str, Tree, Tree]]:
+    """(g, l, r) for every generator g and trees l, r of ``trees_on`` on
+    complementary blocks of the sorted labels, l's block holding the
+    smallest label, in enumeration order: every canonical g(l, r)."""
     names = sorted(gens)
+    first, rest = labels[0], labels[1:]
+    for k in range(len(rest)):
+        for extra in combinations(rest, k):
+            rights = trees_on(tuple(a for a in rest if a not in extra))
+            for tl in trees_on((first,) + extra):
+                for g in names:
+                    for tr in rights:
+                        yield g, tl, tr
+
+
+def _trees(
+    gens: Signature, labels: tuple[Atom, ...], normal: Callable[[str, Tree, Tree], bool], memo: dict | None = None
+) -> list[Tree]:
+    """The canonical trees on the sorted labels each of whose vertices
+    g(l, r) passes ``normal(g, l, r)``: the enumeration order restricted to
+    them, as a tree is formed only from children that pass.  The recursion
+    sees labels only through their order, so on any label set it gives the
+    order-preserving relabeling of the trees on {1..n}, position by
+    position.  ``memo`` receives the trees on every nonempty block of the
+    labels, each block after its sub-blocks."""
     memo = {} if memo is None else memo
 
-    def rec(lbls: tuple[Atom, ...]) -> list[tuple[Tree, bool]]:
+    def rec(lbls: tuple[Atom, ...]) -> list[Tree]:
         out = memo.get(lbls)
-        if out is not None:
-            return out
-        if len(lbls) == 1:
-            out = [(lbls[0], True)]
-        else:
-            first, rest = lbls[0], lbls[1:]
-            out = []
-            for k in range(len(rest)):
-                for extra in combinations(rest, k):
-                    right = tuple(a for a in rest if a not in extra)
-                    rights = rec(right)
-                    right_min = atom_key(right[0])
-                    for tl, nl in rec((first,) + extra):
-                        ahead = not is_leaf(tl) and atom_key(_first_leaf(tl[2])) < right_min
-                        for g in names:
-                            normal = nl and not (ahead and (g, tl[0]) in leading)
-                            for tr, nr in rights:
-                                out.append(((g, tl, tr), normal and nr))
-        memo[lbls] = out
+        if out is None:
+            if len(lbls) == 1:
+                out = [lbls[0]]
+            else:
+                out = [(g, l, r) for g, l, r in _candidates(gens, lbls, rec) if normal(g, l, r)]
+            memo[lbls] = out
         return out
 
     return rec(labels)
@@ -533,16 +560,35 @@ def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
 
 
 class Component(QuotientComponent):
-    """Quotient component of an operad presentation on a label set.
+    """Quotient component of an operad presentation on a label set: the
+    normal trees, which are its basis, and the rewriting nf onto them.
 
-    Built once on the reference labels {1..n}, by a rewriting and with no
-    payload (see the module docstring), and relabeled to any other label
-    set along the order-preserving bijection.
+    Built once on the reference labels {1..n}, with no payload (see the
+    module docstring), and relabeled to any other label set along the
+    order-preserving bijection; a relabeled component maps a tree back to
+    {1..n}, where the rewriting and its memos live.
     """
 
     family = "operad"
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
+
+    def __init__(self, pres: Presentation, labels: tuple[Atom, ...], rewriting: "_Groebner | _Rewriting"):
+        super().__init__(pres, labels, rewriting.basis, rewriting.degrees)
+        self.rewriting = rewriting
+        self._slot_of = {b: slot for slot, b in enumerate(rewriting.basis)}
+        self._expansions: dict[Tree, tuple] = {}
+        self._back: dict | None = None  # the map of the labels onto {1..n}, once relabeled
+
+    def relabeled(self, labels: tuple[Atom, ...]) -> "Component":
+        """This component on another label set of the size, sharing the rest."""
+        comp = copy.copy(self)
+        comp.labels = labels
+        # both label tuples are sorted, so phi preserves the atom order
+        phi = dict(zip(self.labels, labels))
+        comp.basis = [self.transport(b, phi) for b in self.basis]
+        comp._back = dict(zip(labels, standard_labels(len(labels))))
+        return comp
 
     def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
         return _map_tree(m, phi)
@@ -550,16 +596,47 @@ class Component(QuotientComponent):
     def element(self, terms: dict) -> OperadElement:
         return OperadElement(self.labels, self.pres.gens, terms)
 
+    def _on_reference(self, m: Tree) -> Tree:
+        return m if self._back is None else _map_tree(m, self._back)
+
+    def slot(self, m: Tree) -> int:
+        return self._slot_of[self._on_reference(m)]
+
+    def slot_expansion(self, m: Tree) -> tuple:
+        m = self._on_reference(m)
+        out = self._expansions.get(m)
+        if out is None:
+            slots = self.rewriting.slots
+            out = self._expansions[m] = tuple(sorted((slots[k], c) for k, c in self.rewriting.normal_form(m).items()))
+        return out
+
     @classmethod
-    def build(
-        cls, pres: Presentation, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict
-    ) -> "Component":
-        """The component on {1..n}, with no payload or store: the normal
-        trees and the Groebner rewriting onto them, or, if the presentation
-        is Com o F, the E-combs of F's normal trees and the rewriting onto
-        them, whose monomial list and index it keeps."""
-        rw = (_Groebner if pres.factor is None else _Rewriting)(pres, labels)
-        return cls(pres, labels, rw.monomials, rw, rw.basis_positions, rw.index, rw.degrees)
+    def build(cls, pres: Presentation, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
+        """The component on {1..n}: the Groebner rewriting, or the composite
+        one if the presentation is Com o F."""
+        return cls(pres, labels, (_Groebner if pres.factor is None else _Rewriting)(pres, labels))
+
+
+def one_step_witness(
+    pres: Presentation, n: int, image: Callable[[Tree, Component], Mapping], store: ComponentStore | None = None
+) -> Tree | None:
+    """The first one-step tree t whose row e_t - nf(t) the linear map
+    ``image`` does not kill, at arity n, then n - 1 down to 3, or None when
+    the map kills I(k) for every 3 <= k <= n (see the module docstring).
+    ``image(t, comp)`` is the map on a tree t of the component comp on
+    {1..k}, as a dict of coefficients."""
+    for k in range(n, 2, -1):
+        comp = component_basis(pres, standard_labels(k), store)
+        basis_images = [image(b, comp) for b in comp.basis]
+        for g, l, r in _candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__):
+            t = (g, l, r)
+            slot = comp._slot_of.get(t)
+            row = dict(image(t, comp) if slot is None else basis_images[slot])
+            for s, c in comp.slot_expansion(t):
+                vec_add_scaled(row, basis_images[s], -c)
+            if row:
+                return t
+    return None
 
 
 def _path_lex_key(t: Tree, rank: Mapping[str, int]) -> tuple:
@@ -628,10 +705,11 @@ def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree,
 
 class _Groebner:
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
-    quadratic Groebner basis (see the module docstring), and the positions of
-    the normal trees, which are the basis.  ``normal_trees[block]`` lists
-    the normal trees on each nonempty block of the labels, and ``bidegrees``
-    holds the bidegree of each of them.
+    quadratic Groebner basis (see the module docstring).  ``basis`` lists
+    the normal trees in enumeration order, ``normal_trees[block]`` those on
+    each nonempty block of the labels and ``bidegrees`` the bidegree of
+    each; nf's terms are normal trees, and ``slots`` maps those on the
+    labels to their slots.
 
     nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
     triple (g, a, b): only the root can be a leading divisor there.
@@ -640,26 +718,31 @@ class _Groebner:
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.gens = pres.gens
         self.rules = _rewrite_rules(pres)
-        blocks: dict[tuple[Atom, ...], list] = {}
-        trees = _trees(pres.gens, labels, frozenset(self.rules), blocks)
-        self.monomials = [t for t, _ in trees]
-        self.basis_positions = [i for i, (_, normal) in enumerate(trees) if normal]
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.normal_trees = {block: [t for t, normal in ts if normal] for block, ts in blocks.items()}
+        self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
+        self.basis = _trees(pres.gens, labels, lambda g, a, b: self._rule(g, a, b) is None, self.normal_trees)
         # the bidegree of each normal tree from its children's: a normal
         # tree's children are normal, on blocks enumerated before its own
         self.bidegrees: dict[Tree, BiDegree] = {}
-        for trees_on_block in self.normal_trees.values():
-            for t in trees_on_block:
-                if is_leaf(t):
-                    self.bidegrees[t] = (0, 0)
-                else:
-                    g, l, r = t
-                    (hg, wg), (hl, wl), (hr, wr) = self.gens[g].bidegree, self.bidegrees[l], self.bidegrees[r]
-                    self.bidegrees[t] = (hg + hl + hr, wg + wl + wr)
-        self.degrees = [self.bidegrees[self.monomials[i]] for i in self.basis_positions]
+        for t in (t for trees_on_block in self.normal_trees.values() for t in trees_on_block):
+            if is_leaf(t):
+                self.bidegrees[t] = (0, 0)
+            else:
+                (hg, wg), (hl, wl), (hr, wr) = self.gens[t[0]].bidegree, self.bidegrees[t[1]], self.bidegrees[t[2]]
+                self.bidegrees[t] = (hg + hl + hr, wg + wl + wr)
+        self.degrees = [self.bidegrees[t] for t in self.basis]
+        self.slots = {t: slot for slot, t in enumerate(self.basis)}
         self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
         self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
+
+    def _rule(self, g: str, a: Tree, b: Tree) -> list | None:
+        """The rule of the leading divisor g(a, b) of normal trees a, b, or
+        None when g(a, b) is normal."""
+        if is_leaf(a):
+            return None
+        rule = self.rules.get((g, a[0]))
+        if rule is None or atom_key(_first_leaf(a[2])) > atom_key(_first_leaf(b)):
+            return None
+        return rule
 
     def normal_form(self, t: Tree) -> dict[Tree, Fraction | int]:
         out = self._forms.get(t)
@@ -684,8 +767,8 @@ class _Groebner:
         t = (g, a, b)
         out = self._roots.get(t)
         if out is None:
-            rule = None if is_leaf(a) else self.rules.get((g, a[0]))
-            if rule is None or atom_key(_first_leaf(a[2])) > atom_key(_first_leaf(b)):
+            rule = self._rule(g, a, b)
+            if rule is None:
                 out = {t: 1}
             else:
                 # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
@@ -705,19 +788,6 @@ class _Groebner:
         if is_leaf(t):
             return {subs[t]: 1}
         return self._product(t[0], self._graft(t[1], subs), self._graft(t[2], subs))
-
-    def reduce(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Normal form of a vector on the ambient positions, on the basis
-        positions (``Echelon.reduce``'s contract): nf of each tree."""
-        out: dict[int, Fraction] = {}
-        for i, c in v.items():
-            for key, e in self.normal_form(self.monomials[i]).items():
-                bump(out, self.column(key), c * e)
-        return out
-
-    def column(self, t: Tree) -> int:
-        """The ambient position of a term of nf: here a normal tree."""
-        return self.index[t]
 
 
 _CERTIFIED: set[str] = clearable(set())
@@ -743,17 +813,6 @@ def _certify(pres: Presentation) -> None:
     _CERTIFIED.add(pres.hash)
 
 
-def set_partitions(items: tuple) -> Iterator[list[tuple]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in set_partitions(rest):
-        yield [(first,)] + sub
-        for i in range(len(sub)):
-            yield sub[:i] + [(first,) + sub[i]] + sub[i + 1 :]
-
-
 def associativity(gens: Signature, e: str) -> OperadElement:
     """The associativity of the product e: e(1, e(2, 3)) - e(2, e(3, 1))."""
     gen = OperadElement.generator
@@ -772,8 +831,9 @@ def leibniz(gens: Signature, e: str, x: str) -> OperadElement:
 
 
 class _Rewriting:
-    """Normal forms nf(t) in Com o F of the ambient trees on labels 1..n (see
-    the module docstring), and the positions of the E-combs they reduce to.
+    """Normal forms nf(t) in Com o F of the trees on labels 1..n (see the
+    module docstring), onto the E-combs of normal trees of F, which
+    ``basis``, ``normal_trees`` and ``slots`` hold as in ``_Groebner``.
 
     ``factor`` is F's Groebner rewriting on the same labels: its normal trees
     on each block are the factors of the basis, and it reduces each bracket
@@ -787,8 +847,6 @@ class _Rewriting:
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.pres = pres
-        self.monomials = enumerate_tree_monomials(pres.gens, labels)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
         self.factor = _Groebner(pres.factor, labels)
         self.trees: list[Tree] = []
         self.mins: list[Atom] = []
@@ -797,17 +855,29 @@ class _Rewriting:
         self._ids: dict[Tree, int] = {}
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
         self._forms: dict[Tree, dict[tuple[int, ...], Fraction | int]] = {}
-        self._columns: dict[tuple[int, ...], int] = {}
-        ids = {block: [self._factor(t) for t in trees] for block, trees in self.factor.normal_trees.items()}
-        # one comb per set partition, blocks by smallest leaf, and choice of
-        # a normal tree of F per block
-        combs: dict[int, BiDegree] = {}
-        for partition in set_partitions(labels):
-            for key in product(*(ids[block] for block in sorted(partition))):
-                degs = [self.bidegrees[f] for f in key]
-                combs[self.column(key)] = (sum(h for h, _ in degs), sum(w for _, w in degs))
-        self.basis_positions = sorted(combs)
-        self.degrees = [combs[i] for i in self.basis_positions]
+        e, rule = pres.product, self.factor._rule
+
+        def free(t: Tree) -> bool:  # E-free: a factor
+            return is_leaf(t) or t[0] != e
+
+        def normal(g: str, a: Tree, b: Tree) -> bool:
+            if g == e:  # b is the last factor of the comb
+                return free(b) and (free(a) or atom_key(_first_leaf(a[2])) < atom_key(_first_leaf(b)))
+            return free(a) and free(b) and rule(g, a, b) is None
+
+        self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
+        self.basis = _trees(pres.gens, labels, normal, self.normal_trees)
+        self.slots: dict[tuple[int, ...], int] = {}
+        self.degrees: list[BiDegree] = []
+        for slot, comb in enumerate(self.basis):
+            factors = []
+            while not free(comb):
+                factors.append(comb[2])
+                comb = comb[1]
+            key = tuple(self._factor(f) for f in [comb] + factors[::-1])
+            self.slots[key] = slot
+            degs = [self.bidegrees[f] for f in key]
+            self.degrees.append((sum(h for h, _ in degs), sum(w for _, w in degs)))
 
     def _factor(self, tree: Tree) -> int:
         fid = self._ids.get(tree)
@@ -877,18 +947,6 @@ class _Rewriting:
                                 bump(out, key, sign * cpq * e)
         self._forms[t] = out
         return out
-
-    reduce = _Groebner.reduce
-
-    def column(self, key: tuple[int, ...]) -> int:
-        """The ambient position of the E-comb of a term."""
-        col = self._columns.get(key)
-        if col is None:
-            comb = self.trees[key[0]]
-            for f in key[1:]:
-                comb = (self.pres.product, comb, self.trees[f])
-            col = self._columns[key] = self.index[comb]
-        return col
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:

@@ -1,35 +1,25 @@
 """Quotient components, shared by the operad side and the algebra side.
 
-Both sides present a component the same way: the span of the ambient
-monomials on a label set modulo the span of the relation instances.  On the
-algebra side that span is brought to reduced row-echelon form once, on the
-standard labels {1..n}, and stored (``payload_component``); the non-pivot
-monomials are the basis, and ``Echelon.reduce`` rewrites any vector onto
-them.  The operad side (a Groebner rewriting, or Com o F) brings its own
-basis and reducer instead, and uses no payload or store.  The
-component on any other label set of the same size is the standard one
-relabeled along the order-preserving bijection (``relabeled``), and
-coordinates are taken on the standard side, where the reducer lives.  Both
-canonical forms (trees and graph monomials) compare atoms only through
-``atom_key``, which an order-preserving bijection respects, so a transported
-monomial comes out canonical as it is and picks up no sign: transport is
-the plain map of the labels, and position ``i`` means the same monomial, and
-basis slot ``s`` the same basis monomial, on every label set of a given
-size.
+A component is a basis on a label set and a normal form onto it.  The
+algebra side is the span of the ambient monomials modulo the span of the
+relation instances, brought to reduced row-echelon form once on the
+standard labels {1..n} and stored (``payload_component``): the non-pivot
+monomials are the basis, and ``Echelon.reduce`` is the normal form.  The
+operad side keeps only its basis, the normal trees, and its rewriting nf,
+with no ambient, payload or store (``operad``).  The component on another
+label set of the size is the standard one ``relabeled`` along the
+order-preserving bijection, and normal forms are taken on the standard
+side.  Both canonical forms compare atoms only through ``atom_key``, which
+that bijection respects, so a transported monomial is canonical as it is,
+with sign +1: transport is the plain map of the labels, and basis slot
+``s`` means the same basis monomial on every label set of the size.
 
-A subclass supplies only what differs between the sides: the transport,
-the element constructor and ``build``, which makes the component on {1..n}
-with its monomial index and basis bidegrees.  The algebra side's ``build``
-is ``payload_component``, which reads its JSON codec of a monomial and its
-builder of the ambient monomials and the relation span; the operad side's
-is its rewriting.  This module owns the rest: relabeling, coordinates and
-normal forms, the payload codec, the load path with its memo, and the
-normal form of tensors of components.  It also owns every label-independent
-fact about a basis slot: its bidegree, the parity of its h, the slots of
-each bidegree and the basis expansion of each ambient position; ``coords``,
-``normal_form`` and ``tensor_normal_form`` are folds over those expansions,
-and ``ideal_witness`` decides whether a linear map kills the ideal from
-them.
+A side supplies what differs (see ``QuotientComponent``), its basis
+expansions memoised for every label set of the size.  This module owns the
+rest: coordinates and normal forms (folds over the expansions), the payload
+codec, the load path with its memo, the normal form of tensors, and the
+label-independent facts of a basis slot: bidegree, h-parity, and the slots
+of each bidegree.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -46,104 +36,47 @@ echelon form, is rebuilt as well.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, check_label_set, standard_labels
-from .linalg import ONE, Echelon, bump, exact, quotient_basis, vec_add_scaled
+from .linalg import ONE, Echelon, bump, exact, quotient_basis
 
 
 class QuotientComponent:
-    """Quotient component on one label set: monomials, reducer, bigraded dims.
+    """Quotient component on one label set: basis, normal form, bigraded dims.
 
-    Built on the standard labels {1..n} by the side's ``build``, from its
-    monomial list, their index and the bidegrees of the basis monomials; the
-    component on another label set of the size is that one ``relabeled``.
-    ``monomials[i]`` is ambient monomial i, and ``basis`` lists the basis
-    monomials in slot order.
-    ``reducer.reduce`` takes a vector on the ambient positions to its normal
-    form on the basis positions: the ``Echelon`` of a stored payload, or a
-    rewriting.  ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]``
-    the parity of its h; ``slots_by_degree`` lists the slots of each
-    bidegree in slot order and ``dims`` counts them.
+    Built on the standard labels {1..n} by the side's ``build(pres, labels,
+    store, prefix, fields)`` (``prefix`` is its cache-key prefix, ``fields``
+    name the variant), from its basis monomials in slot order and their
+    bidegrees; the component on another label set of the size is that one
+    ``relabeled``, through the side's ``transport`` of a monomial.  A side
+    also supplies ``element(terms)``, ``slot(m)`` of a basis monomial and
+    ``slot_expansion(m)``, the (slot, coefficient) pairs of a monomial in
+    slot order.
+    ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
+    its h; ``slots_by_degree`` lists the slots of each bidegree in slot
+    order and ``dims`` counts them.
     """
 
     family = ""  # first word of the cache key and of the payload kind
 
-    def __init__(
-        self,
-        pres,
-        labels: tuple[Atom, ...],
-        monomials: list,
-        reducer,
-        basis_positions: list[int],
-        index: dict,
-        degrees: list[BiDegree],
-    ):
+    def __init__(self, pres, labels: tuple[Atom, ...], basis: list, degrees: list[BiDegree]):
         self.pres = pres
         self.labels = labels
-        self.monomials = monomials
-        self.reducer = reducer
-        self.basis_positions = basis_positions
-        self._index = index
-        self.basis = [monomials[i] for i in basis_positions]
+        self.basis = basis
         self.degrees = degrees
         self.odd = [h & 1 for h, _ in self.degrees]
         self.slots_by_degree: dict[BiDegree, list[int]] = {}
         for slot, deg in enumerate(self.degrees):
             self.slots_by_degree.setdefault(deg, []).append(slot)
         self.dims = {deg: len(slots) for deg, slots in self.slots_by_degree.items()}
-        self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
-        self._expansions: dict[int, tuple] = {}
-
-    def relabeled(self, labels: tuple[Atom, ...]) -> "QuotientComponent":
-        """This component on another label set of the size: its own
-        monomials, index and basis, and every label-independent fact shared."""
-        comp = copy.copy(self)
-        comp.labels = labels
-        # both label tuples are sorted, so phi preserves the atom order
-        phi = dict(zip(self.labels, labels))
-        comp.monomials = [self.transport(m, phi) for m in self.monomials]
-        comp._index = {m: i for i, m in enumerate(comp.monomials)}
-        comp.basis = [comp.monomials[i] for i in self.basis_positions]
-        return comp
-
-    # --- the codec of a side -------------------------------------------------
-
-    def transport(self, m, phi: Mapping[Atom, Atom]):
-        """The canonical monomial m with its labels mapped by the
-        order-preserving phi: canonical as it is, with sign +1 (see the
-        module doc)."""
-        raise NotImplementedError
-
-    def element(self, terms: dict):
-        """Element on this label set with the given canonical terms."""
-        raise NotImplementedError
-
-    @classmethod
-    def build(
-        cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict
-    ) -> "QuotientComponent":
-        """The component on the standard labels {1..n}; ``prefix`` is its
-        cache-key prefix and ``fields`` name the variant."""
-        raise NotImplementedError
-
-    # --- shared ----------------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self.basis_positions)
-
-    def position(self, m) -> int | None:
-        """Position of m among the ambient monomials, None outside the ambient."""
-        return self._index.get(m)
-
-    def slot(self, m) -> int:
-        """Basis slot of the basis monomial m."""
-        return self._slot_of[self._index[m]]
+        return len(self.basis)
 
     def coords(self, x) -> dict[int, Fraction]:
         """Coordinates of x on the component basis (kills exactly the ideal),
@@ -161,47 +94,8 @@ class QuotientComponent:
         return self.element({basis[slot]: c for slot, c in self.coords(x).items()})
 
     def monomial_element(self, m):
-        """The ambient monomial m as an element."""
+        """The monomial m as an element."""
         return self.element({m: ONE})
-
-    def slot_expansion(self, m) -> tuple:
-        """(slot, coefficient) pairs of the ambient monomial m, in slot order.
-
-        Kept per position and shared by the relabeled components, so that
-        one expansion serves every label set of the size.
-        """
-        return self.expansion_at(self._index[m])
-
-    def expansion_at(self, i: int) -> tuple:
-        """``slot_expansion`` of the ambient monomial at position i."""
-        pairs = self._expansions.get(i)
-        if pairs is None:
-            reduced = self.reducer.reduce({i: ONE})
-            slot_of = self._slot_of
-            pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
-        return pairs
-
-    def ideal_witness(self, image):
-        """The first ambient monomial m whose row e_m - nf(m) the linear map
-        ``image`` does not kill, or None when the map kills the ideal.
-
-        ``image(m)`` is the map on a monomial, as a dict of coefficients.
-        Modulo the ideal each monomial equals its normal form, so the rows
-        lie in the ideal, and they span it because the basis is independent
-        in the quotient.  On the operad side the basis and nf come from a
-        rewriting (``operad``), which the tests check against the grafted
-        span.  Basis monomials are checked too: a row is zero only if the
-        expansion is the monomial itself.
-        """
-        basis_images = [image(b) for b in self.basis]
-        for i, m in enumerate(self.monomials):
-            slot = self._slot_of.get(i)
-            row = dict(image(m) if slot is None else basis_images[slot])
-            for s, c in self.slot_expansion(m):
-                vec_add_scaled(row, basis_images[s], -c)
-            if row:
-                return m
-        return None
 
 
 # --- payloads and memos ------------------------------------------------------------
@@ -365,7 +259,7 @@ def tensor_normal_form(
 ) -> dict[tuple, Fraction]:
     """Reduce factor k of every pure tensor to the basis of ``comps[k]``.
 
-    ``terms`` maps tuples of ambient monomials to coefficients.  The map is
+    ``terms`` maps tuples of monomials to coefficients.  The map is
     multilinear, so no signs arise.  Each factor's expansion is read from the
     memo of its component, shared by every call.
     """

@@ -51,6 +51,7 @@ from .operad import (
     grafted_relations,
     is_leaf,
     leibniz,
+    one_step_witness,
     tree_h,
     tree_sort_key,
     tree_str,
@@ -267,11 +268,11 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations.
 
     The coproduct, followed by the tensor normal form, kills the ideal when
-    it kills the row e_m - nf(m) of every ambient tree m
-    (``QuotientComponent.ideal_witness``); a failure names the first tree
-    whose row it does not kill.  The two sides of each identity on a basis
-    tree are first compared as free-operad tensors and normalised only when
-    those differ (see the module docstring).
+    it kills the one-step rows e_t - nf(t) at arity n, then n - 1 down to 3
+    (``operad.one_step_witness``); a failure names the first tree whose row
+    it does not kill.  The two sides of each identity on a basis tree are
+    first compared as free-operad tensors and normalised only when those
+    differ (see the module docstring).
     """
     store = store or default_store()
     pres = presentation("ram")
@@ -283,11 +284,11 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     # the free coproduct of each basis tree, for the ideal check and both identities
     deltas = {b: coproduct(comp.monomial_element(b)).terms for b in comp.basis}
 
-    def delta_nf(t: Tree) -> dict:
-        delta = deltas[t] if t in deltas else coproduct(comp.monomial_element(t)).terms
-        return quotient.tensor_normal_form(delta, (comp, comp))
+    def delta_nf(t: Tree, c: Component) -> dict:
+        delta = deltas[t] if t in deltas else coproduct(c.monomial_element(t)).terms
+        return quotient.tensor_normal_form(delta, (c, c))
 
-    bad = comp.ideal_witness(delta_nf)
+    bad = one_step_witness(pres, n, delta_nf, store)
     witness = None if bad is None else {"tree": tree_str(bad)}
     verdicts.append(verdict("coproduct_kills_ideal", bad is None, witness, n=n))
 
@@ -358,15 +359,13 @@ def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
     """
     store = store or default_store()
     pres = presentation("ram")
-
-    def trees_on(block: tuple) -> list[Tree]:
-        return component_basis(pres, block, store).basis
-
     memo = _DISTRIBUTIVE.setdefault(store, {})
     bad = None
     for k in range(3, n + 1):
         if k not in memo:
             c = component_basis(pres, standard_labels(k), store)
+            # the basis trees on each block, as the rewriting on {1..k} lists them
+            trees_on = c.rewriting.normal_trees.__getitem__
             memo[k] = next((x for x in grafted_relations(pres, c.labels, trees_on) if c.coords(x)), None)
         bad = memo[k]
         if bad is not None:

@@ -21,7 +21,7 @@ from .graphalg import (
     relation_instances,
 )
 from .labels import ordered_splits, standard_labels
-from .operad import component_basis, tree_str
+from .operad import component_basis, enumerate_tree_monomials, one_step_witness, tree_str
 from .ram import differential, distributive_check, hopf_check, presentation
 from .forms import check_survey_args, relation_survey
 from .reports import informational, verdict
@@ -37,14 +37,14 @@ def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
     return verdicts
 
 
-def _derivation_checks(side: str, comp, derivation, order: tuple[str, str]) -> list[dict]:
+def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple[str, str]) -> list[dict]:
     """D^2 = 0 for each derivation in ``order``, then [up, down] = weight, on
-    every ambient monomial of the component."""
+    every monomial of ``monomials``, all on the labels of the component."""
     k = len(comp.labels)
     verdicts = []
     for which in order:
         bad = None
-        for m in comp.monomials:
+        for m in monomials:
             el = comp.monomial_element(m)
             if not derivation(derivation(el, which), which).is_zero():
                 bad = {"monomial": repr(el)}
@@ -52,7 +52,7 @@ def _derivation_checks(side: str, comp, derivation, order: tuple[str, str]) -> l
         verdicts.append(verdict(f"{side}_{which}_squares_to_zero", bad is None, bad, n=k))
 
     bad = None
-    for m in comp.monomials:
+    for m in monomials:
         el = comp.monomial_element(m)
         w = el.bidegree()[1]
         anticomm = derivation(derivation(el, "up"), "down") + derivation(derivation(el, "down"), "up")
@@ -70,19 +70,21 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
     for k in range(2, n + 1):
         labels = standard_labels(k)
         comp = component_basis(pres, labels, store)
-        verdicts.extend(_derivation_checks("operad", comp, differential, ("down", "up")))
+        # identities of the free operad: on every tree, not only the basis
+        trees = enumerate_tree_monomials(pres.gens, labels)
+        verdicts.extend(_derivation_checks("operad", comp, trees, differential, ("down", "up")))
 
         if k >= 3:
             for which in ("down", "up"):
-                bad = comp.ideal_witness(
-                    lambda t: comp.coords(differential(comp.monomial_element(t), which))
+                bad = one_step_witness(
+                    pres, k, lambda t, c: c.coords(differential(c.monomial_element(t), which)), store
                 )
                 witness = None if bad is None else {"tree": tree_str(bad)}
                 verdicts.append(verdict(f"operad_{which}_preserves_ideal", bad is None, witness, n=k))
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)
-        verdicts.extend(_derivation_checks("algebra", gcomp, differential_algebra, ("up", "down")))
+        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.monomials, differential_algebra, ("up", "down")))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)

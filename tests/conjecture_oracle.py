@@ -1,11 +1,13 @@
 """The comparison map against the grafted relation span, the oracle of
 ``conjecture_verdict``'s ``relation_kill``.
 
-Before the verdict read the rows e_m - nf(m) of the ``ram`` build, it
-evaluated the map on every element of ``operad.ideal_span``: each relation
-grafted into every monomial, and every generator put on top of a
-lower-arity span element.  Both sets span the ideal of ``ram``, so the two
-routes must agree on whether the map kills it.
+Before the verdict read the one-step rows e_t - nf(t) of the ``ram``
+rewriting (``operad.one_step_witness``), it evaluated the map on every
+element of ``operad.ideal_span``: each relation grafted into every monomial,
+and every generator put on top of a lower-arity span element.  Both span
+the ideal of ``ram`` (the one-step rows modulo lower arities, which the
+verdict reads too), so the two routes must agree on whether the map kills
+it.
 """
 
 from ramops.dual import rho

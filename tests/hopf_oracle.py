@@ -5,10 +5,11 @@ identities as free-operad tensors and always compares their normal forms,
 basis tree by basis tree.  The tests compare ``ram.hopf_check``, which
 normalises only when the free tensors differ, against it.
 
-The ideal checks here loop over the grafted span of ``operad.ideal_span``;
-the engine's verdicts read the rewriting rows e_m - nf(m) instead
-(``QuotientComponent.ideal_witness``), so the two routes must agree on pass
-or fail, while their witnesses differ in shape.
+The ideal checks here loop over the grafted span of ``operad.ideal_span``
+at arity n; the engine's verdicts read the one-step rows e_t - nf(t) at
+arity n, then n - 1 down to 3, instead (``operad.one_step_witness``).  On
+the faults of the tests the two routes agree on pass or fail, while their
+witnesses differ in shape.
 """
 
 from ramops import quotient, ram

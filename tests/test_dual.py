@@ -5,6 +5,7 @@ import pytest
 
 import compat_oracle
 import conjecture_oracle
+import ideal_oracle
 import cooperad_oracle as oracle
 from test_ram import _coproduct_tree_wrong_exponent
 
@@ -262,6 +263,23 @@ def test_relation_kill_matches_span_oracle(fault, monkeypatch):
             assert rep["relation_kill_witness"]["tree"] in {tree_str(t) for t in trees}
         else:
             assert rep["relation_kill_witness"] is None
+
+
+@pytest.mark.parametrize(
+    "fault",
+    (_swap_odd_generator_duals, _flip_last_coordinate_at_hash),
+    ids=("swapped-generator-duals", "sign-flip-at-hash"),
+)
+def test_relation_kill_matches_the_ambient_rows(fault, monkeypatch):
+    # the verdict reads the one-step rows; the oracle reads the row of every
+    # ambient tree, at the same arities
+    store = ComponentStore()
+    fault(monkeypatch)
+    pres = presentation("ram")
+    for n in (3, 4):
+        rep = conjecture_verdict(n, store)
+        ambient = ideal_oracle.ambient_witness(pres, n, lambda t, c: rho(c.monomial_element(t), store).coords, store)
+        assert rep["relation_kill"] is (ambient is None) is False, n
 
 
 def test_conjecture_verdict_bound():

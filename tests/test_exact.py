@@ -21,7 +21,14 @@ from ramops.cache import ComponentStore
 from ramops.dual import conjecture_verdict
 from ramops.graphalg import ARNOLD_PRESENTATION, AlgebraElement, GraphComponent, R_PRESENTATION, algebra_basis
 from ramops.linalg import SparseMatrix, exact, rref
-from ramops.operad import OperadElement, Presentation, _Groebner, _rewrite_rules, component_basis
+from ramops.operad import (
+    OperadElement,
+    Presentation,
+    _Groebner,
+    _rewrite_rules,
+    component_basis,
+    enumerate_tree_monomials,
+)
 from ramops.ram import RAM_SIGNATURE, presentation
 from ramops.reports import canonical_json, make_report
 from ramops.suites import run_suite
@@ -172,5 +179,5 @@ def test_non_integral_relation_coefficients_give_fraction_rules():
     coeffs = [c for terms in _rewrite_rules(raw).values() for _, signs in terms for c in signs]
     assert coeffs and all(type(c) is Fraction and c.denominator == 2 for c in coeffs)
     rw = _Groebner(raw, (1, 2, 3, 4))
-    counts = _numbers([rw.reduce({i: 1}) for i in range(len(rw.monomials))])
+    counts = _numbers([rw.normal_form(t) for t in enumerate_tree_monomials(raw.gens, (1, 2, 3, 4))])
     assert counts["float"] == 0 and counts["fraction"] > 0, counts

@@ -8,7 +8,7 @@ import pytest
 from echelon_oracle import oracle_reduce
 from span_oracle import span_echelon
 
-from ramops import linalg, quotient
+from ramops import linalg, operad, quotient
 from ramops.cache import ComponentStore
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
@@ -25,7 +25,9 @@ from ramops.operad import (
     _map_tree,
     canonicalize,
     component_basis,
+    enumerate_tree_monomials,
     ideal_span,
+    one_step_witness,
     tree_bidegree,
     tree_to_json,
 )
@@ -92,6 +94,17 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
             assert loaded.coords(loaded.monomial_element(m)) == coords
 
 
+def _ambient(comp):
+    """The ambient monomials of the component, the position of each, and the
+    positions of its basis monomials: kept by an algebra component,
+    enumerated for an operad one, which keeps only its basis."""
+    if isinstance(comp, GraphComponent):
+        return comp.monomials, comp.position, comp.basis_positions
+    monomials = enumerate_tree_monomials(comp.pres.gens, comp.labels)
+    index = {m: i for i, m in enumerate(monomials)}
+    return monomials, index.__getitem__, [index[b] for b in comp.basis]
+
+
 def _relation_echelon(side, comp):
     """The RREF of the relations on the component's ambient positions: the
     stored echelon on the forest side, the grafted span's on the operad side,
@@ -101,13 +114,13 @@ def _relation_echelon(side, comp):
     return comp.reducer
 
 
-def _congruent(ech, comp, vec, coords) -> bool:
+def _congruent(ech, basis_positions, vec, coords) -> bool:
     """Whether vec minus its coordinates on the basis lies in the relations.
     Where the basis is the echelon's non-pivots (the forest side), this is
     the oracle's reduction of vec itself."""
     row = dict(vec)
     for slot, c in coords.items():
-        linalg.bump(row, comp.basis_positions[slot], -c)
+        linalg.bump(row, basis_positions[slot], -c)
     return not oracle_reduce(ech, row)
 
 
@@ -118,9 +131,10 @@ def test_monomial_normal_form_matches_normal_form(side, labels):
     # its element agree, and the monomial is congruent to them
     comp = SIDES[side][1](labels, None)
     ech = _relation_echelon(side, comp)
-    for m in comp.monomials:
+    monomials, position, basis_positions = _ambient(comp)
+    for m in monomials:
         expansion = dict(comp.slot_expansion(m))
-        assert _congruent(ech, comp, {comp.position(m): Fraction(1)}, expansion)
+        assert _congruent(ech, basis_positions, {position(m): Fraction(1)}, expansion)
         expected = {comp.basis[s]: c for s, c in expansion.items()}
         assert comp.normal_form(comp.monomial_element(m)).terms == expected
         if m in comp.basis:
@@ -143,13 +157,14 @@ def test_coords_match_oracle_reduce(side, n):
     for labels in (standard_labels(n), shifted) + _place_holder_label_sets(n):
         comp = SIDES[side][1](labels, None)
         ech = ech or _relation_echelon(side, comp)
-        elements = [comp.monomial_element(m) for m in comp.monomials]
+        monomials, position, basis_positions = _ambient(comp)
+        elements = [comp.monomial_element(m) for m in monomials]
         relations = _relation_elements(side, comp)
         assert relations or n < 3
         for x in elements + relations:
-            vec = {comp.position(m): c for m, c in x.terms.items()}
+            vec = {position(m): c for m, c in x.terms.items()}
             coords = comp.coords(x)
-            assert _congruent(ech, comp, vec, coords)
+            assert _congruent(ech, basis_positions, vec, coords)
             assert list(coords) == sorted(coords)
         assert not any(comp.coords(x) for x in relations)
 
@@ -186,7 +201,7 @@ def test_a_composite_reads_and_writes_no_payload(tmp_path, monkeypatch):
     rebuilt = component_basis(ram, (1, 2, 3), ComponentStore(str(tmp_path)))
     assert keys == [] and os.listdir(tmp_path) == []
     assert rebuilt is not built and rebuilt.basis == built.basis and rebuilt.dims == built.dims
-    for m in built.monomials:
+    for m in enumerate_tree_monomials(ram.gens, (1, 2, 3)):
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
 
@@ -201,12 +216,17 @@ def test_every_operad_component_builds_without_elimination_or_store(monkeypatch)
     monkeypatch.setattr(Component, "transport", refuse)
     clear_memos()
     store = ComponentStore()
-    for name in PRESENTATION_NAMES:
-        for n in (1, 2, 3, 4):
-            comp = component_basis(presentation(name), standard_labels(n), store)
-            for m in comp.monomials:
-                comp.slot_expansion(m)  # the normal form of every tree
-            assert [comp.slot_expansion(b) for b in comp.basis] == [((s, 1),) for s in range(comp.dim)]
+    comps = []
+    with monkeypatch.context() as mp:
+        # a build forms normal trees only, never the ambient trees
+        mp.setattr(operad, "enumerate_tree_monomials", refuse)
+        for name in PRESENTATION_NAMES:
+            for n in (1, 2, 3, 4):
+                comps.append(component_basis(presentation(name), standard_labels(n), store))
+    for comp in comps:
+        for m in enumerate_tree_monomials(comp.pres.gens, comp.labels):
+            comp.slot_expansion(m)  # the normal form of every tree
+        assert [comp.slot_expansion(b) for b in comp.basis] == [((s, 1),) for s in range(comp.dim)]
 
 
 @pytest.mark.parametrize("name", ["lie", "sgriess", "liegriess"])
@@ -242,18 +262,27 @@ def test_resource_bound_reports_arities_built_in_the_store():
 
 
 def test_a_component_keeps_one_list_and_one_index():
-    # the standard operad component holds its rewriting's monomial list and
-    # index; a relabeled one has its own, and shares every slot fact
+    # the standard operad component holds its rewriting's basis list and no
+    # ambient; a relabeled one has its own basis, and shares the rewriting
+    # and every slot fact
     store = ComponentStore()
     ram = presentation("ram")
     std = component_basis(ram, standard_labels(4), store)
-    assert std.monomials is std.reducer.monomials and std._index is std.reducer.index
+    assert std.basis is std.rewriting.basis
+    for attr in ("monomials", "_index", "basis_positions", "reducer", "position", "expansion_at"):
+        assert not hasattr(std, attr) and not hasattr(std.rewriting, attr), attr
     other = component_basis(ram, (2, 5, STAR, HASH), store)
-    assert other.labels == (2, 5, STAR, HASH) and other.monomials != std.monomials
-    for attr in ("_expansions", "degrees", "slots_by_degree", "_slot_of", "reducer"):
+    assert other.labels == (2, 5, STAR, HASH) and other.basis != std.basis
+    for attr in ("rewriting", "_expansions", "degrees", "slots_by_degree", "_slot_of"):
         assert getattr(other, attr) is getattr(std, attr)
     assert component_basis(ram, (5, HASH, 2, STAR), store) is other
+    # an algebra component keeps one monomial list and one index per label
+    # set, and shares the rest
     forest = _forest((1, 2, 3), store)
+    moved = _forest((4, 5, 6), store)
+    assert moved.monomials != forest.monomials and moved._index is not forest._index
+    for attr in ("_expansions", "degrees", "slots_by_degree", "_slot_of", "reducer", "basis_positions"):
+        assert getattr(moved, attr) is getattr(forest, attr)
     assert _forest((1, 2, 3), store) is forest
     assert _forest((4, 5, 6), store) is _forest((6, 5, 4), store)
 
@@ -281,9 +310,12 @@ def test_transport_is_sign_free(n):
         phi = dict(zip(standard_labels(n), labels))
         for comp in operad_side:
             moved = component_basis(comp.pres, labels)
-            for m, t in zip(comp.monomials, moved.monomials):
+            for m, t in zip(comp.basis, moved.basis):
                 assert canonicalize(_map_tree(m, phi), comp.pres.gens) == (1, t)
                 assert canonicalize(t, comp.pres.gens) == (1, t)
+            # nf of a tree moved to the labels is the moved nf of the tree
+            for m in enumerate_tree_monomials(comp.pres.gens, comp.labels):
+                assert moved.slot_expansion(_map_tree(m, phi)) == comp.slot_expansion(m)
         for comp in graph_side:
             moved = algebra_basis(comp.pres, labels, comp.mode)
             for m, key in zip(comp.monomials, moved.monomials):
@@ -302,8 +334,8 @@ def test_transport_is_the_plain_map_of_labels(n):
         for name in PRESENTATION_NAMES:
             comp = component_basis(presentation(name), standard_labels(n))
             moved = component_basis(comp.pres, labels)
-            assert len(moved.monomials) == len(comp.monomials)
-            for m, t in zip(comp.monomials, moved.monomials):
+            assert len(moved.basis) == len(comp.basis)
+            for m, t in zip(comp.basis, moved.basis):
                 assert t == _map_tree(m, phi)
                 assert canonicalize(t, comp.pres.gens) == (1, t)
         for pres in (R_PRESENTATION, ARNOLD_PRESENTATION):
@@ -489,7 +521,7 @@ def _check_parent_payload_is_never_read(corrupt, rehash, tmp_path, monkeypatch):
     built = _liegriess((1, 2, 3), ComponentStore(str(tmp_path)))
     assert os.listdir(tmp_path) == []
     payload = _parent_payload(pres, 3)
-    assert payload["basis"] != built.basis_positions
+    assert payload["basis"] != _ambient(built)[2]
     corrupt(payload)
     key = f"{quotient._prefix(Component, pres, {})}-n3"
     path = tmp_path / f"{key}.json"
@@ -510,9 +542,8 @@ def _check_parent_payload_is_never_read(corrupt, rehash, tmp_path, monkeypatch):
     monkeypatch.setattr(ComponentStore, "get", counted_get)
     rebuilt = _liegriess((1, 2, 3), ComponentStore(str(tmp_path)))
     assert keys == [] and path.read_bytes() == original
-    assert rebuilt is not built and rebuilt.monomials == built.monomials
-    assert rebuilt.basis == built.basis and rebuilt.dims == built.dims
-    for m in built.monomials:
+    assert rebuilt is not built and rebuilt.basis == built.basis and rebuilt.dims == built.dims
+    for m in enumerate_tree_monomials(pres.gens, (1, 2, 3)):
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
 
@@ -562,10 +593,18 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
 def test_ideal_witness_checks_basis_monomials(name, monkeypatch):
     # the normal form kills the ideal; once a basis tree's expansion is
     # scaled by 2, its own row is the only one that survives, so a witness
-    # search that skipped basis monomials would find nothing
-    comp = component_basis(presentation(name), (1, 2, 3, 4), ComponentStore())
-    nf = {m: dict(comp.slot_expansion(m)) for m in comp.monomials}
-    assert comp.ideal_witness(nf.__getitem__) is None
+    # search that skipped basis trees would find nothing: every basis tree
+    # of arity >= 2 is a one-step tree
+    pres, store = presentation(name), ComponentStore()
+    nf = {}
+
+    def image(t, comp):  # nf as it was before the expansion was scaled
+        if t not in nf:
+            nf[t] = dict(comp.slot_expansion(t))
+        return nf[t]
+
+    assert one_step_witness(pres, 4, image, store) is None
+    comp = component_basis(pres, (1, 2, 3, 4), store)
     b = comp.basis[len(comp.basis) // 2]
-    monkeypatch.setitem(comp._expansions, comp.position(b), ((comp.slot(b), Fraction(2)),))
-    assert comp.ideal_witness(nf.__getitem__) == b
+    monkeypatch.setitem(comp._expansions, b, ((comp.slot(b), Fraction(2)),))
+    assert one_step_witness(pres, 4, image, store) == b

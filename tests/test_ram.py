@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hopf_oracle as oracle
+import ideal_oracle
 from span_oracle import grafted_dims
 from ramops import operad, ram
 from ramops.cache import ComponentStore
@@ -24,7 +25,6 @@ from ramops.operad import (
     is_leaf,
     leibniz,
     relabel,
-    set_partitions,
     tree_bidegree,
     tree_h,
     tree_str,
@@ -48,6 +48,17 @@ from ramops.ramanujan import predicted_dims, psi
 from ramops.suites import run_suite, suite_differentials
 
 GENS = RAM_SIGNATURE
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        yield [(first,)] + sub
+        for i in range(len(sub)):
+            yield sub[:i] + [(first,) + sub[i]] + sub[i + 1 :]
 
 
 def gen_el(name, a, b, gens=GENS):
@@ -234,10 +245,11 @@ def test_hopf_check_small():
 
 def _assert_matches_oracle(verdicts, expected, n, kill_checks):
     """Whole verdicts for every check but the ideal checks ``kill_checks``,
-    which read the rewriting rows: there the oracle's grafted span and the
-    rows must agree on pass or fail, and a failure names an ambient tree."""
+    which read the one-step rows: there the oracle's grafted span and the
+    rows must agree on pass or fail, and a failure names a tree of arity n
+    (the oracle passes at every lower arity in these tests)."""
     assert [v["check"] for v in verdicts] == [v["check"] for v in expected]
-    ambient = {tree_str(t) for t in component_basis(presentation("ram"), standard_labels(n)).monomials}
+    ambient = {tree_str(t) for t in enumerate_tree_monomials(GENS, standard_labels(n))}
     for got, want in zip(verdicts, expected):
         if got["check"] not in kill_checks:
             assert got == want
@@ -316,6 +328,63 @@ def test_preserves_ideal_matches_span_oracle(fault, monkeypatch):
         assert failed == {3: [], 4: []}
     else:
         assert failed == {3: ["operad_up_preserves_ideal"], 4: list(OPERAD_IDEAL_CHECKS)}
+
+
+def _ideal_maps():
+    """The map of each operad ideal verdict on a tree t of the component c,
+    followed by the normal form of its target."""
+
+    def d(which):
+        return lambda t, c: c.coords(differential(c.monomial_element(t), which))
+
+    return {
+        "coproduct_kills_ideal": lambda t, c: tensor_normal_form(coproduct(c.monomial_element(t)), c).terms,
+        "operad_down_preserves_ideal": d("down"),
+        "operad_up_preserves_ideal": d("up"),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, checks, arities",
+    (
+        (("_coproduct_tree", _coproduct_tree_wrong_exponent), ("coproduct_kills_ideal",), (3, 4, 5)),
+        (("_diff_tree", _diff_tree_unsigned_right), OPERAD_IDEAL_CHECKS, (3, 4)),
+    ),
+    ids=("coproduct-exponent", "unsigned-right-differential"),
+)
+def test_one_step_verdicts_match_the_ambient_rows(fault, checks, arities, monkeypatch):
+    # the verdicts read the one-step rows; the oracle reads the row of every
+    # ambient tree, at the same arities
+    monkeypatch.setattr(ram, *fault)
+    pres, store, maps = presentation("ram"), ComponentStore(), _ideal_maps()
+    outcomes = {}
+    for n in arities:
+        verdicts = hopf_check(n, store) if "coproduct_kills_ideal" in checks else suite_differentials(n, store)
+        for v in verdicts:
+            if v["check"] in checks and v["params"] == {"n": n}:
+                ambient = ideal_oracle.ambient_witness(pres, n, maps[v["check"]], store)
+                assert v["pass"] is (ambient is None), (v, ambient)
+                outcomes[v["check"], n] = v["pass"]
+    assert len(outcomes) == len(checks) * len(arities) and not all(outcomes.values())
+
+
+def test_a_map_failing_only_at_arity_3_fails_the_verdict_at_arity_4():
+    # nf kills the ideal; this map is nf but on one arity-3 one-step tree,
+    # so every row at arity 4 vanishes, and the verdict at 4 must still fail
+    pres, store = presentation("ram"), ComponentStore()
+    bad = ("L", ("L", 1, 2), 3)
+    assert bad not in component_basis(pres, standard_labels(3), store).basis
+
+    def image(t, c):
+        coords = dict(c.slot_expansion(t))
+        if t == bad:
+            coords[0] = coords.get(0, 0) + 1
+        return coords
+
+    for witness in (operad.one_step_witness, ideal_oracle.ambient_witness):
+        assert witness(pres, 4, lambda t, c: dict(c.slot_expansion(t)), store) is None
+        assert witness(pres, 3, image, store) == bad
+        assert witness(pres, 4, image, store) == bad
 
 
 def test_ideal_verdicts_read_no_grafted_span(tmp_path, monkeypatch):

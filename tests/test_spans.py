@@ -37,9 +37,9 @@ from ramops.operad import (
     GeneratorSpec,
     OperadElement,
     Presentation,
+    _Groebner,
     _Rewriting,
     _rewrite_rules,
-    _trees,
     component_basis,
     tree_bidegree,
 )
@@ -178,19 +178,21 @@ def certificate(name, n):
     pres = presentation(name)
     monomials, ech = span_echelon(pres, n)
     comp = component_basis(pres, standard_labels(n), ComponentStore())
-    assert comp.monomials == monomials
+    index = {m: i for i, m in enumerate(monomials)}
+    basis_positions = [index[b] for b in comp.basis]
+    assert basis_positions == sorted(basis_positions)  # slots in enumeration order
     pivots = set(ech.pivots)
     oracle_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
     expansions_hold = True
     for i, m in enumerate(monomials):
         row = {i: Fraction(1)}
         for slot, c in comp.slot_expansion(m):
-            bump(row, comp.basis_positions[slot], -c)
+            bump(row, basis_positions[slot], -c)
         if oracle_reduce(ech, row):
             expansions_hold = False
             break
     basis_coords = SparseMatrix(len(monomials))
-    for i in comp.basis_positions:
+    for i in basis_positions:
         basis_coords.add_row(oracle_reduce(ech, {i: Fraction(1)}))
     return {
         "dims": comp.dims == oracle_dims,
@@ -238,8 +240,8 @@ def test_normal_trees_certify_a_quadratic_groebner_basis(name, leading):
     monomials, ech = span_echelon(pres, 4)
     pivots = set(ech.pivots)
     quotient_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
-    trees = _trees(pres.gens, standard_labels(4), frozenset(rules))
-    assert Counter(tree_bidegree(t, pres.gens) for t, normal in trees if normal) == quotient_dims
+    trees = _Groebner(pres, standard_labels(4)).basis
+    assert Counter(tree_bidegree(t, pres.gens) for t in trees) == quotient_dims
 
 
 def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
@@ -318,8 +320,8 @@ def test_certificate_accepts_exactly_what_the_grafted_span_confirms(monkeypatch)
             pivots = set(ech.pivots)
             quotient_dims = Counter(tree_bidegree(m, pres.gens) for i, m in enumerate(monomials) if i not in pivots)
             if pres.factor is None:
-                trees = _trees(pres.gens, standard_labels(n), frozenset(_rewrite_rules(pres)))
-                basis_dims = Counter(tree_bidegree(t, pres.gens) for t, normal in trees if normal)
+                trees = _Groebner(pres, standard_labels(n)).basis
+                basis_dims = Counter(tree_bidegree(t, pres.gens) for t in trees)
             else:
                 basis_dims = Counter(component_basis(pres, standard_labels(n), ComponentStore()).dims)
             counts.append(basis_dims == quotient_dims)
