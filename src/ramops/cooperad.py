@@ -81,7 +81,7 @@ from .graphalg import (
     monomial_str,
     relation_instances,
 )
-from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
+from .labels import Atom, STAR, HASH, check_label_set, sort_atoms, standard_labels
 from .linalg import Combination, bump
 from .reports import verdict
 
@@ -156,13 +156,13 @@ def _split_table(pres: GraphPresentation, pattern: str) -> list[tuple]:
 
 
 def _masks(comp: GraphComponent, store: ComponentStore) -> tuple[list[int], dict[int, int]]:
-    """The colored masks of the forest component's ambient monomials, by
-    position and inverted; the same on every label set of the size."""
+    """The colored masks of the forest component's shared ambient on {1..n},
+    by position and inverted: the same on every label set of the size."""
     memo = _MASKS.setdefault(store, {})
     key = (comp.pres.hash, len(comp.labels))
     masks = memo.get(key)
     if masks is None:
-        encode = mask_encoder(comp.labels)
+        encode = mask_encoder(standard_labels(len(comp.labels)))
         by_position = [encode(m)[0] for m in comp.monomials]
         masks = memo[key] = (by_position, {c: i for i, c in enumerate(by_position)})
     return masks

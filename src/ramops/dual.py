@@ -33,6 +33,7 @@ from .graphalg import (
     algebra_basis,
     monomial_from_word,
     multiply,
+    unit_monomial,
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
@@ -109,8 +110,7 @@ def dual_basis_element(
     store = store or default_store()
     comp = algebra_basis(pres, labels, "forest", store)
     if which == "one":
-        unit = tuple(() for _ in pres.colors)
-        return LinearForm(comp, {comp.slot(unit): 1})
+        return LinearForm(comp, {comp.slot(unit_monomial(pres)): 1})
     if which not in ("astar", "bstar"):
         raise ValueError("which must be one | astar | bstar")
     if i == j or i not in labels or j not in labels:

@@ -21,7 +21,6 @@ the brute-force cross-check of the forest optimization.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -457,7 +456,9 @@ class GraphComponent(QuotientComponent):
     """Quotient of the monomial span by all relation instances, on one vertex
     set: ``monomials[i]`` is ambient monomial i, ``basis_positions`` lists
     the basis positions in slot order, and ``reducer``, the ``Echelon`` of
-    the payload, reduces a vector on the positions onto them."""
+    the payload, reduces a vector on the positions onto them.  The ambient,
+    its index, the echelon and the expansions are on {1..n}, and shared by
+    every relabeled component."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
@@ -476,31 +477,19 @@ class GraphComponent(QuotientComponent):
         degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
         super().__init__(pres, labels, [monomials[i] for i in basis_positions], degrees)
 
-    def relabeled(self, labels: tuple[Atom, ...]) -> "GraphComponent":
-        """This component on another label set of the size: its own
-        monomials, index and basis, sharing the rest."""
-        comp = copy.copy(self)
-        comp.labels = labels
-        # both label tuples are sorted, so phi preserves the atom order
-        phi = dict(zip(self.labels, labels))
-        comp.monomials = [self.transport(m, phi) for m in self.monomials]
-        comp._index = {m: i for i, m in enumerate(comp.monomials)}
-        comp.basis = [comp.monomials[i] for i in self.basis_positions]
-        return comp
-
     def position(self, m: MonomialKey) -> int | None:
         """Position of m among the ambient monomials, None outside the ambient."""
-        return self._index.get(m)
+        return self._index.get(self._on_reference(m))
 
     def slot(self, m: MonomialKey) -> int:
-        return self._slot_of[self._index[m]]
+        return self._slot_of[self._index[self._on_reference(m)]]
 
     def slot_expansion(self, m: MonomialKey) -> tuple:
-        return self.expansion_at(self._index[m])
+        return self.expansion_at(self._index[self._on_reference(m)])
 
     def expansion_at(self, i: int) -> tuple:
         """``slot_expansion`` of the ambient monomial at position i, kept
-        per position and shared by the relabeled components."""
+        per position."""
         pairs = self._expansions.get(i)
         if pairs is None:
             reduced = self.reducer.reduce({i: ONE})

@@ -115,7 +115,6 @@ oracles build the grafted span from it, and the benchmark's tracer wraps it.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -564,9 +563,8 @@ class Component(QuotientComponent):
     normal trees, which are its basis, and the rewriting nf onto them.
 
     Built once on the reference labels {1..n}, with no payload (see the
-    module docstring), and relabeled to any other label set along the
-    order-preserving bijection; a relabeled component maps a tree back to
-    {1..n}, where the rewriting and its memos live.
+    module docstring); a relabeled component maps a tree back to {1..n},
+    where the rewriting and its memos live (see ``QuotientComponent``).
     """
 
     family = "operad"
@@ -578,26 +576,12 @@ class Component(QuotientComponent):
         self.rewriting = rewriting
         self._slot_of = {b: slot for slot, b in enumerate(rewriting.basis)}
         self._expansions: dict[Tree, tuple] = {}
-        self._back: dict | None = None  # the map of the labels onto {1..n}, once relabeled
-
-    def relabeled(self, labels: tuple[Atom, ...]) -> "Component":
-        """This component on another label set of the size, sharing the rest."""
-        comp = copy.copy(self)
-        comp.labels = labels
-        # both label tuples are sorted, so phi preserves the atom order
-        phi = dict(zip(self.labels, labels))
-        comp.basis = [self.transport(b, phi) for b in self.basis]
-        comp._back = dict(zip(labels, standard_labels(len(labels))))
-        return comp
 
     def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
         return _map_tree(m, phi)
 
     def element(self, terms: dict) -> OperadElement:
         return OperadElement(self.labels, self.pres.gens, terms)
-
-    def _on_reference(self, m: Tree) -> Tree:
-        return m if self._back is None else _map_tree(m, self._back)
 
     def slot(self, m: Tree) -> int:
         return self._slot_of[self._on_reference(m)]

@@ -6,20 +6,23 @@ relation instances, brought to reduced row-echelon form once on the
 standard labels {1..n} and stored (``payload_component``): the non-pivot
 monomials are the basis, and ``Echelon.reduce`` is the normal form.  The
 operad side keeps only its basis, the normal trees, and its rewriting nf,
-with no ambient, payload or store (``operad``).  The component on another
-label set of the size is the standard one ``relabeled`` along the
-order-preserving bijection, and normal forms are taken on the standard
-side.  Both canonical forms compare atoms only through ``atom_key``, which
-that bijection respects, so a transported monomial is canonical as it is,
-with sign +1: transport is the plain map of the labels, and basis slot
-``s`` means the same basis monomial on every label set of the size.
+with no ambient, payload or store (``operad``).  On both sides the
+component on another label set of the size is the standard one
+``relabeled`` along the order-preserving bijection: its own labels and
+basis, moved by the side's ``transport``, and the map of its labels back
+onto {1..n} (``_back``), which every lookup takes; so the ambient, its
+index, the normal form and its memos exist once, on {1..n}.  Both
+canonical forms compare atoms only through ``atom_key``, which that
+bijection respects, so a transported monomial is canonical as it is, with
+sign +1: transport is the plain map of the labels, and basis slot ``s``
+means the same basis monomial on every label set of the size.
 
 A side supplies what differs (see ``QuotientComponent``), its basis
-expansions memoised for every label set of the size.  This module owns the
-rest: coordinates and normal forms (folds over the expansions), the payload
-codec, the load path with its memo, the normal form of tensors, and the
-label-independent facts of a basis slot: bidegree, h-parity, and the slots
-of each bidegree.
+expansions memoised once on {1..n}.  This module owns the rest: the
+relabeling, coordinates and normal forms (folds over the expansions), the
+payload codec, the load path with its memo, the normal form of tensors,
+and the label-independent facts of a basis slot: bidegree, h-parity, and
+the slots of each bidegree.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -36,6 +39,7 @@ echelon form, is rebuilt as well.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -51,17 +55,19 @@ class QuotientComponent:
     Built on the standard labels {1..n} by the side's ``build(pres, labels,
     store, prefix, fields)`` (``prefix`` is its cache-key prefix, ``fields``
     name the variant), from its basis monomials in slot order and their
-    bidegrees; the component on another label set of the size is that one
-    ``relabeled``, through the side's ``transport`` of a monomial.  A side
+    bidegrees.  ``relabeled`` gives it another label set of the size: a
+    copy with its own labels and basis, moved by the side's ``transport(m,
+    phi)``, that maps a monomial back through ``_back`` on lookup.  A side
     also supplies ``element(terms)``, ``slot(m)`` of a basis monomial and
     ``slot_expansion(m)``, the (slot, coefficient) pairs of a monomial in
-    slot order.
+    slot order, both read at ``_on_reference(m)``.
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
     order and ``dims`` counts them.
     """
 
     family = ""  # first word of the cache key and of the payload kind
+    _back: dict | None = None  # the map of the labels onto {1..n}, once relabeled
 
     def __init__(self, pres, labels: tuple[Atom, ...], basis: list, degrees: list[BiDegree]):
         self.pres = pres
@@ -77,6 +83,19 @@ class QuotientComponent:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def relabeled(self, labels: tuple[Atom, ...]) -> "QuotientComponent":
+        """This component on another label set of the size, sharing the rest."""
+        comp = copy.copy(self)
+        comp.labels = labels
+        # both label tuples are sorted, so phi preserves the atom order
+        phi = dict(zip(self.labels, labels))
+        comp.basis = [self.transport(b, phi) for b in self.basis]
+        comp._back = dict(zip(labels, standard_labels(len(labels))))
+        return comp
+
+    def _on_reference(self, m):
+        return m if self._back is None else self.transport(m, self._back)
 
     def coords(self, x) -> dict[int, Fraction]:
         """Coordinates of x on the component basis (kills exactly the ideal),

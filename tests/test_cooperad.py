@@ -204,7 +204,7 @@ def test_theta_matches_oracle_on_every_split(n):
     # rows computed on one label set are read on the others of the same pattern
     for labels, place in _label_variants(n):
         union = algebra_basis(P, labels, "forest")
-        elements = [union.monomial_element(m) for m in union.monomials]
+        elements = [union.monomial_element(m) for m in enumerate_graph_monomials(P, labels, "forest")]
         elements += [rel for _, rel in relation_instances(P, labels, "full")]
         _check_against_oracle(P, labels, place, elements)
 
@@ -218,7 +218,7 @@ def test_theta_splits_its_input_unreduced():
     assert not all(v["pass"] for v in theta_relation_kill(EVEN_ARNOLD, (1,), (2, 3)))
     for labels, place in _label_variants(3):
         union = algebra_basis(EVEN_ARNOLD, labels, "forest")
-        elements = [union.monomial_element(m) for m in union.monomials]
+        elements = [union.monomial_element(m) for m in enumerate_graph_monomials(EVEN_ARNOLD, labels, "forest")]
         _check_against_oracle(EVEN_ARNOLD, labels, place, elements)
 
 
@@ -227,7 +227,7 @@ def _check_rows(pres, labels, place, full=False):
     on both factors, entry for entry: on the forest ambient, or on the full
     monomials outside it."""
     store = default_store()
-    monomials = algebra_basis(pres, labels, "forest", store).monomials
+    monomials = enumerate_graph_monomials(pres, labels, "forest")
     if full:
         forests = set(monomials)
         monomials = [m for m in enumerate_graph_monomials(pres, labels, "full") if m not in forests]

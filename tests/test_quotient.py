@@ -16,6 +16,7 @@ from ramops.graphalg import (
     R_PRESENTATION,
     _relabel_monomial,
     algebra_basis,
+    enumerate_graph_monomials,
     relation_instances,
 )
 from ramops.labels import HASH, STAR, standard_labels
@@ -89,17 +90,18 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
         _check_slot_facts(loaded)
         assert loaded.degrees == built.degrees and loaded.odd == built.odd
         assert loaded.slots_by_degree == built.slots_by_degree
-        for m in built.monomials:
+        for m in _ambient(built)[0]:
             coords = built.coords(built.monomial_element(m))
             assert loaded.coords(loaded.monomial_element(m)) == coords
 
 
 def _ambient(comp):
-    """The ambient monomials of the component, the position of each, and the
-    positions of its basis monomials: kept by an algebra component,
-    enumerated for an operad one, which keeps only its basis."""
+    """The ambient monomials on the component's labels, the position of each,
+    and the positions of its basis monomials: an algebra component indexes
+    its ambient on {1..n}, an operad one keeps only its basis."""
     if isinstance(comp, GraphComponent):
-        return comp.monomials, comp.position, comp.basis_positions
+        monomials = enumerate_graph_monomials(comp.pres, comp.labels, comp.mode)
+        return monomials, comp.position, comp.basis_positions
     monomials = enumerate_tree_monomials(comp.pres.gens, comp.labels)
     index = {m: i for i, m in enumerate(monomials)}
     return monomials, index.__getitem__, [index[b] for b in comp.basis]
@@ -263,8 +265,7 @@ def test_resource_bound_reports_arities_built_in_the_store():
 
 def test_a_component_keeps_one_list_and_one_index():
     # the standard operad component holds its rewriting's basis list and no
-    # ambient; a relabeled one has its own basis, and shares the rewriting
-    # and every slot fact
+    # ambient
     store = ComponentStore()
     ram = presentation("ram")
     std = component_basis(ram, standard_labels(4), store)
@@ -272,19 +273,22 @@ def test_a_component_keeps_one_list_and_one_index():
     for attr in ("monomials", "_index", "basis_positions", "reducer", "position", "expansion_at"):
         assert not hasattr(std, attr) and not hasattr(std.rewriting, attr), attr
     other = component_basis(ram, (2, 5, STAR, HASH), store)
-    assert other.labels == (2, 5, STAR, HASH) and other.basis != std.basis
-    for attr in ("rewriting", "_expansions", "degrees", "slots_by_degree", "_slot_of"):
-        assert getattr(other, attr) is getattr(std, attr)
+    assert other.labels == (2, 5, STAR, HASH)
     assert component_basis(ram, (5, HASH, 2, STAR), store) is other
-    # an algebra component keeps one monomial list and one index per label
-    # set, and shares the rest
     forest = _forest((1, 2, 3), store)
     moved = _forest((4, 5, 6), store)
-    assert moved.monomials != forest.monomials and moved._index is not forest._index
-    for attr in ("_expansions", "degrees", "slots_by_degree", "_slot_of", "reducer", "basis_positions"):
-        assert getattr(moved, attr) is getattr(forest, attr)
+    assert moved.monomials is forest.monomials and moved._index is forest._index
     assert _forest((1, 2, 3), store) is forest
     assert _forest((4, 5, 6), store) is _forest((6, 5, 4), store)
+    # on both sides a relabeled component has its own labels, basis and map
+    # back onto {1..n}; every other attribute is the standard one's object
+    for ref, comp in ((std, other), (forest, moved)):
+        assert comp.labels != ref.labels and comp.basis != ref.basis
+        assert comp._back == dict(zip(comp.labels, ref.labels)) and ref._back is None
+        assert set(vars(comp)) == set(vars(ref)) | {"_back"}
+        for attr, value in vars(comp).items():
+            if attr not in ("labels", "basis", "_back"):
+                assert value is vars(ref)[attr], attr
 
 
 def _place_holder_label_sets(n):
@@ -318,9 +322,19 @@ def test_transport_is_sign_free(n):
                 assert moved.slot_expansion(_map_tree(m, phi)) == comp.slot_expansion(m)
         for comp in graph_side:
             moved = algebra_basis(comp.pres, labels, comp.mode)
-            for m, key in zip(comp.monomials, moved.monomials):
+            ambient = enumerate_graph_monomials(comp.pres, labels, comp.mode)
+            for m, key in zip(comp.monomials, ambient, strict=True):
                 assert _relabel_monomial(comp.pres, m, phi) == (1, key)
                 assert _relabel_monomial(comp.pres, key, {a: a for a in labels}) == (1, key)
+                # a moved monomial is looked up as the monomial on {1..n}
+                assert moved.position(key) == comp.position(m)
+                assert moved.slot_expansion(key) == comp.slot_expansion(m)
+            if comp.mode == "forest":
+                # a full-mode cycle is outside the forest ambient on every
+                # label set: Cocomposition.normalised splits it unstored
+                cycles = set(enumerate_graph_monomials(comp.pres, labels, "full")) - set(ambient)
+                assert bool(cycles) == (n >= 3)
+                assert all(moved.position(m) is None for m in cycles)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -342,9 +356,11 @@ def test_transport_is_the_plain_map_of_labels(n):
             for mode in ("forest", "full"):
                 comp = algebra_basis(pres, standard_labels(n), mode)
                 moved = algebra_basis(pres, labels, mode)
-                assert len(moved.monomials) == len(comp.monomials)
-                for m, key in zip(comp.monomials, moved.monomials):
+                ambient = enumerate_graph_monomials(pres, labels, mode)
+                assert len(ambient) == len(comp.monomials)
+                for m, key in zip(comp.monomials, ambient):
                     assert _relabel_monomial(pres, m, phi) == (1, key)
+                assert moved.basis == [ambient[i] for i in comp.basis_positions]
 
 
 @pytest.mark.parametrize("side", STORED_SIDES)
