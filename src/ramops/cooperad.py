@@ -7,11 +7,12 @@ Extended multiplicatively with Koszul interleaving signs and reduced to the
 quotient on each side, this is a morphism of bidifferential algebras; the
 checks below exercise that claim plus both coassociativity equations.
 
-Normalised cocomposition is read from a list of rows, one list per store
-and per (presentation, pattern).  The pattern of a split I | J with
-place-holder p is the word over I, J, P read along sort_atoms(I + J + (p,)).
-Row i holds the normalised image of the ambient monomial at position i of
-the union component as (left slot, right slot, coefficient) triples.
+Normalised cocomposition is read from one record per store and per
+(presentation, pattern): the split table, the row cache and the transpose.
+The pattern of a split I | J with place-holder p is the word over I, J, P
+read along sort_atoms(I + J + (p,)).  Row i holds the normalised image of
+the ambient monomial at position i of the union component as (left slot,
+right slot, coefficient) triples.
 
 A row is computed from bits alone.  A monomial is its colored mask
 (``graphalg.mask_encoder``: bit ci * P + p is the letter of color ci on
@@ -29,24 +30,24 @@ of the odd left letters, counted by ``popcount``.  Right letters keep their
 order, since J is renumbered in order.  The row is zero when two left
 letters share a pair (a double edge), or when the left or the right mask is
 missing from its forest ambient (a cycle).  Otherwise the masks name an
-ambient position on each side, through one mask-to-position dict per store
-and per (presentation, size), built on the first cocomposition, and the
-row is the product of the two positions' slot expansions.  The word-by-word
-split that this reads in bits is kept as the test oracle
-(``tests/cooperad_oracle.raw_theta``).
+ambient position on each side, through the side component's
+``mask_index``, and the row is the product of the two positions' slot
+expansions.  The word-by-word split that this reads in bits is kept as the
+test oracle (``tests/cooperad_oracle.raw_theta``).
 
 One row serves every label set with the same pattern, exactly: the table
 depends on the pattern alone, and a component transports with no sign,
 position i, basis slot s and their masks naming the same monomial on every
-label set of a size (see ``quotient``).  A row is computed on first use, on
-whichever label set asks.  ``theta`` never reduces its input first, so that
-``theta_relation_kill`` sees the relation itself; a monomial outside the
-forest ambient (a full-mode cycle) is encoded on the union's labels and
-split through the same table, without being stored.  ``dual_compose`` in
-``dual`` reads the transpose of the basis rows
-(``Cocomposition.transposed``: per left slot and right slot, the union
-slots and coefficients), built once per pattern and kept beside the rows,
-so that it sums over the supports of two forms.
+label set of a size (see ``quotient``).  ``row_at`` keeps a row on first
+use, on whichever label set asks, and is the only writer of the row cache.
+``theta`` never reduces its input first, so that ``theta_relation_kill``
+sees the relation itself; a monomial outside the forest ambient (a
+full-mode cycle) is encoded on the union's labels and split through the
+same table, without being stored.  ``dual_compose`` in ``dual`` reads the
+transpose of the basis rows (``Cocomposition.transposed``: per left slot
+and right slot, the union slots and coefficients), built once per pattern
+straight from the split table, so that it sums over the supports of two
+forms; dual composition leaves the row cache empty.
 
 The basis-by-basis checks read the rows too, with no tensor elements.  A
 basis slot s of one split's factor component names the same monomial as
@@ -56,9 +57,9 @@ row with the rows of its slots: ``cooperad_axiom_check`` keeps both sides of
 each coassociativity equation as {(slot, slot, slot): coefficient} over the
 same three components and reads h-parities from the components.
 ``theta_intertwines_differentials`` compares theta of d(b) with the row of b
-contracted against the basis coordinates of d on each factor; the normal
-form of a tensor is multilinear, so this is the normal form of the raw
-right-hand side.
+contracted against the basis coordinates of d on each factor
+(``GraphComponent.differentials``); the normal form of a tensor is
+multilinear, so this is the normal form of the raw right-hand side.
 """
 
 from __future__ import annotations
@@ -75,13 +76,12 @@ from .graphalg import (
     GraphPresentation,
     MonomialKey,
     algebra_basis,
-    differential_algebra,
     mask_encoder,
     monomial_sort_key,
     monomial_str,
     relation_instances,
 )
-from .labels import Atom, STAR, HASH, check_label_set, sort_atoms, standard_labels
+from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
 from .linalg import Combination, bump
 from .reports import verdict
 
@@ -112,17 +112,12 @@ class TensorAlgebraElement(Combination):
         self._add_term((ml, mr), coeff)
 
 
-# per store: {(presentation hash, pattern): rows}, beside it under
-# (presentation hash, pattern, "bits") the split table and under
-# (presentation hash, pattern, "by_left") the rows' transpose, and
-# {(presentation hash, I, J, place): Cocomposition}; rows[i] is None until the
-# ambient monomial at position i of the union component is first asked for,
-# and the transpose is empty until dual composition first asks for it
+# per store: {(presentation hash, pattern): (split table, rows, transpose)}
+# and {(presentation hash, I, J, place): Cocomposition}; rows[i] is None until
+# ``row_at(i)`` first asks for the ambient monomial at position i of the union
+# component, and the transpose is empty until dual composition first asks for it
 _TABLES = quotient.per_store_memo()
 _SPLITS = quotient.per_store_memo()
-# per store: {(presentation hash, size): (colored mask by position, position
-# by colored mask)} of the forest ambient, built on the first cocomposition
-_MASKS = quotient.per_store_memo()
 
 
 def _split_table(pres: GraphPresentation, pattern: str) -> list[tuple]:
@@ -155,19 +150,6 @@ def _split_table(pres: GraphPresentation, pattern: str) -> list[tuple]:
     return table
 
 
-def _masks(comp: GraphComponent, store: ComponentStore) -> tuple[list[int], dict[int, int]]:
-    """The colored masks of the forest component's shared ambient on {1..n},
-    by position and inverted: the same on every label set of the size."""
-    memo = _MASKS.setdefault(store, {})
-    key = (comp.pres.hash, len(comp.labels))
-    masks = memo.get(key)
-    if masks is None:
-        encode = mask_encoder(standard_labels(len(comp.labels)))
-        by_position = [encode(m)[0] for m in comp.monomials]
-        masks = memo[key] = (by_position, {c: i for i, c in enumerate(by_position)})
-    return masks
-
-
 def _checked_split(I, J, place: Atom) -> tuple[tuple, tuple]:
     I = check_label_set(I)
     J = check_label_set(J)
@@ -180,7 +162,7 @@ def _checked_split(I, J, place: Atom) -> tuple[tuple, tuple]:
 
 class Cocomposition:
     """The split I | J, place-holder on the I side, on concrete labels: its
-    three forest components and the rows its pattern shares."""
+    three forest components and the record its pattern shares."""
 
     __slots__ = (
         "union", "left", "right", "rows", "by_left",
@@ -199,16 +181,14 @@ class Cocomposition:
         )
         tables = _TABLES.setdefault(store, {})
         key = (pres.hash, pattern)
-        self.rows = tables.get(key)
-        if self.rows is None:
-            self.rows = tables[key] = [None] * len(self.union.monomials)
-            tables[key + ("bits",)] = _split_table(pres, pattern)
-        self.bits = tables[key + ("bits",)]
-        self.by_left = tables.setdefault(key + ("by_left",), [])
+        record = tables.get(key)
+        if record is None:
+            record = tables[key] = (_split_table(pres, pattern), [None] * len(self.union.monomials), [])
+        self.bits, self.rows, self.by_left = record
         self.encode = mask_encoder(self.union.labels)
-        self.union_masks = _masks(self.union, store)[0]
-        self.left_positions = _masks(self.left, store)[1]
-        self.right_positions = _masks(self.right, store)[1]
+        self.union_masks = self.union.mask_index()[0]
+        self.left_positions = self.left.mask_index()[1]
+        self.right_positions = self.right.mask_index()[1]
 
     def row_at(self, i: int) -> tuple:
         """Row of the ambient monomial at position i, computed on first use."""
@@ -220,12 +200,14 @@ class Cocomposition:
     def transposed(self) -> list[dict[int, list]]:
         """The rows of the union's basis monomials, transposed: per left
         slot, {right slot: [(union slot, coefficient)]}.  Built on first
-        use, from every basis row, and shared by the pattern."""
+        use, from the split table and not from the row cache, and shared
+        by the pattern."""
         by_left = self.by_left
         if not by_left:  # a left component holds at least the unit
             by_left.extend({} for _ in range(self.left.dim))
+            masks = self.union_masks
             for x, pos in enumerate(self.union.basis_positions):
-                for ls, rs, c in self.row_at(pos):
+                for ls, rs, c in self._row(masks[pos]):
                     by_left[ls].setdefault(rs, []).append((x, c))
         return by_left
 
@@ -410,31 +392,6 @@ def cooperad_axiom_check(
     return verdicts
 
 
-# per store: {(presentation hash, size, differential): [(d(b) by position, d(b) by slot)]}
-_DIFFERENTIALS = quotient.per_store_memo()
-
-
-def _differentials(comp: GraphComponent, which: str, store: ComponentStore) -> list[tuple]:
-    """For each basis slot of the forest component, d of its basis monomial as
-    (position, coefficient) pairs and as basis (slot, coefficient) pairs.
-
-    Both are the same on every label set of the size: d compares atoms only
-    through ``atom_key``, as the canonical forms do, so it commutes with an
-    order-preserving relabeling.  d keeps the edge set of a forest, so every
-    term stays in the ambient.
-    """
-    memo = _DIFFERENTIALS.setdefault(store, {})
-    key = (comp.pres.hash, len(comp.labels), which)
-    rows = memo.get(key)
-    if rows is None:
-        rows = memo[key] = []
-        for b in comp.basis:
-            image = differential_algebra(comp.monomial_element(b), which)
-            positions = tuple((comp.position(m), c) for m, c in image.terms.items())
-            rows.append((positions, tuple(comp.coords(image).items())))
-    return rows
-
-
 def theta_intertwines_differentials(
     pres: GraphPresentation,
     I: Iterable[Atom],
@@ -456,9 +413,9 @@ def theta_intertwines_differentials(
     left_odd = cocomp.left.odd
     verdicts = []
     for which in ("up", "down"):
-        d_union = _differentials(union, which, store)
-        d_left = _differentials(cocomp.left, which, store)
-        d_right = _differentials(cocomp.right, which, store)
+        d_union = union.differentials(which)
+        d_left = cocomp.left.differentials(which)
+        d_right = cocomp.right.differentials(which)
         bad = None
         for slot, pos in enumerate(union.basis_positions):
             lhs: dict = {}

@@ -25,7 +25,7 @@ from . import quotient
 from .cache import ComponentStore, default_store
 # theta stays bound here: perfbench's self-tests check that the tracer
 # patches every module's binding of it, this one included
-from .cooperad import _differentials, cocomposition, theta  # noqa: F401
+from .cooperad import cocomposition, theta  # noqa: F401
 from .graphalg import (
     AlgebraElement,
     GraphComponent,
@@ -276,7 +276,7 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
 
     The forms of basis trees are paired with tables indexed by output slot,
     so that a sparse form is paired sparsely: the basis coordinates of d of
-    each basis slot of R(n) (``cooperad._differentials``), and the slot
+    each basis slot of R(n) (``GraphComponent.differentials``), and the slot
     expansion of each product u.v of basis monomials.  Pairs are scanned in
     the order (tree, slot) and (tree, u slot, v slot), so a failure reports
     what the element-by-element scan reports.
@@ -295,7 +295,7 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
     for op_name, alg_name, key in (("down", "up", "down_intertwining"),
                                    ("up", "down", "up_intertwining")):
         d_into: list[list] = [[] for _ in range(r_comp.dim)]
-        for slot, (_, d_slots) in enumerate(_differentials(r_comp, alg_name, store)):
+        for slot, (_, d_slots) in enumerate(r_comp.differentials(alg_name)):
             for target, c in d_slots:
                 d_into[target].append((slot, c))
 

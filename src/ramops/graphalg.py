@@ -457,8 +457,9 @@ class GraphComponent(QuotientComponent):
     set: ``monomials[i]`` is ambient monomial i, ``basis_positions`` lists
     the basis positions in slot order, and ``reducer``, the ``Echelon`` of
     the payload, reduces a vector on the positions onto them.  The ambient,
-    its index, the echelon and the expansions are on {1..n}, and shared by
-    every relabeled component."""
+    its index, the echelon and the tables read from them (the expansions,
+    ``mask_index`` and ``differentials``, each built on first use) are on
+    {1..n}, and shared by every relabeled component."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
@@ -474,6 +475,8 @@ class GraphComponent(QuotientComponent):
         self._index = {m: i for i, m in enumerate(monomials)}
         self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
         self._expansions: dict[int, tuple] = {}
+        self._masks: list = []
+        self._differentials: dict[str, list[tuple]] = {}
         degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
         super().__init__(pres, labels, [monomials[i] for i in basis_positions], degrees)
 
@@ -496,6 +499,33 @@ class GraphComponent(QuotientComponent):
             slot_of = self._slot_of
             pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
         return pairs
+
+    def mask_index(self) -> list:
+        """The colored masks (``mask_encoder``) of the ambient monomials on
+        {1..n}, by position and inverted: [masks, {mask: position}]."""
+        if not self._masks:
+            encode = mask_encoder(standard_labels(len(self.labels)))
+            by_position = [encode(m)[0] for m in self.monomials]
+            self._masks += by_position, {c: i for i, c in enumerate(by_position)}
+        return self._masks
+
+    def differentials(self, which: str) -> list[tuple]:
+        """For each basis slot, d of its basis monomial as (position,
+        coefficient) pairs and as basis (slot, coefficient) pairs.
+
+        Both are the same on every label set of the size: d compares atoms
+        only through ``atom_key``, as the canonical forms do, so it commutes
+        with an order-preserving relabeling.  d keeps the edge set of a
+        monomial, so every term stays in the ambient of either mode.
+        """
+        rows = self._differentials.get(which)
+        if rows is None:
+            rows = self._differentials[which] = []
+            for b in self.basis:
+                image = differential_algebra(self.monomial_element(b), which)
+                positions = tuple((self.position(m), c) for m, c in image.terms.items())
+                rows.append((positions, tuple(self.coords(image).items())))
+        return rows
 
     def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
         return tuple(tuple((phi[u], phi[v]) for u, v in es) for es in m)

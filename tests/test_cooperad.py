@@ -22,7 +22,9 @@ from ramops.graphalg import (
     GraphPresentation,
     R_PRESENTATION,
     algebra_basis,
+    differential_algebra,
     enumerate_graph_monomials,
+    mask_encoder,
     monomial_bidegree,
     relation_instances,
 )
@@ -273,11 +275,39 @@ def test_cocomposition_tables_are_kept_per_store(tmp_path):
     images = [theta(P, (1,), (2, 3), x, STAR, store) for store in stores]
     assert images[0] == images[1] == oracle.theta(P, (1,), (2, 3), x)
     key = (P.hash, "IJJP")
-    tables = [cooperad._TABLES[store][key] for store in stores]
-    assert tables[0] is not tables[1]
-    assert tables[0] == tables[1] and any(tables[0])
+    # a record is (split table, row cache, transpose): compare the row caches
+    rows = [cooperad._TABLES[store][key][1] for store in stores]
+    assert rows[0] is not rows[1]
+    assert rows[0] == rows[1] and any(rows[0])
     first, second = (os.listdir(store.directory) for store in stores)
     assert first and sorted(second) == sorted(first)
+
+
+def test_mask_index_and_d_tables_follow_the_ambient_mode():
+    # the forest tables are asked for first: a table kept per size alone
+    # would then serve the full component too
+    store = ComponentStore()
+    for n in (3, 4):
+        labels = standard_labels(n)
+        forest, full = (algebra_basis(P, labels, mode, store) for mode in ("forest", "full"))
+        assert len(forest.monomials) < len(full.monomials)
+        for comp in (forest, full):
+            masks, position_of = comp.mask_index()
+            encode = mask_encoder(labels)
+            assert masks == [encode(m)[0] for m in comp.monomials]
+            assert position_of == {c: i for i, c in enumerate(masks)} and len(position_of) == len(masks)
+            for which in ("up", "down"):
+                table = comp.differentials(which)
+                assert len(table) == comp.dim
+                for b, (positions, slots) in zip(comp.basis, table):
+                    image = differential_algebra(comp.monomial_element(b), which)
+                    assert positions == tuple((comp.monomials.index(m), c) for m, c in image.terms.items())
+                    assert dict(slots) == comp.coords(image)
+            # a relabeled component shares the tables of {1..n}
+            moved = algebra_basis(P, labels[:-1] + (STAR,), comp.mode, store)
+            assert moved.mask_index() is comp.mask_index()
+            assert moved.differentials("up") is comp.differentials("up")
+        assert forest.mask_index() != full.mask_index()
 
 
 def _verdict_pairs(store):

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import combinations
 
 import pytest
 
@@ -280,6 +281,33 @@ def test_relation_kill_matches_the_ambient_rows(fault, monkeypatch):
         rep = conjecture_verdict(n, store)
         ambient = ideal_oracle.ambient_witness(pres, n, lambda t, c: rho(c.monomial_element(t), store).coords, store)
         assert rep["relation_kill"] is (ambient is None) is False, n
+
+
+def test_dual_composition_never_fills_the_row_cache():
+    store = ComponentStore()
+    for k in range(1, 5):
+        conjecture_verdict(k, store)
+    records = cooperad._TABLES[store].values()
+    assert records and all(by_left for _, _, by_left in records)
+    assert all(row is None for _, rows, _ in records for row in rows)
+    # the transpose is that of the row_at rows of the union's basis, entry
+    # for entry, on every pattern of at most four labels: labels 2, 4, ...
+    # and the place-holder in every gap
+    fresh = ComponentStore()
+    for size in range(1, 5):
+        labels = tuple(range(2, 2 * size + 1, 2))
+        for k in range(size):
+            for I in combinations(labels, k):
+                J = tuple(a for a in labels if a not in I)
+                for place in range(1, 2 * size + 2, 2):
+                    cocomp = cooperad.cocomposition(P, I, J, place, fresh)
+                    by_left = cocomp.transposed()
+                    assert all(row is None for row in cocomp.rows)
+                    expected = [{} for _ in range(cocomp.left.dim)]
+                    for x, pos in enumerate(cocomp.union.basis_positions):
+                        for ls, rs, c in cocomp.row_at(pos):
+                            expected[ls].setdefault(rs, []).append((x, c))
+                    assert by_left == expected, (I, J, place)
 
 
 def test_conjecture_verdict_bound():

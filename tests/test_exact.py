@@ -95,11 +95,15 @@ def test_no_float_and_integral_means_int(tmp_path):
     counts = _numbers(rows)
     assert counts["int"] > 0 and counts["int"] == sum(counts.values()), counts
 
-    # every registered memo: the components (reducer rows, expansions,
-    # rewritings), the rho forms, the cocomposition rows, the differential
-    # tables, the relation instances and spans
-    for memo in (quotient._COMPONENTS, dual._RHO_MEMO, cooperad._TABLES, cooperad._DIFFERENTIALS):
+    # every registered memo: the components (reducer rows, expansions, mask
+    # indexes, d tables, rewritings), the rho forms, the cocomposition
+    # records, the relation instances and spans
+    for memo in (quotient._COMPONENTS, dual._RHO_MEMO, cooperad._TABLES):
         assert memo.get(store)
+    # the d tables are walked with the forest components that own them
+    for n in range(1, 5):
+        tables = algebra_basis(R_PRESENTATION, tuple(range(1, n + 1)), "forest", store)._differentials
+        assert sorted(tables) == ["down", "up"] and all(tables.values())
     memos = [memo.get(store) if isinstance(memo, WeakKeyDictionary) else memo for memo in quotient._MEMOS]
     counts = _numbers(memos)
     assert counts["int"] > 0 and counts["int"] == sum(counts.values()), counts
