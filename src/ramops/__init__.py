@@ -4,7 +4,6 @@ map between the operad and the linear dual of the cooperad."""
 
 from .cache import ComponentStore, default_store, resolve_cache_dir
 from .cooperad import (
-    TensorAlgebraElement,
     cooperad_axiom_check,
     theta,
     theta_intertwines_differentials,
@@ -59,7 +58,7 @@ from .operad import (
     relabel,
     substitute,
 )
-from .quotient import clear_memos
+from .quotient import Tensor, clear_memos
 from .ram import (
     RAM_SIGNATURE,
     ResourceBoundError,

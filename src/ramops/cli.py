@@ -1,6 +1,10 @@
 """Command-line driver: dimension tables, verification suites, the conjecture
 verdict, the Ramanujan polynomials, and cache management.
 
+Each ``cmd_*`` computes a report body: its parameters, verdicts, tables and
+presentation hashes.  ``main`` runs it through ``_run``, which alone times
+it, builds the canonical report, emits it and reads the exit code off it.
+
 Exit codes: 0 when every check passes, 1 when a check fails (the report
 carries a witness), 2 on usage errors, exceeded resource bounds or a cache
 directory or output file that cannot be written.
@@ -14,7 +18,7 @@ import time
 
 from .cache import ComponentStore, resolve_cache_dir
 from .dual import conjecture_verdict
-from .graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, algebra_basis
+from .graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, algebra_basis, ideal_rank_breakdown
 from .labels import standard_labels
 from .ram import (
     DEFAULT_MAX_ARITY,
@@ -64,9 +68,8 @@ def _prediction_for(which: str, n: int):
     return None
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args):
     store = _store_from_args(args)
-    started = time.perf_counter()
     dims = operad_dims(args.operad, args.n, store, max_arity=args.max_arity)
     tables = {f"{args.operad}_dims_n{args.n}": dims_to_table(dims)}
     verdicts = []
@@ -76,81 +79,46 @@ def cmd_dims(args) -> int:
         ok = dims == predicted
         witness = {"computed": dims_to_table(dims), "predicted": dims_to_table(predicted)}
         verdicts.append(verdict("dims_match_prediction", ok, witness, operad=args.operad, n=args.n))
-    report = make_report(
-        "dims",
-        {"operad": args.operad, "n": args.n},
-        verdicts,
-        tables,
-        presentation_hashes={args.operad: presentation(args.operad).hash},
-        timings={"total": time.perf_counter() - started} if args.timings else None,
-    )
-    _emit(report, args)
-    return 0 if all_pass(report) else 1
+    hashes = {args.operad: presentation(args.operad).hash}
+    return {"operad": args.operad, "n": args.n}, verdicts, tables, hashes
 
 
-def cmd_ralg_dims(args) -> int:
+def cmd_ralg_dims(args):
     _check_arity(args)
     store = _store_from_args(args)
-    started = time.perf_counter()
     pres = ARNOLD_PRESENTATION if args.fixture == "arnold" else R_PRESENTATION
     if args.ambient == "full" and args.n > 4 and pres is R_PRESENTATION:
         raise ResourceBoundError("full ambient mode is bounded at n = 4 for the two-color family")
     comp = algebra_basis(pres, standard_labels(args.n), args.ambient, store)
     tables = {f"algebra_dims_n{args.n}_{args.ambient}": dims_to_table(comp.dims)}
     if args.rank_report:
-        from .graphalg import ideal_rank_breakdown
-
-        tables["ideal_rank_breakdown"] = ideal_rank_breakdown(
-            pres, standard_labels(args.n), args.ambient
-        )
-    report = make_report(
-        "ralg-dims",
-        {"n": args.n, "ambient": args.ambient, "fixture": args.fixture},
-        [],
-        tables,
-        presentation_hashes={pres.name: pres.hash},
-        timings={"total": time.perf_counter() - started} if args.timings else None,
-    )
-    _emit(report, args)
-    return 0
+        tables["ideal_rank_breakdown"] = ideal_rank_breakdown(pres, standard_labels(args.n), args.ambient)
+    parameters = {"n": args.n, "ambient": args.ambient, "fixture": args.fixture}
+    return parameters, [], tables, {pres.name: pres.hash}
 
 
-def cmd_ramanujan(args) -> int:
-    p = psi(args.n)
+def cmd_ramanujan(args):
     tables = {
-        f"psi_{args.n}": poly_str(p),
+        f"psi_{args.n}": poly_str(psi(args.n)),
         f"predicted_dims_n{args.n}": dims_to_table(predicted_dims(args.n)),
     }
-    report = make_report("ramanujan", {"n": args.n}, [], tables)
-    _emit(report, args)
-    return 0
+    return {"n": args.n}, [], tables, {}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     _check_arity(args)
     store = _store_from_args(args)
-    started = time.perf_counter()
     verdicts, tables = run_suite(args.suite, args.n, store, trials=args.trials, seed=args.seed)
-    report = make_report(
-        "verify",
-        {"suite": args.suite, "n": args.n, "trials": args.trials},
-        verdicts,
-        tables,
-        seed=args.seed,
-        presentation_hashes={
-            "ram": presentation("ram").hash,
-            R_PRESENTATION.name: R_PRESENTATION.hash,
-            ARNOLD_PRESENTATION.name: ARNOLD_PRESENTATION.hash,
-        },
-        timings={"total": time.perf_counter() - started} if args.timings else None,
-    )
-    _emit(report, args)
-    return 0 if all_pass(report) else 1
+    hashes = {
+        "ram": presentation("ram").hash,
+        R_PRESENTATION.name: R_PRESENTATION.hash,
+        ARNOLD_PRESENTATION.name: ARNOLD_PRESENTATION.hash,
+    }
+    return {"suite": args.suite, "n": args.n, "trials": args.trials}, verdicts, tables, hashes
 
 
-def cmd_conjecture(args) -> int:
+def cmd_conjecture(args):
     store = _store_from_args(args)
-    started = time.perf_counter()
     result = conjecture_verdict(args.n, store, max_n=args.max_arity)
     verdicts = [
         verdict(
@@ -169,35 +137,33 @@ def cmd_conjecture(args) -> int:
         ],
         f"isomorphism_n{args.n}": result["isomorphism"],
     }
-    report = make_report(
-        "conjecture",
-        {"n": args.n},
-        verdicts,
-        tables,
-        presentation_hashes={
-            "ram": presentation("ram").hash,
-            R_PRESENTATION.name: R_PRESENTATION.hash,
-        },
-        timings={"total": time.perf_counter() - started} if args.timings else None,
-    )
-    _emit(report, args)
-    return 0 if all_pass(report) else 1
+    hashes = {"ram": presentation("ram").hash, R_PRESENTATION.name: R_PRESENTATION.hash}
+    return {"n": args.n}, verdicts, tables, hashes
 
 
-def cmd_cache(args) -> int:
+def cmd_cache(args):
     directory = resolve_cache_dir(args.dir)
     store = ComponentStore(directory)
     if args.action == "info":
-        info = store.info()
-        report = make_report("cache", {"action": "info", "dir": directory}, [], {"cache": info})
-        _emit(report, args)
-        return 0
-    removed = store.clear()
+        return {"action": "info", "dir": directory}, [], {"cache": store.info()}, {}
+    return {"action": "clear", "dir": directory}, [], {"removed_files": store.clear()}, {}
+
+
+def _run(args) -> int:
+    """Run the command, then build, emit and judge its report."""
+    started = time.perf_counter()
+    parameters, verdicts, tables, hashes = args.func(args)
     report = make_report(
-        "cache", {"action": "clear", "dir": directory}, [], {"removed_files": removed}
+        args.command,
+        parameters,
+        verdicts,
+        tables,
+        seed=getattr(args, "seed", None),
+        presentation_hashes=hashes,
+        timings={"total": time.perf_counter() - started} if getattr(args, "timings", False) else None,
     )
     _emit(report, args)
-    return 0
+    return 0 if all_pass(report) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +242,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _run(args)
     except ResourceBoundError as exc:
         sys.stderr.write(f"resource bound exceeded: {exc}\n")
         if exc.partial:

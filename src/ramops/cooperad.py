@@ -64,7 +64,6 @@ multilinear, so this is the normal form of the raw right-hand side.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
@@ -77,39 +76,12 @@ from .graphalg import (
     MonomialKey,
     algebra_basis,
     mask_encoder,
-    monomial_sort_key,
     monomial_str,
     relation_instances,
 )
 from .labels import Atom, STAR, HASH, check_label_set, sort_atoms
-from .linalg import Combination, bump
+from .linalg import bump
 from .reports import verdict
-
-
-class TensorAlgebraElement(Combination):
-    """Sparse combination of monomial pairs from two algebra components;
-    ``labels`` is the pair (left labels, right labels)."""
-
-    __slots__ = ("pres",)
-
-    def __init__(self, labels_left, labels_right, pres: GraphPresentation, terms=None):
-        self.labels = (check_label_set(labels_left), check_label_set(labels_right))
-        self.pres = pres
-        self.terms: dict[tuple[MonomialKey, MonomialKey], Fraction] = (
-            terms if terms is not None else {}
-        )
-
-    def _like(self, terms: dict) -> "TensorAlgebraElement":
-        return TensorAlgebraElement(*self.labels, self.pres, terms)
-
-    def sort_key(self, key: tuple[MonomialKey, MonomialKey]):
-        return monomial_sort_key(key[0], self.pres), monomial_sort_key(key[1], self.pres)
-
-    def key_str(self, key: tuple[MonomialKey, MonomialKey]) -> str:
-        return f"{monomial_str(key[0], self.pres)}(x){monomial_str(key[1], self.pres)}"
-
-    def add_term(self, ml: MonomialKey, mr: MonomialKey, coeff: Fraction) -> None:
-        self._add_term((ml, mr), coeff)
 
 
 # per store: {(presentation hash, pattern): (split table, rows, transpose)}
@@ -270,12 +242,12 @@ def theta(
     x: AlgebraElement,
     place: Atom = STAR,
     store: ComponentStore | None = None,
-) -> TensorAlgebraElement:
+) -> quotient.Tensor:
     """Cocomposition of x along the split I | J, place-holder on the I side.
 
     Each side is reduced to its quotient normal form, so the terms of the
-    result pair basis monomials; those are read from the normalised rows
-    the split's pattern shares.
+    ``quotient.Tensor`` pair basis monomials; those are read from the
+    normalised rows the split's pattern shares.
     """
     cocomp = cocomposition(pres, tuple(I), tuple(J), place, store or default_store())
     union, left, right = cocomp.union, cocomp.left, cocomp.right
@@ -289,15 +261,14 @@ def theta(
             bump(by_slot, (ls, rs), c if coeff == 1 else coeff * c)
     basis_left, basis_right = left.basis, right.basis
     terms = {(basis_left[ls], basis_right[rs]): c for (ls, rs), c in by_slot.items()}
-    return TensorAlgebraElement(left.labels, right.labels, pres, terms)
+    return quotient.Tensor((left.element({}), right.element({})), terms)
 
 
 def tensor_normal_form(
-    t: TensorAlgebraElement, comp_left: GraphComponent, comp_right: GraphComponent
-) -> TensorAlgebraElement:
+    t: quotient.Tensor, comp_left: GraphComponent, comp_right: GraphComponent
+) -> quotient.Tensor:
     """Reduce each tensor factor to the basis of its component."""
-    terms = quotient.tensor_normal_form(t.terms, (comp_left, comp_right))
-    return TensorAlgebraElement(*t.labels, t.pres, terms)
+    return t._like(quotient.tensor_normal_form(t.terms, (comp_left, comp_right)))
 
 
 def theta_relation_kill(

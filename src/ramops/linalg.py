@@ -79,7 +79,7 @@ def bump(acc: dict, key, val) -> None:
 class Combination:
     """Sparse rational combination of canonical keys on one label set.
 
-    The operad and algebra elements and their tensors all store
+    The operad and algebra elements and ``quotient.Tensor`` all store
     ``{key: rational}`` with no zero entries.  A subclass supplies ``_like``
     (an element of its own kind on the same labels) and, for one key, its
     ``sort_key`` and its string ``key_str``; ``key_bidegree`` only where

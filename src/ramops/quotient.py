@@ -20,9 +20,9 @@ means the same basis monomial on every label set of the size.
 A side supplies what differs (see ``QuotientComponent``), its basis
 expansions memoised once on {1..n}.  This module owns the rest: the
 relabeling, coordinates and normal forms (folds over the expansions), the
-payload codec, the load path with its memo, the normal form of tensors,
-and the label-independent facts of a basis slot: bidegree, h-parity, and
-the slots of each bidegree.
+payload codec, the load path with its memo, the one tensor type of both
+sides (``Tensor``) and its normal form, and the label-independent facts
+of a basis slot: bidegree, h-parity, and the slots of each bidegree.
 
 Components are memoized per store, so that a second store in the same
 process still reads and writes its own directory; entries go away with the
@@ -46,7 +46,7 @@ from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
 from .labels import Atom, BiDegree, check_label_set, standard_labels
-from .linalg import ONE, Echelon, bump, exact, quotient_basis
+from .linalg import ONE, Combination, Echelon, bump, exact, quotient_basis
 
 
 class QuotientComponent:
@@ -271,6 +271,29 @@ def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]
 
 
 # --- tensors of components -----------------------------------------------------------
+
+
+class Tensor(Combination):
+    """Sparse combination of pure tensors, keys the tuples of their factors'
+    monomials.  ``factors`` holds one element per tensor factor, which
+    supplies that factor's labels, sort key and key string; ``labels`` is
+    the tuple of the factors' labels."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple, terms: dict | None = None):
+        self.factors = factors
+        self.labels = tuple(f.labels for f in factors)
+        self.terms: dict[tuple, Fraction] = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "Tensor":
+        return Tensor(self.factors, terms)
+
+    def sort_key(self, key: tuple):
+        return tuple(f.sort_key(m) for f, m in zip(self.factors, key))
+
+    def key_str(self, key: tuple) -> str:
+        return "(x)".join(f.key_str(m) for f, m in zip(self.factors, key))
 
 
 def tensor_normal_form(

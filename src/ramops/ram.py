@@ -18,7 +18,8 @@ of them.  ``distributive_check`` keeps the law itself under test: nf must
 kill every relation grafted with basis trees.
 
 The coproduct is E -> E(x)E, L -> E(x)L + L(x)E, G -> E(x)G + G(x)E,
-extended through trees with the Koszul interleaving sign.  The differential
+extended through trees with the Koszul interleaving sign, into a
+``quotient.Tensor`` of two factors on the input's labels.  The differential
 ``down`` sends G to L (bidegree (-1,0)); ``up`` sends L to G ((+1,0)); both
 kill E and extend as derivations with the preorder-prefix sign.
 
@@ -36,8 +37,8 @@ from fractions import Fraction
 
 from . import quotient
 from .cache import ComponentStore, default_store
-from .labels import BiDegree, STAR, check_label_set, standard_labels
-from .linalg import Combination, bump
+from .labels import BiDegree, STAR, standard_labels
+from .linalg import bump
 from .operad import (
     Component,
     GeneratorSpec,
@@ -53,7 +54,6 @@ from .operad import (
     leibniz,
     one_step_witness,
     tree_h,
-    tree_sort_key,
     tree_str,
 )
 from .reports import dims_to_table, verdict
@@ -158,31 +158,6 @@ COPRODUCT_TABLE: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
-class OperadTensor(Combination):
-    """Sparse combination of pairs of tree monomials on one label set."""
-
-    __slots__ = ("gens",)
-
-    def __init__(self, labels, gens: Signature, terms: dict | None = None):
-        self.labels = check_label_set(labels)
-        self.gens = gens
-        self.terms: dict[tuple[Tree, Tree], Fraction] = terms if terms is not None else {}
-
-    def _like(self, terms: dict) -> "OperadTensor":
-        return OperadTensor(self.labels, self.gens, terms)
-
-    @staticmethod
-    def sort_key(key: tuple[Tree, Tree]):
-        return tree_sort_key(key[0]), tree_sort_key(key[1])
-
-    @staticmethod
-    def key_str(key: tuple[Tree, Tree]) -> str:
-        return f"{tree_str(key[0])}(x){tree_str(key[1])}"
-
-    def add_term(self, t1: Tree, t2: Tree, coeff: Fraction) -> None:
-        self._add_term((t1, t2), coeff)
-
-
 def _coproduct_tree(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int]]:
     return [(t1, t2, sign) for t1, t2, sign, _, _ in _coproduct_parts(t, gens)]
 
@@ -206,20 +181,20 @@ def _coproduct_parts(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int, in
     return out
 
 
-def coproduct(x: OperadElement) -> OperadTensor:
+def coproduct(x: OperadElement) -> quotient.Tensor:
     """Hopf coproduct of an element in the free operad, term by term through
     its trees; ``tensor_normal_form`` reduces it to a component's basis."""
-    out = OperadTensor(x.labels, x.gens)
+    factor = x._like({})
+    out = quotient.Tensor((factor, factor))
     for t, c in x.terms.items():
         for t1, t2, sign in _coproduct_tree(t, x.gens):
-            out.add_term(t1, t2, c * sign)
+            out._add_term((t1, t2), c * sign)
     return out
 
 
-def tensor_normal_form(tens: OperadTensor, comp: Component) -> OperadTensor:
+def tensor_normal_form(tens: quotient.Tensor, comp: Component) -> quotient.Tensor:
     """Reduce both tensor factors to the component basis (bilinear, no signs)."""
-    terms = quotient.tensor_normal_form(tens.terms, (comp, comp))
-    return OperadTensor(tens.labels, tens.gens, terms)
+    return tens._like(quotient.tensor_normal_form(tens.terms, (comp, comp)))
 
 
 # --- differentials -----------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ramops import quotient
 from ramops.cache import default_store
-from ramops.cooperad import TensorAlgebraElement, tensor_normal_form
+from ramops.cooperad import tensor_normal_form
 from ramops.cooperad import theta as table_theta
 from ramops.dual import LinearForm
 from ramops.graphalg import (
@@ -30,6 +30,7 @@ from ramops.graphalg import (
 )
 from ramops.labels import HASH, STAR, check_label_set, sort_atoms
 from ramops.linalg import ONE, bump
+from ramops.quotient import Tensor
 from ramops.reports import verdict
 
 
@@ -42,7 +43,7 @@ def raw_theta(pres, I, J, x, place=STAR):
     assert not iset & jset and place not in iset | jset
     assert x.labels == sort_atoms(I + J)
     left_labels = sort_atoms(I + (place,))
-    out = TensorAlgebraElement(left_labels, J, pres)
+    out = Tensor((AlgebraElement(left_labels, pres), AlgebraElement(J, pres)))
     for m, coeff in x.terms.items():
         sign = 1
         left_word: list = []
@@ -78,7 +79,7 @@ def raw_theta(pres, I, J, x, place=STAR):
         rres = monomial_from_word(pres, right_word, "forest")
         if rres is None:
             continue
-        out.add_term(lres[1], rres[1], coeff * sign * lres[0] * rres[0])
+        out._add_term((lres[1], rres[1]), coeff * sign * lres[0] * rres[0])
     return out
 
 
@@ -90,24 +91,25 @@ def theta(pres, I, J, x, place=STAR, store=None):
         algebra_basis(pres, left_labels, "forest", store),
         algebra_basis(pres, right_labels, "forest", store),
     )
-    return TensorAlgebraElement(*out.labels, pres, quotient.tensor_normal_form(out.terms, comps))
+    return out._like(quotient.tensor_normal_form(out.terms, comps))
 
 
 def tensor_multiply(x, y, mode="forest"):
     """(u(x)v)(u'(x)v') = (-1)**(h(v)h(u')) uu' (x) vv'."""
-    out = TensorAlgebraElement(*x.labels, x.pres)
+    out = x._like({})
+    pres = x.factors[0].pres
     for (u, v), c1 in x.terms.items():
-        hv = monomial_bidegree(v, x.pres)[0]
+        hv = monomial_bidegree(v, pres)[0]
         for (u2, v2), c2 in y.terms.items():
-            hu2 = monomial_bidegree(u2, x.pres)[0]
-            left = multiply(u, u2, x.pres, mode)
+            hu2 = monomial_bidegree(u2, pres)[0]
+            left = multiply(u, u2, pres, mode)
             if left is None:
                 continue
-            right = multiply(v, v2, x.pres, mode)
+            right = multiply(v, v2, pres, mode)
             if right is None:
                 continue
             sign = -1 if (hv & 1) and (hu2 & 1) else 1
-            out.add_term(left[1], right[1], c1 * c2 * sign * left[0] * right[0])
+            out._add_term((left[1], right[1]), c1 * c2 * sign * left[0] * right[0])
     return out
 
 
@@ -216,20 +218,20 @@ def theta_intertwines_differentials(pres, I, J, store=None):
         for b in comp.basis:
             el = comp.monomial_element(b)
             lhs = table_theta(pres, I, J, differential_algebra(el, which), STAR, store)
-            rhs = TensorAlgebraElement(left_labels, J, pres)
+            rhs = Tensor((AlgebraElement(left_labels, pres), AlgebraElement(J, pres)))
             for (ml, mr), c in table_theta(pres, I, J, el, STAR, store).terms.items():
                 d_left = differential_algebra(
                     AlgebraElement(left_labels, pres, {ml: Fraction(1)}), which
                 )
                 for mld, cl in d_left.terms.items():
-                    rhs.add_term(mld, mr, c * cl)
+                    rhs._add_term((mld, mr), c * cl)
                 hl = monomial_bidegree(ml, pres)[0]
                 sgn = -1 if hl & 1 else 1
                 d_right = differential_algebra(
                     AlgebraElement(J, pres, {mr: Fraction(1)}), which
                 )
                 for mrd, cr in d_right.terms.items():
-                    rhs.add_term(ml, mrd, c * cr * sgn)
+                    rhs._add_term((ml, mrd), c * cr * sgn)
             if tensor_normal_form(rhs, comp_left, comp_right).terms != lhs.terms:
                 bad = {"basis_monomial": monomial_str(b, pres), "differential": which}
                 break

@@ -18,7 +18,6 @@ from ramops.labels import standard_labels
 from ramops.linalg import bump
 from ramops.operad import component_basis, ideal_span, tree_h
 from ramops.ram import (
-    OperadTensor,
     coproduct,
     differential,
     presentation,
@@ -65,15 +64,15 @@ def hopf_check(n, store=None):
         for b in comp.basis:
             el = comp.monomial_element(b)
             lhs = tensor_normal_form(coproduct(differential(el, which)), comp)
-            rhs = OperadTensor(el.labels, el.gens)
+            rhs = coproduct(el)._like({})
             for (t1, t2), c in coproduct(el).terms.items():
                 d1 = differential(comp.monomial_element(t1), which)
                 for t1d, c1 in d1.terms.items():
-                    rhs.add_term(t1d, t2, c * c1)
+                    rhs._add_term((t1d, t2), c * c1)
                 d2 = differential(comp.monomial_element(t2), which)
                 sgn = -1 if tree_h(t1, pres.gens) & 1 else 1
                 for t2d, c2 in d2.terms.items():
-                    rhs.add_term(t1, t2d, c * c2 * sgn)
+                    rhs._add_term((t1, t2d), c * c2 * sgn)
             if tensor_normal_form(rhs, comp).terms != lhs.terms:
                 bad = {"basis_tree": repr(b), "differential": which}
                 break

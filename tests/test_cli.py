@@ -179,6 +179,8 @@ def test_golden_report_bytes():
         (("dims", "--operad", "ram", "--n", "3"), "golden_dims_ram_n3.json"),
         (("conjecture", "--n", "3"), "golden_conjecture_n3.json"),
         (("conjecture", "--n", "4"), "golden_conjecture_n4.json"),
+        (("ralg-dims", "--n", "3", "--ambient", "full", "--rank-report"), "golden_ralg_dims_full_n3.json"),
+        (("verify", "--suite", "lemmas", "--n", "3"), "golden_verify_lemmas_n3.json"),
     ],
 )
 def test_json_report_matches_golden_bytes(capsys, argv, golden):
@@ -186,6 +188,25 @@ def test_json_report_matches_golden_bytes(capsys, argv, golden):
         expected = fh.read()
     assert run_cli(*argv, "--json") == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--operad", "ram", "--n", "3"),
+        ("ralg-dims", "--n", "3"),
+        ("verify", "--suite", "lemmas", "--n", "3"),
+        ("conjecture", "--n", "3"),
+    ],
+)
+def test_timings_add_only_the_total(capsys, argv):
+    assert run_cli(*argv, "--json") == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert run_cli(*argv, "--json", "--timings") == 0
+    timed = json.loads(capsys.readouterr().out)
+    timings = timed.pop("timings")
+    assert list(timings) == ["total"] and isinstance(timings["total"], float)
+    assert plain.pop("timings") is None and timed == plain
 
 
 def test_conjecture_at_arity_six_is_recorded():

@@ -6,7 +6,6 @@ from echelon_oracle import oracle_reduce, oracle_rref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramops.cooperad import TensorAlgebraElement
 from ramops.graphalg import R_PRESENTATION, AlgebraElement
 from ramops.labels import STAR
 from ramops.linalg import (
@@ -19,6 +18,7 @@ from ramops.linalg import (
     vec_add_scaled,
 )
 from ramops.operad import OperadElement
+from ramops.quotient import Tensor
 from ramops.ram import RAM_SIGNATURE, coproduct
 
 
@@ -228,16 +228,17 @@ COMBINATIONS = {
         "5*1 - 1*b[1,3] + 2/3*a[1,2]b[2,3]",
     ),
     "algebra_tensor": lambda: (
-        TensorAlgebraElement(
-            (1, STAR),
-            (2, 3),
-            R_PRESENTATION,
+        Tensor(
+            (AlgebraElement((1, STAR), R_PRESENTATION), AlgebraElement((2, 3), R_PRESENTATION)),
             {
                 (((), ((1, STAR),)), (((2, 3),), ())): Fraction(-1, 2),
                 ((((1, STAR),), ()), ((), ())): Fraction(4),
             },
         ),
-        TensorAlgebraElement((1, STAR), (2,), R_PRESENTATION, {(((), ()), ((), ())): ONE}),
+        Tensor(
+            (AlgebraElement((1, STAR), R_PRESENTATION), AlgebraElement((2,), R_PRESENTATION)),
+            {(((), ()), ((), ())): ONE},
+        ),
         "4*a[1,*](x)1 - 1/2*b[1,*](x)a[2,3]",
     ),
     "operad_tensor": lambda: (

@@ -624,3 +624,36 @@ def test_ideal_witness_checks_basis_monomials(name, monkeypatch):
     b = comp.basis[len(comp.basis) // 2]
     monkeypatch.setitem(comp._expansions, b, ((comp.slot(b), Fraction(2)),))
     assert one_step_witness(pres, 4, image, store) == b
+
+
+def test_both_sides_share_one_tensor_type():
+    # the cocomposition of R and the coproduct of ram land in one class, whose
+    # labels are its factors' labels, and both tensor normal forms return it
+    # as the shared normal form of the input terms
+    from cooperad_oracle import raw_theta
+
+    from ramops import cooperad, ram
+
+    store = ComponentStore()
+    I, J = (1, 3), (2, 4)
+    union = algebra_basis(R_PRESENTATION, (1, 2, 3, 4), "forest", store)
+    x = union.monomial_element(union.basis[-1]) - union.monomial_element(union.basis[1])
+    comps = (
+        algebra_basis(R_PRESENTATION, (1, 3, STAR), "forest", store),
+        algebra_basis(R_PRESENTATION, J, "forest", store),
+    )
+    raw = raw_theta(R_PRESENTATION, I, J, x)
+    reduced = cooperad.theta(R_PRESENTATION, I, J, x, STAR, store)
+    comp = component_basis(presentation("ram"), (1, 2, 3), store)
+    el = comp.monomial_element(comp.basis[-1])
+    delta = ram.coproduct(el)
+    assert type(reduced) is type(delta) is type(raw) is quotient.Tensor
+    assert reduced.labels == tuple(f.labels for f in reduced.factors) == ((1, 3, STAR), J)
+    assert delta.labels == tuple(f.labels for f in delta.factors) == (el.labels, el.labels)
+    assert cooperad.tensor_normal_form is not ram.tensor_normal_form
+    nf = cooperad.tensor_normal_form(raw, *comps)
+    assert type(nf) is quotient.Tensor and nf.terms == quotient.tensor_normal_form(raw.terms, comps)
+    assert nf == reduced and not nf.is_zero()
+    nf = ram.tensor_normal_form(delta, comp)
+    assert type(nf) is quotient.Tensor and nf.terms == quotient.tensor_normal_form(delta.terms, (comp, comp))
+    assert nf.labels == delta.labels and not nf.is_zero()
