@@ -92,7 +92,7 @@ def cmd_ralg_dims(args):
     comp = algebra_basis(pres, standard_labels(args.n), args.ambient, store)
     tables = {f"algebra_dims_n{args.n}_{args.ambient}": dims_to_table(comp.dims)}
     if args.rank_report:
-        tables["ideal_rank_breakdown"] = ideal_rank_breakdown(pres, standard_labels(args.n), args.ambient)
+        tables["ideal_rank_breakdown"] = ideal_rank_breakdown(pres, standard_labels(args.n), args.ambient, store)
     parameters = {"n": args.n, "ambient": args.ambient, "fixture": args.fixture}
     return parameters, [], tables, {pres.name: pres.hash}
 

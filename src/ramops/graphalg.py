@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
-from .linalg import ONE, Combination, SparseMatrix, exact
+from .linalg import ONE, Combination, SparseMatrix, exact, rank
 from .quotient import QuotientComponent, clearable, load_component, payload_component
 
 Edge = tuple[Atom, Atom]
@@ -626,9 +626,10 @@ def _span_matrix(
     missing from it is exactly one with a cycle, and that product vanishes;
     in full mode a missing union raises.  A term and a multiplier with more
     than n - 1 edges between them are not formed in forest mode, since a
-    forest on n vertices has at most n - 1 edges.  Each row is scaled to
-    leading coefficient 1 at its lowest position (positions follow
-    ``monomial_sort_key``), and repeated rows are dropped.
+    forest on n vertices has at most n - 1 edges.  Rows go to ``rref`` as
+    formed, neither scaled nor deduplicated: the reduced row-echelon form
+    of a row space is unique, and a repeated row eliminates to zero, so
+    the payload is the same either way.
     """
     npairs = len(labels) * (len(labels) - 1) // 2
     odd = 0
@@ -641,7 +642,6 @@ def _span_matrix(
     forest = mode == "forest"
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(monomials))
-    seen_rows: set = set()
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = []
         for k, c in rel.terms.items():
@@ -664,38 +664,30 @@ def _span_matrix(
                         continue
                     raise ValueError("a product of the span is missing from the full ambient")
                 row[pos] = neg if (koszul & mult_odd).bit_count() & 1 else c
-            if not row:
-                continue
-            lead = row[min(row)]
-            if lead != 1:
-                row = {pos: exact(Fraction(v) / lead) for pos, v in row.items()}
-            fingerprint = tuple(sorted(row.items()))
-            if fingerprint in seen_rows:
-                continue
-            seen_rows.add(fingerprint)
-            span.add_row(row)
+            if row:
+                span.add_row(row)
     return span
 
 
 def ideal_rank_breakdown(
-    pres: GraphPresentation, labels: Iterable[Atom], mode: str = "forest"
+    pres: GraphPresentation, labels: Iterable[Atom], mode: str = "forest", store: ComponentStore | None = None
 ) -> dict:
     """Ideal span ranks with and without the two 12-term families.
 
+    The rank with every family is that of the component's echelon, and its
+    ambient the component's monomials, both read from ``algebra_basis``;
+    only the span without the two families is built, on {1..n}.
     Informational: whether those families follow from the others at small
     sizes is not settled, so both ranks are reported side by side.
     """
-    from .linalg import rank
-
-    labels = check_label_set(labels)
-    monomials = enumerate_graph_monomials(pres, labels, mode)
-    full = rank(_span_matrix(pres, labels, mode, monomials))
+    comp = algebra_basis(pres, labels, mode, store)
+    full = comp.reducer.rank
     reduced_families = tuple(f for f in pres.families if f not in ("bab_sum", "bbb_sum"))
-    without = rank(_span_matrix(pres, labels, mode, monomials, reduced_families))
+    without = rank(_span_matrix(pres, standard_labels(len(comp.labels)), mode, comp.monomials, reduced_families))
     return {
-        "n": len(labels),
+        "n": len(comp.labels),
         "mode": mode,
-        "ambient": len(monomials),
+        "ambient": len(comp.monomials),
         "rank_all_families": full,
         "rank_without_12term": without,
         "twelve_term_raise_rank": full > without,

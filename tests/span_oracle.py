@@ -2,8 +2,9 @@
 
 ``product_span_matrix`` is the relation span of a graph algebra as
 ``graphalg._span_matrix`` built it before monomials were bitmasks: every
-product formed by ``multiply`` on monomial keys, normalised through
-``AlgebraElement``.  The bitmask route must give its rows exactly.
+product formed by ``multiply`` on monomial keys and summed through
+``AlgebraElement``, each row kept as formed, as the span now keeps it.
+The bitmask route must give its rows exactly.
 
 The grafted-span route to an operad component is the oracle of the
 composite components and of the relation-instance checks
@@ -18,9 +19,8 @@ expansion on the combs, and the combs independent.
 """
 
 from collections import Counter
-from fractions import Fraction
 
-from ramops.graphalg import AlgebraElement, monomial_sort_key, multiply, relation_instances
+from ramops.graphalg import AlgebraElement, multiply, relation_instances
 from ramops.labels import standard_labels
 from ramops.linalg import Echelon, SparseMatrix, quotient_basis, rref
 from ramops.operad import enumerate_tree_monomials, ideal_span, tree_bidegree
@@ -28,13 +28,13 @@ from ramops.operad import enumerate_tree_monomials, ideal_span, tree_bidegree
 
 def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
     """Relation instances times all complementary monomials, one ``multiply``
-    per product; in forest mode a term and a multiplier with more than
-    n - 1 edges between them are skipped."""
+    per product, each row as formed (not scaled, repeats kept); in forest
+    mode a term and a multiplier with more than n - 1 edges between them
+    are skipped."""
     index = {m: i for i, m in enumerate(monomials)}
     edge_sets = [frozenset(e for es in m for e in es) for m in monomials]
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(monomials))
-    seen_rows: set = set()
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in rel.terms.items()]
         spare = forest_edges - min(len(edges) for _, _, edges in terms)
@@ -49,14 +49,6 @@ def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseM
                 if res is not None:
                     sign, key = res
                     prod._add_term(key, c * sign)
-            if prod.is_zero():
-                continue
-            lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
-            prod = prod.scaled(Fraction(1) / prod.terms[lead])
-            fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
-            if fingerprint in seen_rows:
-                continue
-            seen_rows.add(fingerprint)
             span.add_row({index[k]: c for k, c in prod.terms.items()})
     return span
 

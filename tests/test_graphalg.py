@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from ramops import graphalg
+from ramops.cache import ComponentStore
 from ramops.forms import eval_element, random_sample_point
 from ramops.graphalg import (
     MODES,
@@ -299,6 +300,21 @@ def test_ideal_rank_breakdown_reports():
     assert rep["ambient"] == 201
     assert rep["rank_all_families"] == 201 - 147
     assert rep["rank_without_12term"] <= rep["rank_all_families"]
+
+
+def test_ideal_rank_breakdown_reads_the_component(tmp_path, monkeypatch):
+    # the rank with every family and the ambient come from the component
+    # in the store, so nothing enumerates the ambient again
+    store = ComponentStore(str(tmp_path))
+    comp = algebra_basis(P, standard_labels(4), "full", store)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ambient was enumerated again")
+
+    monkeypatch.setattr(graphalg, "enumerate_graph_monomials", refuse)
+    rep = ideal_rank_breakdown(P, standard_labels(4), "full", store)
+    assert rep["rank_all_families"] == comp.reducer.rank
+    assert rep["ambient"] == len(comp.monomials)
 
 
 @pytest.mark.parametrize("family", ("bab_sum", "bbb_sum"))

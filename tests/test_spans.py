@@ -4,6 +4,8 @@
 relation products of ``graphalg._span_matrix`` the rows of the plain product
 of every relation instance with every ambient monomial; at n = 5 its
 bitmask products must give the rows of the ``multiply`` route exactly.
+Both routes keep each row as formed, neither scaled nor deduplicated, as
+the span hands it to ``rref``.
 Every operad component is a rewriting, and must be a change of basis of the
 quotient by the grafted relation span, at n <= 5 (``ram`` at n <= 4): the
 Groebner rewriting of ``lie``, ``sgriess`` and ``liegriess`` and the
@@ -25,7 +27,6 @@ from ramops.graphalg import (
     GraphComponent,
     _span_matrix,
     enumerate_graph_monomials,
-    monomial_sort_key,
     multiply,
     relation_instances,
 )
@@ -50,10 +51,9 @@ GRAPH_PRESENTATIONS = {"R": R_PRESENTATION, "arnold": ARNOLD_PRESENTATION}
 
 
 def unpruned_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
-    """Every relation instance times every ambient monomial, normalised and deduplicated."""
+    """Every relation instance times every ambient monomial, each row as formed."""
     index = {m: i for i, m in enumerate(monomials)}
     span = SparseMatrix(len(monomials))
-    seen_rows: set = set()
     for _, rel in relation_instances(pres, labels, mode, families):
         for mult in monomials:
             prod = AlgebraElement(rel.labels, pres)
@@ -62,14 +62,6 @@ def unpruned_span_matrix(pres, labels, mode, monomials, families=None) -> Sparse
                 if res is not None:
                     sign, key = res
                     prod._add_term(key, c * sign)
-            if prod.is_zero():
-                continue
-            lead = min(prod.terms, key=lambda m: monomial_sort_key(m, pres))
-            prod = prod.scaled(Fraction(1) / prod.terms[lead])
-            fingerprint = tuple(sorted((index[k], c) for k, c in prod.terms.items()))
-            if fingerprint in seen_rows:
-                continue
-            seen_rows.add(fingerprint)
             span.add_row({index[k]: c for k, c in prod.terms.items()})
     return span
 
@@ -134,9 +126,10 @@ def test_bitmask_span_matches_product_oracle_at_five(name, mode, families):
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in reference]
 
 
-# Reversing the order that the sign counts, or complementing the mask,
-# flips every term of a product together (relations are homogeneous), and
-# the normalised row does not change; a fault must flip terms apart.
+# Rows are compared as formed: a fault that flips every term of a row
+# together, such as reversing the order that the sign counts or
+# complementing the mask (relations are homogeneous), changes the row as
+# formed though not the row space.  These two faults flip terms apart.
 KOSZUL_MASK = graphalg._koszul_mask
 KOSZUL_FAULTS = {
     "dropped": lambda odd_bits: 0,
