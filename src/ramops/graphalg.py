@@ -286,24 +286,37 @@ def _relabel_monomial(
 def enumerate_graph_monomials(
     pres: GraphPresentation, labels: Iterable[Atom], mode: str = "forest"
 ) -> list[MonomialKey]:
-    """All canonical monomials on the vertex set, deterministic order."""
+    """All canonical monomials on the vertex set, in ``monomial_sort_key`` order.
+
+    An edge set is an increasing tuple of pair numbers (``combinations(labels,
+    2)`` order), grown by a later pair at a time; in forest mode only by one
+    that joins two components, so no edge set with a cycle is formed.  The
+    labels are in ``atom_key`` order, so pair numbers are in ``_edge_key``
+    order, and sorting by (h, w, per-color pair numbers) is that key's order.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     labels = check_label_set(labels)
-    pairs = list(combinations(labels, 2))
-    ncolors = len(pres.colors)
-    out: list[MonomialKey] = []
-    for size in range(len(pairs) + 1):
-        for subset in combinations(pairs, size):
-            if mode == "forest" and _has_cycle(subset):
-                continue
-            for assignment in product(range(ncolors), repeat=size):
-                per_color: list[list[Edge]] = [[] for _ in range(ncolors)]
-                for e, ci in zip(subset, assignment):
-                    per_color[ci].append(e)
-                out.append(tuple(tuple(sorted(es, key=_edge_key)) for es in per_color))
-    out.sort(key=lambda m: monomial_sort_key(m, pres))
-    return out
+    pairs, ends = list(combinations(labels, 2)), list(combinations(range(len(labels)), 2))
+    colors, keyed = range(len(pres.colors)), []
+    grown = [((), tuple(range(len(labels))))]  # the edge sets of one size, with their components
+    while grown:
+        # each coloring of that size as its bidegree and the positions of each color
+        colorings = []
+        for assignment in product(colors, repeat=len(grown[0][0])):
+            spots = tuple(tuple(i for i, a in enumerate(assignment) if a == ci) for ci in colors)
+            colorings.append((*monomial_bidegree(spots, pres), spots))
+        keyed += [
+            (h, w, tuple(tuple(map(es.__getitem__, s)) for s in spots)) for es, _ in grown for h, w, spots in colorings
+        ]
+        grown = [
+            (es + (p,), tuple(cu if c == cv else c for c in comp))
+            for es, comp in grown
+            for p in range(es[-1] + 1 if es else 0, len(pairs))
+            if (cu := comp[ends[p][0]]) != (cv := comp[ends[p][1]]) or mode == "full"
+        ]
+    keyed.sort()
+    return [tuple(tuple(map(pairs.__getitem__, ps)) for ps in per_color) for _, _, per_color in keyed]
 
 
 # --- relation families -------------------------------------------------------

@@ -23,11 +23,14 @@ leading entry, ``w`` the row's entry in that column and ``g = gcd(l, w)``:
 an integer combination with a nonzero factor on ``row``, so the row space is
 kept and every division is exact.  What is left is stored as a primitive
 vector (gcd 1, leading entry positive) under its leading column; stored rows
-are never touched on insert.  One back-substitution, in decreasing pivot
-order, then clears the pivot columns, and only the final division of each
-row by its leading entry can make ``Fraction``s: one for each entry its
-leading entry does not divide.  The result is the unique RREF
-of the row space, the same one that elimination over ``Fraction`` gives.
+are never touched on insert.  Rows are taken from the last leading column
+down, so every stored row starts at or after the lead of the row being
+reduced, an order against fill-in (after Markowitz) that changes no result.
+One back-substitution, in decreasing pivot order, then clears the pivot
+columns, and only the final division of each row by its leading entry can
+make ``Fraction``s: one for each entry its leading entry does not divide.
+The result is the unique RREF of the row space, the same one that
+elimination over ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def rref(m: SparseMatrix) -> Echelon:
     describes.
     """
     stored: dict[int, IntVec] = {}  # leading column -> primitive integer row
-    for row in m.rows:
+    for row in sorted(m.rows, key=lambda r: min(r, default=0), reverse=True):
         den = lcm(*(v.denominator for v in row.values()))
         work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         heap = [c for c in work if c in stored]
@@ -270,10 +273,12 @@ def rref(m: SparseMatrix) -> Echelon:
         stored[p] = _primitive(row)
 
     rows = []
-    for p in pivots:
-        row = stored[p]
+    for p in pivots:  # popped, so that no integer row outlives its rational copy
+        row = stored.pop(p)
         lead = row[p]
-        rows.append({c: v // lead if v % lead == 0 else Fraction(v, lead) for c, v in row.items()})
+        if lead != 1:
+            row = {c: v // lead if v % lead == 0 else Fraction(v, lead) for c, v in row.items()}
+        rows.append(row)
     return Echelon(m.ncols, pivots, rows, {p: k for k, p in enumerate(pivots)})
 
 

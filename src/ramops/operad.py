@@ -119,6 +119,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -428,6 +429,11 @@ class Presentation:
         if self.factor is None and self.relations:
             _certify(self)
 
+    @cached_property
+    def rules(self) -> dict[tuple[str, str], list[tuple[Tree, tuple]]]:
+        """``_rewrite_rules`` of the relations, made on first use."""
+        return _rewrite_rules(self)
+
     def _composite(self) -> tuple[str | None, "Presentation | None"]:
         """The product E and the factor F when this is Com o F, else Nones."""
         for e in (g.name for g in self.generators if g.symmetry == 1 and g.bidegree == (0, 0)):
@@ -701,7 +707,7 @@ class _Groebner:
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.gens = pres.gens
-        self.rules = _rewrite_rules(pres)
+        self.rules = pres.rules
         self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
         self.basis = _trees(pres.gens, labels, lambda g, a, b: self._rule(g, a, b) is None, self.normal_trees)
         # the bidegree of each normal tree from its children's: a normal

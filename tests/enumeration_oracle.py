@@ -1,0 +1,32 @@
+"""Reference enumeration of graph monomials: every edge subset, filtered.
+
+Each subset of the vertex pairs, in every coloring, becomes a canonical
+monomial; in forest mode the subsets with a cycle are dropped first.  The
+list is sorted by ``monomial_sort_key``.  Slow, but simple enough to trust;
+the tests compare ``graphalg.enumerate_graph_monomials`` against it.
+"""
+
+from itertools import combinations, product
+
+from ramops.graphalg import MODES, _edge_key, _has_cycle, monomial_sort_key
+from ramops.labels import check_label_set
+
+
+def oracle_enumerate(pres, labels, mode="forest"):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    labels = check_label_set(labels)
+    pairs = list(combinations(labels, 2))
+    ncolors = len(pres.colors)
+    out = []
+    for size in range(len(pairs) + 1):
+        for subset in combinations(pairs, size):
+            if mode == "forest" and _has_cycle(subset):
+                continue
+            for assignment in product(range(ncolors), repeat=size):
+                per_color = [[] for _ in range(ncolors)]
+                for e, ci in zip(subset, assignment):
+                    per_color[ci].append(e)
+                out.append(tuple(tuple(sorted(es, key=_edge_key)) for es in per_color))
+    out.sort(key=lambda m: monomial_sort_key(m, pres))
+    return out

@@ -180,7 +180,8 @@ def test_non_integral_relation_coefficients_give_fraction_rules():
     with pytest.raises(ValueError, match="lie_skewed"):
         Presentation("lie_skewed", lie.generators, [skewed])
     raw = SimpleNamespace(name="lie_skewed", gens=lie.gens, relations=(skewed,))
-    coeffs = [c for terms in _rewrite_rules(raw).values() for _, signs in terms for c in signs]
+    raw.rules = _rewrite_rules(raw)
+    coeffs = [c for terms in raw.rules.values() for _, signs in terms for c in signs]
     assert coeffs and all(type(c) is Fraction and c.denominator == 2 for c in coeffs)
     rw = _Groebner(raw, (1, 2, 3, 4))
     counts = _numbers([rw.normal_form(t) for t in enumerate_tree_monomials(raw.gens, (1, 2, 3, 4))])

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from enumeration_oracle import oracle_enumerate
 
 from ramops import graphalg
 from ramops.cache import ComponentStore
@@ -89,6 +90,18 @@ def test_enumerate_counts():
     # simple count: forests on three vertices have at most two of three edges
     assert len(forest) == 1 + 3 * 2 + 3 * 4  # empty, one edge, two edges
     assert len(full) == len(forest) + 8  # plus the two-colored triangles
+
+
+@pytest.mark.parametrize(
+    "pres,mode,top",
+    [(P, "forest", 5), (P, "full", 4), (ARNOLD_PRESENTATION, "forest", 5), (ARNOLD_PRESENTATION, "full", 5)],
+)
+def test_enumeration_matches_subset_filter_oracle(pres, mode, top):
+    # forests grown edge by edge and sorted by pair numbers: the same list,
+    # in the same order, as filtering every edge subset and sorting by
+    # monomial_sort_key
+    for labels in [standard_labels(n) for n in range(1, top + 1)] + [(3, 7, "*", "x")]:
+        assert enumerate_graph_monomials(pres, labels, mode) == oracle_enumerate(pres, labels, mode)
 
 
 def test_algebra_basis_small_tables():

@@ -6,7 +6,7 @@ from echelon_oracle import oracle_reduce, oracle_rref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramops.graphalg import R_PRESENTATION, AlgebraElement
+from ramops.graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, AlgebraElement, GraphComponent
 from ramops.labels import STAR
 from ramops.linalg import (
     ONE,
@@ -203,6 +203,19 @@ def test_rref_matches_insert_oracle(m, vec):
         assert e.reduce(row) == {}
     v = {c: x for c, x in vec.items() if c < m.ncols}
     assert e.reduce(v) == oracle_reduce(oracle, v)
+
+
+@pytest.mark.parametrize("pres,n,mode", [(R_PRESENTATION, 5, "forest"), (ARNOLD_PRESENTATION, 4, "full")])
+def test_rref_is_independent_of_row_order(pres, n, mode):
+    # rref takes the rows from the last leading column down; any input
+    # order of the same rows gives the same pivots and rows
+    _, span = GraphComponent.ambient_and_span(pres, n, mode)
+    shuffled = list(span.rows)
+    random.Random(1).shuffle(shuffled)
+    expected = rref(span)
+    for rows in (span.rows[::-1], shuffled):
+        e = rref(SparseMatrix(span.ncols, rows))
+        assert e.pivots == expected.pivots and e.rows == expected.rows
 
 
 # one element of each Combination kind, another of the same kind on other

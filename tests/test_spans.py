@@ -240,23 +240,19 @@ def test_normal_trees_certify_a_quadratic_groebner_basis(name, leading):
 def test_rewriting_with_a_flipped_sign_differs_from_oracle(monkeypatch):
     # one term of the Jacobi rewrite with the wrong sign: the counts still
     # match, the expansions must not
-    rules = _rewrite_rules
-
-    def flipped(pres):
-        out = rules(pres)
-        (term, coeffs), *rest = out["L", "L"]
-        out["L", "L"] = [(term, tuple(-c for c in coeffs))] + rest
-        return out
-
-    presentation("lie")  # built, and its rules certified, before the fault
-    monkeypatch.setattr(operad, "_rewrite_rules", flipped)
+    lie = presentation("lie")  # built, and its rules certified, before the fault
+    flipped = _rewrite_rules(lie)
+    (term, coeffs), *rest = flipped["L", "L"]
+    flipped["L", "L"] = [(term, tuple(-c for c in coeffs))] + rest
+    monkeypatch.setattr(lie, "rules", flipped)
     assert certificate("lie", 3) == {"dims": True, "expansions": False, "rank": True}
 
 
 def test_rewriting_without_graft_signs_differs_from_oracle(monkeypatch):
     # G is odd: grafting odd trees into a rewritten relation must be signed
-    presentation("liegriess")  # built, and its rules certified, before the fault
+    lg = presentation("liegriess")  # built, and its rules certified, before the fault
     monkeypatch.setattr(operad, "_graft_signs", lambda term, gens: (1,) * 8)
+    monkeypatch.setattr(lg, "rules", _rewrite_rules(lg))
     assert certificate("liegriess", 4) == {"dims": True, "expansions": False, "rank": True}
 
 
