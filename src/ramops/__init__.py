@@ -17,13 +17,7 @@ from .dual import (
     dual_compose,
     rho,
 )
-from .forms import (
-    eval_element,
-    eval_generator,
-    eval_word,
-    random_sample_point,
-    relation_survey,
-)
+from .forms import eval_element, random_sample_point, relation_survey
 from .graphalg import (
     ARNOLD_PRESENTATION,
     AlgebraElement,

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .graphalg import Letter, R_PRESENTATION, relation_words
 from .labels import Atom, atom_key, check_label_set
-from .linalg import bump, vec_add_scaled
+from .linalg import bump
 
 SamplePoint = dict[Atom, Fraction]
 
@@ -42,60 +43,66 @@ def random_sample_point(labels: Iterable[Atom], rng: random.Random) -> SamplePoi
     return point
 
 
-def form_scalar(value: Fraction) -> EvaluatedForm:
-    return {(): value} if value else {}
-
-
-def form_wedge(f: EvaluatedForm, g: EvaluatedForm) -> EvaluatedForm:
-    """Exterior product with shuffle signs; dx ^ dx = 0."""
-    out: EvaluatedForm = {}
-    for s1, c1 in f.items():
-        set1 = set(s1)
-        for s2, c2 in g.items():
-            if set1 & set(s2):
-                continue
-            merged = tuple(sorted(s1 + s2, key=atom_key))
-            inv = sum(1 for x in s1 for y in s2 if atom_key(y) < atom_key(x))
-            bump(out, merged, c1 * c2 * (-1 if inv % 2 else 1))
-    return out
-
-
-def eval_generator(which: str, i: Atom, j: Atom, point: SamplePoint) -> EvaluatedForm:
-    """a -> 1/(x_i - x_j); b -> its differential; w -> dlog(x_i - x_j)."""
+def _letter_form(letter: Letter, scaled: dict[Atom, int], scale: int, bit: dict[Atom, int]) -> tuple[list, int]:
+    """a -> 1/(x_i - x_j); b -> its differential; w -> dlog(x_i - x_j): the
+    letter's terms (mask of its differential, integer numerator) over one
+    positive denominator, from the coordinates times ``scale``."""
+    which, i, j = letter
     if i == j:
         raise ValueError("generator needs distinct indices")
-    diff = point[i] - point[j]
+    diff = scaled[i] - scaled[j]
     if diff == 0:
         raise ValueError("sample point lies on a diagonal")
+    # 1/(x_i - x_j) = scale/diff = num/den with den > 0
+    num, den = (scale, diff) if diff > 0 else (-scale, -diff)
     if which == "a":
-        return form_scalar(Fraction(1) / diff)
+        return [(0, num)], den
     if which == "b":
-        inv2 = Fraction(1) / (diff * diff)
-        return {(i,): -inv2, (j,): inv2}
+        return [(bit[i], -num * num), (bit[j], num * num)], den * den
     if which == "w":
-        inv = Fraction(1) / diff
-        return {(i,): inv, (j,): -inv}
+        return [(bit[i], num), (bit[j], -num)], den
     raise ValueError(f"unknown generator {which!r}")
-
-
-def eval_word(word: Iterable[Letter], point: SamplePoint) -> EvaluatedForm:
-    """Evaluate a literal generator word by exterior multiplication in order."""
-    acc = form_scalar(Fraction(1))
-    for cname, i, j in word:
-        acc = form_wedge(acc, eval_generator(cname, i, j, point))
-        if not acc:
-            return {}
-    return acc
 
 
 def eval_element(
     terms: Iterable[tuple[int | Fraction, Iterable[Letter]]], point: SamplePoint
 ) -> EvaluatedForm:
-    """Evaluate a rational combination of literal words."""
-    out: EvaluatedForm = {}
+    """Evaluate a rational combination of literal words, each by exterior
+    multiplication of its letters in order.
+
+    The differential dx_a is a bit, in ``atom_key`` order, and a wedge
+    monomial the mask of its differentials: a product with a shared bit is
+    zero, and putting dx_b after a monomial m costs the sign of the bits of
+    m above b.  The coordinates are scaled to integers, and the terms of a
+    letter share one denominator, so a word's terms are integer numerators
+    over the product of its letters' denominators, made a ``Fraction`` once
+    per word.  Each letter's form is made once per call.
+    """
+    atoms = sorted(point, key=atom_key)
+    bit = {a: 1 << k for k, a in enumerate(atoms)}
+    scale = lcm(*(x.denominator for x in point.values()))
+    scaled = {a: x.numerator * (scale // x.denominator) for a, x in point.items()}
+    letters: dict[Letter, tuple[list[tuple[int, int]], int]] = {}
+    out: dict[int, Fraction] = {}
     for coeff, word in terms:
-        vec_add_scaled(out, eval_word(word, point), Fraction(coeff))
-    return out
+        acc: dict[int, int | Fraction] = {0: coeff}
+        den = 1
+        for letter in word:
+            form = letters.get(letter)
+            if form is None:
+                form = letters[letter] = _letter_form(letter, scaled, scale, bit)
+            product: dict[int, int | Fraction] = {}
+            for m, c in acc.items():
+                for b, cb in form[0]:
+                    if not m & b:
+                        bump(product, m | b, -c * cb if (m & -(b << 1)).bit_count() & 1 else c * cb)
+            acc = product
+            den *= form[1]
+            if not acc:
+                break
+        for m, c in acc.items():
+            bump(out, m, Fraction(c, den))
+    return {tuple(a for a in atoms if m & bit[a]): c for m, c in out.items()}
 
 
 # families the forms model is claimed to satisfy

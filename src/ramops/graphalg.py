@@ -547,10 +547,6 @@ class GraphComponent(QuotientComponent):
         return AlgebraElement(self.labels, self.pres, terms)
 
     @staticmethod
-    def monomial_to_json(m: MonomialKey):
-        return [[[u, v] for u, v in edges] for edges in m]
-
-    @staticmethod
     def monomial_from_json(data) -> MonomialKey:
         return tuple(tuple((u, v) for u, v in edges) for edges in data)
 

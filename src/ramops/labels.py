@@ -37,11 +37,21 @@ def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=atom_key))
 
 
+# label tuples that passed, with the types of their atoms: True and 1.0
+# equal 1 (and hash alike) but are not the atom 1
+_CHECKED: dict[tuple, tuple[Atom, ...]] = {}
+
+
 def check_label_set(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    ordered = sort_atoms(atoms)
-    for x, y in zip(ordered, ordered[1:]):
-        if x == y:
-            raise ValueError(f"duplicate label {x!r}")
+    atoms = tuple(atoms)
+    key = (atoms, tuple(map(type, atoms)))
+    ordered = _CHECKED.get(key)
+    if ordered is None:
+        ordered = sort_atoms(atoms)
+        for x, y in zip(ordered, ordered[1:]):
+            if x == y:
+                raise ValueError(f"duplicate label {x!r}")
+        _CHECKED[key] = ordered
     return ordered
 
 

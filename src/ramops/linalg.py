@@ -247,10 +247,17 @@ def rref(m: SparseMatrix) -> Echelon:
     """Reduced row-echelon form; row space preserved, output canonical.
 
     Integer elimination with one back-substitution, as the module docstring
-    describes.
+    describes.  The rows of ``m`` are handed over: ``m.rows`` is sorted in
+    place and each entry becomes None once its row is taken, so the list
+    keeps its length, the number of rows handed in, and no input row
+    outlives its elimination.  A caller that needs the rows again passes a
+    copy.
     """
     stored: dict[int, IntVec] = {}  # leading column -> primitive integer row
-    for row in sorted(m.rows, key=lambda r: min(r, default=0), reverse=True):
+    rows = m.rows
+    rows.sort(key=lambda r: min(r, default=0), reverse=True)
+    for k, row in enumerate(rows):
+        rows[k] = None
         den = lcm(*(v.denominator for v in row.values()))
         work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         heap = [c for c in work if c in stored]
@@ -283,6 +290,7 @@ def rref(m: SparseMatrix) -> Echelon:
 
 
 def rank(m: SparseMatrix) -> int:
+    """The rank of ``m``, whose rows ``rref`` takes over."""
     return rref(m).rank
 
 
@@ -290,7 +298,8 @@ def quotient_basis(span: SparseMatrix, ambient_size: int) -> tuple[list[int], Ec
     """Indices of ambient monomials surviving the quotient, plus the reducer.
 
     The surviving monomials are the non-pivot columns; ``Echelon.reduce``
-    rewrites any vector into coordinates on them.
+    rewrites any vector into coordinates on them.  ``rref`` takes the rows
+    of ``span`` over: the caller's matrix is emptied (see ``rref``).
     """
     if span.ncols > ambient_size:
         raise ValueError("span has more columns than the ambient basis")

@@ -431,8 +431,10 @@ class Presentation:
 
     @cached_property
     def rules(self) -> dict[tuple[str, str], list[tuple[Tree, tuple]]]:
-        """``_rewrite_rules`` of the relations, made on first use."""
-        return _rewrite_rules(self)
+        """``_rewrite_rules`` of the relations, made once per hash on first use."""
+        if self.hash not in _RULES:
+            _RULES[self.hash] = _rewrite_rules(self)
+        return _RULES[self.hash]
 
     def _composite(self) -> tuple[str | None, "Presentation | None"]:
         """The product E and the factor F when this is Com o F, else Nones."""
@@ -670,6 +672,11 @@ def _graft_signs(t: Tree, gens: Signature) -> tuple[int, ...]:
         e += sum(par[a] * par[b] for i, a in enumerate(leaves) for b in leaves[i + 1 :] if a > b)
         signs.append(-1 if e & 1 else 1)
     return tuple(signs)
+
+
+# the rewrite rules by presentation hash: two objects of one hash (a name's
+# presentation and another's factor) share one set
+_RULES: dict[str, dict[tuple[str, str], list[tuple[Tree, tuple]]]] = clearable({})
 
 
 def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree, tuple]]]:

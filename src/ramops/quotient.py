@@ -177,8 +177,8 @@ def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore,
     """The component on {1..n} decoded from the store's payload, when it
     names this side, presentation, arity and variant, else eliminated from
     ``cls.ambient_and_span`` and written to the store: the
-    ``build`` of a side whose monomials have a JSON codec
-    (``cls.monomial_to_json``, ``cls.monomial_from_json``)."""
+    ``build`` of a side whose monomials are nested tuples, which ``json``
+    writes as arrays, read back by ``cls.monomial_from_json``."""
     n = len(labels)
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
@@ -229,7 +229,7 @@ def _header(cls, pres, n: int, fields: dict) -> dict:
 
 def _encode(comp: QuotientComponent) -> dict:
     return {
-        "monomials": [comp.monomial_to_json(m) for m in comp.monomials],
+        "monomials": comp.monomials,
         "pivots": list(comp.reducer.pivots),
         "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in comp.reducer.rows],
         "basis": comp.basis_positions,

@@ -34,6 +34,7 @@ read each tree's basis expansion from the component's shared memo.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from . import quotient
 from .cache import ComponentStore, default_store
@@ -273,14 +274,18 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
         comps = (comp,) * arity
         return quotient.tensor_normal_form(lhs, comps) != quotient.tensor_normal_form(rhs, comps)
 
+    # this call's memos: Δ of each tree, the h-parity of each left factor
+    delta_of = cache(lambda t: _coproduct_tree(t, gens))
+    odd = cache(lambda t: tree_h(t, gens) & 1)
+
     bad = None
     for b, delta in deltas.items():
         left: dict[tuple, Fraction] = {}
         right: dict[tuple, Fraction] = {}
         for (t1, t2), c in delta.items():
-            for u1, u2, s in _coproduct_tree(t1, gens):
+            for u1, u2, s in delta_of(t1):
                 bump(left, (u1, u2, t2), c * s)
-            for v1, v2, s in _coproduct_tree(t2, gens):
+            for v1, v2, s in delta_of(t2):
                 bump(right, (t1, v1, v2), c * s)
         if differs(left, right, 3):
             bad = {"basis_tree": repr(b)}
@@ -297,12 +302,15 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     for which in ("down", "up"):
         bad = None
         for b, delta in deltas.items():
-            lhs = coproduct(comp.element(d(b, which))).terms
+            lhs: dict[tuple, Fraction] = {}
+            for t, c in d(b, which).items():
+                for t1, t2, s in delta_of(t):
+                    bump(lhs, (t1, t2), c * s)
             rhs: dict[tuple, Fraction] = {}
             for (t1, t2), c in delta.items():
                 for t1d, c1 in d(t1, which).items():
                     bump(rhs, (t1d, t2), c * c1)
-                c_signed = -c if tree_h(t1, gens) & 1 else c
+                c_signed = -c if odd(t1) else c
                 for t2d, c2 in d(t2, which).items():
                     bump(rhs, (t1, t2d), c_signed * c2)
             if differs(lhs, rhs, 2):

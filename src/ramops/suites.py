@@ -39,28 +39,26 @@ def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
 
 def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple[str, str]) -> list[dict]:
     """D^2 = 0 for each derivation in ``order``, then [up, down] = weight, on
-    every monomial of ``monomials``, all on the labels of the component."""
-    k = len(comp.labels)
-    verdicts = []
-    for which in order:
-        bad = None
-        for m in monomials:
-            el = comp.monomial_element(m)
-            if not derivation(derivation(el, which), which).is_zero():
-                bad = {"monomial": repr(el)}
-                break
-        verdicts.append(verdict(f"{side}_{which}_squares_to_zero", bad is None, bad, n=k))
+    every monomial of ``monomials``, all on the labels of the component.
 
-    bad = None
+    One pass over the monomials takes each first derivative once, for its
+    square and for the Laplacian; each check's witness is its first failing
+    monomial."""
+    names = [f"{side}_{which}_squares_to_zero" for which in order] + [f"{side}_laplacian_is_weight"]
+    bad: dict[str, dict] = {}
     for m in monomials:
         el = comp.monomial_element(m)
-        w = el.bidegree()[1]
-        anticomm = derivation(derivation(el, "up"), "down") + derivation(derivation(el, "down"), "up")
-        if anticomm != el.scaled(w):
-            bad = {"monomial": repr(el), "weight": w}
+        first = {which: derivation(el, which) for which in order}
+        for which, name in zip(order, names):
+            if name not in bad and not derivation(first[which], which).is_zero():
+                bad[name] = {"monomial": repr(el)}
+        if names[2] not in bad:
+            w = el.bidegree()[1]
+            if derivation(first["up"], "down") + derivation(first["down"], "up") != el.scaled(w):
+                bad[names[2]] = {"monomial": repr(el), "weight": w}
+        if len(bad) == len(names):
             break
-    verdicts.append(verdict(f"{side}_laplacian_is_weight", bad is None, bad, n=k))
-    return verdicts
+    return [verdict(name, name not in bad, bad.get(name), n=len(comp.labels)) for name in names]
 
 
 def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dict]:

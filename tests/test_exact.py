@@ -152,8 +152,8 @@ def test_non_integral_coefficients_stay_exact_on_both_sides():
 
     # rref and reduce on the mixed coordinates, against the Fraction oracle
     m = SparseMatrix(ram.dim, [half, ram.coords(doubled), {0: 3, 1: Fraction(5, 7)}, {1: 2}])
-    e = rref(m)
     oracle = oracle_rref(m)
+    e = rref(m)
     assert e.pivots == oracle.pivots and e.rows == oracle.rows
     for row in e.rows:
         assert all(v and type(v) is (Fraction if v.denominator > 1 else int) for v in row.values())

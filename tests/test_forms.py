@@ -3,16 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ramops import suites
-from ramops.forms import (
-    eval_element,
-    eval_generator,
-    eval_word,
-    form_wedge,
-    random_sample_point,
-    relation_survey,
-)
-from ramops.graphalg import R_PRESENTATION, relation_words
+import forms_oracle
+from forms_oracle import eval_generator, eval_word, form_wedge
+from ramops import forms, suites
+from ramops.forms import eval_element, random_sample_point, relation_survey
+from ramops.graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, relation_words
 
 
 def point(**kwargs):
@@ -102,13 +97,41 @@ def test_leibniz_on_words_matches_mixed_sum():
 
 def test_arnold_relations_hold_for_log_forms():
     rng = random.Random(23)
-    from ramops.graphalg import ARNOLD_PRESENTATION
-
     labels = (1, 2, 3, 4)
     for _ in range(5):
         p = random_sample_point(labels, rng)
         for inst in relation_words(ARNOLD_PRESENTATION, "arnold_sum", labels):
             assert eval_element(inst, p) == {}
+
+
+def test_eval_element_matches_the_word_by_word_oracle():
+    # every instance of every R and Arnold family, on integer labels and on
+    # labels with the place-holder and a name, so that the bits of the
+    # differentials follow atom_key; then random words of mixed letters
+    rng = random.Random(29)
+    for labels in ((1, 2, 3, 4, 5), (2, 5, "*", "x")):
+        points = [random_sample_point(labels, rng) for _ in range(3)]
+        for pres in (R_PRESENTATION, ARNOLD_PRESENTATION):
+            for family in pres.families:
+                for inst in relation_words(pres, family, labels):
+                    for p in points:
+                        assert eval_element(inst, p) == forms_oracle.eval_element(inst, p), (family, inst)
+        pairs = [(i, j) for i in labels for j in labels if i != j]
+        for p in points:
+            for _ in range(40):
+                words = [
+                    (rng.randint(-3, 3), tuple((rng.choice("abw"), *rng.choice(pairs)) for _ in range(rng.randint(0, 4))))
+                    for _ in range(3)
+                ]
+                assert eval_element(words, p) == forms_oracle.eval_element(words, p), words
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_relation_survey_matches_the_oracle_survey(n, monkeypatch):
+    surveys = {seed: relation_survey(n, 20, seed) for seed in range(4)}
+    monkeypatch.setattr(forms, "eval_element", forms_oracle.eval_element)
+    for seed, survey in surveys.items():
+        assert survey == relation_survey(n, 20, seed), seed
 
 
 def test_relation_survey_verdicts():

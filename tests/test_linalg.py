@@ -59,9 +59,10 @@ def test_rref_rank_one():
 
 def test_rref_identity_fixed():
     m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = dense(m, 3)
     e = rref(m)
     assert e.pivots == [0, 1, 2]
-    assert ech_dense(e) == dense(m, 3)
+    assert ech_dense(e) == identity
 
 
 def test_rref_swap_case():
@@ -76,6 +77,17 @@ def test_rank_trivial_cases():
     assert rank(SparseMatrix(4)) == 0
     m = from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     assert rank(m) == 5
+
+
+def test_rref_takes_the_rows_over():
+    # each row is dropped once taken; the list keeps the count handed in
+    m = from_dense([[0, 1, 2], [1, 0, 0], [0, 2, 4]])
+    e = rref(m)
+    assert e.pivots == [0, 1]
+    assert m.rows == [None, None, None]
+    span = from_dense([[1, 1], [0, 1]])
+    basis, e = quotient_basis(span, 3)
+    assert basis == [2] and span.rows == [None, None]
 
 
 def test_quotient_basis_trivial():
@@ -121,7 +133,8 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(7)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) == rank(transpose(m))
+        t = transpose(m)
+        assert rank(m) == rank(t)
 
 
 def test_difference_lies_in_row_space():
@@ -139,15 +152,16 @@ def test_row_space_preserved_by_rref():
     rng = random.Random(3)
     for _ in range(15):
         m = _random_matrix(rng, 4, 5)
+        rows = list(m.rows)
+        oracle = oracle_rref(m)
         e = rref(m)
         # every original row reduces to zero against the echelon
-        for row in m.rows:
+        for row in rows:
             assert e.reduce(row) == {}
         # every echelon row lies in the span of the original rows
-        oracle = oracle_rref(m)
         for row in e.rows:
             assert oracle.reduce(row) == {}
-        assert rank(m) == e.rank
+        assert rank(SparseMatrix(m.ncols, rows)) == e.rank
 
 
 def assert_canonical(e: Echelon) -> None:
@@ -194,12 +208,13 @@ def sparse_matrices(draw):
 @example(SparseMatrix(0), {})
 @example(SparseMatrix(3, [{}, {}]), {1: Fraction(2)})
 def test_rref_matches_insert_oracle(m, vec):
-    e = rref(m)
+    rows = list(m.rows)
     oracle = oracle_rref(m)
+    e = rref(m)
     assert e.pivots == oracle.pivots
     assert e.rows == oracle.rows
     assert_canonical(e)
-    for row in m.rows:
+    for row in rows:
         assert e.reduce(row) == {}
     v = {c: x for c, x in vec.items() if c < m.ncols}
     assert e.reduce(v) == oracle_reduce(oracle, v)
@@ -210,10 +225,11 @@ def test_rref_is_independent_of_row_order(pres, n, mode):
     # rref takes the rows from the last leading column down; any input
     # order of the same rows gives the same pivots and rows
     _, span = GraphComponent.ambient_and_span(pres, n, mode)
+    reversed_rows = span.rows[::-1]
     shuffled = list(span.rows)
     random.Random(1).shuffle(shuffled)
     expected = rref(span)
-    for rows in (span.rows[::-1], shuffled):
+    for rows in (reversed_rows, shuffled):
         e = rref(SparseMatrix(span.ncols, rows))
         assert e.pivots == expected.pivots and e.rows == expected.rows
 
