@@ -1,6 +1,7 @@
 """Component cache: payload files in a directory, nothing kept in memory.
 
-Quotient components (monomial list + reducer rows + dimension table) are
+Quotient components (ambient monomials + echelon rows + dimension table,
+in the layout of ``quotient``'s payload codec) are
 expensive at arity 4+ and are reused heavily, so they are cached under a
 key that includes the presentation hash: editing a presentation invalidates
 its entries automatically.  Payloads are versioned JSON files; a payload
@@ -12,7 +13,8 @@ memos are cleared.
 
 A payload file is one JSON object whose first member is the SHA-256 of the
 rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
-written.  ``get`` hashes those bytes as read, before decoding them, and
+written (``put`` writes the body after the head without copying it).
+``get`` hashes those bytes as read, before decoding them, and
 treats a mismatch as a miss: an edit that leaves the payload well-formed,
 such as a changed coefficient, is rebuilt rather than trusted.
 
@@ -103,7 +105,8 @@ class ComponentStore:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_HEAD + digest + b'",' + body[1:])
+                fh.write(_HEAD + digest + b'",')
+                fh.write(memoryview(body)[1:])  # no copy of the body
             os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
             os.replace(tmp, self._path(key))
         except BaseException:

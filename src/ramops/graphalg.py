@@ -467,28 +467,32 @@ def _relation_instances(
 
 class GraphComponent(QuotientComponent):
     """Quotient of the monomial span by all relation instances, on one vertex
-    set: ``monomials[i]`` is ambient monomial i, ``basis_positions`` lists
-    the basis positions in slot order, and ``reducer``, the ``Echelon`` of
-    the payload, reduces a vector on the positions onto them.  The ambient,
-    its index, the echelon and the tables read from them (the expansions,
-    ``mask_index`` and ``differentials``, each built on first use) are on
-    {1..n}, and shared by every relabeled component."""
+    set: ``monomials[i]`` is ambient monomial i and ``masks[i]`` its colored
+    mask (``mask_encoder``), the two given together as the ambient;
+    ``basis_positions`` lists the basis positions in slot order, and
+    ``reducer``, the ``Echelon`` of the payload, reduces a vector on the
+    positions onto them.  The ambient, its index, the echelon and the
+    tables read from them (the expansions, ``mask_index`` and
+    ``differentials``, each built on first use) are on {1..n}, and shared
+    by every relabeled component.  A payload stores the ambient as its
+    masks (``ambient_json``, ``ambient_from_json``)."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
 
     def __init__(
-        self, pres: GraphPresentation, labels: tuple[Atom, ...], monomials, reducer, basis_positions, mode: str
+        self, pres: GraphPresentation, labels: tuple[Atom, ...], ambient, reducer, basis_positions, mode: str
     ):
         self.mode = mode
+        monomials, self.masks = ambient
         self.monomials = monomials
         self.reducer = reducer
         self.basis_positions = basis_positions
         self._index = {m: i for i, m in enumerate(monomials)}
         self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
         self._expansions: dict[int, tuple] = {}
-        self._masks: list = []
+        self._mask_index: list = []
         self._differentials: dict[str, list[tuple]] = {}
         degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
         super().__init__(pres, labels, [monomials[i] for i in basis_positions], degrees)
@@ -514,13 +518,11 @@ class GraphComponent(QuotientComponent):
         return pairs
 
     def mask_index(self) -> list:
-        """The colored masks (``mask_encoder``) of the ambient monomials on
-        {1..n}, by position and inverted: [masks, {mask: position}]."""
-        if not self._masks:
-            encode = mask_encoder(standard_labels(len(self.labels)))
-            by_position = [encode(m)[0] for m in self.monomials]
-            self._masks += by_position, {c: i for i, c in enumerate(by_position)}
-        return self._masks
+        """The colored masks of the ambient monomials on {1..n}, by position
+        and inverted: [masks, {mask: position}]."""
+        if not self._mask_index:
+            self._mask_index += self.masks, {c: i for i, c in enumerate(self.masks)}
+        return self._mask_index
 
     def differentials(self, which: str) -> list[tuple]:
         """For each basis slot, d of its basis monomial as (position,
@@ -546,9 +548,25 @@ class GraphComponent(QuotientComponent):
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.labels, self.pres, terms)
 
+    def ambient_json(self) -> list[int]:
+        return self.masks
+
     @staticmethod
-    def monomial_from_json(data) -> MonomialKey:
-        return tuple(tuple((u, v) for u, v in edges) for edges in data)
+    def ambient_from_json(pres: GraphPresentation, n: int, data: list) -> tuple[list[MonomialKey], list[int]]:
+        """The ambient of a payload's masks on {1..n}: the monomial of each,
+        its edges of color ci the pairs p of its bits ci * P + p in
+        increasing order, and the masks.  Raises ``ValueError`` unless the
+        masks are distinct ints naming no letter beyond the colors' P pairs."""
+        pairs = list(combinations(standard_labels(n), 2))
+        npairs = len(pairs)
+        if set(map(type, data)) - {int} or len(set(data)) != len(data):
+            raise ValueError("masks must be distinct ints")
+        if min(data) < 0 or max(data) >> (len(pres.colors) * npairs):
+            raise ValueError("a mask names a letter beyond the colors' pairs")
+        every_pair = (1 << npairs) - 1
+        by_color = [[m >> ci * npairs & every_pair for m in data] for ci in range(len(pres.colors))]
+        edges_of = {c: tuple(pairs[p] for p in range(npairs) if c >> p & 1) for c in set().union(*by_color)}
+        return list(zip(*(map(edges_of.__getitem__, chunks) for chunks in by_color))), data
 
     # the component on {1..n}: decoded from the store's payload, else
     # eliminated from the relation span and written to the store
@@ -557,10 +575,11 @@ class GraphComponent(QuotientComponent):
     @classmethod
     def ambient_and_span(
         cls, pres: GraphPresentation, n: int, mode: str
-    ) -> tuple[list[MonomialKey], SparseMatrix]:
+    ) -> tuple[tuple[list[MonomialKey], list[int]], SparseMatrix]:
         labels = standard_labels(n)
         monomials = enumerate_graph_monomials(pres, labels, mode)
-        return monomials, _span_matrix(pres, labels, mode, monomials)
+        masks = colored_masks(labels, monomials)
+        return (monomials, masks), _span_matrix(pres, labels, mode, masks)
 
 
 def algebra_basis(
@@ -613,18 +632,26 @@ def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], tuple[int,
     return masks
 
 
+def colored_masks(labels: tuple[Atom, ...], monomials: Iterable[MonomialKey]) -> list[int]:
+    """The colored mask (``mask_encoder``) of each monomial on the label set."""
+    encode = mask_encoder(labels)
+    return [encode(m)[0] for m in monomials]
+
+
 def _span_matrix(
     pres: GraphPresentation,
     labels: tuple[Atom, ...],
     mode: str,
-    monomials: list[MonomialKey],
+    masks: list[int],
     families: Iterable[str] | None = None,
 ) -> SparseMatrix:
-    """Relation instances times all complementary monomials, as sparse rows.
+    """Relation instances times all complementary ambient monomials, given by
+    their colored masks in position order, as sparse rows.
 
     Monomials are bitmasks (``mask_encoder``): a colored mask, bit
     ci * P + p for the letter of color ci on vertex pair p, and a color-blind
-    edge mask.  A term and a multiplier that share an edge multiply to zero;
+    edge mask, the union of the colors' P-bit blocks of the colored mask.
+    A term and a multiplier that share an edge multiply to zero;
     otherwise their product is the monomial of the union of their colored
     masks.  Its sign is -1 to the number of pairs of odd
     letters, x of the term and y of the multiplier, with y < x: the parity
@@ -641,20 +668,27 @@ def _span_matrix(
     the payload is the same either way.
     """
     npairs = len(labels) * (len(labels) - 1) // 2
+    every_pair = (1 << npairs) - 1
+    shifts = [ci * npairs for ci in range(len(pres.colors))]
     odd = 0
-    for ci in range(len(pres.colors)):
+    for ci, shift in enumerate(shifts):
         if pres.is_odd(ci):
-            odd |= ((1 << npairs) - 1) << (ci * npairs)
-    masks = mask_encoder(labels)
-    encoded = [masks(m) for m in monomials]
-    by_mask = {colored: i for i, (colored, _) in enumerate(encoded)}
+            odd |= every_pair << shift
+    encoded = []
+    for colored in masks:
+        edges = 0
+        for shift in shifts:
+            edges |= colored >> shift & every_pair
+        encoded.append((colored, edges))
+    by_mask = {colored: i for i, colored in enumerate(masks)}
     forest = mode == "forest"
     forest_edges = len(labels) - 1
-    span = SparseMatrix(len(monomials))
+    span = SparseMatrix(len(masks))
+    encode = mask_encoder(labels)
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = []
         for k, c in rel.terms.items():
-            colored, edges = masks(k)
+            colored, edges = encode(k)
             terms.append((colored, edges, _koszul_mask(colored & odd), c, -c))
         spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
         for mult, mult_edges in encoded:
@@ -692,7 +726,7 @@ def ideal_rank_breakdown(
     comp = algebra_basis(pres, labels, mode, store)
     full = comp.reducer.rank
     reduced_families = tuple(f for f in pres.families if f not in ("bab_sum", "bbb_sum"))
-    without = rank(_span_matrix(pres, standard_labels(len(comp.labels)), mode, comp.monomials, reduced_families))
+    without = rank(_span_matrix(pres, standard_labels(len(comp.labels)), mode, comp.masks, reduced_families))
     return {
         "n": len(comp.labels),
         "mode": mode,

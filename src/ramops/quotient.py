@@ -32,9 +32,16 @@ store keeps payload files, not payloads.  Other modules register their
 memos (``per_store_memo``, ``clearable``) so that ``clear_memos`` empties
 all of them.  Cache keys carry ``ENGINE_FORMAT``: a change to canonical
 forms, monomial order or payload layout bumps it, and payloads written
-under another format are then rebuilt, never read.  A payload that does
-not decode, or whose echelon, basis or dims break an invariant of a reduced
-echelon form, is rebuilt as well.
+under another format are then rebuilt, never read.
+
+A payload (format 2) holds the side's ambient as ``monomials`` (the
+algebra side writes each monomial's colored mask), the echelon as
+``pivots`` and ``rows``, each row one flat list of its columns in
+increasing order and then its entries (an int, or the "p/q" string of a
+non-integral rational), the ``basis`` positions and the ``dims``.  A
+payload that does not decode in that layout, or whose echelon, basis or
+dims break an invariant of a reduced echelon form, is rebuilt as well.
+A store without a directory keeps no payload, so none is encoded for it.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ class QuotientComponent:
 # --- payloads and memos ------------------------------------------------------------
 
 # version of everything a payload's meaning depends on; part of every cache key
-ENGINE_FORMAT = 1
+ENGINE_FORMAT = 2
 
 _MEMOS: list = []
 
@@ -176,9 +183,15 @@ def load_component(cls, pres, labels, store: ComponentStore | None = None, **fie
 def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore, prefix: str, fields: dict):
     """The component on {1..n} decoded from the store's payload, when it
     names this side, presentation, arity and variant, else eliminated from
-    ``cls.ambient_and_span`` and written to the store: the
-    ``build`` of a side whose monomials are nested tuples, which ``json``
-    writes as arrays, read back by ``cls.monomial_from_json``."""
+    ``cls.ambient_and_span`` and written to the store, when the store has a
+    directory (one without keeps nothing, so nothing is encoded for it).
+
+    The ``build`` of a side whose ambient has a payload codec: the side's
+    ``ambient_and_span(pres, n, **fields)`` gives its ambient and the
+    relation span on it, ``comp.ambient_json()`` the payload's list of
+    monomials, and ``cls.ambient_from_json(pres, n, data)`` the ambient
+    back from that list, raising ``ValueError`` on one the side never
+    writes."""
     n = len(labels)
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
@@ -188,17 +201,18 @@ def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore,
         try:
             parts = _decode(cls, pres, payload)
             if parts is not None:
-                monomials, ech, basis_positions, dims = parts
+                ambient, ech, basis_positions, dims = parts
                 # slot degrees are read only now, with every basis position in range
-                comp = cls(pres, labels, monomials, ech, basis_positions, **fields)
+                comp = cls(pres, labels, ambient, ech, basis_positions, **fields)
                 if comp.dims == dims:
                     return comp
         except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError):
             pass  # a damaged payload is a cache miss
-    monomials, span = cls.ambient_and_span(pres, n, **fields)
-    basis_positions, ech = quotient_basis(span, len(monomials))
-    comp = cls(pres, labels, monomials, ech, basis_positions, **fields)
-    store.put(cache_key, {**header, **_encode(comp)})
+    ambient, span = cls.ambient_and_span(pres, n, **fields)
+    basis_positions, ech = quotient_basis(span, span.ncols)
+    comp = cls(pres, labels, ambient, ech, basis_positions, **fields)
+    if store.directory:
+        store.put(cache_key, {**header, **_encode(comp)})
     return comp
 
 
@@ -229,37 +243,58 @@ def _header(cls, pres, n: int, fields: dict) -> dict:
 
 def _encode(comp: QuotientComponent) -> dict:
     return {
-        "monomials": comp.monomials,
-        "pivots": list(comp.reducer.pivots),
-        "rows": [[[col, str(val)] for col, val in sorted(row.items())] for row in comp.reducer.rows],
+        "monomials": comp.ambient_json(),
+        "pivots": comp.reducer.pivots,
+        "rows": [_flat_row(row) for row in comp.reducer.rows],
         "basis": comp.basis_positions,
         "dims": sorted([h, w, d] for (h, w), d in comp.dims.items()),
     }
 
 
+def _flat_row(row: dict) -> list:
+    """An echelon row as one flat list: its columns in increasing order, then
+    their entries, each an int or, when not integral, its "p/q" string."""
+    cols = sorted(row)
+    return cols + [v if type(v) is int else str(v) for v in map(row.__getitem__, cols)]
+
+
+def _row(flat: list) -> dict:
+    """The echelon row of a flat payload list (``_flat_row``); raises
+    unless the list has even length, its columns are strictly increasing
+    ints and its entries ints or "p/q" strings (``_fraction``)."""
+    k, odd = divmod(len(flat), 2)
+    cols, vals = flat[:k], flat[k:]
+    row = dict(zip(cols, vals))
+    if odd or set(map(type, cols)) != {int} or len(row) != k or sorted(cols) != cols:
+        raise ValueError("malformed echelon row")
+    if set(map(type, vals)) == {int}:
+        return row
+    return {col: v if type(v) is int else _fraction(v) for col, v in row.items()}
+
+
+def _fraction(text: str) -> Fraction:
+    """The non-integral rational that its "p/q" string names; raises on
+    anything else (a float, a bool, another spelling)."""
+    value = exact(text)
+    if type(value) is not Fraction or str(value) != text:
+        raise ValueError(f"echelon entry {text!r} is not the string of a non-integral rational")
+    return value
+
+
 def _decode(cls, pres, payload: dict) -> tuple | None:
-    """The payload's monomials, echelon, basis positions and dims, or None
+    """The payload's ambient, echelon, basis positions and dims, or None
     when its echelon and basis break an invariant of a reduced echelon form:
-    such a payload is rebuilt rather than trusted."""
-    monomials = [cls.monomial_from_json(m) for m in payload["monomials"]]
-    pivots = list(payload["pivots"])
-    # a payload holds few distinct entries: parse each once and share it,
-    # an integral one as an int
-    parsed: dict[str, Fraction | int] = {}
-
-    def entry(text: str) -> Fraction | int:
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = exact(text)
-        return value
-
-    rows = [{int(col): entry(val) for col, val in row} for row in payload["rows"]]
-    ech = Echelon(len(monomials), pivots, rows, {p: k for k, p in enumerate(pivots)})
-    basis = list(payload["basis"])
+    such a payload is rebuilt rather than trusted.  Raises on a payload the
+    encoder never writes (see ``_row`` and the side's ``ambient_from_json``)."""
+    data = payload["monomials"]
+    ambient = cls.ambient_from_json(pres, payload["n"], data)
+    pivots, basis = payload["pivots"], payload["basis"]
+    rows = [_row(flat) for flat in payload["rows"]]
+    ech = Echelon(len(data), pivots, rows, {p: k for k, p in enumerate(pivots)})
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
-    if not _consistent(ech, len(monomials), basis):
+    if not _consistent(ech, len(data), basis):
         return None
-    return monomials, ech, basis, dims
+    return ambient, ech, basis, dims
 
 
 def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:

@@ -16,9 +16,9 @@ import sys
 import tempfile
 
 from ramops.cache import ComponentStore
-from ramops.graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, algebra_basis
+from ramops.graphalg import ARNOLD_PRESENTATION, R_PRESENTATION, GraphComponent, algebra_basis
 from ramops.labels import standard_labels
-from ramops.quotient import ENGINE_FORMAT
+from ramops.quotient import ENGINE_FORMAT, clear_memos
 
 BUILDS = (
     (R_PRESENTATION, "forest", 5),
@@ -50,6 +50,29 @@ def test_payload_bytes_match_the_golden_of_the_engine_format(tmp_path):
         "payload bytes changed: if that is meant, bump ENGINE_FORMAT and "
         "regenerate the golden (see this module's docstring)"
     )
+
+
+def test_every_payload_decodes_to_its_cold_build(tmp_path, monkeypatch):
+    payload_digests(str(tmp_path))
+    clear_memos()
+    cold_store = ComponentStore()
+    cold = {
+        (pres, mode, n): algebra_basis(pres, standard_labels(n), mode, cold_store)
+        for pres, mode, top in BUILDS
+        for n in range(1, top + 1)
+    }
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a stored component must be decoded, not built")
+
+    monkeypatch.setattr(GraphComponent, "ambient_and_span", no_build)
+    store = ComponentStore(str(tmp_path))
+    for (pres, mode, n), built in cold.items():
+        loaded = algebra_basis(pres, standard_labels(n), mode, store)
+        assert loaded.monomials == built.monomials and loaded.masks == built.masks
+        assert loaded.reducer.pivots == built.reducer.pivots and loaded.reducer.rows == built.reducer.rows
+        assert loaded.basis_positions == built.basis_positions and loaded.basis == built.basis
+        assert loaded.dims == built.dims
 
 
 if __name__ == "__main__":

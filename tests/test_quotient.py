@@ -81,7 +81,7 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
     for labels, built in cold.items():
         loaded = get(labels, store)
         assert loaded is not built
-        assert loaded.monomials == built.monomials
+        assert loaded.monomials == built.monomials and loaded.masks == built.masks
         assert loaded.basis == built.basis
         assert loaded.reducer.pivots == built.reducer.pivots
         assert loaded.reducer.rows == built.reducer.rows
@@ -386,18 +386,29 @@ def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch
     assert current.monomials == other.monomials and current.reducer.rows == other.reducer.rows
 
 
+# Payload layout (``quotient._encode``): a row is one flat list, its columns
+# in increasing order and then its entries, and a monomial is its colored
+# mask.  The operad side applies each corruption to the old operad layout
+# of ``_parent_payload``, which must not be read either way, so the
+# corruptions edit by index only.
+
+
 def _drop_rows(payload):
     del payload["rows"]
 
 
 def _scale_a_pivot_entry(payload):
-    row = next(r for r in payload["rows"] if len(r) > 1)
-    row[0][1] = "2"  # the leading 1 of the row
+    row = next(r for r in payload["rows"] if len(r) > 2)
+    row[len(row) // 2] = 2  # the leading 1 of the row
 
 
 def _fill_a_pivot_column(payload):
-    # an entry of the first row in the second pivot's column
-    payload["rows"][0].append([payload["pivots"][1], "1/3"])
+    # an entry of the first row in the second pivot's column, past the
+    # row's last column (on R(3) the first row ends before that pivot)
+    row = payload["rows"][0]
+    at = len(row) // 2
+    row[at:at] = [payload["pivots"][1]]
+    row.append("1/3")
 
 
 def _shift_the_basis(payload):
@@ -409,12 +420,56 @@ def _bump_a_dim(payload):
 
 
 def _truncate_a_monomial(payload):
-    # the first innermost list of a monomial loses its last entry: a tree
-    # ["L", 1, ["L", 2]] on the operad side, an edge [1] on the graph side
-    node = next(m for m in payload["monomials"] if any(isinstance(x, list) and x for x in m))
-    while (child := next((x for x in node if isinstance(x, list) and x), None)) is not None:
-        node = child
-    node.pop()
+    # the last mask gains a letter past the two colors' pairs of R, which
+    # its monomial, read one color's pairs at a time, would not show (the
+    # old operad layout holds a tree there, which the mask replaces)
+    n = payload["n"]
+    last = payload["monomials"][-1]
+    payload["monomials"][-1] = (last if isinstance(last, int) else 0) | 1 << n * (n - 1)
+
+
+def _odd_length_row(payload):
+    # an entry past the row's last, which pairing columns with entries drops
+    payload["rows"][0].append(1)
+
+
+def _repeat_a_column(payload):
+    # the last column of the row repeats the one before it, so a dict of
+    # the row keeps a single entry there
+    row = payload["rows"][0]
+    k = len(row) // 2
+    row[k - 1] = row[k - 2]
+
+
+def _swap_two_columns(payload):
+    # two columns trade places with their entries: the same row, out of order
+    row = payload["rows"][0]
+    k = len(row) // 2
+    row[1], row[2], row[k + 1], row[k + 2] = row[2], row[1], row[k + 2], row[k + 1]
+
+
+def _float_column(payload):
+    # equal to the pivot, so only its type tells it apart
+    payload["rows"][0][0] = payload["pivots"][0] * 1.0
+
+
+def _float_entry(payload):
+    payload["rows"][0][-1] = 1.5
+
+
+def _true_leading_entry(payload):
+    # JSON true equals 1, so only the entry's type tells it apart
+    row = payload["rows"][0]
+    row[len(row) // 2] = True
+
+
+def _integral_entry_as_text(payload):
+    row = payload["rows"][0]
+    row[len(row) // 2] = "1"
+
+
+def _repeat_a_mask(payload):
+    payload["monomials"][-1] = payload["monomials"][-2]
 
 
 CORRUPTIONS = (
@@ -424,6 +479,14 @@ CORRUPTIONS = (
     _shift_the_basis,
     _bump_a_dim,
     _truncate_a_monomial,
+    _odd_length_row,
+    _repeat_a_column,
+    _swap_two_columns,
+    _float_column,
+    _float_entry,
+    _true_leading_entry,
+    _integral_entry_as_text,
+    _repeat_a_mask,
 )
 
 
@@ -573,12 +636,14 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     original = path.read_bytes()
     payload = json.loads(original)
     pivots = set(payload["pivots"])
-    row = next(r for r in payload["rows"] if any(col not in pivots for col, _ in r))
-    col, val = next((col, val) for col, val in row if col not in pivots)
-    assert val != "7/5"
+    row = next(r for r in payload["rows"] if any(col not in pivots for col in r[: len(r) // 2]))
+    k = len(row) // 2
+    # the entry of the row's first non-pivot column, an int
+    entry = k + next(i for i, col in enumerate(row[:k]) if col not in pivots)
+    assert type(row[entry]) is int
     rows_at = original.index(b'"rows":')
-    old = json.dumps([col, val], separators=(",", ":")).encode()
-    new = json.dumps([col, "7/5"], separators=(",", ":")).encode()
+    old = json.dumps(row, separators=(",", ":")).encode()
+    new = json.dumps(row[:entry] + ["7/5"] + row[entry + 1 :], separators=(",", ":")).encode()
     at = original.index(old, rows_at)
     edited = original[:at] + new + original[at + len(old) :]
     path.write_bytes(edited)
@@ -603,6 +668,43 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     for m in built.monomials:
         expected = built.normal_form(built.monomial_element(m))
         assert rebuilt.normal_form(rebuilt.monomial_element(m)) == expected
+
+
+def test_echelon_with_a_fraction_round_trips_through_a_payload(tmp_path, monkeypatch):
+    # every coefficient met so far is integral; a payload must still carry a
+    # non-integral entry exactly, as its "p/q" string, and read it back
+    clear_memos()
+    built = _forest((1, 2, 3), ComponentStore())
+    ech = built.reducer
+    rows = [dict(row) for row in ech.rows]
+    row = next(r for r in rows if any(col not in ech._pivot_pos for col in r))
+    row[max(row)] = Fraction(-7, 5)
+    fields = {"mode": "forest"}
+    edited = GraphComponent(
+        R_PRESENTATION,
+        built.labels,
+        (built.monomials, built.masks),
+        linalg.Echelon(ech.ncols, ech.pivots, rows, ech._pivot_pos),
+        built.basis_positions,
+        **fields,
+    )
+    store = ComponentStore(str(tmp_path))
+    header = quotient._header(GraphComponent, R_PRESENTATION, 3, fields)
+    store.put(f"{quotient._prefix(GraphComponent, R_PRESENTATION, fields)}-n3", {**header, **quotient._encode(edited)})
+    (name,) = os.listdir(tmp_path)
+    assert b'"-7/5"' in (tmp_path / name).read_bytes()
+
+    clear_memos()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a stored component must be loaded, not built")
+
+    monkeypatch.setattr(GraphComponent, "ambient_and_span", no_build)
+    loaded = _forest((1, 2, 3), store)
+    assert loaded.reducer.pivots == ech.pivots and loaded.reducer.rows == rows
+    assert [v for r in loaded.reducer.rows for v in r.values() if type(v) is not int] == [Fraction(-7, 5)]
+    assert loaded.monomials == built.monomials and loaded.masks == built.masks
+    assert loaded.basis == built.basis and loaded.dims == built.dims
 
 
 @pytest.mark.parametrize("name", ("liegriess", "ram"))

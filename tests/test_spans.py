@@ -26,6 +26,7 @@ from ramops.graphalg import (
     AlgebraElement,
     GraphComponent,
     _span_matrix,
+    colored_masks,
     enumerate_graph_monomials,
     multiply,
     relation_instances,
@@ -94,7 +95,7 @@ def test_pruned_span_matches_unpruned(name, mode, n):
     pres = GRAPH_PRESENTATIONS[name]
     labels = standard_labels(n)
     monomials = enumerate_graph_monomials(pres, labels, mode)
-    pruned = _span_matrix(pres, labels, mode, monomials)
+    pruned = _span_matrix(pres, labels, mode, colored_masks(labels, monomials))
     assert pruned.rows == unpruned_span_matrix(pres, labels, mode, monomials).rows
 
 
@@ -103,7 +104,7 @@ def test_pruned_span_matches_unpruned_for_chosen_families(mode):
     labels = standard_labels(4)
     monomials = enumerate_graph_monomials(R_PRESENTATION, labels, mode)
     families = tuple(f for f in R_PRESENTATION.families if f not in ("bab_sum", "bbb_sum"))
-    pruned = _span_matrix(R_PRESENTATION, labels, mode, monomials, families)
+    pruned = _span_matrix(R_PRESENTATION, labels, mode, colored_masks(labels, monomials), families)
     reference = unpruned_span_matrix(R_PRESENTATION, labels, mode, monomials, families)
     assert pruned.rows and pruned.rows == reference.rows
 
@@ -119,7 +120,7 @@ def test_bitmask_span_matches_product_oracle_at_five(name, mode, families):
     pres = GRAPH_PRESENTATIONS[name]
     labels = standard_labels(5)
     monomials = enumerate_graph_monomials(pres, labels, mode)
-    rows = _span_matrix(pres, labels, mode, monomials, families).rows
+    rows = _span_matrix(pres, labels, mode, colored_masks(labels, monomials), families).rows
     reference = product_span_matrix(pres, labels, mode, monomials, families).rows
     assert rows and rows == reference
     # the same entries in the same order, not only equal dicts
@@ -145,7 +146,7 @@ def test_bitmask_span_with_a_wrong_koszul_parity_differs_from_oracle(name, mode,
     monomials = enumerate_graph_monomials(pres, labels, mode)
     reference = product_span_matrix(pres, labels, mode, monomials).rows
     monkeypatch.setattr(graphalg, "_koszul_mask", KOSZUL_FAULTS[fault])
-    assert _span_matrix(pres, labels, mode, monomials).rows != reference
+    assert _span_matrix(pres, labels, mode, colored_masks(labels, monomials)).rows != reference
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_PRESENTATIONS))
@@ -162,7 +163,7 @@ def test_full_span_raises_on_a_product_missing_from_the_ambient(name, missing):
         _, rel = relation_instances(pres, labels, "full")[0]
         monomials.remove(next(iter(rel.terms)))
     with pytest.raises(ValueError, match="missing from the full ambient"):
-        _span_matrix(pres, labels, "full", monomials)
+        _span_matrix(pres, labels, "full", colored_masks(labels, monomials))
 
 
 def certificate(name, n):
