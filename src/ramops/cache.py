@@ -14,9 +14,10 @@ memos are cleared.
 A payload file is one JSON object whose first member is the SHA-256 of the
 rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
 written (``put`` writes the body after the head without copying it).
-``get`` hashes those bytes as read, before decoding them, and
-treats a mismatch as a miss: an edit that leaves the payload well-formed,
-such as a changed coefficient, is rebuilt rather than trusted.
+``get`` hashes those bytes where they were read, before decoding the
+file, and treats a mismatch as a miss: an edit that leaves the payload
+well-formed, such as a changed coefficient, is rebuilt rather than
+trusted.  The file decodes to the payload and its ``sha256`` member.
 
 ``info`` and ``clear`` act on the store's own files only: payload files
 that start with the checksum head, and the temporaries of writers,
@@ -38,14 +39,16 @@ _HEAD = b'{"sha256":"'
 _DIGEST_END = len(_HEAD) + 64  # hex digits
 
 
-def _checked_body(data: bytes) -> bytes | None:
-    """The payload bytes of a stored file, None unless its checksum holds."""
+def _checked_text(data: bytes) -> str | None:
+    """The text of a stored file, None unless its checksum holds; raises
+    ``ValueError`` unless the file is UTF-8."""
     if not data.startswith(_HEAD) or data[_DIGEST_END : _DIGEST_END + 2] != b'",':
         return None
-    body = b"{" + data[_DIGEST_END + 2 :]
-    if hashlib.sha256(body).hexdigest().encode() != data[len(_HEAD) : _DIGEST_END]:
+    digest = hashlib.sha256(b"{")
+    digest.update(memoryview(data)[_DIGEST_END + 2 :])
+    if digest.hexdigest().encode() != data[len(_HEAD) : _DIGEST_END]:
         return None
-    return body
+    return data.decode("utf-8")
 
 
 def _has_head(path: str) -> bool:
@@ -83,10 +86,11 @@ class ComponentStore:
             return None
         try:
             with open(self._path(key), "rb") as fh:
-                body = _checked_body(fh.read())
-            if body is None:
+                text = _checked_text(fh.read())
+            if text is None:
                 return None
-            payload = json.loads(body)
+            payload = json.loads(text)
+            del payload["sha256"]
         except (OSError, ValueError):
             return None
         if payload.get("schema_version") != SCHEMA_VERSION:

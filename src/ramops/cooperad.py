@@ -30,10 +30,10 @@ of the odd left letters, counted by ``popcount``.  Right letters keep their
 order, since J is renumbered in order.  The row is zero when two left
 letters share a pair (a double edge), or when the left or the right mask is
 missing from its forest ambient (a cycle).  Otherwise the masks name an
-ambient position on each side, through the side component's
-``mask_index``, and the row is the product of the two positions' slot
-expansions.  The word-by-word split that this reads in bits is kept as the
-test oracle (``tests/cooperad_oracle.raw_theta``).
+ambient position on each side, through the side component's ``index``,
+and the row is the product of the two positions' slot expansions.  The
+word-by-word split that this reads in bits is kept as the test oracle
+(``tests/cooperad_oracle.raw_theta``).
 
 One row serves every label set with the same pattern, exactly: the table
 depends on the pattern alone, and a component transports with no sign,
@@ -41,8 +41,9 @@ position i, basis slot s and their masks naming the same monomial on every
 label set of a size (see ``quotient``).  ``row_at`` keeps a row on first
 use, on whichever label set asks, and is the only writer of the row cache.
 ``theta`` never reduces its input first, so that ``theta_relation_kill``
-sees the relation itself; a monomial outside the forest ambient (a
-full-mode cycle) is encoded on the union's labels and split through the
+sees the relation itself.  It encodes each term once, with the union
+component's ``encode``: a mask with a position reads the row there, and
+one outside the forest ambient (a full-mode cycle) is split through the
 same table, without being stored.  ``dual_compose`` in ``dual`` reads the
 transpose of the basis rows (``Cocomposition.transposed``: per left slot
 and right slot, the union slots and coefficients), built once per pattern
@@ -73,9 +74,7 @@ from .graphalg import (
     AlgebraElement,
     GraphComponent,
     GraphPresentation,
-    MonomialKey,
     algebra_basis,
-    mask_encoder,
     monomial_str,
     relation_instances,
 )
@@ -136,10 +135,7 @@ class Cocomposition:
     """The split I | J, place-holder on the I side, on concrete labels: its
     three forest components and the record its pattern shares."""
 
-    __slots__ = (
-        "union", "left", "right", "rows", "by_left",
-        "bits", "encode", "union_masks", "left_positions", "right_positions",
-    )
+    __slots__ = ("union", "left", "right", "rows", "by_left", "bits")
 
     def __init__(
         self, pres: GraphPresentation, I: tuple, J: tuple, place: Atom, store: ComponentStore
@@ -155,18 +151,14 @@ class Cocomposition:
         key = (pres.hash, pattern)
         record = tables.get(key)
         if record is None:
-            record = tables[key] = (_split_table(pres, pattern), [None] * len(self.union.monomials), [])
+            record = tables[key] = (_split_table(pres, pattern), [None] * len(self.union.masks), [])
         self.bits, self.rows, self.by_left = record
-        self.encode = mask_encoder(self.union.labels)
-        self.union_masks = self.union.mask_index()[0]
-        self.left_positions = self.left.mask_index()[1]
-        self.right_positions = self.right.mask_index()[1]
 
     def row_at(self, i: int) -> tuple:
         """Row of the ambient monomial at position i, computed on first use."""
         row = self.rows[i]
         if row is None:
-            row = self.rows[i] = self._row(self.union_masks[i])
+            row = self.rows[i] = self._row(self.union.masks[i])
         return row
 
     def transposed(self) -> list[dict[int, list]]:
@@ -177,15 +169,11 @@ class Cocomposition:
         by_left = self.by_left
         if not by_left:  # a left component holds at least the unit
             by_left.extend({} for _ in range(self.left.dim))
-            masks = self.union_masks
+            masks = self.union.masks
             for x, pos in enumerate(self.union.basis_positions):
                 for ls, rs, c in self._row(masks[pos]):
                     by_left[ls].setdefault(rs, []).append((x, c))
         return by_left
-
-    def normalised(self, m: MonomialKey) -> tuple:
-        """(left slot, right slot, coefficient) triples of theta(m), reduced."""
-        return self._row(self.encode(m)[0])
 
     def _row(self, mask: int) -> tuple:
         """The normalised row of the union monomial with the colored mask,
@@ -211,8 +199,8 @@ class Cocomposition:
                     # letters so far with a greater target bit
                     neg ^= odd_right ^ ((odd_left & -bit).bit_count() & 1)
                     odd_left |= bit
-        lpos = self.left_positions.get(left)
-        rpos = self.right_positions.get(right)
+        lpos = self.left.index.get(left)
+        rpos = self.right.index.get(right)
         if lpos is None or rpos is None:
             return ()  # a cycle
         right_pairs = self.right.expansion_at(rpos)
@@ -255,8 +243,9 @@ def theta(
         raise ValueError("element labels must be exactly I + J")
     by_slot: dict = {}
     for m, coeff in x.terms.items():
-        i = union.position(m)
-        row = cocomp.normalised(m) if i is None else cocomp.row_at(i)
+        mask = union.encode(m)
+        i = union.index.get(mask)
+        row = cocomp._row(mask) if i is None else cocomp.row_at(i)
         for ls, rs, c in row:
             bump(by_slot, (ls, rs), c if coeff == 1 else coeff * c)
     basis_left, basis_right = left.basis, right.basis

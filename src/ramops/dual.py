@@ -32,6 +32,7 @@ from .graphalg import (
     R_PRESENTATION,
     algebra_basis,
     monomial_from_word,
+    monomial_str,
     multiply,
     unit_monomial,
 )
@@ -87,8 +88,6 @@ class LinearForm:
         return hash((self.component.labels, frozenset(self.coords.items())))
 
     def __repr__(self) -> str:
-        from .graphalg import monomial_str
-
         if not self.coords:
             return "0"
         return " + ".join(

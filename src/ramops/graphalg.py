@@ -467,45 +467,55 @@ def _relation_instances(
 
 class GraphComponent(QuotientComponent):
     """Quotient of the monomial span by all relation instances, on one vertex
-    set: ``monomials[i]`` is ambient monomial i and ``masks[i]`` its colored
-    mask (``mask_encoder``), the two given together as the ambient;
-    ``basis_positions`` lists the basis positions in slot order, and
-    ``reducer``, the ``Echelon`` of the payload, reduces a vector on the
-    positions onto them.  The ambient, its index, the echelon and the
-    tables read from them (the expansions, ``mask_index`` and
-    ``differentials``, each built on first use) are on {1..n}, and shared
-    by every relabeled component.  A payload stores the ambient as its
-    masks (``ambient_json``, ``ambient_from_json``)."""
+    set.  An ambient monomial is named by its colored mask alone: ``masks[i]``
+    is that of ambient monomial i and ``index`` maps it back to i, both on
+    {1..n} and shared by every relabeled component, as are the echelon
+    ``reducer`` and the tables read from it (expansions, ``differentials``).
+    ``basis_positions`` lists the basis positions in slot order.  ``encode``
+    is the ``mask_encoder`` of the component's labels, which gives a
+    monomial its mask on {1..n}, so a lookup maps nothing back.
+    ``monomials`` decodes the masks on each call; a payload stores them."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
 
     def __init__(
-        self, pres: GraphPresentation, labels: tuple[Atom, ...], ambient, reducer, basis_positions, mode: str
+        self, pres: GraphPresentation, labels: tuple[Atom, ...], masks: list[int], reducer, basis_positions, mode: str
     ):
         self.mode = mode
-        monomials, self.masks = ambient
-        self.monomials = monomials
+        self.masks = masks
+        self.index = {c: i for i, c in enumerate(masks)}
+        self.encode = mask_encoder(labels)
         self.reducer = reducer
         self.basis_positions = basis_positions
-        self._index = {m: i for i, m in enumerate(monomials)}
         self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
         self._expansions: dict[int, tuple] = {}
-        self._mask_index: list = []
         self._differentials: dict[str, list[tuple]] = {}
-        degrees = [monomial_bidegree(monomials[i], pres) for i in basis_positions]
-        super().__init__(pres, labels, [monomials[i] for i in basis_positions], degrees)
+        basis = monomials_of_masks(pres, labels, [masks[i] for i in basis_positions])
+        super().__init__(pres, labels, basis, [monomial_bidegree(b, pres) for b in basis])
+
+    @property
+    def monomials(self) -> list[MonomialKey]:
+        """The ambient monomials on the component's labels, in position
+        order, decoded from the masks on each call."""
+        return monomials_of_masks(self.pres, self.labels, self.masks)
+
+    def relabeled(self, labels: tuple[Atom, ...]) -> "GraphComponent":
+        """The shared copy, with the encoder of its own labels."""
+        comp = super().relabeled(labels)
+        comp.encode = mask_encoder(labels)
+        return comp
 
     def position(self, m: MonomialKey) -> int | None:
         """Position of m among the ambient monomials, None outside the ambient."""
-        return self._index.get(self._on_reference(m))
+        return self.index.get(self.encode(m))
 
     def slot(self, m: MonomialKey) -> int:
-        return self._slot_of[self._index[self._on_reference(m)]]
+        return self._slot_of[self.index[self.encode(m)]]
 
     def slot_expansion(self, m: MonomialKey) -> tuple:
-        return self.expansion_at(self._index[self._on_reference(m)])
+        return self.expansion_at(self.index[self.encode(m)])
 
     def expansion_at(self, i: int) -> tuple:
         """``slot_expansion`` of the ambient monomial at position i, kept
@@ -516,13 +526,6 @@ class GraphComponent(QuotientComponent):
             slot_of = self._slot_of
             pairs = self._expansions[i] = tuple((slot_of[j], reduced[j]) for j in sorted(reduced))
         return pairs
-
-    def mask_index(self) -> list:
-        """The colored masks of the ambient monomials on {1..n}, by position
-        and inverted: [masks, {mask: position}]."""
-        if not self._mask_index:
-            self._mask_index += self.masks, {c: i for i, c in enumerate(self.masks)}
-        return self._mask_index
 
     def differentials(self, which: str) -> list[tuple]:
         """For each basis slot, d of its basis monomial as (position,
@@ -548,38 +551,26 @@ class GraphComponent(QuotientComponent):
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.labels, self.pres, terms)
 
-    def ambient_json(self) -> list[int]:
-        return self.masks
-
     @staticmethod
-    def ambient_from_json(pres: GraphPresentation, n: int, data: list) -> tuple[list[MonomialKey], list[int]]:
-        """The ambient of a payload's masks on {1..n}: the monomial of each,
-        its edges of color ci the pairs p of its bits ci * P + p in
-        increasing order, and the masks.  Raises ``ValueError`` unless the
-        masks are distinct ints naming no letter beyond the colors' P pairs."""
-        pairs = list(combinations(standard_labels(n), 2))
-        npairs = len(pairs)
+    def ambient_from_json(pres: GraphPresentation, n: int, data: list) -> list[int]:
+        """The masks of a payload, as they are.  Raises ``ValueError`` unless
+        they are distinct ints naming no letter beyond the colors' P pairs."""
         if set(map(type, data)) - {int} or len(set(data)) != len(data):
             raise ValueError("masks must be distinct ints")
-        if min(data) < 0 or max(data) >> (len(pres.colors) * npairs):
+        if min(data) < 0 or max(data) >> (len(pres.colors) * n * (n - 1) // 2):
             raise ValueError("a mask names a letter beyond the colors' pairs")
-        every_pair = (1 << npairs) - 1
-        by_color = [[m >> ci * npairs & every_pair for m in data] for ci in range(len(pres.colors))]
-        edges_of = {c: tuple(pairs[p] for p in range(npairs) if c >> p & 1) for c in set().union(*by_color)}
-        return list(zip(*(map(edges_of.__getitem__, chunks) for chunks in by_color))), data
+        return data
 
     # the component on {1..n}: decoded from the store's payload, else
     # eliminated from the relation span and written to the store
     build = classmethod(payload_component)
 
     @classmethod
-    def ambient_and_span(
-        cls, pres: GraphPresentation, n: int, mode: str
-    ) -> tuple[tuple[list[MonomialKey], list[int]], SparseMatrix]:
+    def ambient_and_span(cls, pres: GraphPresentation, n: int, mode: str) -> tuple[list[int], SparseMatrix]:
+        """The ambient masks on {1..n}, its monomials let go, and the span."""
         labels = standard_labels(n)
-        monomials = enumerate_graph_monomials(pres, labels, mode)
-        masks = colored_masks(labels, monomials)
-        return (monomials, masks), _span_matrix(pres, labels, mode, masks)
+        masks = colored_masks(labels, enumerate_graph_monomials(pres, labels, mode))
+        return masks, _span_matrix(pres, labels, mode, masks)
 
 
 def algebra_basis(
@@ -609,33 +600,43 @@ def _koszul_mask(odd_bits: int) -> int:
     return mask
 
 
-def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], tuple[int, int]]:
+def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], int]:
     """The bit encoding of monomials on the label set, as a function of a
-    canonical monomial to its colored mask and its color-blind edge mask.
+    canonical monomial to its colored mask.
 
     The vertex pairs are numbered p in the order of ``combinations(labels,
     2)``, and the letter of color ci on pair p is bit ci * P + p (P pairs),
-    so bit order is the letter order (color, edge) of the Koszul signs.
+    so bit order is the letter order (color, edge) of the Koszul signs.  An
+    order-preserving relabeling keeps the pair numbers, and so the masks.
     """
     pair_index = {e: p for p, e in enumerate(combinations(labels, 2))}
     npairs = len(pair_index)
 
-    def masks(m: MonomialKey) -> tuple[int, int]:
-        colored = edges = 0
+    def mask(m: MonomialKey) -> int:
+        colored = 0
         for ci, es in enumerate(m):
             for e in es:
-                p = pair_index[e]
-                colored |= 1 << (ci * npairs + p)
-                edges |= 1 << p
-        return colored, edges
+                colored |= 1 << (ci * npairs + pair_index[e])
+        return colored
 
-    return masks
+    return mask
 
 
 def colored_masks(labels: tuple[Atom, ...], monomials: Iterable[MonomialKey]) -> list[int]:
     """The colored mask (``mask_encoder``) of each monomial on the label set."""
-    encode = mask_encoder(labels)
-    return [encode(m)[0] for m in monomials]
+    return list(map(mask_encoder(labels), monomials))
+
+
+def monomials_of_masks(pres: GraphPresentation, labels: tuple[Atom, ...], masks: list[int]) -> list[MonomialKey]:
+    """The canonical monomial of each colored mask (``mask_encoder``) on the
+    label set: its edges of color ci are the pairs p of its bits ci * P + p,
+    in increasing order."""
+    pairs = list(combinations(labels, 2))
+    npairs = len(pairs)
+    every_pair = (1 << npairs) - 1
+    by_color = [[m >> ci * npairs & every_pair for m in masks] for ci in range(len(pres.colors))]
+    edges_of = {c: tuple(pairs[p] for p in range(npairs) if c >> p & 1) for c in set().union(*by_color)}
+    return list(zip(*(map(edges_of.__getitem__, chunks) for chunks in by_color)))
 
 
 def _span_matrix(
@@ -674,12 +675,14 @@ def _span_matrix(
     for ci, shift in enumerate(shifts):
         if pres.is_odd(ci):
             odd |= every_pair << shift
-    encoded = []
-    for colored in masks:
+
+    def with_edges(colored: int) -> tuple[int, int]:
         edges = 0
         for shift in shifts:
             edges |= colored >> shift & every_pair
-        encoded.append((colored, edges))
+        return colored, edges
+
+    encoded = list(map(with_edges, masks))
     by_mask = {colored: i for i, colored in enumerate(masks)}
     forest = mode == "forest"
     forest_edges = len(labels) - 1
@@ -688,7 +691,7 @@ def _span_matrix(
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = []
         for k, c in rel.terms.items():
-            colored, edges = encode(k)
+            colored, edges = with_edges(encode(k))
             terms.append((colored, edges, _koszul_mask(colored & odd), c, -c))
         spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
         for mult, mult_edges in encoded:
@@ -717,8 +720,8 @@ def ideal_rank_breakdown(
 ) -> dict:
     """Ideal span ranks with and without the two 12-term families.
 
-    The rank with every family is that of the component's echelon, and its
-    ambient the component's monomials, both read from ``algebra_basis``;
+    The rank with every family is that of the component's echelon, and the
+    ambient its masks, both read from ``algebra_basis``;
     only the span without the two families is built, on {1..n}.
     Informational: whether those families follow from the others at small
     sizes is not settled, so both ranks are reported side by side.
@@ -730,7 +733,7 @@ def ideal_rank_breakdown(
     return {
         "n": len(comp.labels),
         "mode": mode,
-        "ambient": len(comp.monomials),
+        "ambient": len(comp.masks),
         "rank_all_families": full,
         "rank_without_12term": without,
         "twelve_term_raise_rank": full > without,

@@ -10,12 +10,14 @@ with no ambient, payload or store (``operad``).  On both sides the
 component on another label set of the size is the standard one
 ``relabeled`` along the order-preserving bijection: its own labels and
 basis, moved by the side's ``transport``, and the map of its labels back
-onto {1..n} (``_back``), which every lookup takes; so the ambient, its
-index, the normal form and its memos exist once, on {1..n}.  Both
-canonical forms compare atoms only through ``atom_key``, which that
-bijection respects, so a transported monomial is canonical as it is, with
-sign +1: transport is the plain map of the labels, and basis slot ``s``
-means the same basis monomial on every label set of the size.
+onto {1..n} (``_back``), which operad lookups take (an algebra lookup
+reads the monomial's colored mask, the same on every label set of the
+size); so the ambient, its index, the normal form and its memos exist
+once, on {1..n}.  Both canonical forms compare atoms only through
+``atom_key``, which that bijection respects, so a transported monomial is
+canonical as it is, with sign +1: transport is the plain map of the
+labels, and basis slot ``s`` means the same basis monomial on every label
+set of the size.
 
 A side supplies what differs (see ``QuotientComponent``), its basis
 expansions memoised once on {1..n}.  This module owns the rest: the
@@ -34,8 +36,8 @@ all of them.  Cache keys carry ``ENGINE_FORMAT``: a change to canonical
 forms, monomial order or payload layout bumps it, and payloads written
 under another format are then rebuilt, never read.
 
-A payload (format 2) holds the side's ambient as ``monomials`` (the
-algebra side writes each monomial's colored mask), the echelon as
+A payload (format 2) holds the side's ambient as ``monomials``, the
+colored masks ``comp.masks`` of the algebra side, the echelon as
 ``pivots`` and ``rows``, each row one flat list of its columns in
 increasing order and then its entries (an int, or the "p/q" string of a
 non-integral rational), the ``basis`` positions and the ``dims``.  A
@@ -64,10 +66,10 @@ class QuotientComponent:
     name the variant), from its basis monomials in slot order and their
     bidegrees.  ``relabeled`` gives it another label set of the size: a
     copy with its own labels and basis, moved by the side's ``transport(m,
-    phi)``, that maps a monomial back through ``_back`` on lookup.  A side
-    also supplies ``element(terms)``, ``slot(m)`` of a basis monomial and
+    phi)``, and ``_back``, the map of its labels onto {1..n}.  A side also
+    supplies ``element(terms)``, ``slot(m)`` of a basis monomial and
     ``slot_expansion(m)``, the (slot, coefficient) pairs of a monomial in
-    slot order, both read at ``_on_reference(m)``.
+    slot order; the operad side reads both at ``_on_reference(m)``.
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
     order and ``dims`` counts them.
@@ -186,12 +188,10 @@ def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore,
     ``cls.ambient_and_span`` and written to the store, when the store has a
     directory (one without keeps nothing, so nothing is encoded for it).
 
-    The ``build`` of a side whose ambient has a payload codec: the side's
-    ``ambient_and_span(pres, n, **fields)`` gives its ambient and the
-    relation span on it, ``comp.ambient_json()`` the payload's list of
-    monomials, and ``cls.ambient_from_json(pres, n, data)`` the ambient
-    back from that list, raising ``ValueError`` on one the side never
-    writes."""
+    The ``build`` of a side whose ambient is its masks: the side's
+    ``ambient_and_span(pres, n, **fields)`` gives them and the relation
+    span on them, and ``cls.ambient_from_json(pres, n, data)`` checks the
+    payload's list, raising ``ValueError`` on one the side never writes."""
     n = len(labels)
     cache_key = f"{prefix}-n{n}"
     payload = store.get(cache_key)
@@ -201,16 +201,16 @@ def payload_component(cls, pres, labels: tuple[int, ...], store: ComponentStore,
         try:
             parts = _decode(cls, pres, payload)
             if parts is not None:
-                ambient, ech, basis_positions, dims = parts
+                masks, ech, basis_positions, dims = parts
                 # slot degrees are read only now, with every basis position in range
-                comp = cls(pres, labels, ambient, ech, basis_positions, **fields)
+                comp = cls(pres, labels, masks, ech, basis_positions, **fields)
                 if comp.dims == dims:
                     return comp
         except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError):
             pass  # a damaged payload is a cache miss
-    ambient, span = cls.ambient_and_span(pres, n, **fields)
+    masks, span = cls.ambient_and_span(pres, n, **fields)
     basis_positions, ech = quotient_basis(span, span.ncols)
-    comp = cls(pres, labels, ambient, ech, basis_positions, **fields)
+    comp = cls(pres, labels, masks, ech, basis_positions, **fields)
     if store.directory:
         store.put(cache_key, {**header, **_encode(comp)})
     return comp
@@ -221,6 +221,7 @@ def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
 
     Pivots strictly increase, each row has a leading 1 at its pivot and no
     entry in another pivot column, and the basis is the set of non-pivots.
+    A row's first column is its least and its last its greatest (``_row``).
     """
     pivots = ech.pivots
     if len(ech.rows) != len(pivots) or any(a >= b for a, b in zip(pivots, pivots[1:])):
@@ -229,7 +230,7 @@ def _consistent(ech: Echelon, ncols: int, basis_positions: list[int]) -> bool:
         return False
     pivot_set = ech._pivot_pos.keys()
     for p, row in zip(pivots, ech.rows):
-        if row.get(p) != 1 or min(row) != p or max(row) >= ncols:
+        if row.get(p) != 1 or next(iter(row)) != p or next(reversed(row)) >= ncols:
             return False
         if len(pivot_set & row.keys()) != 1:  # p is the row's only pivot column
             return False
@@ -243,7 +244,7 @@ def _header(cls, pres, n: int, fields: dict) -> dict:
 
 def _encode(comp: QuotientComponent) -> dict:
     return {
-        "monomials": comp.ambient_json(),
+        "monomials": comp.masks,
         "pivots": comp.reducer.pivots,
         "rows": [_flat_row(row) for row in comp.reducer.rows],
         "basis": comp.basis_positions,
@@ -282,19 +283,18 @@ def _fraction(text: str) -> Fraction:
 
 
 def _decode(cls, pres, payload: dict) -> tuple | None:
-    """The payload's ambient, echelon, basis positions and dims, or None
+    """The payload's masks, echelon, basis positions and dims, or None
     when its echelon and basis break an invariant of a reduced echelon form:
     such a payload is rebuilt rather than trusted.  Raises on a payload the
     encoder never writes (see ``_row`` and the side's ``ambient_from_json``)."""
-    data = payload["monomials"]
-    ambient = cls.ambient_from_json(pres, payload["n"], data)
+    masks = cls.ambient_from_json(pres, payload["n"], payload["monomials"])
     pivots, basis = payload["pivots"], payload["basis"]
     rows = [_row(flat) for flat in payload["rows"]]
-    ech = Echelon(len(data), pivots, rows, {p: k for k, p in enumerate(pivots)})
+    ech = Echelon(len(masks), pivots, rows, {p: k for k, p in enumerate(pivots)})
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
-    if not _consistent(ech, len(data), basis):
+    if not _consistent(ech, len(masks), basis):
         return None
-    return ambient, ech, basis, dims
+    return masks, ech, basis, dims
 
 
 def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:

@@ -225,9 +225,10 @@ def test_theta_splits_its_input_unreduced():
 
 
 def _check_rows(pres, labels, place, full=False):
-    """Every row of every ordered 2-split equals the raw split's, expanded
-    on both factors, entry for entry: on the forest ambient, or on the full
-    monomials outside it."""
+    """theta of every monomial along every ordered 2-split equals the raw
+    split's, expanded on both factors, term for term and in order: on the
+    forest ambient (read from the row cache), or on the full monomials
+    outside it (split unstored)."""
     store = default_store()
     monomials = enumerate_graph_monomials(pres, labels, "forest")
     if full:
@@ -240,13 +241,14 @@ def _check_rows(pres, labels, place, full=False):
         for m in monomials:
             x.terms = {m: 1}
             raw = oracle.raw_theta(pres, I, J, x, place).terms.items()
-            expected = tuple(
-                (ls, rs, c * cl * cr)
+            expected = [
+                ((left.basis[ls], right.basis[rs]), c * cl * cr)
                 for (ml, mr), c in raw
                 for ls, cl in left.slot_expansion(ml)
                 for rs, cr in right.slot_expansion(mr)
-            )
-            assert cocomp.normalised(m) == expected, (I, J, place, m)
+            ]
+            image = theta(pres, I, J, x, place, store)
+            assert list(image.terms.items()) == expected, (I, J, place, m)
 
 
 @pytest.mark.parametrize("pres", (P, ARNOLD_PRESENTATION), ids=("R", "arnold"))
@@ -290,24 +292,24 @@ def test_mask_index_and_d_tables_follow_the_ambient_mode():
     for n in (3, 4):
         labels = standard_labels(n)
         forest, full = (algebra_basis(P, labels, mode, store) for mode in ("forest", "full"))
-        assert len(forest.monomials) < len(full.monomials)
+        assert len(forest.masks) < len(full.masks)
         for comp in (forest, full):
-            masks, position_of = comp.mask_index()
+            ambient = enumerate_graph_monomials(P, labels, comp.mode)
             encode = mask_encoder(labels)
-            assert masks == [encode(m)[0] for m in comp.monomials]
-            assert position_of == {c: i for i, c in enumerate(masks)} and len(position_of) == len(masks)
+            assert comp.masks == [encode(m) for m in ambient] and comp.monomials == ambient
+            assert comp.index == {c: i for i, c in enumerate(comp.masks)} and len(comp.index) == len(ambient)
             for which in ("up", "down"):
                 table = comp.differentials(which)
                 assert len(table) == comp.dim
                 for b, (positions, slots) in zip(comp.basis, table):
                     image = differential_algebra(comp.monomial_element(b), which)
-                    assert positions == tuple((comp.monomials.index(m), c) for m, c in image.terms.items())
+                    assert positions == tuple((ambient.index(m), c) for m, c in image.terms.items())
                     assert dict(slots) == comp.coords(image)
             # a relabeled component shares the tables of {1..n}
             moved = algebra_basis(P, labels[:-1] + (STAR,), comp.mode, store)
-            assert moved.mask_index() is comp.mask_index()
+            assert moved.masks is comp.masks and moved.index is comp.index
             assert moved.differentials("up") is comp.differentials("up")
-        assert forest.mask_index() != full.mask_index()
+        assert forest.index != full.index
 
 
 def _verdict_pairs(store):

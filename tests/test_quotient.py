@@ -270,25 +270,57 @@ def test_a_component_keeps_one_list_and_one_index():
     ram = presentation("ram")
     std = component_basis(ram, standard_labels(4), store)
     assert std.basis is std.rewriting.basis
-    for attr in ("monomials", "_index", "basis_positions", "reducer", "position", "expansion_at"):
+    for attr in ("masks", "index", "basis_positions", "reducer", "position", "expansion_at"):
         assert not hasattr(std, attr) and not hasattr(std.rewriting, attr), attr
     other = component_basis(ram, (2, 5, STAR, HASH), store)
     assert other.labels == (2, 5, STAR, HASH)
     assert component_basis(ram, (5, HASH, 2, STAR), store) is other
     forest = _forest((1, 2, 3), store)
     moved = _forest((4, 5, 6), store)
-    assert moved.monomials is forest.monomials and moved._index is forest._index
+    # the forest ambient is one list of masks with one index over it: no
+    # list of monomials is kept, and no index keyed by them
+    assert moved.masks is forest.masks and moved.index is forest.index
+    assert forest.index == {c: i for i, c in enumerate(forest.masks)}
+    ambient_sized = {a for a, v in vars(forest).items() if type(v) in (list, dict) and len(v) == len(forest.masks)}
+    assert ambient_sized == {"masks", "index"}
+    assert forest.monomials is not forest.monomials  # decoded on each call
     assert _forest((1, 2, 3), store) is forest
     assert _forest((4, 5, 6), store) is _forest((6, 5, 4), store)
     # on both sides a relabeled component has its own labels, basis and map
-    # back onto {1..n}; every other attribute is the standard one's object
+    # back onto {1..n}, and a forest one its own encoder; every other
+    # attribute is the standard one's object
     for ref, comp in ((std, other), (forest, moved)):
         assert comp.labels != ref.labels and comp.basis != ref.basis
         assert comp._back == dict(zip(comp.labels, ref.labels)) and ref._back is None
         assert set(vars(comp)) == set(vars(ref)) | {"_back"}
         for attr, value in vars(comp).items():
-            if attr not in ("labels", "basis", "_back"):
+            if attr not in ("labels", "basis", "_back", "encode"):
                 assert value is vars(ref)[attr], attr
+    assert moved.encode is not forest.encode
+    assert [moved.encode(m) for m in moved.monomials] == forest.masks
+
+
+def test_a_relabeled_forest_component_looks_up_without_transport(monkeypatch):
+    # a monomial's colored mask on (1, 2, *) is its mask on {1, 2, 3}, so
+    # the relabeled component finds it with nothing mapped back
+    store = ComponentStore()
+    labels = (1, 2, STAR)
+    std, moved = _forest(standard_labels(3), store), _forest(labels, store)
+    ambient = enumerate_graph_monomials(R_PRESENTATION, labels, "forest")
+    cycles = set(enumerate_graph_monomials(R_PRESENTATION, labels, "full")) - set(ambient)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forest lookup transported its monomial")
+
+    monkeypatch.setattr(GraphComponent, "transport", refuse)
+    reference = std.monomials
+    assert len(ambient) == len(reference)
+    for i, (m, ref) in enumerate(zip(ambient, reference)):
+        assert moved.position(m) == std.position(ref) == i
+        assert moved.slot_expansion(m) == std.slot_expansion(ref)
+    for slot, (b, ref) in enumerate(zip(moved.basis, std.basis)):
+        assert moved.slot(b) == std.slot(ref) == slot
+    assert cycles and all(moved.position(m) is None for m in cycles)
 
 
 def _place_holder_label_sets(n):
@@ -331,7 +363,7 @@ def test_transport_is_sign_free(n):
                 assert moved.slot_expansion(key) == comp.slot_expansion(m)
             if comp.mode == "forest":
                 # a full-mode cycle is outside the forest ambient on every
-                # label set: Cocomposition.normalised splits it unstored
+                # label set: theta splits it unstored
                 cycles = set(enumerate_graph_monomials(comp.pres, labels, "full")) - set(ambient)
                 assert bool(cycles) == (n >= 3)
                 assert all(moved.position(m) is None for m in cycles)
@@ -683,7 +715,7 @@ def test_echelon_with_a_fraction_round_trips_through_a_payload(tmp_path, monkeyp
     edited = GraphComponent(
         R_PRESENTATION,
         built.labels,
-        (built.monomials, built.masks),
+        built.masks,
         linalg.Echelon(ech.ncols, ech.pivots, rows, ech._pivot_pos),
         built.basis_positions,
         **fields,
