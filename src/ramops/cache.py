@@ -12,12 +12,17 @@ without a directory keeps nothing, so its components are rebuilt once the
 memos are cleared.
 
 A payload file is one JSON object whose first member is the SHA-256 of the
-rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload as
-written (``put`` writes the body after the head without copying it).
-``get`` hashes those bytes where they were read, before decoding the
-file, and treats a mismatch as a miss: an edit that leaves the payload
-well-formed, such as a changed coefficient, is rebuilt rather than
-trusted.  The file decodes to the payload and its ``sha256`` member.
+rest, ``{"sha256":"<hex>",<body>`` where ``{<body>`` is the payload's
+compact JSON with sorted keys.  ``put`` streams it: after a head with a
+placeholder digest it writes the body member by member, each list (or
+iterator, such as lazily made echelon rows) in batches of ``_BATCH``
+items, hashing each piece as it goes, so a write holds one batch of text
+at a time, never the whole body.  It then writes the digest into the head
+and only then renames the file onto its key, so no reader sees the
+placeholder.  ``get`` hashes the bytes where they were read, before
+decoding the file, and treats a mismatch as a miss: an edit that leaves
+the payload well-formed, such as a changed coefficient, is rebuilt rather
+than trusted.  The file decodes to the payload and its ``sha256`` member.
 
 ``info`` and ``clear`` act on the store's own files only: payload files
 that start with the checksum head, and the temporaries of writers,
@@ -31,12 +36,37 @@ import json
 import os
 import re
 import tempfile
+from collections.abc import Iterator
 from contextlib import suppress
+from itertools import islice
 
 SCHEMA_VERSION = 2
 
 _HEAD = b'{"sha256":"'
 _DIGEST_END = len(_HEAD) + 64  # hex digits
+
+# the encoding of ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_BATCH = 256  # list items encoded per piece of a streamed write
+
+
+def _pieces(payload: dict) -> Iterator[str]:
+    """The payload's compact JSON after its opening brace, in pieces of at
+    most one member head or one batch of list items."""
+    sep = ""
+    for key in sorted(payload):
+        value = payload[key]
+        yield sep + _ENCODER.encode(key) + ":"
+        sep = ","
+        if not isinstance(value, (list, Iterator)):
+            yield _ENCODER.encode(value)
+            continue
+        items, lead = iter(value), "["
+        while batch := list(islice(items, _BATCH)):
+            yield lead + _ENCODER.encode(batch)[1:-1]
+            lead = ","
+        yield "[]" if lead == "[" else "]"
+    yield "}"
 
 
 def _checked_text(data: bytes) -> str | None:
@@ -72,8 +102,9 @@ def resolve_cache_dir(flag_value: str | None) -> str:
 
 
 class ComponentStore:
-    """Maps cache keys to component payloads (plain JSON-able dicts) stored
-    as checked files; without a directory, ``put`` drops the payload."""
+    """Maps cache keys to component payloads (plain JSON-able dicts, whose
+    lists ``put`` also takes as iterators) stored as checked files; without
+    a directory, ``put`` drops the payload."""
 
     def __init__(self, directory: str | None = None):
         self.directory = directory
@@ -101,16 +132,20 @@ class ComponentStore:
         if not self.directory:
             return
         payload = {**payload, "schema_version": SCHEMA_VERSION}
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        digest = hashlib.sha256(body).hexdigest().encode()
         os.makedirs(self.directory, exist_ok=True)
         # one temporary file per writer, so that concurrent writers of a
         # key never replace or truncate each other's half-written file
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=key + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_HEAD + digest + b'",')
-                fh.write(memoryview(body)[1:])  # no copy of the body
+                fh.write(_HEAD + b"0" * (_DIGEST_END - len(_HEAD)) + b'",')
+                digest = hashlib.sha256(b"{")
+                for piece in _pieces(payload):
+                    data = piece.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+                fh.seek(len(_HEAD))
+                fh.write(digest.hexdigest().encode())
             os.chmod(tmp, 0o644)  # mkstemp creates the file readable by its owner only
             os.replace(tmp, self._path(key))
         except BaseException:

@@ -571,19 +571,30 @@ class Component(QuotientComponent):
     normal trees, which are its basis, and the rewriting nf onto them.
 
     Built once on the reference labels {1..n}, with no payload (see the
-    module docstring); a relabeled component maps a tree back to {1..n},
-    where the rewriting and its memos live (see ``QuotientComponent``).
+    module docstring); a relabeled component maps a tree back to {1..n}
+    along ``_back``, where the rewriting and its memos live (see
+    ``QuotientComponent``).
     """
 
     family = "operad"
     # its own attribute, so that per-side instrumentation can wrap it
     coords = QuotientComponent.coords
+    _back: dict | None = None  # the map of the labels onto {1..n}, once relabeled
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...], rewriting: "_Groebner | _Rewriting"):
         super().__init__(pres, labels, rewriting.basis, rewriting.degrees)
         self.rewriting = rewriting
         self._slot_of = {b: slot for slot, b in enumerate(rewriting.basis)}
         self._expansions: dict[Tree, tuple] = {}
+
+    def relabeled(self, labels: tuple[Atom, ...]) -> "Component":
+        """The shared copy, with the map of its labels back onto {1..n}."""
+        comp = super().relabeled(labels)
+        comp._back = dict(zip(labels, standard_labels(len(labels))))
+        return comp
+
+    def _on_reference(self, m: Tree) -> Tree:
+        return m if self._back is None else _map_tree(m, self._back)
 
     def transport(self, m: Tree, phi: Mapping[Atom, Atom]) -> Tree:
         return _map_tree(m, phi)

@@ -9,8 +9,8 @@ operad side keeps only its basis, the normal trees, and its rewriting nf,
 with no ambient, payload or store (``operad``).  On both sides the
 component on another label set of the size is the standard one
 ``relabeled`` along the order-preserving bijection: its own labels and
-basis, moved by the side's ``transport``, and the map of its labels back
-onto {1..n} (``_back``), which operad lookups take (an algebra lookup
+basis, moved by the side's ``transport``.  The operad side adds the map of
+its labels back onto {1..n}, which its lookups take (an algebra lookup
 reads the monomial's colored mask, the same on every label set of the
 size); so the ambient, its index, the normal form and its memos exist
 once, on {1..n}.  Both canonical forms compare atoms only through
@@ -44,6 +44,10 @@ non-integral rational), the ``basis`` positions and the ``dims``.  A
 payload that does not decode in that layout, or whose echelon, basis or
 dims break an invariant of a reduced echelon form, is rebuilt as well.
 A store without a directory keeps no payload, so none is encoded for it.
+No whole copy of the echelon in that layout is made: ``_encode`` hands
+the store its rows as an iterator, each flat list made as the store's
+streamed write reaches it, and ``_decode`` pops each flat list off the
+payload as it makes that row.
 """
 
 from __future__ import annotations
@@ -66,17 +70,15 @@ class QuotientComponent:
     name the variant), from its basis monomials in slot order and their
     bidegrees.  ``relabeled`` gives it another label set of the size: a
     copy with its own labels and basis, moved by the side's ``transport(m,
-    phi)``, and ``_back``, the map of its labels onto {1..n}.  A side also
-    supplies ``element(terms)``, ``slot(m)`` of a basis monomial and
-    ``slot_expansion(m)``, the (slot, coefficient) pairs of a monomial in
-    slot order; the operad side reads both at ``_on_reference(m)``.
+    phi)``.  A side also supplies ``element(terms)``, ``slot(m)`` of a basis
+    monomial and ``slot_expansion(m)``, the (slot, coefficient) pairs of a
+    monomial in slot order.
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
     order and ``dims`` counts them.
     """
 
     family = ""  # first word of the cache key and of the payload kind
-    _back: dict | None = None  # the map of the labels onto {1..n}, once relabeled
 
     def __init__(self, pres, labels: tuple[Atom, ...], basis: list, degrees: list[BiDegree]):
         self.pres = pres
@@ -100,11 +102,7 @@ class QuotientComponent:
         # both label tuples are sorted, so phi preserves the atom order
         phi = dict(zip(self.labels, labels))
         comp.basis = [self.transport(b, phi) for b in self.basis]
-        comp._back = dict(zip(labels, standard_labels(len(labels))))
         return comp
-
-    def _on_reference(self, m):
-        return m if self._back is None else self.transport(m, self._back)
 
     def coords(self, x) -> dict[int, Fraction]:
         """Coordinates of x on the component basis (kills exactly the ideal),
@@ -246,7 +244,7 @@ def _encode(comp: QuotientComponent) -> dict:
     return {
         "monomials": comp.masks,
         "pivots": comp.reducer.pivots,
-        "rows": [_flat_row(row) for row in comp.reducer.rows],
+        "rows": map(_flat_row, comp.reducer.rows),  # made as ``put`` writes them
         "basis": comp.basis_positions,
         "dims": sorted([h, w, d] for (h, w), d in comp.dims.items()),
     }
@@ -289,7 +287,11 @@ def _decode(cls, pres, payload: dict) -> tuple | None:
     encoder never writes (see ``_row`` and the side's ``ambient_from_json``)."""
     masks = cls.ambient_from_json(pres, payload["n"], payload["monomials"])
     pivots, basis = payload["pivots"], payload["basis"]
-    rows = [_row(flat) for flat in payload["rows"]]
+    flats = payload["rows"]
+    if type(flats) is not list:
+        raise ValueError("echelon rows are not a list")
+    flats.reverse()  # popped in order, so the flat and made rows never both exist whole
+    rows = [_row(flats.pop()) for _ in range(len(flats))]
     ech = Echelon(len(masks), pivots, rows, {p: k for k, p in enumerate(pivots)})
     dims = {(int(h), int(w)): d for h, w, d in payload["dims"]}
     if not _consistent(ech, len(masks), basis):

@@ -2,11 +2,14 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from ramops.cache import SCHEMA_VERSION, ComponentStore
-from ramops.graphalg import R_PRESENTATION, algebra_basis
+from ramops import quotient
+from ramops.cache import _BATCH, _HEAD, SCHEMA_VERSION, ComponentStore
+from ramops.cli import main
+from ramops.graphalg import R_PRESENTATION, GraphComponent, algebra_basis
 from ramops.labels import standard_labels
 
 
@@ -47,24 +50,136 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
 
 
 def test_payload_file_bytes_match_the_streamed_encoding(tmp_path, monkeypatch):
-    # the file body must be what json.dump into a stream wrote before put
-    # encoded with json.dumps: a real payload, R forest at n = 4
+    # the file body must be what json.dump into a stream writes: a real
+    # payload, R forest at n = 4, whose rows put takes as an iterator
     payloads = {}
     real_put = ComponentStore.put
 
     def recording_put(self, key, payload):
-        payloads[key] = payload
-        real_put(self, key, payload)
+        assert not isinstance(payload["rows"], list)  # made as they are written
+        rows = []
+
+        def kept(lazy_rows):
+            for row in lazy_rows:
+                rows.append(row)
+                yield row
+
+        payloads[key] = {**payload, "rows": rows}
+        real_put(self, key, {**payload, "rows": kept(payload["rows"])})
 
     monkeypatch.setattr(ComponentStore, "put", recording_put)
     algebra_basis(R_PRESENTATION, standard_labels(4), "forest", ComponentStore(str(tmp_path)))
     monkeypatch.undo()
     key = next(k for k, p in payloads.items() if len(p["monomials"]) > 100)
+    assert len(payloads[key]["rows"]) > 1
     text = io.StringIO()
     json.dump({**payloads[key], "schema_version": SCHEMA_VERSION}, text, sort_keys=True, separators=(",", ":"))
     body = text.getvalue().encode("utf-8")
     digest = hashlib.sha256(body).hexdigest().encode()
     assert (tmp_path / f"{key}.json").read_bytes() == b'{"sha256":"' + digest + b'",' + body[1:]
+
+
+def _long_payload():
+    """A payload whose long members span several write batches, one of them
+    an exact multiple of the batch size, with one "p/q" entry among its
+    rows and one empty list."""
+    rows = [[k, k + 1, 1, -k] for k in range(2 * _BATCH + 3)]
+    rows[_BATCH + 1][-1] = "7/5"
+    return {
+        "kind": "graph-component",
+        "n": 9,
+        "monomials": list(range(3 * _BATCH)),
+        "pivots": list(range(0, 4 * _BATCH + 14, 2)),
+        "rows": rows,
+        "basis": list(range(1, 8 * _BATCH - 2, 2)),
+        "dims": [],
+    }
+
+
+@pytest.mark.parametrize("lazy_rows", (False, True))
+def test_streamed_payload_bytes_equal_one_shot_encoding(lazy_rows, tmp_path):
+    payload = _long_payload()
+    assert len(payload["monomials"]) % _BATCH == 0
+    assert all(len(payload[k]) > 2 * _BATCH for k in ("monomials", "pivots", "rows", "basis"))
+    given = {**payload, "rows": iter(payload["rows"])} if lazy_rows else payload
+    ComponentStore(str(tmp_path)).put("k", given)
+    body = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256(body).hexdigest().encode()
+    assert (tmp_path / "k.json").read_bytes() == b'{"sha256":"' + digest + b'",' + body[1:]
+    assert ComponentStore(str(tmp_path)).get("k") == {**payload, "schema_version": SCHEMA_VERSION}
+
+
+class _FailingFile:
+    """A file whose third write raises, as on a disk that fills up
+    while the body is streamed."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def seek(self, offset):
+        return self.fh.seek(offset)
+
+
+def test_write_failing_partway_through_the_stream_leaves_no_file(tmp_path, monkeypatch, capsys):
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailingFile(real_fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        ComponentStore(str(tmp_path)).put("k", _long_payload())
+    assert os.listdir(tmp_path) == []
+    # the CLI reports the failed write on one line and exits 2
+    cache_dir = tmp_path / "cache"
+    assert main(["ralg-dims", "--n", "3", "--cache-dir", str(cache_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert os.listdir(cache_dir) == []
+
+
+def test_temporary_holds_its_digest_before_it_is_renamed(tmp_path, monkeypatch):
+    real_replace = os.replace
+    checked = []
+
+    def checking_replace(src, dst):
+        with open(src, "rb") as fh:
+            data = fh.read()
+        head, body = data[: len(_HEAD) + 64 + 2], data[len(_HEAD) + 64 + 2 :]
+        digest = hashlib.sha256(b"{" + body).hexdigest().encode()
+        assert head == _HEAD + digest + b'",'
+        checked.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", checking_replace)
+    ComponentStore(str(tmp_path)).put("k", _long_payload())
+    assert checked == [str(tmp_path / "k.json")]
+
+
+def test_payload_write_holds_about_one_batch_in_memory(tmp_path):
+    # a one-shot encoding of the R(5) forest payload (137 KB on disk) holds
+    # about 2.9 MB while it is written, a streamed one about one batch
+    comp = algebra_basis(R_PRESENTATION, standard_labels(5), "forest", ComponentStore())
+    fields = {"mode": "forest"}
+    key = f"{quotient._prefix(GraphComponent, R_PRESENTATION, fields)}-n5"
+    store = ComponentStore(str(tmp_path))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        store.put(key, {**quotient._header(GraphComponent, R_PRESENTATION, 5, fields), **quotient._encode(comp)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / f"{key}.json") > 100_000
+    assert peak - start < 1_000_000
 
 
 def test_store_without_directory_keeps_nothing():
