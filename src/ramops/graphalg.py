@@ -25,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cache import ComponentStore
@@ -54,6 +54,15 @@ class GraphPresentation:
         self.colors = tuple(colors)
         self.families = tuple(families)
         self.color_index = {c.name: i for i, c in enumerate(self.colors)}
+        # the enumeration orders the monomials of one bidegree by a key
+        # that is exact only when (h, w) fixes each color's edge count,
+        # that is when the colors' bidegrees are linearly independent
+        degrees = [c.bidegree for c in self.colors]
+        if not (
+            len(degrees) == 1 and degrees[0] != (0, 0)
+            or len(degrees) == 2 and degrees[0][0] * degrees[1][1] != degrees[0][1] * degrees[1][0]
+        ):
+            raise ValueError("the colors' bidegrees must be linearly independent")
         blob = json.dumps(
             {
                 "colors": [[c.name, c.bidegree[0], c.bidegree[1], c.orientation] for c in self.colors],
@@ -286,37 +295,62 @@ def _relabel_monomial(
 def enumerate_graph_monomials(
     pres: GraphPresentation, labels: Iterable[Atom], mode: str = "forest"
 ) -> list[MonomialKey]:
-    """All canonical monomials on the vertex set, in ``monomial_sort_key`` order.
+    """All canonical monomials on the vertex set, in ``monomial_sort_key``
+    order: those of ``enumerate_colored_masks``, decoded."""
+    labels = check_label_set(labels)
+    return monomials_of_masks(pres, labels, enumerate_colored_masks(pres, len(labels), mode))
+
+
+def enumerate_colored_masks(pres: GraphPresentation, n: int, mode: str = "forest") -> list[int]:
+    """The colored masks (``mask_encoder``) of all canonical monomials on n
+    labels, in ``monomial_sort_key`` order.
 
     An edge set is an increasing tuple of pair numbers (``combinations(labels,
     2)`` order), grown by a later pair at a time; in forest mode only by one
     that joins two components, so no edge set with a cycle is formed.  The
-    labels are in ``atom_key`` order, so pair numbers are in ``_edge_key``
-    order, and sorting by (h, w, per-color pair numbers) is that key's order.
+    colorings of a grown set are those of its parent, the new pair taking
+    each color in turn, so a mask doubles one edge at a time; they are kept
+    apart by bidegree (h, w).  The labels are in ``atom_key`` order, so pair
+    numbers are in ``_edge_key`` order, and the key's order within (h, w) is
+    that of the per-color tuples of pair numbers.  (h, w) fixes each color's
+    edge count (``GraphPresentation`` requires it), so that is the
+    decreasing order of the mask with its bits reversed, which each value
+    carries above the mask: one sort of ints orders a bidegree.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    labels = check_label_set(labels)
-    pairs, ends = list(combinations(labels, 2)), list(combinations(range(len(labels)), 2))
-    colors, keyed = range(len(pres.colors)), []
-    grown = [((), tuple(range(len(labels))))]  # the edge sets of one size, with their components
+    npairs = n * (n - 1) // 2
+    width = len(pres.colors) * npairs
+    ends = list(combinations(range(n), 2))
+    # the letter of color ci on pair p as its bidegree and its bit in the
+    # mask and in the reversed mask above it
+    letters = [
+        [(c.bidegree, 1 << (ci * npairs + p) | 1 << (2 * width - 1 - ci * npairs - p)) for ci, c in enumerate(pres.colors)]
+        for p in range(npairs)
+    ]
+    by_degree: dict[BiDegree, list[int]] = {}
+    grown = [(-1, tuple(range(n)), {(0, 0): [0]})]  # edge sets of one size: last pair, components, colorings
     while grown:
-        # each coloring of that size as its bidegree and the positions of each color
-        colorings = []
-        for assignment in product(colors, repeat=len(grown[0][0])):
-            spots = tuple(tuple(i for i, a in enumerate(assignment) if a == ci) for ci in colors)
-            colorings.append((*monomial_bidegree(spots, pres), spots))
-        keyed += [
-            (h, w, tuple(tuple(map(es.__getitem__, s)) for s in spots)) for es, _ in grown for h, w, spots in colorings
-        ]
-        grown = [
-            (es + (p,), tuple(cu if c == cv else c for c in comp))
-            for es, comp in grown
-            for p in range(es[-1] + 1 if es else 0, len(pairs))
-            if (cu := comp[ends[p][0]]) != (cv := comp[ends[p][1]]) or mode == "full"
-        ]
-    keyed.sort()
-    return [tuple(tuple(map(pairs.__getitem__, ps)) for ps in per_color) for _, _, per_color in keyed]
+        for _, _, colorings in grown:
+            for hw, values in colorings.items():
+                by_degree.setdefault(hw, []).extend(values)
+        parents, grown = grown, []
+        for last, comp, colorings in parents:
+            for p in range(last + 1, npairs):
+                cu, cv = comp[ends[p][0]], comp[ends[p][1]]
+                if cu == cv and mode == "forest":
+                    continue
+                doubled: dict[BiDegree, list[int]] = {}
+                for (h, w), values in colorings.items():
+                    for (dh, dw), letter in letters[p]:
+                        doubled.setdefault((h + dh, w + dw), []).extend([v | letter for v in values])
+                grown.append((p, tuple(cu if c == cv else c for c in comp), doubled))
+    masks, every_letter = [], (1 << width) - 1
+    for hw in sorted(by_degree):
+        values = by_degree.pop(hw)
+        values.sort(reverse=True)
+        masks += [v & every_letter for v in values]
+    return masks
 
 
 # --- relation families -------------------------------------------------------
@@ -568,9 +602,8 @@ class GraphComponent(QuotientComponent):
     @classmethod
     def ambient_and_span(cls, pres: GraphPresentation, n: int, mode: str) -> tuple[list[int], SparseMatrix]:
         """The ambient masks on {1..n}, its monomials let go, and the span."""
-        labels = standard_labels(n)
-        masks = colored_masks(labels, enumerate_graph_monomials(pres, labels, mode))
-        return masks, _span_matrix(pres, labels, mode, masks)
+        masks = enumerate_colored_masks(pres, n, mode)
+        return masks, _span_matrix(pres, standard_labels(n), mode, masks)
 
 
 def algebra_basis(
@@ -622,11 +655,6 @@ def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], int]:
     return mask
 
 
-def colored_masks(labels: tuple[Atom, ...], monomials: Iterable[MonomialKey]) -> list[int]:
-    """The colored mask (``mask_encoder``) of each monomial on the label set."""
-    return list(map(mask_encoder(labels), monomials))
-
-
 def monomials_of_masks(pres: GraphPresentation, labels: tuple[Atom, ...], masks: list[int]) -> list[MonomialKey]:
     """The canonical monomial of each colored mask (``mask_encoder``) on the
     label set: its edges of color ci are the pairs p of its bits ci * P + p,
@@ -646,7 +674,7 @@ def _span_matrix(
     masks: list[int],
     families: Iterable[str] | None = None,
 ) -> SparseMatrix:
-    """Relation instances times all complementary ambient monomials, given by
+    """Relation instances times the complementary ambient monomials, given by
     their colored masks in position order, as sparse rows.
 
     Monomials are bitmasks (``mask_encoder``): a colored mask, bit
@@ -661,9 +689,11 @@ def _span_matrix(
 
     In forest mode the ambient holds every colored forest, so a union
     missing from it is exactly one with a cycle, and that product vanishes;
-    in full mode a missing union raises.  A term and a multiplier with more
-    than n - 1 edges between them are not formed in forest mode, since a
-    forest on n vertices has at most n - 1 edges.  Rows go to ``rref`` as
+    in full mode a missing union raises.  A forest on n vertices has at
+    most n - 1 edges, so in forest mode an instance visits only the
+    multipliers with room for a term: those of at most ``spare`` edges,
+    n - 1 less the fewest edges of a term, listed once for each spare that
+    occurs and kept in position order.  Rows go to ``rref`` as
     formed, neither scaled nor deduplicated: the reduced row-echelon form
     of a row space is unique, and a repeated row eliminates to zero, so
     the payload is the same either way.
@@ -688,15 +718,19 @@ def _span_matrix(
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(masks))
     encode = mask_encoder(labels)
+    roomy: dict[int, list[tuple[int, int]]] = {}  # the multipliers of at most spare edges, by spare
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = []
         for k, c in rel.terms.items():
             colored, edges = with_edges(encode(k))
             terms.append((colored, edges, _koszul_mask(colored & odd), c, -c))
-        spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
-        for mult, mult_edges in encoded:
-            if forest and mult_edges.bit_count() > spare:
-                continue
+        multipliers = encoded
+        if forest:
+            spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
+            if spare not in roomy:
+                roomy[spare] = [m for m in encoded if m[1].bit_count() <= spare]
+            multipliers = roomy[spare]
+        for mult, mult_edges in multipliers:
             mult_odd = mult & odd
             row = {}
             # distinct terms have distinct unions with one multiplier, so

@@ -3,12 +3,13 @@
 Each subset of the vertex pairs, in every coloring, becomes a canonical
 monomial; in forest mode the subsets with a cycle are dropped first.  The
 list is sorted by ``monomial_sort_key``.  Slow, but simple enough to trust;
-the tests compare ``graphalg.enumerate_graph_monomials`` against it.
+the tests compare ``graphalg.enumerate_graph_monomials``, and through
+``colored_masks`` the ambient masks of a graph component, against it.
 """
 
 from itertools import combinations, product
 
-from ramops.graphalg import MODES, _edge_key, _has_cycle, monomial_sort_key
+from ramops.graphalg import MODES, _edge_key, _has_cycle, mask_encoder, monomial_sort_key
 from ramops.labels import check_label_set
 
 
@@ -30,3 +31,8 @@ def oracle_enumerate(pres, labels, mode="forest"):
                 out.append(tuple(tuple(sorted(es, key=_edge_key)) for es in per_color))
     out.sort(key=lambda m: monomial_sort_key(m, pres))
     return out
+
+
+def colored_masks(labels, monomials):
+    """The colored mask (``mask_encoder``) of each monomial on the label set."""
+    return list(map(mask_encoder(labels), monomials))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from enumeration_oracle import oracle_enumerate
+from enumeration_oracle import colored_masks, oracle_enumerate
 
 from ramops import graphalg
 from ramops.cache import ComponentStore
@@ -12,6 +12,9 @@ from ramops.graphalg import (
     MODES,
     ARNOLD_PRESENTATION,
     AlgebraElement,
+    ColorSpec,
+    GraphComponent,
+    GraphPresentation,
     R_PRESENTATION,
     algebra_basis,
     differential_algebra,
@@ -97,11 +100,31 @@ def test_enumerate_counts():
     [(P, "forest", 5), (P, "full", 4), (ARNOLD_PRESENTATION, "forest", 5), (ARNOLD_PRESENTATION, "full", 5)],
 )
 def test_enumeration_matches_subset_filter_oracle(pres, mode, top):
-    # forests grown edge by edge and sorted by pair numbers: the same list,
-    # in the same order, as filtering every edge subset and sorting by
-    # monomial_sort_key
+    # forests grown edge by edge and sorted by reversed masks: the same
+    # list, in the same order, as filtering every edge subset and sorting
+    # by monomial_sort_key; a component's masks are those of {1..n}, on
+    # any labels of the size
     for labels in [standard_labels(n) for n in range(1, top + 1)] + [(3, 7, "*", "x")]:
-        assert enumerate_graph_monomials(pres, labels, mode) == oracle_enumerate(pres, labels, mode)
+        reference = oracle_enumerate(pres, labels, mode)
+        assert enumerate_graph_monomials(pres, labels, mode) == reference
+        masks, _ = GraphComponent.ambient_and_span(pres, len(labels), mode)
+        assert masks == colored_masks(labels, reference)
+
+
+def test_forest_masks_at_six_match_subset_filter_oracle():
+    labels = standard_labels(6)
+    masks, _ = GraphComponent.ambient_and_span(P, 6, "forest")
+    assert masks == colored_masks(labels, oracle_enumerate(P, labels, "forest"))
+
+
+def test_presentation_colors_need_independent_bidegrees():
+    # the enumeration's key is exact only when (h, w) fixes each color's
+    # edge count
+    for degrees in [((0, 0),), ((0, 1), (0, 2)), ((1, 1), (1, 1)), ((0, 1), (1, 1), (1, 0))]:
+        colors = [ColorSpec(f"c{i}", d, -1) for i, d in enumerate(degrees)]
+        with pytest.raises(ValueError, match="linearly independent"):
+            GraphPresentation("dependent", colors, ())
+    assert GraphPresentation("even", [ColorSpec("w", (0, 1), 1)], ()).colors
 
 
 def test_algebra_basis_small_tables():
@@ -325,6 +348,7 @@ def test_ideal_rank_breakdown_reads_the_component(tmp_path, monkeypatch):
         raise AssertionError("the ambient was enumerated again")
 
     monkeypatch.setattr(graphalg, "enumerate_graph_monomials", refuse)
+    monkeypatch.setattr(graphalg, "enumerate_colored_masks", refuse)
     rep = ideal_rank_breakdown(P, standard_labels(4), "full", store)
     assert rep["rank_all_families"] == comp.reducer.rank
     assert rep["ambient"] == len(comp.monomials)

@@ -3,7 +3,8 @@
 ``rref`` must give the echelon of the insert-based oracle, and the pruned
 relation products of ``graphalg._span_matrix`` the rows of the plain product
 of every relation instance with every ambient monomial; at n = 5 its
-bitmask products must give the rows of the ``multiply`` route exactly.
+bitmask products must give the rows of the ``multiply`` route exactly,
+and at R forest n = 6 the rows recorded in ``tests/data/span_r6_forest.json``.
 Both routes keep each row as formed, neither scaled nor deduplicated, as
 the span hands it to ``rref``.
 Every operad component is a rewriting, and must be a change of basis of the
@@ -12,11 +13,15 @@ Groebner rewriting of ``lie``, ``sgriess`` and ``liegriess`` and the
 composites.
 """
 
+import hashlib
+import json
+import os
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
+from enumeration_oracle import colored_masks
 from span_oracle import grafted_span, product_span_matrix, span_echelon
 
 from ramops.graphalg import (
@@ -26,7 +31,6 @@ from ramops.graphalg import (
     AlgebraElement,
     GraphComponent,
     _span_matrix,
-    colored_masks,
     enumerate_graph_monomials,
     multiply,
     relation_instances,
@@ -125,6 +129,24 @@ def test_bitmask_span_matches_product_oracle_at_five(name, mode, families):
     assert rows and rows == reference
     # the same entries in the same order, not only equal dicts
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in reference]
+
+
+SPAN_R6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "span_r6_forest.json")
+
+
+def test_r6_forest_span_as_formed_matches_the_recorded_digest():
+    # the rows and their order, recorded from a span that tried every
+    # multiplier: each row's (column, numerator, denominator) triples in
+    # entry order, one repr line per row
+    with open(SPAN_R6, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert R_PRESENTATION.name == recorded["presentation"]
+    _, span = GraphComponent.ambient_and_span(R_PRESENTATION, recorded["n"], recorded["mode"])
+    digest = hashlib.sha256()
+    for row in span.rows:
+        digest.update(repr([(c, v.numerator, v.denominator) for c, v in row.items()]).encode() + b"\n")
+    assert len(span.rows) == recorded["rows"]
+    assert digest.hexdigest() == recorded["sha256"]
 
 
 # Rows are compared as formed: a fault that flips every term of a row
