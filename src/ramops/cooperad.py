@@ -14,9 +14,9 @@ read along sort_atoms(I + J + (p,)).  Row i holds the normalised image of
 the ambient monomial at position i of the union component as (left slot,
 right slot, coefficient) triples.
 
-A row is computed from bits alone.  A monomial is its colored mask
-(``graphalg.mask_encoder``: bit ci * P + p is the letter of color ci on
-vertex pair p), so its bit order is the letter order of the Koszul signs.
+A row is computed from bits alone.  A monomial is its colored mask (see
+``graphalg``: bit ci * P + p is the letter of color ci on vertex pair p),
+so its bit order is the letter order of the Koszul signs.
 The split table of a pattern, built once from the pattern string, has one
 entry per letter bit of the union: side, target bit, target pair bit, sign
 factor and parity.  An edge inside I keeps its pair on the left, an edge
@@ -41,10 +41,9 @@ position i, basis slot s and their masks naming the same monomial on every
 label set of a size (see ``quotient``).  ``row_at`` keeps a row on first
 use, on whichever label set asks, and is the only writer of the row cache.
 ``theta`` never reduces its input first, so that ``theta_relation_kill``
-sees the relation itself.  It encodes each term once, with the union
-component's ``encode``: a mask with a position reads the row there, and
-one outside the forest ambient (a full-mode cycle) is split through the
-same table, without being stored.  ``dual_compose`` in ``dual`` reads the
+sees the relation itself.  A term's mask with a position in the union
+component reads the row there, and one outside the forest ambient (a
+full-mode cycle) is split through the same table, without being stored.  ``dual_compose`` in ``dual`` reads the
 transpose of the basis rows (``Cocomposition.transposed``: per left slot
 and right slot, the union slots and coefficients), built once per pattern
 straight from the split table, so that it sums over the supports of two
@@ -243,9 +242,8 @@ def theta(
         raise ValueError("element labels must be exactly I + J")
     by_slot: dict = {}
     for m, coeff in x.terms.items():
-        mask = union.encode(m)
-        i = union.index.get(mask)
-        row = cocomp._row(mask) if i is None else cocomp.row_at(i)
+        i = union.index.get(m)
+        row = cocomp._row(m) if i is None else cocomp.row_at(i)
         for ls, rs, c in row:
             bump(by_slot, (ls, rs), c if coeff == 1 else coeff * c)
     basis_left, basis_right = left.basis, right.basis
@@ -335,14 +333,14 @@ def cooperad_axiom_check(
             for j, k, c2 in inner.row_at(at_jk[s]):
                 bump(rhs, (a, j, k), c * c2)
         if lhs != rhs and bad_nested is None:
-            bad_nested = {"basis_monomial": monomial_str(b, pres)}
+            bad_nested = {"basis_monomial": monomial_str(b, pres, comp.labels)}
 
         rhs2: dict = {}
         for s, j, c in swapped.row_at(pos):
             for a, k, c2 in swapped_inner.row_at(at_ik[s]):
                 bump(rhs2, (a, j, k), -c * c2 if odd_j[j] and odd_k[k] else c * c2)
         if lhs2 != rhs2 and bad_swapped is None:
-            bad_swapped = {"basis_monomial": monomial_str(b, pres)}
+            bad_swapped = {"basis_monomial": monomial_str(b, pres, comp.labels)}
 
     split = {"I": list(I), "J": list(J), "K": list(K)}
     verdicts = [
@@ -390,7 +388,7 @@ def theta_intertwines_differentials(
                 for rd, cr in d_right[rs][1]:
                     bump(rhs, (ls, rd), c_signed * cr)
             if lhs != rhs:
-                bad = {"basis_monomial": monomial_str(union.basis[slot], pres), "differential": which}
+                bad = {"basis_monomial": monomial_str(union.basis[slot], pres, union.labels), "differential": which}
                 break
         verdicts.append(
             verdict(

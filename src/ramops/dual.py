@@ -34,7 +34,6 @@ from .graphalg import (
     monomial_from_word,
     monomial_str,
     multiply,
-    unit_monomial,
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
@@ -90,9 +89,9 @@ class LinearForm:
     def __repr__(self) -> str:
         if not self.coords:
             return "0"
+        comp = self.component
         return " + ".join(
-            f"{c}*{monomial_str(self.component.basis[slot], self.component.pres)}^*"
-            for slot, c in sorted(self.coords.items())
+            f"{c}*{monomial_str(comp.basis[slot], comp.pres, comp.labels)}^*" for slot, c in sorted(self.coords.items())
         ).replace("+ -", "- ")
 
 
@@ -109,13 +108,13 @@ def dual_basis_element(
     store = store or default_store()
     comp = algebra_basis(pres, labels, "forest", store)
     if which == "one":
-        return LinearForm(comp, {comp.slot(unit_monomial(pres)): 1})
+        return LinearForm(comp, {comp.slot(0): 1})  # the unit's mask is 0
     if which not in ("astar", "bstar"):
         raise ValueError("which must be one | astar | bstar")
     if i == j or i not in labels or j not in labels:
         raise ValueError("need two distinct vertices from the label set")
     color = "a" if which == "astar" else "b"
-    sign, key = monomial_from_word(pres, [(color, i, j)], "forest")
+    sign, key = monomial_from_word(pres, labels, [(color, i, j)], "forest")
     return LinearForm(comp, {comp.slot(key): sign})
 
 
@@ -330,7 +329,7 @@ def compat_checks(n: int, store: ComponentStore | None = None) -> dict:
     partners = [[(sv, v) for sv, v in enumerate(r_comp.basis) if weights[sv] <= k] for k in range(n)]
     for su, u in enumerate(r_comp.basis):
         for sv, v in partners[n - 1 - weights[su]]:
-            prod = multiply(u, v, R_PRESENTATION, "forest")
+            prod = multiply(u, v, R_PRESENTATION, n, "forest")
             if prod is not None:
                 for slot, c in r_comp.slot_expansion(prod[1]):
                     products[slot].append((su, sv, prod[0] * c))

@@ -1,10 +1,17 @@
 """Quotient algebras of signed colored-graph monomials on a finite vertex set.
 
-A monomial is a simple graph on the vertex set with every edge colored; it
-is stored as a tuple (one entry per color) of sorted edge tuples, each edge
-oriented (min, max) with the orientation sign absorbed into coefficients.
-The word order behind all Koszul signs lists colors in presentation order
-and edges sorted within a color; only edges of odd first degree anticommute.
+A monomial is a simple graph on the vertex set with every edge colored,
+named by its colored mask, the one name the engine gives it: the vertex
+pairs are numbered p in the order of ``combinations(labels, 2)``, and the
+letter of color ci on pair p is bit ci * P + p (P pairs).  Bit order is the
+word order behind all Koszul signs, colors in presentation order and edges
+sorted within a color; only letters of odd first degree anticommute.  An
+order-preserving relabeling keeps the pair numbers, and so the masks: a
+monomial has one mask on every label set of a size.  Edge tuples appear at
+the two edges of the engine only: words come in through
+``monomial_from_word``, which orients each edge (min, max) and absorbs the
+orientation sign into the coefficient, and text goes out through
+``monomials_of_masks``.
 
 Two presentations are shipped: the two-color family with an even color
 ``a`` of bidegree (0,1) and an odd color ``b`` of (1,1), both antisymmetric
@@ -34,11 +41,19 @@ from .linalg import ONE, Combination, SparseMatrix, exact, rank
 from .quotient import QuotientComponent, clearable, load_component, payload_component
 
 Edge = tuple[Atom, Atom]
-MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order
+MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order: a decoded mask
 Letter = tuple[str, Atom, Atom]
 Word = tuple[Letter, ...]
 
 MODES = ("forest", "full")
+# the relation families that ``relation_words`` spells out
+FAMILIES = ("a_square", "aa_sum", "ab_sum", "a_cycle", "b_cycle", "bab_sum", "bbb_sum", "arnold_sum")
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless mode is an ambient mode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +62,10 @@ class ColorSpec:
     bidegree: BiDegree
     orientation: int  # -1: c[j,i] = -c[i,j]; +1: symmetric in the endpoints
 
+    def __post_init__(self):
+        if self.orientation not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
+
 
 class GraphPresentation:
     def __init__(self, name: str, colors: Sequence[ColorSpec], families: Sequence[str]):
@@ -54,6 +73,9 @@ class GraphPresentation:
         self.colors = tuple(colors)
         self.families = tuple(families)
         self.color_index = {c.name: i for i, c in enumerate(self.colors)}
+        unknown = [f for f in self.families if f not in FAMILIES]
+        if unknown:
+            raise ValueError(f"unknown relation families {unknown}; choose from {FAMILIES}")
         # the enumeration orders the monomials of one bidegree by a key
         # that is exact only when (h, w) fixes each color's edge count,
         # that is when the colors' bidegrees are linearly independent
@@ -92,16 +114,10 @@ ARNOLD_PRESENTATION = GraphPresentation(
 )
 
 
-def _edge_key(e: Edge):
-    return (atom_key(e[0]), atom_key(e[1]))
-
-
-def _letter_order(item: tuple[int, Edge]):
-    return (item[0],) + _edge_key(item[1])
-
-
-def _has_cycle(edges: Iterable[Edge]) -> bool:
-    parent: dict[Atom, Atom] = {}
+def _has_cycle(edges: int, n: int) -> bool:
+    """Whether the edge mask (bit p for pair p) on n vertices holds a cycle."""
+    ends = list(combinations(range(n), 2))
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -109,9 +125,10 @@ def _has_cycle(edges: Iterable[Edge]) -> bool:
             x = parent[x]
         return x
 
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
+    while edges:
+        low = edges & -edges
+        edges ^= low
+        u, v = ends[low.bit_length() - 1]
         ru, rv = find(u), find(v)
         if ru == rv:
             return True
@@ -119,123 +136,159 @@ def _has_cycle(edges: Iterable[Edge]) -> bool:
     return False
 
 
-def _count_inversions(keys: list) -> int:
-    inv = 0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if keys[j] < keys[i]:
-                inv += 1
-    return inv
+def _letters(pres: GraphPresentation, n: int) -> tuple[Callable[[int], int], int]:
+    """Of colored masks on n labels: the function giving a mask's edge mask
+    (the union of its colors' P-bit blocks), and the mask of the odd letters.
+
+    A product of two masks with disjoint edge masks is their union, with the
+    Koszul sign -1 to the parity of ``popcount(_koszul_mask(m1 & odd) & m2
+    & odd)`` (``_koszul_mask``).
+    """
+    npairs = n * (n - 1) // 2
+    every_pair = (1 << npairs) - 1
+    shifts = [ci * npairs for ci in range(len(pres.colors))]
+    odd = 0
+    for ci, shift in enumerate(shifts):
+        if pres.is_odd(ci):
+            odd |= every_pair << shift
+
+    def edges_of(colored: int) -> int:
+        edges = 0
+        for shift in shifts:
+            edges |= colored >> shift & every_pair
+        return edges
+
+    return edges_of, odd
+
+
+def _koszul_mask(odd_bits: int) -> int:
+    """XOR of the masks (1 << x) - 1 over the bits x of ``odd_bits``.
+
+    For odd letters y, the parity of ``popcount(y & mask)`` is the parity of
+    the pairs (x, y) with y < x: the Koszul sign of moving the letters y
+    past the letters x.
+    """
+    mask = 0
+    while odd_bits:
+        low = odd_bits & -odd_bits
+        mask ^= low - 1
+        odd_bits ^= low
+    return mask
 
 
 def monomial_from_word(
-    pres: GraphPresentation, word: Iterable[Letter], mode: str = "forest"
-) -> tuple[int, MonomialKey] | None:
-    """Canonical signed monomial of a generator word, or None when it vanishes."""
+    pres: GraphPresentation, labels: tuple[Atom, ...], word: Iterable[Letter], mode: str = "forest"
+) -> tuple[int, int] | None:
+    """Canonical signed monomial of a generator word on the (checked) label
+    set, as its colored mask, or None when it vanishes."""
+    check_mode(mode)
+    n = len(labels)
+    at = {a: k for k, a in enumerate(labels)}
     sign = 1
-    letters: list[tuple[int, Edge]] = []
+    letters: list[tuple[int, int]] = []  # (color, pair number)
     for cname, i, j in word:
         ci = pres.color_index[cname]
         if i == j:
             raise ValueError(f"loop edge {cname}[{i},{j}]")
-        if atom_key(i) > atom_key(j):
-            i, j = j, i
+        u, v = at[i], at[j]
+        if u > v:
+            u, v = v, u
             sign *= pres.colors[ci].orientation
-        letters.append((ci, (i, j)))
-    edges = [e for _, e in letters]
-    if len(set(edges)) != len(edges):
+        letters.append((ci, u * (2 * n - u - 1) // 2 + v - u - 1))
+    npairs = n * (n - 1) // 2
+    edges = mask = odd_seen = 0
+    for ci, p in letters:
+        if edges >> p & 1:
+            return None
+        edges |= 1 << p
+        bit = ci * npairs + p
+        mask |= 1 << bit
+        if pres.is_odd(ci):
+            # past the odd letters before it in the word with a greater bit
+            if (odd_seen >> bit).bit_count() & 1:
+                sign = -sign
+            odd_seen |= 1 << bit
+    if mode == "forest" and _has_cycle(edges, n):
         return None
-    if mode == "forest" and _has_cycle(edges):
+    return sign, mask
+
+
+def multiply(m1: int, m2: int, pres: GraphPresentation, n: int, mode: str = "forest") -> tuple[int, int] | None:
+    """Product of monomials on n labels: the union of the masks with the
+    Koszul sign (``_letters``), or None when an edge repeats or (forest
+    mode) a cycle appears."""
+    check_mode(mode)
+    edges_of, odd = _letters(pres, n)
+    e1, e2 = edges_of(m1), edges_of(m2)
+    if e1 & e2 or mode == "forest" and _has_cycle(e1 | e2, n):
         return None
-    odd_keys = [_letter_order(item) for item in letters if pres.is_odd(item[0])]
-    if _count_inversions(odd_keys) % 2 == 1:
-        sign = -sign
-    per_color: list[list[Edge]] = [[] for _ in pres.colors]
-    for ci, e in letters:
-        per_color[ci].append(e)
-    key = tuple(tuple(sorted(es, key=_edge_key)) for es in per_color)
-    return sign, key
+    return -1 if (_koszul_mask(m1 & odd) & m2 & odd).bit_count() & 1 else 1, m1 | m2
 
 
-def multiply(
-    m1: MonomialKey, m2: MonomialKey, pres: GraphPresentation, mode: str = "forest"
-) -> tuple[int, MonomialKey] | None:
-    """Product of canonical monomials: merged monomial with the Koszul sign,
-    or None when an edge repeats or (forest mode) a cycle appears."""
-    all_edges: list[Edge] = []
-    for es1, es2 in zip(m1, m2):
-        all_edges.extend(es1)
-        all_edges.extend(es2)
-    if len(set(all_edges)) != len(all_edges):
-        return None
-    if mode == "forest" and _has_cycle(all_edges):
-        return None
-    odd1 = [(ci, e) for ci in range(len(pres.colors)) if pres.is_odd(ci) for e in m1[ci]]
-    odd2 = [(ci, e) for ci in range(len(pres.colors)) if pres.is_odd(ci) for e in m2[ci]]
-    inv = 0
-    for x in odd1:
-        kx = _letter_order(x)
-        for y in odd2:
-            if _letter_order(y) < kx:
-                inv += 1
-    sign = -1 if inv % 2 else 1
-    key = tuple(
-        tuple(sorted(m1[ci] + m2[ci], key=_edge_key)) for ci in range(len(pres.colors))
-    )
-    return sign, key
+def _bidegrees(pres: GraphPresentation, n: int, masks: list[int]) -> list[BiDegree]:
+    """The bidegree of each colored mask on n labels, read color by color
+    over all of them."""
+    npairs = n * (n - 1) // 2
+    every_pair = (1 << npairs) - 1
+    degrees = [(0, 0)] * len(masks)
+    for ci, color in enumerate(pres.colors):
+        ch, cw = color.bidegree
+        shift = ci * npairs
+        counts = [(m >> shift & every_pair).bit_count() for m in masks]
+        degrees = [(h + ch * k, w + cw * k) for (h, w), k in zip(degrees, counts)]
+    return degrees
 
 
-def monomial_bidegree(m: MonomialKey, pres: GraphPresentation) -> BiDegree:
-    h = w = 0
-    for ci, edges in enumerate(m):
-        ch, cw = pres.colors[ci].bidegree
-        h += ch * len(edges)
-        w += cw * len(edges)
-    return (h, w)
+def monomial_bidegree(m: int, pres: GraphPresentation, n: int) -> BiDegree:
+    return _bidegrees(pres, n, [m])[0]
 
 
-def monomial_sort_key(m: MonomialKey, pres: GraphPresentation):
-    h, w = monomial_bidegree(m, pres)
-    return (h, w, tuple(tuple(_edge_key(e) for e in es) for es in m))
-
-
-def monomial_str(m: MonomialKey, pres: GraphPresentation) -> str:
+def monomial_sort_key(m: int, pres: GraphPresentation, n: int):
+    """(h, w, the bits of m in increasing order).  Within (h, w), which
+    fixes each color's edge count, that orders the monomials by their edges
+    per color, in color order, each color's edges compared as sorted
+    tuples."""
+    h, w = monomial_bidegree(m, pres, n)
     bits = []
-    for ci, edges in enumerate(m):
-        for u, v in edges:
-            bits.append(f"{pres.colors[ci].name}[{u},{v}]")
+    while m:
+        low = m & -m
+        bits.append(low.bit_length() - 1)
+        m ^= low
+    return (h, w, tuple(bits))
+
+
+def monomial_str(m: int, pres: GraphPresentation, labels: tuple[Atom, ...]) -> str:
+    (key,) = monomials_of_masks(pres, labels, [m])
+    bits = [f"{pres.colors[ci].name}[{u},{v}]" for ci, edges in enumerate(key) for u, v in edges]
     return "".join(bits) if bits else "1"
 
 
-def unit_monomial(pres: GraphPresentation) -> MonomialKey:
-    return tuple(() for _ in pres.colors)
-
-
 class AlgebraElement(Combination):
-    """Sparse rational combination of canonical graph monomials on one vertex set."""
+    """Sparse rational combination of graph monomials, by their colored
+    masks, on one vertex set."""
 
     __slots__ = ("pres",)
 
     def __init__(self, labels: Iterable[Atom], pres: GraphPresentation, terms: dict | None = None):
         self.labels = check_label_set(labels)
         self.pres = pres
-        self.terms: dict[MonomialKey, Fraction] = terms if terms is not None else {}
+        self.terms: dict[int, Fraction] = terms if terms is not None else {}
 
     def _like(self, terms: dict) -> "AlgebraElement":
         return AlgebraElement(self.labels, self.pres, terms)
 
-    def sort_key(self, m: MonomialKey):
-        return monomial_sort_key(m, self.pres)
+    def sort_key(self, m: int):
+        return monomial_sort_key(m, self.pres, len(self.labels))
 
-    def key_str(self, m: MonomialKey) -> str:
-        return monomial_str(m, self.pres)
+    def key_str(self, m: int) -> str:
+        return monomial_str(m, self.pres, self.labels)
 
-    def key_bidegree(self, m: MonomialKey) -> BiDegree:
-        return monomial_bidegree(m, self.pres)
+    def key_bidegree(self, m: int) -> BiDegree:
+        return monomial_bidegree(m, self.pres, len(self.labels))
 
     @classmethod
     def unit(cls, labels, pres) -> "AlgebraElement":
-        return cls(labels, pres, {unit_monomial(pres): 1})
+        return cls(labels, pres, {0: ONE})
 
     @classmethod
     def from_words(
@@ -245,6 +298,7 @@ class AlgebraElement(Combination):
         items: Iterable[tuple[Fraction | int, Iterable[Letter]]],
         mode: str = "forest",
     ) -> "AlgebraElement":
+        check_mode(mode)
         el = cls(labels, pres)
         label_set = set(el.labels)
         for coeff, word in items:
@@ -252,7 +306,7 @@ class AlgebraElement(Combination):
             for _, i, j in word:
                 if i not in label_set or j not in label_set:
                     raise ValueError(f"edge endpoint {i!r}/{j!r} outside the vertex set")
-            res = monomial_from_word(pres, word, mode)
+            res = monomial_from_word(pres, el.labels, word, mode)
             if res is not None:
                 sign, key = res
                 el._add_term(key, exact(coeff) * sign)
@@ -260,12 +314,14 @@ class AlgebraElement(Combination):
 
 
 def element_multiply(x: AlgebraElement, y: AlgebraElement, mode: str = "forest") -> AlgebraElement:
+    check_mode(mode)
     if x.labels != y.labels:
         raise ValueError("vertex sets differ")
     out = AlgebraElement(x.labels, x.pres)
+    n = len(x.labels)
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
-            res = multiply(k1, k2, x.pres, mode)
+            res = multiply(k1, k2, x.pres, n, mode)
             if res is not None:
                 sign, key = res
                 out._add_term(key, c1 * c2 * sign)
@@ -273,23 +329,22 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, mode: str = "forest")
 
 
 def relabel_element(x: AlgebraElement, phi: Mapping[Atom, Atom]) -> AlgebraElement:
-    image = [phi[a] for a in x.labels]
-    out = AlgebraElement(image, x.pres)
+    out = AlgebraElement([phi[a] for a in x.labels], x.pres)
     for key, coeff in x.terms.items():
-        sign, new_key = _relabel_monomial(x.pres, key, phi)
+        sign, new_key = _relabel_monomial(x.pres, x.labels, key, phi, out.labels)
         out._add_term(new_key, coeff * sign)
     return out
 
 
 def _relabel_monomial(
-    pres: GraphPresentation, m: MonomialKey, phi: Mapping[Atom, Atom]
-) -> tuple[int, MonomialKey]:
-    word = []
-    for ci, edges in enumerate(m):
-        cname = pres.colors[ci].name
-        word.extend((cname, phi[u], phi[v]) for u, v in edges)
+    pres: GraphPresentation, labels: tuple[Atom, ...], m: int, phi: Mapping[Atom, Atom], image: tuple[Atom, ...]
+) -> tuple[int, int]:
+    """The signed mask on ``image`` of the monomial m on ``labels`` with
+    every label a moved to phi[a]."""
+    (edges,) = monomials_of_masks(pres, labels, [m])
+    word = [(pres.colors[ci].name, phi[u], phi[v]) for ci, es in enumerate(edges) for u, v in es]
     # relabeling cannot create repeats or cycles, so the result is never None
-    return monomial_from_word(pres, word, "full")
+    return monomial_from_word(pres, image, word, "full")
 
 
 def enumerate_graph_monomials(
@@ -302,23 +357,20 @@ def enumerate_graph_monomials(
 
 
 def enumerate_colored_masks(pres: GraphPresentation, n: int, mode: str = "forest") -> list[int]:
-    """The colored masks (``mask_encoder``) of all canonical monomials on n
-    labels, in ``monomial_sort_key`` order.
+    """The colored masks of all canonical monomials on n labels, in
+    ``monomial_sort_key`` order.
 
     An edge set is an increasing tuple of pair numbers (``combinations(labels,
     2)`` order), grown by a later pair at a time; in forest mode only by one
     that joins two components, so no edge set with a cycle is formed.  The
     colorings of a grown set are those of its parent, the new pair taking
     each color in turn, so a mask doubles one edge at a time; they are kept
-    apart by bidegree (h, w).  The labels are in ``atom_key`` order, so pair
-    numbers are in ``_edge_key`` order, and the key's order within (h, w) is
-    that of the per-color tuples of pair numbers.  (h, w) fixes each color's
-    edge count (``GraphPresentation`` requires it), so that is the
-    decreasing order of the mask with its bits reversed, which each value
-    carries above the mask: one sort of ints orders a bidegree.
+    apart by bidegree (h, w).  Within (h, w) the key's order is that of the
+    increasing tuples of bits, which is the decreasing order of the mask
+    with its bits reversed; each value carries that reversed mask above the
+    mask, so one sort of ints orders a bidegree.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode)
     npairs = n * (n - 1) // 2
     width = len(pres.colors) * npairs
     ends = list(combinations(range(n), 2))
@@ -426,7 +478,7 @@ def relation_words(
                 p, q, r, s = (sub[t] for t in order)
                 terms.append((1, (("b", p, q), (mid, q, r), ("b", r, s))))
             out.append(terms)
-    elif family == "arnold_sum":
+    else:  # arnold_sum, the last of FAMILIES
         for sub in combinations(labels, 3):
             i, j, k = sub
             out.append(
@@ -436,8 +488,6 @@ def relation_words(
                     (1, (("w", k, i), ("w", i, j))),
                 ]
             )
-    else:
-        raise AssertionError(family)
     return out
 
 
@@ -463,6 +513,7 @@ def relation_instances(
     Built once per (presentation, labels, mode, families); each call returns
     a fresh list of the shared elements.
     """
+    check_mode(mode)
     labels = check_label_set(labels)
     chosen = tuple(families) if families is not None else pres.families
     key = (pres.hash, labels, mode, chosen)
@@ -486,7 +537,7 @@ def _relation_instances(
             el = AlgebraElement.from_words(labels, pres, inst, mode)
             if el.is_zero():
                 continue
-            lead = min(el.terms, key=lambda m: monomial_sort_key(m, pres))
+            lead = min(el.terms, key=el.sort_key)
             el = el.scaled(Fraction(1) / el.terms[lead])
             fixed = tuple((k, c) for k, c in el.sorted_terms())
             if fixed in seen:
@@ -501,14 +552,12 @@ def _relation_instances(
 
 class GraphComponent(QuotientComponent):
     """Quotient of the monomial span by all relation instances, on one vertex
-    set.  An ambient monomial is named by its colored mask alone: ``masks[i]``
-    is that of ambient monomial i and ``index`` maps it back to i, both on
-    {1..n} and shared by every relabeled component, as are the echelon
-    ``reducer`` and the tables read from it (expansions, ``differentials``).
-    ``basis_positions`` lists the basis positions in slot order.  ``encode``
-    is the ``mask_encoder`` of the component's labels, which gives a
-    monomial its mask on {1..n}, so a lookup maps nothing back.
-    ``monomials`` decodes the masks on each call; a payload stores them."""
+    set.  A monomial is its colored mask, the same on every label set of the
+    size: ``masks[i]`` is that of ambient monomial i and ``index`` maps it
+    back to i, and the basis lists the masks at ``basis_positions``, in slot
+    order.  Those, the echelon ``reducer`` and the tables read from it
+    (expansions, ``differentials``) are shared by every relabeled component,
+    which differs from the one on {1..n} in its ``labels`` alone."""
 
     family = "graph"
     # its own attribute, so that per-side instrumentation can wrap it
@@ -520,36 +569,23 @@ class GraphComponent(QuotientComponent):
         self.mode = mode
         self.masks = masks
         self.index = {c: i for i, c in enumerate(masks)}
-        self.encode = mask_encoder(labels)
         self.reducer = reducer
         self.basis_positions = basis_positions
         self._slot_of = {i: slot for slot, i in enumerate(basis_positions)}
         self._expansions: dict[int, tuple] = {}
         self._differentials: dict[str, list[tuple]] = {}
-        basis = monomials_of_masks(pres, labels, [masks[i] for i in basis_positions])
-        super().__init__(pres, labels, basis, [monomial_bidegree(b, pres) for b in basis])
+        basis = [masks[i] for i in basis_positions]
+        super().__init__(pres, labels, basis, _bidegrees(pres, len(labels), basis))
 
-    @property
-    def monomials(self) -> list[MonomialKey]:
-        """The ambient monomials on the component's labels, in position
-        order, decoded from the masks on each call."""
-        return monomials_of_masks(self.pres, self.labels, self.masks)
-
-    def relabeled(self, labels: tuple[Atom, ...]) -> "GraphComponent":
-        """The shared copy, with the encoder of its own labels."""
-        comp = super().relabeled(labels)
-        comp.encode = mask_encoder(labels)
-        return comp
-
-    def position(self, m: MonomialKey) -> int | None:
+    def position(self, m: int) -> int | None:
         """Position of m among the ambient monomials, None outside the ambient."""
-        return self.index.get(self.encode(m))
+        return self.index.get(m)
 
-    def slot(self, m: MonomialKey) -> int:
-        return self._slot_of[self.index[self.encode(m)]]
+    def slot(self, m: int) -> int:
+        return self._slot_of[self.index[m]]
 
-    def slot_expansion(self, m: MonomialKey) -> tuple:
-        return self.expansion_at(self.index[self.encode(m)])
+    def slot_expansion(self, m: int) -> tuple:
+        return self.expansion_at(self.index[m])
 
     def expansion_at(self, i: int) -> tuple:
         """``slot_expansion`` of the ambient monomial at position i, kept
@@ -565,22 +601,18 @@ class GraphComponent(QuotientComponent):
         """For each basis slot, d of its basis monomial as (position,
         coefficient) pairs and as basis (slot, coefficient) pairs.
 
-        Both are the same on every label set of the size: d compares atoms
-        only through ``atom_key``, as the canonical forms do, so it commutes
-        with an order-preserving relabeling.  d keeps the edge set of a
-        monomial, so every term stays in the ambient of either mode.
+        Both are the same on every label set of the size: d reads masks
+        only.  d keeps the edge set of a monomial, so every term stays in
+        the ambient of either mode.
         """
         rows = self._differentials.get(which)
         if rows is None:
             rows = self._differentials[which] = []
             for b in self.basis:
                 image = differential_algebra(self.monomial_element(b), which)
-                positions = tuple((self.position(m), c) for m, c in image.terms.items())
+                positions = tuple((self.index[m], c) for m, c in image.terms.items())
                 rows.append((positions, tuple(self.coords(image).items())))
         return rows
-
-    def transport(self, m: MonomialKey, phi: Mapping[Atom, Atom]) -> MonomialKey:
-        return tuple(tuple((phi[u], phi[v]) for u, v in es) for es in m)
 
     def element(self, terms: dict) -> AlgebraElement:
         return AlgebraElement(self.labels, self.pres, terms)
@@ -601,7 +633,7 @@ class GraphComponent(QuotientComponent):
 
     @classmethod
     def ambient_and_span(cls, pres: GraphPresentation, n: int, mode: str) -> tuple[list[int], SparseMatrix]:
-        """The ambient masks on {1..n}, its monomials let go, and the span."""
+        """The ambient masks on {1..n} and the span."""
         masks = enumerate_colored_masks(pres, n, mode)
         return masks, _span_matrix(pres, standard_labels(n), mode, masks)
 
@@ -613,52 +645,14 @@ def algebra_basis(
     store: ComponentStore | None = None,
 ) -> GraphComponent:
     """Basis, reducer and bigraded dims of the quotient algebra (cached)."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode)
     return load_component(GraphComponent, pres, labels, store, mode=mode)
 
 
-def _koszul_mask(odd_bits: int) -> int:
-    """XOR of the masks (1 << x) - 1 over the bits x of ``odd_bits``.
-
-    For odd letters y, the parity of ``popcount(y & mask)`` is the parity of
-    the pairs (x, y) with y < x: the Koszul sign of moving the letters y
-    past the letters x.
-    """
-    mask = 0
-    while odd_bits:
-        low = odd_bits & -odd_bits
-        mask ^= low - 1
-        odd_bits ^= low
-    return mask
-
-
-def mask_encoder(labels: tuple[Atom, ...]) -> Callable[[MonomialKey], int]:
-    """The bit encoding of monomials on the label set, as a function of a
-    canonical monomial to its colored mask.
-
-    The vertex pairs are numbered p in the order of ``combinations(labels,
-    2)``, and the letter of color ci on pair p is bit ci * P + p (P pairs),
-    so bit order is the letter order (color, edge) of the Koszul signs.  An
-    order-preserving relabeling keeps the pair numbers, and so the masks.
-    """
-    pair_index = {e: p for p, e in enumerate(combinations(labels, 2))}
-    npairs = len(pair_index)
-
-    def mask(m: MonomialKey) -> int:
-        colored = 0
-        for ci, es in enumerate(m):
-            for e in es:
-                colored |= 1 << (ci * npairs + pair_index[e])
-        return colored
-
-    return mask
-
-
 def monomials_of_masks(pres: GraphPresentation, labels: tuple[Atom, ...], masks: list[int]) -> list[MonomialKey]:
-    """The canonical monomial of each colored mask (``mask_encoder``) on the
-    label set: its edges of color ci are the pairs p of its bits ci * P + p,
-    in increasing order."""
+    """The monomial of each colored mask on the label set as edge tuples:
+    its edges of color ci are the pairs p of its bits ci * P + p, in
+    increasing order."""
     pairs = list(combinations(labels, 2))
     npairs = len(pairs)
     every_pair = (1 << npairs) - 1
@@ -677,15 +671,10 @@ def _span_matrix(
     """Relation instances times the complementary ambient monomials, given by
     their colored masks in position order, as sparse rows.
 
-    Monomials are bitmasks (``mask_encoder``): a colored mask, bit
-    ci * P + p for the letter of color ci on vertex pair p, and a color-blind
-    edge mask, the union of the colors' P-bit blocks of the colored mask.
-    A term and a multiplier that share an edge multiply to zero;
-    otherwise their product is the monomial of the union of their colored
-    masks.  Its sign is -1 to the number of pairs of odd
-    letters, x of the term and y of the multiplier, with y < x: the parity
-    of the sum over x of ``popcount(odd2 & ((1 << x) - 1))``, read as one
-    ``popcount`` of ``odd2`` against ``_koszul_mask`` of the term.
+    A term and a multiplier that share an edge (``_letters``) multiply to
+    zero; otherwise their product is the union of their colored masks, with
+    the sign of ``multiply``: the ``_koszul_mask`` of each term's odd
+    letters is taken once, against the odd letters of every multiplier.
 
     In forest mode the ambient holds every colored forest, so a union
     missing from it is exactly one with a cycle, and that product vanishes;
@@ -698,32 +687,17 @@ def _span_matrix(
     of a row space is unique, and a repeated row eliminates to zero, so
     the payload is the same either way.
     """
-    npairs = len(labels) * (len(labels) - 1) // 2
-    every_pair = (1 << npairs) - 1
-    shifts = [ci * npairs for ci in range(len(pres.colors))]
-    odd = 0
-    for ci, shift in enumerate(shifts):
-        if pres.is_odd(ci):
-            odd |= every_pair << shift
-
-    def with_edges(colored: int) -> tuple[int, int]:
-        edges = 0
-        for shift in shifts:
-            edges |= colored >> shift & every_pair
-        return colored, edges
-
-    encoded = list(map(with_edges, masks))
+    edges_of, odd = _letters(pres, len(labels))
+    encoded = [(colored, edges_of(colored)) for colored in masks]
     by_mask = {colored: i for i, colored in enumerate(masks)}
     forest = mode == "forest"
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(masks))
-    encode = mask_encoder(labels)
     roomy: dict[int, list[tuple[int, int]]] = {}  # the multipliers of at most spare edges, by spare
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = []
-        for k, c in rel.terms.items():
-            colored, edges = with_edges(encode(k))
-            terms.append((colored, edges, _koszul_mask(colored & odd), c, -c))
+        for colored, c in rel.terms.items():
+            terms.append((colored, edges_of(colored), _koszul_mask(colored & odd), c, -c))
         multipliers = encoded
         if forest:
             spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
@@ -780,41 +754,30 @@ def ideal_rank_breakdown(
 def differential_algebra(x: AlgebraElement, which: str) -> AlgebraElement:
     """Derivation ``up`` (a -> b, bidegree (+1,0)) or ``down`` (b -> a, (-1,0)).
 
-    The sign at a letter is (-1)**(number of b-letters to its left) in the
+    Each letter of the source color moves to the other color on its pair,
+    with the sign (-1)**(number of b-letters before that pair) in the
     canonical word; requires the two-color presentation.
     """
     pres = x.pres
     if "a" not in pres.color_index or "b" not in pres.color_index:
         raise ValueError("differentials need the two-color presentation")
-    ca, cb = pres.color_index["a"], pres.color_index["b"]
     if which not in ("up", "down"):
         raise ValueError(f"unknown differential {which!r}")
+    n = len(x.labels)
+    npairs = n * (n - 1) // 2
+    every_pair = (1 << npairs) - 1
+    shift_a, shift_b = pres.color_index["a"] * npairs, pres.color_index["b"] * npairs
+    source, target = (shift_a, shift_b) if which == "up" else (shift_b, shift_a)
     out = AlgebraElement(x.labels, pres)
     for m, coeff in x.terms.items():
-        a_edges, b_edges = m[ca], m[cb]
-        if which == "up":
-            for e in a_edges:
-                smaller = sum(1 for f in b_edges if _edge_key(f) < _edge_key(e))
-                sign = -1 if smaller % 2 else 1
-                new_a = tuple(f for f in a_edges if f != e)
-                new_b = tuple(sorted(b_edges + (e,), key=_edge_key))
-                key = _rebuild(m, ca, new_a, cb, new_b)
-                out._add_term(key, coeff * sign)
-        else:
-            for pos, e in enumerate(b_edges):
-                sign = -1 if pos % 2 else 1
-                new_b = tuple(f for f in b_edges if f != e)
-                new_a = tuple(sorted(a_edges + (e,), key=_edge_key))
-                key = _rebuild(m, ca, new_a, cb, new_b)
-                out._add_term(key, coeff * sign)
+        b_pairs = m >> shift_b & every_pair
+        pairs = m >> source & every_pair
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            flip = (b_pairs & low - 1).bit_count() & 1
+            out._add_term(m ^ low << source ^ low << target, -coeff if flip else coeff)
     return out
-
-
-def _rebuild(m: MonomialKey, ca: int, new_a, cb: int, new_b) -> MonomialKey:
-    parts = list(m)
-    parts[ca] = new_a
-    parts[cb] = new_b
-    return tuple(parts)
 
 
 def path_permutation_sum(

@@ -38,15 +38,24 @@ def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 
 
 # label tuples that passed, with the types of their atoms: True and 1.0
-# equal 1 (and hash alike) but are not the atom 1
+# equal 1 (and hash alike) but are not the atom 1, so a tuple of them is
+# checked, and refused, on its own
 _CHECKED: dict[tuple, tuple[Atom, ...]] = {}
 
 
 def check_label_set(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The labels in atom order; raises ``ValueError`` on a repeat or on a
+    label that is not an atom (a ``str`` or a non-bool ``int``)."""
     atoms = tuple(atoms)
     key = (atoms, tuple(map(type, atoms)))
-    ordered = _CHECKED.get(key)
+    try:
+        ordered = _CHECKED.get(key)
+    except TypeError:  # an unhashable label
+        ordered = None
     if ordered is None:
+        for a in atoms:
+            if type(a) not in (int, str):
+                raise ValueError(f"label {a!r} is not an atom (a str or an int)")
         ordered = sort_atoms(atoms)
         for x, y in zip(ordered, ordered[1:]):
             if x == y:

@@ -588,8 +588,12 @@ class Component(QuotientComponent):
         self._expansions: dict[Tree, tuple] = {}
 
     def relabeled(self, labels: tuple[Atom, ...]) -> "Component":
-        """The shared copy, with the map of its labels back onto {1..n}."""
+        """The shared copy, with its basis moved to the labels and the map of
+        its labels back onto {1..n}."""
         comp = super().relabeled(labels)
+        # both label tuples are sorted, so phi preserves the atom order
+        phi = dict(zip(self.labels, labels))
+        comp.basis = [self.transport(b, phi) for b in self.basis]
         comp._back = dict(zip(labels, standard_labels(len(labels))))
         return comp
 

@@ -8,16 +8,16 @@ monomials are the basis, and ``Echelon.reduce`` is the normal form.  The
 operad side keeps only its basis, the normal trees, and its rewriting nf,
 with no ambient, payload or store (``operad``).  On both sides the
 component on another label set of the size is the standard one
-``relabeled`` along the order-preserving bijection: its own labels and
-basis, moved by the side's ``transport``.  The operad side adds the map of
-its labels back onto {1..n}, which its lookups take (an algebra lookup
-reads the monomial's colored mask, the same on every label set of the
-size); so the ambient, its index, the normal form and its memos exist
-once, on {1..n}.  Both canonical forms compare atoms only through
-``atom_key``, which that bijection respects, so a transported monomial is
-canonical as it is, with sign +1: transport is the plain map of the
-labels, and basis slot ``s`` means the same basis monomial on every label
-set of the size.
+``relabeled`` along the order-preserving bijection, with its own labels.
+An algebra monomial is its colored mask, the same on every label set of
+the size, so an algebra component differs in nothing else.  The operad
+side moves its basis trees along the bijection and adds the map of its
+labels back onto {1..n}, which its lookups take.  So the ambient, its
+index, the normal form and its memos exist once, on {1..n}.  The
+canonical trees compare atoms only through ``atom_key``, which that
+bijection respects, so a moved tree is canonical as it is, with sign +1,
+and basis slot ``s`` means the same basis monomial on every label set of
+the size.
 
 A side supplies what differs (see ``QuotientComponent``), its basis
 expansions memoised once on {1..n}.  This module owns the rest: the
@@ -69,8 +69,8 @@ class QuotientComponent:
     store, prefix, fields)`` (``prefix`` is its cache-key prefix, ``fields``
     name the variant), from its basis monomials in slot order and their
     bidegrees.  ``relabeled`` gives it another label set of the size: a
-    copy with its own labels and basis, moved by the side's ``transport(m,
-    phi)``.  A side also supplies ``element(terms)``, ``slot(m)`` of a basis
+    copy with its own labels, to which a side adds what else it moves.  A
+    side also supplies ``element(terms)``, ``slot(m)`` of a basis
     monomial and ``slot_expansion(m)``, the (slot, coefficient) pairs of a
     monomial in slot order.
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
@@ -99,9 +99,6 @@ class QuotientComponent:
         """This component on another label set of the size, sharing the rest."""
         comp = copy.copy(self)
         comp.labels = labels
-        # both label tuples are sorted, so phi preserves the atom order
-        phi = dict(zip(self.labels, labels))
-        comp.basis = [self.transport(b, phi) for b in self.basis]
         return comp
 
     def coords(self, x) -> dict[int, Fraction]:

@@ -82,7 +82,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)
-        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.monomials, differential_algebra, ("up", "down")))
+        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.masks, differential_algebra, ("up", "down")))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)

@@ -78,7 +78,7 @@ def compat_checks(n, store=None):
             for (t1, t2), c in delta.terms.items()
         ]
         for su, u in enumerate(r_comp.basis):
-            hu = monomial_bidegree(u, R_PRESENTATION)[0]
+            hu = monomial_bidegree(u, R_PRESENTATION, n)[0]
             for sv, v in enumerate(r_comp.basis):
                 rhs = rho_t.value_on(
                     element_multiply(

@@ -26,6 +26,7 @@ from ramops.graphalg import (
     monomial_bidegree,
     monomial_from_word,
     monomial_str,
+    monomials_of_masks,
     multiply,
 )
 from ramops.labels import HASH, STAR, check_label_set, sort_atoms
@@ -49,7 +50,8 @@ def raw_theta(pres, I, J, x, place=STAR):
         left_word: list = []
         right_word: list = []
         seen_right_odd = 0
-        for ci, edges in enumerate(m):
+        (key,) = monomials_of_masks(pres, x.labels, [m])
+        for ci, edges in enumerate(key):
             cname = pres.colors[ci].name
             odd = pres.is_odd(ci)
             orientation = pres.colors[ci].orientation
@@ -73,10 +75,10 @@ def raw_theta(pres, I, J, x, place=STAR):
                     if odd:
                         seen_right_odd += 1
                     right_word.append(letter)
-        lres = monomial_from_word(pres, left_word, "forest")
+        lres = monomial_from_word(pres, left_labels, left_word, "forest")
         if lres is None:
             continue
-        rres = monomial_from_word(pres, right_word, "forest")
+        rres = monomial_from_word(pres, J, right_word, "forest")
         if rres is None:
             continue
         out._add_term((lres[1], rres[1]), coeff * sign * lres[0] * rres[0])
@@ -98,14 +100,15 @@ def tensor_multiply(x, y, mode="forest"):
     """(u(x)v)(u'(x)v') = (-1)**(h(v)h(u')) uu' (x) vv'."""
     out = x._like({})
     pres = x.factors[0].pres
+    nl, nr = map(len, x.labels)
     for (u, v), c1 in x.terms.items():
-        hv = monomial_bidegree(v, pres)[0]
+        hv = monomial_bidegree(v, pres, nr)[0]
         for (u2, v2), c2 in y.terms.items():
-            hu2 = monomial_bidegree(u2, pres)[0]
-            left = multiply(u, u2, pres, mode)
+            hu2 = monomial_bidegree(u2, pres, nl)[0]
+            left = multiply(u, u2, pres, nl, mode)
             if left is None:
                 continue
-            right = multiply(v, v2, pres, mode)
+            right = multiply(v, v2, pres, nr, mode)
             if right is None:
                 continue
             sign = -1 if (hv & 1) and (hu2 & 1) else 1
@@ -131,8 +134,8 @@ def dual_compose(f, g, place=STAR, store=None):
             gv = g.coords.get(slot_right.get(v, -1))
             if not fu or not gv:
                 continue
-            hu = monomial_bidegree(u, pres)[0]
-            hv = monomial_bidegree(v, pres)[0]
+            hu = monomial_bidegree(u, pres, len(f.labels))[0]
+            hv = monomial_bidegree(v, pres, len(J))[0]
             sign = -1 if (hv & 1) and (hu & 1) else 1
             total += c * sign * fu * gv
         if total:
@@ -181,18 +184,18 @@ def cooperad_axiom_check(pres, I, J, K, store=None):
             for (m2, m3), c2 in table_theta(pres, J, K, el_r, HASH, store).terms.items():
                 bump(rhs, (m1, m2, m3), c * c2)
         if lhs != rhs and bad_nested is None:
-            bad_nested = {"basis_monomial": monomial_str(b, pres)}
+            bad_nested = {"basis_monomial": monomial_str(b, pres, labels)}
 
         rhs2: dict = {}
         for (ml, mj), c in table_theta(pres, ik, J, el, STAR, store).terms.items():
             el_l = AlgebraElement(ik_star, pres, {ml: ONE})
-            hj = monomial_bidegree(mj, pres)[0]
+            hj = monomial_bidegree(mj, pres, len(J))[0]
             for (m1, mk), c2 in table_theta(pres, i_star, K, el_l, HASH, store).terms.items():
-                hk = monomial_bidegree(mk, pres)[0]
+                hk = monomial_bidegree(mk, pres, len(K))[0]
                 sign = -1 if (hj & 1) and (hk & 1) else 1
                 bump(rhs2, (m1, mj, mk), c * c2 * sign)
         if lhs2 != rhs2 and bad_swapped is None:
-            bad_swapped = {"basis_monomial": monomial_str(b, pres)}
+            bad_swapped = {"basis_monomial": monomial_str(b, pres, labels)}
 
     split = {"I": list(I), "J": list(J), "K": list(K)}
     verdicts = [
@@ -225,7 +228,7 @@ def theta_intertwines_differentials(pres, I, J, store=None):
                 )
                 for mld, cl in d_left.terms.items():
                     rhs._add_term((mld, mr), c * cl)
-                hl = monomial_bidegree(ml, pres)[0]
+                hl = monomial_bidegree(ml, pres, len(left_labels))[0]
                 sgn = -1 if hl & 1 else 1
                 d_right = differential_algebra(
                     AlgebraElement(J, pres, {mr: Fraction(1)}), which
@@ -233,7 +236,7 @@ def theta_intertwines_differentials(pres, I, J, store=None):
                 for mrd, cr in d_right.terms.items():
                     rhs._add_term((ml, mrd), c * cr * sgn)
             if tensor_normal_form(rhs, comp_left, comp_right).terms != lhs.terms:
-                bad = {"basis_monomial": monomial_str(b, pres), "differential": which}
+                bad = {"basis_monomial": monomial_str(b, pres, labels), "differential": which}
                 break
         verdicts.append(
             verdict(

@@ -2,8 +2,8 @@
 
 ``product_span_matrix`` is the relation span of a graph algebra as
 ``graphalg._span_matrix`` built it before monomials were bitmasks: every
-product formed by ``multiply`` on monomial keys and summed through
-``AlgebraElement``, each row kept as formed, as the span now keeps it.
+product formed by the tuple form's ``multiply`` (``monomial_oracle``) and
+summed term by term, each row kept as formed, as the span now keeps it.
 The bitmask route must give its rows exactly.
 
 The grafted-span route to an operad component is the oracle of the
@@ -20,36 +20,39 @@ expansion on the combs, and the combs independent.
 
 from collections import Counter
 
-from ramops.graphalg import AlgebraElement, multiply, relation_instances
+from monomial_oracle import multiply
+
+from ramops.graphalg import monomials_of_masks, relation_instances
 from ramops.labels import standard_labels
-from ramops.linalg import Echelon, SparseMatrix, quotient_basis, rref
+from ramops.linalg import Echelon, SparseMatrix, bump, quotient_basis, rref
 from ramops.operad import enumerate_tree_monomials, ideal_span, tree_bidegree
 
 
 def product_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
-    """Relation instances times all complementary monomials, one ``multiply``
-    per product, each row as formed (not scaled, repeats kept); in forest
-    mode a term and a multiplier with more than n - 1 edges between them
-    are skipped."""
+    """Relation instances times all complementary monomials, the tuple forms
+    of ``monomials`` on the labels, one ``multiply`` per product, each row as
+    formed (not scaled, repeats kept); in forest mode a term and a
+    multiplier with more than n - 1 edges between them are skipped."""
     index = {m: i for i, m in enumerate(monomials)}
     edge_sets = [frozenset(e for es in m for e in es) for m in monomials]
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(monomials))
     for _, rel in relation_instances(pres, labels, mode, families):
-        terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in rel.terms.items()]
+        keys = monomials_of_masks(pres, labels, list(rel.terms))
+        terms = [(k, c, frozenset(e for es in k for e in es)) for k, c in zip(keys, rel.terms.values())]
         spare = forest_edges - min(len(edges) for _, _, edges in terms)
         for mult, mult_edges in zip(monomials, edge_sets):
             if mode == "forest" and len(mult_edges) > spare:
                 continue
-            prod = AlgebraElement(rel.labels, pres)
+            prod: dict = {}
             for k, c, edges in terms:
                 if not edges.isdisjoint(mult_edges):
                     continue
                 res = multiply(k, mult, pres, mode)
                 if res is not None:
                     sign, key = res
-                    prod._add_term(key, c * sign)
-            span.add_row({index[k]: c for k, c in prod.terms.items()})
+                    bump(prod, key, c * sign)
+            span.add_row({index[k]: c for k, c in prod.items()})
     return span
 
 

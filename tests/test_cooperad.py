@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 import cooperad_oracle as oracle
+from enumeration_oracle import colored_masks
+from monomial_oracle import mask_of
 from ramops import cooperad
 from ramops.cache import ComponentStore, default_store
 from ramops.cooperad import (
@@ -23,9 +25,10 @@ from ramops.graphalg import (
     R_PRESENTATION,
     algebra_basis,
     differential_algebra,
+    enumerate_colored_masks,
     enumerate_graph_monomials,
-    mask_encoder,
     monomial_bidegree,
+    monomials_of_masks,
     relation_instances,
 )
 from ramops.labels import HASH, STAR, ordered_splits, standard_labels
@@ -37,22 +40,22 @@ def el(labels, items, mode="forest"):
     return AlgebraElement.from_words(labels, P, items, mode)
 
 
-def tkey(a=(), b=()):
-    return (tuple(a), tuple(b))
+def tkey(labels, a=(), b=()):
+    """The colored mask on the labels of the monomial with these a- and b-edges."""
+    return mask_of(labels)((tuple(a), tuple(b)))
 
 
 def test_theta_worked_table():
     # the six products of one a and one b on three points, split {1} | {2,3}
     I, J = (1,), (2, 3)
-    a_star = tkey(a=[(1, STAR)])
-    b_star = tkey(b=[(1, STAR)])
-    unit = tkey()
+    a_star = tkey((1, STAR), a=[(1, STAR)])
+    b_star = tkey((1, STAR), b=[(1, STAR)])
     cases = [
-        ((("a", 1, 2), ("b", 2, 3)), {(a_star, tkey(b=[(2, 3)])): Fraction(1)}),
-        ((("a", 2, 3), ("b", 3, 1)), {(b_star, tkey(a=[(2, 3)])): Fraction(-1)}),
+        ((("a", 1, 2), ("b", 2, 3)), {(a_star, tkey(J, b=[(2, 3)])): Fraction(1)}),
+        ((("a", 2, 3), ("b", 3, 1)), {(b_star, tkey(J, a=[(2, 3)])): Fraction(-1)}),
         ((("a", 3, 1), ("b", 1, 2)), {}),
-        ((("b", 1, 2), ("a", 2, 3)), {(b_star, tkey(a=[(2, 3)])): Fraction(1)}),
-        ((("b", 2, 3), ("a", 3, 1)), {(a_star, tkey(b=[(2, 3)])): Fraction(-1)}),
+        ((("b", 1, 2), ("a", 2, 3)), {(b_star, tkey(J, a=[(2, 3)])): Fraction(1)}),
+        ((("b", 2, 3), ("a", 3, 1)), {(a_star, tkey(J, b=[(2, 3)])): Fraction(-1)}),
         ((("b", 3, 1), ("a", 1, 2)), {}),
     ]
     for word, expected in cases:
@@ -64,13 +67,14 @@ def test_theta_on_unit_and_single_edges():
     I, J = (1, 2), (3, 4)
     one = AlgebraElement.unit((1, 2, 3, 4), P)
     out = theta(P, I, J, one)
-    assert out.terms == {(tkey(), tkey()): Fraction(1)}
+    assert out.terms == {(0, 0): Fraction(1)}  # the unit's mask is 0
+    left = (1, 2, STAR)
     both_left = el((1, 2, 3, 4), [(1, (("a", 1, 2),))])
-    assert theta(P, I, J, both_left).terms == {(tkey(a=[(1, 2)]), tkey()): Fraction(1)}
+    assert theta(P, I, J, both_left).terms == {(tkey(left, a=[(1, 2)]), 0): Fraction(1)}
     both_right = el((1, 2, 3, 4), [(1, (("b", 3, 4),))])
-    assert theta(P, I, J, both_right).terms == {(tkey(), tkey(b=[(3, 4)])): Fraction(1)}
+    assert theta(P, I, J, both_right).terms == {(0, tkey(J, b=[(3, 4)])): Fraction(1)}
     straddle = el((1, 2, 3, 4), [(1, (("a", 2, 3),))])
-    assert theta(P, I, J, straddle).terms == {(tkey(a=[(2, STAR)]), tkey()): Fraction(1)}
+    assert theta(P, I, J, straddle).terms == {(tkey(left, a=[(2, STAR)]), 0): Fraction(1)}
 
 
 def test_theta_rejects_bad_splits():
@@ -85,7 +89,7 @@ def test_theta_is_algebra_morphism():
     rng = random.Random(53)
     labels = standard_labels(4)
     I, J = (1, 3), (2, 4)
-    monos = enumerate_graph_monomials(P, labels, "forest")
+    monos = enumerate_colored_masks(P, 4, "forest")
     comp_left = algebra_basis(P, (1, 3, STAR), "forest")
     comp_right = algebra_basis(P, (2, 4), "forest")
     from ramops.graphalg import element_multiply
@@ -102,12 +106,12 @@ def test_theta_is_algebra_morphism():
 def test_theta_respects_bidegree():
     labels = standard_labels(4)
     I, J = (1, 2), (3, 4)
-    for m in enumerate_graph_monomials(P, labels, "forest"):
+    for m in enumerate_colored_masks(P, 4, "forest"):
         x = AlgebraElement(labels, P, {m: Fraction(1)})
-        h, w = monomial_bidegree(m, P)
+        h, w = monomial_bidegree(m, P, 4)
         for (ml, mr), _ in theta(P, I, J, x).terms.items():
-            hl, wl = monomial_bidegree(ml, P)
-            hr, wr = monomial_bidegree(mr, P)
+            hl, wl = monomial_bidegree(ml, P, 3)  # on (1, 2, *)
+            hr, wr = monomial_bidegree(mr, P, 2)
             assert (hl + hr, wl + wr) == (h, w)
 
 
@@ -143,10 +147,10 @@ def test_cooperad_axioms_on_generator_case():
     x = el((1, 2, 3), [(1, (("a", 1, 3),))])
     first = theta(P, (1, 2), K, x, place="#")
     ((pair, c),) = list(first.terms.items())
-    assert c == 1 and pair == (tkey(a=[(1, "#")]), tkey())
+    assert c == 1 and pair == (tkey((1, 2, "#"), a=[(1, "#")]), 0)
     second = theta(P, I, (2, "#"), AlgebraElement((1, 2, "#"), P, {pair[0]: Fraction(1)}), place=STAR)
     ((pair2, c2),) = list(second.terms.items())
-    assert c2 == 1 and pair2 == (tkey(a=[(1, STAR)]), tkey())
+    assert c2 == 1 and pair2 == (tkey((1, STAR), a=[(1, STAR)]), 0)
 
 
 def test_cooperad_axioms_all_splits_of_four():
@@ -206,7 +210,7 @@ def test_theta_matches_oracle_on_every_split(n):
     # rows computed on one label set are read on the others of the same pattern
     for labels, place in _label_variants(n):
         union = algebra_basis(P, labels, "forest")
-        elements = [union.monomial_element(m) for m in enumerate_graph_monomials(P, labels, "forest")]
+        elements = [union.monomial_element(m) for m in union.masks]
         elements += [rel for _, rel in relation_instances(P, labels, "full")]
         _check_against_oracle(P, labels, place, elements)
 
@@ -220,7 +224,7 @@ def test_theta_splits_its_input_unreduced():
     assert not all(v["pass"] for v in theta_relation_kill(EVEN_ARNOLD, (1,), (2, 3)))
     for labels, place in _label_variants(3):
         union = algebra_basis(EVEN_ARNOLD, labels, "forest")
-        elements = [union.monomial_element(m) for m in enumerate_graph_monomials(EVEN_ARNOLD, labels, "forest")]
+        elements = [union.monomial_element(m) for m in union.masks]
         _check_against_oracle(EVEN_ARNOLD, labels, place, elements)
 
 
@@ -230,10 +234,10 @@ def _check_rows(pres, labels, place, full=False):
     forest ambient (read from the row cache), or on the full monomials
     outside it (split unstored)."""
     store = default_store()
-    monomials = enumerate_graph_monomials(pres, labels, "forest")
+    monomials = enumerate_colored_masks(pres, len(labels), "forest")
     if full:
         forests = set(monomials)
-        monomials = [m for m in enumerate_graph_monomials(pres, labels, "full") if m not in forests]
+        monomials = [m for m in enumerate_colored_masks(pres, len(labels), "full") if m not in forests]
     x = AlgebraElement(labels, pres)
     for I, J in _ordered_splits(labels):
         cocomp = cooperad.cocomposition(pres, I, J, place, store)
@@ -295,15 +299,15 @@ def test_mask_index_and_d_tables_follow_the_ambient_mode():
         assert len(forest.masks) < len(full.masks)
         for comp in (forest, full):
             ambient = enumerate_graph_monomials(P, labels, comp.mode)
-            encode = mask_encoder(labels)
-            assert comp.masks == [encode(m) for m in ambient] and comp.monomials == ambient
+            assert comp.masks == colored_masks(labels, ambient)
+            assert monomials_of_masks(P, labels, comp.masks) == ambient
             assert comp.index == {c: i for i, c in enumerate(comp.masks)} and len(comp.index) == len(ambient)
             for which in ("up", "down"):
                 table = comp.differentials(which)
                 assert len(table) == comp.dim
                 for b, (positions, slots) in zip(comp.basis, table):
                     image = differential_algebra(comp.monomial_element(b), which)
-                    assert positions == tuple((ambient.index(m), c) for m, c in image.terms.items())
+                    assert positions == tuple((comp.masks.index(m), c) for m, c in image.terms.items())
                     assert dict(slots) == comp.coords(image)
             # a relabeled component shares the tables of {1..n}
             moved = algebra_basis(P, labels[:-1] + (STAR,), comp.mode, store)

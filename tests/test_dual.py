@@ -151,7 +151,7 @@ def test_rho_respects_bidegree():
     assert f.bidegree == (1, 2)
     for slot, c in f.coords.items():
         m = f.component.basis[slot]
-        assert monomial_bidegree(m, P) == (1, 2)
+        assert monomial_bidegree(m, P, 3) == (1, 2)
 
 
 def test_rho_kills_the_mixed_relation():
@@ -396,7 +396,7 @@ def test_rho_rank_is_relabeling_independent():
             by_deg.setdefault(tree_bidegree(t, ram.gens), []).append(t)
         slots = {}
         for s, m in enumerate(rcomp.basis):
-            slots.setdefault(mb(m, P), []).append(s)
+            slots.setdefault(mb(m, P, len(labels)), []).append(s)
         out = {}
         for deg, trees in sorted(by_deg.items()):
             cols = {s: c for c, s in enumerate(slots.get(deg, []))}

@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 
 import pytest
 from enumeration_oracle import colored_masks, oracle_enumerate
+import monomial_oracle
+from monomial_oracle import mask_of
 
 from ramops import graphalg
 from ramops.cache import ComponentStore
@@ -19,10 +21,12 @@ from ramops.graphalg import (
     algebra_basis,
     differential_algebra,
     element_multiply,
+    enumerate_colored_masks,
     enumerate_graph_monomials,
     ideal_rank_breakdown,
     monomial_bidegree,
     monomial_from_word,
+    monomials_of_masks,
     multiply,
     path_permutation_sum,
     relabel_element,
@@ -36,8 +40,8 @@ from ramops.ram import ram_dims
 P = R_PRESENTATION
 
 
-def from_word(word, mode="forest"):
-    return monomial_from_word(P, word, mode)
+def from_word(word, mode="forest", labels=(1, 2, 3)):
+    return monomial_from_word(P, labels, word, mode)
 
 
 def el(labels, items, mode="forest"):
@@ -45,48 +49,54 @@ def el(labels, items, mode="forest"):
 
 
 def key(a_edges=(), b_edges=()):
+    """A monomial of R in the tuple form, per color its edges."""
     return (tuple(a_edges), tuple(b_edges))
 
 
+def mask(a_edges=(), b_edges=(), labels=(1, 2, 3)):
+    """The colored mask of ``key(a_edges, b_edges)`` on the labels."""
+    return mask_of(labels)(key(a_edges, b_edges))
+
+
 def test_multiply_vanishing_examples():
-    a12 = key(a_edges=[(1, 2)])
-    b12 = key(b_edges=[(1, 2)])
-    assert multiply(a12, a12, P) is None
-    assert multiply(b12, b12, P) is None
-    assert multiply(a12, b12, P) is None  # repeated pair across colors
+    a12 = mask(a_edges=[(1, 2)])
+    b12 = mask(b_edges=[(1, 2)])
+    assert multiply(a12, a12, P, 3) is None
+    assert multiply(b12, b12, P, 3) is None
+    assert multiply(a12, b12, P, 3) is None  # repeated pair across colors
 
 
 def test_multiply_koszul_sign():
-    b13 = key(b_edges=[(1, 3)])
-    b12 = key(b_edges=[(1, 2)])
-    assert multiply(b13, b12, P) == (-1, key(b_edges=[(1, 2), (1, 3)]))
-    assert multiply(b12, b13, P) == (1, key(b_edges=[(1, 2), (1, 3)]))
-    a12 = key(a_edges=[(1, 2)])
-    b23 = key(b_edges=[(2, 3)])
-    assert multiply(a12, b23, P) == (1, (((1, 2),), ((2, 3),)))
-    assert multiply(b23, a12, P) == (1, (((1, 2),), ((2, 3),)))
+    b13 = mask(b_edges=[(1, 3)])
+    b12 = mask(b_edges=[(1, 2)])
+    assert multiply(b13, b12, P, 3) == (-1, mask(b_edges=[(1, 2), (1, 3)]))
+    assert multiply(b12, b13, P, 3) == (1, mask(b_edges=[(1, 2), (1, 3)]))
+    a12 = mask(a_edges=[(1, 2)])
+    b23 = mask(b_edges=[(2, 3)])
+    assert multiply(a12, b23, P, 3) == (1, mask(a_edges=[(1, 2)], b_edges=[(2, 3)]))
+    assert multiply(b23, a12, P, 3) == (1, mask(a_edges=[(1, 2)], b_edges=[(2, 3)]))
 
 
 def test_multiply_forest_vs_full():
     # the third triangle edge closes a cycle
-    two = key(a_edges=[(1, 2), (2, 3)])
-    third = key(a_edges=[(1, 3)])
-    assert multiply(two, third, P, "forest") is None
-    assert multiply(two, third, P, "full") == (1, key(a_edges=[(1, 2), (1, 3), (2, 3)]))
+    two = mask(a_edges=[(1, 2), (2, 3)])
+    third = mask(a_edges=[(1, 3)])
+    assert multiply(two, third, P, 3, "forest") is None
+    assert multiply(two, third, P, 3, "full") == (1, mask(a_edges=[(1, 2), (1, 3), (2, 3)]))
 
 
 def test_orientation_flip_absorbed_into_sign():
-    assert from_word((("a", 2, 1),)) == (-1, key(a_edges=[(1, 2)]))
-    assert from_word((("b", 3, 1),)) == (-1, key(b_edges=[(1, 3)]))
+    assert from_word((("a", 2, 1),)) == (-1, mask(a_edges=[(1, 2)]))
+    assert from_word((("b", 3, 1),)) == (-1, mask(b_edges=[(1, 3)]))
     # the Arnold color is orientation symmetric
-    assert monomial_from_word(ARNOLD_PRESENTATION, (("w", 2, 1),)) == (1, (((1, 2),),))
+    assert monomial_from_word(ARNOLD_PRESENTATION, (1, 2), (("w", 2, 1),)) == (1, mask_of((1, 2))((((1, 2),),)))
 
 
 def test_enumerate_counts():
     assert enumerate_graph_monomials(P, (1, 2)) == [key(), key(a_edges=[(1, 2)]), key(b_edges=[(1, 2)])]
     full = enumerate_graph_monomials(P, (1, 2, 3), "full")
     forest = enumerate_graph_monomials(P, (1, 2, 3), "forest")
-    assert sum(1 for m in forest if monomial_bidegree(m, P) == (1, 2)) == 6
+    assert sum(1 for m in colored_masks((1, 2, 3), forest) if monomial_bidegree(m, P, 3) == (1, 2)) == 6
     assert len(full) > len(forest)
     triangle = key(b_edges=[(1, 2), (1, 3), (2, 3)])
     assert triangle in full and triangle not in forest
@@ -130,7 +140,9 @@ def test_presentation_colors_need_independent_bidegrees():
 def test_algebra_basis_small_tables():
     c2 = algebra_basis(P, (1, 2), "forest")
     assert c2.dims == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert c2.basis == [key(), key(a_edges=[(1, 2)]), key(b_edges=[(1, 2)])]
+    # on one pair, bit 0 is its a-letter and bit 1 its b-letter
+    assert c2.basis == [0, 1, 2]
+    assert c2.basis == [mask(labels=(1, 2)), mask([(1, 2)], labels=(1, 2)), mask(b_edges=[(1, 2)], labels=(1, 2))]
     c3 = algebra_basis(P, (1, 2, 3), "forest")
     assert c3.dims == {(0, 0): 1, (0, 1): 3, (0, 2): 2, (1, 1): 3, (1, 2): 5, (2, 2): 3}
     assert c3.dim == 17
@@ -168,29 +180,29 @@ def test_permutation_sums_vanish_on_four_points():
 
 def test_differential_examples():
     d_a = differential_algebra(el((1, 2), [(1, (("a", 1, 2),))]), "up")
-    assert d_a.terms == {key(b_edges=[(1, 2)]): Fraction(1)}
+    assert d_a.terms == {mask(b_edges=[(1, 2)], labels=(1, 2)): Fraction(1)}
     b_down = differential_algebra(el((1, 2), [(1, (("b", 1, 2),))]), "down")
-    assert b_down.terms == {key(a_edges=[(1, 2)]): Fraction(1)}
+    assert b_down.terms == {mask(a_edges=[(1, 2)], labels=(1, 2)): Fraction(1)}
     # Leibniz with even letters: both terms positive
     x = el((1, 2, 3), [(1, (("a", 1, 2), ("a", 1, 3)))])
     dx = differential_algebra(x, "up")
     assert dx.terms == {
-        (((1, 3),), ((1, 2),)): Fraction(1),
-        (((1, 2),), ((1, 3),)): Fraction(1),
+        mask([(1, 3)], [(1, 2)]): Fraction(1),
+        mask([(1, 2)], [(1, 3)]): Fraction(1),
     }
     # Leibniz with odd letters: the second term passes one odd letter
     y = el((1, 2, 3), [(1, (("b", 1, 2), ("b", 1, 3)))])
     dy = differential_algebra(y, "down")
     assert dy.terms == {
-        (((1, 2),), ((1, 3),)): Fraction(1),
-        (((1, 3),), ((1, 2),)): Fraction(-1),
+        mask([(1, 2)], [(1, 3)]): Fraction(1),
+        mask([(1, 3)], [(1, 2)]): Fraction(-1),
     }
 
 
 def test_differentials_square_to_zero():
     for n in (2, 3, 4):
         labels = standard_labels(n)
-        for m in enumerate_graph_monomials(P, labels, "forest"):
+        for m in enumerate_colored_masks(P, n, "forest"):
             x = AlgebraElement(labels, P, {m: Fraction(1)})
             assert differential_algebra(differential_algebra(x, "up"), "up").is_zero()
             assert differential_algebra(differential_algebra(x, "down"), "down").is_zero()
@@ -199,9 +211,9 @@ def test_differentials_square_to_zero():
 def test_laplacian_acts_by_weight():
     for n in (2, 3, 4):
         labels = standard_labels(n)
-        for m in enumerate_graph_monomials(P, labels, "forest"):
+        for m in enumerate_colored_masks(P, n, "forest"):
             x = AlgebraElement(labels, P, {m: Fraction(1)})
-            w = monomial_bidegree(m, P)[1]
+            w = monomial_bidegree(m, P, n)[1]
             anti = differential_algebra(
                 differential_algebra(x, "up"), "down"
             ) + differential_algebra(differential_algebra(x, "down"), "up")
@@ -274,7 +286,7 @@ def test_arnold_three_points_explicit():
 def test_multiplication_associative_and_koszul_commutative():
     rng = random.Random(41)
     labels = standard_labels(4)
-    monos = enumerate_graph_monomials(P, labels, "forest")
+    monos = enumerate_colored_masks(P, 4, "forest")
     for _ in range(60):
         x = AlgebraElement(labels, P, {rng.choice(monos): Fraction(1)})
         y = AlgebraElement(labels, P, {rng.choice(monos): Fraction(1)})
@@ -282,8 +294,8 @@ def test_multiplication_associative_and_koszul_commutative():
         assert element_multiply(element_multiply(x, y), z) == element_multiply(
             x, element_multiply(y, z)
         )
-        hx = monomial_bidegree(next(iter(x.terms)), P)[0]
-        hy = monomial_bidegree(next(iter(y.terms)), P)[0]
+        hx = monomial_bidegree(next(iter(x.terms)), P, 4)[0]
+        hy = monomial_bidegree(next(iter(y.terms)), P, 4)[0]
         sign = -1 if (hx & 1) and (hy & 1) else 1
         assert element_multiply(x, y) == element_multiply(y, x).scaled(sign)
 
@@ -351,7 +363,7 @@ def test_ideal_rank_breakdown_reads_the_component(tmp_path, monkeypatch):
     monkeypatch.setattr(graphalg, "enumerate_colored_masks", refuse)
     rep = ideal_rank_breakdown(P, standard_labels(4), "full", store)
     assert rep["rank_all_families"] == comp.reducer.rank
-    assert rep["ambient"] == len(comp.monomials)
+    assert rep["ambient"] == len(comp.masks)
 
 
 @pytest.mark.parametrize("family", ("bab_sum", "bbb_sum"))
@@ -374,3 +386,73 @@ def test_twelve_term_sum_is_one_instance_per_four_points(family):
             assert eval_element(words, point) == value
             for mode in MODES:
                 assert AlgebraElement.from_words(labels, P, words, mode) == elements[mode]
+
+
+@pytest.mark.parametrize("pres", (P, ARNOLD_PRESENTATION))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_mask_products_match_the_tuple_oracle(pres, n):
+    # every pair of forest monomials, multiplied in both modes: the mask
+    # product and its sign are those of the tuple form
+    labels = standard_labels(n)
+    masks = enumerate_colored_masks(pres, n, "forest")
+    decoded = dict(zip(masks, monomials_of_masks(pres, labels, masks)))
+    encode = mask_of(labels)
+    for mode in MODES:
+        for m1, k1 in decoded.items():
+            for m2, k2 in decoded.items():
+                expected = monomial_oracle.multiply(k1, k2, pres, mode)
+                if expected is not None:
+                    expected = (expected[0], encode(expected[1]))
+                assert multiply(m1, m2, pres, n, mode) == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_mask_differentials_match_the_tuple_oracle(mode, n):
+    # both derivations on every monomial of the ambient, and the
+    # component's tables of d on its basis read from them
+    labels = standard_labels(n)
+    masks = enumerate_colored_masks(P, n, mode)
+    encode = mask_of(labels)
+    for which in ("up", "down"):
+        for m, k in zip(masks, monomials_of_masks(P, labels, masks)):
+            expected = {encode(t): c for t, c in monomial_oracle.differential(k, P, which).items()}
+            assert differential_algebra(AlgebraElement(labels, P, {m: 1}), which).terms == expected
+        if n <= 4 or mode == "forest":
+            comp = algebra_basis(P, labels, mode)
+            for b, (positions, _) in zip(comp.basis, comp.differentials(which)):
+                expected = monomial_oracle.differential(monomials_of_masks(P, labels, [b])[0], P, which)
+                assert {comp.masks[i]: c for i, c in positions} == {encode(t): c for t, c in expected.items()}
+
+
+def test_a_presentation_is_checked_when_made():
+    colors = (ColorSpec("a", (0, 1), -1), ColorSpec("b", (1, 1), -1))
+    with pytest.raises(ValueError, match="unknown relation families"):
+        GraphPresentation("typo", colors, ("a_square", "aa_summ"))
+    for orientation in (0, 2, -2):
+        with pytest.raises(ValueError, match="orientation"):
+            ColorSpec("a", (0, 1), orientation)
+    # the check changes no presentation hash, so no cache key
+    assert P.hash == "c55cd594ad1bd498" and ARNOLD_PRESENTATION.hash == "84fdb8c1ce467445"
+    assert GraphPresentation("copy", colors, P.families).hash == P.hash
+
+
+def test_an_unknown_mode_is_refused_everywhere():
+    labels = (1, 2, 3)
+    x = el(labels, [(1, (("a", 1, 2),))])
+    calls = [
+        lambda: relation_instances(P, labels, "xx"),
+        lambda: AlgebraElement.from_words(labels, P, [(1, (("a", 1, 2),))], "xx"),
+        lambda: AlgebraElement.from_words(labels, P, [], "xx"),
+        lambda: monomial_from_word(P, labels, (("a", 1, 2),), "xx"),
+        lambda: multiply(0, 1, P, 3, "xx"),
+        lambda: element_multiply(x, x, "xx"),
+        lambda: element_multiply(AlgebraElement(labels, P), x, "xx"),
+        lambda: path_permutation_sum(P, labels, ("a", "b"), "xx"),
+        lambda: algebra_basis(P, labels, "xx"),
+        lambda: enumerate_colored_masks(P, 3, "xx"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown mode"):
+            call()
+    assert not [key for key in graphalg._INSTANCE_MEMO if key[2] == "xx"]

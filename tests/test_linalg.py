@@ -259,14 +259,12 @@ COMBINATIONS = {
     "algebra_tensor": lambda: (
         Tensor(
             (AlgebraElement((1, STAR), R_PRESENTATION), AlgebraElement((2, 3), R_PRESENTATION)),
-            {
-                (((), ((1, STAR),)), (((2, 3),), ())): Fraction(-1, 2),
-                ((((1, STAR),), ()), ((), ())): Fraction(4),
-            },
+            # colored masks: on one pair, bit 0 is its a-letter and bit 1 its b-letter
+            {(2, 1): Fraction(-1, 2), (1, 0): Fraction(4)},
         ),
         Tensor(
             (AlgebraElement((1, STAR), R_PRESENTATION), AlgebraElement((2,), R_PRESENTATION)),
-            {(((), ()), ((), ())): ONE},
+            {(0, 0): ONE},
         ),
         "4*a[1,*](x)1 - 1/2*b[1,*](x)a[2,3]",
     ),

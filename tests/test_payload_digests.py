@@ -69,7 +69,7 @@ def test_every_payload_decodes_to_its_cold_build(tmp_path, monkeypatch):
     store = ComponentStore(str(tmp_path))
     for (pres, mode, n), built in cold.items():
         loaded = algebra_basis(pres, standard_labels(n), mode, store)
-        assert loaded.monomials == built.monomials and loaded.masks == built.masks
+        assert loaded.masks == built.masks
         assert loaded.reducer.pivots == built.reducer.pivots and loaded.reducer.rows == built.reducer.rows
         assert loaded.basis_positions == built.basis_positions and loaded.basis == built.basis
         assert loaded.dims == built.dims

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from echelon_oracle import oracle_reduce
+from enumeration_oracle import colored_masks
 from span_oracle import span_echelon
 
 from ramops import linalg, operad, quotient
@@ -17,6 +18,7 @@ from ramops.graphalg import (
     _relabel_monomial,
     algebra_basis,
     enumerate_graph_monomials,
+    monomials_of_masks,
     relation_instances,
 )
 from ramops.labels import HASH, STAR, standard_labels
@@ -81,7 +83,7 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
     for labels, built in cold.items():
         loaded = get(labels, store)
         assert loaded is not built
-        assert loaded.monomials == built.monomials and loaded.masks == built.masks
+        assert loaded.masks == built.masks
         assert loaded.basis == built.basis
         assert loaded.reducer.pivots == built.reducer.pivots
         assert loaded.reducer.rows == built.reducer.rows
@@ -97,11 +99,11 @@ def test_payload_load_matches_cold_build(side, tmp_path, monkeypatch):
 
 def _ambient(comp):
     """The ambient monomials on the component's labels, the position of each,
-    and the positions of its basis monomials: an algebra component indexes
-    its ambient on {1..n}, an operad one keeps only its basis."""
+    and the positions of its basis monomials: an algebra component keeps its
+    ambient masks, the same on every label set of the size, an operad one
+    only its basis."""
     if isinstance(comp, GraphComponent):
-        monomials = enumerate_graph_monomials(comp.pres, comp.labels, comp.mode)
-        return monomials, comp.position, comp.basis_positions
+        return comp.masks, comp.position, comp.basis_positions
     monomials = enumerate_tree_monomials(comp.pres.gens, comp.labels)
     index = {m: i for i, m in enumerate(monomials)}
     return monomials, index.__getitem__, [index[b] for b in comp.basis]
@@ -283,45 +285,54 @@ def test_a_component_keeps_one_list_and_one_index():
     assert forest.index == {c: i for i, c in enumerate(forest.masks)}
     ambient_sized = {a for a, v in vars(forest).items() if type(v) in (list, dict) and len(v) == len(forest.masks)}
     assert ambient_sized == {"masks", "index"}
-    assert forest.monomials is not forest.monomials  # decoded on each call
     assert _forest((1, 2, 3), store) is forest
     assert _forest((4, 5, 6), store) is _forest((6, 5, 4), store)
-    # on both sides a relabeled component has its own labels and basis, an
-    # operad one its map back onto {1..n} and a forest one its own encoder
-    # (and no map back); every other attribute is the standard one's object
+    # a relabeled operad component has its own labels, basis and map back
+    # onto {1..n}; a forest one its own labels alone (no map back, see
+    # test_a_relabeled_graph_component_differs_in_its_labels_alone); every
+    # other attribute is the standard one's object
     assert other._back == dict(zip(other.labels, std.labels)) and std._back is None
     assert set(vars(other)) == set(vars(std)) | {"_back"}
     assert not hasattr(forest, "_back") and not hasattr(moved, "_back")
-    assert set(vars(moved)) == set(vars(forest))
-    for ref, comp in ((std, other), (forest, moved)):
-        assert comp.labels != ref.labels and comp.basis != ref.basis
-        for attr, value in vars(comp).items():
-            if attr not in ("labels", "basis", "_back", "encode"):
-                assert value is vars(ref)[attr], attr
-    assert moved.encode is not forest.encode
-    assert [moved.encode(m) for m in moved.monomials] == forest.masks
+    assert other.labels != std.labels and other.basis != std.basis
+    for attr, value in vars(other).items():
+        if attr not in ("labels", "basis", "_back"):
+            assert value is vars(std)[attr], attr
 
 
-def test_a_relabeled_forest_component_looks_up_without_transport(monkeypatch):
+@pytest.mark.parametrize("mode", ("forest", "full"))
+@pytest.mark.parametrize("pres", (R_PRESENTATION, ARNOLD_PRESENTATION), ids=("R", "arnold"))
+def test_a_relabeled_graph_component_differs_in_its_labels_alone(pres, mode):
+    # a monomial is its colored mask on every label set of the size, so
+    # nothing is moved: no basis, encoder or decoded ambient of its own
+    store = ComponentStore()
+    for n in (1, 2, 3, 4):
+        std = algebra_basis(pres, standard_labels(n), mode, store)
+        for labels in ((2, 5, 9, 11)[:n], standard_labels(n)[:-1] + (STAR,), _place_holder_label_sets(n)[-1]):
+            moved = algebra_basis(pres, labels, mode, store)
+            assert moved is not std and moved.labels == labels != std.labels
+            assert set(vars(moved)) == set(vars(std))
+            for attr, value in vars(moved).items():
+                if attr != "labels":
+                    assert value is vars(std)[attr], attr
+    for attr in ("encode", "transport", "monomials"):
+        assert not hasattr(GraphComponent, attr) and not hasattr(std, attr), attr
+
+
+def test_a_relabeled_forest_component_looks_up_without_transport():
     # a monomial's colored mask on (1, 2, *) is its mask on {1, 2, 3}, so
     # the relabeled component finds it with nothing mapped back
     store = ComponentStore()
     labels = (1, 2, STAR)
     std, moved = _forest(standard_labels(3), store), _forest(labels, store)
-    ambient = enumerate_graph_monomials(R_PRESENTATION, labels, "forest")
-    cycles = set(enumerate_graph_monomials(R_PRESENTATION, labels, "full")) - set(ambient)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a forest lookup transported its monomial")
-
-    monkeypatch.setattr(GraphComponent, "transport", refuse)
-    reference = std.monomials
-    assert len(ambient) == len(reference)
-    for i, (m, ref) in enumerate(zip(ambient, reference)):
-        assert moved.position(m) == std.position(ref) == i
-        assert moved.slot_expansion(m) == std.slot_expansion(ref)
-    for slot, (b, ref) in enumerate(zip(moved.basis, std.basis)):
-        assert moved.slot(b) == std.slot(ref) == slot
+    ambient = colored_masks(labels, enumerate_graph_monomials(R_PRESENTATION, labels, "forest"))
+    cycles = set(colored_masks(labels, enumerate_graph_monomials(R_PRESENTATION, labels, "full"))) - set(ambient)
+    assert ambient == std.masks
+    for i, m in enumerate(ambient):
+        assert moved.position(m) == std.position(m) == i
+        assert moved.slot_expansion(m) == std.slot_expansion(m)
+    for slot, b in enumerate(moved.basis):
+        assert moved.slot(b) == std.slot(b) == slot
     assert cycles and all(moved.position(m) is None for m in cycles)
 
 
@@ -356,17 +367,18 @@ def test_transport_is_sign_free(n):
                 assert moved.slot_expansion(_map_tree(m, phi)) == comp.slot_expansion(m)
         for comp in graph_side:
             moved = algebra_basis(comp.pres, labels, comp.mode)
-            ambient = enumerate_graph_monomials(comp.pres, labels, comp.mode)
-            for m, key in zip(comp.monomials, ambient, strict=True):
-                assert _relabel_monomial(comp.pres, m, phi) == (1, key)
-                assert _relabel_monomial(comp.pres, key, {a: a for a in labels}) == (1, key)
-                # a moved monomial is looked up as the monomial on {1..n}
-                assert moved.position(key) == comp.position(m)
-                assert moved.slot_expansion(key) == comp.slot_expansion(m)
+            ambient = colored_masks(labels, enumerate_graph_monomials(comp.pres, labels, comp.mode))
+            assert ambient == comp.masks
+            for m in ambient:
+                # moved to the labels, a monomial keeps its mask, with sign +1
+                assert _relabel_monomial(comp.pres, comp.labels, m, phi, labels) == (1, m)
+                assert _relabel_monomial(comp.pres, labels, m, {a: a for a in labels}, labels) == (1, m)
+                assert moved.position(m) == comp.position(m)
+                assert moved.slot_expansion(m) == comp.slot_expansion(m)
             if comp.mode == "forest":
                 # a full-mode cycle is outside the forest ambient on every
                 # label set: theta splits it unstored
-                cycles = set(enumerate_graph_monomials(comp.pres, labels, "full")) - set(ambient)
+                cycles = set(colored_masks(labels, enumerate_graph_monomials(comp.pres, labels, "full"))) - set(ambient)
                 assert bool(cycles) == (n >= 3)
                 assert all(moved.position(m) is None for m in cycles)
 
@@ -391,10 +403,10 @@ def test_transport_is_the_plain_map_of_labels(n):
                 comp = algebra_basis(pres, standard_labels(n), mode)
                 moved = algebra_basis(pres, labels, mode)
                 ambient = enumerate_graph_monomials(pres, labels, mode)
-                assert len(ambient) == len(comp.monomials)
-                for m, key in zip(comp.monomials, ambient):
-                    assert _relabel_monomial(pres, m, phi) == (1, key)
-                assert moved.basis == [ambient[i] for i in comp.basis_positions]
+                assert monomials_of_masks(pres, labels, comp.masks) == ambient
+                for m in comp.masks:
+                    assert _relabel_monomial(pres, comp.labels, m, phi, labels) == (1, m)
+                assert moved.basis is comp.basis
 
 
 @pytest.mark.parametrize("side", STORED_SIDES)
@@ -417,7 +429,7 @@ def test_payload_of_another_engine_format_is_rebuilt(side, tmp_path, monkeypatch
     monkeypatch.setattr(cls, "ambient_and_span", counted)
     current = get((1, 2, 3), ComponentStore(str(tmp_path)))
     assert len(builds) == 1 and len(os.listdir(tmp_path)) == 2
-    assert current.monomials == other.monomials and current.reducer.rows == other.reducer.rows
+    assert current.masks == other.masks and current.reducer.rows == other.reducer.rows
 
 
 # Payload layout (``quotient._encode``): a row is one flat list, its columns
@@ -575,9 +587,9 @@ def _check_corrupted_payload_is_rebuilt(side, corrupt, rehash, tmp_path, monkeyp
     rebuilt = get((1, 2, 3), ComponentStore(str(tmp_path)))
     assert len(builds) == 1
     assert path.read_bytes() == original
-    assert rebuilt.monomials == built.monomials and rebuilt.basis == built.basis
+    assert rebuilt.masks == built.masks and rebuilt.basis == built.basis
     assert rebuilt.reducer.rows == built.reducer.rows and rebuilt.dims == built.dims
-    for m in built.monomials:
+    for m in built.masks:
         assert rebuilt.slot_expansion(m) == built.slot_expansion(m)
 
 
@@ -608,7 +620,7 @@ def test_payload_under_another_key_is_rebuilt(source, target, tmp_path, monkeypa
     monkeypatch.setattr(GraphComponent, "ambient_and_span", counted)
     rebuilt = algebra_basis(R_PRESENTATION, labels, mode, ComponentStore(str(tmp_path)))
     assert len(builds) == 1
-    assert rebuilt.monomials == cold.monomials and rebuilt.basis == cold.basis and rebuilt.dims == cold.dims
+    assert rebuilt.masks == cold.masks and rebuilt.basis == cold.basis and rebuilt.dims == cold.dims
     assert json.loads(copy.read_bytes())["n"] == int(n)
 
 
@@ -705,7 +717,7 @@ def test_edited_non_pivot_entry_is_rebuilt(tmp_path, monkeypatch):
     rebuilt = _forest((1, 2, 3), ComponentStore(str(tmp_path)))
     assert len(builds) == 1
     assert path.read_bytes() == original
-    for m in built.monomials:
+    for m in built.masks:
         expected = built.normal_form(built.monomial_element(m))
         assert rebuilt.normal_form(rebuilt.monomial_element(m)) == expected
 
@@ -743,7 +755,7 @@ def test_echelon_with_a_fraction_round_trips_through_a_payload(tmp_path, monkeyp
     loaded = _forest((1, 2, 3), store)
     assert loaded.reducer.pivots == ech.pivots and loaded.reducer.rows == rows
     assert [v for r in loaded.reducer.rows for v in r.values() if type(v) is not int] == [Fraction(-7, 5)]
-    assert loaded.monomials == built.monomials and loaded.masks == built.masks
+    assert loaded.masks == built.masks
     assert loaded.basis == built.basis and loaded.dims == built.dims
 
 

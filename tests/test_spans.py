@@ -3,8 +3,9 @@
 ``rref`` must give the echelon of the insert-based oracle, and the pruned
 relation products of ``graphalg._span_matrix`` the rows of the plain product
 of every relation instance with every ambient monomial; at n = 5 its
-bitmask products must give the rows of the ``multiply`` route exactly,
-and at R forest n = 6 the rows recorded in ``tests/data/span_r6_forest.json``.
+bitmask products must give the rows of the tuple form's ``multiply``
+(``monomial_oracle``) exactly, and at R forest n = 6 the rows recorded in
+``tests/data/span_r6_forest.json``.
 Both routes keep each row as formed, neither scaled nor deduplicated, as
 the span hands it to ``rref``.
 Every operad component is a rewriting, and must be a change of basis of the
@@ -22,17 +23,17 @@ from fractions import Fraction
 import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
 from enumeration_oracle import colored_masks
+from monomial_oracle import multiply
 from span_oracle import grafted_span, product_span_matrix, span_echelon
 
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
     MODES,
     R_PRESENTATION,
-    AlgebraElement,
     GraphComponent,
     _span_matrix,
     enumerate_graph_monomials,
-    multiply,
+    monomials_of_masks,
     relation_instances,
 )
 from ramops.cache import ComponentStore
@@ -56,18 +57,20 @@ GRAPH_PRESENTATIONS = {"R": R_PRESENTATION, "arnold": ARNOLD_PRESENTATION}
 
 
 def unpruned_span_matrix(pres, labels, mode, monomials, families=None) -> SparseMatrix:
-    """Every relation instance times every ambient monomial, each row as formed."""
+    """Every relation instance times every ambient monomial, each row as
+    formed, all in the tuple form (``monomial_oracle``)."""
     index = {m: i for i, m in enumerate(monomials)}
     span = SparseMatrix(len(monomials))
     for _, rel in relation_instances(pres, labels, mode, families):
+        terms = list(zip(monomials_of_masks(pres, labels, list(rel.terms)), rel.terms.values()))
         for mult in monomials:
-            prod = AlgebraElement(rel.labels, pres)
-            for k, c in rel.terms.items():
+            prod: dict = {}
+            for k, c in terms:
                 res = multiply(k, mult, pres, mode)
                 if res is not None:
                     sign, key = res
-                    prod._add_term(key, c * sign)
-            span.add_row({index[k]: c for k, c in prod.terms.items()})
+                    bump(prod, key, c * sign)
+            span.add_row({index[k]: c for k, c in prod.items()})
     return span
 
 
@@ -178,14 +181,14 @@ def test_full_span_raises_on_a_product_missing_from_the_ambient(name, missing):
     # graph is a product of a relation with the edges it lacks
     pres = GRAPH_PRESENTATIONS[name]
     labels = standard_labels(3)
-    monomials = enumerate_graph_monomials(pres, labels, "full")
+    masks = colored_masks(labels, enumerate_graph_monomials(pres, labels, "full"))
     if missing == "top":
-        monomials.pop()
+        masks.pop()
     else:
         _, rel = relation_instances(pres, labels, "full")[0]
-        monomials.remove(next(iter(rel.terms)))
+        masks.remove(next(iter(rel.terms)))
     with pytest.raises(ValueError, match="missing from the full ambient"):
-        _span_matrix(pres, labels, "full", colored_masks(labels, monomials))
+        _span_matrix(pres, labels, "full", masks)
 
 
 def certificate(name, n):
