@@ -46,8 +46,19 @@ Letter = tuple[str, Atom, Atom]
 Word = tuple[Letter, ...]
 
 MODES = ("forest", "full")
-# the relation families that ``relation_words`` spells out
-FAMILIES = ("a_square", "aa_sum", "ab_sum", "a_cycle", "b_cycle", "bab_sum", "bbb_sum", "arnold_sum")
+# the relation families that ``relation_words`` spells out, with the colors
+# their words use
+FAMILY_COLORS = {
+    "a_square": ("a",),
+    "aa_sum": ("a",),
+    "ab_sum": ("a", "b"),
+    "a_cycle": ("a", "b"),
+    "b_cycle": ("b",),
+    "bab_sum": ("a", "b"),
+    "bbb_sum": ("b",),
+    "arnold_sum": ("w",),
+}
+FAMILIES = tuple(FAMILY_COLORS)
 
 
 def check_mode(mode: str) -> None:
@@ -76,6 +87,10 @@ class GraphPresentation:
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown relation families {unknown}; choose from {FAMILIES}")
+        for f in self.families:
+            missing = [c for c in FAMILY_COLORS[f] if c not in self.color_index]
+            if missing:
+                raise ValueError(f"relation family {f!r} uses colors {missing} that {name!r} lacks")
         # the enumeration orders the monomials of one bidegree by a key
         # that is exact only when (h, w) fixes each color's edge count,
         # that is when the colors' bidegrees are linearly independent
@@ -682,10 +697,18 @@ def _span_matrix(
     most n - 1 edges, so in forest mode an instance visits only the
     multipliers with room for a term: those of at most ``spare`` edges,
     n - 1 less the fewest edges of a term, listed once for each spare that
-    occurs and kept in position order.  Rows go to ``rref`` as
-    formed, neither scaled nor deduplicated: the reduced row-echelon form
-    of a row space is unique, and a repeated row eliminates to zero, so
-    the payload is the same either way.
+    occurs and kept in position order.
+
+    Whether a product vanishes depends on the multiplier's edge mask alone:
+    a shared edge, or in forest mode a cycle in the union, whatever the
+    colors.  So per instance the terms with a nonzero product are kept for
+    each edge mask met, found once, and a multiplier whose product with
+    every term vanishes costs one lookup and forms no row.  Rows go to
+    ``rref`` as formed, neither scaled nor deduplicated: the reduced
+    row-echelon form of a row space is unique, and a repeated row
+    eliminates to zero, so the payload is the same either way.  They are
+    appended to the matrix directly, not through ``add_row``: each is
+    nonzero, with its columns in range, by construction.
     """
     edges_of, odd = _letters(pres, len(labels))
     encoded = [(colored, edges_of(colored)) for colored in masks]
@@ -693,33 +716,36 @@ def _span_matrix(
     forest = mode == "forest"
     forest_edges = len(labels) - 1
     span = SparseMatrix(len(masks))
+    append = span.rows.append
     roomy: dict[int, list[tuple[int, int]]] = {}  # the multipliers of at most spare edges, by spare
     for _, rel in relation_instances(pres, labels, mode, families):
-        terms = []
-        for colored, c in rel.terms.items():
-            terms.append((colored, edges_of(colored), _koszul_mask(colored & odd), c, -c))
+        terms = [(colored, edges_of(colored), _koszul_mask(colored & odd), c, -c) for colored, c in rel.terms.items()]
         multipliers = encoded
         if forest:
             spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
             if spare not in roomy:
                 roomy[spare] = [m for m in encoded if m[1].bit_count() <= spare]
             multipliers = roomy[spare]
+        live: dict[int, list[tuple]] = {}  # by edge mask, the terms with a nonzero product
         for mult, mult_edges in multipliers:
+            kept = live.get(mult_edges)
+            if kept is None:
+                kept = [t for t in terms if not t[1] & mult_edges]
+                if forest:  # a union missing from the forests has a cycle
+                    kept = [t for t in kept if t[0] | mult in by_mask]
+                live[mult_edges] = kept
+            if not kept:
+                continue
             mult_odd = mult & odd
             row = {}
             # distinct terms have distinct unions with one multiplier, so
             # no two products land on one position
-            for colored, edges, koszul, c, neg in terms:
-                if edges & mult_edges:
-                    continue
+            for colored, _, koszul, c, neg in kept:
                 pos = by_mask.get(colored | mult)
                 if pos is None:
-                    if forest:
-                        continue
                     raise ValueError("a product of the span is missing from the full ambient")
                 row[pos] = neg if (koszul & mult_odd).bit_count() & 1 else c
-            if row:
-                span.add_row(row)
+            append(row)
     return span
 
 

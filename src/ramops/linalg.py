@@ -15,22 +15,30 @@ order is supplied by the caller (it is the caller's monomial order); the
 reduced row-echelon form of a row space is unique, so results are
 deterministic and suitable for golden files.
 
-:func:`rref` eliminates fraction-free, over the integers.  Each input row is
-scaled to an integer vector (a nonzero multiple, so the same row space) and
-reduced against the stored rows in increasing pivot order by
-``row := (l/g) row - (w/g) pivot_row``, where ``l`` is the pivot row's
-leading entry, ``w`` the row's entry in that column and ``g = gcd(l, w)``:
-an integer combination with a nonzero factor on ``row``, so the row space is
-kept and every division is exact.  What is left is stored as a primitive
-vector (gcd 1, leading entry positive) under its leading column; stored rows
-are never touched on insert.  Rows are taken from the last leading column
-down, so every stored row starts at or after the lead of the row being
-reduced, an order against fill-in (after Markowitz) that changes no result.
-One back-substitution, in decreasing pivot order, then clears the pivot
-columns, and only the final division of each row by its leading entry can
-make ``Fraction``s: one for each entry its leading entry does not divide.
-The result is the unique RREF of the row space, the same one that
-elimination over ``Fraction`` gives.
+:func:`rref` eliminates fraction-free, over the integers.  A row whose
+entries are all nonzero ``int``s is taken as it is; any other row is scaled
+by the lcm of its denominators to an integer vector (a nonzero multiple, so
+the same row space), and a ``float`` is refused.  Single-entry rows go
+first, after the structured Gaussian elimination of LaMacchia and Odlyzko:
+each distinct column c of one becomes the pivot row e_c once, and is struck
+from every other row before the main pass.  That changes no row space, a row
+it empties is dropped, and no later row meets those columns again.  The main
+pass reduces each remaining row against the stored rows in increasing pivot
+order by ``row := (l/g) row - (w/g) pivot_row``, where ``l`` is the pivot
+row's leading entry, ``w`` the row's entry in that column and
+``g = gcd(l, w)``: an integer combination with a nonzero factor on ``row``,
+so the row space is kept and every division is exact (no scaling at all
+when ``l`` is 1).  What is left is stored as a primitive vector (gcd 1,
+leading entry positive) under its leading column; stored rows are never
+touched on insert.
+Rows are taken from the last leading column down, so every stored row starts
+at or after the lead of the row being reduced, an order against fill-in
+(after Markowitz) that changes no result.  One back-substitution, in
+decreasing pivot order, then clears the pivot columns of the rows that hold
+any, and only the final division of each row by its leading entry can make
+``Fraction``s: one for each entry its leading entry does not divide.  The
+result is the unique RREF of the row space, the same one that elimination
+over ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -165,10 +173,14 @@ class SparseMatrix:
     rows: list[SparseVec] = field(default_factory=list)
 
     def add_row(self, row: Mapping[int, Fraction]) -> None:
+        """Append the row, zeros dropped; refuses a column outside
+        ``range(ncols)`` (``ValueError``) and a ``float`` (``TypeError``)."""
         clean = {c: v for c, v in row.items() if v}
         if clean:
-            if max(clean) >= self.ncols:
+            if min(clean) < 0 or max(clean) >= self.ncols:
                 raise ValueError("column index out of range")
+            if any(isinstance(v, float) for v in clean.values()):
+                raise TypeError("inexact coefficient in a row")
             self.rows.append(clean)
 
 
@@ -215,6 +227,14 @@ def _primitive(row: IntVec) -> IntVec:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
+def _integral(row: Mapping[int, Fraction | int]) -> IntVec:
+    """The row scaled by the lcm of its denominators, zeros dropped: a
+    nonzero multiple, so the same row space.  Refuses a ``float``."""
+    vals = [exact(v) for v in row.values()]
+    den = lcm(*(v.denominator for v in vals))
+    return {c: v.numerator * (den // v.denominator) for c, v in zip(row, vals) if v}
+
+
 def _eliminate(
     row: IntVec, p: int, pivot_row: IntVec, heap: list[int], pivots: Container[int] = ()
 ) -> IntVec:
@@ -224,10 +244,13 @@ def _eliminate(
     pushed on ``heap``.
     """
     l, w = pivot_row[p], row[p]
-    g = gcd(l, w)
-    a, b = l // g, w // g
-    if a != 1:
-        row = {c: a * v for c, v in row.items()}
+    if l == 1:
+        b = w
+    else:
+        g = gcd(l, w)
+        a, b = l // g, w // g
+        if a != 1:
+            row = {c: a * v for c, v in row.items()}
     for c, v in pivot_row.items():
         s = row.get(c)
         if s is None:
@@ -246,39 +269,63 @@ def _eliminate(
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row-echelon form; row space preserved, output canonical.
 
-    Integer elimination with one back-substitution, as the module docstring
-    describes.  The rows of ``m`` are handed over: ``m.rows`` is sorted in
-    place and each entry becomes None once its row is taken, so the list
-    keeps its length, the number of rows handed in, and no input row
-    outlives its elimination.  A caller that needs the rows again passes a
-    copy.
+    Single-entry rows first, then integer elimination with one
+    back-substitution, as the module docstring describes.  The rows of ``m``
+    are handed over: each entry of ``m.rows`` becomes None as its row is
+    taken, so the list keeps its length, the number of rows handed in, and
+    no input row outlives its elimination.  A caller that needs the rows
+    again passes a copy.  Raises ``TypeError`` on a ``float`` entry and
+    ``ValueError`` on a negative column.
     """
-    stored: dict[int, IntVec] = {}  # leading column -> primitive integer row
+    single: set[int] = set()  # the columns of the single-entry rows
+    rest: list[IntVec] = []
     rows = m.rows
-    rows.sort(key=lambda r: min(r, default=0), reverse=True)
     for k, row in enumerate(rows):
         rows[k] = None
-        den = lcm(*(v.denominator for v in row.values()))
-        work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        heap = [c for c in work if c in stored]
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            if p in work:
-                work = _eliminate(work, p, stored[p], heap, stored)
-        if work:
-            work = _primitive(work)
-            stored[min(work)] = work
+        for v in row.values():
+            if type(v) is not int or not v:
+                row = _integral(row)
+                break
+        if len(row) > 1:
+            rest.append(row)
+        elif row:
+            single.update(row)
+    if single:
+        for k, row in enumerate(rest):
+            if not single.isdisjoint(row):
+                rest[k] = {c: v for c, v in row.items() if c not in single}
+        rest = [row for row in rest if row]
 
-    pivots = sorted(stored)
-    for p in reversed(pivots):
+    stored: dict[int, IntVec] = {}  # leading column -> primitive integer row
+    rest.sort(key=min, reverse=True)
+    for k, row in enumerate(rest):
+        rest[k] = None
+        heap = [c for c in row if c in stored]
+        if heap:
+            heapify(heap)
+            while heap:
+                p = heappop(heap)
+                if p in row:
+                    row = _eliminate(row, p, stored[p], heap, stored)
+            if not row:
+                continue
+        stored[min(row)] = _primitive(row)
+
+    for p in sorted(stored, reverse=True):
         row = stored[p]
         # the rows of later pivots are reduced already, so clearing one
         # pivot column never refills another
-        for q in [c for c in row if c != p and c in stored]:
-            row = _eliminate(row, q, stored[q], [])
-        stored[p] = _primitive(row)
+        clear = [c for c in row if c != p and c in stored]
+        if clear:
+            for q in clear:
+                row = _eliminate(row, q, stored[q], [])
+            stored[p] = _primitive(row)
+    for c in single:
+        stored[c] = {c: ONE}
 
+    pivots = sorted(stored)
+    if pivots and pivots[0] < 0:
+        raise ValueError("negative column index")
     rows = []
     for p in pivots:  # popped, so that no integer row outlives its rational copy
         row = stored.pop(p)

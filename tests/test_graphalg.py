@@ -437,6 +437,21 @@ def test_a_presentation_is_checked_when_made():
     assert GraphPresentation("copy", colors, P.families).hash == P.hash
 
 
+def test_a_family_needs_the_colors_its_words_use():
+    w = (ColorSpec("w", (1, 1), 1),)
+    with pytest.raises(ValueError, match=r"'a_square' uses colors \['a'\] that 'x' lacks"):
+        GraphPresentation("x", w, ("a_square",))
+    with pytest.raises(ValueError, match=r"'arnold_sum' uses colors \['w'\]"):
+        GraphPresentation("y", P.colors, P.families + ("arnold_sum",))
+    with pytest.raises(ValueError, match=r"'ab_sum' uses colors \['b'\]"):
+        GraphPresentation("z", (ColorSpec("a", (0, 1), -1),), ("aa_sum", "ab_sum"))
+    # the table names exactly the colors of the words each family spells out
+    for pres in (P, ARNOLD_PRESENTATION):
+        for family in pres.families:
+            used = {c for inst in relation_words(pres, family, range(1, 5)) for _, word in inst for c, _, _ in word}
+            assert used == set(graphalg.FAMILY_COLORS[family]), family
+
+
 def test_an_unknown_mode_is_refused_everywhere():
     labels = (1, 2, 3)
     x = el(labels, [(1, (("a", 1, 2),))])

@@ -77,6 +77,9 @@ def test_rank_trivial_cases():
     assert rank(SparseMatrix(4)) == 0
     m = from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     assert rank(m) == 5
+    # a stored zero is no entry: a zero single-entry row makes no pivot
+    e = rref(SparseMatrix(3, [{1: 0}, {0: 2, 2: 0}, {2: Fraction(0)}]))
+    assert e.pivots == [0] and e.rows == [{0: 1}]
 
 
 def test_rref_takes_the_rows_over():
@@ -88,6 +91,29 @@ def test_rref_takes_the_rows_over():
     span = from_dense([[1, 1], [0, 1]])
     basis, e = quotient_basis(span, 3)
     assert basis == [2] and span.rows == [None, None]
+    # the single-entry rows, taken first, are handed over as well
+    _, span = GraphComponent.ambient_and_span(ARNOLD_PRESENTATION, 4, "full")
+    count = len(span.rows)
+    assert sum(len(row) == 1 for row in span.rows) > 0
+    rref(span)
+    assert len(span.rows) == count and all(row is None for row in span.rows)
+
+
+def test_rows_are_refused_outside_the_columns_or_inexact():
+    m = SparseMatrix(3)
+    with pytest.raises(ValueError, match="out of range"):
+        m.add_row({-1: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        m.add_row({3: 1})
+    with pytest.raises(TypeError, match="inexact"):
+        m.add_row({0: 1, 1: 0.5})
+    assert m.rows == []
+    # a matrix made without add_row is checked by the elimination
+    with pytest.raises(ValueError, match="negative column"):
+        quotient_basis(SparseMatrix(3, [{-1: 2, 1: 1}]), 3)
+    for row in ({0: 1.5, 1: 2}, {1: 0.5}):
+        with pytest.raises(TypeError, match="inexact"):
+            rref(SparseMatrix(2, [row]))
 
 
 def test_quotient_basis_trivial():
@@ -207,6 +233,13 @@ def sparse_matrices(draw):
 @given(sparse_matrices(), st.dictionaries(st.integers(0, 8), _entry, max_size=5))
 @example(SparseMatrix(0), {})
 @example(SparseMatrix(3, [{}, {}]), {1: Fraction(2)})
+# single-entry rows, taken first: one repeated, one whose column sits in
+# longer rows, rows the pass leaves with one entry or empties, a Fraction
+@example(SparseMatrix(3, [{1: 2}, {0: 1, 2: 1}, {1: -3}, {1: 2}]), {1: 1, 2: 3})
+@example(SparseMatrix(4, [{0: 1, 2: 3}, {2: 5}, {1: 1, 2: -1, 3: 2}, {2: 1, 3: 4}]), {2: 1, 3: 1})
+@example(SparseMatrix(3, [{1: 1}, {0: 2, 1: 3}, {0: 1, 2: 1}]), {0: 1, 2: 7})
+@example(SparseMatrix(3, [{0: 1}, {2: 4}, {0: 3, 2: -1}, {1: 1, 2: 1}]), {1: 2})
+@example(SparseMatrix(3, [{2: Fraction(3, 4)}, {0: Fraction(1, 2), 2: 1}, {1: 1, 2: Fraction(-2, 3)}]), {2: 1, 1: 1})
 def test_rref_matches_insert_oracle(m, vec):
     rows = list(m.rows)
     oracle = oracle_rref(m)
