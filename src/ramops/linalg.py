@@ -16,7 +16,7 @@ reduced row-echelon form of a row space is unique, so results are
 deterministic and suitable for golden files.
 
 :func:`rref` eliminates fraction-free, over the integers.  A row whose
-entries are all nonzero ``int``s is taken as it is; any other row is scaled
+entries are all nonzero ``int``s is copied as it is; any other row is scaled
 by the lcm of its denominators to an integer vector (a nonzero multiple, so
 the same row space), and a ``float`` is refused.  Single-entry rows go
 first, after the structured Gaussian elimination of LaMacchia and Odlyzko:
@@ -27,15 +27,14 @@ pass reduces each remaining row against the stored rows in increasing pivot
 order by ``row := (l/g) row - (w/g) pivot_row``, where ``l`` is the pivot
 row's leading entry, ``w`` the row's entry in that column and
 ``g = gcd(l, w)``: an integer combination with a nonzero factor on ``row``,
-so the row space is kept and every division is exact (no scaling at all
-when ``l`` is 1).  What is left is stored as a primitive vector (gcd 1,
-leading entry positive) under its leading column; stored rows are never
-touched on insert.
-Rows are taken from the last leading column down, so every stored row starts
-at or after the lead of the row being reduced, an order against fill-in
-(after Markowitz) that changes no result.  One back-substitution, in
-decreasing pivot order, then clears the pivot columns of the rows that hold
-any, and only the final division of each row by its leading entry can make
+so the row space is kept and every division is exact.  What is left is
+stored as a primitive vector (gcd 1, leading entry positive) under its
+leading column; stored rows are never touched on insert.  Rows are taken
+from the last leading column down, so every stored row starts at or after
+the lead of the row being reduced, an order against fill-in (after
+Markowitz) that changes no result.  One back-substitution, in decreasing
+pivot order, then clears the pivot columns of the rows that hold any, and
+only the final division of each row by its leading entry can make
 ``Fraction``s: one for each entry its leading entry does not divide.  The
 result is the unique RREF of the row space, the same one that elimination
 over ``Fraction`` gives.
@@ -244,13 +243,10 @@ def _eliminate(
     pushed on ``heap``.
     """
     l, w = pivot_row[p], row[p]
-    if l == 1:
-        b = w
-    else:
-        g = gcd(l, w)
-        a, b = l // g, w // g
-        if a != 1:
-            row = {c: a * v for c, v in row.items()}
+    g = gcd(l, w)
+    a, b = l // g, w // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
     for c, v in pivot_row.items():
         s = row.get(c)
         if s is None:
@@ -273,8 +269,9 @@ def rref(m: SparseMatrix) -> Echelon:
     back-substitution, as the module docstring describes.  The rows of ``m``
     are handed over: each entry of ``m.rows`` becomes None as its row is
     taken, so the list keeps its length, the number of rows handed in, and
-    no input row outlives its elimination.  A caller that needs the rows
-    again passes a copy.  Raises ``TypeError`` on a ``float`` entry and
+    no input row outlives its elimination.  The row dicts are only read,
+    never edited or returned, so a caller that needs the rows again passes
+    a copy of the list.  Raises ``TypeError`` on a ``float`` entry and
     ``ValueError`` on a negative column.
     """
     single: set[int] = set()  # the columns of the single-entry rows
@@ -286,6 +283,8 @@ def rref(m: SparseMatrix) -> Echelon:
             if type(v) is not int or not v:
                 row = _integral(row)
                 break
+        else:
+            row = dict(row)  # elimination edits rows in place, never the caller's
         if len(row) > 1:
             rest.append(row)
         elif row:
@@ -301,15 +300,13 @@ def rref(m: SparseMatrix) -> Echelon:
     for k, row in enumerate(rest):
         rest[k] = None
         heap = [c for c in row if c in stored]
-        if heap:
-            heapify(heap)
-            while heap:
-                p = heappop(heap)
-                if p in row:
-                    row = _eliminate(row, p, stored[p], heap, stored)
-            if not row:
-                continue
-        stored[min(row)] = _primitive(row)
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in row:
+                row = _eliminate(row, p, stored[p], heap, stored)
+        if row:
+            stored[min(row)] = _primitive(row)
 
     for p in sorted(stored, reverse=True):
         row = stored[p]

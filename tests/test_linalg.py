@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -95,8 +96,18 @@ def test_rref_takes_the_rows_over():
     _, span = GraphComponent.ambient_and_span(ARNOLD_PRESENTATION, 4, "full")
     count = len(span.rows)
     assert sum(len(row) == 1 for row in span.rows) > 0
-    rref(span)
+    rows = list(span.rows)
+    kept = copy.deepcopy(rows)
+    e = rref(span)
     assert len(span.rows) == count and all(row is None for row in span.rows)
+    # the dicts in the list are only read, never edited or returned, so a
+    # shallow copy of the list is enough to use the rows again
+    small = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1}, {1: 1, 2: 1}]
+    small_kept = copy.deepcopy(small)
+    small_e = rref(SparseMatrix(3, list(small)))
+    assert rows == kept and small == small_kept and small_e.rank == 3
+    for given, echelon in ((rows, e), (small, small_e)):
+        assert not {id(row) for row in given} & {id(row) for row in echelon.rows}
 
 
 def test_rows_are_refused_outside_the_columns_or_inexact():
