@@ -272,7 +272,7 @@ def rref(m: SparseMatrix) -> Echelon:
     no input row outlives its elimination.  The row dicts are only read,
     never edited or returned, so a caller that needs the rows again passes
     a copy of the list.  Raises ``TypeError`` on a ``float`` entry and
-    ``ValueError`` on a negative column.
+    ``ValueError`` on a negative column or one at or past ``m.ncols``.
     """
     single: set[int] = set()  # the columns of the single-entry rows
     rest: list[IntVec] = []
@@ -317,6 +317,11 @@ def rref(m: SparseMatrix) -> Echelon:
             for q in clear:
                 row = _eliminate(row, q, stored[q], [])
             stored[p] = _primitive(row)
+    # every input row lies in the row space the output rows span, so a column
+    # out of range in any input row is one in some output row
+    ncols = m.ncols
+    if max(single, default=-1) >= ncols or stored and max(map(max, stored.values())) >= ncols:
+        raise ValueError(f"column index out of range for {ncols} columns")
     for c in single:
         stored[c] = {c: ONE}
 

@@ -108,6 +108,18 @@ differentials and the comparison map rho:
 So a verdict at n reads the one-step rows at n, then n - 1 down to 3, and
 means that the map kills I(k) for every 3 <= k <= n.
 
+The same fact evaluates the coproduct and the differentials of Ram in
+basis coordinates (``ram.BasisImages``): (nf (x) nf)(Delta g(x, y)) is a
+signed sum of nf(g'(x', y')) (x) nf(g''(x'', y'')) over the terms of
+(nf (x) nf)(Delta x) and (nf (x) nf)(Delta y), with the Koszul sign
+(-1)^(h(g'') h(x') + (h(g'') + h(x'')) h(y')), and nf(d g(x, y)) is
+nf(d(g)(nf x, nf y)) + (-1)^h(g) nf(g(nf dx, nf y))
++ (-1)^(h(g) + h(x)) nf(g(nf x, nf dy)).  nf keeps bidegrees, so each sign
+reads h off the normal forms as well as off the trees.  Both recursions
+take their one-step normal forms from ``_Rewriting.add_root``: nf of
+g(comb(kx), comb(ky)) for normal-form keys kx, ky, the step
+``_Rewriting.normal_form`` takes at every vertex.
+
 ``ideal_span`` grafts every relation into every tree and puts every
 generator above a lower span element.  No verdict reads it: the test
 oracles build the grafted span from it, and the benchmark's tracer wraps it.
@@ -907,6 +919,8 @@ class _Rewriting:
         for each pair of odd factors that changes places."""
         mins = self.mins
         odd = [mins[f] for f in word if self.odd[f]]
+        if len(odd) < 2:
+            return 1
         swaps = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :])
         return -1 if swaps & 1 else 1
 
@@ -927,6 +941,11 @@ class _Rewriting:
             out = self._brackets[key] = [(self._factor(t), sign * c) for t, c in root.items()]
         return out
 
+    def parity(self, key: tuple[int, ...]) -> int:
+        """The h-parity of the comb of a normal-form key."""
+        odd = self.odd
+        return sum(odd[f] for f in key) & 1
+
     def normal_form(self, t: Tree) -> dict[tuple[int, ...], Fraction | int]:
         out = self._forms.get(t)
         if out is not None:
@@ -936,29 +955,34 @@ class _Rewriting:
             out[(self._factor(t),)] = 1
         else:
             g, l, r = t
-            left, right = self.normal_form(l), self.normal_form(r)
-            for ta, ca in left.items():
+            right = self.normal_form(r)
+            for ta, ca in self.normal_form(l).items():
                 for tb, cb in right.items():
-                    word = ta + tb
-                    if g == self.pres.product:
-                        key, sign = self._ordered(word)
-                        bump(out, key, sign * ca * cb)
-                        continue
-                    # Leibniz: g(prod ta, prod tb) is the sum over p in ta, q
-                    # in tb of g(p, q) times the rest, with the Koszul sign
-                    # taking the word ta tb to p q rest; koszul measures
-                    # both words against smallest-leaf order
-                    c = ca * cb * self.koszul(word)
-                    for i, p in enumerate(ta):
-                        rest_a = ta[:i] + ta[i + 1 :]
-                        for j, q in enumerate(tb):
-                            rest = rest_a + tb[:j] + tb[j + 1 :]
-                            cpq = c * self.koszul((p, q) + rest)
-                            for f, e in self.bracket(g, p, q):
-                                key, sign = self._ordered((f,) + rest)
-                                bump(out, key, sign * cpq * e)
+                    self.add_root(out, g, ta, tb, ca * cb)
         self._forms[t] = out
         return out
+
+    def add_root(self, out: dict, g: str, ta: tuple[int, ...], tb: tuple[int, ...], c: Fraction | int) -> None:
+        """Add c times nf(g(comb(ta), comb(tb))) to out, for normal-form
+        keys ta, tb on disjoint blocks: the one step of nf at a root whose
+        children are normal, which ``normal_form`` takes at every vertex."""
+        word = ta + tb
+        if g == self.pres.product:
+            key, sign = self._ordered(word)
+            bump(out, key, sign * c)
+            return
+        # Leibniz: g(prod ta, prod tb) is the sum over p in ta, q in tb of
+        # g(p, q) times the rest, with the Koszul sign taking the word ta tb
+        # to p q rest; koszul measures both words against smallest-leaf order
+        c = c * self.koszul(word)
+        for i, p in enumerate(ta):
+            rest_a = ta[:i] + ta[i + 1 :]
+            for j, q in enumerate(tb):
+                rest = rest_a + tb[:j] + tb[j + 1 :]
+                cpq = c * self.koszul((p, q) + rest)
+                for f, e in self.bracket(g, p, q):
+                    key, sign = self._ordered((f,) + rest)
+                    bump(out, key, sign * cpq * e)
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:

@@ -23,18 +23,42 @@ extended through trees with the Koszul interleaving sign, into a
 ``down`` sends G to L (bidegree (-1,0)); ``up`` sends L to G ((+1,0)); both
 kill E and extend as derivations with the preorder-prefix sign.
 
-``hopf_check`` compares the two sides of coassociativity and of the
-coderivation identities as free-operad tensors first.  The tensor normal
-form is a function of the free tensor, so equal free tensors have equal
-normal forms and the identity holds in the quotient; only when the free
-tensors differ are both sides normalised and compared.  Tensor normal forms
-read each tree's basis expansion from the component's shared memo.
+``BasisImages`` evaluates both maps in basis coordinates: Delta_B(t) =
+(nf (x) nf)(Delta t) and d_B(t) = nf(d t) for a tree t = g(x, y), formed
+from the images of its children.  This is exact because nf(g(x, y)) =
+nf(g(nf x, nf y)) (see ``operad``), and nf keeps bidegrees, so a sign that
+reads the h of a tree reads the same parity off its normal form:
+
+* Delta(g(x, y)) is the sum, over the rows g' (x) g'' of
+  ``COPRODUCT_TABLE[g]`` and the terms x' (x) x'' of Delta x and y' (x) y''
+  of Delta y, of (-1)^(h(g'') h(x') + (h(g'') + h(x'')) h(y')) times
+  g'(x', y') (x) g''(x'', y''): the word g' g'' x' x'' y' y'' put in the
+  order g' x' y' g'' x'' y''.  So Delta_B(g(x, y)) is the same sum over the
+  terms of Delta_B x and Delta_B y, of nf(g'(x', y')) (x) nf(g''(x'', y''));
+* d(g(x, y)) = d(g)(x, y) + (-1)^h(g) g(dx, y) + (-1)^(h(g) + h(x)) g(x, dy),
+  the preorder prefix sign, so d_B(g(x, y)) = nf(d(g)(nf x, nf y))
+  + (-1)^h(g) nf(g(d_B x, nf y)) + (-1)^(h(g) + h(x)) nf(g(nf x, d_B y)).
+
+Every nf(g'(u, v)) there is a one-step normal form of two normal-form keys
+(``operad._Rewriting.add_root``).  One step function holds each sign,
+``_coproduct_sign`` and ``_derivation_signs``, and both the free
+expansions (``_coproduct_parts``, ``_diff_tree``) and ``BasisImages`` call
+it, so the two routes cannot disagree on a sign.
+
+``hopf_check`` reads Delta_B for the ideal verdict and compares the two
+sides of coassociativity and of the coderivation identities as free-operad
+tensors first.  The tensor normal form is a function of the free tensor, so
+equal free tensors have equal normal forms and the identity holds in the
+quotient; only when the free tensors differ are both sides normalised and
+compared.  Tensor normal forms read each tree's basis expansion from the
+component's shared memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from . import quotient
 from .cache import ComponentStore, default_store
@@ -175,11 +199,17 @@ def _coproduct_parts(t: Tree, gens: Signature) -> list[tuple[Tree, Tree, int, in
         hg1, hg2 = gens[g1].bidegree[0], gens[g2].bidegree[0]
         for u1, u2, s1, hu1, hu2 in left_parts:
             for v1, v2, s2, hv1, hv2 in right_parts:
-                exponent = hg2 * hu1 + (hg2 + hu2) * hv1
-                sign = s1 * s2 * (-1 if exponent & 1 else 1)
+                sign = s1 * s2 * _coproduct_sign(hg2, hu1, hu2, hv1)
                 # the root split keeps min-leaf order, so both factors stay canonical
                 out.append(((g1, u1, v1), (g2, u2, v2), sign, hg1 + hu1 + hv1, hg2 + hu2 + hv2))
     return out
+
+
+def _coproduct_sign(hg2: int, hu1: int, hu2: int, hv1: int) -> int:
+    """The Koszul sign of g1(u1, v1) (x) g2(u2, v2) in the coproduct of
+    g(u, v): the word g1 g2 u1 u2 v1 v2 becomes g1 u1 v1 g2 u2 v2, so g2
+    passes u1 and v1, and u2 passes v1.  Only the parities of the h count."""
+    return -1 if (hg2 * hu1 + (hg2 + hu2) * hv1) & 1 else 1
 
 
 def coproduct(x: OperadElement) -> quotient.Tensor:
@@ -216,12 +246,19 @@ def _diff_tree(t: Tree, mapping: dict[str, str], gens: Signature) -> tuple[list,
     if g in mapping:
         terms.append(((mapping[g], l, r), 1))
     sub_l, hl = _diff_tree(l, mapping, gens)
-    for nt, s in sub_l:
-        terms.append(((g, nt, r), s * (-1 if hg & 1 else 1)))
     sub_r, hr = _diff_tree(r, mapping, gens)
+    left_sign, right_sign = _derivation_signs(hg, hl)
+    for nt, s in sub_l:
+        terms.append(((g, nt, r), s * left_sign))
     for nt, s in sub_r:
-        terms.append(((g, l, nt), s * (-1 if (hg + hl) & 1 else 1)))
+        terms.append(((g, l, nt), s * right_sign))
     return terms, hg + hl + hr
+
+
+def _derivation_signs(hg: int, hl: int) -> tuple[int, int]:
+    """The prefix signs of an odd derivation at a vertex g(l, r): of its
+    terms inside l, which pass g, and inside r, which pass g and l."""
+    return (-1 if hg & 1 else 1), (-1 if (hg + hl) & 1 else 1)
 
 
 def differential(x: OperadElement, which: str) -> OperadElement:
@@ -237,18 +274,151 @@ def differential(x: OperadElement, which: str) -> OperadElement:
     return out
 
 
+# --- the maps in basis coordinates ------------------------------------------
+
+
+class BasisImages:
+    """Delta_B = (nf (x) nf) Delta and d_B = nf d on the trees of a component
+    on {1..n}, in the normal-form keys of its rewriting (see the module
+    docstring): a tree's image is formed from its children's normal forms
+    and images, which are kept, while the image of the tree asked for is
+    not.  Keys are interned: ``keys[i]`` is the key of id i, and Delta_B(t)
+    maps pairs of ids, d_B(t) ids, to coefficients."""
+
+    def __init__(self, comp: Component):
+        self.rw = comp.rewriting
+        self.gens = comp.pres.gens
+        self.keys: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._odd: list[int] = []  # the h-parity of each id's key
+        # nf(g(comb keys[i], comb keys[j])) of each (g, i, j) asked for, on ids
+        self._roots: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
+        self._nfs: dict[Tree, list[tuple[int, Fraction | int]]] = {}
+        self._deltas: dict[Tree, tuple] = {}
+        self._ds: dict[tuple[Tree, str], dict] = {}
+        # per generator g2, _coproduct_sign(h(g2), hu1, hu2, hv1) at 4 hu1 + 2 hu2 + hv1
+        self._signs = {
+            g: [_coproduct_sign(spec.bidegree[0], *parities) for parities in product((0, 1), repeat=3)]
+            for g, spec in self.gens.items()
+        }
+
+    def coproduct(self, t: Tree) -> dict[tuple[int, int], Fraction | int]:
+        if is_leaf(t):
+            ((i, _),) = self._nf(t)
+            return {(i, i): 1}
+        g, l, r = t
+        lefts, left_seconds, left_terms = self._delta(l)
+        rights, right_seconds, right_terms = self._delta(r)
+        root = self._root
+        out: dict[tuple[int, int], Fraction | int] = {}
+        for g1, g2 in COPRODUCT_TABLE[g]:
+            signs = self._signs[g2]
+            firsts = [[root(g1, u, v) for v in rights] for u in lefts]
+            seconds = [[root(g2, u, v) for v in right_seconds] for u in left_seconds]
+            for a, b, cu, at, _ in left_terms:
+                first_a, second_b = firsts[a], seconds[b]
+                for c, d, cv, _, hv1 in right_terms:
+                    coeff = signs[at + hv1] * cu * cv
+                    second = second_b[d]
+                    for ka, ca in first_a[c]:
+                        cka = coeff * ca
+                        for kb, cb in second:
+                            out[ka, kb] = out.get((ka, kb), 0) + cka * cb
+        return {key: c for key, c in out.items() if c}
+
+    def differential(self, t: Tree, which: str) -> dict[int, Fraction | int]:
+        if is_leaf(t):
+            return {}
+        g, l, r = t
+        dl, dr = self._d(l, which), self._d(r, which)
+        nl, nr = self._nf(l), self._nf(r)
+        terms = []  # (g', i, j, c): c nf(g'(comb keys[i], comb keys[j]))
+        top = DIFFERENTIAL_MAPS[which].get(g)
+        if top is not None:
+            terms += [(top, i, j, ci * cj) for i, ci in nl for j, cj in nr]
+        if dl or dr:
+            # h(l) read off nf(l); without terms there, it signs nothing
+            hl = self._odd[nl[0][0]] if nl else 0
+            left_sign, right_sign = _derivation_signs(self.gens[g].bidegree[0], hl)
+            terms += [(g, i, j, left_sign * ci * cj) for i, ci in dl.items() for j, cj in nr]
+            terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl for j, cj in dr.items()]
+        out: dict[int, Fraction | int] = {}
+        for gen, i, j, c in terms:
+            for k, v in self._root(gen, i, j):
+                out[k] = out.get(k, 0) + c * v
+        return {k: c for k, c in out.items() if c}
+
+    def _id(self, key: tuple[int, ...]) -> int:
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self._odd.append(self.rw.parity(key))
+        return i
+
+    def _root(self, g: str, i: int, j: int) -> list[tuple[int, Fraction | int]]:
+        out = self._roots.get((g, i, j))
+        if out is None:
+            image: dict[tuple[int, ...], Fraction | int] = {}
+            self.rw.add_root(image, g, self.keys[i], self.keys[j], 1)
+            out = self._roots[g, i, j] = [(self._id(k), c) for k, c in image.items()]
+        return out
+
+    def _nf(self, t: Tree) -> list[tuple[int, Fraction | int]]:
+        """nf(t) on ids, kept."""
+        out = self._nfs.get(t)
+        if out is None:
+            out = self._nfs[t] = [(self._id(k), c) for k, c in self.rw.normal_form(t).items()]
+        return out
+
+    def _delta(self, t: Tree) -> tuple[list[int], list[int], list[tuple]]:
+        """Delta_B(t), kept: the ids of its first and of its second factors,
+        and per term (a, b, c, 4 h1 + 2 h2, h1) for the factors firsts[a],
+        seconds[b] and their h-parities h1, h2."""
+        out = self._deltas.get(t)
+        if out is None:
+            firsts: dict[int, int] = {}
+            seconds: dict[int, int] = {}
+            odd = self._odd
+            terms = []
+            for (i, j), c in self.coproduct(t).items():
+                a, b = firsts.setdefault(i, len(firsts)), seconds.setdefault(j, len(seconds))
+                terms.append((a, b, c, 4 * odd[i] + 2 * odd[j], odd[i]))
+            out = self._deltas[t] = (list(firsts), list(seconds), terms)
+        return out
+
+    def _d(self, t: Tree, which: str) -> dict[int, Fraction | int]:
+        """d_B(t), kept."""
+        out = self._ds.get((t, which))
+        if out is None:
+            out = self._ds[t, which] = self.differential(t, which)
+        return out
+
+
+def basis_images(images: dict[Component, BasisImages], comp: Component) -> BasisImages:
+    """The ``BasisImages`` of the component in ``images``, made on first use."""
+    out = images.get(comp)
+    if out is None:
+        out = images[comp] = BasisImages(comp)
+    return out
+
+
 # --- verification reports ----------------------------------------------------
 
 
-def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
+def hopf_check(
+    n: int, store: ComponentStore | None = None, images: dict[Component, BasisImages] | None = None
+) -> list[dict]:
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations.
 
     The coproduct, followed by the tensor normal form, kills the ideal when
-    it kills the one-step rows e_t - nf(t) at arity n, then n - 1 down to 3
-    (``operad.one_step_witness``); a failure names the first tree whose row
-    it does not kill.  The two sides of each identity on a basis tree are
-    first compared as free-operad tensors and normalised only when those
-    differ (see the module docstring).
+    Delta_B kills the one-step rows e_t - nf(t) at arity n, then n - 1 down
+    to 3 (``operad.one_step_witness``); a failure names the first tree whose
+    row it does not kill.  The two sides of each identity on a basis tree
+    are first compared as free-operad tensors and normalised only when those
+    differ (see the module docstring).  ``images`` holds the
+    ``BasisImages`` of each component, for callers that check several
+    arities to share; by default the call keeps its own.
     """
     store = store or default_store()
     pres = presentation("ram")
@@ -257,14 +427,8 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     comp = component_basis(pres, labels, store)
     verdicts = []
 
-    # the free coproduct of each basis tree, for the ideal check and both identities
-    deltas = {b: coproduct(comp.monomial_element(b)).terms for b in comp.basis}
-
-    def delta_nf(t: Tree, c: Component) -> dict:
-        delta = deltas[t] if t in deltas else coproduct(c.monomial_element(t)).terms
-        return quotient.tensor_normal_form(delta, (c, c))
-
-    bad = one_step_witness(pres, n, delta_nf, store)
+    images = {} if images is None else images
+    bad = one_step_witness(pres, n, lambda t, c: basis_images(images, c).coproduct(t), store)
     witness = None if bad is None else {"tree": tree_str(bad)}
     verdicts.append(verdict("coproduct_kills_ideal", bad is None, witness, n=n))
 
@@ -278,6 +442,12 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     delta_of = cache(lambda t: _coproduct_tree(t, gens))
     odd = cache(lambda t: tree_h(t, gens) & 1)
 
+    # the free coproduct of each basis tree, for both identities
+    deltas = {}
+    for b in comp.basis:
+        deltas[b] = delta = {}
+        for t1, t2, s in delta_of(b):
+            bump(delta, (t1, t2), s)
     bad = None
     for b, delta in deltas.items():
         left: dict[tuple, Fraction] = {}
@@ -295,9 +465,12 @@ def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     d_memo: dict[tuple[Tree, str], dict] = {}
 
     def d(t: Tree, which: str) -> dict:
-        if (t, which) not in d_memo:
-            d_memo[t, which] = differential(comp.monomial_element(t), which).terms
-        return d_memo[t, which]
+        out = d_memo.get((t, which))
+        if out is None:
+            out = d_memo[t, which] = {}
+            for tree, s in _diff_tree(t, DIFFERENTIAL_MAPS[which], gens)[0]:
+                bump(out, tree, s)
+        return out
 
     for which in ("down", "up"):
         bad = None

@@ -26,6 +26,12 @@ from ramops.ram import (
 from ramops.reports import verdict
 
 
+def coproduct_nf(t, comp):
+    """(nf (x) nf) of the free coproduct of the tree t, on the component's
+    basis trees."""
+    return tensor_normal_form(coproduct(comp.monomial_element(t)), comp).terms
+
+
 def hopf_check(n, store=None):
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations."""
     store = store or default_store()

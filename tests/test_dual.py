@@ -8,7 +8,7 @@ import compat_oracle
 import conjecture_oracle
 import ideal_oracle
 import cooperad_oracle as oracle
-from test_ram import _coproduct_tree_wrong_exponent
+from test_ram import _coproduct_sign_wrong_exponent
 
 from ramops import clear_memos, cooperad, dual, graphalg, operad, ram
 from ramops.cache import ComponentStore
@@ -35,7 +35,6 @@ from ramops.operad import (
     compose,
     enumerate_tree_monomials,
     ideal_span,
-    is_leaf,
     relabel,
     tree_str,
 )
@@ -327,29 +326,20 @@ def test_compat_checks():
     assert rep["up_intertwining"]["global_sign"] == 1
 
 
-def _diff_tree_wrong_sign(t, mapping, gens):
-    """ram._diff_tree with h of the generator left out of the sign of the
-    terms from the right subtree."""
-    if is_leaf(t):
-        return [], 0
-    g, l, r = t
-    hg = gens[g].bidegree[0]
-    terms = [((mapping[g], l, r), 1)] if g in mapping else []
-    sub_l, hl = _diff_tree_wrong_sign(l, mapping, gens)
-    terms += [((g, nt, r), -s if hg & 1 else s) for nt, s in sub_l]
-    sub_r, hr = _diff_tree_wrong_sign(r, mapping, gens)
-    terms += [((g, l, nt), -s if hl & 1 else s) for nt, s in sub_r]
-    return terms, hg + hl + hr
+def _derivation_signs_wrong(hg, hl):
+    """ram._derivation_signs with h of the generator left out of the sign of
+    the terms from the right subtree."""
+    return (-1 if hg & 1 else 1), (-1 if hl & 1 else 1)
 
 
 @pytest.mark.parametrize(
     "fault, failing",
     (
         (None, set()),
-        (("_coproduct_tree", _coproduct_tree_wrong_exponent), {"coalgebra_morphism"}),
+        (("_coproduct_sign", _coproduct_sign_wrong_exponent), {"coalgebra_morphism"}),
         # the fault signs the up-images of L under an odd G wrongly too: the
         # normal-tree basis of LieGriess holds G(1, L(2, 3)), so both fail
-        (("_diff_tree", _diff_tree_wrong_sign), {"down_intertwining", "up_intertwining"}),
+        (("_derivation_signs", _derivation_signs_wrong), {"down_intertwining", "up_intertwining"}),
     ),
     ids=("no-fault", "coproduct-exponent", "derivation-sign"),
 )

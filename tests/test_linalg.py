@@ -122,6 +122,10 @@ def test_rows_are_refused_outside_the_columns_or_inexact():
     # a matrix made without add_row is checked by the elimination
     with pytest.raises(ValueError, match="negative column"):
         quotient_basis(SparseMatrix(3, [{-1: 2, 1: 1}]), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        quotient_basis(SparseMatrix(3, [{0: 1, 5: 1}]), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        rref(SparseMatrix(2, [{5: 1}]))
     for row in ({0: 1.5, 1: 2}, {1: 0.5}):
         with pytest.raises(TypeError, match="inexact"):
             rref(SparseMatrix(2, [row]))

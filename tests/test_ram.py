@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import derivation_oracle
 import hopf_oracle as oracle
 import ideal_oracle
 from span_oracle import grafted_dims
-from ramops import operad, ram
+from ramops import graphalg, operad, ram, suites
 from ramops.cache import ComponentStore
 from ramops.labels import HASH, STAR, standard_labels
 from ramops.operad import (
@@ -22,11 +23,9 @@ from ramops.operad import (
     compose,
     enumerate_tree_monomials,
     ideal_span,
-    is_leaf,
     leibniz,
     relabel,
     tree_bidegree,
-    tree_h,
     tree_str,
 )
 from ramops.ram import (
@@ -43,6 +42,7 @@ from ramops.ram import (
     tensor_normal_form,
 )
 from ramops.cli import main as cli_main
+from ramops.graphalg import AlgebraElement, differential_algebra
 from ramops.dual import conjecture_verdict
 from ramops.ramanujan import predicted_dims, psi
 from ramops.suites import run_suite, suite_differentials
@@ -266,25 +266,14 @@ def test_hopf_check_matches_oracle():
         assert all(v["pass"] for v in verdicts), verdicts
 
 
-def _coproduct_tree_wrong_exponent(t, gens):
-    """ram._coproduct_tree with the hg2 * hv1 term of the Koszul exponent dropped."""
-    if is_leaf(t):
-        return [(t, t, 1)]
-    g, l, r = t
-    left_parts = _coproduct_tree_wrong_exponent(l, gens)
-    right_parts = _coproduct_tree_wrong_exponent(r, gens)
-    out = []
-    for g1, g2 in ram.COPRODUCT_TABLE[g]:
-        hg2 = gens[g2].bidegree[0]
-        for u1, u2, s1 in left_parts:
-            for v1, v2, s2 in right_parts:
-                exponent = hg2 * tree_h(u1, gens) + tree_h(u2, gens) * tree_h(v1, gens)
-                out.append(((g1, u1, v1), (g2, u2, v2), s1 * s2 * (-1 if exponent & 1 else 1)))
-    return out
+def _coproduct_sign_wrong_exponent(hg2, hu1, hu2, hv1):
+    """ram._coproduct_sign with the hg2 * hv1 term of the Koszul exponent dropped."""
+    return -1 if (hg2 * hu1 + hu2 * hv1) & 1 else 1
 
 
 def test_wrong_coproduct_sign_fails_alike_on_both_paths(monkeypatch):
-    monkeypatch.setattr(ram, "_coproduct_tree", _coproduct_tree_wrong_exponent)
+    # the free expansion and the basis-coordinate coproduct share the sign
+    monkeypatch.setattr(ram, "_coproduct_sign", _coproduct_sign_wrong_exponent)
     failed = {}
     for n in (2, 3, 4):
         verdicts = hopf_check(n)
@@ -297,18 +286,10 @@ def test_wrong_coproduct_sign_fails_alike_on_both_paths(monkeypatch):
     }
 
 
-def _diff_tree_unsigned_right(t, mapping, gens):
-    """ram._diff_tree with the prefix sign of the right-subtree term dropped."""
-    if is_leaf(t):
-        return [], 0
-    g, l, r = t
-    hg = gens[g].bidegree[0]
-    terms = [((mapping[g], l, r), 1)] if g in mapping else []
-    sub_l, hl = _diff_tree_unsigned_right(l, mapping, gens)
-    terms += [((g, nt, r), -s if hg & 1 else s) for nt, s in sub_l]
-    sub_r, hr = _diff_tree_unsigned_right(r, mapping, gens)
-    terms += [((g, l, nt), s) for nt, s in sub_r]
-    return terms, hg + hl + hr
+def _diff_tree_unsigned_right(hg, hl):
+    """ram._derivation_signs with the prefix sign of the right-subtree term
+    dropped: the free derivation and d_B both read it."""
+    return (-1 if hg & 1 else 1), 1
 
 
 OPERAD_IDEAL_CHECKS = ("operad_down_preserves_ideal", "operad_up_preserves_ideal")
@@ -317,7 +298,7 @@ OPERAD_IDEAL_CHECKS = ("operad_down_preserves_ideal", "operad_up_preserves_ideal
 @pytest.mark.parametrize("fault", (None, _diff_tree_unsigned_right))
 def test_preserves_ideal_matches_span_oracle(fault, monkeypatch):
     if fault is not None:
-        monkeypatch.setattr(ram, "_diff_tree", fault)
+        monkeypatch.setattr(ram, "_derivation_signs", fault)
     suite = [v for v in suite_differentials(4) if v["check"] in OPERAD_IDEAL_CHECKS]
     failed = {}
     for n in (3, 4):
@@ -328,6 +309,60 @@ def test_preserves_ideal_matches_span_oracle(fault, monkeypatch):
         assert failed == {3: [], 4: []}
     else:
         assert failed == {3: ["operad_up_preserves_ideal"], 4: list(OPERAD_IDEAL_CHECKS)}
+
+
+def test_basis_images_equal_the_normalised_free_images():
+    # Delta_B and d_B against (nf (x) nf) Delta and nf d of the free images,
+    # term for term, on every basis and one-step tree
+    pres, store = presentation("ram"), ComponentStore()
+    for n in range(2, 6):
+        comp = component_basis(pres, standard_labels(n), store)
+        images = ram.BasisImages(comp)
+        one_step = set(operad._candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__))
+        assert one_step >= set(comp.basis)  # every basis tree is a one-step tree
+        slot = lambda i: comp.rewriting.slots[images.keys[i]]  # noqa: E731
+        for t in one_step:
+            delta = {(comp.basis[slot(a)], comp.basis[slot(b)]): c for (a, b), c in images.coproduct(t).items()}
+            assert delta == oracle.coproduct_nf(t, comp), t
+            for which in ("down", "up"):
+                d = {slot(k): c for k, c in images.differential(t, which).items()}
+                assert d == comp.coords(differential(comp.monomial_element(t), which)), (t, which)
+
+
+def _algebra_differential_unsigned(x, which):
+    """graphalg.differential_algebra with the sign of each moved letter dropped."""
+    out = AlgebraElement(x.labels, x.pres)
+    for m, c in x.terms.items():
+        for m2, s in differential_algebra(AlgebraElement(x.labels, x.pres, {m: 1}), which).terms.items():
+            out._add_term(m2, c * abs(s))
+    return out
+
+
+IDENTITY_CHECKS = tuple(
+    f"{side}_{name}"
+    for side in ("operad", "algebra")
+    for name in ("down_squares_to_zero", "up_squares_to_zero", "laplacian_is_weight")
+)
+
+
+@pytest.mark.parametrize("fault", (None, "operad-unsigned-right", "algebra-unsigned"))
+def test_derivation_identities_fail_alike_on_the_basis_and_every_monomial(fault, monkeypatch):
+    if fault == "operad-unsigned-right":
+        monkeypatch.setattr(ram, "_derivation_signs", _diff_tree_unsigned_right)
+    elif fault == "algebra-unsigned":
+        monkeypatch.setattr(graphalg, "differential_algebra", _algebra_differential_unsigned)
+        monkeypatch.setattr(suites, "differential_algebra", _algebra_differential_unsigned)
+    store = ComponentStore()
+    verdicts = suite_differentials(4, store)
+    failed = {}
+    for n in (3, 4):
+        at_n = [v for v in verdicts if v["check"] in IDENTITY_CHECKS and v["params"]["n"] == n]
+        got = {v["check"] for v in at_n if not v["pass"]}
+        assert got == derivation_oracle.failing_identities(n, store), n
+        failed[n] = got
+    side = {None: None, "operad-unsigned-right": "operad", "algebra-unsigned": "algebra"}[fault]
+    assert all(name.startswith(f"{side}_") for names in failed.values() for name in names)
+    assert all(failed.values()) is (fault is not None)
 
 
 def _ideal_maps():
@@ -347,8 +382,8 @@ def _ideal_maps():
 @pytest.mark.parametrize(
     "fault, checks, arities",
     (
-        (("_coproduct_tree", _coproduct_tree_wrong_exponent), ("coproduct_kills_ideal",), (3, 4, 5)),
-        (("_diff_tree", _diff_tree_unsigned_right), OPERAD_IDEAL_CHECKS, (3, 4)),
+        (("_coproduct_sign", _coproduct_sign_wrong_exponent), ("coproduct_kills_ideal",), (3, 4, 5)),
+        (("_derivation_signs", _diff_tree_unsigned_right), OPERAD_IDEAL_CHECKS, (3, 4)),
     ),
     ids=("coproduct-exponent", "unsigned-right-differential"),
 )
