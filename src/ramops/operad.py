@@ -30,6 +30,9 @@ tree is normal when its children are and its root passes a rule, so
 ``_trees`` forms the normal trees on each block from those on smaller
 blocks, and no build enumerates the ambient trees.  Slots follow the
 enumeration order restricted to normal trees; nf names its terms by slot.
+The same rule counts the normal trees by bidegree with no tree formed
+(``leading_rule``, ``ram.normal_dims``): that is how ``ram.operad_dims``
+reaches any arity.
 
 A presentation that is not Com o F (``lie``, ``sgriess``, ``liegriess``) is
 rewritten by its relations as a quadratic Groebner basis (Dotsenko-Khoroshkin,
@@ -410,6 +413,34 @@ def _trees(
     return rec(labels)
 
 
+def leading_rule(rules: Mapping, g: str, inner: str | None, y_min, z_min) -> list | None:
+    """The rule of the leading divisor g(g'(x, y), z), g' = ``inner`` (None
+    for a leaf), or None when the root is normal: (g, g') keys no rule, or
+    min(y) lies above min(z).  The two mins may be given as any keys in
+    their order: atom keys in ``_Groebner._rule``, which ``_trees`` applies,
+    and ranks in ``ram.normal_dims``, which counts the same trees.
+
+    The count: ``_trees`` sees labels only through their order, so the
+    normal trees on a block are counted by its size.  A canonical g(l, r)
+    on k labels has l on the block A of the smallest label, |A| = a, and r
+    on the other b = k - a.  If p labels of A lie below min(r), the p + 1
+    smallest labels are those p and min(r), and r's other labels are b - 1
+    of the k - 1 - p above: C(k - 1 - p, b - 1) splits for each
+    1 <= p <= a.  The rule reads l only through its class, the root
+    generator g' and the rank q in A of its right child's smallest leaf
+    ((None, 0) for a leaf): g(l, r) is normal unless (g, g') keys a rule and
+    q <= p.  So the trees on k labels are counted by class and bidegree;
+    g(l, r) is of class (g, p + 1), and r's class does not matter.  A
+    composite Com o F has the E-combs of F's normal trees on the blocks of
+    a set partition, E at (0, 0), and the block of the smallest label has a
+    labels in C(n - 1, a - 1) ways: dims(n) = sum over a of C(n - 1, a - 1)
+    F(a) * dims(n - a), dims(0) = 1 at (0, 0), * convolving bidegrees."""
+    rule = rules.get((g, inner))
+    if rule is None or y_min > z_min:
+        return None
+    return rule
+
+
 class Presentation:
     """Binary generators plus quadratic relations on the abstract atoms 1,2,3.
 
@@ -763,10 +794,7 @@ class _Groebner:
         None when g(a, b) is normal."""
         if is_leaf(a):
             return None
-        rule = self.rules.get((g, a[0]))
-        if rule is None or atom_key(_first_leaf(a[2])) > atom_key(_first_leaf(b)):
-            return None
-        return rule
+        return leading_rule(self.rules, g, a[0], atom_key(_first_leaf(a[2])), atom_key(_first_leaf(b)))
 
     def normal_form(self, t: Tree) -> dict[Tree, Fraction | int]:
         out = self._forms.get(t)

@@ -32,9 +32,11 @@ store that asked for them, and ``default_store()`` lives for the process.
 The components in this memo are the only in-memory copy of a component: a
 store keeps payload files, not payloads.  Other modules register their
 memos (``per_store_memo``, ``clearable``) so that ``clear_memos`` empties
-all of them.  Cache keys carry ``ENGINE_FORMAT``: a change to canonical
-forms, monomial order or payload layout bumps it, and payloads written
-under another format are then rebuilt, never read.
+all of them.  Dims counted with no component built (``counted_dims``) are
+kept per store too, and ``memo_dims`` lists them with the components'.
+Cache keys carry ``ENGINE_FORMAT``: a change to canonical forms, monomial
+order or payload layout bumps it, and payloads written under another
+format are then rebuilt, never read.
 
 A payload (format 2) holds the side's ambient as ``monomials``, the
 colored masks ``comp.masks`` of the algebra side, the echelon as
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from .cache import ComponentStore, default_store
@@ -296,11 +298,27 @@ def _decode(cls, pres, payload: dict) -> tuple | None:
     return masks, ech, basis, dims
 
 
+# per store, dims counted with no component built, by (cache-key prefix, arity)
+_COUNTED: WeakKeyDictionary[ComponentStore, dict[tuple[str, int], dict]] = per_store_memo()
+
+
+def counted_dims(cls, pres, n: int, count: Callable[..., dict], store: ComponentStore | None = None) -> dict:
+    """``count(pres, n)``, the dims of the ``cls`` component on n labels
+    counted without building it, kept in the store's memo."""
+    memo = _COUNTED.setdefault(store or default_store(), {})
+    key = (_prefix(cls, pres, {}), n)
+    if key not in memo:
+        memo[key] = count(pres, n)
+    return memo[key]
+
+
 def memo_dims(cls, pres, store: ComponentStore | None = None) -> dict[int, dict]:
-    """Dims of the components the store's memo already holds, by arity."""
-    memo = _COMPONENTS.get(store or default_store(), {})
+    """Dims the store's memo already holds, by arity: counted ones and
+    those of the components it holds."""
+    store = store or default_store()
     prefix = _prefix(cls, pres, {})
-    done = {len(labels): comp.dims for (p, labels), comp in memo.items() if p == prefix}
+    done = {n: dims for (p, n), dims in _COUNTED.get(store, {}).items() if p == prefix}
+    done.update((len(labels), comp.dims) for (p, labels), comp in _COMPONENTS.get(store, {}).items() if p == prefix)
     return dict(sorted(done.items()))
 
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import comb
 
 from . import quotient
 from .cache import ComponentStore, default_store
@@ -76,6 +77,7 @@ from .operad import (
     compose,
     grafted_relations,
     is_leaf,
+    leading_rule,
     leibniz,
     one_step_witness,
     tree_h,
@@ -143,6 +145,56 @@ def presentation(which: str) -> Presentation:
     return pres
 
 
+def normal_dims(pres: Presentation, n: int) -> dict[BiDegree, int]:
+    """The bigraded dims of the component on n labels, counted: the normal
+    trees that ``Component.build`` lists, with none formed (the argument is
+    in ``operad.leading_rule``).  Exact for the trees; that they are a
+    basis is what ``_certify`` and ``distributive_check`` check, as for the
+    rewriting components."""
+    if pres.factor is None:
+        return _groebner_dims(pres, n)[n]
+    factor = _groebner_dims(pres.factor, n)
+    combs: list[dict[BiDegree, int]] = [{(0, 0): 1}]
+    for m in range(1, n + 1):
+        combs.append({})
+        for a in range(1, m + 1):
+            _convolve(combs[m], comb(m - 1, a - 1), factor[a], combs[m - a])
+    return combs[n]
+
+
+def _groebner_dims(pres: Presentation, n: int) -> list[dict[BiDegree, int]]:
+    """Per k <= n, the normal trees on k labels counted by bidegree."""
+    gens, rules = pres.gens, pres.rules
+    # per size, the counts by class (root generator, rank q) and bidegree
+    classes: list[dict[tuple, dict[BiDegree, int]]] = [{}, {(None, 0): {(0, 0): 1}}]
+    dims: list[dict[BiDegree, int]] = [{}, {(0, 0): 1}]
+    for k in range(2, n + 1):
+        out: dict[tuple, dict[BiDegree, int]] = {}
+        for a in range(1, k):
+            for p in range(1, a + 1):
+                ways = comb(k - 1 - p, k - a - 1)
+                for g in sorted(gens):
+                    left: dict[BiDegree, int] = {}
+                    for (inner, q), by_degree in classes[a].items():
+                        if leading_rule(rules, g, inner, q, p) is None:
+                            for deg, c in by_degree.items():
+                                bump(left, deg, c)
+                    _convolve(out.setdefault((g, p + 1), {}), ways, left, dims[k - a], gens[g].bidegree)
+        classes.append(out)
+        dims.append({})
+        for by_degree in out.values():
+            for deg, c in by_degree.items():
+                bump(dims[k], deg, c)
+    return dims
+
+
+def _convolve(out: dict, ways: int, x: dict, y: dict, shift: BiDegree = (0, 0)) -> None:
+    """Add ways times the convolution of the bidegree counts x and y, shifted, to out."""
+    for (h1, w1), c1 in x.items():
+        for (h2, w2), c2 in y.items():
+            bump(out, (shift[0] + h1 + h2, shift[1] + w1 + w2), ways * c1 * c2)
+
+
 DEFAULT_MAX_ARITY = 6
 
 
@@ -152,12 +204,23 @@ def operad_dims(
     store: ComponentStore | None = None,
     max_arity: int = DEFAULT_MAX_ARITY,
 ) -> dict[BiDegree, int]:
+    """Bigraded dims of the named presentation on {1..n}, counted with no
+    tree built (``normal_dims``).  A Groebner factor's normal trees
+    are counted by class (root, rank of the right child's smallest leaf),
+    which is all the root rule reads, and C(k - 1 - p, b - 1) splits of k
+    labels put p left labels below the right block of b; Com o F convolves,
+    dims(n) = sum over a of C(n - 1, a - 1) F(a) * dims(n - a).  They are a
+    basis by the Diamond lemma (Dotsenko-Khoroshkin, Duke Math. J. 153,
+    2010) under the certificates the components rest on: ``_certify`` and
+    the distributive law of ``distributive_check``.  The dims are kept in
+    the store's memo; past ``max_arity`` nothing is counted, and
+    ``ResourceBoundError`` reports the arities that memo holds."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_arity:
         done = quotient.memo_dims(Component, presentation(which), store)
-        # the bound is checked before anything is built: partial progress is
-        # what the store's memo holds already, if anything
+        # the bound is checked before anything is counted: partial progress
+        # is what the store's memo holds already, if anything
         partial = None
         if done:
             partial = {
@@ -165,8 +228,7 @@ def operad_dims(
                 "computed_arities": {k: dims_to_table(d) for k, d in done.items()},
             }
         raise ResourceBoundError(f"arity {n} exceeds the configured bound {max_arity}", partial)
-    comp = component_basis(presentation(which), standard_labels(n), store)
-    return dict(comp.dims)
+    return dict(quotient.counted_dims(Component, presentation(which), n, normal_dims, store))
 
 
 def ram_dims(n: int, store: ComponentStore | None = None, max_arity: int = DEFAULT_MAX_ARITY):

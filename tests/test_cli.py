@@ -190,6 +190,15 @@ def test_json_report_matches_golden_bytes(capsys, argv, golden):
     assert capsys.readouterr().out == expected
 
 
+def test_dims_ram_n7_report_matches_golden_bytes(capsys):
+    # `ramops dims --operad ram --n 7 --max-arity 7 --json`, written when the
+    # dims came from the 468,593 listed basis trees; they are counted now
+    with open(os.path.join(PKG_ROOT, "tests", "data", "golden_dims_ram_n7.json"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run_cli("dims", "--operad", "ram", "--n", "7", "--max-arity", "7", "--json") == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [

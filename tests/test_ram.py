@@ -601,6 +601,29 @@ def test_ram_dims_match_prediction_through_4():
         assert ram_dims(n) == predicted_dims(n)
 
 
+@pytest.mark.parametrize("name", ram.PRESENTATION_NAMES)
+def test_counted_dims_equal_the_listed_component(name):
+    # the dims of the listed normal trees are the oracle of the count
+    pres = presentation(name)
+    for n in range(1, 7):
+        listed = component_basis(pres, standard_labels(n), ComponentStore()).dims
+        assert operad_dims(name, n, ComponentStore()) == listed
+
+
+def test_ram_counts_equal_the_prediction_through_12():
+    store = ComponentStore()
+    for n in range(1, 13):
+        assert operad_dims("ram", n, store, max_arity=12) == predicted_dims(n)
+
+
+def test_poisson_and_bessel_counts_equal_their_psi_projections_through_10():
+    store = ComponentStore()
+    for n in range(1, 11):
+        p = psi(n)
+        assert operad_dims("poisson", n, store, max_arity=10) == {(0, k): c for (i, k), c in p.items() if i == 0}
+        assert operad_dims("bessel", n, store, max_arity=10) == {(i, i): c for (i, k), c in p.items() if k == 0}
+
+
 def test_liegriess_dims_convolve_to_the_prediction_at_arity_6():
     # Com o LieGriess: the liegriess dims for n <= 6, convolved over the set
     # partitions of {1..6}
