@@ -123,9 +123,10 @@ take their one-step normal forms from ``_Rewriting.add_root``: nf of
 g(comb(kx), comb(ky)) for normal-form keys kx, ky, the step
 ``_Rewriting.normal_form`` takes at every vertex.
 
-``ideal_span`` grafts every relation into every tree and puts every
-generator above a lower span element.  No verdict reads it: the test
-oracles build the grafted span from it, and the benchmark's tracer wraps it.
+``ideal_span`` lists the rows e_m - nf(m) of the ambient trees m that are
+not normal, a basis of I(n).  No verdict reads it, and the benchmark's
+tracer wraps it; the tests' reference is the grafted span, in
+``tests/span_oracle.py``.
 """
 
 from __future__ import annotations
@@ -525,32 +526,6 @@ def _node_count(t: Tree) -> int:
     return 1 + _node_count(t[1]) + _node_count(t[2])
 
 
-_SPAN_MEMO: dict[tuple[str, int], list[OperadElement]] = clearable({})
-
-
-def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement]:
-    """Spanning set of the operadic ideal component on the label set.
-
-    Recursively: relation instances with monomials grafted into their three
-    inputs, plus every generator put on top of a lower-arity spanning
-    element and a monomial.  Empty below arity 3.  Only the test oracles
-    read it (see the module docstring).
-    """
-    labels = check_label_set(labels)
-    n = len(labels)
-    if n < 3:
-        return []
-    std = standard_labels(n)
-    key = (pres.hash, n)
-    if key not in _SPAN_MEMO:
-        _SPAN_MEMO[key] = _span_standard(pres, n)
-    base = _SPAN_MEMO[key]
-    if labels == std:
-        return list(base)
-    phi = dict(zip(std, labels))  # order-preserving: the trees stay canonical
-    return [OperadElement(labels, pres.gens, {_map_tree(t, phi): c for t, c in e.terms.items()}) for e in base]
-
-
 def grafted_relations(
     pres: Presentation, labels: tuple[Atom, ...], trees_on: Callable[[tuple[Atom, ...]], Iterable[Tree]]
 ) -> Iterator[OperadElement]:
@@ -578,35 +553,6 @@ def grafted_relations(
                     x2 = graft(x1, b2, m2)
                     for m3 in t3:
                         yield graft(x2, b3, m3)
-
-
-def _span_standard(pres: Presentation, n: int) -> list[OperadElement]:
-    labels = standard_labels(n)
-    seen: dict[frozenset, OperadElement] = {}
-
-    def emit(e: OperadElement) -> None:
-        if e.is_zero():
-            return
-        lead_tree = min(e.terms, key=tree_sort_key)
-        e = e.scaled(Fraction(1) / e.terms[lead_tree])
-        seen.setdefault(frozenset(e.terms.items()), e)
-
-    for e in grafted_relations(pres, labels, lambda block: enumerate_tree_monomials(pres.gens, block)):
-        emit(e)
-
-    for size_a in range(3, n):
-        for sub_a in combinations(labels, size_a):
-            rest = tuple(x for x in labels if x not in sub_a)
-            span_a = ideal_span(pres, sub_a)
-            monos_rest = enumerate_tree_monomials(pres.gens, rest)
-            for g in sorted(pres.gens):
-                top = OperadElement.generator(pres.gens, g, "s1", "s2")
-                for r_a in span_a:
-                    for m in monos_rest:
-                        em = OperadElement(rest, pres.gens, {m: 1})
-                        emit(substitute(top, {"s1": r_a, "s2": em}))
-
-    return list(seen.values())
 
 
 class Component(QuotientComponent):
@@ -1024,3 +970,19 @@ def component_basis(
 ) -> Component:
     """Quotient component of the presentation on the label set (cached)."""
     return load_component(Component, pres, labels, store)
+
+
+def ideal_span(pres: Presentation, labels: Iterable[Atom]) -> list[OperadElement]:
+    """A basis of the operadic ideal component on the label set: the rows
+    e_m - nf(m), sums of rewriting steps, of the ambient trees m that are
+    not normal, in enumeration order.  m is the one tree of its row that is
+    not normal, so the rows are independent, ambient - dim of them."""
+    comp = component_basis(pres, labels)
+    rows = []
+    for m in enumerate_tree_monomials(pres.gens, comp.labels):
+        row = {m: 1}
+        for slot, c in comp.slot_expansion(m):
+            bump(row, comp.basis[slot], -c)
+        if row:
+            rows.append(comp.element(row))
+    return rows

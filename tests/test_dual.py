@@ -10,7 +10,7 @@ import ideal_oracle
 import cooperad_oracle as oracle
 from test_ram import _coproduct_sign_wrong_exponent
 
-from ramops import clear_memos, cooperad, dual, graphalg, operad, ram
+from ramops import clear_memos, cooperad, dual, graphalg, ram
 from ramops.cache import ComponentStore
 
 from ramops.dual import (
@@ -452,7 +452,7 @@ def test_results_after_clear_memos_equal_results_before():
 
     before = results()
     clear_memos()
-    memos = (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO, operad._SPAN_MEMO, graphalg._INSTANCE_MEMO)
+    memos = (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO, graphalg._INSTANCE_MEMO)
     for memo in memos:
         assert len(memo) == 0
     assert results() == before

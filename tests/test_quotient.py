@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from echelon_oracle import oracle_reduce
 from enumeration_oracle import colored_masks
-from span_oracle import span_echelon
+from span_oracle import grafted_ideal_span, span_echelon
 
 from ramops import linalg, operad, quotient
 from ramops.cache import ComponentStore
@@ -29,7 +29,6 @@ from ramops.operad import (
     canonicalize,
     component_basis,
     enumerate_tree_monomials,
-    ideal_span,
     one_step_witness,
     tree_bidegree,
     tree_to_json,
@@ -147,7 +146,7 @@ def test_monomial_normal_form_matches_normal_form(side, labels):
 
 def _relation_elements(side, comp):
     if side == "operad":
-        return ideal_span(comp.pres, comp.labels)
+        return grafted_ideal_span(comp.pres, comp.labels)
     return [rel for _, rel in relation_instances(comp.pres, comp.labels, "forest")]
 
 

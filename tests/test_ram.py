@@ -8,7 +8,7 @@ import pytest
 import derivation_oracle
 import hopf_oracle as oracle
 import ideal_oracle
-from span_oracle import grafted_dims
+from span_oracle import grafted_dims, grafted_ideal_span
 from ramops import graphalg, operad, ram, suites
 from ramops.cache import ComponentStore
 from ramops.labels import HASH, STAR, standard_labels
@@ -22,7 +22,6 @@ from ramops.operad import (
     component_basis,
     compose,
     enumerate_tree_monomials,
-    ideal_span,
     leibniz,
     relabel,
     tree_bidegree,
@@ -232,7 +231,7 @@ def test_differentials_preserve_ideal():
     for n in (3, 4):
         labels = standard_labels(n)
         comp = component_basis(ram, labels)
-        for rel in ideal_span(ram, labels):
+        for rel in grafted_ideal_span(ram, labels):
             assert comp.normal_form(differential(rel, "down")).is_zero()
             assert comp.normal_form(differential(rel, "up")).is_zero()
 
@@ -425,11 +424,10 @@ def test_a_map_failing_only_at_arity_3_fails_the_verdict_at_arity_4():
 def test_ideal_verdicts_read_no_grafted_span(tmp_path, monkeypatch):
     store = ComponentStore(str(tmp_path))
 
-    def no_span(pres, n):
-        raise AssertionError(f"grafted span at arity {n}")
+    def no_span(pres, labels):
+        raise AssertionError(f"ideal span on {labels}")
 
-    monkeypatch.setattr(operad, "_SPAN_MEMO", {})
-    monkeypatch.setattr(operad, "_span_standard", no_span)
+    monkeypatch.setattr(operad, "ideal_span", no_span)
     verdicts, _ = run_suite("all", 4, store)
     assert len(verdicts) == 809 and all(v["pass"] for v in verdicts)
     assert conjecture_verdict(4, store)["isomorphism"]
@@ -451,6 +449,12 @@ def test_distributive_check_examples():
     r3 = distributive_check(3)
     assert r3["pass"] and sum(r3["composite"].values()) == 17
     assert r3["liegriess_dims"][3] == 10 and r3["witness"] is None
+
+
+def test_distributive_check_counts_the_listed_liegriess_dims():
+    lg = presentation("liegriess")
+    listed = {k: component_basis(lg, standard_labels(k), ComponentStore()).dim for k in range(1, 6)}
+    assert distributive_check(5)["liegriess_dims"] == listed == {1: 1, 2: 2, 3: 10, 4: 82, 5: 938}
 
 
 def _jacobi_alone(monkeypatch):

@@ -24,7 +24,7 @@ import pytest
 from echelon_oracle import oracle_reduce, oracle_rref
 from enumeration_oracle import colored_masks
 from monomial_oracle import multiply
-from span_oracle import grafted_span, product_span_matrix, span_echelon
+from span_oracle import grafted_ideal_span, grafted_span, product_span_matrix, span_echelon, span_matrix
 
 from ramops.graphalg import (
     ARNOLD_PRESENTATION,
@@ -39,7 +39,7 @@ from ramops.graphalg import (
 from ramops.cache import ComponentStore
 from ramops.labels import standard_labels
 from ramops.linalg import SparseMatrix, bump, rank, rref
-from ramops import graphalg, operad, ram
+from ramops import graphalg, ideal_span, operad, ram
 from ramops.operad import (
     GeneratorSpec,
     OperadElement,
@@ -85,6 +85,21 @@ def assert_same_echelon(span: SparseMatrix) -> None:
 def test_operad_span_echelon_matches_oracle(name, n):
     _, span = grafted_span(presentation(name), n)
     assert_same_echelon(span)
+
+
+@pytest.mark.parametrize(
+    "labels", [standard_labels(n) for n in ARITIES] + [(2, 5, 9), (1, "*", "#")], ids=repr
+)
+@pytest.mark.parametrize("name", PRESENTATION_NAMES)
+def test_ideal_span_is_a_basis_of_the_grafted_span(name, labels):
+    # the rewriting's rows e_m - nf(m) span what the grafted span does, and
+    # no row depends on the others
+    pres = presentation(name)
+    _, rows = span_matrix(pres, labels, ideal_span)
+    _, grafted = span_matrix(pres, labels, grafted_ideal_span)
+    ech, oracle = rref(rows), rref(grafted)
+    assert (ech.pivots, ech.rows) == (oracle.pivots, oracle.rows)
+    assert len(rows.rows) == ech.rank
 
 
 @pytest.mark.parametrize("n", ARITIES)
