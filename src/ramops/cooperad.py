@@ -31,7 +31,9 @@ order, since J is renumbered in order.  The row is zero when two left
 letters share a pair (a double edge), or when the left or the right mask is
 missing from its forest ambient (a cycle).  Otherwise the masks name an
 ambient position on each side, through the side component's ``index``,
-and the row is the product of the two positions' slot expansions.  The
+and the row is the product of the two positions' slot expansions.  One
+loop over the split table (``Cocomposition._split``) gives the two
+positions and the sign; the rows and the transpose both read it.  The
 word-by-word split that this reads in bits is kept as the test oracle
 (``tests/cooperad_oracle.raw_theta``).
 
@@ -46,8 +48,9 @@ component reads the row there, and one outside the forest ambient (a
 full-mode cycle) is split through the same table, without being stored.  ``dual_compose`` in ``dual`` reads the
 transpose of the basis rows (``Cocomposition.transposed``: per left slot
 and right slot, the union slots and coefficients), built once per pattern
-straight from the split table, so that it sums over the supports of two
-forms; dual composition leaves the row cache empty.
+straight from the split table, each product of expansions appended in
+place with no row formed, so that it sums over the supports of two forms;
+dual composition leaves the row cache empty.
 
 The basis-by-basis checks read the rows too, with no tensor elements.  A
 basis slot s of one split's factor component names the same monomial as
@@ -169,14 +172,40 @@ class Cocomposition:
         if not by_left:  # a left component holds at least the unit
             by_left.extend({} for _ in range(self.left.dim))
             masks = self.union.masks
+            left_at, right_at = self.left.expansion_at, self.right.expansion_at
             for x, pos in enumerate(self.union.basis_positions):
-                for ls, rs, c in self._row(masks[pos]):
-                    by_left[ls].setdefault(rs, []).append((x, c))
+                split = self._split(masks[pos])
+                if split is None:
+                    continue
+                lpos, rpos, sign = split
+                right_pairs = right_at(rpos)
+                for ls, cl in left_at(lpos):
+                    row, c = by_left[ls], sign * cl
+                    for rs, cr in right_pairs:
+                        terms = row.get(rs)
+                        if terms is None:
+                            row[rs] = [(x, c * cr)]
+                        else:
+                            terms.append((x, c * cr))
         return by_left
 
     def _row(self, mask: int) -> tuple:
-        """The normalised row of the union monomial with the colored mask,
-        read letter by letter from the split table (see the module doc)."""
+        """The normalised row of the union monomial with the colored mask:
+        the product of the slot expansions of its split's two positions."""
+        split = self._split(mask)
+        if split is None:
+            return ()
+        lpos, rpos, sign = split
+        right_pairs = self.right.expansion_at(rpos)
+        # distinct slot pairs, nonzero products: no sums to collect
+        return tuple(
+            (ls, rs, sign * cl * cr) for ls, cl in self.left.expansion_at(lpos) for rs, cr in right_pairs
+        )
+
+    def _split(self, mask: int) -> tuple[int, int, int] | None:
+        """(left position, right position, sign) of the union monomial with
+        the colored mask, read letter by letter from the split table (see
+        the module doc); None for a double edge or a cycle."""
         bits = self.bits
         left = right = pairs = odd_left = odd_right = neg = 0
         while mask:
@@ -190,7 +219,7 @@ class Cocomposition:
                     odd_right ^= 1
             else:
                 if pairs & pair:
-                    return ()  # a double edge
+                    return None  # a double edge
                 pairs |= pair
                 left |= bit
                 if odd:
@@ -201,13 +230,8 @@ class Cocomposition:
         lpos = self.left.index.get(left)
         rpos = self.right.index.get(right)
         if lpos is None or rpos is None:
-            return ()  # a cycle
-        right_pairs = self.right.expansion_at(rpos)
-        sign = -1 if neg else 1
-        # distinct slot pairs, nonzero products: no sums to collect
-        return tuple(
-            (ls, rs, sign * cl * cr) for ls, cl in self.left.expansion_at(lpos) for rs, cr in right_pairs
-        )
+            return None  # a cycle
+        return lpos, rpos, -1 if neg else 1
 
 
 def cocomposition(

@@ -10,10 +10,15 @@ sums over the supports of the two forms, of any degree or of mixed degree.
 
 The comparison map sends the operad generators E, L, G to the dual basis
 elements 1*, a*, b*; trees are evaluated by replacing internal compositions
-with dual composition.  The verdict machinery checks that the map kills the
-operad ideal (on its one-step rows, ``operad.one_step_witness``), assembles
-its matrix per bidegree against the dual basis, and reports per-bidegree
-and overall isomorphism verdicts for a given arity.
+with dual composition.  The form of g(l, r) is (rho(g) o_* rho(l)) o_#
+rho(r), and the partial composite rho(g) o_* rho(l) is kept per store under
+(g, l), so that the trees sharing a generator and a left child share it
+and each tree's form costs one composition.  The verdict machinery checks
+that the map kills the operad ideal (on its one-step rows,
+``operad.one_step_witness_at``), keeping each arity's witness per store so
+that an arity is walked once whatever arities are asked for, assembles its
+matrix per bidegree against the dual basis, and reports per-bidegree and
+overall isomorphism verdicts for a given arity.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .graphalg import (
 )
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
-from .operad import OperadElement, component_basis, is_leaf, one_step_witness, tree_str
+from .operad import OperadElement, component_basis, is_leaf, one_step_witness_at, tree_str
 from .ram import ResourceBoundError, coproduct, differential, presentation
 
 
@@ -154,9 +159,14 @@ def dual_compose(
     return LinearForm(cocomp.union, out)
 
 
-# forms of trees, and under (g,) of each generator g on {*, #}, per store: a
-# form points at components of its store
+# forms of trees, under (g,) of each generator g on {*, #}, and under (g, l)
+# of the partial composite rho(g) o_* rho(l), per store: a form points at
+# components of its store
 _RHO_MEMO = quotient.per_store_memo()
+
+# per store: {arity k: the first one-step tree on {1..k} whose row rho does
+# not kill, or None}
+_KILL_WITNESS = quotient.per_store_memo()
 
 
 def rho(x: OperadElement, store: ComponentStore | None = None) -> LinearForm:
@@ -195,10 +205,10 @@ def _rho_tree(t, store: ComponentStore, keep: bool = True) -> LinearForm:
             else:
                 top = dual_basis_element((STAR, HASH), kind, STAR, HASH, store=store)
             memo[(g,)] = top
-        left_form = _rho_tree(l, store)
-        right_form = _rho_tree(r, store)
-        form = dual_compose(top, left_form, STAR, store)
-        form = dual_compose(form, right_form, HASH, store)
+        partial = memo.get((g, l))
+        if partial is None:
+            partial = memo[g, l] = dual_compose(top, _rho_tree(l, store), STAR, store)
+        form = dual_compose(partial, _rho_tree(r, store), HASH, store)
     if keep:
         memo[t] = form
     return form
@@ -214,10 +224,11 @@ def conjecture_verdict(
     overall isomorphism verdict for this arity.
 
     (a) compares rho(t) with the sum of c rho(b) over the basis expansion
-    c b of each one-step tree t at arity n, then n - 1 down to 3
-    (``operad.one_step_witness``): the map kills the ideal at every arity up
-    to n; a failure names the first tree t whose row does not vanish.  Only
-    the forms of basis trees are kept.
+    c b of each one-step tree t at arity n, then n - 1 down to 3, as
+    ``operad.one_step_witness`` does: the map kills the ideal at every arity
+    up to n; a failure names the first tree t whose row does not vanish.
+    Each arity's walk (``operad.one_step_witness_at``) runs once per store,
+    its witness kept.  Only the forms of basis trees are kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -230,7 +241,14 @@ def conjecture_verdict(
     r_comp = algebra_basis(R_PRESENTATION, labels, "forest", store)
 
     forms = [_rho_tree(b, store) for b in ram_comp.basis]
-    bad = one_step_witness(pres, n, lambda t, c: _rho_tree(t, store, keep=False).coords, store)
+    witnesses = _KILL_WITNESS.setdefault(store, {})
+    bad = None
+    for k in range(n, 2, -1):
+        if k not in witnesses:
+            witnesses[k] = one_step_witness_at(pres, k, lambda t, c: _rho_tree(t, store, keep=False).coords, store)
+        bad = witnesses[k]
+        if bad is not None:
+            break
     kill_ok = bad is None
     kill_witness = None if kill_ok else {"tree": tree_str(bad)}
 

@@ -697,7 +697,13 @@ def _span_matrix(
     most n - 1 edges, so in forest mode an instance visits only the
     multipliers with room for a term: those of at most ``spare`` edges,
     n - 1 less the fewest edges of a term, listed once for each spare that
-    occurs and kept in position order.
+    occurs and kept in position order.  In full mode a product vanishes
+    only on a shared edge, which depends on the multiplier's edges on the
+    support of the terms alone, so an instance visits only the multipliers
+    with a live term: found once for each set of term edge masks that
+    occurs (instances of several colorings share one), per multiplier edge
+    mask on the support, and kept in position order.  Neither filter drops
+    a row or changes the order of the rows.
 
     Whether a product vanishes depends on the multiplier's edge mask alone:
     a shared edge, or in forest mode a cycle in the union, whatever the
@@ -718,14 +724,30 @@ def _span_matrix(
     span = SparseMatrix(len(masks))
     append = span.rows.append
     roomy: dict[int, list[tuple[int, int]]] = {}  # the multipliers of at most spare edges, by spare
+    alive: dict[frozenset, list[tuple[int, int]]] = {}  # the multipliers with a live term, by term edge masks
     for _, rel in relation_instances(pres, labels, mode, families):
         terms = [(colored, edges_of(colored), _koszul_mask(colored & odd), c, -c) for colored, c in rel.terms.items()]
-        multipliers = encoded
         if forest:
             spare = forest_edges - min(edges.bit_count() for _, edges, *_ in terms)
             if spare not in roomy:
                 roomy[spare] = [m for m in encoded if m[1].bit_count() <= spare]
             multipliers = roomy[spare]
+        else:
+            term_edges = frozenset(edges for _, edges, *_ in terms)
+            multipliers = alive.get(term_edges)
+            if multipliers is None:
+                support = 0
+                for edges in term_edges:
+                    support |= edges
+                dead: dict[int, bool] = {}  # by the multiplier's edges on the support
+                multipliers = alive[term_edges] = []
+                for m in encoded:
+                    on = m[1] & support
+                    gone = dead.get(on)
+                    if gone is None:
+                        gone = dead[on] = all(edges & on for edges in term_edges)
+                    if not gone:
+                        multipliers.append(m)
         live: dict[int, list[tuple]] = {}  # by edge mask, the terms with a nonzero product
         for mult, mult_edges in multipliers:
             kept = live.get(mult_edges)

@@ -109,7 +109,11 @@ differentials and the comparison map rho:
   of the children, the differentials as derivations.
 
 So a verdict at n reads the one-step rows at n, then n - 1 down to 3, and
-means that the map kills I(k) for every 3 <= k <= n.
+means that the map kills I(k) for every 3 <= k <= n.  The row of a basis
+tree whose slot expansion is its own slot, with coefficient 1, is zero
+under any map, so the walk over one arity (``one_step_witness_at``) skips
+it; it reads every other candidate, so a rewriting that moves a normal
+tree is still caught.
 
 The same fact evaluates the coproduct and the differentials of Ram in
 basis coordinates (``ram.BasisImages``): (nf (x) nf)(Delta g(x, y)) is a
@@ -620,18 +624,33 @@ def one_step_witness(
     ``image`` does not kill, at arity n, then n - 1 down to 3, or None when
     the map kills I(k) for every 3 <= k <= n (see the module docstring).
     ``image(t, comp)`` is the map on a tree t of the component comp on
-    {1..k}, as a dict of coefficients."""
+    {1..k}, as a dict of coefficients.  Each arity is one
+    ``one_step_witness_at``."""
     for k in range(n, 2, -1):
-        comp = component_basis(pres, standard_labels(k), store)
-        basis_images = [image(b, comp) for b in comp.basis]
-        for g, l, r in _candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__):
-            t = (g, l, r)
-            slot = comp._slot_of.get(t)
-            row = dict(image(t, comp) if slot is None else basis_images[slot])
-            for s, c in comp.slot_expansion(t):
-                vec_add_scaled(row, basis_images[s], -c)
-            if row:
-                return t
+        bad = one_step_witness_at(pres, k, image, store)
+        if bad is not None:
+            return bad
+    return None
+
+
+def one_step_witness_at(
+    pres: Presentation, k: int, image: Callable[[Tree, Component], Mapping], store: ComponentStore | None = None
+) -> Tree | None:
+    """The first one-step tree t on {1..k} whose row e_t - nf(t) ``image``
+    does not kill, or None; a basis tree whose slot expansion is exactly
+    ((its slot, 1),) is skipped (see the module docstring)."""
+    comp = component_basis(pres, standard_labels(k), store)
+    basis_images = [image(b, comp) for b in comp.basis]
+    for t in _candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__):
+        slot = comp._slot_of.get(t)
+        expansion = comp.slot_expansion(t)
+        if slot is not None and expansion == ((slot, 1),):
+            continue
+        row = dict(image(t, comp) if slot is None else basis_images[slot])
+        for s, c in expansion:
+            vec_add_scaled(row, basis_images[s], -c)
+        if row:
+            return t
     return None
 
 

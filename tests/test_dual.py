@@ -413,6 +413,46 @@ def test_rho_memo_is_kept_per_store(tmp_path):
     assert sorted(os.listdir(second)) == sorted(os.listdir(first))
 
 
+def test_conjecture_verdicts_do_not_depend_on_the_order_of_arities():
+    # each arity's relation_kill witness is kept per store: ascending,
+    # descending and one fresh store per arity give the same verdicts
+    arities = (1, 2, 3, 4)
+    clear_memos()
+    store = ComponentStore()
+    ascending = {n: conjecture_verdict(n, store) for n in arities}
+    clear_memos()
+    store = ComponentStore()
+    descending = {n: conjecture_verdict(n, store) for n in reversed(arities)}
+    clear_memos()
+    fresh = {n: conjecture_verdict(n, ComponentStore()) for n in arities}
+    assert ascending == descending == fresh
+    assert all(v["relation_kill"] and v["isomorphism"] for v in fresh.values())
+    clear_memos()
+
+
+def test_kept_kill_witness_of_a_lower_arity_fails_the_higher(monkeypatch):
+    # rho broken on one arity-3 one-step tree that is no basis tree: every
+    # row at arity 4 vanishes, so the verdict at 4 fails on the kept
+    # witness of arity 3, whichever arity is asked first
+    bad = ("L", ("L", 1, 2), 3)
+    kept = dual._rho_tree
+
+    def broken(t, store, keep=True):
+        form = kept(t, store, keep)
+        if t == bad:
+            form = LinearForm(form.component, form.coords)
+            form.add_scaled(LinearForm(form.component, {0: 1}), 1)
+        return form
+
+    monkeypatch.setattr(dual, "_rho_tree", broken)
+    for order in ((3, 4), (4, 3)):
+        clear_memos()
+        store = ComponentStore()
+        verdicts = {n: conjecture_verdict(n, store) for n in order}
+        assert [verdicts[n]["relation_kill_witness"] for n in (3, 4)] == [{"tree": tree_str(bad)}] * 2
+    clear_memos()
+
+
 def test_dual_compose_matches_oracle_on_every_rho_composition(monkeypatch):
     checked = []
     table_driven = dual.dual_compose
@@ -427,9 +467,20 @@ def test_dual_compose_matches_oracle_on_every_rho_composition(monkeypatch):
     monkeypatch.setattr(dual, "dual_compose", compare)
     clear_memos()
     store = ComponentStore()
+    tops = {
+        "E": dual_basis_element((STAR, HASH), "one", store=store),
+        "L": dual_basis_element((STAR, HASH), "astar", STAR, HASH, store),
+        "G": dual_basis_element((STAR, HASH), "bstar", STAR, HASH, store),
+    }
     for n in (1, 2, 3, 4):
         for t in enumerate_tree_monomials(RAM_SIGNATURE, tuple(range(1, n + 1))):
-            dual._rho_tree(t, store)
+            form = dual._rho_tree(t, store)
+            if isinstance(t, tuple):
+                # the form again from the generator and the children, with
+                # no kept partial composite rho(g) o_* rho(l)
+                g, l, r = t
+                partial = compare(tops[g], dual._rho_tree(l, store), STAR, store)
+                assert compare(partial, dual._rho_tree(r, store), HASH, store) == form, t
     assert len(checked) > 1000
     clear_memos()
 
@@ -452,7 +503,7 @@ def test_results_after_clear_memos_equal_results_before():
 
     before = results()
     clear_memos()
-    memos = (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO, graphalg._INSTANCE_MEMO)
+    memos = (cooperad._TABLES, cooperad._SPLITS, dual._RHO_MEMO, dual._KILL_WITNESS, graphalg._INSTANCE_MEMO)
     for memo in memos:
         assert len(memo) == 0
     assert results() == before
