@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="isomorphism verdict at one arity")
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_conjecture, max_arity=4)
+    p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("cache", help="inspect or clear the component cache")
     p.add_argument("action", choices=("info", "clear"))

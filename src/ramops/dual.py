@@ -43,7 +43,7 @@ from .graphalg import (
 from .labels import Atom, BiDegree, HASH, STAR, check_label_set
 from .linalg import SparseMatrix, bump, rank, vec_add_scaled
 from .operad import OperadElement, component_basis, is_leaf, one_step_witness_at, tree_str
-from .ram import ResourceBoundError, coproduct, differential, presentation
+from .ram import DEFAULT_MAX_ARITY, ResourceBoundError, coproduct, differential, presentation
 
 
 class LinearForm:
@@ -215,7 +215,7 @@ def _rho_tree(t, store: ComponentStore, keep: bool = True) -> LinearForm:
 
 
 def conjecture_verdict(
-    n: int, store: ComponentStore | None = None, max_n: int = 4
+    n: int, store: ComponentStore | None = None, max_n: int = DEFAULT_MAX_ARITY
 ) -> dict:
     """Per-bidegree comparison of the operad component with the dual component.
 

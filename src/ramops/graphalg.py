@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cache import ComponentStore
 from .labels import Atom, BiDegree, atom_key, check_label_set, standard_labels
@@ -44,21 +44,9 @@ Edge = tuple[Atom, Atom]
 MonomialKey = tuple[tuple[Edge, ...], ...]  # edges per color, presentation order: a decoded mask
 Letter = tuple[str, Atom, Atom]
 Word = tuple[Letter, ...]
+Instance = list[tuple[int, Word]]  # (coefficient, generator word) terms
 
 MODES = ("forest", "full")
-# the relation families that ``relation_words`` spells out, with the colors
-# their words use
-FAMILY_COLORS = {
-    "a_square": ("a",),
-    "aa_sum": ("a",),
-    "ab_sum": ("a", "b"),
-    "a_cycle": ("a", "b"),
-    "b_cycle": ("b",),
-    "bab_sum": ("a", "b"),
-    "bbb_sum": ("b",),
-    "arnold_sum": ("w",),
-}
-FAMILIES = tuple(FAMILY_COLORS)
 
 
 def check_mode(mode: str) -> None:
@@ -84,11 +72,11 @@ class GraphPresentation:
         self.colors = tuple(colors)
         self.families = tuple(families)
         self.color_index = {c.name: i for i, c in enumerate(self.colors)}
-        unknown = [f for f in self.families if f not in FAMILIES]
+        unknown = [f for f in self.families if f not in RELATION_FAMILIES]
         if unknown:
-            raise ValueError(f"unknown relation families {unknown}; choose from {FAMILIES}")
+            raise ValueError(f"unknown relation families {unknown}; choose from {tuple(RELATION_FAMILIES)}")
         for f in self.families:
-            missing = [c for c in FAMILY_COLORS[f] if c not in self.color_index]
+            missing = [c for c in RELATION_FAMILIES[f].colors if c not in self.color_index]
             if missing:
                 raise ValueError(f"relation family {f!r} uses colors {missing} that {name!r} lacks")
         # the enumeration orders the monomials of one bidegree by a key
@@ -116,6 +104,69 @@ class GraphPresentation:
         return f"GraphPresentation({self.name!r})"
 
 
+# --- relation families -------------------------------------------------------
+
+# the twelve path orderings of four points, one per reversal pair
+_PATH_ORDERINGS = (
+    (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 1, 2), (0, 2, 3, 1), (0, 3, 2, 1),
+    (1, 0, 2, 3), (1, 2, 0, 3), (1, 0, 3, 2), (1, 3, 0, 2), (2, 0, 1, 3), (2, 1, 0, 3),
+)
+
+
+def _cycle_sequences(labels: tuple[Atom, ...]) -> Iterator[tuple[Atom, ...]]:
+    """Distinct undirected vertex cycles (length >= 2), anchored at the minimum."""
+    for size in range(2, len(labels) + 1):
+        for sub in combinations(labels, size):
+            first, rest = sub[0], sub[1:]
+            for perm in permutations(rest):
+                if size > 2 and atom_key(perm[0]) > atom_key(perm[-1]):
+                    continue  # one direction per undirected cycle
+                yield (first,) + perm
+
+
+def _rotations(c1: str, c2: str, i: Atom, j: Atom, k: Atom) -> Instance:
+    """c1[u,v] c2[v,w] over the rotations (u, v, w) of (i, j, k)."""
+    return [(1, ((c1, u, v), (c2, v, w))) for u, v, w in ((i, j, k), (j, k, i), (k, i, j))]
+
+
+def _paths(mid: str, sub: tuple[Atom, ...]) -> Instance:
+    """b[p,q] mid[q,r] b[r,s] over the path orderings (p, q, r, s) of the
+    four points: the sum over every ordering, each reversal pair once."""
+    paths = ([sub[t] for t in order] for order in _PATH_ORDERINGS)
+    return [(1, (("b", p, q), (mid, q, r), ("b", r, s))) for p, q, r, s in paths]
+
+
+def _cycles(lead: str, seq: tuple[Atom, ...]) -> list[Instance]:
+    """The b-colored cycle through seq, or (lead a) one word per choice of
+    the a-colored edge around it."""
+    m = len(seq)
+    cyc = [(seq[t], seq[(t + 1) % m]) for t in range(m)]
+    if lead == "b":
+        return [[(1, tuple(("b", u, v) for u, v in cyc))]]
+    rotations = (cyc[t:] + cyc[:t] for t in range(m))
+    return [[(1, (("a",) + r[0],) + tuple(("b",) + e for e in r[1:]))] for r in rotations]
+
+
+class RelationFamily(NamedTuple):
+    colors: tuple[str, ...]  # the colors its words use
+    size: int | None  # its vertex sets: the size-subsets in combinations order, or None: every cycle
+    instances: Callable[[tuple[Atom, ...]], list[Instance]]  # its instances on one vertex set
+
+
+# the relation families that ``relation_words`` spells out, in the order
+# a presentation lists them
+RELATION_FAMILIES = {
+    "a_square": RelationFamily(("a",), 2, lambda s: [[(1, (("a",) + s, ("a",) + s))]]),
+    "aa_sum": RelationFamily(("a",), 3, lambda s: [_rotations("a", "a", *s)]),
+    "ab_sum": RelationFamily(("a", "b"), 3, lambda s: [_rotations("b", "a", *s) + _rotations("a", "b", *s)]),
+    "a_cycle": RelationFamily(("a", "b"), None, lambda s: _cycles("a", s)),
+    "b_cycle": RelationFamily(("b",), None, lambda s: _cycles("b", s)),
+    "bab_sum": RelationFamily(("a", "b"), 4, lambda s: [_paths("a", s)]),
+    "bbb_sum": RelationFamily(("b",), 4, lambda s: [_paths("b", s)]),
+    "arnold_sum": RelationFamily(("w",), 3, lambda s: [_rotations("w", "w", *s)]),
+}
+
+
 R_PRESENTATION = GraphPresentation(
     "two-color-forests",
     (ColorSpec("a", (0, 1), -1), ColorSpec("b", (1, 1), -1)),
@@ -127,6 +178,22 @@ ARNOLD_PRESENTATION = GraphPresentation(
     (ColorSpec("w", (1, 1), 1),),
     ("arnold_sum",),
 )
+
+
+def relation_words(pres: GraphPresentation, family: str, labels: Iterable[Atom]) -> list[Instance]:
+    """Instances of a relation family as lists of (coefficient, generator word),
+    those of each vertex set of its ``RELATION_FAMILIES`` entry in turn.
+
+    Words are literal: no canonicalization, no vanishing rules.  The algebra
+    side turns them into elements; the differential-form oracle evaluates
+    them as written.
+    """
+    labels = check_label_set(labels)
+    if family not in pres.families:
+        raise ValueError(f"{family!r} is not a family of {pres.name}")
+    entry = RELATION_FAMILIES[family]
+    sets = _cycle_sequences(labels) if entry.size is None else combinations(labels, entry.size)
+    return [inst for s in sets for inst in entry.instances(s)]
 
 
 def _has_cycle(edges: int, n: int) -> bool:
@@ -202,6 +269,8 @@ def monomial_from_word(
     sign = 1
     letters: list[tuple[int, int]] = []  # (color, pair number)
     for cname, i, j in word:
+        if cname not in pres.color_index:
+            raise ValueError(f"unknown color {cname!r} of {pres.name!r}")
         ci = pres.color_index[cname]
         if i == j:
             raise ValueError(f"loop edge {cname}[{i},{j}]")
@@ -420,110 +489,14 @@ def enumerate_colored_masks(pres: GraphPresentation, n: int, mode: str = "forest
     return masks
 
 
-# --- relation families -------------------------------------------------------
-
-# the twelve path orderings of four points, one per reversal pair
-_PATH_ORDERINGS = (
-    (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 1, 2), (0, 2, 3, 1), (0, 3, 2, 1),
-    (1, 0, 2, 3), (1, 2, 0, 3), (1, 0, 3, 2), (1, 3, 0, 2), (2, 0, 1, 3), (2, 1, 0, 3),
-)
-
-
-def relation_words(
-    pres: GraphPresentation, family: str, labels: Iterable[Atom]
-) -> list[list[tuple[int, Word]]]:
-    """Instances of a relation family as lists of (coefficient, generator word).
-
-    Words are literal: no canonicalization, no vanishing rules.  The algebra
-    side turns them into elements; the differential-form oracle evaluates
-    them as written.
-    """
-    labels = check_label_set(labels)
-    if family not in pres.families:
-        raise ValueError(f"{family!r} is not a family of {pres.name}")
-    out: list[list[tuple[int, Word]]] = []
-    if family == "a_square":
-        for i, j in combinations(labels, 2):
-            out.append([(1, (("a", i, j), ("a", i, j)))])
-    elif family == "aa_sum":
-        for sub in combinations(labels, 3):
-            i, j, k = sub
-            out.append(
-                [
-                    (1, (("a", i, j), ("a", j, k))),
-                    (1, (("a", j, k), ("a", k, i))),
-                    (1, (("a", k, i), ("a", i, j))),
-                ]
-            )
-    elif family == "ab_sum":
-        for sub in combinations(labels, 3):
-            i, j, k = sub
-            out.append(
-                [
-                    (1, (("b", i, j), ("a", j, k))),
-                    (1, (("b", j, k), ("a", k, i))),
-                    (1, (("b", k, i), ("a", i, j))),
-                    (1, (("a", i, j), ("b", j, k))),
-                    (1, (("a", j, k), ("b", k, i))),
-                    (1, (("a", k, i), ("b", i, j))),
-                ]
-            )
-    elif family in ("a_cycle", "b_cycle"):
-        lead = "a" if family == "a_cycle" else "b"
-        for seq in _cycle_sequences(labels):
-            m = len(seq)
-            cyc = [(seq[t], seq[(t + 1) % m]) for t in range(m)]
-            if lead == "b":
-                out.append([(1, tuple(("b", u, v) for u, v in cyc))])
-            else:
-                # one word per choice of the a-colored edge around the cycle
-                for t in range(m):
-                    word = [("a", cyc[t][0], cyc[t][1])]
-                    for s in range(1, m):
-                        u, v = cyc[(t + s) % m]
-                        word.append(("b", u, v))
-                    out.append([(1, tuple(word))])
-    elif family in ("bab_sum", "bbb_sum"):
-        mid = "a" if family == "bab_sum" else "b"
-        # the sum runs over every path ordering of the four points, so one
-        # instance per 4-subset
-        for sub in combinations(labels, 4):
-            terms = []
-            for order in _PATH_ORDERINGS:
-                p, q, r, s = (sub[t] for t in order)
-                terms.append((1, (("b", p, q), (mid, q, r), ("b", r, s))))
-            out.append(terms)
-    else:  # arnold_sum, the last of FAMILIES
-        for sub in combinations(labels, 3):
-            i, j, k = sub
-            out.append(
-                [
-                    (1, (("w", i, j), ("w", j, k))),
-                    (1, (("w", j, k), ("w", k, i))),
-                    (1, (("w", k, i), ("w", i, j))),
-                ]
-            )
-    return out
-
-
-def _cycle_sequences(labels: tuple[Atom, ...]) -> Iterator[tuple[Atom, ...]]:
-    """Distinct undirected vertex cycles (length >= 2), anchored at the minimum."""
-    for size in range(2, len(labels) + 1):
-        for sub in combinations(labels, size):
-            first, rest = sub[0], sub[1:]
-            for perm in permutations(rest):
-                if size > 2 and atom_key(perm[0]) > atom_key(perm[-1]):
-                    continue  # one direction per undirected cycle
-                yield (first,) + perm
-
-
 def relation_instances(
     pres: GraphPresentation,
     labels: Iterable[Atom],
     mode: str = "forest",
     families: Iterable[str] | None = None,
 ) -> list[tuple[str, AlgebraElement]]:
-    """Relation instances as algebra elements (zero instances dropped, deduped).
+    """Relation instances as algebra elements, zero instances dropped and each
+    scaled to a leading coefficient 1.
 
     Built once per (presentation, labels, mode, families); each call returns
     a fresh list of the shared elements.
@@ -543,22 +516,15 @@ _INSTANCE_MEMO: dict[tuple, list[tuple[str, AlgebraElement]]] = clearable({})
 def _relation_instances(
     pres: GraphPresentation, labels: tuple[Atom, ...], mode: str, chosen: tuple[str, ...]
 ) -> list[tuple[str, AlgebraElement]]:
-    seen: set = set()
     out: list[tuple[str, AlgebraElement]] = []
     for family in chosen:
-        if family in ("a_cycle", "b_cycle") and mode == "forest":
-            continue  # cycle monomials are not in the forest ambient
+        if RELATION_FAMILIES[family].size is None and mode == "forest":
+            continue  # each word repeats a pair or closes a cycle: zero among the forests
         for inst in relation_words(pres, family, labels):
             el = AlgebraElement.from_words(labels, pres, inst, mode)
-            if el.is_zero():
-                continue
-            lead = min(el.terms, key=el.sort_key)
-            el = el.scaled(Fraction(1) / el.terms[lead])
-            fixed = tuple((k, c) for k, c in el.sorted_terms())
-            if fixed in seen:
-                continue
-            seen.add(fixed)
-            out.append((family, el))
+            if not el.is_zero():
+                lead = min(el.terms, key=el.sort_key)
+                out.append((family, el.scaled(Fraction(1) / el.terms[lead])))
     return out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -449,7 +451,57 @@ def test_a_family_needs_the_colors_its_words_use():
     for pres in (P, ARNOLD_PRESENTATION):
         for family in pres.families:
             used = {c for inst in relation_words(pres, family, range(1, 5)) for _, word in inst for c, _, _ in word}
-            assert used == set(graphalg.FAMILY_COLORS[family]), family
+            assert used == set(graphalg.RELATION_FAMILIES[family].colors), family
+
+
+# sha256 of the words of every family of R and Arnold on {1..n}, n = 2..6,
+# and of the normalised instances in both modes on {1..n}, n = 1..5, as
+# written by the if/elif chain that the family table replaced: they pin the
+# order of the instances, of their terms and of the letters in each word
+RELATION_WORDS_SHA256 = "cc437bd963fb5d47f2476c2b3733e4ce50d24f02a25788af902c525e83028498"
+RELATION_INSTANCES_SHA256 = "59045af03281162936cf964c25bcdc43f1638b76c4944e47e99073950ff86cee"
+
+
+def test_relation_words_and_instances_match_their_digests():
+    words = [
+        [pres.name, family, n, relation_words(pres, family, range(1, n + 1))]
+        for pres in (P, ARNOLD_PRESENTATION)
+        for n in range(2, 7)
+        for family in pres.families
+    ]
+    assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == RELATION_WORDS_SHA256
+    instances = [
+        [pres.name, mode, n, [[f, [[m, str(c)] for m, c in rel.sorted_terms()]] for f, rel in rels]]
+        for pres in (P, ARNOLD_PRESENTATION)
+        for mode in MODES
+        for n in range(1, 6)
+        for rels in [relation_instances(pres, standard_labels(n), mode)]
+    ]
+    assert hashlib.sha256(json.dumps(instances).encode()).hexdigest() == RELATION_INSTANCES_SHA256
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cycle_families_vanish_among_the_forests(n):
+    # the premise of skipping the families indexed by cycles in forest mode:
+    # each of their words repeats a pair or closes a cycle
+    labels = standard_labels(n)
+    cyclic = [f for f in P.families if graphalg.RELATION_FAMILIES[f].size is None]
+    assert cyclic == ["a_cycle", "b_cycle"]
+    for family in cyclic:
+        instances = relation_words(P, family, labels)
+        assert instances
+        for inst in instances:
+            assert AlgebraElement.from_words(labels, P, inst, "forest").is_zero(), inst
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("pres", (P, ARNOLD_PRESENTATION))
+def test_normalised_relation_instances_are_pairwise_distinct(pres, mode):
+    # so that the instance list needs no dedupe
+    for n in range(1, 7):
+        normalised = [tuple(rel.sorted_terms()) for _, rel in relation_instances(pres, standard_labels(n), mode)]
+        assert all(terms[0][1] == 1 for terms in normalised)
+        assert len(set(normalised)) == len(normalised), (n, mode)
 
 
 def test_an_unknown_mode_is_refused_everywhere():
@@ -471,3 +523,14 @@ def test_an_unknown_mode_is_refused_everywhere():
         with pytest.raises(ValueError, match="unknown mode"):
             call()
     assert not [key for key in graphalg._INSTANCE_MEMO if key[2] == "xx"]
+
+
+def test_an_unknown_color_is_refused():
+    calls = [
+        lambda: AlgebraElement.from_words((1, 2), P, [(1, [("c", 1, 2)])]),
+        lambda: monomial_from_word(P, (1, 2), (("a", 1, 2), ("c", 1, 2)), "full"),
+        lambda: monomial_from_word(ARNOLD_PRESENTATION, (1, 2), (("a", 1, 2),)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown color"):
+            call()
