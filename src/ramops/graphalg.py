@@ -274,7 +274,9 @@ def monomial_from_word(
         ci = pres.color_index[cname]
         if i == j:
             raise ValueError(f"loop edge {cname}[{i},{j}]")
-        u, v = at[i], at[j]
+        u, v = at.get(i), at.get(j)
+        if u is None or v is None:
+            raise ValueError(f"edge endpoint {i!r}/{j!r} outside the vertex set")
         if u > v:
             u, v = v, u
             sign *= pres.colors[ci].orientation
@@ -384,12 +386,7 @@ class AlgebraElement(Combination):
     ) -> "AlgebraElement":
         check_mode(mode)
         el = cls(labels, pres)
-        label_set = set(el.labels)
         for coeff, word in items:
-            word = tuple(word)
-            for _, i, j in word:
-                if i not in label_set or j not in label_set:
-                    raise ValueError(f"edge endpoint {i!r}/{j!r} outside the vertex set")
             res = monomial_from_word(pres, el.labels, word, mode)
             if res is not None:
                 sign, key = res

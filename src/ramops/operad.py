@@ -29,7 +29,9 @@ or transported to build it.  Both rewritings below make normality local: a
 tree is normal when its children are and its root passes a rule, so
 ``_trees`` forms the normal trees on each block from those on smaller
 blocks, and no build enumerates the ambient trees.  Slots follow the
-enumeration order restricted to normal trees; nf names its terms by slot.
+enumeration order restricted to normal trees.  Each rewriting names every
+normal form it makes once, by an int id, and nf names its terms by id;
+``slots`` maps the ids of the basis to their slots.
 The same rule counts the normal trees by bidegree with no tree formed
 (``leading_rule``, ``ram.normal_dims``): that is how ``ram.operad_dims``
 reaches any arity.
@@ -123,8 +125,8 @@ signed sum of nf(g'(x', y')) (x) nf(g''(x'', y'')) over the terms of
 nf(d(g)(nf x, nf y)) + (-1)^h(g) nf(g(nf dx, nf y))
 + (-1)^(h(g) + h(x)) nf(g(nf x, nf dy)).  nf keeps bidegrees, so each sign
 reads h off the normal forms as well as off the trees.  Both recursions
-take their one-step normal forms from ``_Rewriting.add_root``: nf of
-g(comb(kx), comb(ky)) for normal-form keys kx, ky, the step
+take their one-step normal forms from ``_Rewriting.root``: nf of
+g(comb(kx), comb(ky)) for the ids of normal-form keys kx, ky, the step
 ``_Rewriting.normal_form`` takes at every vertex.
 
 ``ideal_span`` lists the rows e_m - nf(m) of the ambient trees m that are
@@ -723,16 +725,44 @@ def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree,
     return rules
 
 
-class _Groebner:
+class _NormalForms:
+    """nf of the rewritings below, memoised per subtree in ``_forms``: a
+    leaf's id, else the one step ``root(g, i, j)``, nf of g(a, b) for the
+    normal forms a, b of ids i, j, summed over the terms of the children's."""
+
+    def normal_form(self, t: Tree) -> dict[int, Fraction | int]:
+        out = self._forms.get(t)
+        if out is None:
+            if is_leaf(t):
+                out = {self._leaf(t): 1}
+            else:
+                out = self._product(t[0], self.normal_form(t[1]), self.normal_form(t[2]))
+            self._forms[t] = out
+        return out
+
+    def _product(self, g: str, left: dict, right: dict) -> dict[int, Fraction | int]:
+        """nf of g(a, b) summed over the terms a of left, b of right."""
+        out: dict[int, Fraction | int] = {}
+        for i, ci in left.items():
+            for j, cj in right.items():
+                for k, c in self.root(g, i, j).items():
+                    bump(out, k, ci * cj * c)
+        return out
+
+
+class _Groebner(_NormalForms):
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
     quadratic Groebner basis (see the module docstring).  ``basis`` lists
-    the normal trees in enumeration order, ``normal_trees[block]`` those on
-    each nonempty block of the labels and ``bidegrees`` the bidegree of
-    each; nf's terms are normal trees, and ``slots`` maps those on the
-    labels to their slots.
+    the normal trees in enumeration order and ``normal_trees[block]`` those
+    on each nonempty block of the labels.  Every normal tree has an id, its
+    position in ``trees``, all blocks' normal trees in ``normal_trees``
+    order; ``ids`` maps a normal tree to its id, and ``mins``,
+    ``bidegrees`` and ``odd`` hold each id's smallest leaf, bidegree and
+    h-parity.  nf's terms are ids, and ``slots`` maps the ids of the normal
+    trees on the labels to their slots.
 
-    nf is memoised per subtree, and nf of g(a, b) with a, b normal per root
-    triple (g, a, b): only the root can be a leading divisor there.
+    nf of g(a, b) with a, b normal is memoised per root triple (g, id of a,
+    id of b): only the root can be a leading divisor there.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
@@ -740,19 +770,15 @@ class _Groebner:
         self.rules = pres.rules
         self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
         self.basis = _trees(pres.gens, labels, lambda g, a, b: self._rule(g, a, b) is None, self.normal_trees)
-        # the bidegree of each normal tree from its children's: a normal
-        # tree's children are normal, on blocks enumerated before its own
-        self.bidegrees: dict[Tree, BiDegree] = {}
-        for t in (t for trees_on_block in self.normal_trees.values() for t in trees_on_block):
-            if is_leaf(t):
-                self.bidegrees[t] = (0, 0)
-            else:
-                (hg, wg), (hl, wl), (hr, wr) = self.gens[t[0]].bidegree, self.bidegrees[t[1]], self.bidegrees[t[2]]
-                self.bidegrees[t] = (hg + hl + hr, wg + wl + wr)
-        self.degrees = [self.bidegrees[t] for t in self.basis]
-        self.slots = {t: slot for slot, t in enumerate(self.basis)}
-        self._forms: dict[Tree, dict[Tree, Fraction | int]] = {}
-        self._roots: dict[Tree, dict[Tree, Fraction | int]] = {}
+        self.trees: list[Tree] = [t for trees_on_block in self.normal_trees.values() for t in trees_on_block]
+        self.ids = {t: i for i, t in enumerate(self.trees)}
+        self.mins = [_first_leaf(t) for t in self.trees]
+        self.bidegrees = [tree_bidegree(t, self.gens) for t in self.trees]
+        self.odd = [h & 1 for h, _ in self.bidegrees]
+        self.slots = {self.ids[t]: slot for slot, t in enumerate(self.basis)}
+        self.degrees = [self.bidegrees[i] for i in self.slots]
+        self._forms: dict[Tree, dict[int, Fraction | int]] = {}
+        self._roots: dict[tuple[str, int, int], dict[int, Fraction | int]] = {}
 
     def _rule(self, g: str, a: Tree, b: Tree) -> list | None:
         """The rule of the leading divisor g(a, b) of normal trees a, b, or
@@ -761,47 +787,31 @@ class _Groebner:
             return None
         return leading_rule(self.rules, g, a[0], atom_key(_first_leaf(a[2])), atom_key(_first_leaf(b)))
 
-    def normal_form(self, t: Tree) -> dict[Tree, Fraction | int]:
-        out = self._forms.get(t)
-        if out is None:
-            if is_leaf(t):
-                out = {t: 1}
-            else:
-                out = self._product(t[0], self.normal_form(t[1]), self.normal_form(t[2]))
-            self._forms[t] = out
-        return out
+    def _leaf(self, t: Atom) -> int:
+        return self.ids[t]
 
-    def _product(self, g: str, left: dict, right: dict) -> dict[Tree, Fraction | int]:
-        """nf of g(a, b) summed over the normal trees a of left, b of right."""
-        out: dict[Tree, Fraction | int] = {}
-        for a, ca in left.items():
-            for b, cb in right.items():
-                for m, c in self._root(g, a, b).items():
-                    bump(out, m, ca * cb * c)
-        return out
-
-    def _root(self, g: str, a: Tree, b: Tree) -> dict[Tree, Fraction | int]:
-        t = (g, a, b)
-        out = self._roots.get(t)
+    def root(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
+        """nf of g(a, b) for the normal trees a, b of ids i, j, min(a) < min(b)."""
+        out = self._roots.get((g, i, j))
         if out is None:
+            a, b = self.trees[i], self.trees[j]
             rule = self._rule(g, a, b)
             if rule is None:
-                out = {t: 1}
+                out = {self.ids[g, a, b]: 1}
             else:
                 # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
-                x, y, z = a[1], a[2], b
-                deg = self.bidegrees
-                at = 4 * (deg[x][0] & 1) + 2 * (deg[y][0] & 1) + (deg[z][0] & 1)
-                subs = {1: x, 2: y, 3: z}
+                x, y, odd = self.ids[a[1]], self.ids[a[2]], self.odd
+                at = 4 * odd[x] + 2 * odd[y] + odd[j]
+                subs = {1: x, 2: y, 3: j}
                 out = {}
                 for term, coeffs in rule:
-                    for m, c in self._graft(term, subs).items():
-                        bump(out, m, coeffs[at] * c)
-            self._roots[t] = out
+                    for k, c in self._graft(term, subs).items():
+                        bump(out, k, coeffs[at] * c)
+            self._roots[g, i, j] = out
         return out
 
-    def _graft(self, t: Tree, subs: Mapping[Atom, Tree]) -> dict[Tree, Fraction | int]:
-        """nf of the relation term t with the normal trees subs in its leaves."""
+    def _graft(self, t: Tree, subs: Mapping[Atom, int]) -> dict[int, Fraction | int]:
+        """nf of the relation term t with the normal trees of ids subs in its leaves."""
         if is_leaf(t):
             return {subs[t]: 1}
         return self._product(t[0], self._graft(t[1], subs), self._graft(t[2], subs))
@@ -821,7 +831,7 @@ def _certify(pres: Presentation) -> None:
     rw = _Groebner(pres, standard_labels(4))
     for n in (3, 4):
         for x in grafted_relations(pres, standard_labels(n), rw.normal_trees.__getitem__):
-            nf: dict[Tree, Fraction | int] = {}
+            nf: dict[int, Fraction | int] = {}
             for t, c in x.terms.items():
                 for m, e in rw.normal_form(t).items():
                     bump(nf, m, c * e)
@@ -847,31 +857,30 @@ def leibniz(gens: Signature, e: str, x: str) -> OperadElement:
     return lhs - r1 - r2
 
 
-class _Rewriting:
+class _Rewriting(_NormalForms):
     """Normal forms nf(t) in Com o F of the trees on labels 1..n (see the
     module docstring), onto the E-combs of normal trees of F, which
-    ``basis``, ``normal_trees`` and ``slots`` hold as in ``_Groebner``.
+    ``basis`` and ``normal_trees`` hold as in ``_Groebner``.
 
     ``factor`` is F's Groebner rewriting on the same labels: its normal trees
-    on each block are the factors of the basis, and it reduces each bracket
-    of two factors.  A factor is a normal tree of F (a leaf included),
-    interned as an id with its tree, smallest leaf, bidegree and h-parity.
-    A term is a tuple of factor ids in smallest-leaf order; it stands for the
-    left E-comb of its factors, whose preorder word, E having h = 0, is
-    theirs in that order, and whose bidegree, E having (0, 0), is the sum of
-    theirs.
+    on each block are the factors of the basis, named by its ids, and it
+    reduces each bracket of two factors.  A term is a key, a tuple of factor
+    ids in smallest-leaf order; it stands for the left E-comb of its
+    factors, whose preorder word, E having h = 0, is theirs in that order,
+    and whose bidegree, E having (0, 0), is the sum of theirs.  Each key has
+    an id on first use, its position in ``keys``, with its comb's h-parity
+    in ``key_odd``; nf's terms are key ids, and ``slots`` maps the key ids
+    of the basis to their slots.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
         self.pres = pres
         self.factor = _Groebner(pres.factor, labels)
-        self.trees: list[Tree] = []
-        self.mins: list[Atom] = []
-        self.bidegrees: list[BiDegree] = []
-        self.odd: list[int] = []
-        self._ids: dict[Tree, int] = {}
+        self.keys: list[tuple[int, ...]] = []
+        self.key_odd: list[int] = []
+        self.key_ids: dict[tuple[int, ...], int] = {}
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
-        self._forms: dict[Tree, dict[tuple[int, ...], Fraction | int]] = {}
+        self._forms: dict[Tree, dict[int, Fraction | int]] = {}
         e, rule = pres.product, self.factor._rule
 
         def free(t: Tree) -> bool:  # E-free: a factor
@@ -884,98 +893,80 @@ class _Rewriting:
 
         self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
         self.basis = _trees(pres.gens, labels, normal, self.normal_trees)
-        self.slots: dict[tuple[int, ...], int] = {}
+        self.slots: dict[int, int] = {}
         self.degrees: list[BiDegree] = []
         for slot, comb in enumerate(self.basis):
             factors = []
             while not free(comb):
                 factors.append(comb[2])
                 comb = comb[1]
-            key = tuple(self._factor(f) for f in [comb] + factors[::-1])
-            self.slots[key] = slot
-            degs = [self.bidegrees[f] for f in key]
+            key = tuple(self.factor.ids[f] for f in [comb] + factors[::-1])
+            self.slots[self._key_id(key)] = slot
+            degs = [self.factor.bidegrees[f] for f in key]
             self.degrees.append((sum(h for h, _ in degs), sum(w for _, w in degs)))
 
-    def _factor(self, tree: Tree) -> int:
-        fid = self._ids.get(tree)
-        if fid is None:
-            fid = self._ids[tree] = len(self.trees)
-            self.trees.append(tree)
-            self.mins.append(_first_leaf(tree))
-            deg = self.factor.bidegrees[tree]
-            self.bidegrees.append(deg)
-            self.odd.append(deg[0] & 1)
-        return fid
+    def _key_id(self, key: tuple[int, ...]) -> int:
+        i = self.key_ids.get(key)
+        if i is None:
+            i = self.key_ids[key] = len(self.keys)
+            self.keys.append(key)
+            odd = self.factor.odd
+            self.key_odd.append(sum(odd[f] for f in key) & 1)
+        return i
 
     def koszul(self, word: tuple[int, ...]) -> int:
         """Sign of putting the factors of a word in smallest-leaf order: -1
         for each pair of odd factors that changes places."""
-        mins = self.mins
-        odd = [mins[f] for f in word if self.odd[f]]
+        mins = self.factor.mins
+        odd = [mins[f] for f in word if self.factor.odd[f]]
         if len(odd) < 2:
             return 1
         swaps = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :])
         return -1 if swaps & 1 else 1
 
-    def _ordered(self, word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        return tuple(sorted(word, key=self.mins.__getitem__)), self.koszul(word)
+    def _ordered(self, word: tuple[int, ...]) -> tuple[int, int]:
+        """The key id of a word's factors in smallest-leaf order, and its sign."""
+        return self._key_id(tuple(sorted(word, key=self.factor.mins.__getitem__))), self.koszul(word)
 
     def bracket(self, g: str, p: int, q: int) -> list[tuple[int, Fraction | int]]:
         """g(p, q) reduced by F's rewriting, as factors."""
         key = (g, p, q)
         out = self._brackets.get(key)
         if out is None:
-            if self.mins[p] < self.mins[q]:
-                a, b, sign = self.trees[p], self.trees[q], 1
+            if self.factor.mins[p] < self.factor.mins[q]:
+                root, sign = self.factor.root(g, p, q), 1
             else:  # swapped children: g's symmetry and the Koszul sign of p, q
-                a, b = self.trees[q], self.trees[p]
+                root = self.factor.root(g, q, p)
                 sign = self.pres.gens[g].symmetry * self.koszul((p, q))
-            root = self.factor._root(g, a, b)
-            out = self._brackets[key] = [(self._factor(t), sign * c) for t, c in root.items()]
+            out = self._brackets[key] = [(f, sign * c) for f, c in root.items()]
         return out
 
-    def parity(self, key: tuple[int, ...]) -> int:
-        """The h-parity of the comb of a normal-form key."""
-        odd = self.odd
-        return sum(odd[f] for f in key) & 1
+    def _leaf(self, t: Atom) -> int:
+        return self._key_id((self.factor.ids[t],))
 
-    def normal_form(self, t: Tree) -> dict[tuple[int, ...], Fraction | int]:
-        out = self._forms.get(t)
-        if out is not None:
-            return out
-        out = {}
-        if is_leaf(t):
-            out[(self._factor(t),)] = 1
-        else:
-            g, l, r = t
-            right = self.normal_form(r)
-            for ta, ca in self.normal_form(l).items():
-                for tb, cb in right.items():
-                    self.add_root(out, g, ta, tb, ca * cb)
-        self._forms[t] = out
-        return out
-
-    def add_root(self, out: dict, g: str, ta: tuple[int, ...], tb: tuple[int, ...], c: Fraction | int) -> None:
-        """Add c times nf(g(comb(ta), comb(tb))) to out, for normal-form
-        keys ta, tb on disjoint blocks: the one step of nf at a root whose
-        children are normal, which ``normal_form`` takes at every vertex."""
+    def root(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
+        """nf(g(comb(keys[i]), comb(keys[j]))) for keys on disjoint blocks:
+        the one step of nf at a root whose children are normal, which
+        ``normal_form`` takes at every vertex."""
+        ta, tb = self.keys[i], self.keys[j]
         word = ta + tb
         if g == self.pres.product:
-            key, sign = self._ordered(word)
-            bump(out, key, sign * c)
-            return
+            k, sign = self._ordered(word)
+            return {k: sign}
         # Leibniz: g(prod ta, prod tb) is the sum over p in ta, q in tb of
         # g(p, q) times the rest, with the Koszul sign taking the word ta tb
         # to p q rest; koszul measures both words against smallest-leaf order
-        c = c * self.koszul(word)
-        for i, p in enumerate(ta):
-            rest_a = ta[:i] + ta[i + 1 :]
-            for j, q in enumerate(tb):
-                rest = rest_a + tb[:j] + tb[j + 1 :]
+        out: dict[int, Fraction | int] = {}
+        c = self.koszul(word)
+        for a, p in enumerate(ta):
+            rest_a = ta[:a] + ta[a + 1 :]
+            for b, q in enumerate(tb):
+                rest = rest_a + tb[:b] + tb[b + 1 :]
                 cpq = c * self.koszul((p, q) + rest)
                 for f, e in self.bracket(g, p, q):
-                    key, sign = self._ordered((f,) + rest)
-                    bump(out, key, sign * cpq * e)
+                    k, sign = self._ordered((f,) + rest)
+                    bump(out, k, sign * cpq * e)
+        return out
 
 
 def _map_tree(t: Tree, phi: Mapping[Atom, Atom]) -> Tree:

@@ -40,7 +40,7 @@ reads the h of a tree reads the same parity off its normal form:
   + (-1)^h(g) nf(g(d_B x, nf y)) + (-1)^(h(g) + h(x)) nf(g(nf x, d_B y)).
 
 Every nf(g'(u, v)) there is a one-step normal form of two normal-form keys
-(``operad._Rewriting.add_root``).  One step function holds each sign,
+(``operad._Rewriting.root``).  One step function holds each sign,
 ``_coproduct_sign`` and ``_derivation_signs``, and both the free
 expansions (``_coproduct_parts``, ``_diff_tree``) and ``BasisImages`` call
 it, so the two routes cannot disagree on a sign.
@@ -341,21 +341,17 @@ def differential(x: OperadElement, which: str) -> OperadElement:
 
 class BasisImages:
     """Delta_B = (nf (x) nf) Delta and d_B = nf d on the trees of a component
-    on {1..n}, in the normal-form keys of its rewriting (see the module
-    docstring): a tree's image is formed from its children's normal forms
-    and images, which are kept, while the image of the tree asked for is
-    not.  Keys are interned: ``keys[i]`` is the key of id i, and Delta_B(t)
-    maps pairs of ids, d_B(t) ids, to coefficients."""
+    on {1..n}, in the key ids of its rewriting (see the module docstring):
+    a tree's image is formed from its children's normal forms, which the
+    rewriting keeps, and images, which are kept here, while the image of
+    the tree asked for is not.  Delta_B(t) maps pairs of key ids, d_B(t)
+    key ids, to coefficients."""
 
     def __init__(self, comp: Component):
         self.rw = comp.rewriting
         self.gens = comp.pres.gens
-        self.keys: list[tuple[int, ...]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._odd: list[int] = []  # the h-parity of each id's key
-        # nf(g(comb keys[i], comb keys[j])) of each (g, i, j) asked for, on ids
+        # rw.root(g, i, j) of each (g, i, j) asked for
         self._roots: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
-        self._nfs: dict[Tree, list[tuple[int, Fraction | int]]] = {}
         self._deltas: dict[Tree, tuple] = {}
         self._ds: dict[tuple[Tree, str], dict] = {}
         # per generator g2, _coproduct_sign(h(g2), hu1, hu2, hv1) at 4 hu1 + 2 hu2 + hv1
@@ -366,7 +362,7 @@ class BasisImages:
 
     def coproduct(self, t: Tree) -> dict[tuple[int, int], Fraction | int]:
         if is_leaf(t):
-            ((i, _),) = self._nf(t)
+            (i,) = self.rw.normal_form(t)
             return {(i, i): 1}
         g, l, r = t
         lefts, left_seconds, left_terms = self._delta(l)
@@ -393,44 +389,27 @@ class BasisImages:
             return {}
         g, l, r = t
         dl, dr = self._d(l, which), self._d(r, which)
-        nl, nr = self._nf(l), self._nf(r)
-        terms = []  # (g', i, j, c): c nf(g'(comb keys[i], comb keys[j]))
+        nl, nr = self.rw.normal_form(l), self.rw.normal_form(r)
+        terms = []  # (g', i, j, c): c rw.root(g', i, j)
         top = DIFFERENTIAL_MAPS[which].get(g)
         if top is not None:
-            terms += [(top, i, j, ci * cj) for i, ci in nl for j, cj in nr]
+            terms += [(top, i, j, ci * cj) for i, ci in nl.items() for j, cj in nr.items()]
         if dl or dr:
             # h(l) read off nf(l); without terms there, it signs nothing
-            hl = self._odd[nl[0][0]] if nl else 0
+            hl = self.rw.key_odd[next(iter(nl))] if nl else 0
             left_sign, right_sign = _derivation_signs(self.gens[g].bidegree[0], hl)
-            terms += [(g, i, j, left_sign * ci * cj) for i, ci in dl.items() for j, cj in nr]
-            terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl for j, cj in dr.items()]
+            terms += [(g, i, j, left_sign * ci * cj) for i, ci in dl.items() for j, cj in nr.items()]
+            terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl.items() for j, cj in dr.items()]
         out: dict[int, Fraction | int] = {}
         for gen, i, j, c in terms:
             for k, v in self._root(gen, i, j):
                 out[k] = out.get(k, 0) + c * v
         return {k: c for k, c in out.items() if c}
 
-    def _id(self, key: tuple[int, ...]) -> int:
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.keys)
-            self.keys.append(key)
-            self._odd.append(self.rw.parity(key))
-        return i
-
     def _root(self, g: str, i: int, j: int) -> list[tuple[int, Fraction | int]]:
         out = self._roots.get((g, i, j))
         if out is None:
-            image: dict[tuple[int, ...], Fraction | int] = {}
-            self.rw.add_root(image, g, self.keys[i], self.keys[j], 1)
-            out = self._roots[g, i, j] = [(self._id(k), c) for k, c in image.items()]
-        return out
-
-    def _nf(self, t: Tree) -> list[tuple[int, Fraction | int]]:
-        """nf(t) on ids, kept."""
-        out = self._nfs.get(t)
-        if out is None:
-            out = self._nfs[t] = [(self._id(k), c) for k, c in self.rw.normal_form(t).items()]
+            out = self._roots[g, i, j] = list(self.rw.root(g, i, j).items())
         return out
 
     def _delta(self, t: Tree) -> tuple[list[int], list[int], list[tuple]]:
@@ -441,7 +420,7 @@ class BasisImages:
         if out is None:
             firsts: dict[int, int] = {}
             seconds: dict[int, int] = {}
-            odd = self._odd
+            odd = self.rw.key_odd
             terms = []
             for (i, j), c in self.coproduct(t).items():
                 a, b = firsts.setdefault(i, len(firsts)), seconds.setdefault(j, len(seconds))
@@ -487,12 +466,11 @@ def hopf_check(
     gens = pres.gens
     labels = standard_labels(n)
     comp = component_basis(pres, labels, store)
-    verdicts = []
 
     images = {} if images is None else images
-    bad = one_step_witness(pres, n, lambda t, c: basis_images(images, c).coproduct(t), store)
-    witness = None if bad is None else {"tree": tree_str(bad)}
-    verdicts.append(verdict("coproduct_kills_ideal", bad is None, witness, n=n))
+    bad_tree = one_step_witness(pres, n, lambda t, c: basis_images(images, c).coproduct(t), store)
+    witness = None if bad_tree is None else {"tree": tree_str(bad_tree)}
+    verdicts = [verdict("coproduct_kills_ideal", bad_tree is None, witness, n=n)]
 
     def differs(lhs: dict, rhs: dict, arity: int) -> bool:
         if lhs == rhs:
@@ -504,26 +482,6 @@ def hopf_check(
     delta_of = cache(lambda t: _coproduct_tree(t, gens))
     odd = cache(lambda t: tree_h(t, gens) & 1)
 
-    # the free coproduct of each basis tree, for both identities
-    deltas = {}
-    for b in comp.basis:
-        deltas[b] = delta = {}
-        for t1, t2, s in delta_of(b):
-            bump(delta, (t1, t2), s)
-    bad = None
-    for b, delta in deltas.items():
-        left: dict[tuple, Fraction] = {}
-        right: dict[tuple, Fraction] = {}
-        for (t1, t2), c in delta.items():
-            for u1, u2, s in delta_of(t1):
-                bump(left, (u1, u2, t2), c * s)
-            for v1, v2, s in delta_of(t2):
-                bump(right, (t1, v1, v2), c * s)
-        if differs(left, right, 3):
-            bad = {"basis_tree": repr(b)}
-            break
-    verdicts.append(verdict("coproduct_coassociative", bad is None, bad, n=n))
-
     d_memo: dict[tuple[Tree, str], dict] = {}
 
     def d(t: Tree, which: str) -> dict:
@@ -534,9 +492,27 @@ def hopf_check(
                 bump(out, tree, s)
         return out
 
-    for which in ("down", "up"):
-        bad = None
-        for b, delta in deltas.items():
+    # one pass over the basis trees, in slot order, takes the free coproduct
+    # of each once for all three identities; each keeps its first failure
+    names = ["coproduct_coassociative", "coderivation_down", "coderivation_up"]
+    bad: dict[str, dict] = {}
+    for b in comp.basis:
+        delta: dict[tuple, Fraction] = {}
+        for t1, t2, s in delta_of(b):
+            bump(delta, (t1, t2), s)
+        if names[0] not in bad:
+            left: dict[tuple, Fraction] = {}
+            right: dict[tuple, Fraction] = {}
+            for (t1, t2), c in delta.items():
+                for u1, u2, s in delta_of(t1):
+                    bump(left, (u1, u2, t2), c * s)
+                for v1, v2, s in delta_of(t2):
+                    bump(right, (t1, v1, v2), c * s)
+            if differs(left, right, 3):
+                bad[names[0]] = {"basis_tree": repr(b)}
+        for which, name in zip(("down", "up"), names[1:]):
+            if name in bad:
+                continue
             lhs: dict[tuple, Fraction] = {}
             for t, c in d(b, which).items():
                 for t1, t2, s in delta_of(t):
@@ -549,10 +525,10 @@ def hopf_check(
                 for t2d, c2 in d(t2, which).items():
                     bump(rhs, (t1, t2d), c_signed * c2)
             if differs(lhs, rhs, 2):
-                bad = {"basis_tree": repr(b), "differential": which}
-                break
-        verdicts.append(verdict(f"coderivation_{which}", bad is None, bad, n=n))
-    return verdicts
+                bad[name] = {"basis_tree": repr(b), "differential": which}
+        if len(bad) == len(names):
+            break
+    return verdicts + [verdict(name, name not in bad, bad.get(name), n=n) for name in names]
 
 
 # --- distributive-law check -------------------------------------------------

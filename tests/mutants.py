@@ -90,6 +90,81 @@ MUTANTS = (
             "tests/test_ram.py::test_coproduct_commutes_with_relabeling",
         ),
     ),
+    Mutant(
+        "leading_rule_without_the_order_condition",
+        "ramops/operad.py",
+        "if rule is None or y_min > z_min:",
+        "if rule is None:",
+        (
+            "tests/test_operad.py::test_component_basis_examples",
+            "tests/test_ram.py::test_counted_dims_equal_the_listed_component",
+            "tests/test_spans.py::test_normal_trees_certify_a_quadratic_groebner_basis",
+        ),
+    ),
+    Mutant(
+        "groebner_dims_binomial_set_to_one",
+        "ramops/ram.py",
+        "ways = comb(k - 1 - p, k - a - 1)",
+        "ways = 1",
+        (
+            "tests/test_ram.py::test_counted_dims_equal_the_listed_component",
+            "tests/test_ram.py::test_ram_counts_equal_the_prediction_through_12",
+            "tests/test_acceptance.py::test_criterion_1_dimension_match_through_arity_4",
+        ),
+    ),
+    Mutant(
+        "composite_dims_binomial_set_to_one",
+        "ramops/ram.py",
+        "_convolve(combs[m], comb(m - 1, a - 1), factor[a], combs[m - a])",
+        "_convolve(combs[m], 1, factor[a], combs[m - a])",
+        (
+            "tests/test_ram.py::test_ram_dims_small",
+            "tests/test_ram.py::test_counted_dims_equal_the_listed_component",
+            "tests/test_ram.py::test_poisson_and_bessel_counts_equal_their_psi_projections_through_10",
+        ),
+    ),
+    Mutant(
+        "ideal_span_rows_with_the_sign_flipped",
+        "ramops/operad.py",
+        "bump(row, comp.basis[slot], -c)",
+        "bump(row, comp.basis[slot], c)",
+        ("tests/test_spans.py::test_ideal_span_is_a_basis_of_the_grafted_span",),
+    ),
+    Mutant(
+        "d_B_reading_h_of_the_left_child_as_zero",
+        "ramops/ram.py",
+        "hl = self.rw.key_odd[next(iter(nl))] if nl else 0",
+        "hl = 0",
+        (
+            "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
+            "tests/test_ram.py::test_preserves_ideal_matches_span_oracle",
+            "tests/test_ram.py::test_ideal_verdicts_read_no_grafted_span",
+            "tests/test_acceptance.py::test_criterion_7_property_suites",
+        ),
+    ),
+    Mutant(
+        "delta_B_sign_index_without_hv1",
+        "ramops/ram.py",
+        "coeff = signs[at + hv1] * cu * cv",
+        "coeff = signs[at] * cu * cv",
+        (
+            "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_ideal_verdicts_read_no_grafted_span",
+            "tests/test_acceptance.py::test_criterion_7_property_suites",
+        ),
+    ),
+    Mutant(
+        "groebner_root_without_the_parity_of_z",
+        "ramops/operad.py",
+        "at = 4 * odd[x] + 2 * odd[y] + odd[j]",
+        "at = 4 * odd[x] + 2 * odd[y]",
+        (
+            "tests/test_operad.py::test_normal_forms_match_their_digest",
+            "tests/test_spans.py::test_rewriting_payload_matches_span_oracle",
+            "tests/test_ram.py::test_distributive_check_agrees_with_the_grafted_span",
+        ),
+    ),
 )
 
 

@@ -534,3 +534,14 @@ def test_an_unknown_color_is_refused():
     for call in calls:
         with pytest.raises(ValueError, match="unknown color"):
             call()
+
+
+def test_an_endpoint_outside_the_labels_is_refused():
+    calls = [
+        lambda: AlgebraElement.from_words((1, 2), P, [(1, [("a", 1, 3)])]),
+        lambda: monomial_from_word(P, (1, 2), (("a", 1, 3),)),
+        lambda: monomial_from_word(P, (1, 2, 3), (("a", 1, 2), ("b", 4, 3)), "full"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="edge endpoint .* outside the vertex set"):
+            call()

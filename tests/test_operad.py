@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -9,6 +11,8 @@ from compose_oracle import oracle_compose
 from span_oracle import grafted_ideal_span
 
 import ramops
+from ramops import operad
+from ramops.cache import ComponentStore
 from ramops.labels import HASH, STAR, standard_labels
 from ramops.linalg import SparseMatrix, rank
 from ramops.operad import (
@@ -23,8 +27,9 @@ from ramops.operad import (
     tree_bidegree,
     tree_h,
     tree_min_key,
+    tree_str,
 )
-from ramops.ram import RAM_SIGNATURE, presentation
+from ramops.ram import PRESENTATION_NAMES, RAM_SIGNATURE, presentation
 
 GENS = RAM_SIGNATURE
 
@@ -318,6 +323,29 @@ def test_normal_form_examples():
     assert c3.coords(assoc) == {}
     for slot, b in enumerate(c3.basis):
         assert c3.coords(c3.monomial_element(b)) == {slot: Fraction(1)}
+
+
+# sha256 of the slot expansions below as computed when the rewritings still
+# keyed their normal forms by trees and key tuples: they pin every normal
+# form, its slots and its coefficients, whatever the rewritings name them by
+NORMAL_FORMS_SHA256 = "e07cb21f67bfaf4886ea5dfb056246c5f65647aba187a9779dc216a2a0bdac0d"
+
+
+def test_normal_forms_match_their_digest():
+    # the slot expansion of every basis tree and every one-step tree, for
+    # every named presentation at arities 1..5
+    store, expansions, count = ComponentStore(), [], 0
+    for name in PRESENTATION_NAMES:
+        pres = presentation(name)
+        for n in range(1, 6):
+            comp = component_basis(pres, standard_labels(n), store)
+            one_step = operad._candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__)
+            trees = [*comp.basis, *one_step]
+            count += len(trees)
+            rows = [[tree_str(t), [[s, str(c)] for s, c in comp.slot_expansion(t)]] for t in trees]
+            expansions.append([name, n, rows])
+    assert count == 10_473
+    assert hashlib.sha256(json.dumps(expansions).encode()).hexdigest() == NORMAL_FORMS_SHA256
 
 
 def test_normal_form_label_mismatch():
