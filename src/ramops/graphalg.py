@@ -515,9 +515,9 @@ def _relation_instances(
 ) -> list[tuple[str, AlgebraElement]]:
     out: list[tuple[str, AlgebraElement]] = []
     for family in chosen:
-        if RELATION_FAMILIES[family].size is None and mode == "forest":
+        if family in pres.families and RELATION_FAMILIES[family].size is None and mode == "forest":
             continue  # each word repeats a pair or closes a cycle: zero among the forests
-        for inst in relation_words(pres, family, labels):
+        for inst in relation_words(pres, family, labels):  # refuses a family not of pres
             el = AlgebraElement.from_words(labels, pres, inst, mode)
             if not el.is_zero():
                 lead = min(el.terms, key=el.sort_key)

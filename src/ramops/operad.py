@@ -30,8 +30,8 @@ tree is normal when its children are and its root passes a rule, so
 ``_trees`` forms the normal trees on each block from those on smaller
 blocks, and no build enumerates the ambient trees.  Slots follow the
 enumeration order restricted to normal trees.  Each rewriting names every
-normal form it makes once, by an int id, and nf names its terms by id;
-``slots`` maps the ids of the basis to their slots.
+normal form it makes once, by an int id, the basis first: a basis id is a
+slot, and nf, the (id, coefficient) pairs in id order, a slot expansion.
 The same rule counts the normal trees by bidegree with no tree formed
 (``leading_rule``, ``ram.normal_dims``): that is how ``ram.operad_dims``
 reaches any arity.
@@ -568,7 +568,8 @@ class Component(QuotientComponent):
     Built once on the reference labels {1..n}, with no payload (see the
     module docstring); a relabeled component maps a tree back to {1..n}
     along ``_back``, where the rewriting and its memos live (see
-    ``QuotientComponent``).
+    ``QuotientComponent``).  Its slots are the rewriting's ids, and a tree
+    with an id or an nf term off the basis is refused with ``KeyError``.
     """
 
     family = "operad"
@@ -579,8 +580,6 @@ class Component(QuotientComponent):
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...], rewriting: "_Groebner | _Rewriting"):
         super().__init__(pres, labels, rewriting.basis, rewriting.degrees)
         self.rewriting = rewriting
-        self._slot_of = {b: slot for slot, b in enumerate(rewriting.basis)}
-        self._expansions: dict[Tree, tuple] = {}
 
     def relabeled(self, labels: tuple[Atom, ...]) -> "Component":
         """The shared copy, with its basis moved to the labels and the map of
@@ -602,14 +601,15 @@ class Component(QuotientComponent):
         return OperadElement(self.labels, self.pres.gens, terms)
 
     def slot(self, m: Tree) -> int:
-        return self._slot_of[self._on_reference(m)]
+        out = self.rewriting.ids[self._on_reference(m)]
+        if out >= self.dim:  # a normal tree on a smaller block
+            raise KeyError(m)
+        return out
 
     def slot_expansion(self, m: Tree) -> tuple:
-        m = self._on_reference(m)
-        out = self._expansions.get(m)
-        if out is None:
-            slots = self.rewriting.slots
-            out = self._expansions[m] = tuple(sorted((slots[k], c) for k, c in self.rewriting.normal_form(m).items()))
+        out = self.rewriting.normal_form(self._on_reference(m))
+        if out and out[-1][0] >= self.dim:  # a tree on a smaller block
+            raise KeyError(m)
         return out
 
     @classmethod
@@ -644,7 +644,7 @@ def one_step_witness_at(
     comp = component_basis(pres, standard_labels(k), store)
     basis_images = [image(b, comp) for b in comp.basis]
     for t in _candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__):
-        slot = comp._slot_of.get(t)
+        slot = comp.rewriting.ids.get(t)
         expansion = comp.slot_expansion(t)
         if slot is not None and expansion == ((slot, 1),):
             continue
@@ -726,28 +726,29 @@ def _rewrite_rules(pres: Presentation) -> dict[tuple[str, str], list[tuple[Tree,
 
 
 class _NormalForms:
-    """nf of the rewritings below, memoised per subtree in ``_forms``: a
-    leaf's id, else the one step ``root(g, i, j)``, nf of g(a, b) for the
-    normal forms a, b of ids i, j, summed over the terms of the children's."""
+    """nf of the rewritings below, its (id, coefficient) pairs in id order,
+    memoised per subtree in ``_forms``: a leaf's id, else the one step
+    ``root(g, i, j)``, nf of g(a, b) for the normal forms a, b of ids i, j,
+    summed over the terms of the children's."""
 
-    def normal_form(self, t: Tree) -> dict[int, Fraction | int]:
+    def normal_form(self, t: Tree) -> tuple[tuple[int, Fraction | int], ...]:
         out = self._forms.get(t)
         if out is None:
             if is_leaf(t):
-                out = {self._leaf(t): 1}
+                out = ((self._leaf(t), 1),)
             else:
                 out = self._product(t[0], self.normal_form(t[1]), self.normal_form(t[2]))
             self._forms[t] = out
         return out
 
-    def _product(self, g: str, left: dict, right: dict) -> dict[int, Fraction | int]:
+    def _product(self, g: str, left: tuple, right: tuple) -> tuple[tuple[int, Fraction | int], ...]:
         """nf of g(a, b) summed over the terms a of left, b of right."""
         out: dict[int, Fraction | int] = {}
-        for i, ci in left.items():
-            for j, cj in right.items():
+        for i, ci in left:
+            for j, cj in right:
                 for k, c in self.root(g, i, j).items():
                     bump(out, k, ci * cj * c)
-        return out
+        return tuple(sorted(out.items()))
 
 
 class _Groebner(_NormalForms):
@@ -755,11 +756,10 @@ class _Groebner(_NormalForms):
     quadratic Groebner basis (see the module docstring).  ``basis`` lists
     the normal trees in enumeration order and ``normal_trees[block]`` those
     on each nonempty block of the labels.  Every normal tree has an id, its
-    position in ``trees``, all blocks' normal trees in ``normal_trees``
-    order; ``ids`` maps a normal tree to its id, and ``mins``,
-    ``bidegrees`` and ``odd`` hold each id's smallest leaf, bidegree and
-    h-parity.  nf's terms are ids, and ``slots`` maps the ids of the normal
-    trees on the labels to their slots.
+    position in ``trees``: the basis, then the other blocks' normal trees
+    in ``normal_trees`` order, so that the id of a basis tree is its slot.
+    ``ids`` maps a normal tree to its id, and ``mins``, ``bidegrees`` and
+    ``odd`` hold each id's smallest leaf, bidegree and h-parity.
 
     nf of g(a, b) with a, b normal is memoised per root triple (g, id of a,
     id of b): only the root can be a leading divisor there.
@@ -770,14 +770,14 @@ class _Groebner(_NormalForms):
         self.rules = pres.rules
         self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
         self.basis = _trees(pres.gens, labels, lambda g, a, b: self._rule(g, a, b) is None, self.normal_trees)
-        self.trees: list[Tree] = [t for trees_on_block in self.normal_trees.values() for t in trees_on_block]
+        *smaller, _ = self.normal_trees.values()  # the labels' own block, the basis, comes last
+        self.trees: list[Tree] = self.basis + [t for trees_on_block in smaller for t in trees_on_block]
         self.ids = {t: i for i, t in enumerate(self.trees)}
         self.mins = [_first_leaf(t) for t in self.trees]
         self.bidegrees = [tree_bidegree(t, self.gens) for t in self.trees]
         self.odd = [h & 1 for h, _ in self.bidegrees]
-        self.slots = {self.ids[t]: slot for slot, t in enumerate(self.basis)}
-        self.degrees = [self.bidegrees[i] for i in self.slots]
-        self._forms: dict[Tree, dict[int, Fraction | int]] = {}
+        self.degrees = self.bidegrees[: len(self.basis)]
+        self._forms: dict[Tree, tuple[tuple[int, Fraction | int], ...]] = {}
         self._roots: dict[tuple[str, int, int], dict[int, Fraction | int]] = {}
 
     def _rule(self, g: str, a: Tree, b: Tree) -> list | None:
@@ -805,15 +805,15 @@ class _Groebner(_NormalForms):
                 subs = {1: x, 2: y, 3: j}
                 out = {}
                 for term, coeffs in rule:
-                    for k, c in self._graft(term, subs).items():
+                    for k, c in self._graft(term, subs):
                         bump(out, k, coeffs[at] * c)
             self._roots[g, i, j] = out
         return out
 
-    def _graft(self, t: Tree, subs: Mapping[Atom, int]) -> dict[int, Fraction | int]:
+    def _graft(self, t: Tree, subs: Mapping[Atom, int]) -> tuple[tuple[int, Fraction | int], ...]:
         """nf of the relation term t with the normal trees of ids subs in its leaves."""
         if is_leaf(t):
-            return {subs[t]: 1}
+            return ((subs[t], 1),)
         return self._product(t[0], self._graft(t[1], subs), self._graft(t[2], subs))
 
 
@@ -833,7 +833,7 @@ def _certify(pres: Presentation) -> None:
         for x in grafted_relations(pres, standard_labels(n), rw.normal_trees.__getitem__):
             nf: dict[int, Fraction | int] = {}
             for t, c in x.terms.items():
-                for m, e in rw.normal_form(t).items():
+                for m, e in rw.normal_form(t):
                     bump(nf, m, c * e)
             if nf:
                 raise ValueError(f"{pres.name}: the rewriting does not reduce the relation instance {x} to 0")
@@ -869,8 +869,8 @@ class _Rewriting(_NormalForms):
     factors, whose preorder word, E having h = 0, is theirs in that order,
     and whose bidegree, E having (0, 0), is the sum of theirs.  Each key has
     an id on first use, its position in ``keys``, with its comb's h-parity
-    in ``key_odd``; nf's terms are key ids, and ``slots`` maps the key ids
-    of the basis to their slots.
+    in ``key_odd``; nf's terms are key ids, and ``ids`` maps each basis
+    comb to its key id, its slot: the basis keys come first, in slot order.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
@@ -880,7 +880,7 @@ class _Rewriting(_NormalForms):
         self.key_odd: list[int] = []
         self.key_ids: dict[tuple[int, ...], int] = {}
         self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
-        self._forms: dict[Tree, dict[int, Fraction | int]] = {}
+        self._forms: dict[Tree, tuple[tuple[int, Fraction | int], ...]] = {}
         e, rule = pres.product, self.factor._rule
 
         def free(t: Tree) -> bool:  # E-free: a factor
@@ -891,17 +891,14 @@ class _Rewriting(_NormalForms):
                 return free(b) and (free(a) or atom_key(_first_leaf(a[2])) < atom_key(_first_leaf(b)))
             return free(a) and free(b) and rule(g, a, b) is None
 
+        def factors(comb: Tree) -> list[Tree]:  # of a left E-comb, in order
+            return [comb] if free(comb) else factors(comb[1]) + [comb[2]]
+
         self.normal_trees: dict[tuple[Atom, ...], list[Tree]] = {}
         self.basis = _trees(pres.gens, labels, normal, self.normal_trees)
-        self.slots: dict[int, int] = {}
+        self.ids = {comb: self._key_id(tuple(self.factor.ids[f] for f in factors(comb))) for comb in self.basis}
         self.degrees: list[BiDegree] = []
-        for slot, comb in enumerate(self.basis):
-            factors = []
-            while not free(comb):
-                factors.append(comb[2])
-                comb = comb[1]
-            key = tuple(self.factor.ids[f] for f in [comb] + factors[::-1])
-            self.slots[self._key_id(key)] = slot
+        for key in self.keys:  # the basis keys, the only ones so far
             degs = [self.factor.bidegrees[f] for f in key]
             self.degrees.append((sum(h for h, _ in degs), sum(w for _, w in degs)))
 

@@ -74,7 +74,8 @@ class QuotientComponent:
     copy with its own labels, to which a side adds what else it moves.  A
     side also supplies ``element(terms)``, ``slot(m)`` of a basis
     monomial and ``slot_expansion(m)``, the (slot, coefficient) pairs of a
-    monomial in slot order.
+    monomial in slot order: on the operad side its rewriting's memo of nf,
+    on the algebra side a memo of the echelon's reductions.
     ``degrees[s]`` is the bidegree of basis slot s, ``odd[s]`` the parity of
     its h; ``slots_by_degree`` lists the slots of each bidegree in slot
     order and ``dims`` counts them.

@@ -362,7 +362,7 @@ class BasisImages:
 
     def coproduct(self, t: Tree) -> dict[tuple[int, int], Fraction | int]:
         if is_leaf(t):
-            (i,) = self.rw.normal_form(t)
+            ((i, _),) = self.rw.normal_form(t)
             return {(i, i): 1}
         g, l, r = t
         lefts, left_seconds, left_terms = self._delta(l)
@@ -393,13 +393,13 @@ class BasisImages:
         terms = []  # (g', i, j, c): c rw.root(g', i, j)
         top = DIFFERENTIAL_MAPS[which].get(g)
         if top is not None:
-            terms += [(top, i, j, ci * cj) for i, ci in nl.items() for j, cj in nr.items()]
+            terms += [(top, i, j, ci * cj) for i, ci in nl for j, cj in nr]
         if dl or dr:
             # h(l) read off nf(l); without terms there, it signs nothing
-            hl = self.rw.key_odd[next(iter(nl))] if nl else 0
+            hl = self.rw.key_odd[nl[0][0]] if nl else 0
             left_sign, right_sign = _derivation_signs(self.gens[g].bidegree[0], hl)
-            terms += [(g, i, j, left_sign * ci * cj) for i, ci in dl.items() for j, cj in nr.items()]
-            terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl.items() for j, cj in dr.items()]
+            terms += [(g, i, j, left_sign * ci * cj) for i, ci in dl.items() for j, cj in nr]
+            terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl for j, cj in dr.items()]
         out: dict[int, Fraction | int] = {}
         for gen, i, j, c in terms:
             for k, v in self._root(gen, i, j):

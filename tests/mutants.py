@@ -64,8 +64,8 @@ MUTANTS = (
     Mutant(
         "cycle_skip_in_full_mode_too",
         "ramops/graphalg.py",
-        'if RELATION_FAMILIES[family].size is None and mode == "forest":',
-        "if RELATION_FAMILIES[family].size is None:",
+        'RELATION_FAMILIES[family].size is None and mode == "forest":',
+        "RELATION_FAMILIES[family].size is None:",
         (
             "tests/test_graphalg.py::test_relation_words_and_instances_match_their_digests",
             "tests/test_graphalg.py::test_forest_dims_equal_full_dims",
@@ -133,7 +133,7 @@ MUTANTS = (
     Mutant(
         "d_B_reading_h_of_the_left_child_as_zero",
         "ramops/ram.py",
-        "hl = self.rw.key_odd[next(iter(nl))] if nl else 0",
+        "hl = self.rw.key_odd[nl[0][0]] if nl else 0",
         "hl = 0",
         (
             "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
@@ -164,6 +164,31 @@ MUTANTS = (
             "tests/test_spans.py::test_rewriting_payload_matches_span_oracle",
             "tests/test_ram.py::test_distributive_check_agrees_with_the_grafted_span",
         ),
+    ),
+    Mutant(
+        "basis_ids_not_first",
+        "ramops/operad.py",
+        "self.trees: list[Tree] = self.basis + [t for trees_on_block in smaller for t in trees_on_block]",
+        "self.trees: list[Tree] = [t for trees_on_block in self.normal_trees.values() for t in trees_on_block]",
+        (
+            "tests/test_operad.py::test_normal_forms_match_their_digest",
+            "tests/test_quotient.py::test_monomial_normal_form_matches_normal_form",
+            "tests/test_quotient.py::test_coords_match_oracle_reduce",
+        ),
+    ),
+    Mutant(
+        "one_step_skip_without_its_expansion_test",
+        "ramops/operad.py",
+        "if slot is not None and expansion == ((slot, 1),):",
+        "if slot is not None:",
+        ("tests/test_quotient.py::test_ideal_witness_checks_basis_monomials",),
+    ),
+    Mutant(
+        "slot_expansion_of_a_tree_on_a_smaller_block",
+        "ramops/operad.py",
+        "if out and out[-1][0] >= self.dim:",
+        "if False:",
+        ("tests/test_quotient.py::test_an_operad_component_refuses_a_tree_off_its_labels",),
     ),
 )
 

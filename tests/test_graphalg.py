@@ -454,6 +454,18 @@ def test_a_family_needs_the_colors_its_words_use():
             assert used == set(graphalg.RELATION_FAMILIES[family].colors), family
 
 
+@pytest.mark.parametrize(
+    "families,name", ((["nope"], "nope"), ("aa_sum", "a"), (["arnold_sum"], "arnold_sum"), (["aa_sum", "nope"], "nope"))
+)
+def test_relation_instances_refuse_a_family_not_of_the_presentation(families, name):
+    # an unknown name, a bare string read as its letters and another
+    # presentation's family meet one error, before any table lookup
+    with pytest.raises(ValueError, match=f"'{name}' is not a family of two-color-forests"):
+        relation_instances(P, (1, 2, 3), "forest", families)
+    with pytest.raises(ValueError, match=f"'{name}' is not a family of two-color-forests"):
+        relation_words(P, name, (1, 2, 3))
+
+
 # sha256 of the words of every family of R and Arnold on {1..n}, n = 2..6,
 # and of the normalised instances in both modes on {1..n}, n = 1..5, as
 # written by the if/elif chain that the family table replaced: they pin the

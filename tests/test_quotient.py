@@ -775,8 +775,49 @@ def test_ideal_witness_checks_basis_monomials(name, monkeypatch):
     assert one_step_witness(pres, 4, image, store) is None
     comp = component_basis(pres, (1, 2, 3, 4), store)
     b = comp.basis[len(comp.basis) // 2]
-    monkeypatch.setitem(comp._expansions, b, ((comp.slot(b), Fraction(2)),))
+    monkeypatch.setitem(comp.rewriting._forms, b, ((comp.slot(b), Fraction(2)),))
     assert one_step_witness(pres, 4, image, store) == b
+
+
+@pytest.mark.parametrize("labels", ((1, 2, 3), (2, 5, 7)))
+@pytest.mark.parametrize("name", ("liegriess", "ram"))
+def test_an_operad_component_refuses_a_tree_off_its_labels(name, labels):
+    # a normal tree on a smaller block of the labels has a normal form, but
+    # no slot: both lookups refuse it, on {1..n} and on a relabeled copy,
+    # and still read every basis tree as its own slot
+    comp = component_basis(presentation(name), labels, ComponentStore())
+    phi = dict(zip(standard_labels(3), labels))
+    smaller = [
+        _map_tree(t, phi) for block, trees in comp.rewriting.normal_trees.items() if len(block) < 3 for t in trees
+    ]
+    assert smaller
+    for t in smaller:
+        with pytest.raises(KeyError):
+            comp.slot(t)
+        with pytest.raises(KeyError):
+            comp.slot_expansion(t)
+    for s, b in enumerate(comp.basis):
+        assert comp.slot(b) == s and comp.slot_expansion(b) == ((s, 1),)
+
+
+@pytest.mark.parametrize("mode", ("forest", "full"))
+def test_a_graph_component_refuses_a_mask_off_its_basis(mode):
+    # slot refuses an ambient mask outside the basis, and both lookups a
+    # mask outside the ambient: one of the arity-4 ambient
+    store = ComponentStore()
+    comp = algebra_basis(R_PRESENTATION, (1, 2, 3), mode, store)
+    off_basis = [m for m in comp.masks if m not in comp.basis]
+    larger = algebra_basis(R_PRESENTATION, (1, 2, 3, 4), mode, store)
+    off_ambient = [m for m in larger.masks if comp.position(m) is None]
+    assert off_basis and off_ambient
+    for m in off_basis + off_ambient:
+        with pytest.raises(KeyError):
+            comp.slot(m)
+    for m in off_ambient:
+        with pytest.raises(KeyError):
+            comp.slot_expansion(m)
+    for s, b in enumerate(comp.basis):
+        assert comp.slot(b) == s and comp.slot_expansion(b) == ((s, 1),)
 
 
 def test_both_sides_share_one_tensor_type():
