@@ -125,9 +125,10 @@ signed sum of nf(g'(x', y')) (x) nf(g''(x'', y'')) over the terms of
 nf(d(g)(nf x, nf y)) + (-1)^h(g) nf(g(nf dx, nf y))
 + (-1)^(h(g) + h(x)) nf(g(nf x, nf dy)).  nf keeps bidegrees, so each sign
 reads h off the normal forms as well as off the trees.  Both recursions
-take their one-step normal forms from ``_Rewriting.root``: nf of
+take their one-step normal forms from the rewriting's ``root``: nf of
 g(comb(kx), comb(ky)) for the ids of normal-form keys kx, ky, the step
-``_Rewriting.normal_form`` takes at every vertex.
+``normal_form`` takes at every vertex, kept once in the one memo of one
+steps that both rewritings share (``_NormalForms.root``).
 
 ``ideal_span`` lists the rows e_m - nf(m) of the ambient trees m that are
 not normal, a basis of I(n).  No verdict reads it, and the benchmark's
@@ -642,10 +643,12 @@ def one_step_witness_at(
     does not kill, or None; a basis tree whose slot expansion is exactly
     ((its slot, 1),) is skipped (see the module docstring)."""
     comp = component_basis(pres, standard_labels(k), store)
+    rw = comp.rewriting
     basis_images = [image(b, comp) for b in comp.basis]
-    for t in _candidates(pres.gens, comp.labels, comp.rewriting.normal_trees.__getitem__):
-        slot = comp.rewriting.ids.get(t)
-        expansion = comp.slot_expansion(t)
+    for t in _candidates(pres.gens, comp.labels, rw.normal_trees.__getitem__):
+        slot = rw.ids.get(t)
+        # nf(t) from its children's by the memo of one steps; t is not kept
+        expansion = rw._product(t[0], rw.normal_form(t[1]), rw.normal_form(t[2]))
         if slot is not None and expansion == ((slot, 1),):
             continue
         row = dict(image(t, comp) if slot is None else basis_images[slot])
@@ -729,7 +732,9 @@ class _NormalForms:
     """nf of the rewritings below, its (id, coefficient) pairs in id order,
     memoised per subtree in ``_forms``: a leaf's id, else the one step
     ``root(g, i, j)``, nf of g(a, b) for the normal forms a, b of ids i, j,
-    summed over the terms of the children's."""
+    summed over the terms of the children's.  ``root`` is the one memo of
+    the one step, in ``_roots``; each rewriting supplies it unmemoised as
+    ``_step``."""
 
     def normal_form(self, t: Tree) -> tuple[tuple[int, Fraction | int], ...]:
         out = self._forms.get(t)
@@ -750,6 +755,13 @@ class _NormalForms:
                     bump(out, k, ci * cj * c)
         return tuple(sorted(out.items()))
 
+    def root(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
+        """nf of g(a, b) for the normal forms a, b of ids i, j, memoised."""
+        out = self._roots.get((g, i, j))
+        if out is None:
+            out = self._roots[g, i, j] = self._step(g, i, j)
+        return out
+
 
 class _Groebner(_NormalForms):
     """Normal forms nf(t) of the trees on labels 1..n by the relations as a
@@ -761,8 +773,9 @@ class _Groebner(_NormalForms):
     ``ids`` maps a normal tree to its id, and ``mins``, ``bidegrees`` and
     ``odd`` hold each id's smallest leaf, bidegree and h-parity.
 
-    nf of g(a, b) with a, b normal is memoised per root triple (g, id of a,
-    id of b): only the root can be a leading divisor there.
+    Its step nf of g(a, b) with a, b normal, memoised by ``root`` per triple
+    (g, id of a, id of b), rewrites the root alone: only the root can be a
+    leading divisor there.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
@@ -790,24 +803,20 @@ class _Groebner(_NormalForms):
     def _leaf(self, t: Atom) -> int:
         return self.ids[t]
 
-    def root(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
+    def _step(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
         """nf of g(a, b) for the normal trees a, b of ids i, j, min(a) < min(b)."""
-        out = self._roots.get((g, i, j))
-        if out is None:
-            a, b = self.trees[i], self.trees[j]
-            rule = self._rule(g, a, b)
-            if rule is None:
-                out = {self.ids[g, a, b]: 1}
-            else:
-                # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
-                x, y, odd = self.ids[a[1]], self.ids[a[2]], self.odd
-                at = 4 * odd[x] + 2 * odd[y] + odd[j]
-                subs = {1: x, 2: y, 3: j}
-                out = {}
-                for term, coeffs in rule:
-                    for k, c in self._graft(term, subs):
-                        bump(out, k, coeffs[at] * c)
-            self._roots[g, i, j] = out
+        a, b = self.trees[i], self.trees[j]
+        rule = self._rule(g, a, b)
+        if rule is None:
+            return {self.ids[g, a, b]: 1}
+        # g(g'(x, y), z) is leading: the relation's other terms on x, y, z
+        x, y, odd = self.ids[a[1]], self.ids[a[2]], self.odd
+        at = 4 * odd[x] + 2 * odd[y] + odd[j]
+        subs = {1: x, 2: y, 3: j}
+        out: dict[int, Fraction | int] = {}
+        for term, coeffs in rule:
+            for k, c in self._graft(term, subs):
+                bump(out, k, coeffs[at] * c)
         return out
 
     def _graft(self, t: Tree, subs: Mapping[Atom, int]) -> tuple[tuple[int, Fraction | int], ...]:
@@ -871,6 +880,8 @@ class _Rewriting(_NormalForms):
     an id on first use, its position in ``keys``, with its comb's h-parity
     in ``key_odd``; nf's terms are key ids, and ``ids`` maps each basis
     comb to its key id, its slot: the basis keys come first, in slot order.
+    Each one step is kept once, by ``root``: its own per (g, key id, key id),
+    and a bracket's in F's memo, which ``bracket`` reads with its sign.
     """
 
     def __init__(self, pres: Presentation, labels: tuple[Atom, ...]):
@@ -879,7 +890,7 @@ class _Rewriting(_NormalForms):
         self.keys: list[tuple[int, ...]] = []
         self.key_odd: list[int] = []
         self.key_ids: dict[tuple[int, ...], int] = {}
-        self._brackets: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
+        self._roots: dict[tuple[str, int, int], dict[int, Fraction | int]] = {}
         self._forms: dict[Tree, tuple[tuple[int, Fraction | int], ...]] = {}
         e, rule = pres.product, self.factor._rule
 
@@ -925,23 +936,19 @@ class _Rewriting(_NormalForms):
         """The key id of a word's factors in smallest-leaf order, and its sign."""
         return self._key_id(tuple(sorted(word, key=self.factor.mins.__getitem__))), self.koszul(word)
 
-    def bracket(self, g: str, p: int, q: int) -> list[tuple[int, Fraction | int]]:
-        """g(p, q) reduced by F's rewriting, as factors."""
-        key = (g, p, q)
-        out = self._brackets.get(key)
-        if out is None:
-            if self.factor.mins[p] < self.factor.mins[q]:
-                root, sign = self.factor.root(g, p, q), 1
-            else:  # swapped children: g's symmetry and the Koszul sign of p, q
-                root = self.factor.root(g, q, p)
-                sign = self.pres.gens[g].symmetry * self.koszul((p, q))
-            out = self._brackets[key] = [(f, sign * c) for f, c in root.items()]
-        return out
+    def bracket(self, g: str, p: int, q: int) -> Iterable[tuple[int, Fraction | int]]:
+        """g(p, q) reduced by F's rewriting, as factors: F's one step, read
+        from its memo, with the sign of the children's order."""
+        if self.factor.mins[p] < self.factor.mins[q]:
+            return self.factor.root(g, p, q).items()
+        # swapped children: g's symmetry and the Koszul sign of p, q
+        sign = self.pres.gens[g].symmetry * self.koszul((p, q))
+        return ((f, sign * c) for f, c in self.factor.root(g, q, p).items())
 
     def _leaf(self, t: Atom) -> int:
         return self._key_id((self.factor.ids[t],))
 
-    def root(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
+    def _step(self, g: str, i: int, j: int) -> dict[int, Fraction | int]:
         """nf(g(comb(keys[i]), comb(keys[j]))) for keys on disjoint blocks:
         the one step of nf at a root whose children are normal, which
         ``normal_form`` takes at every vertex."""

@@ -39,8 +39,9 @@ reads the h of a tree reads the same parity off its normal form:
   the preorder prefix sign, so d_B(g(x, y)) = nf(d(g)(nf x, nf y))
   + (-1)^h(g) nf(g(d_B x, nf y)) + (-1)^(h(g) + h(x)) nf(g(nf x, d_B y)).
 
-Every nf(g'(u, v)) there is a one-step normal form of two normal-form keys
-(``operad._Rewriting.root``).  One step function holds each sign,
+Every nf(g'(u, v)) there is a one-step normal form of two normal-form keys,
+read from the rewriting's one memo of them (``operad._NormalForms.root``),
+which ``BasisImages`` does not copy.  One step function holds each sign,
 ``_coproduct_sign`` and ``_derivation_signs``, and both the free
 expansions (``_coproduct_parts``, ``_diff_tree``) and ``BasisImages`` call
 it, so the two routes cannot disagree on a sign.
@@ -342,16 +343,14 @@ def differential(x: OperadElement, which: str) -> OperadElement:
 class BasisImages:
     """Delta_B = (nf (x) nf) Delta and d_B = nf d on the trees of a component
     on {1..n}, in the key ids of its rewriting (see the module docstring):
-    a tree's image is formed from its children's normal forms, which the
-    rewriting keeps, and images, which are kept here, while the image of
-    the tree asked for is not.  Delta_B(t) maps pairs of key ids, d_B(t)
-    key ids, to coefficients."""
+    a tree's image is formed from its children's normal forms and the one
+    steps, which the rewriting keeps, and images, which are kept here, while
+    the image of the tree asked for is not.  Delta_B(t) maps pairs of key
+    ids, d_B(t) key ids, to coefficients."""
 
     def __init__(self, comp: Component):
         self.rw = comp.rewriting
         self.gens = comp.pres.gens
-        # rw.root(g, i, j) of each (g, i, j) asked for
-        self._roots: dict[tuple[str, int, int], list[tuple[int, Fraction | int]]] = {}
         self._deltas: dict[Tree, tuple] = {}
         self._ds: dict[tuple[Tree, str], dict] = {}
         # per generator g2, _coproduct_sign(h(g2), hu1, hu2, hv1) at 4 hu1 + 2 hu2 + hv1
@@ -367,12 +366,12 @@ class BasisImages:
         g, l, r = t
         lefts, left_seconds, left_terms = self._delta(l)
         rights, right_seconds, right_terms = self._delta(r)
-        root = self._root
+        root = self.rw.root
         out: dict[tuple[int, int], Fraction | int] = {}
         for g1, g2 in COPRODUCT_TABLE[g]:
             signs = self._signs[g2]
-            firsts = [[root(g1, u, v) for v in rights] for u in lefts]
-            seconds = [[root(g2, u, v) for v in right_seconds] for u in left_seconds]
+            firsts = [[root(g1, u, v).items() for v in rights] for u in lefts]
+            seconds = [[root(g2, u, v).items() for v in right_seconds] for u in left_seconds]
             for a, b, cu, at, _ in left_terms:
                 first_a, second_b = firsts[a], seconds[b]
                 for c, d, cv, _, hv1 in right_terms:
@@ -402,15 +401,9 @@ class BasisImages:
             terms += [(g, i, j, right_sign * ci * cj) for i, ci in nl for j, cj in dr.items()]
         out: dict[int, Fraction | int] = {}
         for gen, i, j, c in terms:
-            for k, v in self._root(gen, i, j):
+            for k, v in self.rw.root(gen, i, j).items():
                 out[k] = out.get(k, 0) + c * v
         return {k: c for k, c in out.items() if c}
-
-    def _root(self, g: str, i: int, j: int) -> list[tuple[int, Fraction | int]]:
-        out = self._roots.get((g, i, j))
-        if out is None:
-            out = self._roots[g, i, j] = list(self.rw.root(g, i, j).items())
-        return out
 
     def _delta(self, t: Tree) -> tuple[list[int], list[int], list[tuple]]:
         """Delta_B(t), kept: the ids of its first and of its second factors,
@@ -447,9 +440,7 @@ def basis_images(images: dict[Component, BasisImages], comp: Component) -> Basis
 # --- verification reports ----------------------------------------------------
 
 
-def hopf_check(
-    n: int, store: ComponentStore | None = None, images: dict[Component, BasisImages] | None = None
-) -> list[dict]:
+def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations.
 
     The coproduct, followed by the tensor normal form, kills the ideal when
@@ -457,9 +448,8 @@ def hopf_check(
     to 3 (``operad.one_step_witness``); a failure names the first tree whose
     row it does not kill.  The two sides of each identity on a basis tree
     are first compared as free-operad tensors and normalised only when those
-    differ (see the module docstring).  ``images`` holds the
-    ``BasisImages`` of each component, for callers that check several
-    arities to share; by default the call keeps its own.
+    differ (see the module docstring).  The call keeps the ``BasisImages``
+    of each arity it walks; the one steps they read stay in the rewritings.
     """
     store = store or default_store()
     pres = presentation("ram")
@@ -467,7 +457,7 @@ def hopf_check(
     labels = standard_labels(n)
     comp = component_basis(pres, labels, store)
 
-    images = {} if images is None else images
+    images: dict[Component, BasisImages] = {}
     bad_tree = one_step_witness(pres, n, lambda t, c: basis_images(images, c).coproduct(t), store)
     witness = None if bad_tree is None else {"tree": tree_str(bad_tree)}
     verdicts = [verdict("coproduct_kills_ideal", bad_tree is None, witness, n=n)]

@@ -56,9 +56,8 @@ SUITES = ("hopf", "differentials", "cooperad", "lemmas", "forms", "all")
 def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
     store = store or default_store()
     verdicts = []
-    images: dict = {}  # the BasisImages of each component, for every arity
     for k in range(2, n + 1):
-        verdicts.extend(hopf_check(k, store, images))
+        verdicts.extend(hopf_check(k, store))
     return verdicts
 
 
@@ -164,9 +163,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
         for colors, name in ((("a", "a", "b"), "aab"), (("a", "b", "b"), "abb")):
             total = path_permutation_sum(gpres, labels4, colors, "forest")
             ok = comp4.normal_form(total).is_zero()
-            verdicts.append(
-                verdict(f"permutation_sum_{name}_vanishes", ok, None if ok else {"sum": repr(total)})
-            )
+            verdicts.append(verdict(f"permutation_sum_{name}_vanishes", ok, {"sum": repr(total)}))
 
     for k in range(2, min(n, 4) + 1):
         labels = standard_labels(k)
@@ -177,7 +174,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
             verdict(
                 "forest_dims_match_full_dims",
                 ok,
-                None if ok else {"forest": sorted(forest.dims.items()), "full": sorted(full.dims.items())},
+                {"forest": sorted(forest.dims.items()), "full": sorted(full.dims.items())},
                 n=k,
             )
         )
@@ -186,7 +183,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
         comp = algebra_basis(gpres, standard_labels(k), "forest", store)
         max_w = max((w for (_, w) in comp.dims), default=0)
         ok = max_w <= k - 1
-        verdicts.append(verdict("second_degree_bounded", ok, None if ok else {"max_w": max_w}, n=k))
+        verdicts.append(verdict("second_degree_bounded", ok, {"max_w": max_w}, n=k))
 
     for k in range(2, n + 1):
         comp = algebra_basis(ARNOLD_PRESENTATION, standard_labels(k), "forest", store)
@@ -197,7 +194,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
             verdict(
                 "arnold_hilbert_series",
                 ok,
-                None if ok else {"expected": sorted(expected.items()), "got": sorted(got.items())},
+                {"expected": sorted(expected.items()), "got": sorted(got.items())},
                 n=k,
             )
         )
@@ -208,7 +205,7 @@ def suite_lemmas(n: int, store: ComponentStore | None = None) -> list[dict]:
                 verdict(
                     "arnold_forest_matches_full",
                     ok,
-                    None if ok else {"forest": sorted(comp.dims.items()), "full": sorted(full.dims.items())},
+                    {"forest": sorted(comp.dims.items()), "full": sorted(full.dims.items())},
                     n=k,
                 )
             )
@@ -240,8 +237,7 @@ def suite_distributive(n: int, store: ComponentStore | None = None) -> list[dict
     verdicts = []
     for k in range(1, n + 1):
         rep = distributive_check(k, store)
-        witness = None if rep["pass"] else {"relation": rep["witness"]}
-        verdicts.append(verdict("distributive_factorization", rep["pass"], witness, n=k))
+        verdicts.append(verdict("distributive_factorization", rep["pass"], {"relation": rep["witness"]}, n=k))
     return verdicts
 
 

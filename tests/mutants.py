@@ -190,6 +190,17 @@ MUTANTS = (
         "if False:",
         ("tests/test_quotient.py::test_an_operad_component_refuses_a_tree_off_its_labels",),
     ),
+    Mutant(
+        "bracket_without_the_symmetry_of_g",
+        "ramops/operad.py",
+        "sign = self.pres.gens[g].symmetry * self.koszul((p, q))",
+        "sign = self.koszul((p, q))",
+        (
+            "tests/test_operad.py::test_normal_forms_match_their_digest",
+            "tests/test_operad.py::test_normal_form_equivariance",
+            "tests/test_ram.py::test_distributive_check_examples",
+        ),
+    ),
 )
 
 

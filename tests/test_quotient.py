@@ -774,8 +774,10 @@ def test_ideal_witness_checks_basis_monomials(name, monkeypatch):
 
     assert one_step_witness(pres, 4, image, store) is None
     comp = component_basis(pres, (1, 2, 3, 4), store)
-    b = comp.basis[len(comp.basis) // 2]
-    monkeypatch.setitem(comp.rewriting._forms, b, ((comp.slot(b), Fraction(2)),))
+    b, rw = comp.basis[len(comp.basis) // 2], comp.rewriting
+    # the one step that forms b from its children's normal forms
+    (i, _), (j, _) = rw.normal_form(b[1]) + rw.normal_form(b[2])
+    monkeypatch.setitem(rw._roots, (b[0], i, j), {comp.slot(b): Fraction(2)})
     assert one_step_witness(pres, 4, image, store) == b
 
 

@@ -327,6 +327,54 @@ def test_basis_images_equal_the_normalised_free_images():
                 assert d == comp.coords(differential(comp.monomial_element(t), which)), (t, which)
 
 
+def _walk_the_one_steps(name, store):
+    """One-step walks at arity 4 on the store, each of which must pass: of nf
+    itself, formed from the children's normal forms, and on ``ram`` of d_B
+    for both differentials and hopf_check's of Delta_B."""
+    pres = presentation(name)
+
+    def nf(t, comp):
+        rw = comp.rewriting
+        return dict(rw._product(t[0], rw.normal_form(t[1]), rw.normal_form(t[2])))
+
+    assert operad.one_step_witness(pres, 4, nf, store) is None
+    if name == "ram":
+        images = {}
+        for which in ("down", "up"):
+            image = lambda t, c: ram.basis_images(images, c).differential(t, which)
+            assert operad.one_step_witness(pres, 4, image, store) is None
+        assert all(v["pass"] for v in hopf_check(4, store))
+
+
+@pytest.mark.parametrize("name", ("liegriess", "ram"))
+def test_each_one_step_is_taken_once_per_rewriting(name, monkeypatch):
+    # a rewriting keeps nf(g(a, b)) in one memo, which the walks, Delta_B,
+    # d_B and the composite's brackets all read: no rewriting, composite or
+    # factor, steps a triple (g, i, j) twice
+    steps = Counter()
+    for cls in (operad._Groebner, _Rewriting):
+
+        def counted(self, g, i, j, step=cls._step):
+            steps[self, g, i, j] += 1
+            return step(self, g, i, j)
+
+        monkeypatch.setattr(cls, "_step", counted)
+    _walk_the_one_steps(name, ComponentStore())
+    assert steps and max(steps.values()) == 1
+
+
+@pytest.mark.parametrize("name", ("liegriess", "ram"))
+def test_the_one_step_walks_keep_no_one_step_tree(name):
+    # a candidate's normal form is formed from its children's through the
+    # memo of one steps, so of the trees on all four labels the rewriting's
+    # memo of normal forms keeps basis trees at most
+    store = ComponentStore()
+    _walk_the_one_steps(name, store)
+    comp = component_basis(presentation(name), standard_labels(4), store)
+    kept = {t for t in comp.rewriting._forms if len(list(operad.tree_leaves(t))) == 4}
+    assert kept <= set(comp.basis)
+
+
 def _algebra_differential_unsigned(x, which):
     """graphalg.differential_algebra with the sign of each moved letter dropped."""
     out = AlgebraElement(x.labels, x.pres)
