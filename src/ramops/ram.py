@@ -46,19 +46,36 @@ which ``BasisImages`` does not copy.  One step function holds each sign,
 expansions (``_coproduct_parts``, ``_diff_tree``) and ``BasisImages`` call
 it, so the two routes cannot disagree on a sign.
 
-``hopf_check`` reads Delta_B for the ideal verdict and compares the two
-sides of coassociativity and of the coderivation identities as free-operad
-tensors first.  The tensor normal form is a function of the free tensor, so
-equal free tensors have equal normal forms and the identity holds in the
-quotient; only when the free tensors differ are both sides normalised and
-compared.  Tensor normal forms read each tree's basis expansion from the
-component's shared memo.
+``hopf_check`` reads Delta_B for the ideal verdict.  Coassociativity and
+the two coderivation identities it decides on E, L and G, the basis at
+arity 2, as identities between free-operad tensors, whatever n is
+(Loday-Vallette, Algebraic Operads):
+
+* Delta is a morphism of the free operad into the Hadamard product of two
+  copies of it when ``_coproduct_sign`` is the Koszul sign of its word
+  g1 g2 u1 u2 v1 v2 -> g1 u1 v1 g2 u2 v2.  Then (Delta (x) 1) Delta and
+  (1 (x) Delta) Delta are both morphisms into the threefold product;
+* down and up are odd derivations when ``_derivation_signs`` is the Koszul
+  sign of d passing g, or g and l.  Then Delta d and
+  (d (x) 1 + (-1)^h(t1) 1 (x) d) Delta are both derivations along Delta;
+  the sign (-1)^h(t1) is ``_derivation_signs`` at a vertex t1 (x) t2 of
+  degree 0, so no sign of either side lives outside the two rules;
+* two morphisms, or two derivations along one morphism, that agree on the
+  generators agree on every tree of the free operad, so on every basis
+  tree at every arity, and equal free tensors have equal normal forms.
+
+The premises are finite sign rules: ``sign_rule_witness`` compares each
+rule, on every parity word of its inputs, with the count of odd inversions
+of its word permutation, on every call.  A rule that fails fails every
+identity resting on it, with the witness {"sign_rule", "parities"}.  So
+an identity verdict at n certifies the identity on every tree of arity n
+(and every other), and the per-tree walks are left to the tests
+(``tests/hopf_oracle.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import comb
 
@@ -81,7 +98,6 @@ from .operad import (
     leading_rule,
     leibniz,
     one_step_witness,
-    tree_h,
     tree_str,
 )
 from .reports import dims_to_table, verdict
@@ -324,6 +340,29 @@ def _derivation_signs(hg: int, hl: int) -> tuple[int, int]:
     return (-1 if hg & 1 else 1), (-1 if (hg + hl) & 1 else 1)
 
 
+# per sign rule: the number of its inputs, and at their parities p its signs,
+# each with its word's parities and the order it puts the word in
+_SIGN_RULES = {
+    # g1 g2 u1 u2 v1 v2 -> g1 u1 v1 g2 u2 v2
+    "_coproduct_sign": (6, lambda p: [(p, (0, 2, 4, 1, 3, 5), _coproduct_sign(*p[1:5]))]),
+    # an odd d before g(l, r), at p = (h(g), h(l)): d g l -> g d l, or g l d
+    "_derivation_signs": (2, lambda p: zip([(1, *p)] * 2, [(1, 0, 2), (1, 2, 0)], _derivation_signs(*p))),
+}
+
+
+def sign_rule_witness(rule: str) -> dict | None:
+    """The witness {"sign_rule", "parities"} of the first parities of the
+    rule's inputs, in product order, where it is not the Koszul sign of its
+    word permutation, -1 to the number of odd pairs it inverts, else None."""
+    inputs, cases = _SIGN_RULES[rule]
+    for p in product((0, 1), repeat=inputs):
+        for word, order, sign in cases(p):
+            odd_inversions = sum(word[a] & word[b] for i, a in enumerate(order) for b in order[i + 1 :] if a > b)
+            if sign != (-1) ** odd_inversions:
+                return {"sign_rule": rule, "parities": list(p)}
+    return None
+
+
 def differential(x: OperadElement, which: str) -> OperadElement:
     """Apply the derivation ``down`` (G->L) or ``up`` (L->G); replacing a
     generator keeps every child order, so each tree is canonical as made."""
@@ -440,85 +479,73 @@ def basis_images(images: dict[Component, BasisImages], comp: Component) -> Basis
 # --- verification reports ----------------------------------------------------
 
 
+# each identity that hopf_check decides on the generators, and the sign rules it rests on
+HOPF_IDENTITIES = {
+    "coproduct_coassociative": ("_coproduct_sign",),
+    "coderivation_down": ("_coproduct_sign", "_derivation_signs"),
+    "coderivation_up": ("_coproduct_sign", "_derivation_signs"),
+}
+
+
 def hopf_check(n: int, store: ComponentStore | None = None) -> list[dict]:
     """Coproduct facts at arity n: kills the ideal, coassociative, coderivations.
 
     The coproduct, followed by the tensor normal form, kills the ideal when
     Delta_B kills the one-step rows e_t - nf(t) at arity n, then n - 1 down
     to 3 (``operad.one_step_witness``); a failure names the first tree whose
-    row it does not kill.  The two sides of each identity on a basis tree
-    are first compared as free-operad tensors and normalised only when those
-    differ (see the module docstring).  The call keeps the ``BasisImages``
-    of each arity it walks; the one steps they read stay in the rewritings.
+    row it does not kill.  The identities read ``_hopf_identities``, which
+    decides them at every arity (see the module docstring).  The call keeps
+    the ``BasisImages`` of each arity it walks; the one steps they read stay
+    in the rewritings.
     """
     store = store or default_store()
     pres = presentation("ram")
-    gens = pres.gens
-    labels = standard_labels(n)
-    comp = component_basis(pres, labels, store)
-
     images: dict[Component, BasisImages] = {}
     bad_tree = one_step_witness(pres, n, lambda t, c: basis_images(images, c).coproduct(t), store)
     witness = None if bad_tree is None else {"tree": tree_str(bad_tree)}
-    verdicts = [verdict("coproduct_kills_ideal", bad_tree is None, witness, n=n)]
+    bad = _hopf_identities(component_basis(pres, standard_labels(2), store).basis, pres.gens)
+    return [verdict("coproduct_kills_ideal", bad_tree is None, witness, n=n)] + [
+        verdict(name, name not in bad, bad.get(name), n=n) for name in HOPF_IDENTITIES
+    ]
 
-    def differs(lhs: dict, rhs: dict, arity: int) -> bool:
-        if lhs == rhs:
-            return False
-        comps = (comp,) * arity
-        return quotient.tensor_normal_form(lhs, comps) != quotient.tensor_normal_form(rhs, comps)
 
-    # this call's memos: Δ of each tree, the h-parity of each left factor
-    delta_of = cache(lambda t: _coproduct_tree(t, gens))
-    odd = cache(lambda t: tree_h(t, gens) & 1)
-
-    d_memo: dict[tuple[Tree, str], dict] = {}
-
-    def d(t: Tree, which: str) -> dict:
-        out = d_memo.get((t, which))
-        if out is None:
-            out = d_memo[t, which] = {}
-            for tree, s in _diff_tree(t, DIFFERENTIAL_MAPS[which], gens)[0]:
-                bump(out, tree, s)
-        return out
-
-    # one pass over the basis trees, in slot order, takes the free coproduct
-    # of each once for all three identities; each keeps its first failure
-    names = ["coproduct_coassociative", "coderivation_down", "coderivation_up"]
+def _hopf_identities(generators: list[Tree], gens: Signature) -> dict[str, dict]:
+    """The witness of each identity of ``HOPF_IDENTITIES`` that fails: the
+    first sign rule it rests on that is not Koszul's, else the first
+    generator on which its two sides differ as free tensors."""
+    premises = {rule: sign_rule_witness(rule) for rule in _SIGN_RULES}
     bad: dict[str, dict] = {}
-    for b in comp.basis:
-        delta: dict[tuple, Fraction] = {}
-        for t1, t2, s in delta_of(b):
-            bump(delta, (t1, t2), s)
-        if names[0] not in bad:
-            left: dict[tuple, Fraction] = {}
-            right: dict[tuple, Fraction] = {}
-            for (t1, t2), c in delta.items():
-                for u1, u2, s in delta_of(t1):
-                    bump(left, (u1, u2, t2), c * s)
-                for v1, v2, s in delta_of(t2):
-                    bump(right, (t1, v1, v2), c * s)
-            if differs(left, right, 3):
-                bad[names[0]] = {"basis_tree": repr(b)}
-        for which, name in zip(("down", "up"), names[1:]):
-            if name in bad:
-                continue
-            lhs: dict[tuple, Fraction] = {}
-            for t, c in d(b, which).items():
-                for t1, t2, s in delta_of(t):
+    for name, rules in HOPF_IDENTITIES.items():
+        for witness in filter(None, map(premises.get, rules)):
+            bad.setdefault(name, witness)
+    for b in generators:
+        delta = _coproduct_tree(b, gens)
+        left: dict[tuple, int] = {}
+        right: dict[tuple, int] = {}
+        for t1, t2, c in delta:
+            for u1, u2, s in _coproduct_tree(t1, gens):
+                bump(left, (u1, u2, t2), c * s)
+            for v1, v2, s in _coproduct_tree(t2, gens):
+                bump(right, (t1, v1, v2), c * s)
+        if left != right:
+            bad.setdefault("coproduct_coassociative", {"basis_tree": repr(b)})
+        for which, mapping in DIFFERENTIAL_MAPS.items():
+            lhs: dict[tuple, int] = {}
+            for t, c in _diff_tree(b, mapping, gens)[0]:
+                for t1, t2, s in _coproduct_tree(t, gens):
                     bump(lhs, (t1, t2), c * s)
-            rhs: dict[tuple, Fraction] = {}
-            for (t1, t2), c in delta.items():
-                for t1d, c1 in d(t1, which).items():
-                    bump(rhs, (t1d, t2), c * c1)
-                c_signed = -c if odd(t1) else c
-                for t2d, c2 in d(t2, which).items():
-                    bump(rhs, (t1, t2d), c_signed * c2)
-            if differs(lhs, rhs, 2):
-                bad[name] = {"basis_tree": repr(b), "differential": which}
-        if len(bad) == len(names):
-            break
-    return verdicts + [verdict(name, name not in bad, bad.get(name), n=n) for name in names]
+            rhs: dict[tuple, int] = {}
+            for t1, t2, c in delta:
+                d1, h1 = _diff_tree(t1, mapping, gens)
+                for t, c1 in d1:
+                    bump(rhs, (t, t2), c * c1)
+                # d passes t1 to reach t2, as at a vertex of degree 0
+                c_signed = c * _derivation_signs(0, h1)[1]
+                for t, c2 in _diff_tree(t2, mapping, gens)[0]:
+                    bump(rhs, (t1, t), c_signed * c2)
+            if lhs != rhs:
+                bad.setdefault(f"coderivation_{which}", {"basis_tree": repr(b), "differential": which})
+    return bad
 
 
 # --- distributive-law check -------------------------------------------------

@@ -4,10 +4,8 @@ Each suite returns a list of verdict dicts ({check, pass, params, witness?})
 in a deterministic order, so reports are byte-stable run to run.
 
 The derivation identities of ``differentials`` (``_derivation_checks``),
-d^2 = 0 for each differential and d_up d_down + d_down d_up = weight, are
-checked on the basis: the basis trees of Ram and the basis masks of the
-forest algebra, at each arity from 2.  That decides them on every tree and
-every mask:
+d^2 = 0 for each differential and d_up d_down + d_down d_up = weight, hold
+everywhere once they hold on the generators:
 
 * down and up are derivations of odd degree: of the free operad, given on
   the generators and extended with the preorder prefix sign
@@ -23,9 +21,15 @@ every mask:
   generators are basis monomials: E, L, G at arity 2, and every letter,
   which no relation of degree >= 2 kills, at every arity.
 
-A sign fault makes a map no derivation, and then the basis decides
-nothing by this argument; the tests hold the basis route to the oracle on
-every ambient tree and forest mask under such faults.
+On the operad side the premise is a finite sign rule, so the identities
+are decided once, on E, L and G as free-operad elements, with
+``ram.sign_rule_witness`` checking ``_derivation_signs`` against the
+Koszul sign on all four of its inputs; the verdict at each arity reads
+that decision, and a failing rule fails all three with its witness.  The
+algebra side still checks every basis mask at each arity.  A sign fault
+there makes the map no derivation, and then the basis decides nothing by
+this argument; the tests hold both sides to the oracle on every ambient
+tree and forest mask (``tests/derivation_oracle.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .graphalg import (
 )
 from .labels import ordered_splits, standard_labels
 from .operad import component_basis, one_step_witness, tree_str
-from .ram import basis_images, differential, distributive_check, hopf_check, presentation
+from .ram import basis_images, differential, distributive_check, hopf_check, presentation, sign_rule_witness
 from .forms import check_survey_args, relation_survey
 from .reports import informational, verdict
 
@@ -61,16 +65,19 @@ def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
     return verdicts
 
 
-def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple[str, str]) -> list[dict]:
+def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple, n: int, premise=None) -> list[dict]:
     """D^2 = 0 for each derivation in ``order``, then [up, down] = weight, on
-    every monomial of ``monomials``, all on the labels of the component.
+    every monomial of ``monomials``, as verdicts at arity n.  A failed
+    ``premise`` fails all three with its witness.
 
     One pass over the monomials takes each first derivative once, for its
     square and for the Laplacian; each check's witness is its first failing
     monomial."""
     names = [f"{side}_{which}_squares_to_zero" for which in order] + [f"{side}_laplacian_is_weight"]
-    bad: dict[str, dict] = {}
+    bad: dict[str, dict] = dict.fromkeys(names, premise) if premise else {}
     for m in monomials:
+        if len(bad) == len(names):
+            break
         el = comp.monomial_element(m)
         first = {which: derivation(el, which) for which in order}
         for which, name in zip(order, names):
@@ -80,9 +87,7 @@ def _derivation_checks(side: str, comp, monomials: list, derivation, order: tupl
             w = el.bidegree()[1]
             if derivation(first["up"], "down") + derivation(first["down"], "up") != el.scaled(w):
                 bad[names[2]] = {"monomial": repr(el), "weight": w}
-        if len(bad) == len(names):
-            break
-    return [verdict(name, name not in bad, bad.get(name), n=len(comp.labels)) for name in names]
+    return [verdict(name, name not in bad, bad.get(name), n=n) for name in names]
 
 
 def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dict]:
@@ -90,10 +95,12 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
     pres = presentation("ram")
     verdicts = []
     images: dict = {}  # the BasisImages of each component, for every arity and both maps
+    # the operad side is decided on E, L and G, the basis at arity 2 (see the module docstring)
+    comp2 = component_basis(pres, standard_labels(2), store)
+    premise = sign_rule_witness("_derivation_signs")
     for k in range(2, n + 1):
         labels = standard_labels(k)
-        comp = component_basis(pres, labels, store)
-        verdicts.extend(_derivation_checks("operad", comp, comp.basis, differential, ("down", "up")))
+        verdicts.extend(_derivation_checks("operad", comp2, comp2.basis, differential, ("down", "up"), k, premise))
 
         if k >= 3:
             for which in ("down", "up"):
@@ -103,7 +110,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)
-        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.basis, differential_algebra, ("up", "down")))
+        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.basis, differential_algebra, ("up", "down"), k))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)

@@ -1,8 +1,9 @@
 """The derivation identities on every ambient tree and forest mask.
 
 ``suites._derivation_checks`` checks d^2 = 0 for each differential and
-d_up d_down + d_down d_up = weight on the basis trees of the operad and the
-basis masks of the forest algebra, which suffices for derivations (see the
+d_up d_down + d_down d_up = weight on E, L and G for the operad, under the
+premise that ``ram._derivation_signs`` is the Koszul sign, and on the basis
+masks of the forest algebra, which suffices for derivations (see the
 ``suites`` docstring).  This oracle checks them on every ambient tree and
 every forest mask instead; on the faults of the tests both routes must fail
 the same verdicts.  The maps are read through their modules at call time,

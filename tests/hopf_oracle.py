@@ -2,8 +2,10 @@
 
 ``hopf_check`` builds both sides of coassociativity and of the coderivation
 identities as free-operad tensors and always compares their normal forms,
-basis tree by basis tree.  The tests compare ``ram.hopf_check``, which
-normalises only when the free tensors differ, against it.
+basis tree by basis tree.  ``ram.hopf_check`` decides them on E, L and G
+once its sign rules are Koszul's (see ``ram``); the tests require the two
+to agree when the rules are right, and the engine to fail every verdict
+this oracle fails when one is wrong.
 
 The ideal checks here loop over the grafted span
 (``span_oracle.grafted_ideal_span``) at arity n; the engine's verdicts read

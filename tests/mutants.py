@@ -91,6 +91,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "derivation_signs_right_without_hl",
+        "ramops/ram.py",
+        "return (-1 if hg & 1 else 1), (-1 if (hg + hl) & 1 else 1)",
+        "return (-1 if hg & 1 else 1), (-1 if hg & 1 else 1)",
+        (
+            "tests/test_ram.py::test_hopf_check_small",
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_preserves_ideal_matches_span_oracle",
+            "tests/test_ram.py::test_ideal_verdicts_read_no_grafted_span",
+            "tests/test_acceptance.py::test_criterion_7_property_suites",
+        ),
+    ),
+    Mutant(
+        "derivation_signs_left_unsigned",
+        "ramops/ram.py",
+        "return (-1 if hg & 1 else 1), (-1 if (hg + hl) & 1 else 1)",
+        "return 1, (-1 if (hg + hl) & 1 else 1)",
+        (
+            "tests/test_ram.py::test_hopf_check_small",
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_ideal_verdicts_read_no_grafted_span",
+            "tests/test_acceptance.py::test_criterion_7_property_suites",
+        ),
+    ),
+    Mutant(
         "leading_rule_without_the_order_condition",
         "ramops/operad.py",
         "if rule is None or y_min > z_min:",

@@ -270,19 +270,22 @@ def _coproduct_sign_wrong_exponent(hg2, hu1, hu2, hv1):
     return -1 if (hg2 * hu1 + hu2 * hv1) & 1 else 1
 
 
+HOPF_IDENTITIES = ["coproduct_coassociative", "coderivation_down", "coderivation_up"]
+
+
 def test_wrong_coproduct_sign_fails_alike_on_both_paths(monkeypatch):
-    # the free expansion and the basis-coordinate coproduct share the sign
+    # the free expansion and the basis-coordinate coproduct share the sign:
+    # the identities fail on their premise at every arity, the ideal verdict
+    # where the one-step rows first see the sign, and the engine fails every
+    # verdict that the per-tree oracle fails
     monkeypatch.setattr(ram, "_coproduct_sign", _coproduct_sign_wrong_exponent)
     failed = {}
     for n in (2, 3, 4):
-        verdicts = hopf_check(n)
-        _assert_matches_oracle(verdicts, oracle.hopf_check(n), n, ("coproduct_kills_ideal",))
+        verdicts, expected = hopf_check(n), oracle.hopf_check(n)
         failed[n] = [v["check"] for v in verdicts if not v["pass"]]
-    assert failed == {
-        2: [],
-        3: ["coderivation_down", "coderivation_up"],
-        4: ["coproduct_kills_ideal", "coderivation_down", "coderivation_up"],
-    }
+        assert set(failed[n]) >= {v["check"] for v in expected if not v["pass"]}, n
+        assert verdicts[0]["check"] == "coproduct_kills_ideal" and verdicts[0]["pass"] == expected[0]["pass"]
+    assert failed == {2: HOPF_IDENTITIES, 3: HOPF_IDENTITIES, 4: ["coproduct_kills_ideal"] + HOPF_IDENTITIES}
 
 
 def _diff_tree_unsigned_right(hg, hl):
@@ -292,6 +295,61 @@ def _diff_tree_unsigned_right(hg, hl):
 
 
 OPERAD_IDEAL_CHECKS = ("operad_down_preserves_ideal", "operad_up_preserves_ideal")
+
+
+def _derivation_signs_left_unsigned(hg, hl):
+    """ram._derivation_signs with the prefix sign of the left-subtree term
+    dropped: no generator reads it, so only the sign-rule premise sees it."""
+    return 1, (-1 if (hg + hl) & 1 else 1)
+
+
+OPERAD_IDENTITIES = ["operad_down_squares_to_zero", "operad_up_squares_to_zero", "operad_laplacian_is_weight"]
+
+
+@pytest.mark.parametrize(
+    "rule, fault, parities, licensed",
+    (
+        ("_coproduct_sign", _coproduct_sign_wrong_exponent, [0, 1, 0, 0, 1, 0], HOPF_IDENTITIES),
+        ("_derivation_signs", _diff_tree_unsigned_right, [0, 1], HOPF_IDENTITIES[1:] + OPERAD_IDENTITIES),
+        ("_derivation_signs", _derivation_signs_left_unsigned, [1, 0], HOPF_IDENTITIES[1:] + OPERAD_IDENTITIES),
+    ),
+    ids=("coproduct-exponent", "unsigned-right-differential", "unsigned-left-differential"),
+)
+def test_a_wrong_sign_rule_fails_every_identity_it_licenses(rule, fault, parities, licensed, monkeypatch):
+    # the rule's witness names it and its first parities off the Koszul
+    # sign; every identity verdict resting on it fails with that witness at
+    # every arity, and every other identity verdict passes
+    monkeypatch.setattr(ram, rule, fault)
+    witness = {"sign_rule": rule, "parities": parities}
+    assert ram.sign_rule_witness(rule) == witness
+    assert all(ram.sign_rule_witness(r) is None for r in ("_coproduct_sign", "_derivation_signs") if r != rule)
+    store = ComponentStore()
+    verdicts = suites.suite_hopf(4, store) + suite_differentials(4, store)
+    at = {}
+    for v in verdicts:
+        if v["check"] in HOPF_IDENTITIES + OPERAD_IDENTITIES:
+            assert v["pass"] is (v["check"] not in licensed), v
+            assert v["pass"] or v["witness"] == witness, v
+            at.setdefault(v["check"], []).append(v["params"]["n"])
+    assert at == {name: [2, 3, 4] for name in HOPF_IDENTITIES + OPERAD_IDENTITIES}
+
+
+def test_identity_verdicts_expand_no_tree_past_arity_2(monkeypatch):
+    # the identities are decided on E, L and G: neither suite takes the
+    # free coproduct or a free differential of a tree on more labels
+    arities = Counter()
+    for name in ("_coproduct_tree", "_diff_tree"):
+
+        def counted(t, *args, name=name, step=getattr(ram, name)):
+            arities[name, len(list(operad.tree_leaves(t)))] += 1
+            return step(t, *args)
+
+        monkeypatch.setattr(ram, name, counted)
+    store = ComponentStore()
+    verdicts = suites.suite_hopf(4, store) + suite_differentials(4, store)
+    assert all(v["pass"] for v in verdicts)
+    assert {name for name, _ in arities} == {"_coproduct_tree", "_diff_tree"}
+    assert max(k for _, k in arities) == 2, sorted(arities)
 
 
 @pytest.mark.parametrize("fault", (None, _diff_tree_unsigned_right))
