@@ -70,7 +70,11 @@ of its word permutation, on every call.  A rule that fails fails every
 identity resting on it, with the witness {"sign_rule", "parities"}.  So
 an identity verdict at n certifies the identity on every tree of arity n
 (and every other), and the per-tree walks are left to the tests
-(``tests/hopf_oracle.py``).
+(``tests/hopf_oracle.py``).  The certificate also rests on the recursion
+of ``_coproduct_parts`` and ``_diff_tree``, which the generators do not
+exercise: that each passes its rule the parities of the right subtrees
+and returns the right sum of h.  The tests hold both to the per-tree
+oracles, and the mutant catalogue faults their call sites.
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ everywhere once they hold on the generators:
 On the operad side the premise is a finite sign rule, so the identities
 are decided once, on E, L and G as free-operad elements, with
 ``ram.sign_rule_witness`` checking ``_derivation_signs`` against the
-Koszul sign on all four of its inputs; the verdict at each arity reads
-that decision, and a failing rule fails all three with its witness.  The
+Koszul sign on all four of its inputs; the verdicts at every arity read
+that one decision, made once per call, and a failing rule fails all three
+with its witness.  As in ``ram``, the certificate also rests on
+``ram._diff_tree`` passing the rule the parities of the right subtrees.  The
 algebra side still checks every basis mask at each arity.  A sign fault
 there makes the map no derivation, and then the basis decides nothing by
 this argument; the tests hold both sides to the oracle on every ambient
@@ -65,19 +67,16 @@ def suite_hopf(n: int, store: ComponentStore | None = None) -> list[dict]:
     return verdicts
 
 
-def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple, n: int, premise=None) -> list[dict]:
+def _derivation_checks(side: str, comp, monomials: list, derivation, order: tuple[str, str]) -> list[dict]:
     """D^2 = 0 for each derivation in ``order``, then [up, down] = weight, on
-    every monomial of ``monomials``, as verdicts at arity n.  A failed
-    ``premise`` fails all three with its witness.
+    every monomial of ``monomials``, all on the labels of the component.
 
     One pass over the monomials takes each first derivative once, for its
     square and for the Laplacian; each check's witness is its first failing
     monomial."""
     names = [f"{side}_{which}_squares_to_zero" for which in order] + [f"{side}_laplacian_is_weight"]
-    bad: dict[str, dict] = dict.fromkeys(names, premise) if premise else {}
+    bad: dict[str, dict] = {}
     for m in monomials:
-        if len(bad) == len(names):
-            break
         el = comp.monomial_element(m)
         first = {which: derivation(el, which) for which in order}
         for which, name in zip(order, names):
@@ -87,7 +86,9 @@ def _derivation_checks(side: str, comp, monomials: list, derivation, order: tupl
             w = el.bidegree()[1]
             if derivation(first["up"], "down") + derivation(first["down"], "up") != el.scaled(w):
                 bad[names[2]] = {"monomial": repr(el), "weight": w}
-    return [verdict(name, name not in bad, bad.get(name), n=n) for name in names]
+        if len(bad) == len(names):
+            break
+    return [verdict(name, name not in bad, bad.get(name), n=len(comp.labels)) for name in names]
 
 
 def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dict]:
@@ -95,12 +96,16 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
     pres = presentation("ram")
     verdicts = []
     images: dict = {}  # the BasisImages of each component, for every arity and both maps
-    # the operad side is decided on E, L and G, the basis at arity 2 (see the module docstring)
+    # the operad side is decided once, on E, L and G, the basis at arity 2,
+    # and fails on its sign rule's witness (see the module docstring)
     comp2 = component_basis(pres, standard_labels(2), store)
+    operad = _derivation_checks("operad", comp2, comp2.basis, differential, ("down", "up"))
     premise = sign_rule_witness("_derivation_signs")
+    if premise is not None:
+        operad = [verdict(v["check"], False, premise, n=2) for v in operad]
     for k in range(2, n + 1):
         labels = standard_labels(k)
-        verdicts.extend(_derivation_checks("operad", comp2, comp2.basis, differential, ("down", "up"), k, premise))
+        verdicts.extend(dict(v, params={"n": k}) for v in operad)
 
         if k >= 3:
             for which in ("down", "up"):
@@ -110,7 +115,7 @@ def suite_differentials(n: int, store: ComponentStore | None = None) -> list[dic
 
         gpres = R_PRESENTATION
         gcomp = algebra_basis(gpres, labels, "forest", store)
-        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.basis, differential_algebra, ("up", "down"), k))
+        verdicts.extend(_derivation_checks("algebra", gcomp, gcomp.basis, differential_algebra, ("up", "down")))
 
         for mode in ("forest", "full") if k <= 4 else ("forest",):
             mcomp = algebra_basis(gpres, labels, mode, store)

@@ -116,6 +116,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "coproduct_parts_sign_reading_hg1",
+        "ramops/ram.py",
+        "sign = s1 * s2 * _coproduct_sign(hg2, hu1, hu2, hv1)",
+        "sign = s1 * s2 * _coproduct_sign(hg1, hu1, hu2, hv1)",
+        (
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
+        ),
+    ),
+    Mutant(
+        "coproduct_parts_h_without_hv",
+        "ramops/ram.py",
+        "hg1 + hu1 + hv1, hg2 + hu2 + hv2",
+        "hg1 + hu1, hg2 + hu2",
+        (
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
+        ),
+    ),
+    Mutant(
+        "diff_tree_signs_reading_hr",
+        "ramops/ram.py",
+        "left_sign, right_sign = _derivation_signs(hg, hl)",
+        "left_sign, right_sign = _derivation_signs(hg, hr)",
+        (
+            "tests/test_ram.py::test_differential_leibniz_sign",
+            "tests/test_ram.py::test_differentials_square_to_zero_up_to_arity_4",
+            "tests/test_ram.py::test_hopf_check_matches_oracle",
+            "tests/test_ram.py::test_preserves_ideal_matches_span_oracle",
+            "tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",
+            "tests/test_ram.py::test_derivation_identities_fail_alike_on_the_basis_and_every_monomial",
+        ),
+    ),
+    Mutant(
+        "diff_tree_h_without_hr",
+        "ramops/ram.py",
+        "return terms, hg + hl + hr",
+        "return terms, hg + hl",
+        ("tests/test_ram.py::test_basis_images_equal_the_normalised_free_images",),
+    ),
+    Mutant(
         "leading_rule_without_the_order_condition",
         "ramops/operad.py",
         "if rule is None or y_min > z_min:",
